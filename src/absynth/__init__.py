@@ -8,7 +8,6 @@ prediction files with tolerance-aware numeric, phrase, Rouge-L, and
 landmark-coverage metrics.
 """
 
-from . import charts, diagrams, gauges, maps, puzzles  # noqa: F401  (registers generators)
 from .records import InstructionRecord, Manifest, QuestionDraft  # noqa: F401
 from .scene import Canvas, Primitive, SceneGraph, StyleSpec, render_svg  # noqa: F401
 

@@ -456,10 +456,9 @@ def build_chart_scene(spec: ChartSpec, font_scale: float = 1.0) -> SceneGraph:
         _draw_kind(b, spec, region, font_scale, unit_label)
 
     scene = b.build()
-    labels = dict(scene.labels)
     for role in ("title", "legend", "axis", "data_marks"):
-        labels.setdefault(role, ())
-    return SceneGraph(scene.canvas, scene.primitives, labels)
+        scene.labels.setdefault(role, ())  # empty roles need no validation
+    return scene
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +586,3 @@ def chart_questions(spec: ChartSpec) -> list[QuestionDraft]:
         _extraction_draft(rng, spec),
         _math_draft(rng, spec),
     ]
-
-
-from .records import register_generator
-
-register_generator("chart-gen", chart_questions)

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .bridge import BackendConfig
 from .gallery import render_gallery
@@ -26,36 +27,52 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _checked_keys(data: dict, known, source: str, section: str = "") -> dict:
+    """`data`, after checking that it is a JSON object with only `known` keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{source} {section or 'file'} must be a JSON object")
+    for key in data:
+        if key not in known:
+            path = f"{section}.{key}" if section else key
+            raise ValueError(f"unknown {source} key {path!r}")
+    return data
+
+
+def _from_keys(cls, data: dict, source: str, section: str = ""):
+    return cls(**_checked_keys(data, {f.name for f in fields(cls)}, source, section))
+
+
+# Run-config file key -> (RunConfig field, parser). Defaults live in RunConfig.
+_RUN_CONFIG_KEYS = {
+    "scenarios": ("scenarios", tuple),
+    "counts": ("counts", dict),
+    "default_count": ("default_count", int),
+    "seed": ("seed", int),
+    "out": ("out_dir", str),
+    "jobs": ("jobs", int),
+    "gate": ("gate", lambda v: _from_keys(GateConfig, v, "run-config", "gate")),
+    "questions_per_image": ("questions_per_image", int),
+    "train_fraction": ("train_fraction", float),
+    "backend": ("backend", lambda v: _from_keys(BackendConfig, v, "run-config", "backend")),
+}
+
+
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg: dict = _read_json(args.config) if args.config else {}
-    scenarios: tuple[str, ...]
+    file_cfg = _read_json(args.config) if args.config else {}
+    kwargs = {}
+    for key, value in _checked_keys(file_cfg, _RUN_CONFIG_KEYS, "run-config").items():
+        name, parse = _RUN_CONFIG_KEYS[key]
+        kwargs[name] = parse(value)
     if args.all:
-        scenarios = SCENARIOS
+        kwargs["scenarios"] = SCENARIOS
     elif args.scenario:
-        scenarios = tuple(args.scenario)
-    elif "scenarios" in file_cfg:
-        scenarios = tuple(file_cfg["scenarios"])
-    else:
-        scenarios = SCENARIOS
-    gate_cfg = GateConfig(**file_cfg.get("gate", {}))
-    backend = None
+        kwargs["scenarios"] = tuple(args.scenario)
     if args.backend:
-        backend = BackendConfig(**_read_json(args.backend))
-    elif "backend" in file_cfg:
-        backend = BackendConfig(**file_cfg["backend"])
-    config = RunConfig(
-        scenarios=scenarios,
-        counts=dict(file_cfg.get("counts", {})),
-        default_count=args.count if args.count is not None
-        else int(file_cfg.get("default_count", 10)),
-        seed=args.seed if args.seed is not None else int(file_cfg.get("seed", 0)),
-        out_dir=args.out or file_cfg.get("out", "out"),
-        jobs=args.jobs if args.jobs is not None else int(file_cfg.get("jobs", 1)),
-        gate=gate_cfg,
-        questions_per_image=int(file_cfg.get("questions_per_image", 5)),
-        train_fraction=float(file_cfg.get("train_fraction", 0.0)),
-        backend=backend,
-    )
+        kwargs["backend"] = _from_keys(BackendConfig, _read_json(args.backend), "backend-config")
+    flags = {"default_count": args.count, "seed": args.seed, "out_dir": args.out,
+             "jobs": args.jobs}
+    kwargs.update((name, value) for name, value in flags.items() if value is not None)
+    config = RunConfig(**kwargs)
     config.validate()
     return config
 
@@ -70,17 +87,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
     manifest, report, images = generate_dataset(config)
     paths = write_outputs(config.out_dir, manifest, report, images,
                           review_fraction=config.gate.review_fraction, seed=config.seed)
-    by_scenario: dict[str, list[int]] = {}
+    # [accepted, rejected] images; record ids ("chart-00001-q02") name no
+    # scenario before their last dash, so accuracy drops are not counted.
+    by_scenario = {scenario: [0, 0] for scenario in config.scenarios}
     for cid, outcome in report.outcomes.items():
-        scenario = cid.rsplit("-", 2)[0] if cid.count("-") >= 2 else cid.rsplit("-", 1)[0]
-        acc, rej = by_scenario.setdefault(scenario, [0, 0])
-        if outcome is None:
-            by_scenario[scenario][0] = acc + 1
-        else:
-            by_scenario[scenario][1] = rej + 1
+        counts = by_scenario.get(cid.rsplit("-", 1)[0])
+        if counts is not None:
+            counts[outcome is not None] += 1
     stats = manifest.stats()
     for scenario in config.scenarios:
-        accepted, rejected = by_scenario.get(scenario, [0, 0])
+        accepted, rejected = by_scenario[scenario]
         records = stats.get(scenario, {}).get("records", 0)
         print(f"{scenario:<16} images accepted {accepted:>4}  rejected {rejected:>3}  "
               f"records {records:>5}")

@@ -520,8 +520,3 @@ def diagram_questions(spec: TreeSpec | FlowSpec) -> list[QuestionDraft]:
         return _tree_questions(spec)
     validate_flow_spec(spec)
     return _flow_questions(spec)
-
-
-from .records import register_generator
-
-register_generator("diagram-gen", diagram_questions)

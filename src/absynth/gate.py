@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .scene import LayoutOverflow, SceneGraph, bounding_box, bbox_intersection_area
+from .scene import LayoutOverflow, SceneGraph, bounding_box, overlap_pairs
 
 FONT_SCALE_DECAY = 0.85
 
@@ -53,41 +53,14 @@ class FeasibilityResult:
         return self.scene is not None
 
 
-def default_builder(spec: Any) -> Callable[[Any, float], SceneGraph]:
-    """Scene builder for a scenario spec, dispatched on its type."""
-    from .charts import ChartSpec, build_chart_scene
-    from .diagrams import FlowSpec, TreeSpec, layout_hierarchy
-    from .gauges import DialSpec, build_dial_scene
-    from .maps import RoadMapSpec, build_map_scene
-    from .puzzles import (
-        DiffPairSpec, FloorPlanSpec, PatternRule, build_floorplan_scene,
-        build_puzzle_scene,
-    )
-    if isinstance(spec, ChartSpec):
-        return build_chart_scene
-    if isinstance(spec, RoadMapSpec):
-        return build_map_scene
-    if isinstance(spec, DialSpec):
-        return build_dial_scene
-    if isinstance(spec, (TreeSpec, FlowSpec)):
-        return layout_hierarchy
-    if isinstance(spec, (PatternRule, DiffPairSpec)):
-        return build_puzzle_scene
-    if isinstance(spec, FloorPlanSpec):
-        return build_floorplan_scene
-    raise TypeError(f"no scene builder known for {type(spec).__name__}")
-
-
 def feasibility_gate(
     spec: Any,
     config: GateConfig,
-    builder: Callable[[Any, float], SceneGraph] | None = None,
+    builder: Callable[[Any, float], SceneGraph],
 ) -> FeasibilityResult:
     """Attempt scene construction up to max_retries times, shrinking fonts on
     each retry. Rejection is a value, not an exception."""
     config.validate()
-    if builder is None:
-        builder = default_builder(spec)
     last_error = "no attempts made"
     for attempt in range(config.max_retries):
         scale = FONT_SCALE_DECAY ** attempt
@@ -111,21 +84,16 @@ class AestheticsResult:
     reasons: tuple[str, ...] = ()
 
 
-def _interference_area(scene: SceneGraph, config: GateConfig) -> float:
+def _interference_area(scene: SceneGraph) -> float:
     """Total pairwise bbox overlap among text primitives and legend elements,
     ignoring pairs inside the legend itself (a swatch under its own label is
     not interference)."""
     legend = set(scene.labels.get("legend", ()))
-    candidates = sorted(
-        {i for i, p in enumerate(scene.primitives) if p.kind == "text"} | legend
-    )
-    boxes = {i: bounding_box(scene.primitives[i]) for i in candidates}
+    text = {i for i, p in enumerate(scene.primitives) if p.kind == "text"}
     total = 0.0
-    for pos, i in enumerate(candidates):
-        for j in candidates[pos + 1:]:
-            if i in legend and j in legend:
-                continue
-            total += bbox_intersection_area(boxes[i], boxes[j])
+    for i, j, area in overlap_pairs(scene, (), text | legend):
+        if not (i in legend and j in legend):
+            total += area
     return total
 
 
@@ -135,7 +103,7 @@ def aesthetics_gate(scene: SceneGraph, config: GateConfig) -> AestheticsResult:
     config.validate()
     reasons: list[str] = []
     canvas_area = scene.canvas.width * scene.canvas.height
-    overlap = _interference_area(scene, config)
+    overlap = _interference_area(scene)
     if overlap > config.max_overlap_fraction * canvas_area:
         reasons.append(
             f"interference: text/legend overlap area {overlap:.1f}px^2 exceeds "

@@ -388,8 +388,3 @@ def dial_questions(spec: DialSpec) -> list[QuestionDraft]:
     drafts.append(QuestionDraft(question, format_number(result), "numeric",
                                 "offset_math", rationale=rationale))
     return drafts
-
-
-from .records import register_generator
-
-register_generator("gauge-gen", dial_questions)

@@ -376,10 +376,5 @@ def map_instruction(spec: RoadMapSpec) -> QuestionDraft:
 
 
 def map_questions(spec: RoadMapSpec) -> list[QuestionDraft]:
-    """Draft list wrapper so maps register like every other generator."""
+    """Draft list wrapper, so maps fit the scenario table like every other generator."""
     return [map_instruction(spec)]
-
-
-from .records import register_generator
-
-register_generator("map-gen", map_questions)

@@ -26,18 +26,11 @@ PALETTE: dict[str, tuple[int, int, int]] = {
     "black": (16, 16, 16),
 }
 
-COLOR_NAMES: tuple[str, ...] = tuple(PALETTE)
-
 # Subset with strong contrast against a white canvas, used for data marks.
 CHART_COLORS: tuple[str, ...] = (
     "blue", "orange", "green", "red", "purple", "brown", "pink",
     "teal", "olive", "cyan", "magenta", "navy",
 )
-
-
-def color_rgb(name: str) -> tuple[int, int, int]:
-    """RGB triple for a palette name. Raises KeyError for unknown names."""
-    return PALETTE[name]
 
 
 def color_css(name: str) -> str:

@@ -2,10 +2,11 @@
 
 One image per (scenario, index) slot; the record seed is derived from the
 master seed so runs shard cleanly across workers and reproduce byte-for-byte
-regardless of job count. Every procedural record must re-verify against its
-spec via the generator oracle before it is written; a mismatch (which would
-indicate a generator bug) drops the record through the accuracy gate rather
-than shipping a wrong answer.
+regardless of job count. SCENARIO_DEFS is the only scenario table. Every
+procedural record must re-verify against its spec, through the questions
+function this table lists for its provenance generator, before it is
+written; a mismatch (which would indicate a generator bug) drops the record
+through the accuracy gate rather than shipping a wrong answer.
 
 With a backend configured, each accepted image also gains one LLM-proposed
 question whose answer passes self-consistency voting at min_vote_support
@@ -71,17 +72,15 @@ def _sample_graph(seed: int):
 SCENARIO_DEFS: dict[str, ScenarioDef] = {
     "chart": ScenarioDef(_sample_chart, build_chart_scene, chart_questions, "chart-gen"),
     "table": ScenarioDef(_sample_table, build_chart_scene, chart_questions, "chart-gen"),
-    "map": ScenarioDef(lambda s: generate_map(s), build_map_scene, map_questions, "map-gen"),
-    "dashboard": ScenarioDef(lambda s: sample_dial_spec(s), build_dial_scene,
-                             dial_questions, "gauge-gen"),
-    "flowchart": ScenarioDef(lambda s: sample_flow_spec(s), layout_hierarchy,
-                             diagram_questions, "diagram-gen"),
-    "relation_graph": ScenarioDef(_sample_graph, layout_hierarchy,
-                                  diagram_questions, "diagram-gen"),
-    "puzzle": ScenarioDef(lambda s: sample_puzzle(s), build_puzzle_scene,
-                          puzzle_questions, "puzzle-gen"),
-    "layout": ScenarioDef(lambda s: sample_floorplan(s), build_floorplan_scene,
-                          layout_questions, "floorplan-gen"),
+    "map": ScenarioDef(generate_map, build_map_scene, map_questions, "map-gen"),
+    "dashboard": ScenarioDef(sample_dial_spec, build_dial_scene, dial_questions, "gauge-gen"),
+    "flowchart": ScenarioDef(sample_flow_spec, layout_hierarchy, diagram_questions,
+                             "diagram-gen"),
+    "relation_graph": ScenarioDef(_sample_graph, layout_hierarchy, diagram_questions,
+                                  "diagram-gen"),
+    "puzzle": ScenarioDef(sample_puzzle, build_puzzle_scene, puzzle_questions, "puzzle-gen"),
+    "layout": ScenarioDef(sample_floorplan, build_floorplan_scene, layout_questions,
+                          "floorplan-gen"),
 }
 
 
@@ -107,6 +106,8 @@ class RunConfig:
                 raise ValueError(f"unknown scenario {scenario!r}")
             if self.count_for(scenario) < 0:
                 raise ValueError(f"negative count for {scenario!r}")
+        if not (0 <= self.seed < 2**64):
+            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if not (0.0 <= self.train_fraction <= 1.0):

@@ -579,9 +579,3 @@ def build_puzzle_scene(spec: PatternRule | DiffPairSpec, font_scale: float = 1.0
     if isinstance(spec, PatternRule):
         return build_induction_scene(spec, font_scale)
     return build_comparison_scene(spec, font_scale)
-
-
-from .records import register_generator
-
-register_generator("puzzle-gen", puzzle_questions)
-register_generator("floorplan-gen", layout_questions)

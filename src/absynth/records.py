@@ -6,8 +6,9 @@ are serialized one-per-line as JSON (see MANIFEST_SCHEMA_VERSION and the
 field list in the README).
 
 Answer verification re-derives every answer from the originating scenario
-spec through a registered generator oracle, so a stored answer can never
-drift from the parameters that produced the image.
+spec with the questions function that the scenario table
+(pipeline.SCENARIO_DEFS) lists for the record's provenance generator, so a
+stored answer can never drift from the parameters that produced the image.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass, field, asdict
 from random import Random
-from typing import Any, Callable
+from typing import Any
 
 from .seeds import derive_seed
 
@@ -168,18 +169,6 @@ def answer_set(record: InstructionRecord) -> set[str]:
 # ---------------------------------------------------------------------------
 # Oracle verification
 
-# generator name -> callable(spec) -> list[QuestionDraft]
-_GENERATORS: dict[str, Callable[[Any], list[QuestionDraft]]] = {}
-
-
-def register_generator(name: str, fn: Callable[[Any], list[QuestionDraft]]) -> None:
-    _GENERATORS[name] = fn
-
-
-def generator_names() -> tuple[str, ...]:
-    return tuple(sorted(_GENERATORS))
-
-
 @dataclass(frozen=True)
 class Verdict:
     ok: bool
@@ -192,14 +181,16 @@ class Verdict:
 def verify_record(record: InstructionRecord, spec: Any) -> Verdict:
     """Re-derive the record's answer from its scenario spec and compare.
 
-    Looks up the generator named in record.provenance, regenerates all drafts
-    for `spec`, finds the draft with the same question, and compares answer
-    plus alternates canonically.
+    Looks up the generator named in record.provenance in the scenario table,
+    regenerates all drafts for `spec`, finds the draft with the same
+    question, and compares answer plus alternates canonically.
     """
+    from .pipeline import SCENARIO_DEFS  # the table imports this module
     name = record.provenance.generator
-    if name not in _GENERATORS:
+    questions = next((d.questions for d in SCENARIO_DEFS.values() if d.generator == name), None)
+    if questions is None:
         raise UnknownGenerator(name)
-    drafts = _GENERATORS[name](spec)
+    drafts = questions(spec)
     match = None
     for draft in drafts:
         if draft.question == record.question and draft.question_type == record.question_type:

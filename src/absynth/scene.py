@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 from xml.sax.saxutils import escape
 
 from .palette import PALETTE, color_css, rgb_css
@@ -128,9 +129,16 @@ def text(x, y, content: str, style: StyleSpec, anchor: str = "start", z: int = 0
 
 @dataclass(frozen=True)
 class SceneGraph:
+    """A validated scene: construction raises InvalidScene on any violated
+    invariant. Canvas, primitives and styles are frozen, so a scene that
+    was built is still valid when it is rendered."""
+
     canvas: Canvas
     primitives: tuple[Primitive, ...]
     labels: dict[str, tuple[int, ...]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        validate_scene(self)
 
     def role_indices(self, role: str) -> tuple[int, ...]:
         if role not in self.labels:
@@ -165,13 +173,11 @@ class SceneBuilder:
             prims.append(prim)
             for role in roles:
                 labels.setdefault(role, []).append(new_index)
-        scene = SceneGraph(
+        return SceneGraph(
             canvas=self.canvas,
             primitives=tuple(prims),
             labels={role: tuple(sorted(ix)) for role, ix in labels.items()},
         )
-        validate_scene(scene)
-        return scene
 
 
 def _finite(*values: float) -> bool:
@@ -311,15 +317,19 @@ def bbox_intersection_area(a: BBox, b: BBox) -> float:
 
 
 def overlap_pairs(
-    scene: SceneGraph, roles: set[str] | frozenset[str]
+    scene: SceneGraph, roles: Iterable[str], indices: Iterable[int] = ()
 ) -> list[tuple[int, int, float]]:
-    """All index pairs among the role-selected primitives whose bounding
-    boxes intersect with positive area, with the intersection area.
+    """All index pairs (i < j, in sorted order) among the primitives selected
+    by `roles` plus the explicit `indices` whose bounding boxes intersect
+    with positive area, with the intersection area.
+
+    The explicit indices select primitives that carry no role, such as
+    every text primitive.
     """
-    indices: set[int] = set()
+    chosen = set(indices)
     for role in sorted(roles):
-        indices.update(scene.role_indices(role))
-    selected = sorted(indices)
+        chosen.update(scene.role_indices(role))
+    selected = sorted(chosen)
     boxes = {i: bounding_box(scene.primitives[i]) for i in selected}
     pairs: list[tuple[int, int, float]] = []
     for a_pos, i in enumerate(selected):
@@ -423,10 +433,9 @@ def _element(p: Primitive) -> str:
 def render_svg(scene: SceneGraph) -> bytes:
     """Render a scene to a standalone SVG 1.1 document.
 
-    Deterministic: the same scene yields byte-identical output. Raises
-    InvalidScene if any scene invariant is violated.
+    Deterministic: the same scene yields byte-identical output. The scene
+    was validated when it was constructed.
     """
-    validate_scene(scene)
     c = scene.canvas
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -35,14 +35,23 @@ class Prediction:
 
 def load_predictions(data: bytes | str) -> dict[str, str]:
     """Parse a prediction file: one JSON object per line with fields
-    ``id`` and ``response``. Later duplicates win."""
+    ``id`` and ``response``. Later duplicates win. A malformed line raises
+    ValueError naming its 1-based line number."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     out: dict[str, str] = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        row = json.loads(line)
-        out[str(row["id"])] = str(row["response"])
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"prediction line {number}: invalid JSON ({err.msg})") from None
+        try:
+            out[str(row["id"])] = str(row["response"])
+        except KeyError as err:
+            raise ValueError(f"prediction line {number}: missing field {err}") from None
+        except TypeError:
+            raise ValueError(f"prediction line {number}: not a JSON object") from None
     return out
 
 

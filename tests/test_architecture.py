@@ -1,5 +1,6 @@
 """Package-level contracts that cut across modules."""
 
+import ast
 import math
 
 from absynth.keywords import BUILTIN_TOPICS, KeywordLibrary
@@ -36,3 +37,41 @@ def test_review_sample_fraction_matches_config_default():
     manifest = Manifest(records=[make_record(i) for i in range(40)])
     ids = sample_for_review(manifest, 0.10, seed=1)
     assert len(ids) == math.ceil(0.10 * 40)
+
+
+# Modules below the scenario table: they must not reach up to it, so no
+# registry filled by import side effects can grow back.
+LOWER_LAYERS = ("records", "scene", "gate", "seeds", "palette")
+UPPER_LAYERS = {"pipeline", "charts", "maps", "gauges", "diagrams", "puzzles"}
+
+
+def module_level_imports(tree):
+    """Absolute names of the absynth modules a module imports when loaded;
+    imports inside function bodies run later and are not counted."""
+    names = set()
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "absynth" + ("." + base if base else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+        pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_lower_layers_do_not_import_scenario_modules():
+    offenders = []
+    for name in LOWER_LAYERS:
+        tree = ast.parse((SRC_DIR / f"{name}.py").read_text(encoding="utf-8"))
+        for imported in sorted(module_level_imports(tree)):
+            parts = imported.split(".")
+            if parts[0] == "absynth" and UPPER_LAYERS & set(parts[1:2]):
+                offenders.append((name, imported))
+    assert not offenders

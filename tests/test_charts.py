@@ -134,11 +134,8 @@ def test_no_text_interference_on_sampled_charts():
     for seed in range(40):
         scene = build_chart_scene(sample_chart_spec(seed))
         text_ix = tuple(i for i, p in enumerate(scene.primitives) if p.kind == "text")
-        probe = dict(scene.labels)
-        probe["__text"] = text_ix
-        view = type(scene)(scene.canvas, scene.primitives, probe)
         legend = set(scene.labels["legend"])
-        area = sum(a for i, j, a in overlap_pairs(view, {"__text", "legend"})
+        area = sum(a for i, j, a in overlap_pairs(scene, {"legend"}, text_ix)
                    if not (i in legend and j in legend))
         assert area <= 0.02 * scene.canvas.width * scene.canvas.height, seed
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from absynth.cli import main
 from absynth.records import load_manifest
 from absynth.scoring import dump_predictions, Prediction
@@ -135,3 +137,99 @@ def test_gen_with_offline_backend_file(tmp_path):
     manifest = load_manifest((out / "manifest.jsonl").read_bytes())
     llm = [r for r in manifest.records if r.question_type == "llm_qa"]
     assert llm and all(r.provenance.generator == "llm-bridge" for r in llm)
+
+
+def test_gen_summary_counts_images_not_records(tmp_path, monkeypatch, capsys):
+    from absynth import pipeline
+    from absynth.records import Verdict
+    real = pipeline.verify_record
+
+    def fail_one(record, spec):
+        if record.id == "chart-00001-q02":
+            return Verdict(False, "forced mismatch")
+        return real(record, spec)
+
+    monkeypatch.setattr(pipeline, "verify_record", fail_one)
+    out = tmp_path / "out"
+    assert run(["gen", "--scenario", "chart", "--count", 2, "--seed", 1, "--out", out]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("chart"))
+    assert "accepted    2" in line
+    assert "rejected   0" in line
+    report = json.loads((out / "gate_report.json").read_text())
+    assert report["outcomes"]["chart-00001-q02"] == {
+        "accepted": False, "stage": "accuracy", "reason": "forced mismatch"}
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"sead": 3}, "'sead'"),
+    ({"gate": {"max_retry": 2}}, "'gate.max_retry'"),
+    ({"backend": {"modle": "offline"}}, "'backend.modle'"),
+])
+def test_unknown_run_config_key_is_one_line_error(tmp_path, capsys, config, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["gen", "--config", cfg, "--out", tmp_path / "out", "--dry-run"]) == 1
+    assert one_line_error(capsys) == f"error: unknown run-config key {key}"
+
+
+@pytest.mark.parametrize("config, message", [
+    ([1, 2], "run-config file must be a JSON object"),
+    ({"gate": 3}, "run-config gate must be a JSON object"),
+])
+def test_run_config_sections_must_be_objects(tmp_path, capsys, config, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["gen", "--config", cfg, "--dry-run"]) == 1
+    assert one_line_error(capsys) == f"error: {message}"
+
+
+def test_unknown_backend_file_key_is_one_line_error(tmp_path, capsys):
+    backend = tmp_path / "backend.json"
+    backend.write_text(json.dumps({"modle": "offline"}))
+    assert run(["gen", "--backend", backend, "--dry-run"]) == 1
+    assert one_line_error(capsys) == "error: unknown backend-config key 'modle'"
+
+
+def test_run_config_file_values_still_apply(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 3, "out": str(tmp_path / "o"), "jobs": 2,
+                               "default_count": 4, "gate": {"max_retries": 2}}))
+    assert run(["gen", "--config", cfg, "--dry-run"]) == 0
+    printed = capsys.readouterr().out
+    assert f"seed 3, out {str(tmp_path / 'o')!r}, jobs 2" in printed
+    assert "'chart': 4" in printed
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551617", "18446744073709551616", "-1"])
+def test_seed_outside_64_bits_is_one_line_error(tmp_path, capsys, seed):
+    assert run(["gen", "--seed", seed, "--out", tmp_path / "out", "--dry-run"]) == 1
+    assert "seed" in one_line_error(capsys)
+
+
+def test_largest_64_bit_seed_accepted(tmp_path):
+    assert run(["gen", "--seed", 2**64 - 1, "--out", tmp_path / "out", "--dry-run"]) == 0
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('{"id": "x"}', "'response'"),
+    ('{"response": "4"}', "'id'"),
+    ('["x", "4"]', "object"),
+    ('{"id": "x", "response": ', "invalid JSON"),
+])
+def test_bad_prediction_line_is_one_line_error_with_line_number(tmp_path, capsys, line, reason):
+    out = gen(tmp_path)
+    capsys.readouterr()
+    preds = tmp_path / "p.jsonl"
+    preds.write_text('{"id": "a", "response": "1"}\n\n' + line + "\n")
+    assert run(["eval", out / "manifest.jsonl", preds, "--out", tmp_path]) == 1
+    message = one_line_error(capsys)
+    assert message.startswith("error: prediction line 3: ")
+    assert reason in message

@@ -6,9 +6,12 @@ import pytest
 
 from absynth.charts import ChartSpec, Series, SeriesPoint, build_chart_scene, sample_chart_spec
 from absynth.gate import (
-    GateConfig, GateReport, aesthetics_gate, feasibility_gate,
+    GateConfig, GateReport, _interference_area, aesthetics_gate, feasibility_gate,
 )
-from absynth.scene import Canvas, SceneBuilder, StyleSpec, rect, text
+from absynth.pipeline import SCENARIO_DEFS
+from absynth.scene import (
+    Canvas, SceneBuilder, StyleSpec, bbox_intersection_area, bounding_box, rect, text,
+)
 
 
 def pie(title):
@@ -138,11 +141,25 @@ def test_config_validation():
         GateConfig(max_overlap_fraction=0.0).validate()
 
 
-def test_builder_dispatch_by_spec_type():
-    from absynth.maps import generate_map
-    from absynth.puzzles import sample_floorplan
-    assert feasibility_gate(sample_chart_spec(3), GateConfig()).accepted
-    assert feasibility_gate(generate_map(3), GateConfig()).accepted
-    assert feasibility_gate(sample_floorplan(3), GateConfig()).accepted
-    with pytest.raises(TypeError):
-        feasibility_gate(object(), GateConfig())
+
+def reference_interference(scene):
+    """Every pair of text/legend primitives in sorted order, zero-area and
+    legend-internal pairs included, summed left to right."""
+    legend = set(scene.labels.get("legend", ()))
+    chosen = sorted({i for i, p in enumerate(scene.primitives) if p.kind == "text"} | legend)
+    total = 0.0
+    for pos, i in enumerate(chosen):
+        for j in chosen[pos + 1:]:
+            if not (i in legend and j in legend):
+                total += bbox_intersection_area(bounding_box(scene.primitives[i]),
+                                                bounding_box(scene.primitives[j]))
+    return total
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_DEFS))
+def test_interference_area_is_bit_identical_to_full_pair_sum(scenario):
+    sdef = SCENARIO_DEFS[scenario]
+    for seed in range(6):
+        result = feasibility_gate(sdef.sample(seed), GateConfig(), sdef.build)
+        if result.accepted:
+            assert _interference_area(result.scene) == reference_interference(result.scene)

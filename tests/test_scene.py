@@ -64,16 +64,14 @@ def test_z_order_and_each_primitive_once():
 
 def test_invalid_scene_lists_offenders():
     bad = Primitive("circle", (1.0, 1.0, -3.0), FILLED)
-    scene = SceneGraph(Canvas(640, 480), (circle(5, 5, 1, FILLED), bad))
     with pytest.raises(InvalidScene) as err:
-        render_svg(scene)
+        SceneGraph(Canvas(640, 480), (circle(5, 5, 1, FILLED), bad))
     assert [i for i, _ in err.value.problems] == [1]
 
 
 def test_text_without_font_size_is_invalid():
-    scene = SceneGraph(Canvas(640, 480), (Primitive("text", (0.0, 0.0, "x", "start"), StyleSpec()),))
     with pytest.raises(InvalidScene):
-        render_svg(scene)
+        SceneGraph(Canvas(640, 480), (Primitive("text", (0.0, 0.0, "x", "start"), StyleSpec()),))
 
 
 # -- bounding boxes ---------------------------------------------------------
@@ -186,6 +184,17 @@ def test_overlap_partial_rects():
     assert overlap_pairs(scene, {"marks"}) == [(0, 1, 25.0)]
 
 
+def test_overlap_explicit_indices_join_roles():
+    b = SceneBuilder(Canvas(640, 480))
+    b.add(rect(0, 0, 10, 10, FILLED), "marks")
+    b.add(text(5, 5, "unroled", StyleSpec(font_size=10)))
+    b.add(rect(100, 100, 10, 10, FILLED), "marks")
+    scene = b.build()
+    assert overlap_pairs(scene, {"marks"}) == []
+    assert overlap_pairs(scene, {"marks"}, (1,)) == overlap_pairs(scene, (), (0, 1, 2))
+    assert [(i, j) for i, j, _ in overlap_pairs(scene, {"marks"}, (1,))] == [(0, 1)]
+
+
 def test_overlap_unknown_role():
     scene = scene_with_rects((0, 0, 10, 10))
     with pytest.raises(UnknownRole):
@@ -236,12 +245,10 @@ def test_overlap_symmetric_in_roles():
 
 
 def test_undersized_canvas_rejected():
-    scene = SceneGraph(Canvas(32, 480), ())
     with pytest.raises(InvalidScene, match="minimum"):
-        render_svg(scene)
+        SceneGraph(Canvas(32, 480), ())
 
 
 def test_bad_background_rejected():
-    scene = SceneGraph(Canvas(640, 480, (300, 0, 0)), ())
     with pytest.raises(InvalidScene, match="background"):
-        render_svg(scene)
+        SceneGraph(Canvas(640, 480, (300, 0, 0)), ())
