@@ -13,7 +13,7 @@ categories with integer percentages summing to 100. Composite charts hold
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from random import Random
 
 from .keywords import KeywordLibrary, UNIT_RANGES, UNIT_SUFFIX
@@ -23,7 +23,7 @@ from .scene import (
     Canvas, LayoutOverflow, SceneBuilder, SceneGraph, StyleSpec,
     TEXT_WIDTH_FACTOR, circle, line, polyline, rect, text, wedge,
 )
-from .seeds import derive_seed, stable_digest
+from .seeds import derive_seed, plain, stable_digest
 
 CHART_KINDS = ("line", "bar", "pie", "table", "composite")
 LEGEND_POSITIONS = ("top_left", "top_right", "bottom_left", "bottom_right")
@@ -83,7 +83,7 @@ class ChartSpec:
         return tuple(p.category for p in self.series[0].points)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return plain(self)
 
 
 def validate_chart_spec(spec: ChartSpec) -> None:

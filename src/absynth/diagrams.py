@@ -13,7 +13,7 @@ departments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from random import Random
 
 from .keywords import ALGORITHM_TOPICS, WORKFLOW_TOPICS
@@ -22,7 +22,7 @@ from .scene import (
     Canvas, LayoutOverflow, SceneBuilder, SceneGraph, StyleSpec,
     TEXT_WIDTH_FACTOR, line, polygon, polyline, rect, text,
 )
-from .seeds import derive_seed, stable_digest
+from .seeds import derive_seed, plain, stable_digest
 
 MAX_TREE_NODES = 8
 MAX_CHILDREN = 3
@@ -81,7 +81,7 @@ class TreeSpec:
         return self.root.label
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return plain(self)
 
 
 def tree_nodes(node: TreeNode) -> list[TreeNode]:
@@ -189,7 +189,7 @@ class FlowSpec:
     edges: tuple[FlowEdge, ...]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return plain(self)
 
     def node(self, label: str) -> FlowNode:
         return next(n for n in self.nodes if n.label == label)

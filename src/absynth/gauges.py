@@ -15,7 +15,7 @@ questions are a pure function of the spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from random import Random
 
 from .records import QuestionDraft, format_number
@@ -23,7 +23,7 @@ from .scene import (
     Canvas, SceneBuilder, SceneGraph, StyleSpec, angle_point, arc, circle, line,
     rect, text,
 )
-from .seeds import derive_seed
+from .seeds import derive_seed, plain
 
 FAMILIES = ("clock", "speedometer", "fuel", "thermometer", "barometer")
 
@@ -72,7 +72,7 @@ class DialSpec:
     exercise_hours: float = 0.0  # clocks only
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return plain(self)
 
 
 def clock_angles(hour: int, minute: int) -> tuple[float, float]:

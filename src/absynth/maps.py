@@ -20,12 +20,12 @@ config-style formula: two turns plus two intersections is exactly level 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from random import Random
 
 from .records import QuestionDraft
 from .scene import Canvas, SceneBuilder, SceneGraph, StyleSpec, circle, line, rect, text
-from .seeds import derive_seed
+from .seeds import derive_seed, plain
 
 Cell = tuple[int, int]  # (row, col)
 
@@ -103,7 +103,7 @@ class RoadMapSpec:
     difficulty: int
 
     def to_dict(self) -> dict:
-        data = asdict(self)
+        data = plain(self)
         data["network"] = sorted(self.network)
         data["obstacles"] = sorted(self.obstacles)
         data["landmark_names"] = {str(k): v for k, v in sorted(self.landmark_names.items())}

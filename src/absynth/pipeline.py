@@ -3,10 +3,12 @@
 One image per (scenario, index) slot; the record seed is derived from the
 master seed so runs shard cleanly across workers and reproduce byte-for-byte
 regardless of job count. SCENARIO_DEFS is the only scenario table. Every
-procedural record must re-verify against its spec, through the questions
-function this table lists for its provenance generator, before it is
-written; a mismatch (which would indicate a generator bug) drops the record
-through the accuracy gate rather than shipping a wrong answer.
+procedural record must re-verify against its spec before it is written. The
+oracle runs once per image: a second, independent call of the questions
+function this table lists for the provenance generator, whose drafts every
+record of the image is matched against. A mismatch (which would indicate a
+generator bug) drops the record through the accuracy gate rather than
+shipping a wrong answer.
 
 With a backend configured, each accepted image also gains one LLM-proposed
 question whose answer passes self-consistency voting at min_vote_support
@@ -39,7 +41,7 @@ import json
 
 from .records import (
     InstructionRecord, Manifest, Provenance, QuestionDraft, SCENARIOS, dump_manifest,
-    sample_for_review, verify_record,
+    oracle_drafts, sample_for_review, verify_record,
 )
 from .scene import SceneGraph, render_svg
 from .seeds import derive_seed
@@ -175,6 +177,8 @@ def generate_image(config: RunConfig, scenario: str, index: int) -> ImageResult:
     result.svg = render_svg(feasibility.scene)
     image_ref = f"images/{scenario}/{image_id}.svg"
     drafts = sdef.questions(spec)[: config.questions_per_image]
+    # A second call: checking the records against `drafts` itself would be a tautology.
+    oracle = oracle_drafts(sdef.generator, spec)
     difficulty = getattr(spec, "difficulty", None)
     for j, draft in enumerate(drafts):
         record_id = f"{image_id}-q{j:02d}"
@@ -186,7 +190,7 @@ def generate_image(config: RunConfig, scenario: str, index: int) -> ImageResult:
             difficulty=difficulty, split=_assign_split(config, record_id),
             provenance=Provenance(sdef.generator, seed),
         )
-        verdict = verify_record(record, spec)
+        verdict = verify_record(record, oracle)
         if verdict.ok:
             result.records.append(record)
         else:

@@ -13,7 +13,7 @@ names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from random import Random
 
 from .records import QuestionDraft
@@ -21,7 +21,7 @@ from .scene import (
     Canvas, LayoutOverflow, Primitive, SceneBuilder, SceneGraph, StyleSpec,
     TEXT_WIDTH_FACTOR, circle, polygon, rect, text,
 )
-from .seeds import derive_seed, stable_digest
+from .seeds import derive_seed, plain, stable_digest
 
 PUZZLE_SHAPES = ("triangle", "square", "arrow", "circle", "star")
 ORIENTABLE_SHAPES = ("triangle", "arrow")
@@ -94,7 +94,7 @@ class PatternRule:
     correct_index: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return plain(self)
 
 
 def apply_transform(panel: PanelSpec, transform: tuple[str, float]) -> PanelSpec:
@@ -212,7 +212,7 @@ class DiffPairSpec:
     diff_manifest: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return plain(self)
 
 
 def sample_diff_pair(seed: int) -> DiffPairSpec:
@@ -416,7 +416,7 @@ class FloorPlanSpec:
     doors: tuple[tuple[str, str], ...]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return plain(self)
 
     def room(self, name: str) -> Room:
         return next(r for r in self.rooms if r.name == name)

@@ -5,10 +5,13 @@ canonical answer, acceptable alternates, and an optional rationale. Records
 are serialized one-per-line as JSON (see MANIFEST_SCHEMA_VERSION and the
 field list in the README).
 
-Answer verification re-derives every answer from the originating scenario
-spec with the questions function that the scenario table
-(pipeline.SCENARIO_DEFS) lists for the record's provenance generator, so a
-stored answer can never drift from the parameters that produced the image.
+Answer verification is two steps. oracle_drafts regenerates, once per
+image, every draft for the originating scenario spec with the questions
+function that the scenario table (pipeline.SCENARIO_DEFS) lists for the
+provenance generator; verify_record then matches one record against that
+oracle list. The oracle is a fresh call, never the list the records were
+drafted from, so a stored answer is always checked against the parameters
+that produced the image.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, asdict
+from collections import Counter
+from dataclasses import dataclass, field
 from random import Random
 from typing import Any
 
-from .seeds import derive_seed
+from .seeds import derive_seed, plain
 
 MANIFEST_SCHEMA_VERSION = "1"
 
@@ -178,21 +182,29 @@ class Verdict:
         return self.ok
 
 
-def verify_record(record: InstructionRecord, spec: Any) -> Verdict:
-    """Re-derive the record's answer from its scenario spec and compare.
+def oracle_drafts(generator: str, spec: Any) -> list[QuestionDraft]:
+    """Regenerate every draft for `spec` with the questions function that
+    the scenario table lists for `generator`.
 
-    Looks up the generator named in record.provenance in the scenario table,
-    regenerates all drafts for `spec`, finds the draft with the same
-    question, and compares answer plus alternates canonically.
+    Raises UnknownGenerator for a name the table does not hold.
     """
     from .pipeline import SCENARIO_DEFS  # the table imports this module
-    name = record.provenance.generator
-    questions = next((d.questions for d in SCENARIO_DEFS.values() if d.generator == name), None)
+    questions = next((d.questions for d in SCENARIO_DEFS.values() if d.generator == generator),
+                     None)
     if questions is None:
-        raise UnknownGenerator(name)
-    drafts = questions(spec)
+        raise UnknownGenerator(generator)
+    return questions(spec)
+
+
+def verify_record(record: InstructionRecord, oracle: list[QuestionDraft]) -> Verdict:
+    """Compare a record's answer with the oracle's.
+
+    `oracle` is the output of oracle_drafts for the record's provenance
+    generator and spec. Finds the draft with the same question and question
+    type, and compares answer plus alternates canonically.
+    """
     match = None
-    for draft in drafts:
+    for draft in oracle:
         if draft.question == record.question and draft.question_type == record.question_type:
             match = draft
             break
@@ -250,7 +262,7 @@ class Manifest:
     def validate(self) -> None:
         ids = [r.id for r in self.records]
         if len(ids) != len(set(ids)):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
             raise ValueError(f"duplicate record ids: {dupes[:5]}")
         for r in self.records:
             problems = validate_record(r)
@@ -259,9 +271,7 @@ class Manifest:
 
 
 def record_to_json(record: InstructionRecord) -> str:
-    data = asdict(record)
-    data["alternates"] = list(record.alternates)
-    return json.dumps(data, ensure_ascii=False, sort_keys=True)
+    return json.dumps(plain(record), ensure_ascii=False, sort_keys=True)
 
 
 def record_from_json(line: str) -> InstructionRecord:

@@ -8,9 +8,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields, is_dataclass
 from typing import Any
 
 MASK64 = (1 << 64) - 1
+
+_LEAVES = frozenset({str, int, float, bool, type(None)})
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}  # dataclass -> its field names
 
 
 def derive_seed(master: int, *parts: object) -> int:
@@ -21,6 +25,29 @@ def derive_seed(master: int, *parts: object) -> int:
     key = ":".join([str(int(master) & MASK64)] + [str(p) for p in parts])
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def plain(obj: Any) -> Any:
+    """JSON-ready form of a dataclass tree: each dataclass becomes a dict of
+    its fields, each tuple or list a list, each dict a dict, recursively.
+
+    Encodes to the same JSON as the standard library's dataclass-to-dict
+    conversion, without its per-leaf deepcopy. Other values (str, numbers,
+    None, sets) are returned as is.
+    """
+    cls = type(obj)
+    if cls in _LEAVES:
+        return obj
+    if isinstance(obj, (tuple, list)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    names = _FIELD_NAMES.get(cls)
+    if names is None and is_dataclass(cls):
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    if names is not None:
+        return {name: plain(getattr(obj, name)) for name in names}
+    return obj
 
 
 def stable_digest(obj: Any) -> int:

@@ -17,7 +17,7 @@ from absynth.gauges import build_dial_scene, decode_clock_scene, dial_questions,
 from absynth.keywords import ORGANIZATION_TOPICS
 from absynth.maps import generate_map
 from absynth.pipeline import RunConfig, SCENARIO_DEFS, generate_dataset, write_outputs
-from absynth.records import canonicalize, verify_record
+from absynth.records import canonicalize, oracle_drafts, verify_record
 from absynth.scene import Canvas, SceneBuilder, StyleSpec, text
 from absynth.scoring import (
     aggregate, dataset_stats, lcs_length, score_landmarks, score_numeric,
@@ -51,7 +51,8 @@ def test_criterion_1_end_to_end_oracle_soundness():
     verified = 0
     for record in manifest.records:
         spec = SCENARIO_DEFS[record.scenario].sample(record.provenance.seed)
-        assert verify_record(record, spec).ok, record.id
+        oracle = oracle_drafts(record.provenance.generator, spec)
+        assert verify_record(record, oracle).ok, record.id
         verified += 1
     assert elapsed < 120.0, f"generation took {elapsed:.1f}s"
     ok(1, f"{accepted} records across 8 scenarios, verify_record ok for all "

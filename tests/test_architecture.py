@@ -75,3 +75,26 @@ def test_lower_layers_do_not_import_scenario_modules():
             if parts[0] == "absynth" and UPPER_LAYERS & set(parts[1:2]):
                 offenders.append((name, imported))
     assert not offenders
+
+
+def asdict_uses(tree):
+    """Line numbers where a module imports or names dataclasses.asdict."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            lines.extend(node.lineno for alias in node.names if alias.name == "asdict")
+        elif isinstance(node, ast.Attribute) and node.attr == "asdict":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "asdict":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_uses_dataclasses_asdict():
+    """Spec digests and manifest lines go through seeds.plain; asdict
+    deep-copies every leaf and was the top self-time entry of `gen`."""
+    offenders = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders.extend((path.name, line) for line in asdict_uses(tree))
+    assert not offenders

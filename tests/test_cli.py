@@ -144,10 +144,10 @@ def test_gen_summary_counts_images_not_records(tmp_path, monkeypatch, capsys):
     from absynth.records import Verdict
     real = pipeline.verify_record
 
-    def fail_one(record, spec):
+    def fail_one(record, oracle):
         if record.id == "chart-00001-q02":
             return Verdict(False, "forced mismatch")
-        return real(record, spec)
+        return real(record, oracle)
 
     monkeypatch.setattr(pipeline, "verify_record", fail_one)
     out = tmp_path / "out"

@@ -4,13 +4,18 @@ A change that alters any output byte (manifest, SVG or gate report) for a
 fixed seed and count must update GOLDEN_DIGEST on purpose and say why.
 """
 
+import dataclasses
 import hashlib
+import json
+from typing import ClassVar
 
 import pytest
 
-from absynth import scene
+from absynth import pipeline, scene
+from absynth.maps import RoadMapSpec
 from absynth.pipeline import RunConfig, SCENARIO_DEFS, generate_dataset, write_outputs
-from absynth.records import SCENARIOS
+from absynth.records import SCENARIOS, record_to_json
+from absynth.seeds import plain, stable_digest
 
 GOLDEN_DIGEST = "a717a88ebf7e8792aa3449a8df9ca64cc2f87dda65daf3004f71f7cadcce5cd4"
 
@@ -52,3 +57,83 @@ def test_each_image_validated_once(scenario, monkeypatch):
     _, report, images = generate_dataset(config)
     assert report.aggregate()["accepted"] == len(images) == 3
     assert len(calls) == len(images)
+
+
+def asdict_encoding(spec) -> dict:
+    """The spec encoding before the asdict-free `to_dict`, kept as the
+    reference: dataclasses.asdict, plus the road map's three overrides."""
+    data = dataclasses.asdict(spec)
+    if isinstance(spec, RoadMapSpec):
+        data["network"] = sorted(spec.network)
+        data["obstacles"] = sorted(spec.obstacles)
+        data["landmark_names"] = {str(k): v for k, v in sorted(spec.landmark_names.items())}
+    return data
+
+
+@dataclasses.dataclass(frozen=True)
+class Leaf:
+    x: float
+    tag: str | None = None
+
+
+@dataclasses.dataclass
+class Tree:
+    kind: ClassVar[str] = "tree"  # not a field: left out by both encodings
+    leaves: tuple = ()
+    by_name: dict = dataclasses.field(default_factory=dict)
+    nested: list = dataclasses.field(default_factory=list)
+
+
+def test_plain_encodes_like_asdict():
+    tree = Tree((Leaf(1.5), Leaf(-2, "b")), {"a": Leaf(0.0, "a"), "n": None},
+                [[Leaf(3)], (), [Tree()]])
+    assert (json.dumps(plain(tree), sort_keys=True)
+            == json.dumps(dataclasses.asdict(tree), sort_keys=True))
+    assert "kind" not in plain(tree)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_spec_encoding_matches_asdict(scenario):
+    sample = SCENARIO_DEFS[scenario].sample
+    for seed in range(50):
+        spec = sample(seed)
+        assert stable_digest(spec.to_dict()) == stable_digest(asdict_encoding(spec)), seed
+
+
+def test_record_json_matches_asdict():
+    manifest, _, _ = generate_dataset(RunConfig(default_count=2, seed=1))
+    assert manifest.records
+    for record in manifest.records:
+        data = dataclasses.asdict(record)
+        data["alternates"] = list(record.alternates)
+        assert record_to_json(record) == json.dumps(data, ensure_ascii=False, sort_keys=True)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_oracle_runs_once_per_image_apart_from_drafts(scenario, monkeypatch):
+    returned = []  # every list a questions function handed out, in call order
+    # Every row is wrapped: table and relation_graph images find their oracle
+    # in the chart and flowchart rows, which share their generator name.
+    for name, sdef in SCENARIO_DEFS.items():
+        def counting(spec, questions=sdef.questions):
+            drafts = questions(spec)
+            returned.append(drafts)
+            return drafts
+        monkeypatch.setitem(SCENARIO_DEFS, name, dataclasses.replace(sdef, questions=counting))
+    oracles = []
+    real_verify = pipeline.verify_record
+
+    def recording(record, oracle):
+        oracles.append(oracle)
+        return real_verify(record, oracle)
+
+    monkeypatch.setattr(pipeline, "verify_record", recording)
+    config = RunConfig(scenarios=(scenario,), default_count=3, seed=1)
+    manifest, report, images = generate_dataset(config)
+    assert report.aggregate()["accepted"] == len(images) == 3
+    assert len(returned) == 2 * len(images)
+    assert len(oracles) == len(manifest.records)
+    drafting, oracle_lists = returned[0::2], returned[1::2]
+    for oracle in oracles:
+        assert any(oracle is o for o in oracle_lists)
+        assert not any(oracle is d for d in drafting)

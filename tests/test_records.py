@@ -11,7 +11,7 @@ from absynth.maps import generate_map, map_instruction
 from absynth.records import (
     InstructionRecord, Manifest, Provenance, UnknownGenerator, canonicalize,
     dump_manifest, load_manifest, parse_number, record_from_json, record_to_json,
-    sample_for_review, validate_record, verify_record, vote_select,
+    oracle_drafts, sample_for_review, validate_record, verify_record, vote_select,
 )
 
 
@@ -100,7 +100,7 @@ def test_verify_record_ok_for_generated_chart_answers():
             question_type=draft.question_type, alternates=draft.alternates,
             rationale=draft.rationale, provenance=Provenance("chart-gen", 3),
         )
-        assert verify_record(rec, spec)
+        assert verify_record(rec, oracle_drafts(rec.provenance.generator, spec))
 
 
 def test_verify_record_detects_tampering():
@@ -113,7 +113,7 @@ def test_verify_record_detects_tampering():
         question_type="math", rationale=draft.rationale,
         provenance=Provenance("chart-gen", 3),
     )
-    verdict = verify_record(rec, spec)
+    verdict = verify_record(rec, oracle_drafts(rec.provenance.generator, spec))
     assert not verdict.ok
     assert draft.answer in verdict.details and tampered.rstrip("0").rstrip(".") in verdict.details
 
@@ -128,14 +128,14 @@ def test_verify_clock_alternates_accepted():
         question_type="offset_math", alternates=("4:10",), rationale=draft.rationale,
         provenance=Provenance("gauge-gen", 0),
     )
-    assert verify_record(rec, spec)
+    assert verify_record(rec, oracle_drafts(rec.provenance.generator, spec))
 
 
 def test_verify_unknown_generator():
     rec = make_record()
     rec = InstructionRecord(**{**rec.__dict__, "provenance": Provenance("nope", 0)})
     with pytest.raises(UnknownGenerator):
-        verify_record(rec, sample_chart_spec(0))
+        oracle_drafts(rec.provenance.generator, sample_chart_spec(0))
 
 
 def test_verify_map_instruction():
@@ -147,7 +147,7 @@ def test_verify_map_instruction():
         question_type="navigation", rationale=draft.rationale,
         provenance=Provenance("map-gen", 9),
     )
-    assert verify_record(rec, spec)
+    assert verify_record(rec, oracle_drafts(rec.provenance.generator, spec))
 
 
 # -- voting -----------------------------------------------------------------
@@ -211,6 +211,10 @@ def test_manifest_duplicate_ids_rejected():
     manifest = Manifest(records=[make_record(1), make_record(1)])
     with pytest.raises(ValueError, match="duplicate"):
         dump_manifest(manifest)
+    records = [make_record(i) for i in (7, 2, 3, 2, 5, 7, 7)]
+    with pytest.raises(ValueError) as err:
+        Manifest(records=records).validate()
+    assert str(err.value) == "duplicate record ids: ['chart-00002-q00', 'chart-00007-q00']"
 
 
 def test_manifest_stats_recount():
