@@ -207,6 +207,7 @@ def generate_dataset(config: RunConfig) -> tuple[Manifest, GateReport, dict[str,
 
     Returns the manifest, the gate report, and the image files keyed by
     their manifest-relative path. Output is independent of config.jobs.
+    The manifest is validated once, when write_outputs dumps it.
     """
     config.validate()
     slots = [
@@ -233,7 +234,6 @@ def generate_dataset(config: RunConfig) -> tuple[Manifest, GateReport, dict[str,
             report.reject(record_id, "accuracy", details)
         images[f"images/{result.scenario}/{result.image_id}.svg"] = result.svg
         manifest.records.extend(result.records)
-    manifest.validate()
     return manifest, report, images
 
 

@@ -304,18 +304,42 @@ def dump_manifest(manifest: Manifest) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _line_error(err: Exception) -> str:
+    if isinstance(err, json.JSONDecodeError):
+        return f"invalid JSON ({err.msg})"
+    if isinstance(err, KeyError):
+        return f"missing field {err}"
+    return f"malformed record ({err})"
+
+
 def load_manifest(data: bytes | str) -> Manifest:
+    """Parse a manifest file. A malformed line raises SchemaMismatch naming
+    its 1-based line number in the file, blank lines included."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    numbered = enumerate(text.splitlines(), start=1)
+    for number, first in numbered:
+        if first.strip():
+            break
+    else:
         raise SchemaMismatch("empty manifest file")
-    header = json.loads(lines[0])
-    if header.get("kind") != "manifest-header":
+    try:
+        header = json.loads(first)
+    except json.JSONDecodeError as err:
+        raise SchemaMismatch(f"manifest line {number}: {_line_error(err)}") from None
+    if not isinstance(header, dict) or header.get("kind") != "manifest-header":
         raise SchemaMismatch("missing manifest header line")
     version = header.get("schema_version")
     if version != MANIFEST_SCHEMA_VERSION:
         raise SchemaMismatch(f"schema_version {version!r}, expected {MANIFEST_SCHEMA_VERSION!r}")
-    manifest = Manifest(records=[record_from_json(ln) for ln in lines[1:]], schema_version=version)
+    records = []
+    for number, line in numbered:
+        if not line.strip():
+            continue
+        try:
+            records.append(record_from_json(line))
+        except (KeyError, TypeError, AttributeError, ValueError) as err:
+            raise SchemaMismatch(f"manifest line {number}: {_line_error(err)}") from None
+    manifest = Manifest(records=records, schema_version=version)
     manifest.validate()
     return manifest
 

@@ -3,11 +3,13 @@
 Routing is by answer kind: numeric answers use the 5% relative-error rule in
 chart/table/dashboard scenarios (inclusive boundary; a zero gold requires a
 zero prediction) and exact matching elsewhere; phrase and choice answers
-match canonically or as token-boundary substrings; sentence answers score
-token-level Rouge-L (F1, beta=1); landmark sequences score the Landmark
+match canonically or as token-boundary substrings: a gold form matches where
+the characters on each side of it are not ASCII [a-z0-9]; sentence answers
+score token-level Rouge-L (F1, beta=1); landmark sequences score the Landmark
 Coverage Rate, the LCS between the extracted and annotated sequences divided
-by the annotated length. Numeric extraction always takes the LAST number in
-a response, because chain-of-thought answers end with the result.
+by the annotated length, with names found by the same boundary rule. Numeric
+extraction always takes the LAST number in a response, because
+chain-of-thought answers end with the result.
 
 "Compared sequentially" is implemented as LCS by default (the more generous
 order-preserving reading); a greedy mode is available for sensitivity
@@ -67,23 +69,51 @@ def dump_predictions(predictions: Iterable[Prediction]) -> bytes:
 # Primitive metrics
 
 
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
+
+
 def tokenize(text: str) -> list[str]:
-    return re.findall(r"[a-z0-9]+", text.lower())
+    return _TOKEN_RE.findall(text.lower())
+
+
+def _boundary_find(haystack: str, needle: str) -> int:
+    """Start of the first occurrence of needle in haystack whose neighbouring
+    characters are not ASCII [a-z0-9] (or are the string's ends), else -1.
+
+    Same result as searching for (?<![a-z0-9]) + re.escape(needle) +
+    (?![a-z0-9]), without building a pattern per needle."""
+    size = len(haystack)
+    i = haystack.find(needle)
+    while i >= 0:
+        end = i + len(needle)
+        if ((i == 0 or haystack[i - 1] not in _WORD_CHARS)
+                and (end == size or haystack[end] not in _WORD_CHARS)):
+            return i
+        i = haystack.find(needle, i + 1)
+    return -1
 
 
 def lcs_length(a: list, b: list) -> int:
+    """Length of the longest common subsequence of two sequences of
+    hashable tokens.
+
+    Hyyrö's bit-parallel LCS, which is exact: bit j of the state v stands
+    for b[j], and after each token of a the count of zero bits in v is the
+    LCS of b and the prefix of a read so far. One add, one subtract and two
+    masks on a Python int update every bit at once, so the cost is len(a)
+    big-int steps over len(b) bits instead of a len(a) x len(b) table."""
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
+    masks: dict = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[len(b)]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def score_numeric(
@@ -108,11 +138,6 @@ def score_numeric(
     return "incorrect"
 
 
-def _contains_token_boundary(haystack: str, needle: str) -> bool:
-    pattern = r"(?<![a-z0-9])" + re.escape(needle) + r"(?![a-z0-9])"
-    return re.search(pattern, haystack) is not None
-
-
 def score_phrase(pred: str, gold: str, alternates: tuple[str, ...] = ()) -> bool:
     """Correct iff any gold form equals the canonical prediction or appears
     in it as a token-boundary substring."""
@@ -121,7 +146,7 @@ def score_phrase(pred: str, gold: str, alternates: tuple[str, ...] = ()) -> bool
         canon_gold = canonicalize(form)
         if not canon_gold:
             continue
-        if canon_pred == canon_gold or _contains_token_boundary(canon_pred, canon_gold):
+        if canon_pred == canon_gold or _boundary_find(canon_pred, canon_gold) >= 0:
             return True
     return False
 
@@ -146,9 +171,9 @@ def extract_landmarks(pred_raw: str, vocabulary: Iterable[str]) -> list[str]:
     lowered = pred_raw.lower()
     hits: list[tuple[int, str]] = []
     for name in vocabulary:
-        m = re.search(r"(?<![a-z0-9])" + re.escape(name.lower()) + r"(?![a-z0-9])", lowered)
-        if m:
-            hits.append((m.start(), name))
+        start = _boundary_find(lowered, name.lower())
+        if start >= 0:
+            hits.append((start, name))
     hits.sort()
     return [name for _, name in hits]
 

@@ -98,3 +98,33 @@ def test_no_module_uses_dataclasses_asdict():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         offenders.extend((path.name, line) for line in asdict_uses(tree))
     assert not offenders
+
+
+RE_FUNCTIONS = {"search", "match", "fullmatch", "findall", "finditer", "sub", "split",
+                "escape", "compile"}
+
+
+def re_calls_in_functions(tree):
+    """Line numbers where a function body calls a module-level `re`
+    function; patterns compiled at module level are not counted."""
+    lines = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                    and node.func.attr in RE_FUNCTIONS):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_scoring_and_records_compile_patterns_once():
+    """A pattern built per call has to be compiled again whenever re's
+    512-entry cache misses, which it does for per-needle patterns on a
+    large manifest; scoring and records compile their patterns at import."""
+    offenders = []
+    for name in ("scoring", "records"):
+        tree = ast.parse((SRC_DIR / f"{name}.py").read_text(encoding="utf-8"))
+        offenders.extend((name, line) for line in re_calls_in_functions(tree))
+    assert not offenders

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from absynth.cli import main
-from absynth.records import load_manifest
+from absynth.records import Manifest, load_manifest
 from absynth.scoring import dump_predictions, Prediction
 
 
@@ -233,3 +233,27 @@ def test_bad_prediction_line_is_one_line_error_with_line_number(tmp_path, capsys
     message = one_line_error(capsys)
     assert message.startswith("error: prediction line 3: ")
     assert reason in message
+
+
+@pytest.mark.parametrize("command", ["eval", "stats", "gallery"])
+def test_malformed_manifest_line_is_one_line_error(tmp_path, capsys, command):
+    out = gen(tmp_path)
+    capsys.readouterr()
+    manifest = out / "manifest.jsonl"
+    with manifest.open("a") as fh:
+        fh.write("[1, 2]\n")
+    line_number = len(manifest.read_text().splitlines())
+    preds = tmp_path / "p.jsonl"
+    preds.write_text("")
+    argv = {"eval": [manifest, preds, "--out", tmp_path], "stats": [manifest, "--out", tmp_path],
+            "gallery": [manifest, "--out", tmp_path / "g"]}[command]
+    assert run([command, *argv]) == 1
+    assert one_line_error(capsys).startswith(f"error: manifest line {line_number}: ")
+
+
+def test_gen_validates_the_manifest_once(tmp_path, monkeypatch):
+    calls = []
+    real = Manifest.validate
+    monkeypatch.setattr(Manifest, "validate", lambda self: calls.append(1) or real(self))
+    gen(tmp_path)
+    assert len(calls) == 1

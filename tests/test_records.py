@@ -1,5 +1,7 @@
 """Instruction records: canonicalization, verification, voting, manifests."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +13,8 @@ from absynth.maps import generate_map, map_instruction
 from absynth.records import (
     InstructionRecord, Manifest, Provenance, UnknownGenerator, canonicalize,
     dump_manifest, load_manifest, parse_number, record_from_json, record_to_json,
-    oracle_drafts, sample_for_review, validate_record, verify_record, vote_select,
+    SchemaMismatch, oracle_drafts, sample_for_review, validate_record, verify_record,
+    vote_select,
 )
 
 
@@ -246,6 +249,39 @@ def test_empty_manifest_file_is_schema_error():
         load_manifest(b"")
     with pytest.raises(SchemaMismatch):
         load_manifest(b'{"not": "a header"}\n')
+
+
+_DROP = object()
+
+
+def _record_line(**changes):
+    """A manifest line for make_record(1) with fields replaced, or removed
+    where the new value is _DROP."""
+    row = json.loads(record_to_json(make_record(1)))
+    row.update(changes)
+    return json.dumps({k: v for k, v in row.items() if v is not _DROP})
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("[1, 2]", "malformed record"),
+    (_record_line(id=_DROP), "missing field 'id'"),
+    (_record_line(alternates=5), "malformed record"),
+    (_record_line(provenance={"seed": "x"}), "malformed record"),
+    ('{"id": ', "invalid JSON"),
+], ids=["not-an-object", "no-id", "alternates-not-a-list", "seed-not-an-int", "bad-json"])
+def test_malformed_manifest_line_names_its_line_number(line, reason):
+    good = record_to_json(make_record(0))
+    header = dump_manifest(Manifest()).decode().strip()
+    data = f"{header}\n{good}\n\n{line}\n"
+    with pytest.raises(SchemaMismatch, match=f"^manifest line 4: {reason}"):
+        load_manifest(data)
+
+
+def test_malformed_manifest_header_is_schema_error():
+    with pytest.raises(SchemaMismatch, match="^manifest line 2: invalid JSON"):
+        load_manifest('\n{"kind": \n')
+    with pytest.raises(SchemaMismatch, match="missing manifest header line"):
+        load_manifest("[1, 2]\n")
 
 
 def test_vote_select_numeric_kind_strips_units():

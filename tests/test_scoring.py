@@ -1,6 +1,7 @@
 """Metric implementations against independent oracles, plus aggregation."""
 
 import json
+import re
 from functools import lru_cache
 from random import Random
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from absynth.records import InstructionRecord, Manifest, Provenance
 from absynth.scoring import (
-    NUMERIC_TOLERANCE,
+    NUMERIC_TOLERANCE, _boundary_find,
     aggregate, dataset_stats, dump_predictions, extract_landmarks, lcs_length,
     load_predictions, Prediction, render_report_text, score_landmarks, score_numeric,
     score_phrase, score_sentence, tokenize,
@@ -101,6 +102,31 @@ def test_phrase_token_boundary():
     assert score_phrase("The answer is C.", "C")
 
 
+def regex_boundary_find(haystack, needle):
+    """The boundary search as a per-needle regex, the reference for
+    _boundary_find."""
+    m = re.search(r"(?<![a-z0-9])" + re.escape(needle) + r"(?![a-z0-9])", haystack)
+    return m.start() if m else -1
+
+
+def test_boundary_find_matches_regex_reference():
+    rng = Random(4111)
+    alphabet = ["a", "a", "1", " ", " ", ".", "-", "(", "é", "ß", "İ", "A", "z"]
+    cases = [("", ""), ("a", ""), ("a b", ""), ("ab", ""), (" ", ""), ("aaa", "aa"),
+             ("aaa aa", "aa"), ("aa aaa", "aa"), ("1a1 a", "a"), ("ßa ß", "ß")]
+    for _ in range(20000):
+        haystack = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
+        if haystack and rng.random() < 0.5:
+            start = rng.randrange(len(haystack))
+            needle = haystack[start:start + rng.randint(0, 4)]
+        else:
+            needle = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3)))
+        cases.append((haystack, needle))
+    for haystack, needle in cases:
+        assert _boundary_find(haystack, needle) == regex_boundary_find(haystack, needle), (
+            haystack, needle)
+
+
 # -- sentence ---------------------------------------------------------------
 
 
@@ -128,6 +154,12 @@ def test_lcs_matches_oracle_on_1000_random_cases():
         a = [rng.choice(alphabet) for _ in range(rng.randint(0, 12))]
         b = [rng.choice(alphabet) for _ in range(rng.randint(0, 12))]
         assert lcs_length(a, b) == lcs_oracle(a, b)
+    # Long sides put the bit vector past one and two 64-bit words.
+    for _ in range(40):
+        a = [rng.choice(alphabet[:4]) for _ in range(rng.randint(0, 150))]
+        b = [rng.choice(alphabet[:4]) for _ in range(rng.randint(60, 150))]
+        assert lcs_length(a, b) == lcs_oracle(a, b)
+        assert lcs_length(b, a) == lcs_oracle(a, b)
 
 
 def test_rouge_matches_oracle_f1_on_random_sentences():
