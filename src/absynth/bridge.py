@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .diagrams import TreeNode, TreeSpec, sample_tree_spec, tree_nodes, validate_tree_spec
+from .diagrams import TreeNode, TreeSpec, sample_tree_spec, tree_nodes
 from .records import vote_select
 from .seeds import derive_seed, stable_digest
 
@@ -104,7 +104,7 @@ class BackendConfig:
     credential_env: str = "ABSYNTH_API_KEY"
     request_log: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
         if self.retry_budget < 0:
@@ -241,12 +241,10 @@ def parse_tree(text: str) -> TreeSpec:
     def build(label: str) -> TreeNode:
         return TreeNode(label, tuple(build(c) for c in children.get(label, [])))
 
-    spec = TreeSpec(build(root_label), colors)
     try:
-        validate_tree_spec(spec)
+        return TreeSpec(build(root_label), colors)
     except ValueError as err:
         raise ContractViolation(f"tree violates constraints: {err}", raw=text) from err
-    return spec
 
 
 def parse_output(stage: str, text: str) -> Any:
@@ -324,7 +322,6 @@ def propose(
     appended; a second failure raises ContractViolation (raw text retained).
     """
     config = config or BackendConfig()
-    config.validate()
     if stage not in TEMPLATES:
         raise ValueError(f"no template for stage {stage!r}")
     transport = transport or default_transport(config)
@@ -358,7 +355,6 @@ def self_consistent_answer(
     if n < 3:
         raise ValueError("self-consistency needs n >= 3")
     config = config or BackendConfig()
-    config.validate()
     transport = transport or default_transport(config)
     prompt = (
         f"Context: {json.dumps(context, sort_keys=True, ensure_ascii=False)}\n"

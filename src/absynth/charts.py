@@ -7,7 +7,9 @@ every question/answer derive from it alone.
 Value ranges per unit class are fixed config (keywords.UNIT_RANGES):
 percent 1-60, currency 10-10000, count 1-500. Pie charts always use four
 categories with integer percentages summing to 100. Composite charts hold
-2-4 bar/line sub-charts laid out in a row or 2x2 grid.
+2-4 bar/line sub-charts laid out in a row or 2x2 grid. A ChartSpec checks
+these rules when it is constructed, so the scene builder and the questions
+take every spec as valid.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .keywords import KeywordLibrary, UNIT_RANGES, UNIT_SUFFIX
+from .keywords import BUILTIN_TOPICS, UNIT_RANGES, UNIT_SUFFIX
 from .palette import CHART_COLORS
 from .records import QuestionDraft, format_number
 from .scene import (
@@ -77,6 +79,30 @@ class ChartSpec:
     palette_assignment: dict[str, str]
     subcharts: tuple["ChartSpec", ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.kind not in CHART_KINDS:
+            raise ValueError(f"unknown chart kind {self.kind!r}")
+        if self.kind == "composite":
+            if not (2 <= len(self.subcharts) <= 4):
+                raise ValueError("composite needs 2-4 subcharts")
+            if any(sub.kind == "composite" for sub in self.subcharts):
+                raise ValueError("subcharts must not be composite")
+            return
+        if not self.series:
+            raise ValueError("chart needs at least one series")
+        cats = self.categories()
+        for s in self.series:
+            if tuple(p.category for p in s.points) != cats:
+                raise ValueError("inconsistent categories across series")
+        if self.kind == "pie":
+            values = [p.value for p in self.series[0].points]
+            if any(v <= 0 for v in values):
+                raise ValueError("pie values must be strictly positive")
+            if abs(sum(values) - 100.0) > 0.01:
+                raise ValueError(f"pie percentages sum to {sum(values)}, not 100")
+        if self.kind in ("bar", "line") and len(cats) < 3:
+            raise ValueError(f"{self.kind} chart needs >= 3 categories")
+
     def categories(self) -> tuple[str, ...]:
         if not self.series:
             return ()
@@ -84,33 +110,6 @@ class ChartSpec:
 
     def to_dict(self) -> dict:
         return plain(self)
-
-
-def validate_chart_spec(spec: ChartSpec) -> None:
-    if spec.kind not in CHART_KINDS:
-        raise ValueError(f"unknown chart kind {spec.kind!r}")
-    if spec.kind == "composite":
-        if not (2 <= len(spec.subcharts) <= 4):
-            raise ValueError("composite needs 2-4 subcharts")
-        for sub in spec.subcharts:
-            if sub.kind == "composite":
-                raise ValueError("subcharts must not be composite")
-            validate_chart_spec(sub)
-        return
-    if not spec.series:
-        raise ValueError("chart needs at least one series")
-    cats = spec.categories()
-    for s in spec.series:
-        if tuple(p.category for p in s.points) != cats:
-            raise ValueError("inconsistent categories across series")
-    if spec.kind == "pie":
-        values = [p.value for p in spec.series[0].points]
-        if any(v <= 0 for v in values):
-            raise ValueError("pie values must be strictly positive")
-        if abs(sum(values) - 100.0) > 0.01:
-            raise ValueError(f"pie percentages sum to {sum(values)}, not 100")
-    if spec.kind in ("bar", "line") and len(cats) < 3:
-        raise ValueError(f"{spec.kind} chart needs >= 3 categories")
 
 
 # ---------------------------------------------------------------------------
@@ -194,28 +193,22 @@ def _sample_simple(rng: Random, kind: str, topic, narrow: bool = False) -> Chart
                      _axis_labels(topic.unit), rng.choice(LEGEND_POSITIONS), colors)
 
 
-def sample_chart_spec(
-    seed: int, kind: str | None = None, library: KeywordLibrary | None = None
-) -> ChartSpec:
+def sample_chart_spec(seed: int, kind: str | None = None) -> ChartSpec:
     """Sample a valid ChartSpec. Identical seed -> identical spec."""
-    library = library or KeywordLibrary()
     rng = Random(derive_seed(seed, "chart"))
     kind = kind or rng.choice(CHART_KINDS)
-    topic = rng.choice(library.topics)
+    topic = rng.choice(BUILTIN_TOPICS)
     if kind == "composite":
         n = rng.randint(2, 4)
         subs = []
         for i in range(n):
             sub_rng = Random(derive_seed(seed, "chart-sub", i))
             sub_kind = sub_rng.choice(("bar", "line"))
-            sub_topic = sub_rng.choice(library.topics)
+            sub_topic = sub_rng.choice(BUILTIN_TOPICS)
             subs.append(_sample_simple(sub_rng, sub_kind, sub_topic, narrow=True))
-        spec = ChartSpec("composite", topic.text, topic.unit, (), ("", ""),
+        return ChartSpec("composite", topic.text, topic.unit, (), ("", ""),
                          rng.choice(LEGEND_POSITIONS), {}, tuple(subs))
-    else:
-        spec = _sample_simple(rng, kind, topic)
-    validate_chart_spec(spec)
-    return spec
+    return _sample_simple(rng, kind, topic)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +409,6 @@ def build_chart_scene(spec: ChartSpec, font_scale: float = 1.0) -> SceneGraph:
     cannot fit at the scaled font size; value-to-pixel mapping is
     value / nice_axis_max(max value) * plot height.
     """
-    validate_chart_spec(spec)
     canvas = Canvas(640, 480)
     b = SceneBuilder(canvas)
     title_font = TITLE_FONT * font_scale
@@ -575,7 +567,6 @@ def _extraction_draft(rng: Random, spec: ChartSpec) -> QuestionDraft:
 def chart_questions(spec: ChartSpec) -> list[QuestionDraft]:
     """One draft per question type (OCR, caption, perception, extraction,
     math); every answer is recomputable from the spec alone."""
-    validate_chart_spec(spec)
     rng = Random(stable_digest(spec.to_dict()))
     noun = _kind_noun(spec.kind)
     return [

@@ -72,9 +72,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     flags = {"default_count": args.count, "seed": args.seed, "out_dir": args.out,
              "jobs": args.jobs}
     kwargs.update((name, value) for name, value in flags.items() if value is not None)
-    config = RunConfig(**kwargs)
-    config.validate()
-    return config
+    return RunConfig(**kwargs)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

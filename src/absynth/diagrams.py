@@ -6,6 +6,11 @@ stricter still and also caps every layer's total width at 3. Relation graphs
 are trees plus up to 3 extra undirected edges; subtree-counting questions are
 disabled once extra edges introduce cycles.
 
+A TreeSpec checks the tree contract when it is constructed, and a FlowSpec
+checks its own (one start terminator, two labelled branches per decision,
+every node reachable from the start), so layout and questions take every
+spec as valid.
+
 "How many nodes are there in X" questions count direct children, matching
 the organization-chart convention where a unit's node count is its number of
 departments.
@@ -76,6 +81,26 @@ class TreeSpec:
     node_colors: dict[str, str]
     extra_edges: tuple[tuple[str, str], ...] = ()
 
+    def __post_init__(self) -> None:
+        nodes = tree_nodes(self.root)
+        labels = [n.label for n in nodes]
+        if len(nodes) > MAX_TREE_NODES:
+            raise ValueError(f"tree has {len(nodes)} nodes, max {MAX_TREE_NODES}")
+        if len(set(labels)) != len(labels):
+            raise ValueError("tree labels must be unique")
+        for n in nodes:
+            if len(n.children) > MAX_CHILDREN:
+                raise ValueError(f"node {n.label!r} has more than {MAX_CHILDREN} children")
+        if len(tree_layers(self.root)) > MAX_DEPTH:
+            raise ValueError(f"tree deeper than {MAX_DEPTH} levels")
+        label_set = set(labels)
+        for a, b in self.extra_edges:
+            if a not in label_set or b not in label_set:
+                raise ValueError(f"extra edge ({a!r}, {b!r}) references unknown node")
+        for n in nodes:
+            if n.label not in self.node_colors:
+                raise ValueError(f"node {n.label!r} has no color assigned")
+
     @property
     def root_label(self) -> str:
         return self.root.label
@@ -100,27 +125,6 @@ def tree_layers(root: TreeNode) -> list[list[TreeNode]]:
     return layers
 
 
-def validate_tree_spec(spec: TreeSpec) -> None:
-    nodes = tree_nodes(spec.root)
-    labels = [n.label for n in nodes]
-    if len(nodes) > MAX_TREE_NODES:
-        raise ValueError(f"tree has {len(nodes)} nodes, max {MAX_TREE_NODES}")
-    if len(set(labels)) != len(labels):
-        raise ValueError("tree labels must be unique")
-    for n in nodes:
-        if len(n.children) > MAX_CHILDREN:
-            raise ValueError(f"node {n.label!r} has more than {MAX_CHILDREN} children")
-    if len(tree_layers(spec.root)) > MAX_DEPTH:
-        raise ValueError(f"tree deeper than {MAX_DEPTH} levels")
-    label_set = set(labels)
-    for a, b in spec.extra_edges:
-        if a not in label_set or b not in label_set:
-            raise ValueError(f"extra edge ({a!r}, {b!r}) references unknown node")
-    for n in nodes:
-        if n.label not in spec.node_colors:
-            raise ValueError(f"node {n.label!r} has no color assigned")
-
-
 def sample_tree_spec(seed: int, topic: str) -> TreeSpec:
     """Organization-style tree for `topic`; every layer's width stays <= 3."""
     if not topic:
@@ -140,9 +144,7 @@ def sample_tree_spec(seed: int, topic: str) -> TreeSpec:
     root = TreeNode(topic, children)
     labels = [n.label for n in tree_nodes(root)]
     colors = {lb: rng.choice(NODE_COLOR_POOL) for lb in labels}
-    spec = TreeSpec(root, colors)
-    validate_tree_spec(spec)
-    return spec
+    return TreeSpec(root, colors)
 
 
 def sample_relation_graph(seed: int, topic: str) -> TreeSpec:
@@ -188,6 +190,39 @@ class FlowSpec:
     nodes: tuple[FlowNode, ...]
     edges: tuple[FlowEdge, ...]
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("algorithm", "workflow"):
+            raise ValueError(f"unknown flowchart kind {self.kind!r}")
+        labels = [n.label for n in self.nodes]
+        if len(set(labels)) != len(labels):
+            raise ValueError("flowchart labels must be unique")
+        starts = [n for n in self.nodes
+                  if n.shape == "terminator" and n.label.startswith("Start")]
+        if len(starts) != 1:
+            raise ValueError("flowchart needs exactly one start terminator")
+        label_set = set(labels)
+        for e in self.edges:
+            if e.src not in label_set or e.dst not in label_set:
+                raise ValueError(f"edge {e} references unknown node")
+        for n in self.nodes:
+            if n.shape == "decision":
+                out = self.out_edges(n.label)
+                if len(out) != 2 or len({e.label for e in out}) != 2:
+                    raise ValueError(f"decision {n.label!r} needs two distinctly labeled branches")
+        # Reachability from the start node over directed edges.
+        reachable = {starts[0].label}
+        frontier = [starts[0].label]
+        while frontier:
+            nxt = []
+            for lb in frontier:
+                for e in self.out_edges(lb):
+                    if e.dst not in reachable:
+                        reachable.add(e.dst)
+                        nxt.append(e.dst)
+            frontier = nxt
+        if reachable != label_set:
+            raise ValueError("flowchart is not connected from the start node")
+
     def to_dict(self) -> dict:
         return plain(self)
 
@@ -196,39 +231,6 @@ class FlowSpec:
 
     def out_edges(self, label: str) -> list[FlowEdge]:
         return [e for e in self.edges if e.src == label]
-
-
-def validate_flow_spec(spec: FlowSpec) -> None:
-    if spec.kind not in ("algorithm", "workflow"):
-        raise ValueError(f"unknown flowchart kind {spec.kind!r}")
-    labels = [n.label for n in spec.nodes]
-    if len(set(labels)) != len(labels):
-        raise ValueError("flowchart labels must be unique")
-    starts = [n for n in spec.nodes if n.shape == "terminator" and n.label.startswith("Start")]
-    if len(starts) != 1:
-        raise ValueError("flowchart needs exactly one start terminator")
-    label_set = set(labels)
-    for e in spec.edges:
-        if e.src not in label_set or e.dst not in label_set:
-            raise ValueError(f"edge {e} references unknown node")
-    for n in spec.nodes:
-        if n.shape == "decision":
-            out = spec.out_edges(n.label)
-            if len(out) != 2 or len({e.label for e in out}) != 2:
-                raise ValueError(f"decision {n.label!r} needs two distinctly labeled branches")
-    # Reachability from the start node over directed edges.
-    reachable = {starts[0].label}
-    frontier = [starts[0].label]
-    while frontier:
-        nxt = []
-        for lb in frontier:
-            for e in spec.out_edges(lb):
-                if e.dst not in reachable:
-                    reachable.add(e.dst)
-                    nxt.append(e.dst)
-        frontier = nxt
-    if reachable != label_set:
-        raise ValueError("flowchart is not connected from the start node")
 
 
 def sample_flow_spec(seed: int, kind: str | None = None) -> FlowSpec:
@@ -275,9 +277,7 @@ def sample_flow_spec(seed: int, kind: str | None = None) -> FlowSpec:
     nodes.append(FlowNode("End", "terminator"))
     if previous is not None:
         edges.append(FlowEdge(previous, "End"))
-    spec = FlowSpec(kind, topic, tuple(nodes), tuple(edges))
-    validate_flow_spec(spec)
-    return spec
+    return FlowSpec(kind, topic, tuple(nodes), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +429,7 @@ def layout_hierarchy(spec: TreeSpec | FlowSpec, font_scale: float = 1.0) -> Scen
     """Layered layout: levels are vertical, siblings horizontal, connectors
     arrowed, no axes. Node boxes never overlap."""
     if isinstance(spec, TreeSpec):
-        validate_tree_spec(spec)
         return _layout_tree(spec, font_scale)
-    validate_flow_spec(spec)
     return _layout_flow(spec, font_scale)
 
 
@@ -516,7 +514,5 @@ def _flow_questions(spec: FlowSpec) -> list[QuestionDraft]:
 
 def diagram_questions(spec: TreeSpec | FlowSpec) -> list[QuestionDraft]:
     if isinstance(spec, TreeSpec):
-        validate_tree_spec(spec)
         return _tree_questions(spec)
-    validate_flow_spec(spec)
     return _flow_questions(spec)

@@ -5,7 +5,9 @@ Feasibility retries rebuild the scene with fonts shrunk by 0.85 per attempt
 (the procedural analogue of regenerate-on-compiler-error); after max_retries
 failed attempts the candidate is rejected, never raised. The aesthetics gate
 is purely geometric: text/legend interference area, minimum font size, and
-canvas containment, each reported as a machine-readable reason.
+canvas containment, each reported as a machine-readable reason. A
+GateConfig checks its thresholds when it is constructed, so the gates
+take it as valid.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class GateConfig:
     min_vote_support: int = 2
     review_fraction: float = 0.10
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
         for name in ("max_overlap_fraction", "review_fraction"):
@@ -60,7 +62,6 @@ def feasibility_gate(
 ) -> FeasibilityResult:
     """Attempt scene construction up to max_retries times, shrinking fonts on
     each retry. Rejection is a value, not an exception."""
-    config.validate()
     last_error = "no attempts made"
     for attempt in range(config.max_retries):
         scale = FONT_SCALE_DECAY ** attempt
@@ -100,7 +101,6 @@ def _interference_area(scene: SceneGraph) -> float:
 def aesthetics_gate(scene: SceneGraph, config: GateConfig) -> AestheticsResult:
     """Fail on text/legend interference, illegible fonts, or out-of-canvas
     elements; reasons enumerate every violation found."""
-    config.validate()
     reasons: list[str] = []
     canvas_area = scene.canvas.width * scene.canvas.height
     overlap = _interference_area(scene)

@@ -9,7 +9,8 @@ morning from evening. Inverse-offset questions whose start time falls
 between two hour marks accept both flanking numbers.
 
 Each DialSpec also carries its question knobs (offset, exercise_hours) so
-questions are a pure function of the spec.
+questions are a pure function of the spec. It checks its family and reading
+range when it is constructed, so the builder and the questions do not.
 """
 
 from __future__ import annotations
@@ -71,6 +72,18 @@ class DialSpec:
     offset: float = 0.0  # hours for clocks, scale units otherwise
     exercise_hours: float = 0.0  # clocks only
 
+    def __post_init__(self) -> None:
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown dial family {self.family!r}")
+        if self.family == "clock":
+            hour, minute = self.reading
+            if not (0 <= hour <= 23 and 0 <= minute <= 59):
+                raise ValueError(f"clock reading {self.reading} out of range")
+        else:
+            lo, hi, _ = self.scale
+            if not (lo <= float(self.reading) <= hi):
+                raise ValueError(f"reading {self.reading} outside scale [{lo}, {hi}]")
+
     def to_dict(self) -> dict:
         return plain(self)
 
@@ -78,19 +91,6 @@ class DialSpec:
 def clock_angles(hour: int, minute: int) -> tuple[float, float]:
     """(hour hand, minute hand) in degrees clockwise from 12 o'clock."""
     return (30.0 * (hour % 12) + 0.5 * minute, 6.0 * minute)
-
-
-def validate_dial_spec(spec: DialSpec) -> None:
-    if spec.family not in FAMILIES:
-        raise ValueError(f"unknown dial family {spec.family!r}")
-    if spec.family == "clock":
-        hour, minute = spec.reading
-        if not (0 <= hour <= 23 and 0 <= minute <= 59):
-            raise ValueError(f"clock reading {spec.reading} out of range")
-    else:
-        lo, hi, _ = spec.scale
-        if not (lo <= float(spec.reading) <= hi):
-            raise ValueError(f"reading {spec.reading} outside scale [{lo}, {hi}]")
 
 
 def sample_dial_spec(seed: int, family: str | None = None) -> DialSpec:
@@ -121,9 +121,7 @@ def sample_dial_spec(seed: int, family: str | None = None) -> DialSpec:
         delta = -delta
     if not (lo <= reading + delta <= hi):
         delta = -delta
-    spec = DialSpec(family, reading, scale, geometry, delta)
-    validate_dial_spec(spec)
-    return spec
+    return DialSpec(family, reading, scale, geometry, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +230,6 @@ _CANVASES: dict[str, Canvas] = {
 
 
 def build_dial_scene(spec: DialSpec, font_scale: float = 1.0) -> SceneGraph:
-    validate_dial_spec(spec)
     b = SceneBuilder(_CANVASES[spec.family])
     font = (16.0 if spec.family == "clock" else 10.0) * font_scale
     if spec.family == "clock":
@@ -351,7 +348,6 @@ def dial_questions(spec: DialSpec) -> list[QuestionDraft]:
     """Reading question for every family; clocks add the offset-arithmetic
     and inverse-offset questions; other dials add an identification question
     and a scale-offset question."""
-    validate_dial_spec(spec)
     if spec.family == "clock":
         hour, minute = spec.reading
         hour12 = hour % 12 or 12

@@ -1,9 +1,8 @@
 """Built-in topic library for chart and diagram synthesis.
 
 Ships 150 seed topics across economics, technology, and society, each tagged
-with the unit class that controls plausible value ranges. The library can be
-extended at runtime (e.g. from llm-bridge proposals) but never shrinks below
-the built-ins, so offline generation is always possible.
+with the unit class that controls plausible value ranges. Chart sampling draws
+from BUILTIN_TOPICS directly, so offline generation is always possible.
 """
 
 from __future__ import annotations
@@ -211,29 +210,6 @@ _SOCIETY = (
         "youth orchestras active",
     ])
 )
-
-
-class KeywordLibrary:
-    """Topic pool for chart and diagram generation."""
-
-    def __init__(self, topics: list[Topic] | None = None):
-        self.topics: list[Topic] = list(topics) if topics is not None else list(BUILTIN_TOPICS)
-        if not self.topics:
-            raise ValueError("keyword library must not be empty")
-        for t in self.topics:
-            if len(t.text.split()) > 8:
-                raise ValueError(f"topic too long: {t.text!r}")
-
-    def add(self, topic: Topic) -> None:
-        if len(topic.text.split()) > 8:
-            raise ValueError(f"topic too long: {topic.text!r}")
-        self.topics.append(topic)
-
-    def by_domain(self, domain: str) -> list[Topic]:
-        return [t for t in self.topics if t.domain == domain]
-
-    def __len__(self) -> int:
-        return len(self.topics)
 
 
 BUILTIN_TOPICS: tuple[Topic, ...] = tuple(_ECONOMICS + _TECHNOLOGY + _SOCIETY)

@@ -67,7 +67,7 @@ class WalkParams:
     max_steps: int = 36
     obstacle_density: float = 0.10
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         rows, cols = self.grid_size
         if rows < 2 or cols < 2:
             raise ValueError("grid must be at least 2x2")
@@ -232,7 +232,6 @@ def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
     path of at least MIN_GOLD_CELLS cells.
     """
     params = params or WalkParams()
-    params.validate()
     rows, cols = params.grid_size
 
     path: list[Cell] = []

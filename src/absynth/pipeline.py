@@ -10,6 +10,10 @@ record of the image is matched against. A mismatch (which would indicate a
 generator bug) drops the record through the accuracy gate rather than
 shipping a wrong answer.
 
+A RunConfig checks itself when it is constructed, as its GateConfig and
+BackendConfig do, so a bad value fails before any image is made, even
+under `gen --dry-run`.
+
 With a backend configured, each accepted image also gains one LLM-proposed
 question whose answer passes self-consistency voting at min_vote_support
 (the only records that bypass oracle verification, marked by the
@@ -86,7 +90,7 @@ SCENARIO_DEFS: dict[str, ScenarioDef] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     scenarios: tuple[str, ...] = SCENARIOS
     counts: dict[str, int] = field(default_factory=dict)
@@ -102,7 +106,7 @@ class RunConfig:
     def count_for(self, scenario: str) -> int:
         return int(self.counts.get(scenario, self.default_count))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for scenario in self.scenarios:
             if scenario not in SCENARIO_DEFS:
                 raise ValueError(f"unknown scenario {scenario!r}")
@@ -114,7 +118,6 @@ class RunConfig:
             raise ValueError("jobs must be >= 1")
         if not (0.0 <= self.train_fraction <= 1.0):
             raise ValueError("train_fraction must be in [0, 1]")
-        self.gate.validate()
 
 
 @dataclass
@@ -209,7 +212,6 @@ def generate_dataset(config: RunConfig) -> tuple[Manifest, GateReport, dict[str,
     their manifest-relative path. Output is independent of config.jobs.
     The manifest is validated once, when write_outputs dumps it.
     """
-    config.validate()
     slots = [
         (scenario, index)
         for scenario in config.scenarios

@@ -91,15 +91,30 @@ class InstructionRecord:
 def validate_record(record: InstructionRecord) -> list[str]:
     """All invariant violations for a record (empty list = valid)."""
     problems: list[str] = []
+    # Type checks come first: a manifest line can hold any JSON value, and
+    # the checks below parse and compare these fields.
+    answer_is_str = isinstance(record.answer, str)
+    if not answer_is_str:
+        problems.append(f"answer must be a string, not {type(record.answer).__name__}")
+    if not isinstance(record.question, str):
+        problems.append(f"question must be a string, not {type(record.question).__name__}")
+    if record.rationale is not None and not isinstance(record.rationale, str):
+        problems.append(f"rationale must be a string, not {type(record.rationale).__name__}")
+    if record.alternates and not all(isinstance(a, str) for a in record.alternates):
+        problems.append("alternates must all be strings")
+    difficulty = record.difficulty
+    difficulty_is_int = type(difficulty) is int  # JSON true/false load as bool, not int
+    if difficulty is not None and not difficulty_is_int:
+        problems.append(f"difficulty must be an integer, not {type(difficulty).__name__}")
     if record.scenario not in SCENARIOS:
         problems.append(f"unknown scenario {record.scenario!r}")
     if record.answer_kind not in ANSWER_KINDS:
         problems.append(f"unknown answer_kind {record.answer_kind!r}")
-    if record.answer_kind == "numeric":
+    if record.answer_kind == "numeric" and answer_is_str:
         value = parse_number(record.answer)
         if value is None or not math.isfinite(value):
             problems.append(f"numeric answer {record.answer!r} does not parse")
-    if record.answer_kind == "landmark_sequence":
+    if record.answer_kind == "landmark_sequence" and answer_is_str:
         names = [n.strip() for n in record.answer.split(",")]
         if len(names) != len(set(names)) or any(not n for n in names):
             problems.append("landmark sequence must be unique non-empty names")
@@ -107,8 +122,8 @@ def validate_record(record: InstructionRecord) -> list[str]:
         problems.append(f"{record.question_type} record missing rationale")
     if record.split not in ("train", "test"):
         problems.append(f"bad split {record.split!r}")
-    if record.difficulty is not None and not (1 <= record.difficulty <= 5):
-        problems.append(f"difficulty {record.difficulty} outside 1..5")
+    if difficulty_is_int and not (1 <= difficulty <= 5):
+        problems.append(f"difficulty {difficulty} outside 1..5")
     return problems
 
 

@@ -2,8 +2,18 @@
 
 import ast
 import math
+import re
 
-from absynth.keywords import BUILTIN_TOPICS, KeywordLibrary
+import pytest
+
+from absynth.bridge import BackendConfig
+from absynth.charts import ChartSpec, Series, SeriesPoint
+from absynth.diagrams import FlowNode, FlowSpec, TreeNode, TreeSpec
+from absynth.gate import GateConfig
+from absynth.gauges import DialSpec, SCALES, GEOMETRIES
+from absynth.keywords import BUILTIN_TOPICS
+from absynth.maps import WalkParams
+from absynth.pipeline import RunConfig
 from absynth.records import Manifest, sample_for_review
 from tests_helpers import SRC_DIR
 
@@ -23,12 +33,11 @@ def test_network_access_confined_to_bridge():
 
 def test_keyword_library_ships_150_topics():
     assert len(BUILTIN_TOPICS) == 150
-    library = KeywordLibrary()
-    domains = {t.domain for t in library.topics}
+    domains = {t.domain for t in BUILTIN_TOPICS}
     assert domains == {"economics", "technology", "society"}
-    texts = {t.text for t in library.topics}
+    texts = {t.text for t in BUILTIN_TOPICS}
     assert {"GDP", "energy consumption", "employment rate"} <= texts
-    for t in library.topics:
+    for t in BUILTIN_TOPICS:
         assert len(t.text.split()) <= 8
 
 
@@ -127,4 +136,69 @@ def test_scoring_and_records_compile_patterns_once():
     for name in ("scoring", "records"):
         tree = ast.parse((SRC_DIR / f"{name}.py").read_text(encoding="utf-8"))
         offenders.extend((name, line) for line in re_calls_in_functions(tree))
+    assert not offenders
+
+
+def _pie(*values):
+    points = tuple(SeriesPoint(c, v) for c, v in zip("ABCD", values))
+    return ChartSpec("pie", "t", "percent", (Series("share", points),), ("", ""),
+                     "bottom_left", {})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: _pie(40.0, 30.0, 20.0, 9.0), "pie percentages sum to 99.0, not 100"),
+    (lambda: DialSpec("clock", (25, 0), SCALES["clock"], GEOMETRIES["clock"]),
+     "clock reading (25, 0) out of range"),
+    (lambda: FlowSpec("workflow", "t", (FlowNode("Step", "process"),), ()),
+     "flowchart needs exactly one start terminator"),
+    (lambda: TreeSpec(TreeNode("Root", (TreeNode("Leaf"),)), {"Root": "cyan"}),
+     "node 'Leaf' has no color assigned"),
+    (lambda: WalkParams(turn_prob=1.5), "turn_prob must be in [0, 1]"),
+    (lambda: GateConfig(review_fraction=0.0), "review_fraction must be in (0, 1]"),
+    (lambda: BackendConfig(max_parallel=0), "max_parallel must be >= 1"),
+    (lambda: RunConfig(seed=2**64), f"seed {2**64} outside [0, 2**64)"),
+], ids=["ChartSpec", "DialSpec", "FlowSpec", "TreeSpec", "WalkParams", "GateConfig",
+        "BackendConfig", "RunConfig"])
+def test_specs_and_configs_check_themselves_on_construction(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+# Each spec and config type checks itself in __post_init__; free-standing
+# checkers of the same rules, and a topic pool re-checked per call, stay out.
+REMOVED_NAMES = {"validate_chart_spec", "validate_dial_spec", "validate_tree_spec",
+                 "validate_flow_spec", "KeywordLibrary"}
+# The one `validate` method left, and the two places that call it.
+VALIDATE_SITES = {("records.py", "Manifest"), ("records.py", "dump_manifest"),
+                  ("records.py", "load_manifest")}
+
+
+def validation_sites(tree):
+    """(top-level name, line, what) for each use or definition of a removed
+    name and each `validate` method defined or called."""
+    sites = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            if name in REMOVED_NAMES:
+                sites.append((owner, node.lineno, name))
+            elif isinstance(node, ast.FunctionDef) and node.name == "validate":
+                sites.append((owner, node.lineno, "validate"))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "validate"):
+                sites.append((owner, node.lineno, "validate"))
+    return sites
+
+
+def test_specs_and_configs_are_not_re_checked():
+    """Every spec and config type checks itself once, when it is built; only
+    the manifest, whose records arrive from files, keeps a validate()."""
+    offenders = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner, line, what in validation_sites(tree):
+            if what in REMOVED_NAMES or (path.name, owner) not in VALIDATE_SITES:
+                offenders.append((path.name, line, what))
     assert not offenders

@@ -257,3 +257,36 @@ def test_gen_validates_the_manifest_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Manifest, "validate", lambda self: calls.append(1) or real(self))
     gen(tmp_path)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("answer", 5, "answer must be a string, not int"),
+    ("question", None, "question must be a string, not NoneType"),
+    ("alternates", [3], "alternates must all be strings"),
+    ("difficulty", "hard", "difficulty must be an integer, not str"),
+    ("difficulty", True, "difficulty must be an integer, not bool"),
+])
+def test_wrongly_typed_manifest_value_is_one_line_error(tmp_path, capsys, field, value, problem):
+    out = gen(tmp_path)
+    capsys.readouterr()
+    manifest = out / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    # A numeric record, so a non-string answer would reach parse_number.
+    n, record = next((n, r) for n, r in enumerate(map(json.loads, lines[1:]), start=1)
+                     if r["answer_kind"] == "numeric")
+    record[field] = value
+    lines[n] = json.dumps(record)
+    manifest.write_text("\n".join(lines) + "\n")
+    preds = tmp_path / "p.jsonl"
+    preds.write_text("")
+    assert run(["eval", manifest, preds, "--out", tmp_path]) == 1
+    message = one_line_error(capsys)
+    assert message.startswith(f"error: record {record['id']}: ")
+    assert problem in message
+
+
+def test_bad_backend_value_fails_the_dry_run(tmp_path, capsys):
+    backend = tmp_path / "f.json"
+    backend.write_text(json.dumps({"max_parallel": 0}))
+    assert run(["gen", "--dry-run", "--backend", backend]) == 1
+    assert one_line_error(capsys) == "error: max_parallel must be >= 1"

@@ -5,7 +5,6 @@ import pytest
 from absynth.diagrams import (
     TreeNode, TreeSpec, diagram_questions, layout_hierarchy,
     sample_flow_spec, sample_relation_graph, sample_tree_spec, tree_layers, tree_nodes,
-    validate_tree_spec,
 )
 from absynth.keywords import ORGANIZATION_TOPICS
 from absynth.scene import overlap_pairs
@@ -23,8 +22,7 @@ def forensics_tree():
 
 
 def test_forensics_fixture_shape():
-    spec = forensics_tree()
-    validate_tree_spec(spec)
+    spec = forensics_tree()  # constructing a TreeSpec checks its constraints
     nodes = tree_nodes(spec.root)
     assert len(nodes) == 7
     assert len(tree_layers(spec.root)) == 3

@@ -136,9 +136,9 @@ def test_report_counts_and_uniqueness():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GateConfig(max_retries=0).validate()
+        GateConfig(max_retries=0)
     with pytest.raises(ValueError):
-        GateConfig(max_overlap_fraction=0.0).validate()
+        GateConfig(max_overlap_fraction=0.0)
 
 
 

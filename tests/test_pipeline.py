@@ -114,8 +114,8 @@ def test_generate_image_slot_is_self_contained():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RunConfig(scenarios=("nope",)).validate()
+        RunConfig(scenarios=("nope",))
     with pytest.raises(ValueError):
-        RunConfig(jobs=0).validate()
+        RunConfig(jobs=0)
     with pytest.raises(ValueError):
-        RunConfig(counts={"chart": -1}).validate()
+        RunConfig(counts={"chart": -1})
