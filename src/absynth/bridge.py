@@ -28,8 +28,6 @@ from .diagrams import TreeNode, TreeSpec, sample_tree_spec, tree_nodes
 from .records import vote_select
 from .seeds import derive_seed, stable_digest
 
-STAGES = ("idea", "data", "title", "qa")
-
 _sleep = time.sleep  # patchable in tests
 
 

@@ -23,7 +23,7 @@ from .palette import CHART_COLORS
 from .records import QuestionDraft, format_number
 from .scene import (
     Canvas, LayoutOverflow, SceneBuilder, SceneGraph, StyleSpec,
-    TEXT_WIDTH_FACTOR, circle, line, polyline, rect, text, wedge,
+    circle, line, polyline, rect, text, text_width, wedge,
 )
 from .seeds import derive_seed, plain, stable_digest
 
@@ -217,10 +217,6 @@ def sample_chart_spec(seed: int, kind: str | None = None) -> ChartSpec:
 Region = tuple[float, float, float, float]  # x0, y0, x1, y1
 
 
-def _text_width(content: str, font: float) -> float:
-    return TEXT_WIDTH_FACTOR * font * len(content)
-
-
 def nice_axis_max(max_value: float) -> float:
     """Smallest 1/2/2.5/5 * 10^k value >= max_value (axis headroom)."""
     if max_value <= 0:
@@ -257,7 +253,7 @@ def _legend_strip(
     y: float, font: float, align: str,
 ) -> None:
     """Horizontal row of swatch+label legend entries at height `y`."""
-    widths = [16.0 + _text_width(lbl, font) + 12.0 for lbl, _ in entries]
+    widths = [16.0 + text_width(lbl, font) + 12.0 for lbl, _ in entries]
     total = sum(widths)
     if total > x1 - x0:
         raise LayoutOverflow("legend entries exceed available width")
@@ -334,7 +330,7 @@ def _draw_value_chart(
     cats = spec.categories()
     slot = (px1 - px0) / len(cats)
     for i, cat in enumerate(cats):
-        if _text_width(cat, font) > slot:
+        if text_width(cat, font) > slot:
             raise LayoutOverflow(f"category label {cat!r} exceeds its slot")
         b.add(text(px0 + i * slot + slot / 2.0, py1 + 0.4 * font, cat,
                    StyleSpec(font_size=font), anchor="middle"), "axis")
@@ -375,7 +371,7 @@ def _draw_table(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) 
         b.add(line(x0 + c * col_w, ty0, x0 + c * col_w, ty0 + table_h, _GRID_STYLE), "grid")
 
     def cell_text(row: int, col: int, content: str, role: str) -> None:
-        if _text_width(content, font) > col_w - 6:
+        if text_width(content, font) > col_w - 6:
             raise LayoutOverflow(f"cell text {content!r} exceeds column width")
         cx = x0 + col * col_w + col_w / 2.0
         cy = ty0 + row * row_h + (row_h - font) / 2.0
@@ -412,7 +408,7 @@ def build_chart_scene(spec: ChartSpec, font_scale: float = 1.0) -> SceneGraph:
     canvas = Canvas(640, 480)
     b = SceneBuilder(canvas)
     title_font = TITLE_FONT * font_scale
-    if _text_width(spec.topic, title_font) > canvas.width - 20:
+    if text_width(spec.topic, title_font) > canvas.width - 20:
         raise LayoutOverflow(f"title {spec.topic!r} wider than canvas")
     b.add(text(canvas.width / 2.0, 10, spec.topic,
                StyleSpec(font_size=title_font), anchor="middle", z=9), "title")
@@ -434,7 +430,7 @@ def build_chart_scene(spec: ChartSpec, font_scale: float = 1.0) -> SceneGraph:
         sub_scale = font_scale * SUB_SCALE
         for sub, (rx0, ry0, rx1, ry1) in zip(spec.subcharts, regions):
             sub_title_font = LABEL_FONT * sub_scale
-            if _text_width(sub.topic, sub_title_font) > (rx1 - rx0):
+            if text_width(sub.topic, sub_title_font) > (rx1 - rx0):
                 raise LayoutOverflow(f"sub-chart title {sub.topic!r} too wide")
             b.add(text((rx0 + rx1) / 2.0, ry0, sub.topic,
                        StyleSpec(font_size=sub_title_font), anchor="middle", z=9), "title")

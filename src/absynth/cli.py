@@ -12,11 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .bridge import BackendConfig
 from .gallery import render_gallery
-from .gate import GateConfig
 from .pipeline import RunConfig, generate_dataset, write_outputs
 from .records import SCENARIOS, SchemaMismatch, load_manifest
 from .scoring import aggregate, dataset_stats, load_predictions, render_report_text
@@ -38,37 +39,55 @@ def _checked_keys(data: dict, known, source: str, section: str = "") -> dict:
     return data
 
 
-def _from_keys(cls, data: dict, source: str, section: str = ""):
-    return cls(**_checked_keys(data, {f.name for f in fields(cls)}, source, section))
+_JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "an array", tuple: "an array", dict: "an object", type(None): "null"}
 
 
-# Run-config file key -> (RunConfig field, parser). Defaults live in RunConfig.
-_RUN_CONFIG_KEYS = {
-    "scenarios": ("scenarios", tuple),
-    "counts": ("counts", dict),
-    "default_count": ("default_count", int),
-    "seed": ("seed", int),
-    "out": ("out_dir", str),
-    "jobs": ("jobs", int),
-    "gate": ("gate", lambda v: _from_keys(GateConfig, v, "run-config", "gate")),
-    "questions_per_image": ("questions_per_image", int),
-    "train_fraction": ("train_fraction", float),
-    "backend": ("backend", lambda v: _from_keys(BackendConfig, v, "run-config", "backend")),
-}
+def _typed(value, hint, source: str, path: str):
+    """`value` as a `hint`, after checking that it has that type's JSON type:
+    bool is not a number, an integer is accepted as a float, `X | None` also
+    takes null, and a config dataclass takes an object of its fields."""
+    args = get_args(hint)
+    if get_origin(hint) is UnionType:
+        if value is None:
+            return None
+        hint, = (a for a in args if a is not type(None))
+    if is_dataclass(hint):
+        return hint(**_typed_fields(hint, value, source, path))
+    origin = get_origin(hint) or hint
+    if origin is tuple and type(value) is list:
+        return tuple(_typed(v, args[0], source, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is dict and type(value) is dict:
+        return {k: _typed(v, args[1], source, f"{path}.{k}") for k, v in value.items()}
+    if type(value) is origin or (origin is float and type(value) is int):
+        return value
+    raise ValueError(f"{source} key {path!r} must be {_JSON_NAMES[origin]}, "
+                     f"not {_JSON_NAMES[type(value)]}")
+
+
+def _typed_fields(cls, data, source: str, section: str = "", renamed=None) -> dict:
+    """Keyword arguments for `cls` from the JSON object `data`, whose keys
+    are field names (or keys of `renamed`, which maps a key to its field)."""
+    hints = get_type_hints(cls)
+    known = {f.name: f.name for f in fields(cls)}
+    for key, name in (renamed or {}).items():
+        known[key] = known.pop(name)
+    kwargs = {}
+    for key, value in _checked_keys(data, known, source, section).items():
+        name = known[key]
+        kwargs[name] = _typed(value, hints[name], source, f"{section}.{key}" if section else key)
+    return kwargs
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = _read_json(args.config) if args.config else {}
-    kwargs = {}
-    for key, value in _checked_keys(file_cfg, _RUN_CONFIG_KEYS, "run-config").items():
-        name, parse = _RUN_CONFIG_KEYS[key]
-        kwargs[name] = parse(value)
+    kwargs = _typed_fields(RunConfig, file_cfg, "run-config", renamed={"out": "out_dir"})
     if args.all:
         kwargs["scenarios"] = SCENARIOS
     elif args.scenario:
         kwargs["scenarios"] = tuple(args.scenario)
     if args.backend:
-        kwargs["backend"] = _from_keys(BackendConfig, _read_json(args.backend), "backend-config")
+        kwargs["backend"] = _typed(_read_json(args.backend), BackendConfig, "backend-config", "")
     flags = {"default_count": args.count, "seed": args.seed, "out_dir": args.out,
              "jobs": args.jobs}
     kwargs.update((name, value) for name, value in flags.items() if value is not None)
@@ -83,8 +102,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
               f"jobs {config.jobs}, images per scenario {plan}")
         return 0
     manifest, report, images = generate_dataset(config)
-    paths = write_outputs(config.out_dir, manifest, report, images,
-                          review_fraction=config.gate.review_fraction, seed=config.seed)
+    paths = write_outputs(config, manifest, report, images)
     # [accepted, rejected] images; record ids ("chart-00001-q02") name no
     # scenario before their last dash, so accuracy drops are not counted.
     by_scenario = {scenario: [0, 0] for scenario in config.scenarios}

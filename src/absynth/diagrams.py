@@ -25,7 +25,7 @@ from .keywords import ALGORITHM_TOPICS, WORKFLOW_TOPICS
 from .records import QuestionDraft
 from .scene import (
     Canvas, LayoutOverflow, SceneBuilder, SceneGraph, StyleSpec,
-    TEXT_WIDTH_FACTOR, line, polygon, polyline, rect, text,
+    line, polygon, polyline, rect, text, text_width,
 )
 from .seeds import derive_seed, plain, stable_digest
 
@@ -291,7 +291,7 @@ _EXTRA_EDGE_STYLE = StyleSpec(stroke="gray", stroke_width=1.2, dash=(5.0, 4.0))
 
 
 def _node_box_width(label: str, font: float) -> float:
-    return TEXT_WIDTH_FACTOR * font * len(label) + 18.0
+    return text_width(label, font) + 18.0
 
 
 def _arrow_head(b: SceneBuilder, x: float, y: float, direction: str) -> None:

@@ -5,10 +5,10 @@ master seed so runs shard cleanly across workers and reproduce byte-for-byte
 regardless of job count. SCENARIO_DEFS is the only scenario table. Every
 procedural record must re-verify against its spec before it is written. The
 oracle runs once per image: a second, independent call of the questions
-function this table lists for the provenance generator, whose drafts every
-record of the image is matched against. A mismatch (which would indicate a
-generator bug) drops the record through the accuracy gate rather than
-shipping a wrong answer.
+function in the image's own scenario row, whose drafts every record of the
+image is matched against. A mismatch (which would indicate a generator bug)
+drops the record through the accuracy gate rather than shipping a wrong
+answer.
 
 A RunConfig checks itself when it is constructed, as its GateConfig and
 BackendConfig do, so a bad value fails before any image is made, even
@@ -22,6 +22,7 @@ question whose answer passes self-consistency voting at min_vote_support
 
 from __future__ import annotations
 
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,11 +42,9 @@ from .puzzles import (
     build_floorplan_scene, build_puzzle_scene, layout_questions, puzzle_questions,
     sample_floorplan, sample_puzzle,
 )
-import json
-
 from .records import (
     InstructionRecord, Manifest, Provenance, QuestionDraft, SCENARIOS, dump_manifest,
-    oracle_drafts, sample_for_review, verify_record,
+    sample_for_review, verify_record,
 )
 from .scene import SceneGraph, render_svg
 from .seeds import derive_seed
@@ -181,7 +180,7 @@ def generate_image(config: RunConfig, scenario: str, index: int) -> ImageResult:
     image_ref = f"images/{scenario}/{image_id}.svg"
     drafts = sdef.questions(spec)[: config.questions_per_image]
     # A second call: checking the records against `drafts` itself would be a tautology.
-    oracle = oracle_drafts(sdef.generator, spec)
+    oracle = sdef.questions(spec)
     difficulty = getattr(spec, "difficulty", None)
     for j, draft in enumerate(drafts):
         record_id = f"{image_id}-q{j:02d}"
@@ -240,15 +239,13 @@ def generate_dataset(config: RunConfig) -> tuple[Manifest, GateReport, dict[str,
 
 
 def write_outputs(
-    out_dir: str,
-    manifest: Manifest,
-    report: GateReport,
-    images: dict[str, bytes],
-    review_fraction: float = 0.10,
-    seed: int = 0,
+    config: RunConfig, manifest: Manifest, report: GateReport, images: dict[str, bytes]
 ) -> dict[str, str]:
     """Write manifest.jsonl, gate_report.json, the stratified human-review
-    sample, and every SVG under out_dir."""
+    sample (config.gate.review_fraction, seeded by config.seed), and every
+    SVG under config.out_dir."""
+    out_dir = config.out_dir
+    review_fraction = config.gate.review_fraction
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
@@ -260,7 +257,8 @@ def write_outputs(
         fh.write(report.to_json() + "\n")
     paths["gate_report"] = report_path
     review_path = os.path.join(out_dir, "review_sample.json")
-    review_ids = sample_for_review(manifest, review_fraction, seed) if manifest.records else []
+    review_ids = (sample_for_review(manifest, review_fraction, config.seed)
+                  if manifest.records else [])
     with open(review_path, "w", encoding="utf-8") as fh:
         json.dump({"fraction": review_fraction, "record_ids": review_ids}, fh, indent=2)
         fh.write("\n")

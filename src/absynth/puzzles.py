@@ -19,7 +19,7 @@ from random import Random
 from .records import QuestionDraft
 from .scene import (
     Canvas, LayoutOverflow, Primitive, SceneBuilder, SceneGraph, StyleSpec,
-    TEXT_WIDTH_FACTOR, circle, polygon, rect, text,
+    circle, polygon, rect, text, text_width,
 )
 from .seeds import derive_seed, plain, stable_digest
 
@@ -511,7 +511,7 @@ def build_floorplan_scene(spec: FloorPlanSpec, font_scale: float = 1.0) -> Scene
         fill = _ROOM_FILLS[i % len(_ROOM_FILLS)]
         b.add(rect(x, y, w, h, StyleSpec(fill=fill, stroke="black", stroke_width=2.0)),
               "rooms")
-        if TEXT_WIDTH_FACTOR * font * len(room.name) > w - 8:
+        if text_width(room.name, font) > w - 8:
             raise LayoutOverflow(f"room name {room.name!r} wider than its room")
         b.add(text(x + w / 2, y + 8, room.name, StyleSpec(font_size=font), anchor="middle",
                    z=3), "room_labels")

@@ -5,13 +5,11 @@ canonical answer, acceptable alternates, and an optional rationale. Records
 are serialized one-per-line as JSON (see MANIFEST_SCHEMA_VERSION and the
 field list in the README).
 
-Answer verification is two steps. oracle_drafts regenerates, once per
-image, every draft for the originating scenario spec with the questions
-function that the scenario table (pipeline.SCENARIO_DEFS) lists for the
-provenance generator; verify_record then matches one record against that
-oracle list. The oracle is a fresh call, never the list the records were
-drafted from, so a stored answer is always checked against the parameters
-that produced the image.
+verify_record matches one record against an oracle: every draft that the
+scenario's questions function returns for the spec that produced the image.
+The caller makes that list, so this module knows nothing of the scenario
+table; the pipeline takes it from a second call, apart from the one that
+drafted the records.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any
 
 from .seeds import derive_seed, plain
 
@@ -43,10 +40,6 @@ ANSWER_KINDS = ("numeric", "phrase", "sentence", "landmark_sequence", "choice")
 
 # Question types whose records must carry a step-by-step rationale.
 RATIONALE_REQUIRED_TYPES = frozenset({"math", "offset_math", "inverse_reasoning"})
-
-
-class UnknownGenerator(KeyError):
-    pass
 
 
 class SchemaMismatch(ValueError):
@@ -93,6 +86,14 @@ def validate_record(record: InstructionRecord) -> list[str]:
     problems: list[str] = []
     # Type checks come first: a manifest line can hold any JSON value, and
     # the checks below parse and compare these fields.
+    if type(record.id) is not str:
+        problems.append(f"id must be a string, not {type(record.id).__name__}")
+    if type(record.image_ref) is not str:
+        problems.append(f"image_ref must be a string, not {type(record.image_ref).__name__}")
+    qtype_is_str = type(record.question_type) is str  # a list would not hash below
+    if not qtype_is_str:
+        problems.append(
+            f"question_type must be a string, not {type(record.question_type).__name__}")
     answer_is_str = isinstance(record.answer, str)
     if not answer_is_str:
         problems.append(f"answer must be a string, not {type(record.answer).__name__}")
@@ -118,7 +119,7 @@ def validate_record(record: InstructionRecord) -> list[str]:
         names = [n.strip() for n in record.answer.split(",")]
         if len(names) != len(set(names)) or any(not n for n in names):
             problems.append("landmark sequence must be unique non-empty names")
-    if record.question_type in RATIONALE_REQUIRED_TYPES and not record.rationale:
+    if qtype_is_str and record.question_type in RATIONALE_REQUIRED_TYPES and not record.rationale:
         problems.append(f"{record.question_type} record missing rationale")
     if record.split not in ("train", "test"):
         problems.append(f"bad split {record.split!r}")
@@ -178,7 +179,7 @@ def canonicalize(answer: str, kind: str = "phrase") -> str:
     return out
 
 
-def answer_set(record: InstructionRecord) -> set[str]:
+def answer_set(record: InstructionRecord | QuestionDraft) -> set[str]:
     """Canonical forms of the gold answer and all alternates."""
     forms = {canonicalize(record.answer, record.answer_kind)}
     forms.update(canonicalize(a, record.answer_kind) for a in record.alternates)
@@ -197,26 +198,13 @@ class Verdict:
         return self.ok
 
 
-def oracle_drafts(generator: str, spec: Any) -> list[QuestionDraft]:
-    """Regenerate every draft for `spec` with the questions function that
-    the scenario table lists for `generator`.
-
-    Raises UnknownGenerator for a name the table does not hold.
-    """
-    from .pipeline import SCENARIO_DEFS  # the table imports this module
-    questions = next((d.questions for d in SCENARIO_DEFS.values() if d.generator == generator),
-                     None)
-    if questions is None:
-        raise UnknownGenerator(generator)
-    return questions(spec)
-
-
 def verify_record(record: InstructionRecord, oracle: list[QuestionDraft]) -> Verdict:
     """Compare a record's answer with the oracle's.
 
-    `oracle` is the output of oracle_drafts for the record's provenance
-    generator and spec. Finds the draft with the same question and question
-    type, and compares answer plus alternates canonically.
+    `oracle` is every draft that the questions function of the record's
+    scenario returns for the spec sampled from its provenance seed. Finds the
+    draft with the same question and question type, and compares answer plus
+    alternates canonically.
     """
     match = None
     for draft in oracle:
@@ -225,8 +213,7 @@ def verify_record(record: InstructionRecord, oracle: list[QuestionDraft]) -> Ver
             break
     if match is None:
         return Verdict(False, f"no draft regenerated for question {record.question!r}")
-    expected = {canonicalize(match.answer, match.answer_kind)}
-    expected.update(canonicalize(a, match.answer_kind) for a in match.alternates)
+    expected = answer_set(match)
     got = answer_set(record)
     if expected == got:
         return Verdict(True)
@@ -275,14 +262,15 @@ class Manifest:
         return out
 
     def validate(self) -> None:
-        ids = [r.id for r in self.records]
-        if len(ids) != len(set(ids)):
-            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
-            raise ValueError(f"duplicate record ids: {dupes[:5]}")
+        # Records first: an id that is not a string may not hash.
         for r in self.records:
             problems = validate_record(r)
             if problems:
                 raise ValueError(f"record {r.id}: {problems}")
+        ids = [r.id for r in self.records]
+        if len(ids) != len(set(ids)):
+            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+            raise ValueError(f"duplicate record ids: {dupes[:5]}")
 
 
 def record_to_json(record: InstructionRecord) -> str:

@@ -24,7 +24,6 @@ TEXT_WIDTH_FACTOR = 0.6
 TEXT_HEIGHT_FACTOR = 1.0
 
 KINDS = ("line", "polyline", "rectangle", "circle", "arc", "wedge", "text", "polygon")
-SHAPE_KINDS = ("line", "polyline", "rectangle", "circle", "arc", "wedge", "polygon")
 
 MIN_CANVAS_SIDE = 64
 
@@ -264,6 +263,11 @@ def angle_point(cx: float, cy: float, r: float, deg: float) -> tuple[float, floa
     return (cx + r * math.sin(rad), cy - r * math.cos(rad))
 
 
+def text_width(content: str, font: float) -> float:
+    """Estimated width of `content` set at `font` px."""
+    return TEXT_WIDTH_FACTOR * font * len(content)
+
+
 def bounding_box(p: Primitive) -> BBox:
     """(x_min, y_min, x_max, y_max) containing all geometry of `p`.
 
@@ -298,7 +302,7 @@ def bounding_box(p: Primitive) -> BBox:
     if p.kind == "text":
         x, y, content, anchor = g
         size = float(p.style.font_size or 0.0)
-        w = TEXT_WIDTH_FACTOR * size * len(content)
+        w = text_width(content, size)
         h = TEXT_HEIGHT_FACTOR * size
         if anchor == "middle":
             return (x - w / 2.0, y, x + w / 2.0, y + h)

@@ -17,7 +17,7 @@ from absynth.gauges import build_dial_scene, decode_clock_scene, dial_questions,
 from absynth.keywords import ORGANIZATION_TOPICS
 from absynth.maps import generate_map
 from absynth.pipeline import RunConfig, SCENARIO_DEFS, generate_dataset, write_outputs
-from absynth.records import canonicalize, oracle_drafts, verify_record
+from absynth.records import canonicalize, verify_record
 from absynth.scene import Canvas, SceneBuilder, StyleSpec, text
 from absynth.scoring import (
     aggregate, dataset_stats, lcs_length, score_landmarks, score_numeric,
@@ -50,8 +50,8 @@ def test_criterion_1_end_to_end_oracle_soundness():
     }
     verified = 0
     for record in manifest.records:
-        spec = SCENARIO_DEFS[record.scenario].sample(record.provenance.seed)
-        oracle = oracle_drafts(record.provenance.generator, spec)
+        sdef = SCENARIO_DEFS[record.scenario]
+        oracle = sdef.questions(sdef.sample(record.provenance.seed))
         assert verify_record(record, oracle).ok, record.id
         verified += 1
     assert elapsed < 120.0, f"generation took {elapsed:.1f}s"
@@ -168,8 +168,8 @@ def test_criterion_8_full_determinism(tmp_path):
     config_b = RunConfig(default_count=4, seed=13, out_dir=str(tmp_path / "b"))
     ma, ra, ia = generate_dataset(config_a)
     mb, rb, ib = generate_dataset(config_b)
-    write_outputs(config_a.out_dir, ma, ra, ia)
-    write_outputs(config_b.out_dir, mb, rb, ib)
+    write_outputs(config_a, ma, ra, ia)
+    write_outputs(config_b, mb, rb, ib)
     files_a = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
                      if p.is_file())
     files_b = sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*")

@@ -54,15 +54,11 @@ LOWER_LAYERS = ("records", "scene", "gate", "seeds", "palette")
 UPPER_LAYERS = {"pipeline", "charts", "maps", "gauges", "diagrams", "puzzles"}
 
 
-def module_level_imports(tree):
-    """Absolute names of the absynth modules a module imports when loaded;
-    imports inside function bodies run later and are not counted."""
+def imported_names(tree):
+    """Absolute names of the modules and names a module imports, at any
+    depth: an import inside a function body counts as well."""
     names = set()
-    pending = list(tree.body)
-    while pending:
-        node = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -71,7 +67,6 @@ def module_level_imports(tree):
                 base = "absynth" + ("." + base if base else "")
             names.add(base)
             names.update(f"{base}.{alias.name}" for alias in node.names)
-        pending.extend(ast.iter_child_nodes(node))
     return names
 
 
@@ -79,22 +74,23 @@ def test_lower_layers_do_not_import_scenario_modules():
     offenders = []
     for name in LOWER_LAYERS:
         tree = ast.parse((SRC_DIR / f"{name}.py").read_text(encoding="utf-8"))
-        for imported in sorted(module_level_imports(tree)):
+        for imported in sorted(imported_names(tree)):
             parts = imported.split(".")
             if parts[0] == "absynth" and UPPER_LAYERS & set(parts[1:2]):
                 offenders.append((name, imported))
     assert not offenders
 
 
-def asdict_uses(tree):
-    """Line numbers where a module imports or names dataclasses.asdict."""
+def name_uses(tree, name):
+    """Line numbers where a module imports `name` or names it, bare or as an
+    attribute."""
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
-            lines.extend(node.lineno for alias in node.names if alias.name == "asdict")
-        elif isinstance(node, ast.Attribute) and node.attr == "asdict":
+        if isinstance(node, ast.ImportFrom):
+            lines.extend(node.lineno for alias in node.names if alias.name == name)
+        elif isinstance(node, ast.Attribute) and node.attr == name:
             lines.append(node.lineno)
-        elif isinstance(node, ast.Name) and node.id == "asdict":
+        elif isinstance(node, ast.Name) and node.id == name:
             lines.append(node.lineno)
     return lines
 
@@ -105,7 +101,18 @@ def test_no_module_uses_dataclasses_asdict():
     offenders = []
     for path in sorted(SRC_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        offenders.extend((path.name, line) for line in asdict_uses(tree))
+        offenders.extend((path.name, line) for line in name_uses(tree, "asdict"))
+    assert not offenders
+
+
+def test_text_width_has_one_formula():
+    """Every text-width estimate goes through scene.text_width, so the layout
+    checks of the generators and the scene's own boxes cannot disagree."""
+    offenders = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        if path.name != "scene.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offenders.extend((path.name, line) for line in name_uses(tree, "TEXT_WIDTH_FACTOR"))
     assert not offenders
 
 

@@ -265,6 +265,9 @@ def test_gen_validates_the_manifest_once(tmp_path, monkeypatch):
     ("alternates", [3], "alternates must all be strings"),
     ("difficulty", "hard", "difficulty must be an integer, not str"),
     ("difficulty", True, "difficulty must be an integer, not bool"),
+    ("id", ["a"], "id must be a string, not list"),
+    ("question_type", ["math"], "question_type must be a string, not list"),
+    ("image_ref", 5, "image_ref must be a string, not int"),
 ])
 def test_wrongly_typed_manifest_value_is_one_line_error(tmp_path, capsys, field, value, problem):
     out = gen(tmp_path)
@@ -290,3 +293,31 @@ def test_bad_backend_value_fails_the_dry_run(tmp_path, capsys):
     backend.write_text(json.dumps({"max_parallel": 0}))
     assert run(["gen", "--dry-run", "--backend", backend]) == 1
     assert one_line_error(capsys) == "error: max_parallel must be >= 1"
+
+
+@pytest.mark.parametrize("flag, config, message", [
+    ("--config", {"gate": {"max_retries": "3"}},
+     "run-config key 'gate.max_retries' must be an integer, not a string"),
+    ("--backend", {"max_parallel": "2"},
+     "backend-config key 'max_parallel' must be an integer, not a string"),
+    ("--config", {"gate": {"min_font_px": "8"}},
+     "run-config key 'gate.min_font_px' must be a number, not a string"),
+    ("--config", {"seed": True}, "run-config key 'seed' must be an integer, not a boolean"),
+    ("--config", {"seed": 1.9}, "run-config key 'seed' must be an integer, not a number"),
+    ("--config", {"counts": {"chart": 2.5}},
+     "run-config key 'counts.chart' must be an integer, not a number"),
+], ids=["gate.max_retries", "backend.max_parallel", "gate.min_font_px", "seed-true",
+        "seed-float", "counts.chart"])
+def test_wrongly_typed_config_value_is_one_line_error(tmp_path, capsys, flag, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(["gen", flag, path, "--out", tmp_path / "out", "--dry-run"]) == 1
+    assert one_line_error(capsys) == f"error: {message}"
+
+
+def test_config_values_of_their_json_type_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"train_fraction": 0, "gate": {"min_font_px": 8},
+                               "backend": {"request_log": None, "temperature": 1}}))
+    assert run(["gen", "--config", cfg, "--dry-run"]) == 0
+    assert "dry run" in capsys.readouterr().out

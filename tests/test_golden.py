@@ -33,8 +33,7 @@ def digest_tree(out) -> str:
 def test_golden_digest(tmp_path):
     config = RunConfig(default_count=2, seed=1, jobs=1, out_dir=str(tmp_path))
     manifest, report, images = generate_dataset(config)
-    write_outputs(str(tmp_path), manifest, report, images,
-                  review_fraction=config.gate.review_fraction, seed=config.seed)
+    write_outputs(config, manifest, report, images)
     assert len(images) == 2 * len(SCENARIOS)
     assert digest_tree(tmp_path) == GOLDEN_DIGEST
 
@@ -111,15 +110,15 @@ def test_record_json_matches_asdict():
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_oracle_runs_once_per_image_apart_from_drafts(scenario, monkeypatch):
-    returned = []  # every list a questions function handed out, in call order
-    # Every row is wrapped: table and relation_graph images find their oracle
-    # in the chart and flowchart rows, which share their generator name.
-    for name, sdef in SCENARIO_DEFS.items():
-        def counting(spec, questions=sdef.questions):
-            drafts = questions(spec)
-            returned.append(drafts)
-            return drafts
-        monkeypatch.setitem(SCENARIO_DEFS, name, dataclasses.replace(sdef, questions=counting))
+    returned = []  # every list the scenario's questions function handed out, in call order
+    sdef = SCENARIO_DEFS[scenario]
+
+    def counting(spec):
+        drafts = sdef.questions(spec)
+        returned.append(drafts)
+        return drafts
+
+    monkeypatch.setitem(SCENARIO_DEFS, scenario, dataclasses.replace(sdef, questions=counting))
     oracles = []
     real_verify = pipeline.verify_record
 

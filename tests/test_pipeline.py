@@ -6,7 +6,7 @@ from absynth.bridge import BackendConfig
 from absynth.pipeline import (
     RunConfig, SCENARIO_DEFS, generate_dataset, generate_image, write_outputs,
 )
-from absynth.records import SCENARIOS, dump_manifest, oracle_drafts, verify_record
+from absynth.records import SCENARIOS, dump_manifest, verify_record
 
 
 def small_config(**kw):
@@ -46,8 +46,9 @@ def test_seed_changes_output():
 def test_every_record_reverifies_from_provenance():
     manifest, _, _ = generate_dataset(small_config())
     for record in manifest.records:
-        spec = SCENARIO_DEFS[record.scenario].sample(record.provenance.seed)
-        assert verify_record(record, oracle_drafts(record.provenance.generator, spec)), record.id
+        sdef = SCENARIO_DEFS[record.scenario]
+        spec = sdef.sample(record.provenance.seed)
+        assert verify_record(record, sdef.questions(spec)), record.id
 
 
 def test_image_refs_point_at_written_images():
@@ -94,8 +95,9 @@ def test_backend_runs_stay_deterministic():
 
 
 def test_write_outputs_layout(tmp_path):
-    manifest, report, images = generate_dataset(small_config(default_count=1))
-    paths = write_outputs(str(tmp_path), manifest, report, images)
+    config = small_config(default_count=1, out_dir=str(tmp_path))
+    manifest, report, images = generate_dataset(config)
+    paths = write_outputs(config, manifest, report, images)
     assert (tmp_path / "manifest.jsonl").exists()
     assert (tmp_path / "gate_report.json").exists()
     for rel in images:
