@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .scene import LayoutOverflow, SceneGraph, bounding_box, overlap_pairs
+from .scene import LayoutOverflow, SceneGraph, overlap_pairs
 
 FONT_SCALE_DECAY = 0.85
 
@@ -115,12 +115,12 @@ def aesthetics_gate(scene: SceneGraph, config: GateConfig) -> AestheticsResult:
     )
     if small:
         reasons.append(f"small-font: primitives {small} below {config.min_font_px}px")
-    outside = []
-    for i, p in enumerate(scene.primitives):
-        x0, y0, x1, y1 = bounding_box(p)
-        if x0 < -0.5 or y0 < -0.5 or x1 > scene.canvas.width + 0.5 \
-                or y1 > scene.canvas.height + 0.5:
-            outside.append(i)
+    right = scene.canvas.width + 0.5
+    bottom = scene.canvas.height + 0.5
+    outside = [
+        i for i, (x0, y0, x1, y1) in enumerate(scene.boxes)
+        if x0 < -0.5 or y0 < -0.5 or x1 > right or y1 > bottom
+    ]
     if outside:
         reasons.append(f"out-of-bounds: primitives {outside} leave the canvas")
     return AestheticsResult(not reasons, tuple(reasons))

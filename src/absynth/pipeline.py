@@ -106,11 +106,16 @@ class RunConfig:
         return int(self.counts.get(scenario, self.default_count))
 
     def __post_init__(self) -> None:
-        for scenario in self.scenarios:
+        for pos, scenario in enumerate(self.scenarios):
             if scenario not in SCENARIO_DEFS:
                 raise ValueError(f"unknown scenario {scenario!r}")
+            if scenario in self.scenarios[:pos]:
+                raise ValueError(f"scenario {scenario!r} given twice")
             if self.count_for(scenario) < 0:
                 raise ValueError(f"negative count for {scenario!r}")
+        for scenario in self.counts:
+            if scenario not in SCENARIO_DEFS:
+                raise ValueError(f"unknown scenario {scenario!r} in counts")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
         if self.jobs < 1:

@@ -133,21 +133,30 @@ def validate_record(record: InstructionRecord) -> list[str]:
 
 _TIME_RE = re.compile(r"^(\d{1,2}):(\d{2})(?:\s*(am|pm))?$")
 _NUMBER_RE = re.compile(r"-?\d{1,3}(?:,\d{3})+(?:\.\d+)?|-?\d+(?:\.\d+)?")
+# Searched in the reversed text: the last digit and the run of digits, commas,
+# dots and minus signs before it.
+_LAST_RUN_RE = re.compile(r"\d[\d,.\-]*")
 
 
 def parse_number(text: str) -> float | None:
     """Last number appearing in `text`, or None.
 
     Chain-of-thought responses state the answer last, so the final number is
-    taken as the prediction.
+    taken as the prediction. Every number lies inside one maximal run of
+    digits, commas, dots and minus signs, and each run is matched afresh, so
+    the last number is the last match in the last run that holds a digit;
+    only that run, found by scanning from the end, is matched. A text that
+    is one number, as a gold answer usually is, is that number.
     """
-    matches = _NUMBER_RE.findall(text)
-    if not matches:
+    whole = _NUMBER_RE.fullmatch(text)
+    if whole is not None:
+        return float(whole[0].replace(",", ""))
+    run = _LAST_RUN_RE.search(text[::-1])
+    if run is None:
         return None
-    try:
-        return float(matches[-1].replace(",", ""))
-    except ValueError:
-        return None
+    end = len(text) - run.start()
+    last = _NUMBER_RE.findall(text, end - len(run[0]), end)[-1]
+    return float(last.replace(",", ""))
 
 
 def format_number(value: float) -> str:

@@ -9,12 +9,18 @@ Text extent is not measured from font metrics. It is estimated as
 ``0.6 * font_size`` per glyph wide and ``1.0 * font_size`` tall
 (TEXT_WIDTH_FACTOR / TEXT_HEIGHT_FACTOR), which keeps geometry queries
 deterministic and independent of any font stack.
+
+Each primitive's bounding box is computed once, on first use, and cached on
+the frozen scene (`SceneGraph.boxes`); the aesthetics gate's containment
+check and `overlap_pairs` both read that cache. `overlap_pairs` sweeps the
+chosen boxes in x-min order, so it only measures pairs whose x-ranges meet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 from xml.sax.saxutils import escape
 
@@ -139,6 +145,12 @@ class SceneGraph:
     def __post_init__(self) -> None:
         validate_scene(self)
 
+    @cached_property
+    def boxes(self) -> tuple[BBox, ...]:
+        """`bounding_box` of each primitive, in primitive order, computed
+        once on first use."""
+        return tuple(bounding_box(p) for p in self.primitives)
+
     def role_indices(self, role: str) -> tuple[int, ...]:
         if role not in self.labels:
             raise UnknownRole(role)
@@ -164,7 +176,8 @@ class SceneBuilder:
             self.add(p, *roles)
 
     def build(self) -> SceneGraph:
-        order = sorted(range(len(self._items)), key=lambda i: (self._items[i][0].z, i))
+        # A stable sort: primitives of equal z keep the order they were added in.
+        order = sorted(range(len(self._items)), key=lambda i: self._items[i][0].z)
         labels: dict[str, list[int]] = {}
         prims: list[Primitive] = []
         for new_index, old_index in enumerate(order):
@@ -179,55 +192,58 @@ class SceneBuilder:
         )
 
 
-def _finite(*values: float) -> bool:
+def _all_finite(values) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
 def primitive_problems(p: Primitive) -> list[str]:
-    """All invariant violations for one primitive (empty list = valid)."""
-    problems: list[str] = []
-    if p.kind not in KINDS:
-        return [f"unknown kind {p.kind!r}"]
+    """All invariant violations for one primitive (empty list = valid).
+
+    Coordinates are checked by their sum first: a NaN or an infinity always
+    makes the sum non-finite, so a finite sum settles it. A non-finite sum
+    may also be the overflow of large finite values, so only then is each
+    value checked.
+    """
+    kind = p.kind
+    if kind not in KINDS:
+        return [f"unknown kind {kind!r}"]
     g = p.geometry
-    if p.kind == "text":
+    style = p.style
+    problems: list[str] = []
+    if kind == "text":
         x, y, content, anchor = g
-        if not _finite(x, y):
+        if not (math.isfinite(x + y) or _all_finite((x, y))):
             problems.append("non-finite coordinates")
         if not content:
             problems.append("empty text content")
         if anchor not in ("start", "middle", "end"):
             problems.append(f"bad anchor {anchor!r}")
-        if p.style.font_size is None or p.style.font_size <= 0:
+        if style.font_size is None or style.font_size <= 0:
             problems.append("text requires positive font_size")
     else:
-        coords = _flat_coords(p)
-        if not _finite(*coords):
+        if kind in ("polyline", "polygon"):
+            finite = math.isfinite(sum(map(sum, g))) or _all_finite(v for pt in g for v in pt)
+        else:
+            finite = math.isfinite(sum(g)) or _all_finite(g)
+        if not finite:
             problems.append("non-finite coordinates")
-        if p.style.stroke is None and p.style.fill is None:
+        if style.stroke is None and style.fill is None:
             problems.append("shape needs stroke or fill")
-        if p.kind in ("arc", "wedge"):
+        if kind in ("arc", "wedge"):
             sweep = g[4]
             if not (0.0 < sweep <= 360.0):
                 problems.append(f"sweep {sweep} outside (0, 360]")
             if g[2] <= 0:
                 problems.append("non-positive radius")
-        if p.kind == "circle" and g[2] <= 0:
+        if kind == "circle" and g[2] <= 0:
             problems.append("non-positive radius")
-    for attr in ("stroke", "fill"):
-        name = getattr(p.style, attr)
-        if name is not None and name not in PALETTE:
-            problems.append(f"unknown {attr} color {name!r}")
-    if p.style.stroke_width < 0:
+    if style.stroke is not None and style.stroke not in PALETTE:
+        problems.append(f"unknown stroke color {style.stroke!r}")
+    if style.fill is not None and style.fill not in PALETTE:
+        problems.append(f"unknown fill color {style.fill!r}")
+    if style.stroke_width < 0:
         problems.append("negative stroke_width")
     return problems
-
-
-def _flat_coords(p: Primitive) -> tuple[float, ...]:
-    if p.kind in ("polyline", "polygon"):
-        return tuple(v for pt in p.geometry for v in pt)
-    if p.kind == "text":
-        return (p.geometry[0], p.geometry[1])
-    return tuple(float(v) for v in p.geometry)
 
 
 def validate_scene(scene: SceneGraph) -> None:
@@ -275,6 +291,16 @@ def bounding_box(p: Primitive) -> BBox:
     exact (endpoints plus any crossed cardinal directions).
     """
     g = p.geometry
+    if p.kind == "text":
+        x, y, content, anchor = g
+        size = float(p.style.font_size or 0.0)
+        w = text_width(content, size)
+        h = TEXT_HEIGHT_FACTOR * size
+        if anchor == "middle":
+            return (x - w / 2.0, y, x + w / 2.0, y + h)
+        if anchor == "end":
+            return (x - w, y, x, y + h)
+        return (x, y, x + w, y + h)
     if p.kind == "line":
         x1, y1, x2, y2 = g
         return (min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
@@ -299,16 +325,6 @@ def bounding_box(p: Primitive) -> BBox:
         xs = [pt[0] for pt in pts]
         ys = [pt[1] for pt in pts]
         return (min(xs), min(ys), max(xs), max(ys))
-    if p.kind == "text":
-        x, y, content, anchor = g
-        size = float(p.style.font_size or 0.0)
-        w = text_width(content, size)
-        h = TEXT_HEIGHT_FACTOR * size
-        if anchor == "middle":
-            return (x - w / 2.0, y, x + w / 2.0, y + h)
-        if anchor == "end":
-            return (x - w, y, x, y + h)
-        return (x, y, x + w, y + h)
     raise ValueError(f"unknown kind {p.kind!r}")
 
 
@@ -328,19 +344,26 @@ def overlap_pairs(
     with positive area, with the intersection area.
 
     The explicit indices select primitives that carry no role, such as
-    every text primitive.
+    every text primitive. The boxes are swept in x-min order: once a box
+    starts at or past another's x-max, so does every box after it, and
+    neither can meet it with positive area.
     """
     chosen = set(indices)
     for role in sorted(roles):
         chosen.update(scene.role_indices(role))
-    selected = sorted(chosen)
-    boxes = {i: bounding_box(scene.primitives[i]) for i in selected}
+    boxes = scene.boxes
+    order = sorted((boxes[i][0], i) for i in chosen)
     pairs: list[tuple[int, int, float]] = []
-    for a_pos, i in enumerate(selected):
-        for j in selected[a_pos + 1:]:
-            area = bbox_intersection_area(boxes[i], boxes[j])
+    for pos, (_, i) in enumerate(order):
+        x_max = boxes[i][2]
+        for x_min, j in order[pos + 1:]:
+            if x_min >= x_max:
+                break
+            lo, hi = (i, j) if i < j else (j, i)
+            area = bbox_intersection_area(boxes[lo], boxes[hi])
             if area > 0:
-                pairs.append((i, j, area))
+                pairs.append((lo, hi, area))
+    pairs.sort()
     return pairs
 
 
@@ -349,33 +372,26 @@ def overlap_pairs(
 
 
 def _fmt(v: float) -> str:
-    if float(v).is_integer():
+    f = float(v)
+    if f.is_integer():
         return str(int(v))
-    return f"{v:.3f}".rstrip("0").rstrip(".")
+    return f"{f:.3f}".rstrip("0").rstrip(".")
 
 
 def _style_attrs(style: StyleSpec, is_text: bool) -> str:
-    parts: list[str] = []
     if is_text:
-        fill = style.fill or "black"
-        parts.append(f'fill="{color_css(fill)}"')
-        parts.append(f'font-size="{_fmt(style.font_size or 10.0)}"')
-        parts.append('font-family="sans-serif"')
-    else:
-        if style.fill is not None:
-            parts.append(f'fill="{color_css(style.fill)}"')
-        else:
-            parts.append('fill="none"')
-        if style.stroke is not None:
-            parts.append(f'stroke="{color_css(style.stroke)}"')
-            parts.append(f'stroke-width="{_fmt(style.stroke_width)}"')
-        if style.dash:
-            parts.append(f'stroke-dasharray="{" ".join(_fmt(d) for d in style.dash)}"')
-    return " ".join(parts)
+        return (f'fill="{color_css(style.fill or "black")}" '
+                f'font-size="{_fmt(style.font_size or 10.0)}" font-family="sans-serif"')
+    attrs = f'fill="{color_css(style.fill)}"' if style.fill is not None else 'fill="none"'
+    if style.stroke is not None:
+        attrs += f' stroke="{color_css(style.stroke)}" stroke-width="{_fmt(style.stroke_width)}"'
+    if style.dash:
+        attrs += f' stroke-dasharray="{" ".join([_fmt(d) for d in style.dash])}"'
+    return attrs
 
 
 def _points_attr(points) -> str:
-    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    return " ".join([f"{_fmt(x)},{_fmt(y)}" for x, y in points])
 
 
 def _arc_path(cx, cy, r, start, sweep, close_to_center: bool) -> str:
@@ -397,48 +413,38 @@ def _arc_path(cx, cy, r, start, sweep, close_to_center: bool) -> str:
     return f"M {_fmt(x1)} {_fmt(y1)} {arc_part}"
 
 
-def _element(p: Primitive) -> str:
-    g = p.geometry
-    if p.kind == "line":
-        x1, y1, x2, y2 = g
-        attrs = _style_attrs(p.style, False)
-        return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {attrs}/>'
-    if p.kind == "polyline":
-        return f'<polyline points="{_points_attr(g)}" {_style_attrs(p.style, False)}/>'
-    if p.kind == "polygon":
-        return f'<polygon points="{_points_attr(g)}" {_style_attrs(p.style, False)}/>'
-    if p.kind == "rectangle":
-        x, y, w, h = g
-        attrs = _style_attrs(p.style, False)
-        return f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" {attrs}/>'
-    if p.kind == "circle":
-        cx, cy, r = g
-        attrs = _style_attrs(p.style, False)
-        return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {attrs}/>'
-    if p.kind == "arc":
-        cx, cy, r, start, sweep = g
-        return f'<path d="{_arc_path(cx, cy, r, start, sweep, False)}" {_style_attrs(p.style, False)}/>'
-    if p.kind == "wedge":
-        cx, cy, r, start, sweep = g
-        return f'<path d="{_arc_path(cx, cy, r, start, sweep, True)}" {_style_attrs(p.style, False)}/>'
-    if p.kind == "text":
+def _element(p: Primitive, attrs: str) -> str:
+    """One SVG element for `p`, whose style attributes are `attrs`."""
+    kind, g = p.kind, p.geometry
+    if kind == "text":
         x, y, content, anchor = g
-        size = float(p.style.font_size or 10.0)
         # Baseline sits at ~0.8em below the top of the heuristic line box.
-        baseline = y + 0.8 * size
-        attrs = _style_attrs(p.style, True)
-        return (
-            f'<text x="{_fmt(x)}" y="{_fmt(baseline)}" text-anchor="{anchor}" {attrs}>'
-            f"{escape(content)}</text>"
-        )
-    raise ValueError(f"unknown kind {p.kind!r}")
+        baseline = y + 0.8 * float(p.style.font_size or 10.0)
+        return (f'<text x="{_fmt(x)}" y="{_fmt(baseline)}" text-anchor="{anchor}" {attrs}>'
+                f"{escape(content)}</text>")
+    if kind == "line":
+        x1, y1, x2, y2 = g
+        return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {attrs}/>'
+    if kind == "rectangle":
+        x, y, w, h = g
+        return f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" {attrs}/>'
+    if kind == "polyline" or kind == "polygon":
+        return f'<{kind} points="{_points_attr(g)}" {attrs}/>'
+    if kind == "circle":
+        cx, cy, r = g
+        return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {attrs}/>'
+    if kind == "arc" or kind == "wedge":
+        cx, cy, r, start, sweep = g
+        return f'<path d="{_arc_path(cx, cy, r, start, sweep, kind == "wedge")}" {attrs}/>'
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def render_svg(scene: SceneGraph) -> bytes:
     """Render a scene to a standalone SVG 1.1 document.
 
     Deterministic: the same scene yields byte-identical output. The scene
-    was validated when it was constructed.
+    was validated when it was constructed. Each distinct style is formatted
+    once per call.
     """
     c = scene.canvas
     lines = [
@@ -447,6 +453,12 @@ def render_svg(scene: SceneGraph) -> bytes:
         f'width="{c.width}" height="{c.height}" viewBox="0 0 {c.width} {c.height}">',
         f'<rect x="0" y="0" width="{c.width}" height="{c.height}" fill="{rgb_css(c.background)}"/>',
     ]
-    lines.extend(_element(p) for p in scene.primitives)
+    styles: dict[tuple[StyleSpec, bool], str] = {}
+    for p in scene.primitives:
+        key = (p.style, p.kind == "text")
+        attrs = styles.get(key)
+        if attrs is None:
+            attrs = styles[key] = _style_attrs(*key)
+        lines.append(_element(p, attrs))
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")

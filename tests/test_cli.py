@@ -321,3 +321,18 @@ def test_config_values_of_their_json_type_are_accepted(tmp_path, capsys):
                                "backend": {"request_log": None, "temperature": 1}}))
     assert run(["gen", "--config", cfg, "--dry-run"]) == 0
     assert "dry run" in capsys.readouterr().out
+
+
+def test_repeated_scenario_fails_the_dry_run(tmp_path, capsys):
+    argv = ["gen", "--scenario", "chart", "--scenario", "chart", "--count", "1",
+            "--out", tmp_path / "out", "--dry-run"]
+    assert run(argv) == 1
+    assert one_line_error(capsys) == "error: scenario 'chart' given twice"
+
+
+def test_misspelt_counts_key_fails_the_dry_run(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenarios": ["chart"], "counts": {"chrat": 3},
+                               "default_count": 1}))
+    assert run(["gen", "--config", cfg, "--out", tmp_path / "out", "--dry-run"]) == 1
+    assert one_line_error(capsys) == "error: unknown scenario 'chrat' in counts"

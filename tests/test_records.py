@@ -1,6 +1,8 @@
 """Instruction records: canonicalization, verification, voting, manifests."""
 
 import json
+import re
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -61,6 +63,41 @@ def test_parse_number_takes_last():
     assert parse_number("first 3 then 42, so the answer is 7") == 7.0
     assert parse_number("no digits here") is None
     assert parse_number("-12.5 then -3") == -3.0
+
+
+def findall_last_number(text):
+    """The whole-text `findall` that `parse_number` replaced, kept as the
+    reference."""
+    matches = re.findall(r"-?\d{1,3}(?:,\d{3})+(?:\.\d+)?|-?\d+(?:\.\d+)?", text)
+    if not matches:
+        return None
+    try:
+        return float(matches[-1].replace(",", ""))
+    except ValueError:
+        return None
+
+
+# ASCII digits and number punctuation, letters, spaces, non-ASCII decimal
+# digits (Arabic-Indic three, fullwidth three, Devanagari seven) and
+# non-ASCII non-digits (a superscript two, which is no decimal digit).
+NUMBER_ALPHABET = ("0123456789" * 3 + ",,..--" + "  ab xZ" + "\u0663\uff13\u096d"
+                   + "\u00b2\u00e9\u20ac\u4e2d")
+
+
+@pytest.mark.parametrize("text", [
+    "1,234,5678", "-.5", "3.", "", "no digits at all", "42", "-1,234.50", "0.5", "1,234.5",
+    "12,34", "--5", "5-3", "1.2.3", "-0", "1,000,000 and 2,000", "the answer is 7.",
+    "\u0663\uff13.5 x", "\u00b2", "1,23,456", "9" * 400,
+])
+def test_parse_number_matches_findall_on_fixed_cases(text):
+    assert repr(parse_number(text)) == repr(findall_last_number(text))
+
+
+def test_parse_number_matches_findall_on_seeded_strings():
+    rng = Random(20261018)
+    for _ in range(12_000):
+        text = "".join(rng.choices(NUMBER_ALPHABET, k=rng.randint(0, 30)))
+        assert repr(parse_number(text)) == repr(findall_last_number(text)), text
 
 
 @given(st.text(max_size=60))

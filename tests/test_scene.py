@@ -2,15 +2,19 @@
 
 import math
 import xml.etree.ElementTree as ET
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from absynth import pipeline, scene as scene_module
+from absynth.gate import GateConfig, feasibility_gate
+from absynth.pipeline import SCENARIO_DEFS, RunConfig, generate_image
 from absynth.scene import (
     Canvas, InvalidScene, Primitive, SceneBuilder, SceneGraph, StyleSpec, UnknownRole,
-    angle_point, bounding_box, bbox_intersection_area, circle, line, overlap_pairs,
-    polygon, polyline, rect, render_svg, text, wedge,
+    _fmt, angle_point, arc, bounding_box, bbox_intersection_area, circle, line, overlap_pairs,
+    polygon, polyline, primitive_problems, rect, render_svg, text, wedge,
 )
 
 STROKED = StyleSpec(stroke="black")
@@ -252,3 +256,168 @@ def test_undersized_canvas_rejected():
 def test_bad_background_rejected():
     with pytest.raises(InvalidScene, match="background"):
         SceneGraph(Canvas(640, 480, (300, 0, 0)), ())
+
+
+# -- the scene kernel against the code it replaced ---------------------------
+
+
+def all_pairs_overlaps(scene, roles, indices=()):
+    """The all-pairs loop `overlap_pairs` replaced, kept as the reference."""
+    chosen = set(indices)
+    for role in sorted(roles):
+        chosen.update(scene.role_indices(role))
+    selected = sorted(chosen)
+    boxes = {i: bounding_box(scene.primitives[i]) for i in selected}
+    pairs = []
+    for a_pos, i in enumerate(selected):
+        for j in selected[a_pos + 1:]:
+            area = bbox_intersection_area(boxes[i], boxes[j])
+            if area > 0:
+                pairs.append((i, j, area))
+    return pairs
+
+
+def sampled_scenes(seeds=range(8)):
+    for name, sdef in sorted(SCENARIO_DEFS.items()):
+        for seed in seeds:
+            result = feasibility_gate(sdef.sample(seed), GateConfig(), sdef.build)
+            if result.accepted:
+                yield name, result.scene
+
+
+def test_swept_overlaps_match_all_pairs_on_sampled_scenes():
+    seen = set()
+    for name, scene in sampled_scenes():
+        seen.add(name)
+        everything = range(len(scene.primitives))
+        text_ix = [i for i, p in enumerate(scene.primitives) if p.kind == "text"]
+        selections = [((), everything), ((), text_ix), (tuple(scene.labels), ())]
+        selections += [((role,), text_ix) for role in scene.labels]
+        for roles, indices in selections:
+            assert overlap_pairs(scene, roles, indices) == \
+                all_pairs_overlaps(scene, roles, indices), (name, roles)
+    assert seen == set(SCENARIO_DEFS)
+
+
+def test_swept_overlaps_match_all_pairs_on_random_boxes():
+    # Integer corners on a small grid make touching edges, equal x-mins,
+    # duplicates and nested boxes common; zero and negative sizes appear too.
+    rng = Random(7)
+    for _ in range(400):
+        b = SceneBuilder(Canvas(640, 480))
+        for _ in range(rng.randint(0, 14)):
+            x, y = rng.randint(0, 12), rng.randint(0, 12)
+            w, h = rng.choice((0, 0, 1, 2, 3, 5, 8, -1)), rng.choice((0, 1, 2, 4, 6))
+            b.add(rect(x, y, w, h, FILLED), rng.choice(("a", "b")))
+        scene = b.build()
+        roles = tuple(scene.labels)
+        assert overlap_pairs(scene, roles) == all_pairs_overlaps(scene, roles)
+
+
+def test_boxes_are_each_primitive_box_in_order():
+    for _, scene in sampled_scenes(range(3)):
+        assert scene.boxes == tuple(bounding_box(p) for p in scene.primitives)
+        assert scene.boxes is scene.boxes
+        with pytest.raises(AttributeError):
+            scene.boxes = ()
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_DEFS))
+def test_each_primitive_is_boxed_once_per_image(scenario, monkeypatch):
+    boxed, gated = [], []
+    real_box, real_gate = scene_module.bounding_box, pipeline.aesthetics_gate
+
+    def counting_box(p):
+        boxed.append(p)
+        return real_box(p)
+
+    def recording_gate(scene, config):
+        gated.append(scene)
+        return real_gate(scene, config)
+
+    monkeypatch.setattr(scene_module, "bounding_box", counting_box)
+    monkeypatch.setattr(pipeline, "aesthetics_gate", recording_gate)
+    config = RunConfig(scenarios=(scenario,), default_count=3, seed=1)
+    for index in range(3):
+        assert generate_image(config, scenario, index).rejection is None
+    primitives = [p for scene in gated for p in scene.primitives]
+    assert len(gated) == 3
+    assert len(boxed) == len(primitives)
+    assert all(a is b for a, b in zip(boxed, primitives))
+
+
+def fmt_reference(v):
+    """The `_fmt` formula before it converted its input once, kept as the
+    reference."""
+    if float(v).is_integer():
+        return str(int(v))
+    return f"{v:.3f}".rstrip("0").rstrip(".")
+
+
+def test_fmt_is_byte_identical_to_the_old_formula():
+    rng = Random(11)
+    corpus = [-0.0, 0.0, 2.9995, 0.0005, -0.0004, 1e20, 7, -3, 10**20 + 1, True,
+              float("inf"), float("-inf"), 0.1 + 0.2, 1e-9, 4503599627370495.5]
+    for _ in range(20_000):
+        scale = rng.choice((1.0, 1e-3, 1e3, 1e6))
+        value = rng.uniform(-640, 640) * scale
+        corpus += [value, round(value, rng.randint(0, 4)), float(int(value))]
+    for v in corpus:
+        assert _fmt(v) == fmt_reference(v), v
+
+
+def test_style_memo_keeps_each_style_string():
+    # Equal styles, text and shape use of one style, and a dash pattern.
+    dashed = StyleSpec(stroke="black", stroke_width=1.5, dash=(4.0, 2.5))
+    prims = (line(0, 0, 10, 10, dashed), line(1, 1, 5, 5, StyleSpec(stroke="black",
+             stroke_width=1.5, dash=(4.0, 2.5))), rect(2, 2, 3, 3, StyleSpec(fill="blue")),
+             text(5, 5, "a", StyleSpec(fill="blue", font_size=12.5)),
+             rect(8, 8, 2, 2, StyleSpec(fill="blue", font_size=12.5)))
+    root = parse_svg(render_svg(SceneGraph(Canvas(640, 480), prims)))
+    lines = root.findall(f"{SVG_NS}line")
+    assert [el.get("stroke-dasharray") for el in lines] == ["4 2.5", "4 2.5"]
+    assert [el.get("stroke-width") for el in lines] == ["1.5", "1.5"]
+    assert root.find(f"{SVG_NS}text").get("font-size") == "12.5"
+    shape_fills = [el.get("fill") for el in root.findall(f"{SVG_NS}rect")[1:]]
+    assert shape_fills == [root.find(f"{SVG_NS}text").get("fill")] * 2
+    assert root.findall(f"{SVG_NS}rect")[2].get("font-size") is None
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+def coordinate_slots():
+    """(arity, build) pairs; build(values) makes a primitive from a flat
+    list of `arity` coordinates."""
+    return [
+        (4, lambda v: line(*v, STROKED)),
+        (4, lambda v: rect(*v, FILLED)),
+        (3, lambda v: circle(*v, FILLED)),
+        (5, lambda v: arc(*v, STROKED)),
+        (5, lambda v: wedge(*v, FILLED)),
+        (2, lambda v: text(*v, "t", StyleSpec(font_size=10))),
+        (6, lambda v: polyline(zip(v[0::2], v[1::2]), STROKED)),
+        (6, lambda v: polygon(zip(v[0::2], v[1::2]), FILLED)),
+    ]
+
+
+def test_finiteness_check_rejects_each_non_finite_slot():
+    base = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
+    for arity, build in coordinate_slots():
+        assert "non-finite coordinates" not in primitive_problems(build(base[:arity]))
+        for slot in range(arity):
+            for bad in NON_FINITE:
+                values = base[:arity]
+                values[slot] = bad
+                problems = primitive_problems(build(values))
+                assert "non-finite coordinates" in problems, (arity, slot, bad)
+
+
+def test_finiteness_check_accepts_large_finite_values_whose_sum_overflows():
+    big = 1e308
+    assert math.isinf(big + big)
+    assert primitive_problems(text(big, big, "t", StyleSpec(font_size=10))) == []
+    assert primitive_problems(line(big, big, big, big, STROKED)) == []
+    assert primitive_problems(rect(big, -big, big, big, FILLED)) == []
+    assert primitive_problems(polyline([(big, big), (-big, -big), (-big, big)], STROKED)) == []
+    assert primitive_problems(circle(big, big, big, FILLED)) == []
