@@ -3,7 +3,13 @@
 One InstructionRecord is one dataset row: a question about one image, its
 canonical answer, acceptable alternates, and an optional rationale. Records
 are serialized one-per-line as JSON (see MANIFEST_SCHEMA_VERSION and the
-field list in the README).
+field list in the README). record_to_json is the one record line writer: a
+single f-string in sorted key order over the C string escaper, giving the
+bytes of json.dumps(sort_keys=True, ensure_ascii=False) for every record that
+validate_record accepts. parse_json_line is the one line reader, for manifest
+and prediction lines alike: the C scanner first, json.loads only for what the
+scanner does not take whole, so it accepts, returns and rejects exactly what
+json.loads does.
 
 verify_record matches one record against an oracle: every draft that the
 scenario's questions function returns for the spec that produced the image.
@@ -21,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 
-from .seeds import derive_seed, plain
+from .seeds import derive_seed
 
 MANIFEST_SCHEMA_VERSION = "1"
 
@@ -101,12 +107,24 @@ def validate_record(record: InstructionRecord) -> list[str]:
         problems.append(f"question must be a string, not {type(record.question).__name__}")
     if record.rationale is not None and not isinstance(record.rationale, str):
         problems.append(f"rationale must be a string, not {type(record.rationale).__name__}")
-    if record.alternates and not all(isinstance(a, str) for a in record.alternates):
+    if not isinstance(record.alternates, (tuple, list)):
+        problems.append(f"alternates must be a list, not {type(record.alternates).__name__}")
+    elif not all(isinstance(a, str) for a in record.alternates):
         problems.append("alternates must all be strings")
     difficulty = record.difficulty
     difficulty_is_int = type(difficulty) is int  # JSON true/false load as bool, not int
     if difficulty is not None and not difficulty_is_int:
         problems.append(f"difficulty must be an integer, not {type(difficulty).__name__}")
+    provenance = record.provenance
+    if type(provenance) is not Provenance:
+        problems.append(f"provenance must be a Provenance, not {type(provenance).__name__}")
+    else:
+        if type(provenance.generator) is not str:
+            problems.append(f"provenance generator must be a string, "
+                            f"not {type(provenance.generator).__name__}")
+        if type(provenance.seed) is not int:  # True is a bool, and writes as true
+            problems.append(f"provenance seed must be an integer, "
+                            f"not {type(provenance.seed).__name__}")
     if record.scenario not in SCENARIOS:
         problems.append(f"unknown scenario {record.scenario!r}")
     if record.answer_kind not in ANSWER_KINDS:
@@ -282,26 +300,62 @@ class Manifest:
             raise ValueError(f"duplicate record ids: {dupes[:5]}")
 
 
+# The C escaper behind json.dumps(ensure_ascii=False): quotes, backslashes
+# and control characters escaped, everything else written as is.
+_quote = json.encoder.encode_basestring
+# The C scanner json.loads runs, with json.loads's default settings.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def record_to_json(record: InstructionRecord) -> str:
-    return json.dumps(plain(record), ensure_ascii=False, sort_keys=True)
+    """The record's manifest line: json.dumps of its fields with sorted keys
+    and ensure_ascii=False, written directly. Right for every record that
+    validate_record accepts: strings where strings go, ints or None for
+    difficulty, and an int seed."""
+    r, p = record, record.provenance
+    alternates = ", ".join(map(_quote, r.alternates))
+    difficulty = "null" if r.difficulty is None else r.difficulty
+    rationale = "null" if r.rationale is None else _quote(r.rationale)
+    return (
+        f'{{"alternates": [{alternates}], "answer": {_quote(r.answer)}, '
+        f'"answer_kind": {_quote(r.answer_kind)}, "difficulty": {difficulty}, '
+        f'"id": {_quote(r.id)}, "image_ref": {_quote(r.image_ref)}, '
+        f'"provenance": {{"generator": {_quote(p.generator)}, "seed": {p.seed}}}, '
+        f'"question": {_quote(r.question)}, "question_type": {_quote(r.question_type)}, '
+        f'"rationale": {rationale}, "scenario": {_quote(r.scenario)}, '
+        f'"split": {_quote(r.split)}}}'
+    )
+
+
+def parse_json_line(line: str):
+    """The JSON value of one line, as json.loads(line) gives it.
+
+    Calls the C scanner that json.loads runs, without json.loads's wrapper.
+    Whatever the scanner does not read whole from the first character
+    (leading or trailing whitespace, a BOM, extra data, no value at all) goes
+    to json.loads itself, so every accepted value and every error message is
+    json.loads's own.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    if end != len(line):
+        return json.loads(line)
+    return value
 
 
 def record_from_json(line: str) -> InstructionRecord:
-    data = json.loads(line)
+    data = parse_json_line(line)
     prov = data.get("provenance") or {}
+    seed = prov.get("seed", 0)
+    if type(seed) is not int:  # int() would read 1.9 as 1 and true as 1
+        raise ValueError(f"provenance seed must be an integer, not {type(seed).__name__}")
     return InstructionRecord(
-        id=data["id"],
-        scenario=data["scenario"],
-        image_ref=data["image_ref"],
-        question=data["question"],
-        answer=data["answer"],
-        answer_kind=data["answer_kind"],
-        question_type=data["question_type"],
-        alternates=tuple(data.get("alternates") or ()),
-        rationale=data.get("rationale"),
-        difficulty=data.get("difficulty"),
-        split=data.get("split", "test"),
-        provenance=Provenance(prov.get("generator", "unknown"), int(prov.get("seed", 0))),
+        data["id"], data["scenario"], data["image_ref"], data["question"], data["answer"],
+        data["answer_kind"], data["question_type"], tuple(data.get("alternates") or ()),
+        data.get("rationale"), data.get("difficulty"), data.get("split", "test"),
+        Provenance(prov.get("generator", "unknown"), seed),
     )
 
 
@@ -326,16 +380,18 @@ def _line_error(err: Exception) -> str:
 
 def load_manifest(data: bytes | str) -> Manifest:
     """Parse a manifest file. A malformed line raises SchemaMismatch naming
-    its 1-based line number in the file, blank lines included."""
+    its 1-based line number in the file, blank lines included. Lines end at
+    "\n" only: a record line holds U+0085, U+2028 and U+2029 unescaped, and
+    str.splitlines would cut it there."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    numbered = enumerate(text.splitlines(), start=1)
+    numbered = enumerate(text.split("\n"), start=1)
     for number, first in numbered:
         if first.strip():
             break
     else:
         raise SchemaMismatch("empty manifest file")
     try:
-        header = json.loads(first)
+        header = parse_json_line(first)
     except json.JSONDecodeError as err:
         raise SchemaMismatch(f"manifest line {number}: {_line_error(err)}") from None
     if not isinstance(header, dict) or header.get("kind") != "manifest-header":

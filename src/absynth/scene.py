@@ -223,10 +223,14 @@ def primitive_problems(p: Primitive) -> list[str]:
     else:
         if kind in ("polyline", "polygon"):
             finite = math.isfinite(sum(map(sum, g))) or _all_finite(v for pt in g for v in pt)
+            if not g:
+                problems.append(f"{kind} without points")
         else:
             finite = math.isfinite(sum(g)) or _all_finite(g)
         if not finite:
             problems.append("non-finite coordinates")
+        if kind == "rectangle" and (g[2] < 0 or g[3] < 0):
+            problems.append("negative width or height")
         if style.stroke is None and style.fill is None:
             problems.append("shape needs stroke or fill")
         if kind in ("arc", "wedge"):

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .records import InstructionRecord, Manifest, canonicalize, parse_number
+from .records import InstructionRecord, Manifest, canonicalize, parse_json_line, parse_number
 
 TOLERANT_SCENARIOS = frozenset({"chart", "table", "dashboard"})
 NUMERIC_TOLERANCE = 0.05
@@ -38,14 +38,15 @@ class Prediction:
 def load_predictions(data: bytes | str) -> dict[str, str]:
     """Parse a prediction file: one JSON object per line with fields
     ``id`` and ``response``. Later duplicates win. A malformed line raises
-    ValueError naming its 1-based line number."""
+    ValueError naming its 1-based line number. Lines end at "\n" only, as
+    in `records.load_manifest`."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     out: dict[str, str] = {}
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = parse_json_line(line)
         except json.JSONDecodeError as err:
             raise ValueError(f"prediction line {number}: invalid JSON ({err.msg})") from None
         try:

@@ -146,6 +146,35 @@ def test_scoring_and_records_compile_patterns_once():
     assert not offenders
 
 
+def functions(tree, *names):
+    return [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in names]
+
+
+def json_calls(tree, attr, skip=()):
+    """Line numbers where `tree` calls `json.<attr>`, outside the bodies of
+    the functions named in `skip`."""
+    skipped = {id(node) for func in functions(tree, *skip) for node in ast.walk(func)}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+        and node.func.attr == attr and id(node) not in skipped)
+
+
+def test_record_lines_skip_the_generic_json_path():
+    """A record line is one f-string, not json.dumps over a dict tree, and
+    every manifest or prediction line is read by records.parse_json_line,
+    which goes to the C scanner without json.loads's wrapper."""
+    trees = {name: ast.parse((SRC_DIR / f"{name}.py").read_text(encoding="utf-8"))
+             for name in ("records", "scoring")}
+    [writer] = functions(trees["records"], "record_to_json")
+    assert not json_calls(writer, "dumps")
+    assert not name_uses(trees["records"], "plain")
+    offenders = [(name, line) for name, tree in trees.items()
+                 for line in json_calls(tree, "loads", skip=("parse_json_line",))]
+    assert not offenders
+
+
 def _pie(*values):
     points = tuple(SeriesPoint(c, v) for c, v in zip("ABCD", values))
     return ChartSpec("pie", "t", "percent", (Series("share", points),), ("", ""),

@@ -268,6 +268,7 @@ def test_gen_validates_the_manifest_once(tmp_path, monkeypatch):
     ("id", ["a"], "id must be a string, not list"),
     ("question_type", ["math"], "question_type must be a string, not list"),
     ("image_ref", 5, "image_ref must be a string, not int"),
+    ("provenance", {"generator": 7, "seed": 3}, "provenance generator must be a string, not int"),
 ])
 def test_wrongly_typed_manifest_value_is_one_line_error(tmp_path, capsys, field, value, problem):
     out = gen(tmp_path)

@@ -1,0 +1,212 @@
+"""The manifest line codec against the generic JSON path it replaced.
+
+`records.record_to_json` writes a record line directly and
+`records.parse_json_line` reads any line through the C scanner. Both must
+agree byte for byte and error for error with `json.dumps(plain(record),
+ensure_ascii=False, sort_keys=True)` and `json.loads(line)`, which are kept
+here as the reference.
+"""
+
+import dataclasses
+import json
+from random import Random
+
+import pytest
+
+from absynth.pipeline import RunConfig, generate_dataset
+from absynth.records import (
+    ANSWER_KINDS, RATIONALE_REQUIRED_TYPES, SCENARIOS, InstructionRecord, Manifest, Provenance,
+    dump_manifest, load_manifest, parse_json_line, record_from_json, record_to_json,
+    validate_record,
+)
+from absynth.seeds import plain
+
+
+def reference_line(record):
+    return json.dumps(plain(record), ensure_ascii=False, sort_keys=True)
+
+
+# Characters the escaper treats differently: quotes, backslashes, every
+# control character, line and paragraph separators, a BOM, non-ASCII,
+# lone surrogates and astral characters, plus JSON punctuation.
+AWKWARD = (
+    ['"', "\\", "/", "\x7f", "\x85", "\xa0", "\u2028", "\u2029", "\ufeff", "\xe9", "\xdf", "\u4e2d",
+     "\ud800", "\udfff", "\U0001f600", "\U0001d11e", "\U0010ffff", "a", "Z", "0", " ", "{", "}",
+     "[", "]", ":", ","]
+    + [chr(c) for c in range(0x20)]
+)
+
+
+def awkward_text(rng, longest=12):
+    return "".join(rng.choice(AWKWARD) for _ in range(rng.randint(0, longest)))
+
+
+def random_valid_record(rng, i):
+    kind = rng.choice(ANSWER_KINDS)
+    if kind == "numeric":
+        answer = awkward_text(rng) + str(rng.randint(-10**6, 10**6))
+    elif kind == "landmark_sequence":
+        # A trailing index keeps the stripped names distinct and non-empty.
+        answer = ", ".join(awkward_text(rng).replace(",", "") + str(j)
+                           for j in range(rng.randint(1, 4)))
+    else:
+        answer = awkward_text(rng)
+    qtype = rng.choice(("extraction", "math", awkward_text(rng)))
+    rationale = rng.choice((None, awkward_text(rng)))
+    if qtype in RATIONALE_REQUIRED_TYPES:
+        rationale = awkward_text(rng) + "."
+    return InstructionRecord(
+        id=f"{awkward_text(rng)}-{i}",
+        scenario=rng.choice(SCENARIOS),
+        image_ref=awkward_text(rng),
+        question=awkward_text(rng, 40),
+        answer=answer,
+        answer_kind=kind,
+        question_type=qtype,
+        alternates=tuple(awkward_text(rng) for _ in range(rng.randint(0, 3))),
+        rationale=rationale,
+        difficulty=rng.choice((None, 1, 2, 3, 4, 5)),
+        split=rng.choice(("train", "test")),
+        provenance=Provenance(
+            rng.choice(("chart-gen", "map-gen", awkward_text(rng))),
+            rng.choice((0, 1, 2**63, 2**64 - 1, rng.getrandbits(64), rng.randint(0, 10**6))),
+        ),
+    )
+
+
+def test_writer_matches_json_dumps_on_a_generated_manifest():
+    manifest, _, _ = generate_dataset(RunConfig(default_count=3, seed=9))
+    assert {r.scenario for r in manifest.records} == set(SCENARIOS)
+    for record in manifest.records:
+        assert record_to_json(record) == reference_line(record)
+    lines = dump_manifest(manifest).decode("utf-8").splitlines()
+    assert lines[1:] == [reference_line(r) for r in manifest.records]
+
+
+def test_writer_matches_json_dumps_on_seeded_awkward_records():
+    rng = Random(2024)
+    seen_kinds, seen_alternates = set(), set()
+    for i in range(6000):
+        record = random_valid_record(rng, i)
+        assert validate_record(record) == [], record
+        line = record_to_json(record)
+        assert line == reference_line(record), record
+        assert parse_json_line(line) == json.loads(line)
+        assert record_from_json(line) == record
+        seen_kinds.add(record.answer_kind)
+        seen_alternates.add(len(record.alternates))
+    assert seen_kinds == set(ANSWER_KINDS)
+    assert seen_alternates == {0, 1, 2, 3}
+
+
+# Values of the wrong type for each field; validate_record must refuse
+# every one the writer would write differently from json.dumps.
+WRONG_VALUES = {
+    "id": [7, None, ["a"]],
+    "image_ref": [7, None],
+    "question": [None, 1.5, ["q"]],
+    "answer": [5, None, True],
+    "question_type": [None, ["math"]],
+    "alternates": ["ab", "", {"a": 1}, ["x", 3], ("x", None), ["x", "y"]],
+    "rationale": [5, True, ["why"]],
+    "difficulty": [True, False, 2.0, "3", 0, 6],
+    "provenance": [None, {"generator": "g", "seed": 1}, ("g", 1), Provenance(7, 1),
+                   Provenance("g", True), Provenance("g", "12"), Provenance("g", 1.0),
+                   Provenance(None, 1)],
+    "scenario": [None, 7],
+    "split": [None, 1],
+}
+
+
+def test_writer_is_right_for_every_record_that_validates():
+    rng = Random(5)
+    accepted = rejected = 0
+    for i in range(2000):
+        record = random_valid_record(rng, i)
+        field = rng.choice(sorted(WRONG_VALUES))
+        record = dataclasses.replace(record, **{field: rng.choice(WRONG_VALUES[field])})
+        if validate_record(record):
+            rejected += 1
+            continue
+        accepted += 1
+        assert record_to_json(record) == reference_line(record), record
+    # Of the wrong values above only a list of string alternates is accepted.
+    assert accepted and rejected > 10 * accepted
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("provenance", Provenance("chart-gen", "12"), "provenance seed must be an integer, not str"),
+    ("provenance", Provenance("chart-gen", True), "provenance seed must be an integer, not bool"),
+    ("provenance", Provenance("chart-gen", 1.0), "provenance seed must be an integer, not float"),
+    ("provenance", Provenance(7, 1), "provenance generator must be a string, not int"),
+    ("provenance", {"generator": "chart-gen", "seed": 1},
+     "provenance must be a Provenance, not dict"),
+    ("alternates", "ab", "alternates must be a list, not str"),
+], ids=["str-seed", "bool-seed", "float-seed", "int-generator", "dict-provenance",
+        "str-alternates"])
+def test_dump_refuses_what_the_writer_would_write_wrongly(field, value, problem):
+    record = dataclasses.replace(random_valid_record(Random(1), 0), **{field: value})
+    assert validate_record(record) == [problem]
+    with pytest.raises(ValueError, match="^record "):
+        dump_manifest(Manifest(records=[record]))
+
+
+def test_writer_keys_are_the_record_fields():
+    """A field added to InstructionRecord or Provenance must reach the line."""
+    row = json.loads(record_to_json(random_valid_record(Random(3), 0)))
+    assert list(row) == sorted(f.name for f in dataclasses.fields(InstructionRecord))
+    assert list(row["provenance"]) == sorted(f.name for f in dataclasses.fields(Provenance))
+
+
+def encodable(record):
+    """Whether the record's line encodes as UTF-8: a lone surrogate does
+    not, so no manifest file can hold it."""
+    try:
+        record_to_json(record).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def test_load_of_dump_is_the_manifest():
+    rng = Random(11)
+    records = [r for r in (random_valid_record(rng, i) for i in range(2000)) if encodable(r)]
+    assert len(records) > 200
+    data = dump_manifest(Manifest(records=records))
+    again = load_manifest(data)
+    assert again.records == records
+    assert dump_manifest(again) == data
+
+
+def outcome(read, line):
+    """What reading `line` gives: the value (by type and repr, so NaN equals
+    NaN) or the exception type and message."""
+    try:
+        value = read(line)
+    except Exception as err:  # noqa: BLE001  (the error is the result compared)
+        return ("error", type(err), str(err))
+    return ("value", type(value), repr(value))
+
+
+GOOD_LINE = record_to_json(random_valid_record(Random(4), 0))
+
+READER_LINES = [
+    GOOD_LINE,
+    '{"id": "a", "response": "1"}',
+    '{"id": "a\\u00e9\\ud83d\\ude00\\n", "response": "x\\"y\\\\"}',
+    '{"a": [1, 2.5, -0.0, 1e400, true, false, null, {}]}',
+    "[1, 2]", '"text"', "12", "-1.5e3", "true", "null",
+    "NaN", "-Infinity", '{"a": NaN}',
+    " " + GOOD_LINE, GOOD_LINE + " ", "\t" + GOOD_LINE + "\r", " 1 ",
+    "\ufeff" + GOOD_LINE, "\ufeff",
+    GOOD_LINE + GOOD_LINE, '{"a": 1} {"b": 2}', "1 2", "[1]]", "{}x",
+    "", " ", "\n",
+    '{"id": ', '{"id" 1}', '{"id": "a",}', "[1,]", "tru", "-", "01", "'a'", '"\x01"',
+    '"\\x"', '{"a": "\\ud800"}', "{" * 3 + "}" * 3,
+]
+
+
+@pytest.mark.parametrize("line", READER_LINES, ids=[
+    repr(line) if len(line) < 30 else f"long-line-{i}" for i, line in enumerate(READER_LINES)])
+def test_reader_matches_json_loads(line):
+    assert outcome(parse_json_line, line) == outcome(json.loads, line)

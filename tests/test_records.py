@@ -298,13 +298,29 @@ def _record_line(**changes):
     (_record_line(alternates=5), "malformed record"),
     (_record_line(provenance={"seed": "x"}), "malformed record"),
     ('{"id": ', "invalid JSON"),
-], ids=["not-an-object", "no-id", "alternates-not-a-list", "seed-not-an-int", "bad-json"])
+    (_record_line(provenance={"generator": "chart-gen", "seed": 1.9}),
+     r"malformed record \(provenance seed must be an integer, not float\)"),
+    (_record_line(provenance={"generator": "chart-gen", "seed": True}),
+     r"malformed record \(provenance seed must be an integer, not bool\)"),
+], ids=["not-an-object", "no-id", "alternates-not-a-list", "seed-not-an-int", "bad-json",
+        "seed-a-float", "seed-a-bool"])
 def test_malformed_manifest_line_names_its_line_number(line, reason):
     good = record_to_json(make_record(0))
     header = dump_manifest(Manifest()).decode().strip()
     data = f"{header}\n{good}\n\n{line}\n"
     with pytest.raises(SchemaMismatch, match=f"^manifest line 4: {reason}"):
         load_manifest(data)
+
+
+def test_manifest_lines_end_at_newline_only():
+    # JSON leaves U+0085, U+2028 and U+2029 unescaped inside strings.
+    record = make_record(1, question="Which\x85 line\u2028 is\u2029 this?")
+    data = dump_manifest(Manifest(records=[record]))
+    assert load_manifest(data).records == [record]
+    crlf = data.replace(b"\n", b"\r\n")
+    assert load_manifest(crlf).records == [record]
+    with pytest.raises(SchemaMismatch, match="^manifest line 3: invalid JSON"):
+        load_manifest(crlf + b'{"id": \r\n')
 
 
 def test_malformed_manifest_header_is_schema_error():

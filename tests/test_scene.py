@@ -73,6 +73,19 @@ def test_invalid_scene_lists_offenders():
     assert [i for i, _ in err.value.problems] == [1]
 
 
+@pytest.mark.parametrize("bad, message", [
+    (polyline([], STROKED), "polyline without points"),
+    (polygon([], FILLED), "polygon without points"),
+    (rect(630, 0, -700, 10, FILLED), "negative width or height"),
+    (rect(0, 0, 10, -0.5, FILLED), "negative width or height"),
+], ids=["empty-polyline", "empty-polygon", "negative-width", "negative-height"])
+def test_degenerate_shapes_are_invalid(bad, message):
+    # Each would reach the gate with no box or an inverted one.
+    with pytest.raises(InvalidScene) as err:
+        SceneGraph(Canvas(640, 480), (circle(5, 5, 1, FILLED), bad))
+    assert err.value.problems == [(1, message)]
+
+
 def test_text_without_font_size_is_invalid():
     with pytest.raises(InvalidScene):
         SceneGraph(Canvas(640, 480), (Primitive("text", (0.0, 0.0, "x", "start"), StyleSpec()),))
@@ -301,13 +314,13 @@ def test_swept_overlaps_match_all_pairs_on_sampled_scenes():
 
 def test_swept_overlaps_match_all_pairs_on_random_boxes():
     # Integer corners on a small grid make touching edges, equal x-mins,
-    # duplicates and nested boxes common; zero and negative sizes appear too.
+    # duplicates and nested boxes common; zero sizes appear too.
     rng = Random(7)
     for _ in range(400):
         b = SceneBuilder(Canvas(640, 480))
         for _ in range(rng.randint(0, 14)):
             x, y = rng.randint(0, 12), rng.randint(0, 12)
-            w, h = rng.choice((0, 0, 1, 2, 3, 5, 8, -1)), rng.choice((0, 1, 2, 4, 6))
+            w, h = rng.choice((0, 0, 1, 2, 3, 5, 8)), rng.choice((0, 1, 2, 4, 6))
             b.add(rect(x, y, w, h, FILLED), rng.choice(("a", "b")))
         scene = b.build()
         roles = tuple(scene.labels)

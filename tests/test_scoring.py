@@ -339,6 +339,14 @@ def test_prediction_file_round_trip():
     assert load_predictions(data) == {"a": "answer one", "b": "twoé"}
 
 
+def test_prediction_lines_end_at_newline_only():
+    # A model response may hold characters that str.splitlines breaks at.
+    responses = {"a": "one\u2028two", "b": "x\x85y\u2029z", "c": "\x1c"}
+    data = dump_predictions(Prediction(k, v) for k, v in responses.items())
+    assert load_predictions(data) == responses
+    assert load_predictions(data.replace(b"\n", b"\r\n")) == responses
+
+
 def test_report_text_renders():
     report = aggregate(fixture_manifest(), FIXTURE_PREDICTIONS)
     txt = render_report_text(report)
