@@ -250,14 +250,15 @@ def _draw_axes(b: SceneBuilder, plot: Region, axis_max: float, font: float) -> N
 
 def _legend_strip(
     b: SceneBuilder, entries: list[tuple[str, str]], x0: float, x1: float,
-    y: float, font: float, align: str,
+    y: float, font: float, position: str,
 ) -> None:
-    """Horizontal row of swatch+label legend entries at height `y`."""
+    """Horizontal row of swatch+label legend entries at height `y`, flush
+    left when the legend `position` names the left side, else flush right."""
     widths = [16.0 + text_width(lbl, font) + 12.0 for lbl, _ in entries]
     total = sum(widths)
     if total > x1 - x0:
         raise LayoutOverflow("legend entries exceed available width")
-    lx = x0 if align == "left" else x1 - total
+    lx = x0 if "left" in position else x1 - total
     for (lbl, color), w in zip(entries, widths):
         b.add(rect(lx, y + 2, 10, 10, StyleSpec(fill=color, stroke="black", stroke_width=0.5),
                    z=6), "legend")
@@ -281,8 +282,7 @@ def _draw_pie(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) ->
     inner, legend_y = _split_legend_band(region, spec.legend_position, legend_h)
     x0, y0, x1, y1 = inner
     entries = [(p.category, spec.palette_assignment[p.category]) for p in spec.series[0].points]
-    align = "left" if "left" in spec.legend_position else "right"
-    _legend_strip(b, entries, region[0], region[2], legend_y, font, align)
+    _legend_strip(b, entries, region[0], region[2], legend_y, font, spec.legend_position)
 
     cx = (x0 + x1) / 2.0
     cy = (y0 + y1) / 2.0
@@ -319,8 +319,7 @@ def _draw_value_chart(
         raise LayoutOverflow("plot region too small")
 
     entries = [(s.label, spec.palette_assignment[s.label]) for s in spec.series]
-    align = "left" if "left" in spec.legend_position else "right"
-    _legend_strip(b, entries, region[0], region[2], legend_y, label_font, align)
+    _legend_strip(b, entries, region[0], region[2], legend_y, label_font, spec.legend_position)
     if unit_label:
         b.add(text(px0, py0 - 1.6 * font, unit_label, StyleSpec(font_size=font)), "axis")
 
@@ -452,9 +451,6 @@ def build_chart_scene(spec: ChartSpec, font_scale: float = 1.0) -> SceneGraph:
 # ---------------------------------------------------------------------------
 # Questions
 
-_ORDINALS = ("first", "second", "third", "fourth")
-
-
 def _kind_noun(kind: str) -> str:
     return {"line": "line chart", "bar": "bar chart", "pie": "pie chart",
             "table": "table", "composite": "composite chart"}[kind]
@@ -479,12 +475,16 @@ def _capitalize(q: str) -> str:
     return q[0].upper() + q[1:]
 
 
-def _math_draft(rng: Random, spec: ChartSpec) -> QuestionDraft:
-    prefix = ""
-    target = spec
+def _value_target(spec: ChartSpec) -> tuple[ChartSpec, str]:
+    """The chart value questions read, and the phrase that leads them: a
+    composite's first sub-chart, otherwise the chart itself."""
     if spec.kind == "composite":
-        target = spec.subcharts[0]
-        prefix = f"in the {_ORDINALS[0]} sub-chart, "
+        return spec.subcharts[0], "in the first sub-chart, "
+    return spec, ""
+
+
+def _math_draft(rng: Random, spec: ChartSpec) -> QuestionDraft:
+    target, prefix = _value_target(spec)
     values = [p.value for p in target.series[0].points]
     names = [p.category for p in target.series[0].points]
     label = target.series[0].label
@@ -544,11 +544,7 @@ def _perception_draft(rng: Random, spec: ChartSpec) -> QuestionDraft:
 
 
 def _extraction_draft(rng: Random, spec: ChartSpec) -> QuestionDraft:
-    prefix = ""
-    target = spec
-    if spec.kind == "composite":
-        target = spec.subcharts[0]
-        prefix = f"in the {_ORDINALS[0]} sub-chart, "
+    target, prefix = _value_target(spec)
     s = target.series[rng.randrange(len(target.series))]
     point = s.points[rng.randrange(len(s.points))]
     if target.kind == "pie":

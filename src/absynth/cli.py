@@ -3,7 +3,8 @@
 All commands are deterministic for a fixed --seed and config; `gen` prints
 per-scenario accepted/rejected counts, `eval` writes report.json/report.txt,
 `stats` writes stats.json/stats.txt, and `gallery` emits a static HTML page
-referencing images relatively.
+referencing images relatively. Bad input, and a path that cannot be read
+or written, give one `error:` line on stderr and exit code 1.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, SchemaMismatch, ValueError) as err:
+    except (OSError, SchemaMismatch, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

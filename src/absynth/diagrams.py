@@ -18,6 +18,7 @@ departments.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from random import Random
 
@@ -439,6 +440,18 @@ def layout_hierarchy(spec: TreeSpec | FlowSpec, font_scale: float = 1.0) -> Scen
 _FIGURE_TYPE_CHOICES = "organization chart, pie chart, line chart, gantt chart"
 
 
+def _existence_draft(
+    rng: Random, nodes: Sequence[TreeNode | FlowNode], noun: str, figure: str
+) -> QuestionDraft:
+    """Asks whether a node exists: a drawn one (Yes) or a decoy (No), evenly."""
+    if rng.random() < 0.5:
+        target, answer = nodes[rng.randrange(len(nodes))].label, "Yes"
+    else:
+        target, answer = _DECOY_POOL[rng.randrange(len(_DECOY_POOL))], "No"
+    return QuestionDraft(f"Does the '{target}' {noun} exist in this {figure}?", answer,
+                         "phrase", "existence")
+
+
 def _tree_questions(spec: TreeSpec) -> list[QuestionDraft]:
     rng = Random(stable_digest(spec.to_dict()))
     nodes = tree_nodes(spec.root)
@@ -451,14 +464,7 @@ def _tree_questions(spec: TreeSpec) -> list[QuestionDraft]:
     drafts.append(QuestionDraft(
         f"What's the color of the '{color_node.label}' node?",
         spec.node_colors[color_node.label], "phrase", "node_color"))
-    if rng.random() < 0.5:
-        target = nodes[rng.randrange(len(nodes))].label
-        answer = "Yes"
-    else:
-        target = _DECOY_POOL[rng.randrange(len(_DECOY_POOL))]
-        answer = "No"
-    drafts.append(QuestionDraft(
-        f"Does the '{target}' node exist in this figure?", answer, "phrase", "existence"))
+    drafts.append(_existence_draft(rng, nodes, "node", "figure"))
     drafts.append(QuestionDraft(
         "How many nodes are there in total in this figure?",
         str(len(nodes)), "numeric", "node_count"))
@@ -486,14 +492,8 @@ def _flow_questions(spec: FlowSpec) -> list[QuestionDraft]:
     drafts.append(QuestionDraft(
         f"What shape is the '{probe.label}' node? Choose from rectangle, diamond, circle.",
         "rectangle", "phrase", "structure_shape"))
-    if rng.random() < 0.5:
-        target, answer = spec.nodes[rng.randrange(len(spec.nodes))].label, "Yes"
-    else:
-        target, answer = _DECOY_POOL[rng.randrange(len(_DECOY_POOL))], "No"
-    drafts.append(QuestionDraft(
-        f"Does the '{target}' step exist in this flowchart?", answer, "phrase", "existence"))
-    linear = [n for n in processes
-              if len(spec.out_edges(n.label)) == 1 and not n.label.startswith("Fix")]
+    drafts.append(_existence_draft(rng, spec.nodes, "step", "flowchart"))
+    linear = [n for n in processes if len(spec.out_edges(n.label)) == 1]
     if linear:
         node = linear[rng.randrange(len(linear))]
         nxt = spec.out_edges(node.label)[0].dst

@@ -134,11 +134,31 @@ _MINUTE_STYLE = StyleSpec(stroke="black", stroke_width=3.0)
 _NEEDLE_STYLE = StyleSpec(stroke="red", stroke_width=3.0)
 
 
-def _needle_angle(spec: DialSpec) -> float:
+# The thermometer column runs this far below the scale's low end, into the bulb.
+_BULB_OVERLAP = 12.0
+
+
+def _scale_frac(value: float, scale: tuple[float, float, float]) -> float:
+    """Where `value` sits on the scale, from 0 at its low end to 1 at its high end."""
+    lo, hi, _ = scale
+    return (value - lo) / (hi - lo)
+
+
+def _ticks(scale: tuple[float, float, float]) -> list[float]:
+    """The labelled values of a scale, one per major step from its low end."""
+    lo, hi, step = scale
+    return [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+
+
+def _dial_hour(hour: int) -> int:
+    """The number 1-12 on a clock face that `hour` (any integer) points at."""
+    return hour % 12 or 12
+
+
+def _dial_angle(spec: DialSpec, value: float) -> float:
+    """The angle at which a circular dial shows `value`."""
     _, start, sweep = spec.geometry
-    lo, hi, _ = spec.scale
-    frac = (float(spec.reading) - lo) / (hi - lo)
-    return start + frac * sweep
+    return start + _scale_frac(value, spec.scale) * sweep
 
 
 def _build_clock(b: SceneBuilder, spec: DialSpec, font: float) -> None:
@@ -167,54 +187,46 @@ def _build_circular_gauge(b: SceneBuilder, spec: DialSpec, font: float) -> None:
     cx, cy = 200.0, 190.0
     radius = 120.0
     _, start, sweep = spec.geometry
-    lo, hi, step = spec.scale
     b.add(arc(cx, cy, radius, start, sweep, _FACE_STYLE), "face")
-    n_ticks = int(round((hi - lo) / step))
-    for i in range(n_ticks + 1):
-        v = lo + i * step
-        deg = start + (v - lo) / (hi - lo) * sweep
+    for v in _ticks(spec.scale):
+        deg = _dial_angle(spec, v)
         x1, y1 = angle_point(cx, cy, radius - 10, deg)
         x2, y2 = angle_point(cx, cy, radius, deg)
         b.add(line(x1, y1, x2, y2, _TICK_STYLE, z=1), "ticks")
         lx, ly = angle_point(cx, cy, radius + 14, deg)
         b.add(text(lx, ly - font / 2.0, format_number(v),
                    StyleSpec(font_size=font), anchor="middle", z=2), "tick_labels")
-    nx, ny = angle_point(cx, cy, radius * 0.85, _needle_angle(spec))
+    nx, ny = angle_point(cx, cy, radius * 0.85, _dial_angle(spec, float(spec.reading)))
     b.add(line(cx, cy, nx, ny, _NEEDLE_STYLE, z=3), "needle")
     b.add(circle(cx, cy, 5, StyleSpec(fill="black"), z=4), "hub")
 
 
 def _build_thermometer(b: SceneBuilder, spec: DialSpec, font: float) -> None:
-    lo, hi, step = spec.scale
     length = spec.geometry[2]
     x = 130.0
     y_bottom = 40.0 + length
     b.add(rect(x - 9, 40.0, 18, length, StyleSpec(stroke="black", stroke_width=2.0)), "tube")
     b.add(circle(x, y_bottom + 20, 20, StyleSpec(stroke="black", stroke_width=2.0, fill="red"),
                  z=1), "bulb")
-    level = (float(spec.reading) - lo) / (hi - lo) * length
-    b.add(rect(x - 5, y_bottom - level, 10, level + 12, StyleSpec(fill="red"), z=2), "mercury")
-    n_ticks = int(round((hi - lo) / step))
-    for i in range(n_ticks + 1):
-        v = lo + i * step
-        y = y_bottom - (v - lo) / (hi - lo) * length
+    level = _scale_frac(float(spec.reading), spec.scale) * length
+    b.add(rect(x - 5, y_bottom - level, 10, level + _BULB_OVERLAP, StyleSpec(fill="red"), z=2),
+          "mercury")
+    for v in _ticks(spec.scale):
+        y = y_bottom - _scale_frac(v, spec.scale) * length
         b.add(line(x - 16, y, x - 9, y, _TICK_STYLE), "ticks")
         b.add(text(x - 20, y - font / 2.0, format_number(v),
                    StyleSpec(font_size=font), anchor="end"), "tick_labels")
 
 
 def _build_barometer(b: SceneBuilder, spec: DialSpec, font: float) -> None:
-    lo, hi, step = spec.scale
     length = spec.geometry[2]
     x0, y0 = 50.0, 70.0
     b.add(rect(x0, y0, length, 26, StyleSpec(stroke="black", stroke_width=2.0)), "tube")
-    fill_w = (float(spec.reading) - lo) / (hi - lo) * length
+    fill_w = _scale_frac(float(spec.reading), spec.scale) * length
     if fill_w > 0:
         b.add(rect(x0, y0, fill_w, 26, StyleSpec(fill="cyan"), z=1), "mercury")
-    n_ticks = int(round((hi - lo) / step))
-    for i in range(n_ticks + 1):
-        v = lo + i * step
-        x = x0 + (v - lo) / (hi - lo) * length
+    for v in _ticks(spec.scale):
+        x = x0 + _scale_frac(v, spec.scale) * length
         b.add(line(x, y0 + 26, x, y0 + 34, _TICK_STYLE, z=2), "ticks")
         b.add(text(x, y0 + 38, format_number(v), StyleSpec(font_size=font), anchor="middle",
                    z=2), "tick_labels")
@@ -257,8 +269,7 @@ def decode_clock_scene(scene: SceneGraph) -> tuple[int, int]:
     hour_hand = scene.primitives[scene.labels["hour_hand"][0]]
     minute_hand = scene.primitives[scene.labels["minute_hand"][0]]
     minute = round(_line_angle(minute_hand) / 6.0) % 60
-    hour = round((_line_angle(hour_hand) - 0.5 * minute) / 30.0) % 12
-    return (12 if hour == 0 else hour, minute)
+    return (_dial_hour(round((_line_angle(hour_hand) - 0.5 * minute) / 30.0)), minute)
 
 
 def decode_gauge_scene(scene: SceneGraph, spec: DialSpec) -> float:
@@ -268,14 +279,11 @@ def decode_gauge_scene(scene: SceneGraph, spec: DialSpec) -> float:
         needle = scene.primitives[scene.labels["needle"][0]]
         _, start, sweep = spec.geometry
         frac = ((_line_angle(needle) - start) % 360.0) / sweep
-        return lo + frac * (hi - lo)
-    length = spec.geometry[2]
-    mercury = scene.primitives[scene.labels["mercury"][0]]
-    if spec.geometry[1] == "vertical":
-        extent = mercury.geometry[3] - 12.0
     else:
-        extent = mercury.geometry[2]
-    return lo + extent / length * (hi - lo)
+        _, direction, length = spec.geometry
+        _, _, w, h = scene.primitives[scene.labels["mercury"][0]].geometry
+        frac = (h - _BULB_OVERLAP if direction == "vertical" else w) / length
+    return lo + frac * (hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +295,8 @@ def format_clock(hour: int, minute: int) -> str:
 
 
 def _clock_reading_draft(hour: int, minute: int) -> QuestionDraft:
-    twin = (hour + 12) % 24
     display = format_clock(hour, minute)
-    alternate = format_clock(12 if twin == 0 else twin, minute)
+    alternate = format_clock((hour + 12) % 24 or 12, minute)
     return QuestionDraft("What time is shown on the dial?", display,
                          "phrase", "reading", alternates=(alternate,))
 
@@ -297,9 +304,8 @@ def _clock_reading_draft(hour: int, minute: int) -> QuestionDraft:
 def _clock_offset_draft(hour: int, minute: int, offset: int) -> QuestionDraft:
     t1 = (hour + offset) % 24
     t2 = (hour + 12 + offset) % 24
-    d1 = t1 % 12 or 12
     forms = []
-    for h in (t1, t2, d1):
+    for h in (t1, t2, _dial_hour(t1)):
         form = format_clock(h, minute)
         if form not in forms:
             forms.append(form)
@@ -318,29 +324,23 @@ def _clock_offset_draft(hour: int, minute: int, offset: int) -> QuestionDraft:
 def _clock_inverse_draft(hour: int, minute: int, exercise_hours: float) -> QuestionDraft:
     duration = _DURATION_PHRASES[exercise_hours]
     total = (hour * 60 + minute - round(exercise_hours * 60)) % (12 * 60)
-    start_hour = total // 60
-    start_minute = total % 60
-    pointed = 12 if start_hour == 0 else start_hour
+    start_hour, start_minute = divmod(total, 60)
+    pointed, following = _dial_hour(start_hour), _dial_hour(start_hour + 1)
     question = (
         f"I exercised for {duration}. After finishing, the clock showed the time "
         "as illustrated. What number did the hour hand point to when I started "
         "my workout?"
     )
-    if start_minute == 0:
-        answer, alternates = str(pointed), ()
-    else:
-        nxt = start_hour + 1
-        nxt = 12 if nxt % 12 == 0 else nxt % 12
-        answer, alternates = str(pointed), (str(nxt),)
+    alternates = (str(following),) if start_minute else ()
     rationale = (
         f"I read the time from the clock as {format_clock(hour, minute)}, and the workout "
-        f"took {duration}. That means I started at {format_clock(12 if start_hour == 0 else start_hour, start_minute)}, "
-        f"so the hour hand pointed between {pointed} and {12 if (pointed + 1) % 12 == 0 else (pointed + 1) % 12}."
+        f"took {duration}. That means I started at {format_clock(pointed, start_minute)}, "
+        f"so the hour hand pointed between {pointed} and {following}."
         if start_minute else
         f"I read the time from the clock as {format_clock(hour, minute)}, and the workout "
         f"took {duration}. That means I started exactly at {pointed} o'clock."
     )
-    return QuestionDraft(question, answer, "numeric", "inverse_reasoning",
+    return QuestionDraft(question, str(pointed), "numeric", "inverse_reasoning",
                          alternates=alternates, rationale=rationale)
 
 
@@ -350,7 +350,7 @@ def dial_questions(spec: DialSpec) -> list[QuestionDraft]:
     and a scale-offset question."""
     if spec.family == "clock":
         hour, minute = spec.reading
-        hour12 = hour % 12 or 12
+        hour12 = _dial_hour(hour)
         return [
             _clock_reading_draft(hour12, minute),
             _clock_offset_draft(hour12, minute, int(spec.offset)),

@@ -110,17 +110,37 @@ class RoadMapSpec:
         return data
 
 
+def _corners(cells: list[Cell] | tuple[Cell, ...]) -> list[Cell]:
+    """The cells where the path changes direction, in path order."""
+    return [b for a, b, c in zip(cells, cells[1:], cells[2:])
+            if (b[0] - a[0], b[1] - a[1]) != (c[0] - b[0], c[1] - b[1])]
+
+
 def count_turns(cells: tuple[Cell, ...]) -> int:
-    turns = 0
-    for a, b, c in zip(cells, cells[1:], cells[2:]):
-        if (b[0] - a[0], b[1] - a[1]) != (c[0] - b[0], c[1] - b[1]):
-            turns += 1
-    return turns
+    return len(_corners(cells))
 
 
-def network_degree(cell: Cell, network: frozenset[Cell]) -> int:
+def network_degree(cell: Cell, network: set[Cell] | frozenset[Cell]) -> int:
     r, c = cell
     return sum((r + dr, c + dc) in network for dr, dc in DIRECTIONS.values())
+
+
+def _open_steps(
+    params: WalkParams, cell: Cell, taken: set[Cell], obstacles: set[Cell]
+) -> dict[str, Cell]:
+    """The grid neighbours of `cell` a corridor may grow into, by direction in
+    _DIR_ORDER: free, untaken, and touching `taken` only through `cell`, so
+    the corridor never runs alongside itself or the rest of the network (a
+    fold would draw a shortcut edge and make the gold route ambiguous)."""
+    rows, cols = params.grid_size
+    steps = {}
+    for d in _DIR_ORDER:
+        dr, dc = DIRECTIONS[d]
+        nxt = (cell[0] + dr, cell[1] + dc)
+        if (0 <= nxt[0] < rows and 0 <= nxt[1] < cols and nxt not in taken
+                and nxt not in obstacles and network_degree(nxt, taken) == 1):
+            steps[d] = nxt
+    return steps
 
 
 def classify_difficulty(gold: PathTrace) -> int:
@@ -156,22 +176,8 @@ def _walk(rng: Random, params: WalkParams, obstacles: set[Cell]) -> list[Cell]:
     visited = {start}
     direction: str | None = None
     for _ in range(budget):
-        r, c = path[-1]
-        valid = []
-        for d in _DIR_ORDER:
-            dr, dc = DIRECTIONS[d]
-            nxt = (r + dr, c + dc)
-            if not (0 <= nxt[0] < rows and 0 <= nxt[1] < cols):
-                continue
-            if nxt in visited or nxt in obstacles:
-                continue
-            # The path must never run alongside itself: a fold would draw a
-            # shortcut edge and make the gold route ambiguous on the image.
-            touches = sum(
-                (nxt[0] + ddr, nxt[1] + ddc) in visited for ddr, ddc in DIRECTIONS.values()
-            )
-            if touches == 1:
-                valid.append(d)
+        steps = _open_steps(params, path[-1], visited, obstacles)
+        valid = list(steps)
         if not valid:
             break  # boxed in
         if direction is None or rng.random() < params.turn_prob:
@@ -187,10 +193,8 @@ def _walk(rng: Random, params: WalkParams, obstacles: set[Cell]) -> list[Cell]:
         else:
             break  # a walker that never turns stops at the first blockage
         direction = chosen
-        dr, dc = DIRECTIONS[chosen]
-        nxt = (r + dr, c + dc)
-        path.append(nxt)
-        visited.add(nxt)
+        path.append(steps[chosen])
+        visited.add(steps[chosen])
     return path
 
 
@@ -200,23 +204,10 @@ def _grow_branch(
 ) -> list[Cell]:
     """Self-avoiding corridor growing out of `attach`; each new cell touches
     the existing network only through its predecessor."""
-    rows, cols = params.grid_size
     branch: list[Cell] = []
     current = attach
     for _ in range(length):
-        options = []
-        for d in _DIR_ORDER:
-            dr, dc = DIRECTIONS[d]
-            nxt = (current[0] + dr, current[1] + dc)
-            if not (0 <= nxt[0] < rows and 0 <= nxt[1] < cols):
-                continue
-            if nxt in network or nxt in obstacles:
-                continue
-            touches = sum(
-                (nxt[0] + ddr, nxt[1] + ddc) in network for ddr, ddc in DIRECTIONS.values()
-            )
-            if touches == 1:  # only the predecessor
-                options.append(nxt)
+        options = list(_open_steps(params, current, network, obstacles).values())
         if not options:
             break
         current = options[rng.randrange(len(options))]
@@ -252,10 +243,7 @@ def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
     network: set[Cell] = set(path)
     # Distractor branches grow out of corner cells, so an added junction is
     # always paired with a turn and a zero-turn path keeps difficulty 1.
-    corners = [
-        b for a, b, c in zip(path, path[1:], path[2:])
-        if (b[0] - a[0], b[1] - a[1]) != (c[0] - b[0], c[1] - b[1])
-    ]
+    corners = _corners(path)
     if corners:
         n_branches = rng.randint(0, min(MAX_BRANCHES, len(corners)))
         attach_cells = rng.sample(corners, n_branches)
@@ -265,9 +253,8 @@ def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
 
     frozen_network = frozenset(network)
     start, end = path[0], path[-1]
-    named_cells = {c for c in network if network_degree(c, frozen_network) >= 3}
-    named_cells.update((start, end))
-    ordered = sorted(named_cells)
+    junctions = {c for c in network if network_degree(c, frozen_network) >= 3}
+    ordered = sorted(junctions | {start, end})
     names = list(STREET_NAMES)
     rng.shuffle(names)
     if len(ordered) > len(names):
@@ -279,9 +266,7 @@ def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
     trace = PathTrace(
         cells=cells,
         turns=count_turns(cells),
-        intersections=sum(
-            1 for c in cells if network_degree(c, frozen_network) >= 3
-        ),
+        intersections=sum(c in junctions for c in cells),
         landmarks=landmarks,
     )
     return RoadMapSpec(

@@ -111,15 +111,20 @@ def apply_transform(panel: PanelSpec, transform: tuple[str, float]) -> PanelSpec
     raise ValueError(f"unknown transform {op!r}")
 
 
-def shown_panels(rule: PatternRule) -> list[PanelSpec]:
-    panels = [rule.base]
-    for _ in range(rule.steps_shown - 1):
-        panels.append(apply_transform(panels[-1], rule.transform))
+def _series(base: PanelSpec, transform: tuple[str, float], steps_shown: int) -> list[PanelSpec]:
+    """The shown panels, then the one panel that continues them."""
+    panels = [base]
+    for _ in range(steps_shown):
+        panels.append(apply_transform(panels[-1], transform))
     return panels
 
 
+def shown_panels(rule: PatternRule) -> list[PanelSpec]:
+    return _series(rule.base, rule.transform, rule.steps_shown)[:-1]
+
+
 def correct_panel(rule: PatternRule) -> PanelSpec:
-    return apply_transform(shown_panels(rule)[-1], rule.transform)
+    return _series(rule.base, rule.transform, rule.steps_shown)[-1]
 
 
 def panel_attribute_diffs(a: PanelSpec, b: PanelSpec) -> int:
@@ -178,10 +183,7 @@ def sample_pattern_rule(seed: int) -> PatternRule:
         shape = rng.choice(("circle", "square", "triangle"))
         base = PanelSpec(shape, 0.0, 1, 1.0, color)
         transform = ("color_cycle", 1.0)
-    panels = [base]
-    for _ in range(steps_shown - 1):
-        panels.append(apply_transform(panels[-1], transform))
-    correct = apply_transform(panels[-1], transform)
+    correct = _series(base, transform, steps_shown)[-1]
     distractors = _distractors(rng, correct)
     slots = [correct] + distractors
     order = list(range(4))
@@ -434,15 +436,26 @@ _MIN_H = 100.0
 INTERIOR = (40.0, 60.0, 560.0, 370.0)
 
 
-def shared_wall(a: Room, b: Room) -> float:
-    """Length of the wall segment two rooms share (0 when not adjacent)."""
+def _wall(a: Room, b: Room) -> tuple[str, float, float, float] | None:
+    """Where an edge of room `a` lies on an edge of room `b`: the axis the wall
+    is fixed on ("x" for a vertical wall), its coordinate, and the span (lo, hi)
+    both rooms cover along it (lo >= hi at a bare corner); None if no edges meet."""
     ax, ay, aw, ah = a.bounds
     bx, by, bw, bh = b.bounds
-    if abs((ax + aw) - bx) < 1e-6 or abs((bx + bw) - ax) < 1e-6:
-        return max(0.0, min(ay + ah, by + bh) - max(ay, by))
-    if abs((ay + ah) - by) < 1e-6 or abs((by + bh) - ay) < 1e-6:
-        return max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
-    return 0.0
+    for axis, a0, a1, b0, b1, (lo0, hi0, lo1, hi1) in (
+        ("x", ax, ax + aw, bx, bx + bw, (ay, ay + ah, by, by + bh)),
+        ("y", ay, ay + ah, by, by + bh, (ax, ax + aw, bx, bx + bw)),
+    ):
+        for end, start in ((a1, b0), (b1, a0)):
+            if abs(end - start) < 1e-6:
+                return axis, start, max(lo0, lo1), min(hi0, hi1)
+    return None
+
+
+def shared_wall(a: Room, b: Room) -> float:
+    """Length of the wall segment two rooms share (0 when not adjacent)."""
+    wall = _wall(a, b)
+    return 0.0 if wall is None else max(0.0, wall[3] - wall[2])
 
 
 def sample_floorplan(seed: int) -> FloorPlanSpec:
@@ -523,21 +536,12 @@ def build_floorplan_scene(spec: FloorPlanSpec, font_scale: float = 1.0) -> Scene
                   "fixture_labels")
     by_name = {r.name: r for r in spec.rooms}
     for a_name, b_name in spec.doors:
-        a, c = by_name[a_name], by_name[b_name]
-        ax, ay, aw, ah = a.bounds
-        bx, by_, bw, bh = c.bounds
-        if abs((ax + aw) - bx) < 1e-6 or abs((bx + bw) - ax) < 1e-6:
-            wall_x = bx if abs((ax + aw) - bx) < 1e-6 else ax
-            y0 = max(ay, by_)
-            y1 = min(ay + ah, by_ + bh)
-            mid = (y0 + y1) / 2
-            b.add(rect(wall_x - 3, mid - 12, 6, 24, StyleSpec(fill="brown"), z=4), "doors")
+        axis, at, lo, hi = _wall(by_name[a_name], by_name[b_name])
+        mid = (lo + hi) / 2
+        if axis == "x":
+            b.add(rect(at - 3, mid - 12, 6, 24, StyleSpec(fill="brown"), z=4), "doors")
         else:
-            wall_y = by_ if abs((ay + ah) - by_) < 1e-6 else ay
-            x0 = max(ax, bx)
-            x1 = min(ax + aw, bx + bw)
-            mid = (x0 + x1) / 2
-            b.add(rect(mid - 12, wall_y - 3, 24, 6, StyleSpec(fill="brown"), z=4), "doors")
+            b.add(rect(mid - 12, at - 3, 24, 6, StyleSpec(fill="brown"), z=4), "doors")
     return b.build()
 
 

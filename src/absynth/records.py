@@ -276,7 +276,6 @@ def vote_select(candidates: list[str], kind: str = "phrase") -> tuple[str, int]:
 @dataclass
 class Manifest:
     records: list[InstructionRecord] = field(default_factory=list)
-    schema_version: str = MANIFEST_SCHEMA_VERSION
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-scenario record and image counts, recomputed from records."""
@@ -351,9 +350,12 @@ def record_from_json(line: str) -> InstructionRecord:
     seed = prov.get("seed", 0)
     if type(seed) is not int:  # int() would read 1.9 as 1 and true as 1
         raise ValueError(f"provenance seed must be an integer, not {type(seed).__name__}")
+    alternates = data.get("alternates", [])
+    if type(alternates) is not list:  # tuple() would split "ab" and read {"x": 1} as ("x",)
+        raise ValueError(f"alternates must be a list, not {type(alternates).__name__}")
     return InstructionRecord(
         data["id"], data["scenario"], data["image_ref"], data["question"], data["answer"],
-        data["answer_kind"], data["question_type"], tuple(data.get("alternates") or ()),
+        data["answer_kind"], data["question_type"], tuple(alternates),
         data.get("rationale"), data.get("difficulty"), data.get("split", "test"),
         Provenance(prov.get("generator", "unknown"), seed),
     )
@@ -363,7 +365,7 @@ def dump_manifest(manifest: Manifest) -> bytes:
     """Serialize to line-delimited JSON: one header line, one line per record."""
     manifest.validate()
     header = json.dumps(
-        {"kind": "manifest-header", "schema_version": manifest.schema_version},
+        {"kind": "manifest-header", "schema_version": MANIFEST_SCHEMA_VERSION},
         sort_keys=True,
     )
     lines = [header] + [record_to_json(r) for r in manifest.records]
@@ -407,7 +409,7 @@ def load_manifest(data: bytes | str) -> Manifest:
             records.append(record_from_json(line))
         except (KeyError, TypeError, AttributeError, ValueError) as err:
             raise SchemaMismatch(f"manifest line {number}: {_line_error(err)}") from None
-    manifest = Manifest(records=records, schema_version=version)
+    manifest = Manifest(records=records)
     manifest.validate()
     return manifest
 

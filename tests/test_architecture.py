@@ -116,6 +116,44 @@ def test_text_width_has_one_formula():
     assert not offenders
 
 
+def enclosing_functions(tree, matches):
+    """For each node that `matches`, the name of the innermost function
+    around it, or None at module level."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if matches(node):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def is_room_edge_tolerance(node):
+    return isinstance(node, ast.Constant) and node.value == 1e-6
+
+
+def divides_by_scale_span(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and ast.unparse(node.right) == "hi - lo")
+
+
+@pytest.mark.parametrize("module, matches, home", [
+    ("puzzles", is_room_edge_tolerance, "_wall"),
+    ("gauges", divides_by_scale_span, "_scale_frac"),
+], ids=["room-wall", "scale-fraction"])
+def test_generator_rule_has_one_home(module, matches, home):
+    """Where two rooms touch and where a value sits on a dial's scale are
+    each written once, so the door, adjacency, needle, column and tick code
+    cannot drift apart, and a scene reader has one rule to invert."""
+    tree = ast.parse((SRC_DIR / f"{module}.py").read_text(encoding="utf-8"))
+    assert enclosing_functions(tree, matches) == [home]
+
+
 RE_FUNCTIONS = {"search", "match", "fullmatch", "findall", "finditer", "sub", "split",
                 "escape", "compile"}
 

@@ -337,3 +337,29 @@ def test_misspelt_counts_key_fails_the_dry_run(tmp_path, capsys):
                                "default_count": 1}))
     assert run(["gen", "--config", cfg, "--out", tmp_path / "out", "--dry-run"]) == 1
     assert one_line_error(capsys) == "error: unknown scenario 'chrat' in counts"
+
+
+def test_gen_out_an_existing_file_is_one_line_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run(["gen", "--scenario", "chart", "--count", 1, "--out", taken]) == 1
+    message = one_line_error(capsys)
+    assert message.startswith("error: ") and "File exists" in message
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "{dir}"],
+    ["gallery", "{dir}"],
+    ["eval", "{dir}", "{empty}"],
+    ["eval", "{manifest}", "{dir}"],
+], ids=["stats", "gallery", "eval-gold", "eval-predictions"])
+def test_directory_given_as_a_file_is_one_line_error(tmp_path, capsys, argv):
+    paths = {"dir": tmp_path / "a-directory", "empty": tmp_path / "p.jsonl",
+             "manifest": tmp_path / "m.jsonl"}
+    paths["dir"].mkdir()
+    paths["empty"].write_text("")
+    paths["manifest"].write_text('{"kind": "manifest-header", "schema_version": "1"}\n')
+    assert run([arg.format(**paths) for arg in argv]) == 1
+    message = one_line_error(capsys)
+    assert message.startswith("error: ") and "Is a directory" in message

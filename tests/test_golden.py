@@ -12,12 +12,17 @@ from typing import ClassVar
 import pytest
 
 from absynth import pipeline, scene
+from absynth.gauges import FAMILIES
 from absynth.maps import RoadMapSpec
 from absynth.pipeline import RunConfig, SCENARIO_DEFS, generate_dataset, write_outputs
+from absynth.puzzles import PatternRule
 from absynth.records import SCENARIOS, record_to_json
-from absynth.seeds import plain, stable_digest
+from absynth.seeds import derive_seed, plain, stable_digest
 
 GOLDEN_DIGEST = "a717a88ebf7e8792aa3449a8df9ca64cc2f87dda65daf3004f71f7cadcce5cd4"
+# The same recipe at 12 images per scenario: the smallest count at seed 1 whose
+# slots reach every generator family and shape the test below lists.
+EVERY_FAMILY_DIGEST = "474f38e28e6ecb384f817d3b96ad4844d28121ffca51a7ac279fe22a4bbf9a4b"
 
 
 def digest_tree(out) -> str:
@@ -30,12 +35,29 @@ def digest_tree(out) -> str:
     return h.hexdigest()
 
 
-def test_golden_digest(tmp_path):
-    config = RunConfig(default_count=2, seed=1, jobs=1, out_dir=str(tmp_path))
+def run_digest(out, count: int) -> str:
+    config = RunConfig(default_count=count, seed=1, jobs=1, out_dir=str(out))
     manifest, report, images = generate_dataset(config)
     write_outputs(config, manifest, report, images)
-    assert len(images) == 2 * len(SCENARIOS)
-    assert digest_tree(tmp_path) == GOLDEN_DIGEST
+    assert len(images) == count * len(SCENARIOS)
+    return digest_tree(out)
+
+
+def test_golden_digest(tmp_path):
+    assert run_digest(tmp_path, 2) == GOLDEN_DIGEST
+
+
+def test_golden_digest_every_family(tmp_path):
+    specs = {scenario: [sdef.sample(derive_seed(1, scenario, index)) for index in range(12)]
+             for scenario, sdef in SCENARIO_DEFS.items()}
+    assert {s.kind for s in specs["chart"]} == set(pipeline.NON_TABLE_CHART_KINDS)
+    assert {s.family for s in specs["dashboard"]} == set(FAMILIES)
+    assert {isinstance(s, PatternRule) for s in specs["puzzle"]} == {True, False}
+    assert {s.style for s in specs["layout"]} == {"architectural", "webpage"}
+    assert ({(s.kind, sum(n.shape == "decision" for n in s.nodes)) for s in specs["flowchart"]}
+            == {(kind, n) for kind in ("algorithm", "workflow") for n in (0, 1, 2)})
+    assert {bool(s.extra_edges) for s in specs["relation_graph"]} == {True, False}
+    assert run_digest(tmp_path, 12) == EVERY_FAMILY_DIGEST
 
 
 def test_scenario_table_matches_scenarios():

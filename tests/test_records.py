@@ -1,5 +1,6 @@
 """Instruction records: canonicalization, verification, voting, manifests."""
 
+import dataclasses
 import json
 import re
 from random import Random
@@ -13,7 +14,7 @@ from absynth.charts import chart_questions, sample_chart_spec
 from absynth.gauges import GEOMETRIES, SCALES, DialSpec
 from absynth.maps import generate_map, map_instruction, map_questions
 from absynth.records import (
-    InstructionRecord, Manifest, Provenance, canonicalize,
+    MANIFEST_SCHEMA_VERSION, InstructionRecord, Manifest, Provenance, canonicalize,
     dump_manifest, load_manifest, parse_number, record_from_json, record_to_json,
     SchemaMismatch, sample_for_review, validate_record, verify_record,
     vote_select,
@@ -302,14 +303,30 @@ def _record_line(**changes):
      r"malformed record \(provenance seed must be an integer, not float\)"),
     (_record_line(provenance={"generator": "chart-gen", "seed": True}),
      r"malformed record \(provenance seed must be an integer, not bool\)"),
+    (_record_line(alternates="ab"), r"malformed record \(alternates must be a list, not str\)"),
+    (_record_line(alternates={"x": 1}),
+     r"malformed record \(alternates must be a list, not dict\)"),
+    (_record_line(alternates=None),
+     r"malformed record \(alternates must be a list, not NoneType\)"),
 ], ids=["not-an-object", "no-id", "alternates-not-a-list", "seed-not-an-int", "bad-json",
-        "seed-a-float", "seed-a-bool"])
+        "seed-a-float", "seed-a-bool", "alternates-a-string", "alternates-an-object",
+        "alternates-null"])
 def test_malformed_manifest_line_names_its_line_number(line, reason):
     good = record_to_json(make_record(0))
     header = dump_manifest(Manifest()).decode().strip()
     data = f"{header}\n{good}\n\n{line}\n"
     with pytest.raises(SchemaMismatch, match=f"^manifest line 4: {reason}"):
         load_manifest(data)
+
+
+def test_manifest_line_without_alternates_has_none():
+    assert record_from_json(_record_line(alternates=_DROP)).alternates == ()
+
+
+def test_manifest_schema_version_is_a_constant():
+    assert [f.name for f in dataclasses.fields(Manifest)] == ["records"]
+    header = json.loads(dump_manifest(Manifest()).decode().splitlines()[0])
+    assert header == {"kind": "manifest-header", "schema_version": MANIFEST_SCHEMA_VERSION}
 
 
 def test_manifest_lines_end_at_newline_only():
