@@ -4,12 +4,12 @@ Covers five chart kinds (line, bar, pie, table, composite). A ChartSpec holds
 the simulated data and every plotting parameter; both the rendered scene and
 every question/answer derive from it alone.
 
-Value ranges per unit class are fixed config (keywords.UNIT_RANGES):
-percent 1-60, currency 10-10000, count 1-500. Pie charts always use four
-categories with integer percentages summing to 100. Composite charts hold
-2-4 bar/line sub-charts laid out in a row or 2x2 grid. A ChartSpec checks
-these rules when it is constructed, so the scene builder and the questions
-take every spec as valid.
+Each unit class has one row of fixed config (keywords.UNIT_CLASSES), its
+value range and axis suffix: percent 1-60 (%), currency 10-10000 ($) and
+count 1-500 (none). Pie charts always use four categories with integer
+percentages summing to 100. Composite charts hold 2-4 bar/line sub-charts
+laid out in a row or 2x2 grid. A ChartSpec checks these rules when it is
+constructed, so the scene builder and the questions take every spec as valid.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .keywords import BUILTIN_TOPICS, UNIT_RANGES, UNIT_SUFFIX
+from .keywords import BUILTIN_TOPICS, UNIT_CLASSES
 from .palette import CHART_COLORS
 from .records import QuestionDraft, format_number
 from .scene import (
@@ -117,7 +117,7 @@ class ChartSpec:
 
 
 def _sample_values(rng: Random, unit: str, n: int) -> list[int]:
-    lo, hi = UNIT_RANGES[unit]
+    lo, hi, _ = UNIT_CLASSES[unit]
     return [rng.randint(lo, hi) for _ in range(n)]
 
 
@@ -139,7 +139,7 @@ def _assign_colors(rng: Random, labels: tuple[str, ...]) -> dict[str, str]:
 
 
 def _axis_labels(unit: str) -> tuple[str, str]:
-    suffix = UNIT_SUFFIX[unit]
+    _, _, suffix = UNIT_CLASSES[unit]
     return ("category", f"value ({suffix})" if suffix else "value")
 
 

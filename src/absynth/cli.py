@@ -102,6 +102,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print(f"dry run: seed {config.seed}, out {config.out_dir!r}, "
               f"jobs {config.jobs}, images per scenario {plan}")
         return 0
+    os.makedirs(config.out_dir, exist_ok=True)  # an unusable --out fails before any image
     manifest, report, images = generate_dataset(config)
     paths = write_outputs(config, manifest, report, images)
     # [accepted, rejected] images; record ids ("chart-00001-q02") name no
@@ -146,7 +147,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         fh.write(text)
     print(text, end="")
     print(f"wrote {json_path}")
-    missing = report.counts["missing"]
+    missing = report.total.missing
     if args.max_missing is not None and missing > args.max_missing:
         print(f"error: {missing} predictions missing exceeds --max-missing "
               f"{args.max_missing}", file=sys.stderr)

@@ -13,6 +13,7 @@ take it as valid.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -143,17 +144,10 @@ class GateReport:
             raise ValueError(f"candidate {candidate_id!r} gated twice")
         self.outcomes[candidate_id] = outcome
 
-    @property
-    def accepted_ids(self) -> list[str]:
-        return [cid for cid, out in self.outcomes.items() if out is None]
-
     def aggregate(self) -> dict:
         total = len(self.outcomes)
-        accepted = len(self.accepted_ids)
-        by_stage: dict[str, int] = {}
-        for out in self.outcomes.values():
-            if out is not None:
-                by_stage[out.stage] = by_stage.get(out.stage, 0) + 1
+        by_stage = Counter(out.stage for out in self.outcomes.values() if out is not None)
+        accepted = total - by_stage.total()
         return {
             "candidates": total,
             "accepted": accepted,

@@ -1,5 +1,5 @@
 """Instrument-dashboard synthesis: clocks, speedometers, fuel gauges,
-thermometers, and barometers.
+thermometers, and barometers, each described by one row of the family table.
 
 Clock hands follow the standard formulas (degrees clockwise from 12):
 hour hand = 30 * (hour mod 12) + 0.5 * minute, minute hand = 6 * minute.
@@ -8,9 +8,11 @@ Clock readings are stored in 12-hour display form; answers always accept the
 morning from evening. Inverse-offset questions whose start time falls
 between two hour marks accept both flanking numbers.
 
-Each DialSpec also carries its question knobs (offset, exercise_hours) so
-questions are a pure function of the spec. It checks its family and reading
-range when it is constructed, so the builder and the questions do not.
+A DialSpec holds only what was sampled: the family, the reading and the
+question knobs (offset, exercise_hours), so questions are a pure function of
+the spec. It checks its family and reading range when it is constructed, so
+the builder and the questions do not. The decoders read a dial back from its
+scene alone.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
+from typing import Any, Callable
 
 from .records import QuestionDraft, format_number
 from .scene import (
@@ -25,33 +28,6 @@ from .scene import (
     rect, text,
 )
 from .seeds import derive_seed, plain
-
-FAMILIES = ("clock", "speedometer", "fuel", "thermometer", "barometer")
-
-# family -> (scale_min, scale_max, major_tick_step)
-SCALES: dict[str, tuple[float, float, float]] = {
-    "clock": (1.0, 12.0, 1.0),
-    "speedometer": (0.0, 240.0, 20.0),
-    "fuel": (0.0, 1.0, 0.25),
-    "thermometer": (-20.0, 50.0, 10.0),
-    "barometer": (950.0, 1050.0, 10.0),
-}
-
-# family -> geometry tuple
-GEOMETRIES: dict[str, tuple] = {
-    "clock": ("circular", 0.0, 360.0),
-    "speedometer": ("circular", 225.0, 270.0),
-    "fuel": ("circular", 270.0, 180.0),
-    "thermometer": ("linear", "vertical", 300.0),
-    "barometer": ("linear", "horizontal", 400.0),
-}
-
-UNITS: dict[str, str] = {
-    "speedometer": "km/h",
-    "fuel": "of a full tank",
-    "thermometer": "degrees Celsius",
-    "barometer": "hPa",
-}
 
 _DURATION_PHRASES: dict[float, str] = {
     0.5: "half an hour",
@@ -67,13 +43,11 @@ _DURATION_PHRASES: dict[float, str] = {
 class DialSpec:
     family: str
     reading: tuple[int, int] | float  # clock: (hour, minute); others: value
-    scale: tuple[float, float, float]
-    geometry: tuple
     offset: float = 0.0  # hours for clocks, scale units otherwise
     exercise_hours: float = 0.0  # clocks only
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if self.family not in _ROWS:
             raise ValueError(f"unknown dial family {self.family!r}")
         if self.family == "clock":
             hour, minute = self.reading
@@ -83,6 +57,11 @@ class DialSpec:
             lo, hi, _ = self.scale
             if not (lo <= float(self.reading) <= hi):
                 raise ValueError(f"reading {self.reading} outside scale [{lo}, {hi}]")
+
+    @property
+    def scale(self) -> tuple[float, float, float] | None:
+        """The family's (low end, high end, major step); None for a clock."""
+        return _ROWS[self.family].scale
 
     def to_dict(self) -> dict:
         return plain(self)
@@ -97,31 +76,20 @@ def sample_dial_spec(seed: int, family: str | None = None) -> DialSpec:
     """Sample a valid DialSpec; clock minutes restricted to multiples of 5."""
     rng = Random(derive_seed(seed, "dial"))
     family = family or rng.choice(FAMILIES)
-    scale = SCALES[family]
-    geometry = GEOMETRIES[family]
     if family == "clock":
         reading = (rng.randint(1, 12), 5 * rng.randint(0, 11))
         offset = float(rng.randint(1, 12))
         exercise = rng.choice(sorted(_DURATION_PHRASES))
-        return DialSpec(family, reading, scale, geometry, offset, exercise)
-    lo, hi, step = scale
-    if family == "fuel":
-        reading = rng.randint(0, 8) / 8.0
-        delta = rng.randint(1, 3) / 8.0
-    elif family == "speedometer":
-        reading = float(5 * rng.randint(2, 44))
-        delta = float(5 * rng.randint(2, 8))
-    elif family == "thermometer":
-        reading = float(rng.randint(-15, 45))
-        delta = float(rng.randint(3, 15))
-    else:  # barometer
-        reading = float(rng.randint(955, 1045))
-        delta = float(rng.randint(5, 25))
+        return DialSpec(family, reading, offset, exercise)
+    row = _ROWS[family]
+    reading = rng.randint(*row.readings) * row.grain
+    delta = rng.randint(*row.offsets) * row.grain
     if rng.random() < 0.5:
         delta = -delta
+    lo, hi, _ = row.scale
     if not (lo <= reading + delta <= hi):
         delta = -delta
-    return DialSpec(family, reading, scale, geometry, delta)
+    return DialSpec(family, reading, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +123,13 @@ def _dial_hour(hour: int) -> int:
     return hour % 12 or 12
 
 
-def _dial_angle(spec: DialSpec, value: float) -> float:
-    """The angle at which a circular dial shows `value`."""
-    _, start, sweep = spec.geometry
-    return start + _scale_frac(value, spec.scale) * sweep
+def _dial_angle(row: _Family, value: float) -> float:
+    """The angle at which a needle dial shows `value`."""
+    start, sweep = row.arc
+    return start + _scale_frac(value, row.scale) * sweep
 
 
-def _build_clock(b: SceneBuilder, spec: DialSpec, font: float) -> None:
+def _build_clock(b: SceneBuilder, row: _Family, reading: tuple[int, int], font: float) -> None:
     cx = cy = 200.0
     radius = 150.0
     b.add(circle(cx, cy, radius, StyleSpec(stroke="black", stroke_width=3.0, fill="yellow")),
@@ -174,7 +142,7 @@ def _build_clock(b: SceneBuilder, spec: DialSpec, font: float) -> None:
         nx, ny = angle_point(cx, cy, radius - 26, deg)
         b.add(text(nx, ny - font / 2.0, str(n), StyleSpec(font_size=font), anchor="middle", z=2),
               "numbers")
-    hour, minute = spec.reading
+    hour, minute = reading
     hour_deg, minute_deg = clock_angles(hour, minute)
     hx, hy = angle_point(cx, cy, radius * 0.52, hour_deg)
     b.add(line(cx, cy, hx, hy, _HOUR_STYLE, z=3), "hour_hand")
@@ -183,80 +151,111 @@ def _build_clock(b: SceneBuilder, spec: DialSpec, font: float) -> None:
     b.add(circle(cx, cy, 5, StyleSpec(fill="black"), z=4), "hub")
 
 
-def _build_circular_gauge(b: SceneBuilder, spec: DialSpec, font: float) -> None:
+def _build_needle_dial(b: SceneBuilder, row: _Family, reading: float, font: float) -> None:
     cx, cy = 200.0, 190.0
     radius = 120.0
-    _, start, sweep = spec.geometry
+    start, sweep = row.arc
     b.add(arc(cx, cy, radius, start, sweep, _FACE_STYLE), "face")
-    for v in _ticks(spec.scale):
-        deg = _dial_angle(spec, v)
+    for v in _ticks(row.scale):
+        deg = _dial_angle(row, v)
         x1, y1 = angle_point(cx, cy, radius - 10, deg)
         x2, y2 = angle_point(cx, cy, radius, deg)
         b.add(line(x1, y1, x2, y2, _TICK_STYLE, z=1), "ticks")
         lx, ly = angle_point(cx, cy, radius + 14, deg)
         b.add(text(lx, ly - font / 2.0, format_number(v),
                    StyleSpec(font_size=font), anchor="middle", z=2), "tick_labels")
-    nx, ny = angle_point(cx, cy, radius * 0.85, _dial_angle(spec, float(spec.reading)))
+    nx, ny = angle_point(cx, cy, radius * 0.85, _dial_angle(row, float(reading)))
     b.add(line(cx, cy, nx, ny, _NEEDLE_STYLE, z=3), "needle")
     b.add(circle(cx, cy, 5, StyleSpec(fill="black"), z=4), "hub")
 
 
-def _build_thermometer(b: SceneBuilder, spec: DialSpec, font: float) -> None:
-    length = spec.geometry[2]
+def _build_thermometer(b: SceneBuilder, row: _Family, reading: float, font: float) -> None:
+    length = row.length
     x = 130.0
     y_bottom = 40.0 + length
     b.add(rect(x - 9, 40.0, 18, length, StyleSpec(stroke="black", stroke_width=2.0)), "tube")
     b.add(circle(x, y_bottom + 20, 20, StyleSpec(stroke="black", stroke_width=2.0, fill="red"),
                  z=1), "bulb")
-    level = _scale_frac(float(spec.reading), spec.scale) * length
+    level = _scale_frac(float(reading), row.scale) * length
     b.add(rect(x - 5, y_bottom - level, 10, level + _BULB_OVERLAP, StyleSpec(fill="red"), z=2),
           "mercury")
-    for v in _ticks(spec.scale):
-        y = y_bottom - _scale_frac(v, spec.scale) * length
+    for v in _ticks(row.scale):
+        y = y_bottom - _scale_frac(v, row.scale) * length
         b.add(line(x - 16, y, x - 9, y, _TICK_STYLE), "ticks")
         b.add(text(x - 20, y - font / 2.0, format_number(v),
                    StyleSpec(font_size=font), anchor="end"), "tick_labels")
 
 
-def _build_barometer(b: SceneBuilder, spec: DialSpec, font: float) -> None:
-    length = spec.geometry[2]
+def _build_barometer(b: SceneBuilder, row: _Family, reading: float, font: float) -> None:
+    length = row.length
     x0, y0 = 50.0, 70.0
     b.add(rect(x0, y0, length, 26, StyleSpec(stroke="black", stroke_width=2.0)), "tube")
-    fill_w = _scale_frac(float(spec.reading), spec.scale) * length
+    fill_w = _scale_frac(float(reading), row.scale) * length
     if fill_w > 0:
         b.add(rect(x0, y0, fill_w, 26, StyleSpec(fill="cyan"), z=1), "mercury")
-    for v in _ticks(spec.scale):
-        x = x0 + _scale_frac(v, spec.scale) * length
+    for v in _ticks(row.scale):
+        x = x0 + _scale_frac(v, row.scale) * length
         b.add(line(x, y0 + 26, x, y0 + 34, _TICK_STYLE, z=2), "ticks")
         b.add(text(x, y0 + 38, format_number(v), StyleSpec(font_size=font), anchor="middle",
                    z=2), "tick_labels")
 
 
-_CANVASES: dict[str, Canvas] = {
-    "clock": Canvas(400, 400, (245, 245, 245)),
-    "speedometer": Canvas(400, 340, (245, 245, 245)),
-    "fuel": Canvas(400, 340, (245, 245, 245)),
-    "thermometer": Canvas(260, 440, (245, 245, 245)),
-    "barometer": Canvas(500, 180, (245, 245, 245)),
+# ---------------------------------------------------------------------------
+# The family table
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One dial family. The fields after `build` describe a scale dial; a
+    clock leaves them at their defaults."""
+
+    canvas: Canvas
+    font: float  # base font size in px, before the feasibility gate's scaling
+    build: Callable[[SceneBuilder, _Family, Any, float], None]
+    scale: tuple[float, float, float] | None = None  # low end, high end, major step
+    arc: tuple[float, float] = (0.0, 0.0)  # a needle's start and sweep, in degrees
+    length: float = 0.0  # a column's length, in px
+    unit: str = ""
+    question: str = ""  # the reading question
+    grain: float = 1.0  # readings and offsets are whole multiples of this
+    readings: tuple[int, int] = (0, 0)  # sampled reading range, in grains
+    offsets: tuple[int, int] = (0, 0)  # sampled offset size range, in grains
+
+
+_BACKGROUND = (245, 245, 245)
+
+_ROWS: dict[str, _Family] = {
+    "clock": _Family(Canvas(400, 400, _BACKGROUND), 16.0, _build_clock),
+    "speedometer": _Family(
+        Canvas(400, 340, _BACKGROUND), 10.0, _build_needle_dial, (0.0, 240.0, 20.0),
+        arc=(225.0, 270.0), unit="km/h", grain=5.0, readings=(2, 44), offsets=(2, 8),
+        question="What speed does the speedometer show, in km/h?"),
+    "fuel": _Family(
+        Canvas(400, 340, _BACKGROUND), 10.0, _build_needle_dial, (0.0, 1.0, 0.25),
+        arc=(270.0, 180.0), unit="of a full tank", grain=0.125, readings=(0, 8),
+        offsets=(1, 3), question="What fraction of a full tank does the fuel gauge show?"),
+    "thermometer": _Family(
+        Canvas(260, 440, _BACKGROUND), 10.0, _build_thermometer, (-20.0, 50.0, 10.0),
+        length=300.0, unit="degrees Celsius", readings=(-15, 45), offsets=(3, 15),
+        question="What temperature does the thermometer show, in degrees Celsius?"),
+    "barometer": _Family(
+        Canvas(500, 180, _BACKGROUND), 10.0, _build_barometer, (950.0, 1050.0, 10.0),
+        length=400.0, unit="hPa", readings=(955, 1045), offsets=(5, 25),
+        question="What pressure does the barometer show, in hPa?"),
 }
+
+FAMILIES = tuple(_ROWS)
 
 
 def build_dial_scene(spec: DialSpec, font_scale: float = 1.0) -> SceneGraph:
-    b = SceneBuilder(_CANVASES[spec.family])
-    font = (16.0 if spec.family == "clock" else 10.0) * font_scale
-    if spec.family == "clock":
-        _build_clock(b, spec, font)
-    elif spec.family in ("speedometer", "fuel"):
-        _build_circular_gauge(b, spec, font)
-    elif spec.family == "thermometer":
-        _build_thermometer(b, spec, font)
-    else:
-        _build_barometer(b, spec, font)
+    row = _ROWS[spec.family]
+    b = SceneBuilder(row.canvas)
+    row.build(b, row, spec.reading, row.font * font_scale)
     return b.build()
 
 
 # ---------------------------------------------------------------------------
-# Decoding (round-trip checks used by verification and tests)
+# Decoding: a dial's reading read back from its scene
 
 
 def _line_angle(prim) -> float:
@@ -272,17 +271,18 @@ def decode_clock_scene(scene: SceneGraph) -> tuple[int, int]:
     return (_dial_hour(round((_line_angle(hour_hand) - 0.5 * minute) / 30.0)), minute)
 
 
-def decode_gauge_scene(scene: SceneGraph, spec: DialSpec) -> float:
-    """Recover the reading of a non-clock dial from its needle or column."""
-    lo, hi, _ = spec.scale
-    if spec.geometry[0] == "circular":
+def decode_gauge_scene(scene: SceneGraph, family: str) -> float:
+    """Recover the reading of a scale dial of `family` from its needle or
+    column; a column that rises out of a bulb starts below the scale."""
+    row = _ROWS[family]
+    lo, hi, _ = row.scale
+    if "needle" in scene.labels:
         needle = scene.primitives[scene.labels["needle"][0]]
-        _, start, sweep = spec.geometry
+        start, sweep = row.arc
         frac = ((_line_angle(needle) - start) % 360.0) / sweep
     else:
-        _, direction, length = spec.geometry
         _, _, w, h = scene.primitives[scene.labels["mercury"][0]].geometry
-        frac = (h - _BULB_OVERLAP if direction == "vertical" else w) / length
+        frac = (h - _BULB_OVERLAP if "bulb" in scene.labels else w) / row.length
     return lo + frac * (hi - lo)
 
 
@@ -356,16 +356,10 @@ def dial_questions(spec: DialSpec) -> list[QuestionDraft]:
             _clock_offset_draft(hour12, minute, int(spec.offset)),
             _clock_inverse_draft(hour12, minute, spec.exercise_hours),
         ]
-    unit = UNITS[spec.family]
+    row = _ROWS[spec.family]
     reading = float(spec.reading)
-    reading_q = {
-        "speedometer": "What speed does the speedometer show, in km/h?",
-        "fuel": "What fraction of a full tank does the fuel gauge show?",
-        "thermometer": "What temperature does the thermometer show, in degrees Celsius?",
-        "barometer": "What pressure does the barometer show, in hPa?",
-    }[spec.family]
     drafts = [
-        QuestionDraft(reading_q, format_number(reading), "numeric", "reading"),
+        QuestionDraft(row.question, format_number(reading), "numeric", "reading"),
         QuestionDraft(
             "Which instrument is shown in this image?", spec.family, "phrase", "instrument"),
     ]
@@ -373,7 +367,7 @@ def dial_questions(spec: DialSpec) -> list[QuestionDraft]:
     magnitude = abs(spec.offset)
     result = reading + spec.offset
     question = (
-        f"If the reading {direction} by {format_number(magnitude)} {unit}, "
+        f"If the reading {direction} by {format_number(magnitude)} {row.unit}, "
         "what will the instrument read?"
     )
     rationale = (

@@ -9,17 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# unit class -> (sampling range, axis suffix)
-UNIT_RANGES: dict[str, tuple[int, int]] = {
-    "percent": (1, 60),
-    "currency": (10, 10_000),
-    "count": (1, 500),
-}
-
-UNIT_SUFFIX: dict[str, str] = {
-    "percent": "%",
-    "currency": "$",
-    "count": "",
+# unit class -> (low end, high end of its sampled values, axis suffix)
+UNIT_CLASSES: dict[str, tuple[int, int, str]] = {
+    "percent": (1, 60, "%"),
+    "currency": (10, 10_000, "$"),
+    "count": (1, 500, ""),
 }
 
 

@@ -428,6 +428,7 @@ _ROOM_NAMES = ("Living Room", "Kitchen", "Bedroom 1", "Bedroom 2", "Bedroom 3",
                "Bathroom", "Study", "Dining Room")
 _REGION_NAMES = ("Header", "Navigation", "Sidebar", "Content", "Ad Banner",
                  "Footer", "Search Panel", "Gallery")
+_FIXTURES = {"architectural": "washroom", "webpage": "search box"}  # style -> fixture
 _ROOM_FILLS = ("cyan", "yellow", "pink", "olive", "teal", "orange", "green", "gray")
 
 _MIN_W = 150.0
@@ -483,10 +484,9 @@ def sample_floorplan(seed: int) -> FloorPlanSpec:
     rects.sort(key=lambda r: (r[1], r[0]))
     pool = _ROOM_NAMES if style == "architectural" else _REGION_NAMES
     names = rng.sample(pool, len(rects))
-    fixture = "washroom" if style == "architectural" else "search box"
     fixture_rooms = set(rng.sample(range(len(rects)), rng.randint(1, 2)))
     rooms = tuple(
-        Room(name, bounds, (fixture,) if i in fixture_rooms else ())
+        Room(name, bounds, (_FIXTURES[style],) if i in fixture_rooms else ())
         for i, (name, bounds) in enumerate(zip(names, rects))
     )
     # Doors: spanning tree over wall adjacency plus an occasional extra.
@@ -563,7 +563,7 @@ def layout_questions(spec: FloorPlanSpec) -> list[QuestionDraft]:
         QuestionDraft(f"How many {unit}s does this layout contain?",
                       str(len(spec.rooms)), "numeric", "room_count"),
     ]
-    fixture = "washroom" if spec.style == "architectural" else "search box"
+    fixture = _FIXTURES[spec.style]
     probe = spec.rooms[rng.randrange(len(spec.rooms))]
     answer = "Yes" if fixture in probe.fixtures else "No"
     drafts.append(QuestionDraft(

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterable
 
 from .records import InstructionRecord, Manifest, canonicalize, parse_json_line, parse_number
@@ -229,6 +230,11 @@ class ScenarioScore:
     def lcr_mean_pct(self) -> float | None:
         return 100.0 * self.lcr_sum / self.lcr_n if self.lcr_n else None
 
+    @property
+    def counts(self) -> dict[str, int]:
+        return {"gold": self.gold, "scored": self.scored, "missing": self.missing,
+                "unparsable": self.unparsable}
+
 
 @dataclass
 class ScoreReport:
@@ -236,48 +242,21 @@ class ScoreReport:
     per_question_type: dict[str, tuple[float, int]] = field(default_factory=dict)
 
     @property
-    def counts(self) -> dict[str, int]:
-        return {
-            "gold": sum(s.gold for s in self.per_scenario.values()),
-            "scored": sum(s.scored for s in self.per_scenario.values()),
-            "missing": sum(s.missing for s in self.per_scenario.values()),
-            "unparsable": sum(s.unparsable for s in self.per_scenario.values()),
-        }
-
-    @property
-    def overall_accuracy(self) -> float | None:
-        n = sum(s.accuracy_n for s in self.per_scenario.values())
-        if n == 0:
-            return None
-        points = sum(s.accuracy_points for s in self.per_scenario.values())
-        return 100.0 * points / n
-
-    @property
-    def sentence_rouge_mean(self) -> float | None:
-        n = sum(s.rouge_n for s in self.per_scenario.values())
-        if n == 0:
-            return None
-        return sum(s.rouge_sum for s in self.per_scenario.values()) / n
-
-    @property
-    def map_lcr_mean_pct(self) -> float | None:
-        n = sum(s.lcr_n for s in self.per_scenario.values())
-        if n == 0:
-            return None
-        return 100.0 * sum(s.lcr_sum for s in self.per_scenario.values()) / n
+    def total(self) -> ScenarioScore:
+        """The per-scenario rows added field by field, in scenario order."""
+        row_values = attrgetter(*(f.name for f in fields(ScenarioScore)))
+        return ScenarioScore(*map(sum, zip(*map(row_values, self.per_scenario.values()))))
 
     def to_json(self) -> str:
+        total = self.total
         body = {
-            "counts": self.counts,
-            "overall_accuracy": _round(self.overall_accuracy),
-            "sentence_rouge_mean": _round(self.sentence_rouge_mean, 4),
-            "map_lcr_mean_pct": _round(self.map_lcr_mean_pct),
+            "counts": total.counts,
+            "overall_accuracy": _round(total.accuracy),
+            "sentence_rouge_mean": _round(total.rouge_mean, 4),
+            "map_lcr_mean_pct": _round(total.lcr_mean_pct),
             "per_scenario": {
                 name: {
-                    "gold": s.gold,
-                    "scored": s.scored,
-                    "missing": s.missing,
-                    "unparsable": s.unparsable,
+                    **s.counts,
                     "accuracy": _round(s.accuracy),
                     "rouge_mean": _round(s.rouge_mean, 4),
                     "lcr_mean_pct": _round(s.lcr_mean_pct),
@@ -361,11 +340,10 @@ def render_report_text(report: ScoreReport) -> str:
         lines.append(f"{name:<16}{s.gold:>6}{s.scored:>8}{s.missing:>6}"
                      f"{s.unparsable:>7}{acc:>8}{rouge:>8}{lcr:>7}")
     lines.append("-" * 66)
-    counts = report.counts
-    overall = f"{report.overall_accuracy:.1f}" if report.overall_accuracy is not None else "-"
-    lines.append(f"overall accuracy {overall}%  gold {counts['gold']}  "
-                 f"scored {counts['scored']}  missing {counts['missing']}  "
-                 f"unparsable {counts['unparsable']}")
+    total = report.total
+    overall = f"{total.accuracy:.1f}" if total.accuracy is not None else "-"
+    lines.append(f"overall accuracy {overall}%  gold {total.gold}  scored {total.scored}  "
+                 f"missing {total.missing}  unparsable {total.unparsable}")
     return "\n".join(lines) + "\n"
 
 

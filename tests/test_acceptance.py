@@ -183,7 +183,7 @@ def test_criterion_8_full_determinism(tmp_path):
 
 def test_criterion_9_eval_fixture():
     report = aggregate(fixture_manifest(), FIXTURE_PREDICTIONS)
-    assert report.counts == {"gold": 12, "scored": 10, "missing": 1, "unparsable": 1}
+    assert report.total.counts == {"gold": 12, "scored": 10, "missing": 1, "unparsable": 1}
     expected_accuracy = {
         "chart": 50.0, "map": 50.0, "dashboard": 100.0, "flowchart": 50.0,
         "puzzle": 100.0, "layout": 100.0, "relation_graph": 0.0, "table": 100.0,
@@ -191,8 +191,8 @@ def test_criterion_9_eval_fixture():
     for scenario, accuracy in expected_accuracy.items():
         assert report.per_scenario[scenario].accuracy == pytest.approx(accuracy), scenario
     assert report.per_scenario["chart"].rouge_mean == pytest.approx(2 / 3)
-    assert report.map_lcr_mean_pct == pytest.approx(50.0)
-    assert report.overall_accuracy == pytest.approx(100.0 * 7 / 11)
+    assert report.total.lcr_mean_pct == pytest.approx(50.0)
+    assert report.total.accuracy == pytest.approx(100.0 * 7 / 11)
     ok(9, "12-record fixture scores exactly the hand-computed report "
           "(routing by answer kind verified)")
 

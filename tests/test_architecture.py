@@ -1,6 +1,7 @@
 """Package-level contracts that cut across modules."""
 
 import ast
+import dataclasses
 import math
 import re
 
@@ -10,7 +11,7 @@ from absynth.bridge import BackendConfig
 from absynth.charts import ChartSpec, Series, SeriesPoint
 from absynth.diagrams import FlowNode, FlowSpec, TreeNode, TreeSpec
 from absynth.gate import GateConfig
-from absynth.gauges import DialSpec, SCALES, GEOMETRIES
+from absynth.gauges import FAMILIES, DialSpec
 from absynth.keywords import BUILTIN_TOPICS
 from absynth.maps import WalkParams
 from absynth.pipeline import RunConfig
@@ -154,6 +155,44 @@ def test_generator_rule_has_one_home(module, matches, home):
     assert enclosing_functions(tree, matches) == [home]
 
 
+def module_dicts(tree):
+    """(name, constant keys) of each dict literal a module assigns at top level."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            keys = {k.value for k in node.value.keys if isinstance(k, ast.Constant)}
+            found.append((target.id, keys))
+    return found
+
+
+def test_each_dial_family_is_described_once():
+    """A family's canvas, font, builder, scale, arc or column, unit and
+    reading question sit in its one row of the family table, so no registry
+    keyed by family names can drift from it."""
+    tree = ast.parse((SRC_DIR / "gauges.py").read_text(encoding="utf-8"))
+    keyed = [name for name, keys in module_dicts(tree) if keys & set(FAMILIES)]
+    assert keyed == ["_ROWS"]
+
+
+def test_dial_spec_holds_only_what_was_sampled():
+    """The scale and geometry come from the family's row, so a spec cannot
+    carry a copy that contradicts its family."""
+    names = [f.name for f in dataclasses.fields(DialSpec)]
+    assert names == ["family", "reading", "offset", "exercise_hours"]
+
+
+def test_each_unit_class_is_described_once():
+    """A unit class's value range and axis suffix are one row of
+    keywords.UNIT_CLASSES, not two dicts over the same keys."""
+    offenders = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders.extend((path.name, line) for name in ("UNIT_RANGES", "UNIT_SUFFIX")
+                         for line in name_uses(tree, name))
+    assert not offenders
+
+
 RE_FUNCTIONS = {"search", "match", "fullmatch", "findall", "finditer", "sub", "split",
                 "escape", "compile"}
 
@@ -221,7 +260,7 @@ def _pie(*values):
 
 @pytest.mark.parametrize("make, message", [
     (lambda: _pie(40.0, 30.0, 20.0, 9.0), "pie percentages sum to 99.0, not 100"),
-    (lambda: DialSpec("clock", (25, 0), SCALES["clock"], GEOMETRIES["clock"]),
+    (lambda: DialSpec("clock", (25, 0)),
      "clock reading (25, 0) out of range"),
     (lambda: FlowSpec("workflow", "t", (FlowNode("Step", "process"),), ()),
      "flowchart needs exactly one start terminator"),

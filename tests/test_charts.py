@@ -241,12 +241,12 @@ def test_math_rationale_cites_operands():
 
 
 def test_values_respect_unit_ranges():
-    from absynth.keywords import UNIT_RANGES
+    from absynth.keywords import UNIT_CLASSES
     for seed in range(80):
         spec = sample_chart_spec(seed)
         targets = spec.subcharts if spec.kind == "composite" else (spec,)
         for target in targets:
-            lo, hi = UNIT_RANGES["percent" if target.kind == "pie" else target.unit]
+            lo, hi, _ = UNIT_CLASSES["percent" if target.kind == "pie" else target.unit]
             for s in target.series:
                 for p in s.points:
                     if target.kind == "pie":

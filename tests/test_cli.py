@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from absynth import pipeline
 from absynth.cli import main
 from absynth.records import Manifest, load_manifest
 from absynth.scoring import dump_predictions, Prediction
@@ -339,13 +340,18 @@ def test_misspelt_counts_key_fails_the_dry_run(tmp_path, capsys):
     assert one_line_error(capsys) == "error: unknown scenario 'chrat' in counts"
 
 
-def test_gen_out_an_existing_file_is_one_line_error(tmp_path, capsys):
+def test_gen_out_an_existing_file_is_one_line_error(tmp_path, capsys, monkeypatch):
+    calls = []
+    generate_image = pipeline.generate_image
+    monkeypatch.setattr(pipeline, "generate_image",
+                        lambda *args: calls.append(args) or generate_image(*args))
     taken = tmp_path / "taken"
     taken.write_text("")
-    assert run(["gen", "--scenario", "chart", "--count", 1, "--out", taken]) == 1
+    assert run(["gen", "--scenario", "chart", "--count", 3, "--out", taken]) == 1
     message = one_line_error(capsys)
     assert message.startswith("error: ") and "File exists" in message
     assert taken.read_text() == ""
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import absynth  # noqa: F401  (registers the scenario generators)
 from absynth.charts import chart_questions, sample_chart_spec
-from absynth.gauges import GEOMETRIES, SCALES, DialSpec
+from absynth.gauges import DialSpec
 from absynth.maps import generate_map, map_instruction, map_questions
 from absynth.records import (
     MANIFEST_SCHEMA_VERSION, InstructionRecord, Manifest, Provenance, canonicalize,
@@ -160,7 +160,7 @@ def test_verify_record_detects_tampering():
 
 
 def test_verify_clock_alternates_accepted():
-    spec = DialSpec("clock", (8, 10), SCALES["clock"], GEOMETRIES["clock"], 8.0, 1.5)
+    spec = DialSpec("clock", (8, 10), 8.0, 1.5)
     from absynth.gauges import dial_questions
     draft = next(d for d in dial_questions(spec) if d.question_type == "offset_math")
     rec = InstructionRecord(

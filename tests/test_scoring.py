@@ -278,7 +278,7 @@ FIXTURE_PREDICTIONS = {
 
 def test_hand_computed_fixture_report():
     report = aggregate(fixture_manifest(), FIXTURE_PREDICTIONS)
-    counts = report.counts
+    counts = report.total.counts
     assert counts == {"gold": 12, "scored": 10, "missing": 1, "unparsable": 1}
 
     s = report.per_scenario
@@ -297,9 +297,9 @@ def test_hand_computed_fixture_report():
 
     # Points: chart 1, map 1, dashboard 1, flowchart 1, puzzle 1, layout 1,
     # relation_graph 0, table 1 = 7 over 11 non-sentence records.
-    assert report.overall_accuracy == pytest.approx(100.0 * 7.0 / 11.0)
-    assert report.sentence_rouge_mean == pytest.approx(2 / 3)
-    assert report.map_lcr_mean_pct == pytest.approx(50.0)
+    assert report.total.accuracy == pytest.approx(100.0 * 7.0 / 11.0)
+    assert report.total.rouge_mean == pytest.approx(2 / 3)
+    assert report.total.lcr_mean_pct == pytest.approx(50.0)
 
     per_type = {qt: 100.0 * pts / n for qt, (pts, n) in report.per_question_type.items()}
     assert per_type["extraction"] == pytest.approx(100.0)
@@ -318,8 +318,8 @@ def test_aggregate_permutation_invariant():
 def test_empty_predictions_all_missing():
     manifest = fixture_manifest()
     report = aggregate(manifest, {})
-    assert report.counts["missing"] == 12
-    assert report.overall_accuracy == pytest.approx(0.0)
+    assert report.total.missing == 12
+    assert report.total.accuracy == pytest.approx(0.0)
     for s in report.per_scenario.values():
         assert s.accuracy in (0.0, None)
 
