@@ -273,13 +273,16 @@ def decode_clock_scene(scene: SceneGraph) -> tuple[int, int]:
 
 def decode_gauge_scene(scene: SceneGraph, family: str) -> float:
     """Recover the reading of a scale dial of `family` from its needle or
-    column; a column that rises out of a bulb starts below the scale."""
+    column; a column that rises out of a bulb starts below the scale, and a
+    column family with no column drawn reads the low end of its scale."""
     row = _ROWS[family]
     lo, hi, _ = row.scale
     if "needle" in scene.labels:
         needle = scene.primitives[scene.labels["needle"][0]]
         start, sweep = row.arc
         frac = ((_line_angle(needle) - start) % 360.0) / sweep
+    elif "mercury" not in scene.labels:  # a column of width 0 is not drawn
+        return lo
     else:
         _, _, w, h = scene.primitives[scene.labels["mercury"][0]].geometry
         frac = (h - _BULB_OVERLAP if "bulb" in scene.labels else w) / row.length

@@ -11,6 +11,14 @@ and prediction lines alike: the C scanner first, json.loads only for what the
 scanner does not take whole, so it accepts, returns and rejects exactly what
 json.loads does.
 
+InstructionRecord and QuestionDraft are plain slotted dataclasses: mutable,
+unhashable and without a per-instance __dict__, so building one stores each
+field directly instead of through a frozen __init__'s object.__setattr__.
+Building a record checks nothing; dump_manifest runs validate_record on every
+record before it writes it, and load_manifest on every record it reads.
+Provenance is slotted too but stays frozen and hashable, because its default
+is one instance shared by every record that leaves provenance out.
+
 verify_record matches one record against an oracle: every draft that the
 scenario's questions function returns for the spec that produced the image.
 The caller makes that list, so this module knows nothing of the scenario
@@ -52,7 +60,7 @@ class SchemaMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QuestionDraft:
     """A question/answer unit produced by a scenario generator, before it is
     bound to an image and an id."""
@@ -65,13 +73,13 @@ class QuestionDraft:
     rationale: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     generator: str
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InstructionRecord:
     id: str
     scenario: str
@@ -346,7 +354,9 @@ def parse_json_line(line: str):
 
 def record_from_json(line: str) -> InstructionRecord:
     data = parse_json_line(line)
-    prov = data.get("provenance") or {}
+    prov = data.get("provenance", {})
+    if type(prov) is not dict:  # 0, "" or [] is not a missing provenance
+        raise ValueError(f"provenance must be an object, not {type(prov).__name__}")
     seed = prov.get("seed", 0)
     if type(seed) is not int:  # int() would read 1.9 as 1 and true as 1
         raise ValueError(f"provenance seed must be an integer, not {type(seed).__name__}")

@@ -300,8 +300,11 @@ def aggregate(manifest: Manifest, predictions: dict[str, str]) -> ScoreReport:
     separately; scored + missing + unparsable = gold record count.
     """
     report = ScoreReport()
+    per_scenario = report.per_scenario
     for record in manifest.records:
-        s = report.per_scenario.setdefault(record.scenario, ScenarioScore())
+        s = per_scenario.get(record.scenario)
+        if s is None:  # setdefault would build a throwaway row for every record
+            s = per_scenario[record.scenario] = ScenarioScore()
         s.gold += 1
         raw = predictions.get(record.id)
         if raw is None:

@@ -15,7 +15,9 @@ from absynth.gauges import FAMILIES, DialSpec
 from absynth.keywords import BUILTIN_TOPICS
 from absynth.maps import WalkParams
 from absynth.pipeline import RunConfig
-from absynth.records import Manifest, sample_for_review
+from absynth.records import (
+    InstructionRecord, Manifest, Provenance, QuestionDraft, sample_for_review,
+)
 from tests_helpers import SRC_DIR
 
 
@@ -250,6 +252,24 @@ def test_record_lines_skip_the_generic_json_path():
     offenders = [(name, line) for name, tree in trees.items()
                  for line in json_calls(tree, "loads", skip=("parse_json_line",))]
     assert not offenders
+
+
+def test_record_types_are_slotted():
+    """Records and drafts keep their fields in slots, not a per-instance
+    __dict__, so building one skips a frozen __init__'s object.__setattr__.
+    Provenance stays frozen and hashable: its default is one instance shared
+    by every record that leaves provenance out."""
+    draft = QuestionDraft("What is 'B'?", "30", "numeric", "ocr")
+    record = InstructionRecord("chart-00000-q00", "chart", "images/chart/chart-00000.svg",
+                               draft.question, draft.answer, draft.answer_kind,
+                               draft.question_type)
+    provenance = Provenance("chart-gen", 7)
+    for obj in (draft, record, provenance):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+    assert record.provenance is InstructionRecord("b", "chart", "", "", "", "", "").provenance
+    assert hash(provenance) == hash(Provenance("chart-gen", 7))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        provenance.seed = 8
 
 
 def _pie(*values):

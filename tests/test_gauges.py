@@ -130,6 +130,14 @@ def test_gauge_scene_round_trip_within_half_minor_tick():
         assert abs(decoded - float(spec.reading)) <= tolerance, (seed, spec.family)
 
 
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "clock"])
+def test_gauge_scene_round_trip_at_both_ends_of_the_scale(family):
+    lo, hi, step = sample_dial_spec(0, family=family).scale
+    for reading in (lo, hi):
+        decoded = decode_gauge_scene(build_dial_scene(DialSpec(family, reading)), family)
+        assert abs(decoded - reading) <= step / 10.0, (family, reading, decoded)
+
+
 def test_scenes_stay_on_canvas():
     for seed in range(40):
         spec = sample_dial_spec(seed)

@@ -308,9 +308,22 @@ def _record_line(**changes):
      r"malformed record \(alternates must be a list, not dict\)"),
     (_record_line(alternates=None),
      r"malformed record \(alternates must be a list, not NoneType\)"),
+    (_record_line(provenance=0), r"malformed record \(provenance must be an object, not int\)"),
+    (_record_line(provenance=5), r"malformed record \(provenance must be an object, not int\)"),
+    (_record_line(provenance=False),
+     r"malformed record \(provenance must be an object, not bool\)"),
+    (_record_line(provenance=""), r"malformed record \(provenance must be an object, not str\)"),
+    (_record_line(provenance="x"), r"malformed record \(provenance must be an object, not str\)"),
+    (_record_line(provenance=[]), r"malformed record \(provenance must be an object, not list\)"),
+    (_record_line(provenance=[1]),
+     r"malformed record \(provenance must be an object, not list\)"),
+    (_record_line(provenance=None),
+     r"malformed record \(provenance must be an object, not NoneType\)"),
 ], ids=["not-an-object", "no-id", "alternates-not-a-list", "seed-not-an-int", "bad-json",
         "seed-a-float", "seed-a-bool", "alternates-a-string", "alternates-an-object",
-        "alternates-null"])
+        "alternates-null", "provenance-zero", "provenance-an-int", "provenance-false",
+        "provenance-empty-string", "provenance-a-string", "provenance-empty-list",
+        "provenance-a-list", "provenance-null"])
 def test_malformed_manifest_line_names_its_line_number(line, reason):
     good = record_to_json(make_record(0))
     header = dump_manifest(Manifest()).decode().strip()
@@ -321,6 +334,10 @@ def test_malformed_manifest_line_names_its_line_number(line, reason):
 
 def test_manifest_line_without_alternates_has_none():
     assert record_from_json(_record_line(alternates=_DROP)).alternates == ()
+
+
+def test_manifest_line_without_provenance_has_the_default():
+    assert record_from_json(_record_line(provenance=_DROP)).provenance == Provenance("unknown", 0)
 
 
 def test_manifest_schema_version_is_a_constant():
