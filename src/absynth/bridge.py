@@ -18,9 +18,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -113,7 +110,10 @@ Transport = Callable[[dict], str]
 
 
 def http_transport(config: BackendConfig) -> Transport:
-    """POST chat-completion requests to the configured endpoint."""
+    """POST chat-completion requests to the configured endpoint. The HTTP
+    client is imported here, so only a run with a backend loads it."""
+    import urllib.error
+    import urllib.request
 
     def send(payload: dict) -> str:
         body = json.dumps({
@@ -366,6 +366,7 @@ def self_consistent_answer(
         text = _call_with_retries(transport, payload, config)
         return request_id, parse_output("answer", text)
 
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
         results = list(pool.map(one, range(n)))
     results.sort()  # deterministic order by request id before voting

@@ -233,8 +233,9 @@ _AXIS_STYLE = StyleSpec(stroke="black", stroke_width=1.5)
 _GRID_STYLE = StyleSpec(stroke="gray", stroke_width=0.5)
 
 
-def _draw_axes(b: SceneBuilder, plot: Region, axis_max: float, font: float) -> None:
+def _draw_axes(b: SceneBuilder, plot: Region, axis_max: float, label_style: StyleSpec) -> None:
     x0, y0, x1, y1 = plot
+    font = label_style.font_size
     b.add(line(x0, y0, x0, y1, _AXIS_STYLE), "axis")
     b.add(line(x0, y1, x1, y1, _AXIS_STYLE), "axis")
     for t in range(5):
@@ -242,8 +243,8 @@ def _draw_axes(b: SceneBuilder, plot: Region, axis_max: float, font: float) -> N
         y = y1 - (y1 - y0) * t / 4.0
         b.add(line(x0 - 4, y, x0, y, _AXIS_STYLE), "axis")
         b.add(
-            text(x0 - 6, y - font / 2.0, format_number(round(v, 2)),
-                 StyleSpec(font_size=font), anchor="end"),
+            text(x0 - 6, y - font / 2.0, format_number(round(v, 2)), label_style,
+                 anchor="end"),
             "axis",
         )
 
@@ -259,10 +260,11 @@ def _legend_strip(
     if total > x1 - x0:
         raise LayoutOverflow("legend entries exceed available width")
     lx = x0 if "left" in position else x1 - total
+    label_style = StyleSpec(font_size=font)
     for (lbl, color), w in zip(entries, widths):
         b.add(rect(lx, y + 2, 10, 10, StyleSpec(fill=color, stroke="black", stroke_width=0.5),
                    z=6), "legend")
-        b.add(text(lx + 14, y, lbl, StyleSpec(font_size=font), z=6), "legend")
+        b.add(text(lx + 14, y, lbl, label_style, z=6), "legend")
         lx += w
 
 
@@ -290,6 +292,7 @@ def _draw_pie(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) ->
     if radius < 10:
         raise LayoutOverflow("pie region too small")
     start = 0.0
+    label_style = StyleSpec(font_size=font)
     for point in spec.series[0].points:
         sweep = 3.6 * point.value
         color = spec.palette_assignment[point.category]
@@ -298,8 +301,8 @@ def _draw_pie(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) ->
         mid = math.radians(start + sweep / 2.0)
         lx = cx + (radius + 1.2 * font) * math.sin(mid)
         ly = cy - (radius + 1.2 * font) * math.cos(mid) - font / 2.0
-        b.add(text(lx, ly, f"{format_number(point.value)}%",
-                   StyleSpec(font_size=font), anchor="middle"), "data_marks")
+        b.add(text(lx, ly, f"{format_number(point.value)}%", label_style, anchor="middle"),
+              "data_marks")
         start += sweep
 
 
@@ -320,28 +323,29 @@ def _draw_value_chart(
 
     entries = [(s.label, spec.palette_assignment[s.label]) for s in spec.series]
     _legend_strip(b, entries, region[0], region[2], legend_y, label_font, spec.legend_position)
+    tick_style = StyleSpec(font_size=font)
     if unit_label:
-        b.add(text(px0, py0 - 1.6 * font, unit_label, StyleSpec(font_size=font)), "axis")
+        b.add(text(px0, py0 - 1.6 * font, unit_label, tick_style), "axis")
 
     all_values = [p.value for s in spec.series for p in s.points]
     axis_max = nice_axis_max(max(all_values))
-    _draw_axes(b, plot, axis_max, font)
+    _draw_axes(b, plot, axis_max, tick_style)
     cats = spec.categories()
     slot = (px1 - px0) / len(cats)
     for i, cat in enumerate(cats):
         if text_width(cat, font) > slot:
             raise LayoutOverflow(f"category label {cat!r} exceeds its slot")
-        b.add(text(px0 + i * slot + slot / 2.0, py1 + 0.4 * font, cat,
-                   StyleSpec(font_size=font), anchor="middle"), "axis")
+        b.add(text(px0 + i * slot + slot / 2.0, py1 + 0.4 * font, cat, tick_style,
+                   anchor="middle"), "axis")
 
     if spec.kind == "bar":
         bar_w = slot * 0.6
-        color = spec.palette_assignment[spec.series[0].label]
+        bar_style = StyleSpec(fill=spec.palette_assignment[spec.series[0].label],
+                              stroke="black", stroke_width=0.6)
         for i, point in enumerate(spec.series[0].points):
             h = point.value / axis_max * (py1 - py0)
             bx = px0 + i * slot + (slot - bar_w) / 2.0
-            b.add(rect(bx, py1 - h, bar_w, h,
-                       StyleSpec(fill=color, stroke="black", stroke_width=0.6)), "data_marks")
+            b.add(rect(bx, py1 - h, bar_w, h, bar_style), "data_marks")
     else:
         for s in spec.series:
             color = spec.palette_assignment[s.label]
@@ -351,8 +355,9 @@ def _draw_value_chart(
                 y = py1 - point.value / axis_max * (py1 - py0)
                 pts.append((x, y))
             b.add(polyline(pts, StyleSpec(stroke=color, stroke_width=2.0), z=2), "data_marks")
+            point_style = StyleSpec(fill=color)
             for x, y in pts:
-                b.add(circle(x, y, 3.0, StyleSpec(fill=color), z=3), "data_marks")
+                b.add(circle(x, y, 3.0, point_style, z=3), "data_marks")
 
 
 def _draw_table(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) -> None:
@@ -364,6 +369,7 @@ def _draw_table(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) 
     row_h = min((y1 - y0) / (n_rows + 1), 3.0 * font)
     table_h = row_h * (n_rows + 1)
     ty0 = y0 + ((y1 - y0) - table_h) / 2.0
+    cell_style = StyleSpec(font_size=font)
     for r in range(n_rows + 2):
         b.add(line(x0, ty0 + r * row_h, x1, ty0 + r * row_h, _GRID_STYLE), "grid")
     for c in range(n_cols + 2):
@@ -374,7 +380,7 @@ def _draw_table(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) 
             raise LayoutOverflow(f"cell text {content!r} exceeds column width")
         cx = x0 + col * col_w + col_w / 2.0
         cy = ty0 + row * row_h + (row_h - font) / 2.0
-        b.add(text(cx, cy, content, StyleSpec(font_size=font), anchor="middle"), role)
+        b.add(text(cx, cy, content, cell_style, anchor="middle"), role)
 
     for c, cat in enumerate(spec.categories()):
         cell_text(0, c + 1, cat, "axis")

@@ -5,6 +5,10 @@ per-scenario accepted/rejected counts, `eval` writes report.json/report.txt,
 `stats` writes stats.json/stats.txt, and `gallery` emits a static HTML page
 referencing images relatively. Bad input, and a path that cannot be read
 or written, give one `error:` line on stderr and exit code 1.
+
+Only `records`, which the parser and every command need, is imported at the
+top; each command imports its own modules when it runs, so `eval` and
+`stats` never load the generators and `gen` never loads the scorer.
 """
 
 from __future__ import annotations
@@ -15,13 +19,12 @@ import os
 import sys
 from dataclasses import fields, is_dataclass
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
-from .bridge import BackendConfig
-from .gallery import render_gallery
-from .pipeline import RunConfig, generate_dataset, write_outputs
 from .records import SCENARIOS, SchemaMismatch, load_manifest
-from .scoring import aggregate, dataset_stats, load_predictions, render_report_text
+
+if TYPE_CHECKING:
+    from .pipeline import RunConfig
 
 
 def _read_json(path: str) -> dict:
@@ -81,6 +84,8 @@ def _typed_fields(cls, data, source: str, section: str = "", renamed=None) -> di
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
+    from .bridge import BackendConfig
+    from .pipeline import RunConfig
     file_cfg = _read_json(args.config) if args.config else {}
     kwargs = _typed_fields(RunConfig, file_cfg, "run-config", renamed={"out": "out_dir"})
     if args.all:
@@ -96,6 +101,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .pipeline import generate_dataset, write_outputs
     config = _load_run_config(args)
     if args.dry_run:
         plan = {s: config.count_for(s) for s in config.scenarios}
@@ -131,6 +137,7 @@ def _load_manifest_file(path: str):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .scoring import aggregate, load_predictions, render_report_text
     manifest = _load_manifest_file(args.gold)
     if not os.path.exists(args.predictions):
         raise FileNotFoundError(f"prediction file not found: {args.predictions}")
@@ -156,6 +163,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .scoring import dataset_stats
     manifest = _load_manifest_file(args.manifest)
     stats = dataset_stats(manifest)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.manifest))
@@ -177,6 +185,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_gallery(args: argparse.Namespace) -> int:
+    from .gallery import render_gallery
     manifest = _load_manifest_file(args.manifest)
     out_path = args.out or os.path.join(
         os.path.dirname(os.path.abspath(args.manifest)), "gallery.html")

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 from .keywords import ALGORITHM_TOPICS, WORKFLOW_TOPICS
+from .palette import PALETTE
 from .records import QuestionDraft
 from .scene import (
     Canvas, LayoutOverflow, SceneBuilder, SceneGraph, StyleSpec,
@@ -289,6 +291,13 @@ NODE_H = 30.0
 LAYER_GAP = 80.0
 _EDGE_STYLE = StyleSpec(stroke="black", stroke_width=1.4)
 _EXTRA_EDGE_STYLE = StyleSpec(stroke="gray", stroke_width=1.2, dash=(5.0, 4.0))
+_ARROW_STYLE = StyleSpec(fill="black")
+
+
+@lru_cache(maxsize=len(PALETTE))  # one entry per palette color
+def _box_style(fill: str) -> StyleSpec:
+    """The style of every node box of `fill`, one object per color."""
+    return StyleSpec(fill=fill, stroke="black", stroke_width=1.4)
 
 
 def _node_box_width(label: str, font: float) -> float:
@@ -304,21 +313,20 @@ def _arrow_head(b: SceneBuilder, x: float, y: float, direction: str) -> None:
         pts = ((x, y), (x + 8, y - 5), (x + 8, y + 5))
     else:
         pts = ((x, y), (x - 8, y - 5), (x - 8, y + 5))
-    b.add(polygon(pts, StyleSpec(fill="black"), z=2), "edges")
+    b.add(polygon(pts, _ARROW_STYLE, z=2), "edges")
 
 
 def _draw_node_box(
     b: SceneBuilder, label: str, cx: float, cy: float, w: float, h: float,
-    shape: str, fill: str, font: float,
+    shape: str, box_style: StyleSpec, label_style: StyleSpec,
 ) -> None:
     if shape == "decision":
         pts = ((cx, cy - h / 2 - 6), (cx + w / 2 + 10, cy), (cx, cy + h / 2 + 6),
                (cx - w / 2 - 10, cy))
-        b.add(polygon(pts, StyleSpec(fill=fill, stroke="black", stroke_width=1.4), z=1), "nodes")
+        b.add(polygon(pts, box_style, z=1), "nodes")
     else:
-        b.add(rect(cx - w / 2, cy - h / 2, w, h,
-                   StyleSpec(fill=fill, stroke="black", stroke_width=1.4), z=1), "nodes")
-    b.add(text(cx, cy - font / 2.0, label, StyleSpec(font_size=font), anchor="middle", z=3),
+        b.add(rect(cx - w / 2, cy - h / 2, w, h, box_style, z=1), "nodes")
+    b.add(text(cx, cy - label_style.font_size / 2.0, label, label_style, anchor="middle", z=3),
           "node_labels")
 
 
@@ -352,15 +360,17 @@ def _layout_tree(spec: TreeSpec, font_scale: float) -> SceneGraph:
             b.add(line(cx, cy + NODE_H / 2, ccx, ccy - NODE_H / 2 - 8, _EDGE_STYLE, z=0),
                   "edges")
             _arrow_head(b, ccx, ccy - NODE_H / 2, "down")
+    label_style = StyleSpec(font_size=font)
     for node in tree_nodes(spec.root):
         cx, cy, w = centers[node.label]
         _draw_node_box(b, node.label, cx, cy, w, NODE_H,
-                       "process", spec.node_colors[node.label], font)
+                       "process", _box_style(spec.node_colors[node.label]), label_style)
     return b.build()
 
 
 def _layout_flow(spec: FlowSpec, font_scale: float) -> SceneGraph:
     font = NODE_FONT * font_scale
+    label_style = StyleSpec(font_size=font)
     # Side nodes are the no-branch targets; everything else stacks vertically.
     no_targets = {e.dst: e.src for e in spec.edges if e.label == "No"}
     main_rows: list[str] = []
@@ -400,8 +410,7 @@ def _layout_flow(spec: FlowSpec, font_scale: float) -> SceneGraph:
             b.add(line(x1, y1 + src_half_h, x2, y2 - dst_half_h - 8, _EDGE_STYLE), "edges")
             _arrow_head(b, x2, y2 - dst_half_h, "down")
             if e.label:
-                b.add(text(x1 + 6, (y1 + y2) / 2 - font, e.label,
-                           StyleSpec(font_size=font)), "edge_labels")
+                b.add(text(x1 + 6, (y1 + y2) / 2 - font, e.label, label_style), "edge_labels")
         elif y1 == y2:  # horizontal to the side node
             half_w1 = boxes[e.src] / 2 + (10 if src_shape == "decision" else 0)
             half_w2 = boxes[e.dst] / 2
@@ -409,7 +418,7 @@ def _layout_flow(spec: FlowSpec, font_scale: float) -> SceneGraph:
             _arrow_head(b, x2 - half_w2, y2, "right")
             if e.label:
                 b.add(text((x1 + half_w1 + x2 - half_w2) / 2, y1 - font - 4, e.label,
-                           StyleSpec(font_size=font), anchor="middle"), "edge_labels")
+                           label_style, anchor="middle"), "edge_labels")
         else:  # loop back from a fix node: right edge, up, into the target's side
             half_w = boxes[e.src] / 2
             lane_x = canvas.width - 10.0
@@ -422,7 +431,7 @@ def _layout_flow(spec: FlowSpec, font_scale: float) -> SceneGraph:
     for n in spec.nodes:
         cx, cy = rows[n.label]
         _draw_node_box(b, n.label, cx, cy, boxes[n.label], NODE_H, n.shape,
-                       fills[n.shape], font)
+                       _box_style(fills[n.shape]), label_style)
     return b.build()
 
 

@@ -134,14 +134,14 @@ def _build_clock(b: SceneBuilder, row: _Family, reading: tuple[int, int], font: 
     radius = 150.0
     b.add(circle(cx, cy, radius, StyleSpec(stroke="black", stroke_width=3.0, fill="yellow")),
           "face")
+    label_style = StyleSpec(font_size=font)
     for n in range(1, 13):
         deg = 30.0 * n
         x1, y1 = angle_point(cx, cy, radius - 8, deg)
         x2, y2 = angle_point(cx, cy, radius, deg)
         b.add(line(x1, y1, x2, y2, _TICK_STYLE, z=1), "ticks")
         nx, ny = angle_point(cx, cy, radius - 26, deg)
-        b.add(text(nx, ny - font / 2.0, str(n), StyleSpec(font_size=font), anchor="middle", z=2),
-              "numbers")
+        b.add(text(nx, ny - font / 2.0, str(n), label_style, anchor="middle", z=2), "numbers")
     hour, minute = reading
     hour_deg, minute_deg = clock_angles(hour, minute)
     hx, hy = angle_point(cx, cy, radius * 0.52, hour_deg)
@@ -156,14 +156,15 @@ def _build_needle_dial(b: SceneBuilder, row: _Family, reading: float, font: floa
     radius = 120.0
     start, sweep = row.arc
     b.add(arc(cx, cy, radius, start, sweep, _FACE_STYLE), "face")
+    label_style = StyleSpec(font_size=font)
     for v in _ticks(row.scale):
         deg = _dial_angle(row, v)
         x1, y1 = angle_point(cx, cy, radius - 10, deg)
         x2, y2 = angle_point(cx, cy, radius, deg)
         b.add(line(x1, y1, x2, y2, _TICK_STYLE, z=1), "ticks")
         lx, ly = angle_point(cx, cy, radius + 14, deg)
-        b.add(text(lx, ly - font / 2.0, format_number(v),
-                   StyleSpec(font_size=font), anchor="middle", z=2), "tick_labels")
+        b.add(text(lx, ly - font / 2.0, format_number(v), label_style, anchor="middle", z=2),
+              "tick_labels")
     nx, ny = angle_point(cx, cy, radius * 0.85, _dial_angle(row, float(reading)))
     b.add(line(cx, cy, nx, ny, _NEEDLE_STYLE, z=3), "needle")
     b.add(circle(cx, cy, 5, StyleSpec(fill="black"), z=4), "hub")
@@ -179,11 +180,12 @@ def _build_thermometer(b: SceneBuilder, row: _Family, reading: float, font: floa
     level = _scale_frac(float(reading), row.scale) * length
     b.add(rect(x - 5, y_bottom - level, 10, level + _BULB_OVERLAP, StyleSpec(fill="red"), z=2),
           "mercury")
+    label_style = StyleSpec(font_size=font)
     for v in _ticks(row.scale):
         y = y_bottom - _scale_frac(v, row.scale) * length
         b.add(line(x - 16, y, x - 9, y, _TICK_STYLE), "ticks")
-        b.add(text(x - 20, y - font / 2.0, format_number(v),
-                   StyleSpec(font_size=font), anchor="end"), "tick_labels")
+        b.add(text(x - 20, y - font / 2.0, format_number(v), label_style, anchor="end"),
+              "tick_labels")
 
 
 def _build_barometer(b: SceneBuilder, row: _Family, reading: float, font: float) -> None:
@@ -193,11 +195,12 @@ def _build_barometer(b: SceneBuilder, row: _Family, reading: float, font: float)
     fill_w = _scale_frac(float(reading), row.scale) * length
     if fill_w > 0:
         b.add(rect(x0, y0, fill_w, 26, StyleSpec(fill="cyan"), z=1), "mercury")
+    label_style = StyleSpec(font_size=font)
     for v in _ticks(row.scale):
         x = x0 + _scale_frac(v, row.scale) * length
         b.add(line(x, y0 + 26, x, y0 + 34, _TICK_STYLE, z=2), "ticks")
-        b.add(text(x, y0 + 38, format_number(v), StyleSpec(font_size=font), anchor="middle",
-                   z=2), "tick_labels")
+        b.add(text(x, y0 + 38, format_number(v), label_style, anchor="middle", z=2),
+              "tick_labels")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable
@@ -222,6 +221,7 @@ def generate_dataset(config: RunConfig) -> tuple[Manifest, GateReport, dict[str,
         for index in range(config.count_for(scenario))
     ]
     if config.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(
                 lambda slot: generate_image(config, slot[0], slot[1]), slots))

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from random import Random
 
+from .palette import PALETTE
 from .records import QuestionDraft
 from .scene import (
     Canvas, LayoutOverflow, Primitive, SceneBuilder, SceneGraph, StyleSpec,
@@ -42,10 +44,16 @@ def _rotate(points, cx, cy, deg):
     )
 
 
+@lru_cache(maxsize=len(PALETTE))  # one entry per palette color
+def _mark_style(color: str) -> StyleSpec:
+    """The style of every mark of `color`, one object per color."""
+    return StyleSpec(fill=color, stroke="black", stroke_width=1.0)
+
+
 def shape_primitive(shape: str, cx: float, cy: float, radius: float, angle: float,
                     color: str, z: int = 1) -> Primitive:
     """One filled mark; `angle` rotates clockwise around its center."""
-    style = StyleSpec(fill=color, stroke="black", stroke_width=1.0)
+    style = _mark_style(color)
     if shape == "circle":
         return circle(cx, cy, radius, style, z=z)
     if shape == "square":
@@ -316,8 +324,9 @@ def build_induction_scene(rule: PatternRule, font_scale: float = 1.0) -> SceneGr
     canvas = Canvas(width, 400)
     b = SceneBuilder(canvas)
     font = 13.0 * font_scale
-    b.add(text(canvas.width / 2, 12, "Which option continues the pattern?",
-               StyleSpec(font_size=font), anchor="middle"), "title")
+    label_style = StyleSpec(font_size=font)
+    b.add(text(canvas.width / 2, 12, "Which option continues the pattern?", label_style,
+               anchor="middle"), "title")
     top_w = n_top * _PANEL + (n_top - 1) * _GAP
     x0 = (canvas.width - top_w) / 2
     y_top = 48.0
@@ -334,8 +343,8 @@ def build_induction_scene(rule: PatternRule, font_scale: float = 1.0) -> SceneGr
     for i, option in enumerate(rule.options):
         x = ox0 + i * (_PANEL + _GAP)
         _draw_panel(b, option, x, y_opt)
-        b.add(text(x + _PANEL / 2, y_opt + _PANEL + 8, OPTION_LETTERS[i],
-                   StyleSpec(font_size=font), anchor="middle"), "option_labels")
+        b.add(text(x + _PANEL / 2, y_opt + _PANEL + 8, OPTION_LETTERS[i], label_style,
+                   anchor="middle"), "option_labels")
     return b.build()
 
 
@@ -357,11 +366,12 @@ def build_comparison_scene(spec: DiffPairSpec, font_scale: float = 1.0) -> Scene
     canvas = Canvas(640, 340)
     b = SceneBuilder(canvas)
     font = 13.0 * font_scale
+    title_style = StyleSpec(font_size=font)
     x_left, x_right, y0 = 40.0, 360.0, 60.0
     for title, x, items in (("Picture 1", x_left, spec.base_items),
                             ("Picture 2", x_right, spec.variant_items)):
-        b.add(text(x + _DIFF_PANEL / 2, y0 - font - 10, title,
-                   StyleSpec(font_size=font), anchor="middle"), "panel_titles")
+        b.add(text(x + _DIFF_PANEL / 2, y0 - font - 10, title, title_style, anchor="middle"),
+              "panel_titles")
         b.add(rect(x, y0, _DIFF_PANEL, _DIFF_PANEL, _PANEL_STYLE), "panels")
         b.extend(diff_panel_primitives(items, x, y0), "marks")
     return b.build()
@@ -429,7 +439,10 @@ _ROOM_NAMES = ("Living Room", "Kitchen", "Bedroom 1", "Bedroom 2", "Bedroom 3",
 _REGION_NAMES = ("Header", "Navigation", "Sidebar", "Content", "Ad Banner",
                  "Footer", "Search Panel", "Gallery")
 _FIXTURES = {"architectural": "washroom", "webpage": "search box"}  # style -> fixture
-_ROOM_FILLS = ("cyan", "yellow", "pink", "olive", "teal", "orange", "green", "gray")
+_ROOM_STYLES = tuple(StyleSpec(fill=fill, stroke="black", stroke_width=2.0) for fill in
+                     ("cyan", "yellow", "pink", "olive", "teal", "orange", "green", "gray"))
+_FIXTURE_STYLE = StyleSpec(stroke="black", stroke_width=1.0, dash=(3.0, 2.0))
+_DOOR_STYLE = StyleSpec(fill="brown")
 
 _MIN_W = 150.0
 _MIN_H = 100.0
@@ -519,29 +532,27 @@ def build_floorplan_scene(spec: FloorPlanSpec, font_scale: float = 1.0) -> Scene
     title = "Floor Plan" if spec.style == "architectural" else "Webpage Layout"
     b.add(text(canvas.width / 2, 14, title, StyleSpec(font_size=16.0 * font_scale),
                anchor="middle"), "title")
+    room_label_style = StyleSpec(font_size=font)
+    fixture_label_style = StyleSpec(font_size=8.0 * font_scale)
     for i, room in enumerate(spec.rooms):
         x, y, w, h = room.bounds
-        fill = _ROOM_FILLS[i % len(_ROOM_FILLS)]
-        b.add(rect(x, y, w, h, StyleSpec(fill=fill, stroke="black", stroke_width=2.0)),
-              "rooms")
+        b.add(rect(x, y, w, h, _ROOM_STYLES[i % len(_ROOM_STYLES)]), "rooms")
         if text_width(room.name, font) > w - 8:
             raise LayoutOverflow(f"room name {room.name!r} wider than its room")
-        b.add(text(x + w / 2, y + 8, room.name, StyleSpec(font_size=font), anchor="middle",
-                   z=3), "room_labels")
+        b.add(text(x + w / 2, y + 8, room.name, room_label_style, anchor="middle", z=3),
+              "room_labels")
         for j, fixture in enumerate(room.fixtures):
             fx, fy = x + 8, y + h - 26 - j * 26
-            b.add(rect(fx, fy, 14, 14, StyleSpec(stroke="black", stroke_width=1.0,
-                                                 dash=(3.0, 2.0)), z=2), "fixtures")
-            b.add(text(fx + 18, fy + 3, fixture, StyleSpec(font_size=8.0 * font_scale), z=3),
-                  "fixture_labels")
+            b.add(rect(fx, fy, 14, 14, _FIXTURE_STYLE, z=2), "fixtures")
+            b.add(text(fx + 18, fy + 3, fixture, fixture_label_style, z=3), "fixture_labels")
     by_name = {r.name: r for r in spec.rooms}
     for a_name, b_name in spec.doors:
         axis, at, lo, hi = _wall(by_name[a_name], by_name[b_name])
         mid = (lo + hi) / 2
         if axis == "x":
-            b.add(rect(at - 3, mid - 12, 6, 24, StyleSpec(fill="brown"), z=4), "doors")
+            b.add(rect(at - 3, mid - 12, 6, 24, _DOOR_STYLE, z=4), "doors")
         else:
-            b.add(rect(mid - 12, at - 3, 24, 6, StyleSpec(fill="brown"), z=4), "doors")
+            b.add(rect(mid - 12, at - 3, 24, 6, _DOOR_STYLE, z=4), "doors")
     return b.build()
 
 

@@ -14,6 +14,10 @@ Each primitive's bounding box is computed once, on first use, and cached on
 the frozen scene (`SceneGraph.boxes`); the aesthetics gate's containment
 check and `overlap_pairs` both read that cache. `overlap_pairs` sweeps the
 chosen boxes in x-min order, so it only measures pairs whose x-ranges meet.
+
+Text content is escaped by a local three-replacement function: importing the
+standard library's XML escaper would load the network stack with it, and
+`import absynth` would pay for that on every start.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
-from xml.sax.saxutils import escape
 
 from .palette import PALETTE, color_css, rgb_css
 
@@ -417,6 +420,12 @@ def _arc_path(cx, cy, r, start, sweep, close_to_center: bool) -> str:
     return f"M {_fmt(x1)} {_fmt(y1)} {arc_part}"
 
 
+def _escape(text: str) -> str:
+    """`text` as SVG character data: the three replacements of
+    `xml.sax.saxutils.escape` with no extra entities, so quotes stay as they are."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _element(p: Primitive, attrs: str) -> str:
     """One SVG element for `p`, whose style attributes are `attrs`."""
     kind, g = p.kind, p.geometry
@@ -425,7 +434,7 @@ def _element(p: Primitive, attrs: str) -> str:
         # Baseline sits at ~0.8em below the top of the heuristic line box.
         baseline = y + 0.8 * float(p.style.font_size or 10.0)
         return (f'<text x="{_fmt(x)}" y="{_fmt(baseline)}" text-anchor="{anchor}" {attrs}>'
-                f"{escape(content)}</text>")
+                f"{_escape(content)}</text>")
     if kind == "line":
         x1, y1, x2, y2 = g
         return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {attrs}/>'

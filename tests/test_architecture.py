@@ -2,8 +2,12 @@
 
 import ast
 import dataclasses
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -16,7 +20,7 @@ from absynth.keywords import BUILTIN_TOPICS
 from absynth.maps import WalkParams
 from absynth.pipeline import RunConfig
 from absynth.records import (
-    InstructionRecord, Manifest, Provenance, QuestionDraft, sample_for_review,
+    InstructionRecord, Manifest, Provenance, QuestionDraft, dump_manifest, sample_for_review,
 )
 from tests_helpers import SRC_DIR
 
@@ -32,6 +36,66 @@ def test_network_access_confined_to_bridge():
             if needle in source:
                 offenders.append((path.name, needle))
     assert not offenders
+
+
+# Each statement runs in turn in one fresh interpreter; the probe prints, for
+# each, the modules it newly loaded. Diffing matters: `site` may already have
+# loaded some standard modules (urllib.parse, threading) before any import.
+_PROBE = """
+import json, sys
+loaded = []
+for statement in sys.argv[1:]:
+    before = set(sys.modules)
+    exec(statement, {})
+    loaded.append(sorted(set(sys.modules) - before))
+print(json.dumps(loaded))
+"""
+NETWORK_MODULES = ("urllib.request", "http.client", "socket", "ssl", "email", "xml.sax",
+                   "concurrent.futures")
+GEN_ONLY_MODULES = tuple(f"absynth.{name}" for name in
+                         ("pipeline", "charts", "maps", "gauges", "diagrams", "puzzles", "bridge"))
+
+
+def modules_loaded_by(*statements, cwd):
+    """The modules each statement newly loads, run in order in a fresh
+    interpreter that imports absynth from the source tree."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR.parent))
+    done = subprocess.run([sys.executable, "-c", _PROBE, *statements], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True)
+    return [set(names) for names in json.loads(done.stdout.splitlines()[-1])]
+
+
+def among(loaded, wanted):
+    return sorted(m for m in loaded for w in wanted if m == w or m.startswith(w + "."))
+
+
+def test_import_loads_no_network_stack_and_commands_load_only_their_modules(tmp_path):
+    """Run-time twin of the source scan above: it catches a network module
+    pulled in through a standard-library import, which the scan cannot see."""
+    package, generators, transport = modules_loaded_by(
+        "import absynth", "import absynth.pipeline",
+        "from absynth import bridge; bridge.http_transport("
+        "bridge.BackendConfig(endpoint='http://localhost:8000/v1/chat/completions'))",
+        cwd=tmp_path)
+    assert "absynth.scene" in package and "absynth.charts" in generators
+    assert among(package, NETWORK_MODULES) == []
+    assert among(package | generators, NETWORK_MODULES) == []
+    assert "urllib.request" in transport  # the deferred import still works
+
+    from test_records import make_record
+    gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
+    records = [make_record(i) for i in range(4)]
+    gold.write_bytes(dump_manifest(Manifest(records=records)))
+    preds.write_text("".join(json.dumps({"id": r.id, "response": r.answer}) + "\n"
+                             for r in records))
+    cli, evaluated = modules_loaded_by(
+        "import absynth.cli",
+        f"from absynth import cli; assert cli.main(['eval', {str(gold)!r}, {str(preds)!r},"
+        f" '--out', {str(tmp_path)!r}]) == 0",
+        cwd=tmp_path)
+    assert among(cli | evaluated, GEN_ONLY_MODULES) == []
+    assert "absynth.scoring" in evaluated
+    assert (tmp_path / "report.json").exists()
 
 
 def test_keyword_library_ships_150_topics():

@@ -1,8 +1,10 @@
 """Scene graph, bounding boxes, overlap queries, and SVG rendering."""
 
 import math
+import re
 import xml.etree.ElementTree as ET
 from random import Random
+from xml.sax.saxutils import escape as xml_escape
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,26 @@ def test_render_is_deterministic():
     b.add(wedge(100, 100, 40, 0, 144, FILLED))
     scene = b.build()
     assert render_svg(scene) == render_svg(scene)
+
+
+ESCAPE_CASES = ["a & b", "x < y > z", "&amp;", "&lt;", "<", ">", "&", 'say "hi"',
+                "it's", "naïve café, 温度 ±5°", "<b>&nbsp;</b>"]
+
+
+def test_text_content_is_escaped_like_the_standard_escaper():
+    """Each text element's character data is exactly what
+    `xml.sax.saxutils.escape` makes of it, and parses back to the content."""
+    b = SceneBuilder(Canvas(640, 480))
+    for i, content in enumerate(ESCAPE_CASES):
+        b.add(text(10, 10 + 30 * i, content, StyleSpec(font_size=12)))
+    svg = render_svg(b.build()).decode("utf-8")
+    raw = re.findall(r"<text [^>]*>(.*?)</text>", svg)
+    assert raw == [xml_escape(c) for c in ESCAPE_CASES]
+    assert [el.text for el in parse_svg(svg.encode()).iter(f"{SVG_NS}text")] == ESCAPE_CASES
+    by_content = dict(zip(ESCAPE_CASES, raw))
+    assert by_content["<"] == "&lt;"  # not "&amp;lt;": "&" is replaced first
+    assert by_content["&lt;"] == "&amp;lt;"  # an entity-like text is escaped once
+    assert by_content['say "hi"'] == 'say "hi"' and by_content["it's"] == "it's"
 
 
 def test_z_order_and_each_primitive_once():
