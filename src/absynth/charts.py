@@ -25,7 +25,7 @@ from .scene import (
     Canvas, LayoutOverflow, SceneBuilder, SceneGraph, StyleSpec,
     circle, line, polyline, rect, text, text_width, wedge,
 )
-from .seeds import derive_seed, plain, stable_digest
+from .seeds import derive_seed, plain, question_seed
 
 CHART_KINDS = ("line", "bar", "pie", "table", "composite")
 LEGEND_POSITIONS = ("top_left", "top_right", "bottom_left", "bottom_right")
@@ -565,7 +565,7 @@ def _extraction_draft(rng: Random, spec: ChartSpec) -> QuestionDraft:
 def chart_questions(spec: ChartSpec) -> list[QuestionDraft]:
     """One draft per question type (OCR, caption, perception, extraction,
     math); every answer is recomputable from the spec alone."""
-    rng = Random(stable_digest(spec.to_dict()))
+    rng = Random(question_seed(spec))
     noun = _kind_noun(spec.kind)
     return [
         QuestionDraft(f"What is the title of this {noun}?", spec.topic, "phrase", "ocr"),

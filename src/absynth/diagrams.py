@@ -30,7 +30,7 @@ from .scene import (
     Canvas, LayoutOverflow, SceneBuilder, SceneGraph, StyleSpec,
     line, polygon, polyline, rect, text, text_width,
 )
-from .seeds import derive_seed, plain, stable_digest
+from .seeds import derive_seed, plain, question_seed
 
 MAX_TREE_NODES = 8
 MAX_CHILDREN = 3
@@ -462,7 +462,7 @@ def _existence_draft(
 
 
 def _tree_questions(spec: TreeSpec) -> list[QuestionDraft]:
-    rng = Random(stable_digest(spec.to_dict()))
+    rng = Random(question_seed(spec))
     nodes = tree_nodes(spec.root)
     drafts = []
     if not spec.extra_edges:
@@ -491,7 +491,7 @@ def _tree_questions(spec: TreeSpec) -> list[QuestionDraft]:
 
 
 def _flow_questions(spec: FlowSpec) -> list[QuestionDraft]:
-    rng = Random(stable_digest(spec.to_dict()))
+    rng = Random(question_seed(spec))
     decisions = [n for n in spec.nodes if n.shape == "decision"]
     processes = [n for n in spec.nodes if n.shape == "process"]
     drafts = [QuestionDraft(

@@ -8,7 +8,10 @@ oracle runs once per image: a second, independent call of the questions
 function in the image's own scenario row, whose drafts every record of the
 image is matched against. A mismatch (which would indicate a generator bug)
 drops the record through the accuracy gate rather than shipping a wrong
-answer.
+answer. Both calls seed their question RNG with `stable_digest(spec.to_dict())`,
+which `seeds.question_seed` computes once per spec and keeps on it. Only that
+seed, a pure function of the frozen spec, is shared: the oracle still re-runs
+the questions function and builds its own drafts.
 
 A RunConfig checks itself when it is constructed, as its GateConfig and
 BackendConfig do, so a bad value fails before any image is made, even
@@ -268,9 +271,9 @@ def write_outputs(
         json.dump({"fraction": review_fraction, "record_ids": review_ids}, fh, indent=2)
         fh.write("\n")
     paths["review_sample"] = review_path
+    for rel_dir in sorted({os.path.dirname(rel) for rel in images}):
+        os.makedirs(os.path.join(out_dir, rel_dir), exist_ok=True)
     for rel, data in sorted(images.items()):
-        full = os.path.join(out_dir, rel)
-        os.makedirs(os.path.dirname(full), exist_ok=True)
-        with open(full, "wb") as fh:
+        with open(os.path.join(out_dir, rel), "wb") as fh:
             fh.write(data)
     return paths

@@ -23,7 +23,7 @@ from .scene import (
     Canvas, LayoutOverflow, Primitive, SceneBuilder, SceneGraph, StyleSpec,
     circle, polygon, rect, text, text_width,
 )
-from .seeds import derive_seed, plain, stable_digest
+from .seeds import derive_seed, plain, question_seed
 
 PUZZLE_SHAPES = ("triangle", "square", "arrow", "circle", "star")
 ORIENTABLE_SHAPES = ("triangle", "arrow")
@@ -559,7 +559,7 @@ def build_floorplan_scene(spec: FloorPlanSpec, font_scale: float = 1.0) -> Scene
 def layout_questions(spec: FloorPlanSpec) -> list[QuestionDraft]:
     """Size, containment, adjacency, and count questions; area ties produce
     multi-alternate answers instead of being resampled away."""
-    rng = Random(stable_digest(spec.to_dict()))
+    rng = Random(question_seed(spec))
     unit = "room" if spec.style == "architectural" else "region"
     areas = [(r.area(), r.name) for r in spec.rooms]
     max_area = max(a for a, _ in areas)

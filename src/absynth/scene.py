@@ -466,12 +466,15 @@ def render_svg(scene: SceneGraph) -> bytes:
         f'width="{c.width}" height="{c.height}" viewBox="0 0 {c.width} {c.height}">',
         f'<rect x="0" y="0" width="{c.width}" height="{c.height}" fill="{rgb_css(c.background)}"/>',
     ]
-    styles: dict[tuple[StyleSpec, bool], str] = {}
+    # Keyed by identity, not by the dataclass hash: the scene keeps every
+    # style alive for the whole call, so no id() is reused while it runs.
+    styles: dict[tuple[int, bool], str] = {}
     for p in scene.primitives:
-        key = (p.style, p.kind == "text")
+        is_text = p.kind == "text"
+        key = (id(p.style), is_text)
         attrs = styles.get(key)
         if attrs is None:
-            attrs = styles[key] = _style_attrs(*key)
+            attrs = styles[key] = _style_attrs(p.style, is_text)
         lines.append(_element(p, attrs))
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")

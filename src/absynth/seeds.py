@@ -53,9 +53,25 @@ def plain(obj: Any) -> Any:
 def stable_digest(obj: Any) -> int:
     """64-bit digest of a JSON-representable object, stable across processes.
 
-    Used to seed question-selection RNGs from a scenario spec so that
-    questions are a pure function of the spec itself.
+    `question_seed` uses it to seed question-selection RNGs from a scenario
+    spec, so that questions are a pure function of the spec itself.
     """
     blob = json.dumps(obj, sort_keys=True, ensure_ascii=False, default=str)
     digest = hashlib.sha256(blob.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def question_seed(spec: Any) -> int:
+    """Seed of a scenario spec's question RNG: `stable_digest(spec.to_dict())`.
+
+    Computed on first use and kept in the spec's instance `__dict__`, the
+    store `functools.cached_property` uses, so the drafting call and the
+    oracle call on one spec encode it once. The value is not a field, so
+    `==`, `repr`, `dataclasses.replace` and `to_dict` ignore it. Specs are
+    frozen, and nothing mutates what they hold once they are sampled.
+    """
+    cache = vars(spec)
+    seed = cache.get("_question_seed")
+    if seed is None:
+        seed = cache["_question_seed"] = stable_digest(spec.to_dict())
+    return seed

@@ -221,6 +221,21 @@ def test_generator_rule_has_one_home(module, matches, home):
     assert enclosing_functions(tree, matches) == [home]
 
 
+def calls_to_dict(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "to_dict")
+
+
+def test_specs_are_encoded_only_for_the_question_seed():
+    """Encoding a spec costs about as much as the rest of a questions call,
+    so it happens in one place, which keeps the digest on the spec for the
+    drafting call and the oracle call."""
+    found = [(path.stem, owner) for path in sorted(SRC_DIR.glob("*.py"))
+             for owner in enclosing_functions(
+                 ast.parse(path.read_text(encoding="utf-8")), calls_to_dict)]
+    assert found == [("seeds", "question_seed")]
+
+
 def module_dicts(tree):
     """(name, constant keys) of each dict literal a module assigns at top level."""
     found = []

@@ -7,17 +7,23 @@ fixed seed and count must update GOLDEN_DIGEST on purpose and say why.
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from typing import ClassVar
 
 import pytest
 
-from absynth import pipeline, scene
+from absynth import pipeline, scene, seeds
 from absynth.gauges import FAMILIES
 from absynth.maps import RoadMapSpec
-from absynth.pipeline import RunConfig, SCENARIO_DEFS, generate_dataset, write_outputs
+from absynth.pipeline import (
+    RunConfig, SCENARIO_DEFS, generate_dataset, generate_image, write_outputs,
+)
 from absynth.puzzles import PatternRule
 from absynth.records import SCENARIOS, record_to_json
-from absynth.seeds import derive_seed, plain, stable_digest
+from absynth.seeds import derive_seed, plain, question_seed, stable_digest
+from tests_helpers import SRC_DIR
 
 GOLDEN_DIGEST = "a717a88ebf7e8792aa3449a8df9ca64cc2f87dda65daf3004f71f7cadcce5cd4"
 # The same recipe at 12 images per scenario: the smallest count at seed 1 whose
@@ -45,6 +51,17 @@ def run_digest(out, count: int) -> str:
 
 def test_golden_digest(tmp_path):
     assert run_digest(tmp_path, 2) == GOLDEN_DIGEST
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_golden_digest_in_a_fresh_process(tmp_path, hash_seed):
+    """The CLI writes the pinned bytes in a new interpreter, whatever its
+    str-hash salt: no output may depend on hash() or id() order."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR.parent), PYTHONHASHSEED=hash_seed)
+    subprocess.run([sys.executable, "-m", "absynth.cli", "gen", "--all", "--count", "2",
+                    "--seed", "1", "--out", str(tmp_path)],
+                   env=env, cwd=tmp_path, capture_output=True, check=True)
+    assert digest_tree(tmp_path) == GOLDEN_DIGEST
 
 
 def test_golden_digest_every_family(tmp_path):
@@ -78,6 +95,50 @@ def test_each_image_validated_once(scenario, monkeypatch):
     _, report, images = generate_dataset(config)
     assert report.aggregate()["accepted"] == len(images) == 3
     assert len(calls) == len(images)
+
+
+# The scenarios whose questions functions seed their RNG from the spec digest.
+QUESTION_SEEDED = ("chart", "table", "flowchart", "relation_graph", "layout")
+
+
+def count_digests(monkeypatch) -> list:
+    """Every object seeds.stable_digest is asked to digest from now on."""
+    calls = []
+
+    def counting(obj):
+        calls.append(obj)
+        return stable_digest(obj)
+
+    monkeypatch.setattr(seeds, "stable_digest", counting)
+    return calls
+
+
+@pytest.mark.parametrize("scenario", QUESTION_SEEDED)
+def test_question_seed_is_the_spec_digest_computed_once(scenario, monkeypatch):
+    sample = SCENARIO_DEFS[scenario].sample
+    calls = count_digests(monkeypatch)
+    for seed in range(50):
+        spec = sample(seed)
+        first = question_seed(spec)
+        assert first == stable_digest(spec.to_dict()), seed
+        assert question_seed(spec) == first
+        assert len(calls) == seed + 1
+        # Kept off the fields: equality, repr and copies see the spec alone.
+        fresh = sample(seed)
+        assert spec == fresh and repr(spec) == repr(fresh)
+        assert "_question_seed" not in vars(dataclasses.replace(spec))
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_each_image_encodes_its_spec_at_most_once(scenario, monkeypatch):
+    """The drafting call and the oracle call share one spec digest; the
+    scenarios whose questions need no digest never compute one."""
+    calls = count_digests(monkeypatch)
+    config = RunConfig(scenarios=(scenario,), default_count=3, seed=1)
+    for index in range(3):
+        calls.clear()
+        assert generate_image(config, scenario, index).rejection is None
+        assert len(calls) == (1 if scenario in QUESTION_SEEDED else 0)
 
 
 def asdict_encoding(spec) -> dict:
