@@ -16,11 +16,18 @@ the ordered landmark-name sequence along the path, including start and end.
 
 Difficulty is level = 1 + min(4, (turns + intersections) // 2), a documented
 config-style formula: two turns plus two intersections is exactly level 3.
+
+Neighbours are never worked out by coordinate arithmetic while sampling:
+`_grid(rows, cols)`, cached per grid size, maps each cell in row-major
+order to its in-grid neighbours by direction, and the walk, the branches, the
+junction scan and the obstacle draw read it. The scene draws each road once,
+from whichever of its two cells comes first in sorted order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 from .records import QuestionDraft
@@ -120,25 +127,37 @@ def count_turns(cells: tuple[Cell, ...]) -> int:
     return len(_corners(cells))
 
 
-def network_degree(cell: Cell, network: set[Cell] | frozenset[Cell]) -> int:
-    r, c = cell
-    return sum((r + dr, c + dc) in network for dr, dc in DIRECTIONS.values())
+Grid = dict[Cell, tuple[tuple[int, Cell], ...]]
 
 
-def _open_steps(
-    params: WalkParams, cell: Cell, taken: set[Cell], obstacles: set[Cell]
-) -> dict[str, Cell]:
-    """The grid neighbours of `cell` a corridor may grow into, by direction in
-    _DIR_ORDER: free, untaken, and touching `taken` only through `cell`, so
-    the corridor never runs alongside itself or the rest of the network (a
-    fold would draw a shortcut edge and make the gold route ambiguous)."""
-    rows, cols = params.grid_size
+@lru_cache(maxsize=8)
+def _grid(rows: int, cols: int) -> Grid:
+    """Every cell of a rows x cols grid, in row-major order, mapped to its
+    in-grid neighbours as (index into _DIR_ORDER, cell) pairs, in
+    _DIR_ORDER. Cached per grid size; nothing mutates it."""
+    steps = [DIRECTIONS[d] for d in _DIR_ORDER]
+    grid: Grid = {}
+    for r in range(rows):
+        for c in range(cols):
+            grid[(r, c)] = tuple((i, (r + dr, c + dc)) for i, (dr, dc) in enumerate(steps)
+                                 if 0 <= r + dr < rows and 0 <= c + dc < cols)
+    return grid
+
+
+def _open_steps(grid: Grid, cell: Cell, taken: set[Cell], obstacles: set[Cell]) -> dict[int, Cell]:
+    """The grid neighbours of `cell`, itself in `taken`, that a corridor may
+    grow into, keyed by direction index, in _DIR_ORDER: free, untaken,
+    and touching `taken` only through `cell`, so the corridor never runs
+    alongside itself or the rest of the network (a fold would draw a
+    shortcut edge and make the gold route ambiguous)."""
     steps = {}
-    for d in _DIR_ORDER:
-        dr, dc = DIRECTIONS[d]
-        nxt = (cell[0] + dr, cell[1] + dc)
-        if (0 <= nxt[0] < rows and 0 <= nxt[1] < cols and nxt not in taken
-                and nxt not in obstacles and network_degree(nxt, taken) == 1):
+    for d, nxt in grid[cell]:
+        if nxt in taken or nxt in obstacles:
+            continue
+        for _, other in grid[nxt]:
+            if other in taken and other != cell:
+                break
+        else:
             steps[d] = nxt
     return steps
 
@@ -148,8 +167,9 @@ def classify_difficulty(gold: PathTrace) -> int:
     return 1 + min(4, (gold.turns + gold.intersections) // 2)
 
 
-def _weighted_direction(rng: Random, params: WalkParams, valid: list[str]) -> str | None:
-    weights = [params.direction_probs[_DIR_ORDER.index(d)] for d in valid]
+def _weighted_direction(rng: Random, params: WalkParams, valid: list[int]) -> int | None:
+    """A direction index drawn from `valid` with weights from direction_probs."""
+    weights = [params.direction_probs[d] for d in valid]
     total = sum(weights)
     if total <= 0:
         return None
@@ -162,11 +182,8 @@ def _weighted_direction(rng: Random, params: WalkParams, valid: list[str]) -> st
     return valid[-1]
 
 
-def _walk(rng: Random, params: WalkParams, obstacles: set[Cell]) -> list[Cell]:
-    rows, cols = params.grid_size
-    free = [
-        (r, c) for r in range(rows) for c in range(cols) if (r, c) not in obstacles
-    ]
+def _walk(rng: Random, params: WalkParams, grid: Grid, obstacles: set[Cell]) -> list[Cell]:
+    free = [cell for cell in grid if cell not in obstacles]
     if not free:
         return []
     start = free[rng.randrange(len(free))]
@@ -174,9 +191,9 @@ def _walk(rng: Random, params: WalkParams, obstacles: set[Cell]) -> list[Cell]:
     budget = rng.randint(low, params.max_steps)
     path = [start]
     visited = {start}
-    direction: str | None = None
+    direction: int | None = None
     for _ in range(budget):
-        steps = _open_steps(params, path[-1], visited, obstacles)
+        steps = _open_steps(grid, path[-1], visited, obstacles)
         valid = list(steps)
         if not valid:
             break  # boxed in
@@ -184,7 +201,7 @@ def _walk(rng: Random, params: WalkParams, obstacles: set[Cell]) -> list[Cell]:
             chosen = _weighted_direction(rng, params, valid)
             if chosen is None:
                 break
-        elif direction in valid:
+        elif direction in steps:
             chosen = direction
         elif params.turn_prob > 0.0:
             chosen = _weighted_direction(rng, params, valid)
@@ -199,21 +216,20 @@ def _walk(rng: Random, params: WalkParams, obstacles: set[Cell]) -> list[Cell]:
 
 
 def _grow_branch(
-    rng: Random, params: WalkParams, network: set[Cell], obstacles: set[Cell],
-    attach: Cell, length: int,
-) -> list[Cell]:
-    """Self-avoiding corridor growing out of `attach`; each new cell touches
-    the existing network only through its predecessor."""
-    branch: list[Cell] = []
+    rng: Random, grid: Grid, network: set[Cell], obstacles: set[Cell], attach: Cell, length: int,
+) -> None:
+    """Add to `network` a self-avoiding corridor growing out of `attach`; each
+    new cell touches the existing network only through its predecessor."""
     current = attach
     for _ in range(length):
-        options = list(_open_steps(params, current, network, obstacles).values())
+        options = list(_open_steps(grid, current, network, obstacles).values())
         if not options:
             break
         current = options[rng.randrange(len(options))]
-        branch.append(current)
         network.add(current)
-    return branch
+
+
+_DEFAULT_PARAMS = WalkParams()
 
 
 def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
@@ -222,17 +238,19 @@ def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
     Raises DegenerateMap if no attempt out of RESEED_ATTEMPTS produces a gold
     path of at least MIN_GOLD_CELLS cells.
     """
-    params = params or WalkParams()
+    if params is None:
+        params = _DEFAULT_PARAMS
     rows, cols = params.grid_size
+    grid = _grid(rows, cols)
+    all_cells = tuple(grid)
+    n_obstacles = int(params.obstacle_density * rows * cols)
 
     path: list[Cell] = []
     rng = Random()
     for attempt in range(RESEED_ATTEMPTS):
         rng = Random(derive_seed(seed, "map", attempt))
-        all_cells = [(r, c) for r in range(rows) for c in range(cols)]
-        n_obstacles = int(params.obstacle_density * rows * cols)
         obstacles = set(rng.sample(all_cells, n_obstacles))
-        path = _walk(rng, params, obstacles)
+        path = _walk(rng, params, grid, obstacles)
         if len(path) >= MIN_GOLD_CELLS:
             break
     else:
@@ -248,12 +266,18 @@ def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
         n_branches = rng.randint(0, min(MAX_BRANCHES, len(corners)))
         attach_cells = rng.sample(corners, n_branches)
         for attach in attach_cells:
-            _grow_branch(rng, params, network, obstacles,
+            _grow_branch(rng, grid, network, obstacles,
                          attach, rng.randint(BRANCH_MIN_LEN, BRANCH_MAX_LEN))
 
-    frozen_network = frozenset(network)
     start, end = path[0], path[-1]
-    junctions = {c for c in network if network_degree(c, frozen_network) >= 3}
+    junctions = set()
+    for cell in network:
+        degree = 0
+        for _, other in grid[cell]:
+            if other in network:
+                degree += 1
+        if degree >= 3:
+            junctions.add(cell)
     ordered = sorted(junctions | {start, end})
     names = list(STREET_NAMES)
     rng.shuffle(names)
@@ -265,13 +289,13 @@ def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
     landmarks = tuple(landmark_names[c] for c in cells if c in landmark_names)
     trace = PathTrace(
         cells=cells,
-        turns=count_turns(cells),
+        turns=len(corners),
         intersections=sum(c in junctions for c in cells),
         landmarks=landmarks,
     )
     return RoadMapSpec(
         params=params,
-        network=frozen_network,
+        network=frozenset(network),
         obstacles=frozenset(obstacles),
         start=start,
         end=end,
@@ -291,6 +315,8 @@ LABEL_FONT = 9.0
 _ROAD_STYLE = StyleSpec(stroke="gray", stroke_width=9.0)
 _OBSTACLE_STYLE = StyleSpec(fill="brown", stroke="black", stroke_width=0.5)
 _NODE_STYLE = StyleSpec(fill="black")
+_START_STYLE = StyleSpec(fill="green", stroke="black", stroke_width=1.0)
+_END_STYLE = StyleSpec(fill="red", stroke="black", stroke_width=1.0)
 
 
 def _cell_center(cell: Cell) -> tuple[float, float]:
@@ -308,35 +334,34 @@ def build_map_scene(spec: RoadMapSpec, font_scale: float = 1.0) -> SceneGraph:
         background=(250, 247, 240),
     )
     b = SceneBuilder(canvas)
-    drawn: set[tuple[Cell, Cell]] = set()
-    for cell in sorted(spec.network):
+    network = spec.network
+    # Each road is drawn from its first cell in sorted order, which is the
+    # cell above it or to its left, so only down and right are looked at.
+    for cell in sorted(network):
+        r, c = cell
         x, y = _cell_center(cell)
-        for dr, dc in DIRECTIONS.values():
-            other = (cell[0] + dr, cell[1] + dc)
-            if other in spec.network and (other, cell) not in drawn:
+        for other in ((r + 1, c), (r, c + 1)):
+            if other in network:
                 ox, oy = _cell_center(other)
                 b.add(line(x, y, ox, oy, _ROAD_STYLE), "roads")
-                drawn.add((cell, other))
     for cell in sorted(spec.obstacles):
         x, y = _cell_center(cell)
         b.add(rect(x - 8, y - 8, 16, 16, _OBSTACLE_STYLE, z=1), "obstacles")
 
     font = LABEL_FONT * font_scale
+    label_style = StyleSpec(font_size=font)
     for cell in sorted(spec.landmark_names):
         x, y = _cell_center(cell)
         if cell == spec.start:
-            b.add(circle(x, y, 8, StyleSpec(fill="green", stroke="black", stroke_width=1.0),
-                         z=3), "start_marker")
+            b.add(circle(x, y, 8, _START_STYLE, z=3), "start_marker")
         elif cell == spec.end:
-            b.add(rect(x - 7, y - 7, 14, 14,
-                       StyleSpec(fill="red", stroke="black", stroke_width=1.0), z=3),
-                  "end_marker")
+            b.add(rect(x - 7, y - 7, 14, 14, _END_STYLE, z=3), "end_marker")
         else:
             b.add(circle(x, y, 4.5, _NODE_STYLE, z=2), "landmarks")
         above = (cell[0] + cell[1]) % 2 == 0
         ly = y - 13.0 - font if above else y + 11.0
-        b.add(text(x, ly, spec.landmark_names[cell], StyleSpec(font_size=font), anchor="middle",
-                   z=4), "landmark_labels")
+        b.add(text(x, ly, spec.landmark_names[cell], label_style, anchor="middle", z=4),
+              "landmark_labels")
     return b.build()
 
 

@@ -286,14 +286,13 @@ class Manifest:
     records: list[InstructionRecord] = field(default_factory=list)
 
     def stats(self) -> dict[str, dict[str, int]]:
-        """Per-scenario record and image counts, recomputed from records."""
-        out: dict[str, dict[str, int]] = {}
-        for scenario in SCENARIOS:
-            recs = [r for r in self.records if r.scenario == scenario]
-            images = {r.image_ref for r in recs}
-            if recs:
-                out[scenario] = {"records": len(recs), "images": len(images)}
-        return out
+        """Per-scenario record and image counts, recomputed from records in
+        one pass, in SCENARIOS order."""
+        refs: dict[str, list[str]] = {}
+        for r in self.records:
+            refs.setdefault(r.scenario, []).append(r.image_ref)
+        return {scenario: {"records": len(refs[scenario]), "images": len(set(refs[scenario]))}
+                for scenario in SCENARIOS if scenario in refs}
 
     def validate(self) -> None:
         # Records first: an id that is not a string may not hash.
@@ -427,13 +426,17 @@ def load_manifest(data: bytes | str) -> Manifest:
 def sample_for_review(manifest: Manifest, fraction: float = 0.10, seed: int = 0) -> list[str]:
     """Deterministic stratified sample of record ids for human review.
 
-    Per scenario, picks ceil(fraction * count) ids.
+    Per scenario, in SCENARIOS order, picks ceil(fraction * count) ids. The
+    records are grouped by scenario in one pass.
     """
     if not (0 < fraction <= 1):
         raise ValueError("fraction must be in (0, 1]")
+    by_scenario: dict[str, list[str]] = {}
+    for r in manifest.records:
+        by_scenario.setdefault(r.scenario, []).append(r.id)
     chosen: list[str] = []
     for scenario in SCENARIOS:
-        ids = sorted(r.id for r in manifest.records if r.scenario == scenario)
+        ids = sorted(by_scenario.get(scenario, ()))
         if not ids:
             continue
         k = math.ceil(fraction * len(ids))

@@ -10,10 +10,17 @@ Text extent is not measured from font metrics. It is estimated as
 (TEXT_WIDTH_FACTOR / TEXT_HEIGHT_FACTOR), which keeps geometry queries
 deterministic and independent of any font stack.
 
+A primitive is an immutable named tuple, cheaper to build than a frozen
+dataclass.
+
 Each primitive's bounding box is computed once, on first use, and cached on
 the frozen scene (`SceneGraph.boxes`); the aesthetics gate's containment
 check and `overlap_pairs` both read that cache. `overlap_pairs` sweeps the
 chosen boxes in x-min order, so it only measures pairs whose x-ranges meet.
+
+The renderer reuses the text of coordinate values it formatted recently:
+`_coord` is a bounded memo of `_fmt` shared by every render in the process,
+safe because equal values always format alike.
 
 Text content is escaped by a local three-replacement function: importing the
 standard library's XML escaper would load the network stack with it, and
@@ -24,8 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable
+from functools import cached_property, lru_cache
+from typing import Iterable, NamedTuple
 
 from .palette import PALETTE, color_css, rgb_css
 
@@ -72,9 +79,8 @@ class StyleSpec:
     dash: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class Primitive:
-    """One drawable element.
+class Primitive(NamedTuple):
+    """One drawable element, immutable.
 
     Geometry layout per kind:
       line:      (x1, y1, x2, y2)
@@ -397,8 +403,16 @@ def _style_attrs(style: StyleSpec, is_text: bool) -> str:
     return attrs
 
 
+# Coordinate text by value, shared by every render in the process. Maps,
+# puzzles and dashboards draw on a small set of recurring coordinates, so
+# most lookups hit. Equal keys format alike (0.0, -0.0 and 0 all give "0";
+# 1, 1.0 and True all give "1"), so a shared entry changes no byte. Bounded,
+# so arbitrary chart values cannot grow it without limit.
+_coord = lru_cache(maxsize=2048)(_fmt)
+
+
 def _points_attr(points) -> str:
-    return " ".join([f"{_fmt(x)},{_fmt(y)}" for x, y in points])
+    return " ".join([f"{_coord(x)},{_coord(y)}" for x, y in points])
 
 
 def _arc_path(cx, cy, r, start, sweep, close_to_center: bool) -> str:
@@ -407,17 +421,17 @@ def _arc_path(cx, cy, r, start, sweep, close_to_center: bool) -> str:
         # Full circle: two half arcs, since a single 360-degree arc collapses.
         xm, ym = angle_point(cx, cy, r, start + 180.0)
         d = (
-            f"M {_fmt(x1)} {_fmt(y1)} "
-            f"A {_fmt(r)} {_fmt(r)} 0 0 1 {_fmt(xm)} {_fmt(ym)} "
-            f"A {_fmt(r)} {_fmt(r)} 0 0 1 {_fmt(x1)} {_fmt(y1)}"
+            f"M {_coord(x1)} {_coord(y1)} "
+            f"A {_coord(r)} {_coord(r)} 0 0 1 {_coord(xm)} {_coord(ym)} "
+            f"A {_coord(r)} {_coord(r)} 0 0 1 {_coord(x1)} {_coord(y1)}"
         )
         return d + " Z" if close_to_center else d
     x2, y2 = angle_point(cx, cy, r, start + sweep)
     large = 1 if sweep > 180.0 else 0
-    arc_part = f"A {_fmt(r)} {_fmt(r)} 0 {large} 1 {_fmt(x2)} {_fmt(y2)}"
+    arc_part = f"A {_coord(r)} {_coord(r)} 0 {large} 1 {_coord(x2)} {_coord(y2)}"
     if close_to_center:
-        return f"M {_fmt(cx)} {_fmt(cy)} L {_fmt(x1)} {_fmt(y1)} {arc_part} Z"
-    return f"M {_fmt(x1)} {_fmt(y1)} {arc_part}"
+        return f"M {_coord(cx)} {_coord(cy)} L {_coord(x1)} {_coord(y1)} {arc_part} Z"
+    return f"M {_coord(x1)} {_coord(y1)} {arc_part}"
 
 
 def _escape(text: str) -> str:
@@ -433,19 +447,21 @@ def _element(p: Primitive, attrs: str) -> str:
         x, y, content, anchor = g
         # Baseline sits at ~0.8em below the top of the heuristic line box.
         baseline = y + 0.8 * float(p.style.font_size or 10.0)
-        return (f'<text x="{_fmt(x)}" y="{_fmt(baseline)}" text-anchor="{anchor}" {attrs}>'
+        return (f'<text x="{_coord(x)}" y="{_coord(baseline)}" text-anchor="{anchor}" {attrs}>'
                 f"{_escape(content)}</text>")
     if kind == "line":
         x1, y1, x2, y2 = g
-        return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {attrs}/>'
+        return (f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" '
+                f'x2="{_coord(x2)}" y2="{_coord(y2)}" {attrs}/>')
     if kind == "rectangle":
         x, y, w, h = g
-        return f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" {attrs}/>'
+        return (f'<rect x="{_coord(x)}" y="{_coord(y)}" '
+                f'width="{_coord(w)}" height="{_coord(h)}" {attrs}/>')
     if kind == "polyline" or kind == "polygon":
         return f'<{kind} points="{_points_attr(g)}" {attrs}/>'
     if kind == "circle":
         cx, cy, r = g
-        return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {attrs}/>'
+        return f'<circle cx="{_coord(cx)}" cy="{_coord(cy)}" r="{_coord(r)}" {attrs}/>'
     if kind == "arc" or kind == "wedge":
         cx, cy, r, start, sweep = g
         return f'<path d="{_arc_path(cx, cy, r, start, sweep, kind == "wedge")}" {attrs}/>'
@@ -457,7 +473,7 @@ def render_svg(scene: SceneGraph) -> bytes:
 
     Deterministic: the same scene yields byte-identical output. The scene
     was validated when it was constructed. Each distinct style is formatted
-    once per call.
+    once per call, and each coordinate's text comes from the memo `_coord`.
     """
     c = scene.canvas
     lines = [

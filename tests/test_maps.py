@@ -1,15 +1,191 @@
 """Road-map generation, difficulty classification, and navigation drafts."""
 
 from collections import Counter
+from random import Random
 
 import pytest
 
 from absynth.maps import (
-    DegenerateMap,
-    DIRECTIONS, PathTrace, WalkParams, build_map_scene, classify_difficulty,
-    count_turns, generate_map, map_instruction, network_degree,
+    BRANCH_MAX_LEN, BRANCH_MIN_LEN, MAX_BRANCHES, MIN_GOLD_CELLS, RESEED_ATTEMPTS,
+    STREET_NAMES, DegenerateMap, DIRECTIONS, PathTrace, RoadMapSpec, WalkParams, _cell_center,
+    _corners, _ROAD_STYLE, build_map_scene, classify_difficulty, count_turns, generate_map,
+    map_instruction,
 )
-from absynth.scene import bounding_box, overlap_pairs
+from absynth.scene import bounding_box, line, overlap_pairs
+from absynth.seeds import derive_seed
+
+
+# ---------------------------------------------------------------------------
+# The sampler and road loop as they were before the neighbour table, which
+# worked every neighbour out by coordinate arithmetic. Kept as the reference
+# the table-driven code must match spec for spec and line for line.
+
+_DIR_ORDER = ("up", "down", "left", "right")
+
+
+def network_degree(cell, network):
+    r, c = cell
+    return sum((r + dr, c + dc) in network for dr, dc in DIRECTIONS.values())
+
+
+def reference_open_steps(params, cell, taken, obstacles):
+    rows, cols = params.grid_size
+    steps = {}
+    for d in _DIR_ORDER:
+        dr, dc = DIRECTIONS[d]
+        nxt = (cell[0] + dr, cell[1] + dc)
+        if (0 <= nxt[0] < rows and 0 <= nxt[1] < cols and nxt not in taken
+                and nxt not in obstacles and network_degree(nxt, taken) == 1):
+            steps[d] = nxt
+    return steps
+
+
+def reference_weighted_direction(rng, params, valid):
+    weights = [params.direction_probs[_DIR_ORDER.index(d)] for d in valid]
+    total = sum(weights)
+    if total <= 0:
+        return None
+    roll = rng.random() * total
+    acc = 0.0
+    for d, w in zip(valid, weights):
+        acc += w
+        if roll <= acc:
+            return d
+    return valid[-1]
+
+
+def reference_walk(rng, params, obstacles):
+    rows, cols = params.grid_size
+    free = [(r, c) for r in range(rows) for c in range(cols) if (r, c) not in obstacles]
+    if not free:
+        return []
+    start = free[rng.randrange(len(free))]
+    low = min(MIN_GOLD_CELLS + 1, params.max_steps)
+    budget = rng.randint(low, params.max_steps)
+    path = [start]
+    visited = {start}
+    direction = None
+    for _ in range(budget):
+        steps = reference_open_steps(params, path[-1], visited, obstacles)
+        valid = list(steps)
+        if not valid:
+            break
+        if direction is None or rng.random() < params.turn_prob:
+            chosen = reference_weighted_direction(rng, params, valid)
+            if chosen is None:
+                break
+        elif direction in valid:
+            chosen = direction
+        elif params.turn_prob > 0.0:
+            chosen = reference_weighted_direction(rng, params, valid)
+            if chosen is None:
+                break
+        else:
+            break
+        direction = chosen
+        path.append(steps[chosen])
+        visited.add(steps[chosen])
+    return path
+
+
+def reference_grow_branch(rng, params, network, obstacles, attach, length):
+    current = attach
+    for _ in range(length):
+        options = list(reference_open_steps(params, current, network, obstacles).values())
+        if not options:
+            break
+        current = options[rng.randrange(len(options))]
+        network.add(current)
+
+
+def reference_generate_map(seed, params=None):
+    params = params or WalkParams()
+    rows, cols = params.grid_size
+    path = []
+    rng = Random()
+    for attempt in range(RESEED_ATTEMPTS):
+        rng = Random(derive_seed(seed, "map", attempt))
+        all_cells = [(r, c) for r in range(rows) for c in range(cols)]
+        obstacles = set(rng.sample(all_cells, int(params.obstacle_density * rows * cols)))
+        path = reference_walk(rng, params, obstacles)
+        if len(path) >= MIN_GOLD_CELLS:
+            break
+    else:
+        raise DegenerateMap(
+            f"no gold path of >= {MIN_GOLD_CELLS} cells after {RESEED_ATTEMPTS} attempts"
+        )
+    network = set(path)
+    corners = _corners(path)
+    if corners:
+        n_branches = rng.randint(0, min(MAX_BRANCHES, len(corners)))
+        for attach in rng.sample(corners, n_branches):
+            reference_grow_branch(rng, params, network, obstacles,
+                                  attach, rng.randint(BRANCH_MIN_LEN, BRANCH_MAX_LEN))
+    frozen_network = frozenset(network)
+    start, end = path[0], path[-1]
+    junctions = {c for c in network if network_degree(c, frozen_network) >= 3}
+    ordered = sorted(junctions | {start, end})
+    names = list(STREET_NAMES)
+    rng.shuffle(names)
+    if len(ordered) > len(names):
+        raise DegenerateMap("more intersections than available landmark names")
+    landmark_names = {cell: names[i] for i, cell in enumerate(ordered)}
+    cells = tuple(path)
+    trace = PathTrace(
+        cells=cells,
+        turns=count_turns(cells),
+        intersections=sum(c in junctions for c in cells),
+        landmarks=tuple(landmark_names[c] for c in cells if c in landmark_names),
+    )
+    return RoadMapSpec(params, frozen_network, frozenset(obstacles), start, end, trace,
+                       landmark_names, classify_difficulty(trace))
+
+
+def reference_roads(spec):
+    """Every road line, in draw order, from the loop that kept a drawn set."""
+    roads, drawn = [], set()
+    for cell in sorted(spec.network):
+        x, y = _cell_center(cell)
+        for dr, dc in DIRECTIONS.values():
+            other = (cell[0] + dr, cell[1] + dc)
+            if other in spec.network and (other, cell) not in drawn:
+                ox, oy = _cell_center(other)
+                roads.append(line(x, y, ox, oy, _ROAD_STYLE))
+                drawn.add((cell, other))
+    return roads
+
+
+def assert_matches_reference(seeds, params=None):
+    for seed in seeds:
+        spec = generate_map(seed, params)
+        assert spec == reference_generate_map(seed, params), seed
+        scene = build_map_scene(spec)
+        assert [scene.primitives[i] for i in scene.labels["roads"]] == reference_roads(spec), seed
+
+
+def test_sampler_and_roads_match_reference_at_defaults():
+    assert_matches_reference(range(2000))
+
+
+@pytest.mark.parametrize("params", [
+    WalkParams(grid_size=(5, 9)),
+    WalkParams(turn_prob=0.0),
+    WalkParams(turn_prob=1.0),
+    WalkParams(obstacle_density=0.0),
+    WalkParams(obstacle_density=0.4),
+    WalkParams(direction_probs=(0.5, 0.0, 0.25, 0.25)),
+], ids=["grid-5x9", "turn-0", "turn-1", "obstacles-0", "obstacles-0.4", "no-down"])
+def test_sampler_and_roads_match_reference(params):
+    assert_matches_reference(range(300), params)
+
+
+def test_degenerate_map_message_matches_reference():
+    params = WalkParams(grid_size=(3, 3), max_steps=1, obstacle_density=0.0)
+    with pytest.raises(DegenerateMap) as expected:
+        reference_generate_map(0, params)
+    with pytest.raises(DegenerateMap) as actual:
+        generate_map(0, params)
+    assert str(actual.value) == str(expected.value)
 
 
 def trace(turns, intersections):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 from random import Random
 
@@ -14,11 +15,12 @@ from absynth.charts import chart_questions, sample_chart_spec
 from absynth.gauges import DialSpec
 from absynth.maps import generate_map, map_instruction, map_questions
 from absynth.records import (
-    MANIFEST_SCHEMA_VERSION, InstructionRecord, Manifest, Provenance, canonicalize,
+    MANIFEST_SCHEMA_VERSION, SCENARIOS, InstructionRecord, Manifest, Provenance, canonicalize,
     dump_manifest, load_manifest, parse_number, record_from_json, record_to_json,
     SchemaMismatch, sample_for_review, validate_record, verify_record,
     vote_select,
 )
+from absynth.seeds import derive_seed
 
 
 def make_record(i=0, scenario="chart", answer="30", kind="numeric", qtype="extraction",
@@ -272,6 +274,42 @@ def test_sample_for_review_sizes():
     assert len(map_ids) == 1  # ceil(0.10 * 1)
     assert sample_for_review(manifest, 0.10, seed=4) == ids
     assert sample_for_review(manifest, 0.10, seed=5) != ids
+
+
+def reference_stats(manifest):
+    """`Manifest.stats` as it was before it grouped the records in one pass."""
+    out = {}
+    for scenario in SCENARIOS:
+        recs = [r for r in manifest.records if r.scenario == scenario]
+        if recs:
+            out[scenario] = {"records": len(recs), "images": len({r.image_ref for r in recs})}
+    return out
+
+
+def reference_sample_for_review(manifest, fraction, seed):
+    """`sample_for_review` as it was before it grouped the records in one pass."""
+    chosen = []
+    for scenario in SCENARIOS:
+        ids = sorted(r.id for r in manifest.records if r.scenario == scenario)
+        if ids:
+            rng = Random(derive_seed(seed, "review", scenario))
+            chosen.extend(rng.sample(ids, math.ceil(fraction * len(ids))))
+    return chosen
+
+
+def test_one_pass_stats_and_review_sample_match_reference():
+    rng = Random(3)
+    records = [make_record(i, scenario=scenario)
+               for scenario in ("puzzle", "chart", "map", "layout", "table")
+               for i in range(rng.randint(1, 40))]
+    # Several questions per image, and records out of scenario order.
+    records += [dataclasses.replace(r, id=r.id.replace("-q00", "-q01")) for r in records[::3]]
+    rng.shuffle(records)
+    manifest = Manifest(records=records)
+    assert list(manifest.stats().items()) == list(reference_stats(manifest).items())
+    for fraction, seed in ((0.1, 0), (0.35, 4), (1.0, 9)):
+        assert (sample_for_review(manifest, fraction, seed)
+                == reference_sample_for_review(manifest, fraction, seed))
 
 
 def test_empty_manifest_file_is_schema_error():

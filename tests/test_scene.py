@@ -401,6 +401,43 @@ def test_fmt_is_byte_identical_to_the_old_formula():
         assert _fmt(v) == fmt_reference(v), v
 
 
+EQUAL_KEYS = ((0.0, -0.0, 0, False), (1, 1.0, True), (2**60, float(2**60)), (-7, -7.0))
+
+
+def test_equal_values_format_alike():
+    # The coordinate memo rests on this: keys that are equal in a dict give
+    # the same text, so whichever of them filled an entry, no byte changes.
+    for group in EQUAL_KEYS:
+        assert {_fmt(v) for v in group} == {fmt_reference(group[0])}, group
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_coordinate_memo_gives_the_reference_text_whichever_key_came_first(order):
+    scene_module._coord.cache_clear()
+    for group in EQUAL_KEYS:
+        for v in (group if order == "forward" else group[::-1]):
+            assert scene_module._coord(v) == fmt_reference(v), v
+
+
+def test_render_with_the_coordinate_memo_matches_formatting_each_value(monkeypatch):
+    named = list(sampled_scenes(range(4)))
+    assert {name for name, _ in named} == set(SCENARIO_DEFS)
+    scenes = [scene for _, scene in named]
+    scene_module._coord.cache_clear()
+    cold = [render_svg(scene) for scene in scenes]
+    warm = [render_svg(scene) for scene in scenes]
+    monkeypatch.setattr(scene_module, "_coord", _fmt)
+    assert cold == warm == [render_svg(scene) for scene in scenes]
+
+
+def test_primitive_fields_cannot_be_assigned():
+    prim = line(0, 0, 10, 10, STROKED)
+    for name, value in (("kind", "circle"), ("geometry", ()), ("style", FILLED), ("z", 3)):
+        with pytest.raises(AttributeError):
+            setattr(prim, name, value)
+    assert prim == line(0, 0, 10, 10, STROKED)
+
+
 def test_style_memo_keeps_each_style_string():
     # Equal styles, text and shape use of one style, and a dash pattern.
     dashed = StyleSpec(stroke="black", stroke_width=1.5, dash=(4.0, 2.5))
