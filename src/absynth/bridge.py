@@ -1,16 +1,18 @@
-"""Optional LLM stages: idea proposal, simulated data, titles, and Q&A.
+"""Optional LLM stages that `gen` uses: QA proposal and answer voting.
 
 Everything network-related lives in this module and behind an injectable
 transport, so the rest of the pipeline stays bit-reproducible. The default
-offline transport never touches the network: it derives outputs from the
-built-in samplers, keyed by a digest of the request, and emits them in the
-same line-delimited key/value contract a real backend is asked to follow.
+offline transport never touches the network: it derives its replies from a
+digest of the request and emits them in the same line-delimited key/value
+contract a real backend is asked to follow.
 
-A malformed completion triggers exactly one reprompt carrying the parse
+A malformed QA proposal triggers exactly one reprompt carrying the parse
 error; a second failure surfaces as ContractViolation with the raw text
-retained. Transport failures retry with exponential backoff up to the
-configured budget. Concurrency is bounded by max_parallel, and noisy
-response ordering is restored by request id before any voting.
+retained. A malformed answer vote raises ContractViolation at once. Transport failures, and HTTP replies that are cut off, are not
+JSON or carry no string content, raise BackendUnavailable and retry with
+exponential backoff up to the configured budget. Concurrency is bounded by
+max_parallel, and noisy response ordering is restored by request id before
+any voting.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .diagrams import TreeNode, TreeSpec, sample_tree_spec, tree_nodes
 from .records import vote_select
-from .seeds import derive_seed, stable_digest
+from .seeds import stable_digest
 
 _sleep = time.sleep  # patchable in tests
 
@@ -38,55 +39,16 @@ class ContractViolation(ValueError):
         self.raw = raw
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    stage: str
-    body: str
-    output_contract: str
-
-    def render(self, context: dict[str, Any]) -> str:
-        try:
-            prompt = self.body.format(**context)
-        except KeyError as err:
-            raise ValueError(f"unbound placeholder {err} for stage {self.stage!r}") from err
-        return f"{prompt}\n\nOutput format:\n{self.output_contract}"
-
-
-TEMPLATES: dict[str, PromptTemplate] = {
-    "idea": PromptTemplate(
-        "idea",
-        "Propose one creative visual idea for an abstract {scenario} image used in "
-        "daily work or life. Describe the scene in one sentence; it must be drawable "
-        "with simple lines and geometric elements.",
-        "idea: <one sentence>",
-    ),
-    "data": PromptTemplate(
-        "data",
-        "Generate data related to {topic}.\n"
-        "Requirements:\n"
-        "- The data describes a tree-like structure of {topic}.\n"
-        "- Increase the depth when possible, but keep at most 3 nodes per layer.\n"
-        "- The total number of nodes must not exceed 8.\n"
-        "- Assign every node a color from this palette: cyan, yellow, pink, olive, "
-        "orange, green, teal, gray.",
-        "node: <label> | parent: <parent label or -> | color: <palette color>\n"
-        "(one line per node, root first, parent '-' for the root)",
-    ),
-    "title": PromptTemplate(
-        "title",
-        "Generate a title for the data about {topic}. The title must be brief and "
-        "describe the general content.",
-        "title: <brief title>",
-    ),
-    "qa": PromptTemplate(
-        "qa",
-        "Generate correct, high-quality question-answer pairs about the data and "
-        "the rendered figure for {topic}. Consider the data and the drawing "
-        "together to get each answer; answers should be a single word or phrase "
-        "when possible.",
-        "question: <text>\nanswer: <text>\n(repeat the pair for each question)",
-    ),
-}
+# The QA proposal prompt; `{topic}` is its one placeholder. The offline
+# transport seeds its replies from the prompt text, so any edit here changes
+# the records of an offline-backend run.
+QA_PROMPT = (
+    "Generate correct, high-quality question-answer pairs about the data and "
+    "the rendered figure for {topic}. Consider the data and the drawing "
+    "together to get each answer; answers should be a single word or phrase "
+    "when possible.\n\nOutput format:\n"
+    "question: <text>\nanswer: <text>\n(repeat the pair for each question)"
+)
 
 
 @dataclass(frozen=True)
@@ -112,7 +74,7 @@ Transport = Callable[[dict], str]
 def http_transport(config: BackendConfig) -> Transport:
     """POST chat-completion requests to the configured endpoint. The HTTP
     client is imported here, so only a run with a backend loads it."""
-    import urllib.error
+    import http.client
     import urllib.request
 
     def send(payload: dict) -> str:
@@ -129,33 +91,30 @@ def http_transport(config: BackendConfig) -> Transport:
         try:
             with urllib.request.urlopen(request, timeout=60) as response:
                 reply = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as err:
+        except (OSError, http.client.HTTPException, ValueError) as err:
+            # OSError covers URLError, timeouts and dropped connections;
+            # ValueError covers a body that is not UTF-8 JSON.
             raise BackendUnavailable(str(err)) from err
         try:
-            return reply["choices"][0]["message"]["content"]
+            content = reply["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as err:
             raise BackendUnavailable(f"malformed completion body: {err}") from err
+        if not isinstance(content, str):
+            raise BackendUnavailable(f"completion content is {type(content).__name__}, "
+                                     "not a string")
+        return content
 
     return send
 
 
 def offline_transport(_config: BackendConfig | None = None) -> Transport:
-    """Deterministic no-network fallback driven by the built-in samplers."""
+    """Deterministic no-network fallback, seeded by a digest of the request."""
 
     def send(payload: dict) -> str:
         stage = payload.get("stage")
         context = payload.get("context", {})
         seed = stable_digest({"prompt": payload.get("prompt", ""),
                               "request_id": payload.get("request_id", 0)})
-        if stage == "idea":
-            scenario = context.get("scenario", "chart")
-            return f"idea: a clean {scenario} about a daily scenario, drawn with flat shapes"
-        if stage == "data":
-            topic = context.get("topic", "Organization")
-            spec = sample_tree_spec(derive_seed(seed, "offline-data"), topic)
-            return serialize_tree(spec)
-        if stage == "title":
-            return f"title: {context.get('topic', 'Untitled data')}"
         if stage == "qa":
             topic = context.get("topic", "the figure")
             return (f"question: What is the subject of this figure?\n"
@@ -189,71 +148,8 @@ def _kv_lines(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def serialize_tree(spec: TreeSpec) -> str:
-    lines = []
-    parents: dict[str, str] = {}
-    for node in tree_nodes(spec.root):
-        for child in node.children:
-            parents[child.label] = node.label
-    for node in tree_nodes(spec.root):
-        parent = parents.get(node.label, "-")
-        color = spec.node_colors[node.label]
-        lines.append(f"node: {node.label} | parent: {parent} | color: {color}")
-    return "\n".join(lines)
-
-
-def parse_tree(text: str) -> TreeSpec:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line.lower().startswith("node:"):
-            continue
-        fields = {}
-        for part in line.split("|"):
-            if ":" not in part:
-                raise ContractViolation(f"malformed node line {line!r}", raw=text)
-            key, value = part.split(":", 1)
-            fields[key.strip().lower()] = value.strip()
-        if "node" not in fields or "parent" not in fields or "color" not in fields:
-            raise ContractViolation(f"node line missing fields: {line!r}", raw=text)
-        rows.append(fields)
-    if not rows:
-        raise ContractViolation("no node lines found", raw=text)
-    children: dict[str, list[str]] = {}
-    colors: dict[str, str] = {}
-    root_label = None
-    for row in rows:
-        label = row["node"]
-        colors[label] = row["color"]
-        parent = row["parent"]
-        if parent in ("-", ""):
-            if root_label is not None:
-                raise ContractViolation("multiple roots", raw=text)
-            root_label = label
-        else:
-            children.setdefault(parent, []).append(label)
-
-    if root_label is None:
-        raise ContractViolation("no root node (parent '-')", raw=text)
-
-    def build(label: str) -> TreeNode:
-        return TreeNode(label, tuple(build(c) for c in children.get(label, [])))
-
-    try:
-        return TreeSpec(build(root_label), colors)
-    except ValueError as err:
-        raise ContractViolation(f"tree violates constraints: {err}", raw=text) from err
-
-
 def parse_output(stage: str, text: str) -> Any:
-    if stage == "data":
-        return parse_tree(text)
     pairs = _kv_lines(text)
-    if stage in ("idea", "title"):
-        for key, value in pairs:
-            if key == stage and value:
-                return value
-        raise ContractViolation(f"missing '{stage}:' line", raw=text)
     if stage == "qa":
         out = []
         question = None
@@ -307,28 +203,25 @@ def default_transport(config: BackendConfig) -> Transport:
     return http_transport(config) if config.endpoint else offline_transport(config)
 
 
-def propose(
-    stage: str,
-    context: dict[str, Any],
+def propose_qa(
+    topic: str,
     config: BackendConfig | None = None,
     transport: Transport | None = None,
     request_id: int = 0,
-) -> Any:
-    """Render the stage template, call the backend, and parse the reply.
+) -> list[dict[str, str]]:
+    """Ask the backend for question/answer pairs about `topic`.
 
     A parse failure triggers exactly one reprompt with the parse error
     appended; a second failure raises ContractViolation (raw text retained).
     """
     config = config or BackendConfig()
-    if stage not in TEMPLATES:
-        raise ValueError(f"no template for stage {stage!r}")
     transport = transport or default_transport(config)
-    prompt = TEMPLATES[stage].render(context)
-    payload = {"stage": stage, "prompt": prompt, "context": context,
+    prompt = QA_PROMPT.format(topic=topic)
+    payload = {"stage": "qa", "prompt": prompt, "context": {"topic": topic},
                "request_id": request_id}
     text = _call_with_retries(transport, payload, config)
     try:
-        return parse_output(stage, text)
+        return parse_output("qa", text)
     except ContractViolation as err:
         retry_payload = dict(payload)
         retry_payload["prompt"] = (
@@ -337,7 +230,7 @@ def propose(
         )
         retry_payload["request_id"] = request_id + 1_000_000
         text = _call_with_retries(transport, retry_payload, config)
-        return parse_output(stage, text)
+        return parse_output("qa", text)
 
 
 def self_consistent_answer(

@@ -20,7 +20,11 @@ under `gen --dry-run`.
 With a backend configured, each accepted image also gains one LLM-proposed
 question whose answer passes self-consistency voting at min_vote_support
 (the only records that bypass oracle verification, marked by the
-"llm-bridge" provenance).
+"llm-bridge" provenance). Those are the bridge's only two stages:
+`bridge.propose_qa` on the image's topic, then `bridge.self_consistent_answer`
+on the first proposed question. A backend that stays unavailable, or whose
+reply breaks the output contract twice, costs the image that one record and
+nothing else.
 """
 
 from __future__ import annotations
@@ -151,8 +155,7 @@ def _llm_extra_record(
     assert config.backend is not None
     topic = getattr(spec, "topic", None) or getattr(spec, "root_label", None) or scenario
     try:
-        pairs = bridge.propose("qa", {"topic": str(topic)}, config.backend,
-                               request_id=seed % 1_000_000)
+        pairs = bridge.propose_qa(str(topic), config.backend, request_id=seed % 1_000_000)
         question = pairs[0]["question"]
         answer, support = bridge.self_consistent_answer(
             question, {"topic": str(topic)}, config=config.backend)

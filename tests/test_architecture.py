@@ -72,14 +72,15 @@ def among(loaded, wanted):
 def test_import_loads_no_network_stack_and_commands_load_only_their_modules(tmp_path):
     """Run-time twin of the source scan above: it catches a network module
     pulled in through a standard-library import, which the scan cannot see."""
-    package, generators, transport = modules_loaded_by(
-        "import absynth", "import absynth.pipeline",
+    package, bridged, generators, transport = modules_loaded_by(
+        "import absynth", "import absynth.bridge", "import absynth.pipeline",
         "from absynth import bridge; bridge.http_transport("
         "bridge.BackendConfig(endpoint='http://localhost:8000/v1/chat/completions'))",
         cwd=tmp_path)
     assert "absynth.scene" in package and "absynth.charts" in generators
+    assert among(bridged, GEN_ONLY_MODULES) == ["absynth.bridge"]
     assert among(package, NETWORK_MODULES) == []
-    assert among(package | generators, NETWORK_MODULES) == []
+    assert among(package | bridged | generators, NETWORK_MODULES) == []
     assert "urllib.request" in transport  # the deferred import still works
 
     from test_records import make_record
@@ -117,7 +118,7 @@ def test_review_sample_fraction_matches_config_default():
 
 # Modules below the scenario table: they must not reach up to it, so no
 # registry filled by import side effects can grow back.
-LOWER_LAYERS = ("records", "scene", "gate", "seeds", "palette")
+LOWER_LAYERS = ("records", "scene", "gate", "seeds", "palette", "bridge")
 UPPER_LAYERS = {"pipeline", "charts", "maps", "gauges", "diagrams", "puzzles"}
 
 
@@ -378,8 +379,11 @@ def test_specs_and_configs_check_themselves_on_construction(make, message):
 
 # Each spec and config type checks itself in __post_init__; free-standing
 # checkers of the same rules, and a topic pool re-checked per call, stay out.
+# So do the bridge's tree codec and its template registry, which `gen` never
+# used: the bridge holds one prompt, for QA proposal.
 REMOVED_NAMES = {"validate_chart_spec", "validate_dial_spec", "validate_tree_spec",
-                 "validate_flow_spec", "KeywordLibrary"}
+                 "validate_flow_spec", "KeywordLibrary", "parse_tree", "serialize_tree",
+                 "PromptTemplate", "TEMPLATES"}
 # The one `validate` method left, and the two places that call it.
 VALIDATE_SITES = {("records.py", "Manifest"), ("records.py", "dump_manifest"),
                   ("records.py", "load_manifest")}

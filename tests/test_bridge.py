@@ -1,59 +1,48 @@
-"""LLM bridge: templates, contracts, retries, fallback, self-consistency."""
+"""LLM bridge: the QA prompt, contracts, retries, fallback, self-consistency."""
 
+import http.client
+import json
 import threading
 import time
+import urllib.request
+from hashlib import sha256
 
 import pytest
 
 from absynth import bridge
 from absynth.bridge import (
-    BackendConfig, BackendUnavailable, ContractViolation, TEMPLATES, offline_transport,
-    parse_output, parse_tree, propose, self_consistent_answer, serialize_tree,
+    BackendConfig, BackendUnavailable, ContractViolation, offline_transport, parse_output,
+    propose_qa, self_consistent_answer,
 )
-from absynth.diagrams import TreeSpec, tree_layers, tree_nodes
+from absynth.cli import main
+from absynth.pipeline import RunConfig, generate_dataset
+from absynth.records import dump_manifest, load_manifest
 
 
 def test_templates_render_and_demand_contract():
-    prompt = TEMPLATES["data"].render({"topic": "Digital Forensics Unit"})
-    assert "Digital Forensics Unit" in prompt
-    assert "Output format" in prompt
+    sent = []
 
+    def recording(payload):
+        sent.append(payload)
+        return "question: q\nanswer: a"
 
-def test_unbound_placeholder_raises():
-    with pytest.raises(ValueError, match="unbound placeholder"):
-        TEMPLATES["data"].render({})
-
-
-def test_offline_data_stage_yields_valid_tree():
-    spec = propose("data", {"topic": "Digital Forensics Unit"})
-    assert isinstance(spec, TreeSpec)
-    assert spec.root_label == "Digital Forensics Unit"
-    assert len(tree_nodes(spec.root)) <= 8
-    for layer in tree_layers(spec.root):
-        assert len(layer) <= 3
+    propose_qa("Digital Forensics Unit", transport=recording)
+    [payload] = sent
+    assert payload["stage"] == "qa"
+    assert payload["context"] == {"topic": "Digital Forensics Unit"}
+    assert "Digital Forensics Unit" in payload["prompt"]
+    assert "Output format" in payload["prompt"]
 
 
 def test_offline_fallback_is_deterministic_and_networkless():
-    first = propose("data", {"topic": "Regional Hospital"})
-    second = propose("data", {"topic": "Regional Hospital"})
+    first = propose_qa("Regional Hospital", request_id=7)
+    second = propose_qa("Regional Hospital", request_id=7)
     assert first == second
 
 
-def test_offline_idea_and_title():
-    idea = propose("idea", {"scenario": "road map"})
-    assert "road map" in idea
-    title = propose("title", {"topic": "GDP"})
-    assert title == "GDP"
-
-
 def test_offline_qa_stage():
-    pairs = propose("qa", {"topic": "City Public Library"})
+    pairs = propose_qa("City Public Library")
     assert pairs and all({"question", "answer"} <= set(p) for p in pairs)
-
-
-def test_tree_serialization_round_trip():
-    spec = propose("data", {"topic": "Culinary School"})
-    assert parse_tree(serialize_tree(spec)) == spec
 
 
 def test_malformed_reply_reprompts_once_then_raises():
@@ -64,19 +53,23 @@ def test_malformed_reply_reprompts_once_then_raises():
         return "complete nonsense"
 
     with pytest.raises(ContractViolation) as err:
-        propose("title", {"topic": "x"}, transport=broken)
+        propose_qa("x", transport=broken)
     assert len(calls) == 2
     assert "could not be parsed" in calls[1]
     assert err.value.raw == "complete nonsense"
 
 
 def test_malformed_then_fixed_reply_succeeds():
-    replies = iter(["garbage", "title: Fixed"])
+    replies = iter(["garbage", "question: Fixed?\nanswer: yes"])
+    sent = []
 
     def flaky(payload):
+        sent.append(payload["request_id"])
         return next(replies)
 
-    assert propose("title", {"topic": "x"}, transport=flaky) == "Fixed"
+    pairs = propose_qa("x", transport=flaky, request_id=5)
+    assert pairs == [{"question": "Fixed?", "answer": "yes"}]
+    assert sent == [5, 1_000_005]
 
 
 def test_backend_retries_with_backoff(monkeypatch):
@@ -90,16 +83,9 @@ def test_backend_retries_with_backoff(monkeypatch):
 
     config = BackendConfig(retry_budget=2)
     with pytest.raises(BackendUnavailable, match="after 3 attempts"):
-        propose("title", {"topic": "x"}, config=config, transport=down)
+        propose_qa("x", config=config, transport=down)
     assert len(attempts) == 3
     assert sleeps == [0.2, 0.4]
-
-
-def test_parse_tree_rejects_constraint_violations():
-    lines = [f"node: N{i} | parent: {'-' if i == 0 else 'N0'} | color: cyan"
-             for i in range(9)]
-    with pytest.raises(ContractViolation, match="constraints"):
-        parse_tree("\n".join(lines))
 
 
 def test_parse_output_answer_stage():
@@ -161,9 +147,9 @@ def test_parallelism_never_exceeds_configured_bound():
 def test_request_log_written(tmp_path):
     log = tmp_path / "requests.jsonl"
     config = BackendConfig(request_log=str(log))
-    propose("title", {"topic": "x"}, config=config)
-    assert log.exists()
-    assert '"stage": "title"' in log.read_text()
+    propose_qa("x", config=config)
+    assert [json.loads(line) for line in log.read_text().splitlines()] == [
+        {"stage": "qa", "attempt": 0, "ok": True}]
 
 
 def test_offline_transport_never_needs_network():
@@ -174,10 +160,101 @@ def test_offline_transport_never_needs_network():
     assert send(payload) == send(payload)
 
 
-def test_parse_tree_rejects_multiple_or_missing_roots():
-    two_roots = "node: A | parent: - | color: cyan\nnode: B | parent: - | color: teal"
-    with pytest.raises(ContractViolation, match="multiple roots"):
-        parse_tree(two_roots)
-    no_root = "node: A | parent: B | color: cyan"
-    with pytest.raises(ContractViolation, match="no root"):
-        parse_tree(no_root)
+# What an offline-backend run sends, pinned: sha256 over each payload's
+# sorted-key JSON, sorted and joined with "\n", and the manifest's dump.
+# The offline transport seeds its replies from a digest of the prompt, so a
+# changed prompt, context or request id shows in both.
+BACKEND_PAYLOADS = 96
+BACKEND_PAYLOAD_DIGEST = "41514fb5802a151dd37ae2db7d7b909cce4341183c68b3b0e420a96ad1e5038c"
+BACKEND_MANIFEST_DIGEST = "064a66341b3f1e2b4095d49216c70c015913906183a19a588905ee554f746e38"
+
+
+def test_offline_backend_run_sends_pinned_payloads(monkeypatch):
+    sent = []
+    lock = threading.Lock()  # answer calls run in a thread pool
+    inner = offline_transport()
+
+    def recording(payload):
+        with lock:
+            sent.append(json.dumps(payload, sort_keys=True, ensure_ascii=False))
+        return inner(payload)
+
+    monkeypatch.setattr(bridge, "default_transport", lambda config: recording)
+    manifest, _, _ = generate_dataset(RunConfig(default_count=3, seed=1,
+                                                backend=BackendConfig()))
+    assert len(sent) == BACKEND_PAYLOADS
+    assert sha256("\n".join(sorted(sent)).encode()).hexdigest() == BACKEND_PAYLOAD_DIGEST
+    assert sha256(dump_manifest(manifest)).hexdigest() == BACKEND_MANIFEST_DIGEST
+
+
+class FakeResponse:
+    """What urllib.request.urlopen returns, holding a fixed body."""
+
+    def __init__(self, body: bytes):
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.body
+
+
+def completion(content) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+
+
+def fake_urlopen(reply):
+    """An urlopen that counts its calls and returns or raises `reply`."""
+    calls = []
+
+    def urlopen(request, timeout):
+        calls.append(json.loads(request.data))
+        if isinstance(reply, BaseException):
+            raise reply
+        return FakeResponse(reply)
+
+    return urlopen, calls
+
+
+HTTP_CONFIG = BackendConfig(endpoint="http://localhost:9/v1/chat/completions", model="m",
+                            temperature=0.5)
+
+
+def test_http_transport_reads_chat_completion(monkeypatch):
+    urlopen, calls = fake_urlopen(completion("question: q\nanswer: a"))
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    assert bridge.http_transport(HTTP_CONFIG)({"prompt": "p"}) == "question: q\nanswer: a"
+    assert calls == [{"model": "m", "messages": [{"role": "user", "content": "p"}],
+                      "temperature": 0.5}]
+
+
+@pytest.mark.parametrize("reply", [
+    completion(None), completion(5), b"not json", b"\xff\xfe",
+    ConnectionResetError(104, "Connection reset by peer"),
+    http.client.IncompleteRead(b"{"), http.client.BadStatusLine("HTTP/1.1 ???"),
+], ids=["content-null", "content-number", "not-json", "not-utf8", "connection-reset",
+        "incomplete-read", "bad-status-line"])
+def test_broken_http_reply_retries_then_costs_only_the_llm_record(
+        reply, monkeypatch, tmp_path, capsys):
+    urlopen, calls = fake_urlopen(reply)
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    sleeps = []
+    monkeypatch.setattr(bridge, "_sleep", sleeps.append)
+    log = tmp_path / "requests.jsonl"
+    backend = tmp_path / "backend.json"
+    backend.write_text(json.dumps({"endpoint": HTTP_CONFIG.endpoint, "retry_budget": 2,
+                                   "request_log": str(log)}))
+    out = tmp_path / "out"
+    assert main(["gen", "--scenario", "chart", "--count", "1", "--seed", "1",
+                 "--out", str(out), "--backend", str(backend)]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert len(calls) == 3 and sleeps == [0.2, 0.4]
+    entries = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [(e["stage"], e["attempt"], e["ok"]) for e in entries] == [
+        ("qa", 0, False), ("qa", 1, False), ("qa", 2, False)]
+    records = load_manifest((out / "manifest.jsonl").read_bytes()).records
+    assert records and not [r for r in records if r.question_type == "llm_qa"]
