@@ -8,11 +8,13 @@ contract a real backend is asked to follow.
 
 A malformed QA proposal triggers exactly one reprompt carrying the parse
 error; a second failure surfaces as ContractViolation with the raw text
-retained. A malformed answer vote raises ContractViolation at once. Transport failures, and HTTP replies that are cut off, are not
-JSON or carry no string content, raise BackendUnavailable and retry with
-exponential backoff up to the configured budget. Concurrency is bounded by
-max_parallel, and noisy response ordering is restored by request id before
-any voting.
+retained. An answer reply without an `answer:` line casts no vote, and the
+vote runs over the replies that parse; only when none parses does it raise
+ContractViolation. Transport failures, and HTTP replies that are cut off,
+are not JSON or carry no string content, raise BackendUnavailable and retry
+with exponential backoff up to the configured budget. Concurrency is bounded
+by max_parallel, and votes are counted in request-id order, whatever order
+the replies arrive in.
 """
 
 from __future__ import annotations
@@ -242,7 +244,9 @@ def self_consistent_answer(
     kind: str = "phrase",
 ) -> tuple[str, int]:
     """n independent completions, canonicalized and voted; returns the modal
-    answer and its support count for gate thresholding."""
+    answer and its support count for gate thresholding. A completion that
+    breaks the `answer:` contract casts no vote; if none keeps it, this
+    raises ContractViolation."""
     if n < 3:
         raise ValueError("self-consistency needs n >= 3")
     config = config or BackendConfig()
@@ -253,14 +257,21 @@ def self_consistent_answer(
         "Think it through, then reply with one line in the form 'answer: <text>'."
     )
 
-    def one(request_id: int) -> tuple[int, str]:
+    def one(request_id: int) -> str:
         payload = {"stage": "answer", "prompt": prompt, "context": dict(context, question=question),
                    "request_id": request_id}
-        text = _call_with_retries(transport, payload, config)
-        return request_id, parse_output("answer", text)
+        return _call_with_retries(transport, payload, config)
 
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
-        results = list(pool.map(one, range(n)))
-    results.sort()  # deterministic order by request id before voting
-    return vote_select([answer for _, answer in results], kind=kind)
+        texts = list(pool.map(one, range(n)))  # in request-id order
+    votes = []
+    for text in texts:
+        try:
+            votes.append(parse_output("answer", text))
+        except ContractViolation:
+            continue
+    if not votes:
+        raise ContractViolation(f"none of {n} replies has an 'answer:' line",
+                                raw="\n\n".join(texts))
+    return vote_select(votes, kind=kind)

@@ -405,8 +405,8 @@ def _draw_kind(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float,
 def build_chart_scene(spec: ChartSpec, font_scale: float = 1.0) -> SceneGraph:
     """Render a ChartSpec to a SceneGraph.
 
-    The scene labels roles title/legend/axis/data_marks (roles not applicable
-    to a kind are present but empty). Raises LayoutOverflow when a label
+    The scene labels roles title/legend/axis/data_marks (a role that a kind
+    does not draw is absent). Raises LayoutOverflow when a label
     cannot fit at the scaled font size; value-to-pixel mapping is
     value / nice_axis_max(max value) * plot height.
     """
@@ -448,10 +448,7 @@ def build_chart_scene(spec: ChartSpec, font_scale: float = 1.0) -> SceneGraph:
         unit_label = spec.axis_labels[1] if spec.kind in ("bar", "line") else ""
         _draw_kind(b, spec, region, font_scale, unit_label)
 
-    scene = b.build()
-    for role in ("title", "legend", "axis", "data_marks"):
-        scene.labels.setdefault(role, ())  # empty roles need no validation
-    return scene
+    return b.build()
 
 
 # ---------------------------------------------------------------------------

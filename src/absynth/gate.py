@@ -4,10 +4,9 @@ geometric aesthetics screening, and answer-consistency support thresholds.
 Feasibility retries rebuild the scene with fonts shrunk by 0.85 per attempt
 (the procedural analogue of regenerate-on-compiler-error); after max_retries
 failed attempts the candidate is rejected, never raised. The aesthetics gate
-is purely geometric: text/legend interference area, minimum font size, and
-canvas containment, each reported as a machine-readable reason. A
-GateConfig checks its thresholds when it is constructed, so the gates
-take it as valid.
+is purely geometric: text/legend interference area and minimum font size,
+each reported as a machine-readable reason. A GateConfig checks its
+thresholds when it is constructed, so the gates take it as valid.
 """
 
 from __future__ import annotations
@@ -93,15 +92,15 @@ def _interference_area(scene: SceneGraph) -> float:
     legend = set(scene.labels.get("legend", ()))
     text = {i for i, p in enumerate(scene.primitives) if p.kind == "text"}
     total = 0.0
-    for i, j, area in overlap_pairs(scene, (), text | legend):
+    for i, j, area in overlap_pairs(scene, text | legend):
         if not (i in legend and j in legend):
             total += area
     return total
 
 
 def aesthetics_gate(scene: SceneGraph, config: GateConfig) -> AestheticsResult:
-    """Fail on text/legend interference, illegible fonts, or out-of-canvas
-    elements; reasons enumerate every violation found."""
+    """Fail on text/legend interference or illegible fonts; reasons
+    enumerate every violation found."""
     reasons: list[str] = []
     canvas_area = scene.canvas.width * scene.canvas.height
     overlap = _interference_area(scene)
@@ -116,14 +115,6 @@ def aesthetics_gate(scene: SceneGraph, config: GateConfig) -> AestheticsResult:
     )
     if small:
         reasons.append(f"small-font: primitives {small} below {config.min_font_px}px")
-    right = scene.canvas.width + 0.5
-    bottom = scene.canvas.height + 0.5
-    outside = [
-        i for i, (x0, y0, x1, y1) in enumerate(scene.boxes)
-        if x0 < -0.5 or y0 < -0.5 or x1 > right or y1 > bottom
-    ]
-    if outside:
-        reasons.append(f"out-of-bounds: primitives {outside} leave the canvas")
     return AestheticsResult(not reasons, tuple(reasons))
 
 

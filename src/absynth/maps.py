@@ -123,10 +123,6 @@ def _corners(cells: list[Cell] | tuple[Cell, ...]) -> list[Cell]:
             if (b[0] - a[0], b[1] - a[1]) != (c[0] - b[0], c[1] - b[1])]
 
 
-def count_turns(cells: tuple[Cell, ...]) -> int:
-    return len(_corners(cells))
-
-
 Grid = dict[Cell, tuple[tuple[int, Cell], ...]]
 
 

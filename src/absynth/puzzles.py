@@ -131,20 +131,6 @@ def shown_panels(rule: PatternRule) -> list[PanelSpec]:
     return _series(rule.base, rule.transform, rule.steps_shown)[:-1]
 
 
-def correct_panel(rule: PatternRule) -> PanelSpec:
-    return _series(rule.base, rule.transform, rule.steps_shown)[-1]
-
-
-def panel_attribute_diffs(a: PanelSpec, b: PanelSpec) -> int:
-    return sum((
-        a.shape != b.shape,
-        a.angle != b.angle,
-        a.count != b.count,
-        abs(a.size - b.size) > 1e-9,
-        a.color != b.color,
-    ))
-
-
 def _distractors(rng: Random, correct: PanelSpec) -> list[PanelSpec]:
     options: list[tuple[str, PanelSpec]] = []
     if correct.shape in ORIENTABLE_SHAPES:
@@ -429,9 +415,6 @@ class FloorPlanSpec:
 
     def to_dict(self) -> dict:
         return plain(self)
-
-    def room(self, name: str) -> Room:
-        return next(r for r in self.rooms if r.name == name)
 
 
 _ROOM_NAMES = ("Living Room", "Kitchen", "Bedroom 1", "Bedroom 2", "Bedroom 3",

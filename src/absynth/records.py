@@ -258,11 +258,12 @@ def verify_record(record: InstructionRecord, oracle: list[QuestionDraft]) -> Ver
 def vote_select(candidates: list[str], kind: str = "phrase") -> tuple[str, int]:
     """Modal answer after canonicalization, with its support count.
 
-    Ties break toward the earliest-seen candidate. Requires >= 3 candidates.
-    The returned winner is the first raw candidate whose canonical form won.
+    Ties break toward the earliest-seen candidate. Requires at least one
+    candidate. The returned winner is the first raw candidate whose
+    canonical form won.
     """
-    if len(candidates) < 3:
-        raise ValueError("vote_select needs at least 3 candidates")
+    if not candidates:
+        raise ValueError("vote_select needs at least one candidate")
     counts: dict[str, int] = {}
     first_raw: dict[str, str] = {}
     for raw in candidates:

@@ -11,12 +11,8 @@ Text extent is not measured from font metrics. It is estimated as
 deterministic and independent of any font stack.
 
 A primitive is an immutable named tuple, cheaper to build than a frozen
-dataclass.
-
-Each primitive's bounding box is computed once, on first use, and cached on
-the frozen scene (`SceneGraph.boxes`); the aesthetics gate's containment
-check and `overlap_pairs` both read that cache. `overlap_pairs` sweeps the
-chosen boxes in x-min order, so it only measures pairs whose x-ranges meet.
+dataclass. A `Canvas` and a `StyleSpec` check themselves when they are
+built, so a scene checks only what depends on each primitive's kind.
 
 The renderer reuses the text of coordinate values it formatted recently:
 `_coord` is a bounded memo of `_fmt` shared by every render in the process,
@@ -31,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .palette import PALETTE, color_css, rgb_css
@@ -53,10 +49,6 @@ class InvalidScene(ValueError):
         super().__init__(f"invalid scene: {detail}")
 
 
-class UnknownRole(KeyError):
-    pass
-
-
 class LayoutOverflow(ValueError):
     """Raised by scene builders when labels cannot fit the canvas."""
 
@@ -66,6 +58,12 @@ class Canvas:
     width: int = 640
     height: int = 480
     background: tuple[int, int, int] = (255, 255, 255)
+
+    def __post_init__(self) -> None:
+        if self.width < MIN_CANVAS_SIDE or self.height < MIN_CANVAS_SIDE:
+            raise ValueError(f"canvas below {MIN_CANVAS_SIDE}px minimum")
+        if any(not (0 <= c <= 255) for c in self.background):
+            raise ValueError("background channel outside [0,255]")
 
 
 @dataclass(frozen=True)
@@ -77,6 +75,14 @@ class StyleSpec:
     fill: str | None = None
     font_size: float | None = None
     dash: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.stroke is not None and self.stroke not in PALETTE:
+            raise ValueError(f"unknown stroke color {self.stroke!r}")
+        if self.fill is not None and self.fill not in PALETTE:
+            raise ValueError(f"unknown fill color {self.fill!r}")
+        if self.stroke_width < 0:
+            raise ValueError("negative stroke_width")
 
 
 class Primitive(NamedTuple):
@@ -144,8 +150,9 @@ def text(x, y, content: str, style: StyleSpec, anchor: str = "start", z: int = 0
 @dataclass(frozen=True)
 class SceneGraph:
     """A validated scene: construction raises InvalidScene on any violated
-    invariant. Canvas, primitives and styles are frozen, so a scene that
-    was built is still valid when it is rendered."""
+    primitive or role invariant; the canvas and each style checked
+    themselves when they were built. Canvas, primitives and styles are
+    frozen, so a scene that was built is still valid when it is rendered."""
 
     canvas: Canvas
     primitives: tuple[Primitive, ...]
@@ -153,17 +160,6 @@ class SceneGraph:
 
     def __post_init__(self) -> None:
         validate_scene(self)
-
-    @cached_property
-    def boxes(self) -> tuple[BBox, ...]:
-        """`bounding_box` of each primitive, in primitive order, computed
-        once on first use."""
-        return tuple(bounding_box(p) for p in self.primitives)
-
-    def role_indices(self, role: str) -> tuple[int, ...]:
-        if role not in self.labels:
-            raise UnknownRole(role)
-        return self.labels[role]
 
 
 class SceneBuilder:
@@ -206,7 +202,8 @@ def _all_finite(values) -> bool:
 
 
 def primitive_problems(p: Primitive) -> list[str]:
-    """All invariant violations for one primitive (empty list = valid).
+    """All invariant violations for one primitive (empty list = valid). Its
+    style checked its colours and stroke width when it was built.
 
     Coordinates are checked by their sum first: a NaN or an infinity always
     makes the sum non-finite, so a finite sum settles it. A non-finite sum
@@ -250,22 +247,11 @@ def primitive_problems(p: Primitive) -> list[str]:
                 problems.append("non-positive radius")
         if kind == "circle" and g[2] <= 0:
             problems.append("non-positive radius")
-    if style.stroke is not None and style.stroke not in PALETTE:
-        problems.append(f"unknown stroke color {style.stroke!r}")
-    if style.fill is not None and style.fill not in PALETTE:
-        problems.append(f"unknown fill color {style.fill!r}")
-    if style.stroke_width < 0:
-        problems.append("negative stroke_width")
     return problems
 
 
 def validate_scene(scene: SceneGraph) -> None:
     problems: list[tuple[int, str]] = []
-    canvas = scene.canvas
-    if canvas.width < MIN_CANVAS_SIDE or canvas.height < MIN_CANVAS_SIDE:
-        problems.append((-1, f"canvas below {MIN_CANVAS_SIDE}px minimum"))
-    if any(not (0 <= c <= 255) for c in canvas.background):
-        problems.append((-1, "background channel outside [0,255]"))
     last_z = None
     for i, prim in enumerate(scene.primitives):
         for msg in primitive_problems(prim):
@@ -349,23 +335,18 @@ def bbox_intersection_area(a: BBox, b: BBox) -> float:
     return w * h
 
 
-def overlap_pairs(
-    scene: SceneGraph, roles: Iterable[str], indices: Iterable[int] = ()
-) -> list[tuple[int, int, float]]:
-    """All index pairs (i < j, in sorted order) among the primitives selected
-    by `roles` plus the explicit `indices` whose bounding boxes intersect
-    with positive area, with the intersection area.
+def overlap_pairs(scene: SceneGraph, indices: Iterable[int]) -> list[tuple[int, int, float]]:
+    """All index pairs (i < j, in sorted order) among the primitives at
+    `indices` whose bounding boxes intersect with positive area, with the
+    intersection area.
 
-    The explicit indices select primitives that carry no role, such as
-    every text primitive. The boxes are swept in x-min order: once a box
-    starts at or past another's x-max, so does every box after it, and
-    neither can meet it with positive area.
+    Only those primitives are boxed. The boxes are swept in x-min order:
+    once a box starts at or past another's x-max, so does every box after
+    it, and neither can meet it with positive area.
     """
-    chosen = set(indices)
-    for role in sorted(roles):
-        chosen.update(scene.role_indices(role))
-    boxes = scene.boxes
-    order = sorted((boxes[i][0], i) for i in chosen)
+    prims = scene.primitives
+    boxes = {i: bounding_box(prims[i]) for i in set(indices)}
+    order = sorted((box[0], i) for i, box in boxes.items())
     pairs: list[tuple[int, int, float]] = []
     for pos, (_, i) in enumerate(order):
         x_max = boxes[i][2]

@@ -30,12 +30,6 @@ TOLERANT_SCENARIOS = frozenset({"chart", "table", "dashboard"})
 NUMERIC_TOLERANCE = 0.05
 
 
-@dataclass(frozen=True)
-class Prediction:
-    record_id: str
-    raw_response: str
-
-
 def load_predictions(data: bytes | str) -> dict[str, str]:
     """Parse a prediction file: one JSON object per line with fields
     ``id`` and ``response``. Later duplicates win. A malformed line raises
@@ -57,14 +51,6 @@ def load_predictions(data: bytes | str) -> dict[str, str]:
         except TypeError:
             raise ValueError(f"prediction line {number}: not a JSON object") from None
     return out
-
-
-def dump_predictions(predictions: Iterable[Prediction]) -> bytes:
-    lines = [
-        json.dumps({"id": p.record_id, "response": p.raw_response}, ensure_ascii=False)
-        for p in predictions
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

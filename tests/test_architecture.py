@@ -22,6 +22,7 @@ from absynth.pipeline import RunConfig
 from absynth.records import (
     InstructionRecord, Manifest, Provenance, QuestionDraft, dump_manifest, sample_for_review,
 )
+from absynth.scene import Canvas, StyleSpec
 from tests_helpers import SRC_DIR
 
 
@@ -370,8 +371,14 @@ def _pie(*values):
     (lambda: GateConfig(review_fraction=0.0), "review_fraction must be in (0, 1]"),
     (lambda: BackendConfig(max_parallel=0), "max_parallel must be >= 1"),
     (lambda: RunConfig(seed=2**64), f"seed {2**64} outside [0, 2**64)"),
+    (lambda: StyleSpec(stroke="chartreuse"), "unknown stroke color 'chartreuse'"),
+    (lambda: StyleSpec(fill="mauve", stroke="black"), "unknown fill color 'mauve'"),
+    (lambda: StyleSpec(stroke="black", stroke_width=-0.5), "negative stroke_width"),
+    (lambda: Canvas(640, 63), "canvas below 64px minimum"),
+    (lambda: Canvas(background=(255, 256, 255)), "background channel outside [0,255]"),
 ], ids=["ChartSpec", "DialSpec", "FlowSpec", "TreeSpec", "WalkParams", "GateConfig",
-        "BackendConfig", "RunConfig"])
+        "BackendConfig", "RunConfig", "StyleSpec-stroke", "StyleSpec-fill",
+        "StyleSpec-stroke_width", "Canvas-side", "Canvas-background"])
 def test_specs_and_configs_check_themselves_on_construction(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()

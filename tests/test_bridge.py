@@ -124,6 +124,27 @@ def test_all_distinct_support_one():
     assert answer == "v0"  # deterministic despite any completion order
 
 
+def test_a_reply_without_an_answer_line_casts_no_vote():
+    def fake(payload):
+        return "garbage" if payload["request_id"] == 1 else "answer: x"
+
+    assert self_consistent_answer("q", {}, 3, BackendConfig(), fake) == ("x", 2)
+
+
+def test_no_parsable_reply_raises_contract_violation():
+    def fake(payload):
+        return f"garbage {payload['request_id']}"
+
+    with pytest.raises(ContractViolation, match="none of 3 replies") as err:
+        self_consistent_answer("q", {}, 3, BackendConfig(), fake)
+    assert err.value.raw == "garbage 0\n\ngarbage 1\n\ngarbage 2"
+
+
+def test_self_consistency_asks_for_at_least_three_votes():
+    with pytest.raises(ValueError, match="n >= 3"):
+        self_consistent_answer("q", {}, 2, BackendConfig(), lambda payload: "answer: x")
+
+
 def test_parallelism_never_exceeds_configured_bound():
     active = 0
     peak = 0

@@ -54,12 +54,18 @@ def test_all_five_kinds_at_least_10_percent():
         assert n >= 100, f"{kind} drawn only {n}/1000 times"
 
 
+# A scene labels only the roles its kind draws: a pie has no axis, a table
+# no legend but a grid.
+VALUE_CHART_ROLES = {"title", "legend", "axis", "data_marks"}
+CHART_ROLES = {"pie": {"title", "legend", "data_marks"},
+               "table": {"title", "axis", "data_marks", "grid"}}
+
+
 def test_sampled_specs_build_clean_scenes():
     for seed in range(60):
         spec = sample_chart_spec(seed)
         scene = build_chart_scene(spec)
-        for role in ("title", "legend", "axis", "data_marks"):
-            assert role in scene.labels
+        assert set(scene.labels) == CHART_ROLES.get(spec.kind, VALUE_CHART_ROLES), seed
         # No primitive may leave the canvas.
         for p in scene.primitives:
             x0, y0, x1, y1 = bounding_box(p)
@@ -134,8 +140,8 @@ def test_no_text_interference_on_sampled_charts():
     for seed in range(40):
         scene = build_chart_scene(sample_chart_spec(seed))
         text_ix = tuple(i for i, p in enumerate(scene.primitives) if p.kind == "text")
-        legend = set(scene.labels["legend"])
-        area = sum(a for i, j, a in overlap_pairs(scene, {"legend"}, text_ix)
+        legend = set(scene.labels.get("legend", ()))
+        area = sum(a for i, j, a in overlap_pairs(scene, legend.union(text_ix))
                    if not (i in legend and j in legend))
         assert area <= 0.02 * scene.canvas.width * scene.canvas.height, seed
 

@@ -7,7 +7,7 @@ import pytest
 from absynth import pipeline
 from absynth.cli import main
 from absynth.records import Manifest, load_manifest
-from absynth.scoring import dump_predictions, Prediction
+from tests_helpers import dump_predictions
 
 
 def run(argv):
@@ -69,7 +69,7 @@ def test_config_file_counts(tmp_path):
 def test_eval_perfect_predictions(tmp_path, capsys):
     out = gen(tmp_path)
     manifest = load_manifest((out / "manifest.jsonl").read_bytes())
-    preds = [Prediction(r.id, r.answer) for r in manifest.records]
+    preds = [(r.id, r.answer) for r in manifest.records]
     pred_path = tmp_path / "preds.jsonl"
     pred_path.write_bytes(dump_predictions(preds))
     assert run(["eval", out / "manifest.jsonl", pred_path, "--out", tmp_path]) == 0

@@ -54,7 +54,7 @@ def test_forensics_layout_layers_and_connectors():
     edges = [p for i in scene.labels["edges"] for p in [scene.primitives[i]]
              if p.kind == "line"]
     assert len(edges) == 6  # one connector per non-root node
-    assert overlap_pairs(scene, {"nodes"}) == []
+    assert overlap_pairs(scene, scene.labels["nodes"]) == []
 
 
 def test_minimal_tree_single_node():
@@ -150,4 +150,4 @@ def test_flowchart_branch_outcome_answers():
 def test_flow_layout_no_node_overlap():
     for seed in range(60):
         scene = layout_hierarchy(sample_flow_spec(seed))
-        assert overlap_pairs(scene, {"nodes"}) == []
+        assert overlap_pairs(scene, scene.labels["nodes"]) == []

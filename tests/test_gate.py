@@ -84,15 +84,6 @@ def test_coincident_titles_fail_with_interference():
     assert any(r.startswith("interference") for r in result.reasons)
 
 
-def test_label_outside_canvas_fails():
-    scene = scene_with(
-        (text(630, 470, "escaping label", StyleSpec(font_size=12)), ("title",)),
-    )
-    result = aesthetics_gate(scene, GateConfig())
-    assert not result.passed
-    assert any(r.startswith("out-of-bounds") for r in result.reasons)
-
-
 def test_small_font_fails():
     scene = scene_with((text(10, 10, "tiny", StyleSpec(font_size=6)), ("title",)))
     result = aesthetics_gate(scene, GateConfig())

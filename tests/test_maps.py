@@ -8,11 +8,15 @@ import pytest
 from absynth.maps import (
     BRANCH_MAX_LEN, BRANCH_MIN_LEN, MAX_BRANCHES, MIN_GOLD_CELLS, RESEED_ATTEMPTS,
     STREET_NAMES, DegenerateMap, DIRECTIONS, PathTrace, RoadMapSpec, WalkParams, _cell_center,
-    _corners, _ROAD_STYLE, build_map_scene, classify_difficulty, count_turns, generate_map,
+    _corners, _ROAD_STYLE, build_map_scene, classify_difficulty, generate_map,
     map_instruction,
 )
 from absynth.scene import bounding_box, line, overlap_pairs
 from absynth.seeds import derive_seed
+
+
+def count_turns(cells):
+    return len(_corners(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -335,5 +339,5 @@ def test_scene_fits_canvas_and_text_interference_bounded():
         for p in scene.primitives:
             x0, y0, x1, y1 = bounding_box(p)
             assert x0 >= 0 and y0 >= 0 and x1 <= scene.canvas.width and y1 <= scene.canvas.height
-        area = sum(a for _, _, a in overlap_pairs(scene, {"landmark_labels"}))
+        area = sum(a for _, _, a in overlap_pairs(scene, scene.labels["landmark_labels"]))
         assert area <= 0.02 * scene.canvas.width * scene.canvas.height, seed

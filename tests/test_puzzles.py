@@ -3,11 +3,30 @@
 from absynth.puzzles import (
     DiffPairSpec, FloorPlanSpec, OPTION_LETTERS, PanelSpec, PatternRule, Room,
     apply_transform, build_comparison_scene, build_floorplan_scene, build_induction_scene,
-    correct_panel, diff_panel_primitives, layout_questions, panel_attribute_diffs,
+    diff_panel_primitives, layout_questions,
     puzzle_questions, sample_diff_pair, sample_floorplan, sample_pattern_rule, sample_puzzle,
     shared_wall, shown_panels,
 )
 from absynth.scene import overlap_pairs
+
+
+def correct_panel(rule: PatternRule) -> PanelSpec:
+    """The panel that continues the shown ones."""
+    return apply_transform(shown_panels(rule)[-1], rule.transform)
+
+
+def panel_attribute_diffs(a: PanelSpec, b: PanelSpec) -> int:
+    return sum((
+        a.shape != b.shape,
+        a.angle != b.angle,
+        a.count != b.count,
+        abs(a.size - b.size) > 1e-9,
+        a.color != b.color,
+    ))
+
+
+def room(spec: FloorPlanSpec, name: str) -> Room:
+    return next(r for r in spec.rooms if r.name == name)
 
 
 def test_rotate_rule_application():
@@ -221,8 +240,7 @@ def test_containment_answer_matches_fixtures():
         draft = next(d for d in layout_questions(spec) if d.question_type == "containment")
         room_name = draft.question.split("Does the ")[1].split(" contain")[0]
         fixture = draft.question.rsplit("contain a ", 1)[1].rstrip("?")
-        room = spec.room(room_name)
-        expected = "Yes" if fixture in room.fixtures else "No"
+        expected = "Yes" if fixture in room(spec, room_name).fixtures else "No"
         assert draft.answer == expected
         seen_yes |= expected == "Yes"
         seen_no |= expected == "No"
@@ -235,12 +253,12 @@ def test_adjacency_answer_matches_geometry():
         draft = next(d for d in layout_questions(spec) if d.question_type == "adjacency")
         inner = draft.question.split("Is the ")[1].rstrip("?")
         a_name, b_name = inner.split(" directly adjacent to the ")
-        expected = "Yes" if shared_wall(spec.room(a_name), spec.room(b_name)) > 0 else "No"
+        expected = "Yes" if shared_wall(room(spec, a_name), room(spec, b_name)) > 0 else "No"
         assert draft.answer == expected
 
 
 def test_floorplan_scene_builds_without_room_overlap():
     for seed in range(40):
         scene = build_floorplan_scene(sample_floorplan(seed))
-        assert overlap_pairs(scene, {"rooms"}) == []
+        assert overlap_pairs(scene, scene.labels["rooms"]) == []
         assert len(scene.labels["room_labels"]) == len(scene.labels["rooms"])

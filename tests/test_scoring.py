@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from absynth.records import InstructionRecord, Manifest, Provenance
 from absynth.scoring import (
     NUMERIC_TOLERANCE, _boundary_find,
-    aggregate, dataset_stats, dump_predictions, extract_landmarks, lcs_length,
-    load_predictions, Prediction, render_report_text, score_landmarks, score_numeric,
+    aggregate, dataset_stats, extract_landmarks, lcs_length,
+    load_predictions, render_report_text, score_landmarks, score_numeric,
     score_phrase, score_sentence, tokenize,
 )
+from tests_helpers import dump_predictions
 
 
 def lcs_oracle(a, b):
@@ -334,7 +335,7 @@ def test_all_correct_is_100():
 
 
 def test_prediction_file_round_trip():
-    preds = [Prediction("a", "answer one"), Prediction("b", "twoé")]
+    preds = [("a", "answer one"), ("b", "twoé")]
     data = dump_predictions(preds)
     assert load_predictions(data) == {"a": "answer one", "b": "twoé"}
 
@@ -342,7 +343,7 @@ def test_prediction_file_round_trip():
 def test_prediction_lines_end_at_newline_only():
     # A model response may hold characters that str.splitlines breaks at.
     responses = {"a": "one\u2028two", "b": "x\x85y\u2029z", "c": "\x1c"}
-    data = dump_predictions(Prediction(k, v) for k, v in responses.items())
+    data = dump_predictions(responses.items())
     assert load_predictions(data) == responses
     assert load_predictions(data.replace(b"\n", b"\r\n")) == responses
 
