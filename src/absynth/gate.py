@@ -5,8 +5,11 @@ Feasibility retries rebuild the scene with fonts shrunk by 0.85 per attempt
 (the procedural analogue of regenerate-on-compiler-error); after max_retries
 failed attempts the candidate is rejected, never raised. The aesthetics gate
 is purely geometric: text/legend interference area and minimum font size,
-each reported as a machine-readable reason. A GateConfig checks its
-thresholds when it is constructed, so the gates take it as valid.
+each reported as a machine-readable reason. It walks the primitives once,
+collecting the text and the too-small text together, and boxes only the text
+and legend primitives, in a sweep that skips pairs apart in x or in y before
+it computes any area. A GateConfig checks its thresholds when it is
+constructed, so the gates take it as valid.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from typing import Any, Callable
 from .scene import LayoutOverflow, SceneGraph, overlap_pairs
 
 FONT_SCALE_DECAY = 0.85
+# Completions voted on per LLM-proposed answer; min_vote_support counts
+# agreeing votes among them.
+LLM_ANSWER_VOTES = 3
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,11 @@ class GateConfig:
             v = getattr(self, name)
             if not (0 < v <= 1):
                 raise ValueError(f"{name} must be in (0, 1]")
+        # Written so that NaN fails too: `font_size < nan` is never true.
+        if not (self.min_font_px >= 0):
+            raise ValueError("min_font_px must be >= 0")
+        if not (1 <= self.min_vote_support <= LLM_ANSWER_VOTES):
+            raise ValueError(f"min_vote_support must be in [1, {LLM_ANSWER_VOTES}]")
 
 
 @dataclass(frozen=True)
@@ -85,14 +96,13 @@ class AestheticsResult:
     reasons: tuple[str, ...] = ()
 
 
-def _interference_area(scene: SceneGraph) -> float:
-    """Total pairwise bbox overlap among text primitives and legend elements,
-    ignoring pairs inside the legend itself (a swatch under its own label is
-    not interference)."""
+def _interference_area(scene: SceneGraph, text: list[int]) -> float:
+    """Total pairwise bbox overlap among the `text` primitives and the legend
+    elements, ignoring pairs inside the legend itself (a swatch under its own
+    label is not interference). Summed in sorted pair order."""
     legend = set(scene.labels.get("legend", ()))
-    text = {i for i, p in enumerate(scene.primitives) if p.kind == "text"}
     total = 0.0
-    for i, j, area in overlap_pairs(scene, text | legend):
+    for i, j, area in overlap_pairs(scene, [*text, *legend]):
         if not (i in legend and j in legend):
             total += area
     return total
@@ -101,18 +111,22 @@ def _interference_area(scene: SceneGraph) -> float:
 def aesthetics_gate(scene: SceneGraph, config: GateConfig) -> AestheticsResult:
     """Fail on text/legend interference or illegible fonts; reasons
     enumerate every violation found."""
+    min_font = config.min_font_px
+    text: list[int] = []
+    small: list[int] = []
+    for i, p in enumerate(scene.primitives):
+        if p.kind == "text":
+            text.append(i)
+            if (p.style.font_size or 0) < min_font:
+                small.append(i)
     reasons: list[str] = []
     canvas_area = scene.canvas.width * scene.canvas.height
-    overlap = _interference_area(scene)
+    overlap = _interference_area(scene, text)
     if overlap > config.max_overlap_fraction * canvas_area:
         reasons.append(
             f"interference: text/legend overlap area {overlap:.1f}px^2 exceeds "
             f"{config.max_overlap_fraction:.0%} of canvas"
         )
-    small = sorted(
-        i for i, p in enumerate(scene.primitives)
-        if p.kind == "text" and (p.style.font_size or 0) < config.min_font_px
-    )
     if small:
         reasons.append(f"small-font: primitives {small} below {config.min_font_px}px")
     return AestheticsResult(not reasons, tuple(reasons))

@@ -18,9 +18,10 @@ BackendConfig do, so a bad value fails before any image is made, even
 under `gen --dry-run`.
 
 With a backend configured, each accepted image also gains one LLM-proposed
-question whose answer passes self-consistency voting at min_vote_support
-(the only records that bypass oracle verification, marked by the
-"llm-bridge" provenance). Those are the bridge's only two stages:
+question whose answer passes self-consistency voting: at least
+min_vote_support of gate.LLM_ANSWER_VOTES completions agree (the only
+records that bypass oracle verification, marked by the "llm-bridge"
+provenance). Those are the bridge's only two stages:
 `bridge.propose_qa` on the image's topic, then `bridge.self_consistent_answer`
 on the first proposed question. A backend that stays unavailable, or whose
 reply breaks the output contract twice, costs the image that one record and
@@ -40,7 +41,9 @@ from .charts import build_chart_scene, chart_questions, sample_chart_spec
 from .diagrams import (
     diagram_questions, layout_hierarchy, sample_flow_spec, sample_relation_graph,
 )
-from .gate import GateConfig, GateReport, aesthetics_gate, feasibility_gate
+from .gate import (
+    LLM_ANSWER_VOTES, GateConfig, GateReport, aesthetics_gate, feasibility_gate,
+)
 from .gauges import build_dial_scene, dial_questions, sample_dial_spec
 from .keywords import ORGANIZATION_TOPICS
 from .maps import build_map_scene, generate_map, map_questions
@@ -126,6 +129,8 @@ class RunConfig:
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.questions_per_image < 1:
+            raise ValueError("questions_per_image must be >= 1")
         if not (0.0 <= self.train_fraction <= 1.0):
             raise ValueError("train_fraction must be in [0, 1]")
 
@@ -158,7 +163,7 @@ def _llm_extra_record(
         pairs = bridge.propose_qa(str(topic), config.backend, request_id=seed % 1_000_000)
         question = pairs[0]["question"]
         answer, support = bridge.self_consistent_answer(
-            question, {"topic": str(topic)}, config=config.backend)
+            question, {"topic": str(topic)}, n=LLM_ANSWER_VOTES, config=config.backend)
     except (bridge.BackendUnavailable, bridge.ContractViolation):
         return None
     if support < config.gate.min_vote_support:

@@ -23,7 +23,8 @@ verify_record matches one record against an oracle: every draft that the
 scenario's questions function returns for the spec that produced the image.
 The caller makes that list, so this module knows nothing of the scenario
 table; the pipeline takes it from a second call, apart from the one that
-drafted the records.
+drafted the records. A record whose raw answer fields equal its draft's
+passes without being canonicalized.
 """
 
 from __future__ import annotations
@@ -238,8 +239,11 @@ def verify_record(record: InstructionRecord, oracle: list[QuestionDraft]) -> Ver
 
     `oracle` is every draft that the questions function of the record's
     scenario returns for the spec sampled from its provenance seed. Finds the
-    draft with the same question and question type, and compares answer plus
-    alternates canonically.
+    draft with the same question and question type. If that draft's answer,
+    alternates and answer kind equal the record's, the record passes at once:
+    `canonicalize` is a pure function of the answer text and kind, so equal
+    inputs canonicalize alike. Otherwise answer plus alternates are compared
+    canonically.
     """
     match = None
     for draft in oracle:
@@ -248,6 +252,9 @@ def verify_record(record: InstructionRecord, oracle: list[QuestionDraft]) -> Ver
             break
     if match is None:
         return Verdict(False, f"no draft regenerated for question {record.question!r}")
+    if (match.answer == record.answer and match.alternates == record.alternates
+            and match.answer_kind == record.answer_kind):
+        return Verdict(True)
     expected = answer_set(match)
     got = answer_set(record)
     if expected == got:

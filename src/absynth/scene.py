@@ -193,7 +193,7 @@ class SceneBuilder:
         return SceneGraph(
             canvas=self.canvas,
             primitives=tuple(prims),
-            labels={role: tuple(sorted(ix)) for role, ix in labels.items()},
+            labels={role: tuple(ix) for role, ix in labels.items()},
         )
 
 
@@ -340,23 +340,26 @@ def overlap_pairs(scene: SceneGraph, indices: Iterable[int]) -> list[tuple[int, 
     `indices` whose bounding boxes intersect with positive area, with the
     intersection area.
 
-    Only those primitives are boxed. The boxes are swept in x-min order:
-    once a box starts at or past another's x-max, so does every box after
-    it, and neither can meet it with positive area.
+    Only those primitives are boxed, each once. The boxes are swept in x-min
+    order: once a box starts at or past another's x-max, so does every box
+    after it, and neither can meet it with positive area. A box whose
+    y-range starts at or past the other's y-max, or ends at or before its
+    y-min, cannot meet it either, and is passed over before any area is
+    computed.
     """
     prims = scene.primitives
-    boxes = {i: bounding_box(prims[i]) for i in set(indices)}
-    order = sorted((box[0], i) for i, box in boxes.items())
+    boxes = sorted([(bounding_box(prims[i]), i) for i in set(indices)])
     pairs: list[tuple[int, int, float]] = []
-    for pos, (_, i) in enumerate(order):
-        x_max = boxes[i][2]
-        for x_min, j in order[pos + 1:]:
-            if x_min >= x_max:
+    for pos, (a, i) in enumerate(boxes):
+        _, y_min, x_max, y_max = a
+        for b, j in boxes[pos + 1:]:
+            if b[0] >= x_max:
                 break
-            lo, hi = (i, j) if i < j else (j, i)
-            area = bbox_intersection_area(boxes[lo], boxes[hi])
+            if b[1] >= y_max or b[3] <= y_min:
+                continue
+            area = bbox_intersection_area(a, b)
             if area > 0:
-                pairs.append((lo, hi, area))
+                pairs.append((i, j, area) if i < j else (j, i, area))
     pairs.sort()
     return pairs
 

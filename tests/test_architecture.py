@@ -14,7 +14,7 @@ import pytest
 from absynth.bridge import BackendConfig
 from absynth.charts import ChartSpec, Series, SeriesPoint
 from absynth.diagrams import FlowNode, FlowSpec, TreeNode, TreeSpec
-from absynth.gate import GateConfig
+from absynth.gate import LLM_ANSWER_VOTES, GateConfig
 from absynth.gauges import FAMILIES, DialSpec
 from absynth.keywords import BUILTIN_TOPICS
 from absynth.maps import WalkParams
@@ -376,9 +376,19 @@ def _pie(*values):
     (lambda: StyleSpec(stroke="black", stroke_width=-0.5), "negative stroke_width"),
     (lambda: Canvas(640, 63), "canvas below 64px minimum"),
     (lambda: Canvas(background=(255, 256, 255)), "background channel outside [0,255]"),
+    (lambda: RunConfig(questions_per_image=-2), "questions_per_image must be >= 1"),
+    (lambda: RunConfig(questions_per_image=0), "questions_per_image must be >= 1"),
+    (lambda: GateConfig(min_font_px=math.nan), "min_font_px must be >= 0"),
+    (lambda: GateConfig(min_font_px=-1.0), "min_font_px must be >= 0"),
+    (lambda: GateConfig(min_vote_support=LLM_ANSWER_VOTES + 1),
+     f"min_vote_support must be in [1, {LLM_ANSWER_VOTES}]"),
+    (lambda: GateConfig(min_vote_support=0), f"min_vote_support must be in [1, {LLM_ANSWER_VOTES}]"),
 ], ids=["ChartSpec", "DialSpec", "FlowSpec", "TreeSpec", "WalkParams", "GateConfig",
         "BackendConfig", "RunConfig", "StyleSpec-stroke", "StyleSpec-fill",
-        "StyleSpec-stroke_width", "Canvas-side", "Canvas-background"])
+        "StyleSpec-stroke_width", "Canvas-side", "Canvas-background",
+        "RunConfig-questions_per_image-negative", "RunConfig-questions_per_image-zero",
+        "GateConfig-min_font_px-nan", "GateConfig-min_font_px-negative",
+        "GateConfig-min_vote_support-above-votes", "GateConfig-min_vote_support-zero"])
 def test_specs_and_configs_check_themselves_on_construction(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()

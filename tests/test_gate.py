@@ -1,17 +1,21 @@
 """Feasibility retries, aesthetics screening, and gate reports."""
 
 import json
+from random import Random
 
 import pytest
 
 from absynth.charts import ChartSpec, Series, SeriesPoint, build_chart_scene, sample_chart_spec
 from absynth.gate import (
-    GateConfig, GateReport, _interference_area, aesthetics_gate, feasibility_gate,
+    FONT_SCALE_DECAY, AestheticsResult, GateConfig, GateReport, _interference_area,
+    aesthetics_gate, feasibility_gate,
 )
 from absynth.pipeline import SCENARIO_DEFS
 from absynth.scene import (
-    Canvas, SceneBuilder, StyleSpec, bbox_intersection_area, bounding_box, rect, text,
+    Canvas, LayoutOverflow, SceneBuilder, StyleSpec, bbox_intersection_area, bounding_box,
+    rect, text,
 )
+from test_gate_stress import STRESS_SEED, stress_cases
 
 
 def pie(title):
@@ -153,4 +157,80 @@ def test_interference_area_is_bit_identical_to_full_pair_sum(scenario):
     for seed in range(6):
         result = feasibility_gate(sdef.sample(seed), GateConfig(), sdef.build)
         if result.accepted:
-            assert _interference_area(result.scene) == reference_interference(result.scene)
+            text = [i for i, p in enumerate(result.scene.primitives) if p.kind == "text"]
+            assert _interference_area(result.scene, text) == reference_interference(result.scene)
+
+
+def two_scan_gate(scene, config):
+    """The aesthetics gate before it made one scan: one walk for the text
+    set, another for the small fonts, every text/legend pair compared. Kept
+    as the reference."""
+    reasons = []
+    canvas_area = scene.canvas.width * scene.canvas.height
+    overlap = reference_interference(scene)
+    if overlap > config.max_overlap_fraction * canvas_area:
+        reasons.append(
+            f"interference: text/legend overlap area {overlap:.1f}px^2 exceeds "
+            f"{config.max_overlap_fraction:.0%} of canvas"
+        )
+    small = sorted(
+        i for i, p in enumerate(scene.primitives)
+        if p.kind == "text" and (p.style.font_size or 0) < config.min_font_px
+    )
+    if small:
+        reasons.append(f"small-font: primitives {small} below {config.min_font_px}px")
+    return AestheticsResult(not reasons, tuple(reasons))
+
+
+SCALES = (1.0, FONT_SCALE_DECAY, FONT_SCALE_DECAY ** 2)
+
+
+def built_at_every_scale(spec, builder):
+    for scale in SCALES:
+        try:
+            yield builder(spec, scale)
+        except LayoutOverflow:
+            pass
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_DEFS))
+def test_one_scan_gate_matches_the_two_scan_gate_on_every_scenario(scenario):
+    sdef, config = SCENARIO_DEFS[scenario], GateConfig()
+    for seed in range(20):
+        for scene in built_at_every_scale(sdef.sample(seed), sdef.build):
+            assert aesthetics_gate(scene, config) == two_scan_gate(scene, config), seed
+
+
+def test_one_scan_gate_matches_the_two_scan_gate_on_the_stress_specs():
+    reasons = set()
+    for _, spec, builder, config in stress_cases(STRESS_SEED):
+        for scene in built_at_every_scale(spec, builder):
+            result = aesthetics_gate(scene, config)
+            assert result == two_scan_gate(scene, config)
+            reasons.add(tuple(r.split(":")[0] for r in result.reasons))
+    assert reasons == {(), ("interference",), ("small-font",), ("interference", "small-font")}
+
+
+def test_one_scan_gate_matches_the_two_scan_gate_on_crowded_scenes():
+    """Texts and legend swatches dropped on a small patch, so that most
+    pairs overlap, some only in x or only in y, and some touch at an edge."""
+    rng = Random(17)
+    config = GateConfig(max_overlap_fraction=0.002)
+    reasons = set()
+    for _ in range(300):
+        b = SceneBuilder(Canvas(640, 480))
+        for _ in range(rng.randint(0, 12)):
+            x, y = rng.randint(0, 60), rng.randint(0, 60)
+            roles = rng.choice(((), (), ("legend",)))
+            if rng.random() < 0.7:
+                style = StyleSpec(font_size=rng.choice((6, 7.5, 8, 10, 14)))
+                b.add(text(x, y, "w" * rng.randint(1, 9), style,
+                           anchor=rng.choice(("start", "middle", "end"))), *roles)
+            else:
+                b.add(rect(x, y, rng.randint(0, 20), rng.randint(0, 20),
+                           StyleSpec(fill="blue")), *roles)
+        scene = b.build()
+        result = aesthetics_gate(scene, config)
+        assert result == two_scan_gate(scene, config)
+        reasons.add(tuple(r.split(":")[0] for r in result.reasons))
+    assert reasons == {(), ("interference",), ("small-font",), ("interference", "small-font")}

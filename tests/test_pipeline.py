@@ -3,6 +3,7 @@
 import pytest
 
 from absynth.bridge import BackendConfig
+from absynth.gate import LLM_ANSWER_VOTES, GateConfig
 from absynth.pipeline import (
     RunConfig, SCENARIO_DEFS, generate_dataset, generate_image, write_outputs,
 )
@@ -85,6 +86,15 @@ def test_offline_backend_adds_voted_records():
         assert r.id.endswith("-qllm")
     # Offline completions are unanimous, so voting support always clears the gate.
     assert len(llm_records) == 3
+
+
+def test_the_highest_vote_support_keeps_unanimous_llm_records():
+    """The pipeline casts LLM_ANSWER_VOTES votes, so a gate that asks for all
+    of them still keeps every unanimous answer."""
+    gate = GateConfig(min_vote_support=LLM_ANSWER_VOTES)
+    config = small_config(scenarios=("chart",), backend=BackendConfig(), gate=gate)
+    manifest, _, _ = generate_dataset(config)
+    assert sum(r.question_type == "llm_qa" for r in manifest.records) == 3
 
 
 def test_backend_runs_stay_deterministic():

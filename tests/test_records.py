@@ -7,7 +7,7 @@ import re
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import absynth  # noqa: F401  (registers the scenario generators)
@@ -15,7 +15,8 @@ from absynth.charts import chart_questions, sample_chart_spec
 from absynth.gauges import DialSpec
 from absynth.maps import generate_map, map_instruction, map_questions
 from absynth.records import (
-    MANIFEST_SCHEMA_VERSION, SCENARIOS, InstructionRecord, Manifest, Provenance, canonicalize,
+    ANSWER_KINDS, MANIFEST_SCHEMA_VERSION, SCENARIOS, InstructionRecord, Manifest, Provenance,
+    QuestionDraft, Verdict, answer_set, canonicalize,
     dump_manifest, load_manifest, parse_number, record_from_json, record_to_json,
     SchemaMismatch, sample_for_review, validate_record, verify_record,
     vote_select,
@@ -159,6 +160,44 @@ def test_verify_record_detects_tampering():
     verdict = verify_record(rec, chart_questions(spec))
     assert not verdict.ok
     assert draft.answer in verdict.details and tampered.rstrip("0").rstrip(".") in verdict.details
+
+
+def canonical_verdict(record, draft):
+    """The full canonical comparison `verify_record` makes when the raw
+    answers differ, kept as the reference for its shortcut."""
+    expected, got = answer_set(draft), answer_set(record)
+    if expected == got:
+        return Verdict(True)
+    return Verdict(False, f"expected {sorted(expected)}, got {sorted(got)}")
+
+
+ANSWER_TEXTS = st.one_of(
+    st.sampled_from(["4:10 PM", "16:10", "4:10", "1,200", "1200", "1200.0", " Paris ",
+                     "paris", "12 km", "-3", "A, B", "a,b"]),
+    st.text(max_size=8),
+)
+ANSWER_FIELDS = st.tuples(ANSWER_TEXTS, st.lists(ANSWER_TEXTS, max_size=3).map(tuple),
+                          st.sampled_from(ANSWER_KINDS))
+
+
+@given(ANSWER_FIELDS, ANSWER_FIELDS, st.booleans())
+@example(("1,200", (), "numeric"), ("1,200", (), "numeric"), False)
+@example(("4:10 PM", ("4:10",), "phrase"), ("16:10", ("4:10",), "phrase"), False)
+@example(("16:10", (), "phrase"), ("4:10 PM", (), "phrase"), False)
+@example(("1,200", (), "numeric"), ("1200", (), "numeric"), False)
+@example(("1,200", (), "phrase"), ("1200", (), "phrase"), False)
+@example(("1,200", (), "numeric"), ("1,200", (), "phrase"), False)
+def test_raw_answer_shortcut_gives_the_canonical_verdict(drafted, recorded, copy):
+    """A record whose raw answer, alternates and kind equal its draft's
+    passes at once; any other record gets the verdict and details of the
+    full canonical comparison."""
+    answer, alternates, kind = drafted
+    draft = QuestionDraft("How many?", answer, kind, "extraction", alternates)
+    if copy:
+        recorded = drafted
+    record = make_record(answer=recorded[0], alternates=recorded[1], kind=recorded[2],
+                         question="How many?")
+    assert verify_record(record, [draft]) == canonical_verdict(record, draft)
 
 
 def test_verify_clock_alternates_accepted():

@@ -336,6 +336,29 @@ def test_swept_overlaps_match_all_pairs_on_random_boxes():
         assert overlap_pairs(scene, everything) == all_pairs_overlaps(scene, everything)
 
 
+def test_overlap_passes_over_a_column_apart_in_y(monkeypatch):
+    """A tall column of cells, like a table column or a flowchart's labels:
+    every pair overlaps in x, no two cells in y (neighbours touch at an
+    edge). No area is computed for a pair apart in y, so only the pairs of
+    the one cell that overlaps its neighbour reach the area."""
+    cells = [(5 * (k % 2), 12 * k, 60, 12 * k + 12) for k in range(30)]
+    cells.append((0, 100, 60, 110))  # overlaps cells 8 and 9
+    scene = scene_with_rects(*cells)
+    measured = []
+    real_area = scene_module.bbox_intersection_area
+
+    def counting_area(a, b):
+        measured.append((a, b))
+        return real_area(a, b)
+
+    monkeypatch.setattr(scene_module, "bbox_intersection_area", counting_area)
+    everything = range(len(scene.primitives))
+    assert overlap_pairs(scene, everything) == [(8, 30, 480.0), (9, 30, 110.0)]
+    assert len(measured) == 2
+    monkeypatch.undo()
+    assert overlap_pairs(scene, everything) == all_pairs_overlaps(scene, everything)
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIO_DEFS))
 def test_each_primitive_is_boxed_once_per_image(scenario, monkeypatch):
     """The aesthetics gate boxes the text and legend primitives it compares,
