@@ -28,6 +28,7 @@ from .scene import (
 from .seeds import derive_seed, plain, question_seed
 
 CHART_KINDS = ("line", "bar", "pie", "table", "composite")
+NON_TABLE_CHART_KINDS = tuple(kind for kind in CHART_KINDS if kind != "table")
 LEGEND_POSITIONS = ("top_left", "top_right", "bottom_left", "bottom_right")
 
 PIE_CATEGORIES = 4
@@ -209,6 +210,17 @@ def sample_chart_spec(seed: int, kind: str | None = None) -> ChartSpec:
         return ChartSpec("composite", topic.text, topic.unit, (), ("", ""),
                          rng.choice(LEGEND_POSITIONS), {}, tuple(subs))
     return _sample_simple(rng, kind, topic)
+
+
+def sample_chart(seed: int) -> ChartSpec:
+    """The `chart` scenario's spec: a kind other than table, drawn from the seed."""
+    kind = Random(derive_seed(seed, "chart-kind")).choice(NON_TABLE_CHART_KINDS)
+    return sample_chart_spec(seed, kind=kind)
+
+
+def sample_table(seed: int) -> ChartSpec:
+    """The `table` scenario's spec."""
+    return sample_chart_spec(seed, kind="table")
 
 
 # ---------------------------------------------------------------------------

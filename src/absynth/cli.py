@@ -137,6 +137,8 @@ def _load_manifest_file(path: str):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.max_missing is not None and args.max_missing < 0:
+        raise ValueError(f"--max-missing must be >= 0, not {args.max_missing}")
     from .scoring import aggregate, load_predictions, render_report_text
     manifest = _load_manifest_file(args.gold)
     if not os.path.exists(args.predictions):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
-from .keywords import ALGORITHM_TOPICS, WORKFLOW_TOPICS
+from .keywords import ALGORITHM_TOPICS, ORGANIZATION_TOPICS, WORKFLOW_TOPICS
 from .palette import PALETTE
 from .records import QuestionDraft
 from .scene import (
@@ -167,6 +167,13 @@ def sample_relation_graph(seed: int, topic: str) -> TreeSpec:
     k = min(rng.randint(1, 3), len(candidates))
     extra = tuple(rng.sample(candidates, k))
     return TreeSpec(spec.root, spec.node_colors, extra)
+
+
+def sample_graph(seed: int) -> TreeSpec:
+    """The `relation_graph` scenario's spec: a relation graph on an
+    organization topic drawn from the seed."""
+    topic = Random(derive_seed(seed, "graph-topic")).choice(ORGANIZATION_TOPICS)
+    return sample_relation_graph(seed, topic)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,12 @@
 
 One image per (scenario, index) slot; the record seed is derived from the
 master seed so runs shard cleanly across workers and reproduce byte-for-byte
-regardless of job count. SCENARIO_DEFS is the only scenario table. Every
+regardless of job count.
+
+SCENARIO_SOURCES is the only scenario table. It names, for each scenario, the
+generator module and the functions in it; `scenario_def` imports that module
+the first time the scenario runs and keeps the resolved row in SCENARIO_DEFS,
+so `gen --scenario map` never loads the chart code. Every
 procedural record must re-verify against its spec before it is written. The
 oracle runs once per image: a second, independent call of the questions
 function in the image's own scenario row, whose drafts every record of the
@@ -33,23 +38,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from random import Random
+from importlib import import_module
 from typing import Any, Callable
 
 from . import bridge
-from .charts import build_chart_scene, chart_questions, sample_chart_spec
-from .diagrams import (
-    diagram_questions, layout_hierarchy, sample_flow_spec, sample_relation_graph,
-)
 from .gate import (
     LLM_ANSWER_VOTES, GateConfig, GateReport, aesthetics_gate, feasibility_gate,
-)
-from .gauges import build_dial_scene, dial_questions, sample_dial_spec
-from .keywords import ORGANIZATION_TOPICS
-from .maps import build_map_scene, generate_map, map_questions
-from .puzzles import (
-    build_floorplan_scene, build_puzzle_scene, layout_questions, puzzle_questions,
-    sample_floorplan, sample_puzzle,
 )
 from .records import (
     InstructionRecord, Manifest, Provenance, QuestionDraft, SCENARIOS, dump_manifest,
@@ -57,8 +51,6 @@ from .records import (
 )
 from .scene import SceneGraph, render_svg
 from .seeds import derive_seed
-
-NON_TABLE_CHART_KINDS = ("line", "bar", "pie", "composite")
 
 
 @dataclass(frozen=True)
@@ -69,33 +61,42 @@ class ScenarioDef:
     generator: str
 
 
-def _sample_chart(seed: int):
-    kind = Random(derive_seed(seed, "chart-kind")).choice(NON_TABLE_CHART_KINDS)
-    return sample_chart_spec(seed, kind=kind)
-
-
-def _sample_table(seed: int):
-    return sample_chart_spec(seed, kind="table")
-
-
-def _sample_graph(seed: int):
-    topic = Random(derive_seed(seed, "graph-topic")).choice(ORGANIZATION_TOPICS)
-    return sample_relation_graph(seed, topic)
-
-
-SCENARIO_DEFS: dict[str, ScenarioDef] = {
-    "chart": ScenarioDef(_sample_chart, build_chart_scene, chart_questions, "chart-gen"),
-    "table": ScenarioDef(_sample_table, build_chart_scene, chart_questions, "chart-gen"),
-    "map": ScenarioDef(generate_map, build_map_scene, map_questions, "map-gen"),
-    "dashboard": ScenarioDef(sample_dial_spec, build_dial_scene, dial_questions, "gauge-gen"),
-    "flowchart": ScenarioDef(sample_flow_spec, layout_hierarchy, diagram_questions,
-                             "diagram-gen"),
-    "relation_graph": ScenarioDef(_sample_graph, layout_hierarchy, diagram_questions,
-                                  "diagram-gen"),
-    "puzzle": ScenarioDef(sample_puzzle, build_puzzle_scene, puzzle_questions, "puzzle-gen"),
-    "layout": ScenarioDef(sample_floorplan, build_floorplan_scene, layout_questions,
-                          "floorplan-gen"),
+# Where each scenario's functions live: (module, sample, build, questions,
+# generator name).
+SCENARIO_SOURCES: dict[str, tuple[str, str, str, str, str]] = {
+    "chart": ("charts", "sample_chart", "build_chart_scene", "chart_questions", "chart-gen"),
+    "table": ("charts", "sample_table", "build_chart_scene", "chart_questions", "chart-gen"),
+    "map": ("maps", "generate_map", "build_map_scene", "map_questions", "map-gen"),
+    "dashboard": ("gauges", "sample_dial_spec", "build_dial_scene", "dial_questions",
+                  "gauge-gen"),
+    "flowchart": ("diagrams", "sample_flow_spec", "layout_hierarchy", "diagram_questions",
+                  "diagram-gen"),
+    "relation_graph": ("diagrams", "sample_graph", "layout_hierarchy", "diagram_questions",
+                       "diagram-gen"),
+    "puzzle": ("puzzles", "sample_puzzle", "build_puzzle_scene", "puzzle_questions",
+               "puzzle-gen"),
+    "layout": ("puzzles", "sample_floorplan", "build_floorplan_scene", "layout_questions",
+               "floorplan-gen"),
 }
+
+# The rows resolved so far, filled by scenario_def.
+SCENARIO_DEFS: dict[str, ScenarioDef] = {}
+
+
+def scenario_def(scenario: str) -> ScenarioDef:
+    """The scenario's row, importing its generator module the first time.
+
+    Later calls read SCENARIO_DEFS alone. Two threads that miss at once
+    both resolve the row, to equal values, so no lock is needed."""
+    try:
+        return SCENARIO_DEFS[scenario]
+    except KeyError:
+        module, sample, build, questions, generator = SCENARIO_SOURCES[scenario]
+        mod = import_module(f"{__package__}.{module}")
+        sdef = ScenarioDef(getattr(mod, sample), getattr(mod, build), getattr(mod, questions),
+                           generator)
+        SCENARIO_DEFS[scenario] = sdef
+        return sdef
 
 
 @dataclass(frozen=True)
@@ -116,14 +117,14 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for pos, scenario in enumerate(self.scenarios):
-            if scenario not in SCENARIO_DEFS:
+            if scenario not in SCENARIO_SOURCES:
                 raise ValueError(f"unknown scenario {scenario!r}")
             if scenario in self.scenarios[:pos]:
                 raise ValueError(f"scenario {scenario!r} given twice")
             if self.count_for(scenario) < 0:
                 raise ValueError(f"negative count for {scenario!r}")
         for scenario in self.counts:
-            if scenario not in SCENARIO_DEFS:
+            if scenario not in SCENARIO_SOURCES:
                 raise ValueError(f"unknown scenario {scenario!r} in counts")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
@@ -178,7 +179,7 @@ def _llm_extra_record(
 
 
 def generate_image(config: RunConfig, scenario: str, index: int) -> ImageResult:
-    sdef = SCENARIO_DEFS[scenario]
+    sdef = scenario_def(scenario)
     image_id = f"{scenario}-{index:05d}"
     seed = derive_seed(config.seed, scenario, index)
     result = ImageResult(scenario, index, image_id)

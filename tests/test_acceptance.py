@@ -16,7 +16,7 @@ from absynth.gate import GateConfig, aesthetics_gate, feasibility_gate
 from absynth.gauges import build_dial_scene, decode_clock_scene, dial_questions, sample_dial_spec
 from absynth.keywords import ORGANIZATION_TOPICS
 from absynth.maps import generate_map
-from absynth.pipeline import RunConfig, SCENARIO_DEFS, generate_dataset, write_outputs
+from absynth.pipeline import RunConfig, generate_dataset, scenario_def, write_outputs
 from absynth.records import canonicalize, verify_record
 from absynth.scene import Canvas, SceneBuilder, StyleSpec, text
 from absynth.scoring import (
@@ -50,7 +50,7 @@ def test_criterion_1_end_to_end_oracle_soundness():
     }
     verified = 0
     for record in manifest.records:
-        sdef = SCENARIO_DEFS[record.scenario]
+        sdef = scenario_def(record.scenario)
         oracle = sdef.questions(sdef.sample(record.provenance.seed))
         assert verify_record(record, oracle).ok, record.id
         verified += 1
@@ -137,7 +137,7 @@ def test_criterion_6_gate_bounds():
     assert not verdict.passed
     assert any(r.startswith("interference") for r in verdict.reasons)
 
-    fine = SCENARIO_DEFS["chart"].sample(77)
+    fine = scenario_def("chart").sample(77)
     first = feasibility_gate(fine, GateConfig(), build_chart_scene)
     second = feasibility_gate(fine, GateConfig(), build_chart_scene)
     assert first == second and first.accepted

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -53,8 +54,9 @@ print(json.dumps(loaded))
 """
 NETWORK_MODULES = ("urllib.request", "http.client", "socket", "ssl", "email", "xml.sax",
                    "concurrent.futures")
-GEN_ONLY_MODULES = tuple(f"absynth.{name}" for name in
-                         ("pipeline", "charts", "maps", "gauges", "diagrams", "puzzles", "bridge"))
+GENERATOR_MODULES = tuple(f"absynth.{name}" for name in
+                          ("charts", "maps", "gauges", "diagrams", "puzzles"))
+GEN_ONLY_MODULES = ("absynth.pipeline", *GENERATOR_MODULES, "absynth.bridge")
 
 
 def modules_loaded_by(*statements, cwd):
@@ -73,15 +75,16 @@ def among(loaded, wanted):
 def test_import_loads_no_network_stack_and_commands_load_only_their_modules(tmp_path):
     """Run-time twin of the source scan above: it catches a network module
     pulled in through a standard-library import, which the scan cannot see."""
-    package, bridged, generators, transport = modules_loaded_by(
+    package, bridged, pipeline, transport = modules_loaded_by(
         "import absynth", "import absynth.bridge", "import absynth.pipeline",
         "from absynth import bridge; bridge.http_transport("
         "bridge.BackendConfig(endpoint='http://localhost:8000/v1/chat/completions'))",
         cwd=tmp_path)
-    assert "absynth.scene" in package and "absynth.charts" in generators
+    assert among(package, ["absynth"]) == ["absynth"]  # and no absynth.* module
     assert among(bridged, GEN_ONLY_MODULES) == ["absynth.bridge"]
+    assert among(pipeline, GENERATOR_MODULES) == []
     assert among(package, NETWORK_MODULES) == []
-    assert among(package | bridged | generators, NETWORK_MODULES) == []
+    assert among(package | bridged | pipeline, NETWORK_MODULES) == []
     assert "urllib.request" in transport  # the deferred import still works
 
     from test_records import make_record
@@ -98,6 +101,46 @@ def test_import_loads_no_network_stack_and_commands_load_only_their_modules(tmp_
     assert among(cli | evaluated, GEN_ONLY_MODULES) == []
     assert "absynth.scoring" in evaluated
     assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("scenarios, generators", [
+    (["--scenario", "chart"], ["absynth.charts"]),
+    (["--scenario", "map"], ["absynth.maps"]),
+    (["--scenario", "relation_graph"], ["absynth.diagrams"]),
+    (["--all"], sorted(GENERATOR_MODULES)),
+], ids=["chart", "map", "relation_graph", "all"])
+def test_gen_loads_only_the_generators_of_its_scenarios(tmp_path, scenarios, generators):
+    argv = ["gen", *scenarios, "--count", "1", "--out", str(tmp_path / "out")]
+    [loaded] = modules_loaded_by(
+        f"from absynth import cli; assert cli.main({argv!r}) == 0", cwd=tmp_path)
+    assert among(loaded, GENERATOR_MODULES) == generators
+    assert among(loaded, NETWORK_MODULES) == []
+    assert (tmp_path / "out" / "manifest.jsonl").exists()
+
+
+PACKAGE_EXPORTS = [("InstructionRecord", "records"), ("Manifest", "records"),
+                   ("QuestionDraft", "records"), ("Canvas", "scene"), ("Primitive", "scene"),
+                   ("SceneGraph", "scene"), ("StyleSpec", "scene"), ("render_svg", "scene")]
+
+
+@pytest.mark.parametrize("name, module", PACKAGE_EXPORTS, ids=[n for n, _ in PACKAGE_EXPORTS])
+def test_package_exports_are_their_modules_names(name, module):
+    """`import absynth` loads no submodule; each name it exports is read
+    from its module on first use, and is that module's object."""
+    import absynth
+    namespace = {}
+    exec(f"from absynth import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"absynth.{module}"), name)
+    assert getattr(absynth, name) is namespace[name]
+    assert name in dir(absynth)
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    import absynth
+    with pytest.raises(AttributeError, match="^module 'absynth' has no attribute 'Nope'$"):
+        absynth.Nope
+    with pytest.raises(ImportError):
+        exec("from absynth import Nope", {})
 
 
 def test_keyword_library_ships_150_topics():

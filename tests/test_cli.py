@@ -88,6 +88,14 @@ def test_eval_max_missing_exit_code(tmp_path):
                 "--max-missing", 0]) == 2
 
 
+def test_negative_max_missing_is_one_line_error(tmp_path, capsys):
+    """Every eval would fail a negative bound, so it is refused before any
+    file is read."""
+    assert run(["eval", tmp_path / "nope.jsonl", tmp_path / "nope.jsonl",
+                "--out", tmp_path, "--max-missing", -1]) == 1
+    assert one_line_error(capsys) == "error: --max-missing must be >= 0, not -1"
+
+
 def test_eval_missing_file_is_error(tmp_path, capsys):
     out = gen(tmp_path)
     assert run(["eval", out / "manifest.jsonl", tmp_path / "nope.jsonl"]) == 1
@@ -224,6 +232,7 @@ def test_largest_64_bit_seed_accepted(tmp_path):
     ('{"response": "4"}', "'id'"),
     ('["x", "4"]', "object"),
     ('{"id": "x", "response": ', "invalid JSON"),
+    ('{"id": "x", "response": null}', "response must be a string or a number, not null"),
 ])
 def test_bad_prediction_line_is_one_line_error_with_line_number(tmp_path, capsys, line, reason):
     out = gen(tmp_path)

@@ -10,7 +10,8 @@ from absynth.gate import (
     FONT_SCALE_DECAY, AestheticsResult, GateConfig, GateReport, _interference_area,
     aesthetics_gate, feasibility_gate,
 )
-from absynth.pipeline import SCENARIO_DEFS
+from absynth.pipeline import scenario_def
+from absynth.records import SCENARIOS
 from absynth.scene import (
     Canvas, LayoutOverflow, SceneBuilder, StyleSpec, bbox_intersection_area, bounding_box,
     rect, text,
@@ -151,9 +152,9 @@ def reference_interference(scene):
     return total
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIO_DEFS))
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_interference_area_is_bit_identical_to_full_pair_sum(scenario):
-    sdef = SCENARIO_DEFS[scenario]
+    sdef = scenario_def(scenario)
     for seed in range(6):
         result = feasibility_gate(sdef.sample(seed), GateConfig(), sdef.build)
         if result.accepted:
@@ -193,9 +194,9 @@ def built_at_every_scale(spec, builder):
             pass
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIO_DEFS))
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_one_scan_gate_matches_the_two_scan_gate_on_every_scenario(scenario):
-    sdef, config = SCENARIO_DEFS[scenario], GateConfig()
+    sdef, config = scenario_def(scenario), GateConfig()
     for seed in range(20):
         for scene in built_at_every_scale(sdef.sample(seed), sdef.build):
             assert aesthetics_gate(scene, config) == two_scan_gate(scene, config), seed

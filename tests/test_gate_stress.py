@@ -18,8 +18,9 @@ from absynth import maps
 from absynth.charts import ChartSpec, Series, SeriesPoint, build_chart_scene, sample_chart_spec
 from absynth.gate import FONT_SCALE_DECAY, GateConfig, aesthetics_gate, feasibility_gate
 from absynth.maps import WalkParams, build_map_scene, generate_map
-from absynth.pipeline import SCENARIO_DEFS
+from absynth.pipeline import scenario_def
 from absynth.puzzles import FloorPlanSpec, build_floorplan_scene, sample_floorplan
+from absynth.records import SCENARIOS
 from absynth.scene import LayoutOverflow, bounding_box, text_width
 
 # The font scale of each feasibility attempt.
@@ -149,7 +150,8 @@ def test_builders_keep_every_box_on_the_canvas():
                 if x0 < -0.5 or y0 < -0.5 or x1 > right or y1 > bottom]
 
     built = Counter()
-    for name, sdef in sorted(SCENARIO_DEFS.items()):
+    for name in sorted(SCENARIOS):
+        sdef = scenario_def(name)
         for seed in range(150):
             spec = sdef.sample(seed)
             for scale in SCALES:
@@ -164,5 +166,5 @@ def test_builders_keep_every_box_on_the_canvas():
                 continue
             assert not off_canvas(scene), (kind, scale)
             built[kind] += 1
-    assert all(built[name] == 150 * len(SCALES) for name in SCENARIO_DEFS)
+    assert all(built[name] == 150 * len(SCALES) for name in SCENARIOS)
     assert {"pie title", "composite title", "room name", "dense map"} <= set(built)

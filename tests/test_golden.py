@@ -14,11 +14,12 @@ from typing import ClassVar
 
 import pytest
 
-from absynth import pipeline, scene, seeds
+from absynth import charts, pipeline, scene, seeds
 from absynth.gauges import FAMILIES
 from absynth.maps import RoadMapSpec
 from absynth.pipeline import (
-    RunConfig, SCENARIO_DEFS, generate_dataset, generate_image, write_outputs,
+    RunConfig, SCENARIO_DEFS, SCENARIO_SOURCES, generate_dataset, generate_image, scenario_def,
+    write_outputs,
 )
 from absynth.puzzles import PatternRule
 from absynth.records import SCENARIOS, record_to_json
@@ -65,9 +66,10 @@ def test_golden_digest_in_a_fresh_process(tmp_path, hash_seed):
 
 
 def test_golden_digest_every_family(tmp_path):
-    specs = {scenario: [sdef.sample(derive_seed(1, scenario, index)) for index in range(12)]
-             for scenario, sdef in SCENARIO_DEFS.items()}
-    assert {s.kind for s in specs["chart"]} == set(pipeline.NON_TABLE_CHART_KINDS)
+    specs = {scenario: [scenario_def(scenario).sample(derive_seed(1, scenario, index))
+                        for index in range(12)]
+             for scenario in SCENARIOS}
+    assert {s.kind for s in specs["chart"]} == set(charts.NON_TABLE_CHART_KINDS)
     assert {s.family for s in specs["dashboard"]} == set(FAMILIES)
     assert {isinstance(s, PatternRule) for s in specs["puzzle"]} == {True, False}
     assert {s.style for s in specs["layout"]} == {"architectural", "webpage"}
@@ -78,7 +80,7 @@ def test_golden_digest_every_family(tmp_path):
 
 
 def test_scenario_table_matches_scenarios():
-    assert tuple(SCENARIO_DEFS) == SCENARIOS
+    assert tuple(SCENARIO_SOURCES) == SCENARIOS
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -115,7 +117,7 @@ def count_digests(monkeypatch) -> list:
 
 @pytest.mark.parametrize("scenario", QUESTION_SEEDED)
 def test_question_seed_is_the_spec_digest_computed_once(scenario, monkeypatch):
-    sample = SCENARIO_DEFS[scenario].sample
+    sample = scenario_def(scenario).sample
     calls = count_digests(monkeypatch)
     for seed in range(50):
         spec = sample(seed)
@@ -176,7 +178,7 @@ def test_plain_encodes_like_asdict():
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_spec_encoding_matches_asdict(scenario):
-    sample = SCENARIO_DEFS[scenario].sample
+    sample = scenario_def(scenario).sample
     for seed in range(50):
         spec = sample(seed)
         assert stable_digest(spec.to_dict()) == stable_digest(asdict_encoding(spec)), seed
@@ -194,7 +196,7 @@ def test_record_json_matches_asdict():
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_oracle_runs_once_per_image_apart_from_drafts(scenario, monkeypatch):
     returned = []  # every list the scenario's questions function handed out, in call order
-    sdef = SCENARIO_DEFS[scenario]
+    sdef = scenario_def(scenario)
 
     def counting(spec):
         drafts = sdef.questions(spec)

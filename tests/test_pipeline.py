@@ -2,10 +2,11 @@
 
 import pytest
 
+from absynth import pipeline
 from absynth.bridge import BackendConfig
 from absynth.gate import LLM_ANSWER_VOTES, GateConfig
 from absynth.pipeline import (
-    RunConfig, SCENARIO_DEFS, generate_dataset, generate_image, write_outputs,
+    RunConfig, generate_dataset, generate_image, scenario_def, write_outputs,
 )
 from absynth.records import SCENARIOS, dump_manifest, verify_record
 
@@ -47,7 +48,7 @@ def test_seed_changes_output():
 def test_every_record_reverifies_from_provenance():
     manifest, _, _ = generate_dataset(small_config())
     for record in manifest.records:
-        sdef = SCENARIO_DEFS[record.scenario]
+        sdef = scenario_def(record.scenario)
         spec = sdef.sample(record.provenance.seed)
         assert verify_record(record, sdef.questions(spec)), record.id
 
@@ -122,6 +123,16 @@ def test_generate_image_slot_is_self_contained():
     assert result.svg is not None
     assert result.records
     assert result.records[0].difficulty in range(1, 6)
+
+
+def test_a_scenario_imports_its_module_once(monkeypatch):
+    """The first image of a scenario resolves its row; every later image
+    reads the resolved row and makes no import call."""
+    config = small_config()
+    first = generate_image(config, "chart", 0)
+    monkeypatch.setattr(pipeline, "import_module", lambda name: pytest.fail(name))
+    assert generate_image(config, "chart", 0) == first
+    assert scenario_def("chart") is pipeline.SCENARIO_DEFS["chart"]
 
 
 def test_config_validation():

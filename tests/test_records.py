@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import absynth  # noqa: F401  (registers the scenario generators)
 from absynth.charts import chart_questions, sample_chart_spec
 from absynth.gauges import DialSpec
 from absynth.maps import generate_map, map_instruction, map_questions

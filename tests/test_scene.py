@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from absynth import pipeline, scene as scene_module
 from absynth.gate import GateConfig, feasibility_gate
-from absynth.pipeline import SCENARIO_DEFS, RunConfig, generate_image
+from absynth.pipeline import RunConfig, generate_image, scenario_def
+from absynth.records import SCENARIOS
 from absynth.scene import (
     Canvas, InvalidScene, Primitive, SceneBuilder, SceneGraph, StyleSpec,
     _fmt, angle_point, arc, bounding_box, bbox_intersection_area, circle, line, overlap_pairs,
@@ -299,7 +300,8 @@ def all_pairs_overlaps(scene, indices):
 
 
 def sampled_scenes(seeds=range(8)):
-    for name, sdef in sorted(SCENARIO_DEFS.items()):
+    for name in sorted(SCENARIOS):
+        sdef = scenario_def(name)
         for seed in seeds:
             result = feasibility_gate(sdef.sample(seed), GateConfig(), sdef.build)
             if result.accepted:
@@ -318,7 +320,7 @@ def test_swept_overlaps_match_all_pairs_on_sampled_scenes():
         for what, indices in selections:
             assert overlap_pairs(scene, indices) == \
                 all_pairs_overlaps(scene, indices), (name, what)
-    assert seen == set(SCENARIO_DEFS)
+    assert seen == set(SCENARIOS)
 
 
 def test_swept_overlaps_match_all_pairs_on_random_boxes():
@@ -359,7 +361,7 @@ def test_overlap_passes_over_a_column_apart_in_y(monkeypatch):
     assert overlap_pairs(scene, everything) == all_pairs_overlaps(scene, everything)
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIO_DEFS))
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_each_primitive_is_boxed_once_per_image(scenario, monkeypatch):
     """The aesthetics gate boxes the text and legend primitives it compares,
     each once, and no other primitive."""
@@ -426,7 +428,7 @@ def test_coordinate_memo_gives_the_reference_text_whichever_key_came_first(order
 
 def test_render_with_the_coordinate_memo_matches_formatting_each_value(monkeypatch):
     named = list(sampled_scenes(range(4)))
-    assert {name for name, _ in named} == set(SCENARIO_DEFS)
+    assert {name for name, _ in named} == set(SCENARIOS)
     scenes = [scene for _, scene in named]
     scene_module._coord.cache_clear()
     cold = [render_svg(scene) for scene in scenes]

@@ -348,6 +348,24 @@ def test_prediction_lines_end_at_newline_only():
     assert load_predictions(data.replace(b"\n", b"\r\n")) == responses
 
 
+@pytest.mark.parametrize("response, json_type", [
+    ("null", "null"), ("true", "a boolean"), ("false", "a boolean"), ("[1]", "an array"),
+    ('{"x": 1}', "an object"),
+], ids=["null", "true", "false", "array", "object"])
+def test_prediction_response_of_another_json_type_is_refused(response, json_type):
+    data = '{"id": "a", "response": "1"}\n\n{"id": "b", "response": ' + response + "}\n"
+    message = f"prediction line 3: response must be a string or a number, not {json_type}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_predictions(data)
+
+
+@pytest.mark.parametrize("response, text", [
+    ('"4:10 PM"', "4:10 PM"), ("42", "42"), ("-1.5", "-1.5"), ("1e3", "1000.0"),
+], ids=["string", "integer", "float", "exponent"])
+def test_prediction_response_number_is_read_as_its_text(response, text):
+    assert load_predictions('{"id": "a", "response": ' + response + "}") == {"a": text}
+
+
 def test_report_text_renders():
     report = aggregate(fixture_manifest(), FIXTURE_PREDICTIONS)
     txt = render_report_text(report)
