@@ -101,7 +101,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    from .pipeline import generate_dataset, write_outputs
+    from .pipeline import generate_dataset, image_id_for, write_outputs
     config = _load_run_config(args)
     if args.dry_run:
         plan = {s: config.count_for(s) for s in config.scenarios}
@@ -111,18 +111,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     os.makedirs(config.out_dir, exist_ok=True)  # an unusable --out fails before any image
     manifest, report, images = generate_dataset(config)
     paths = write_outputs(config, manifest, report, images)
-    # [accepted, rejected] images; record ids ("chart-00001-q02") name no
-    # scenario before their last dash, so accuracy drops are not counted.
-    by_scenario = {scenario: [0, 0] for scenario in config.scenarios}
-    for cid, outcome in report.outcomes.items():
-        counts = by_scenario.get(cid.rsplit("-", 1)[0])
-        if counts is not None:
-            counts[outcome is not None] += 1
     stats = manifest.stats()
     for scenario in config.scenarios:
-        accepted, rejected = by_scenario[scenario]
+        count = config.count_for(scenario)
+        rejected = sum(report.outcomes[image_id_for(scenario, index)] is not None
+                       for index in range(count))
         records = stats.get(scenario, {}).get("records", 0)
-        print(f"{scenario:<16} images accepted {accepted:>4}  rejected {rejected:>3}  "
+        print(f"{scenario:<16} images accepted {count - rejected:>4}  rejected {rejected:>3}  "
               f"records {records:>5}")
     print(f"wrote {paths['manifest']} ({len(manifest.records)} records) and "
           f"{len(images)} images")

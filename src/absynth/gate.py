@@ -138,13 +138,8 @@ class GateReport:
 
     outcomes: dict[str, Rejection | None] = field(default_factory=dict)
 
-    def accept(self, candidate_id: str) -> None:
-        self._record(candidate_id, None)
-
-    def reject(self, candidate_id: str, stage: str, reason: str) -> None:
-        self._record(candidate_id, Rejection(stage, reason))
-
-    def _record(self, candidate_id: str, outcome: Rejection | None) -> None:
+    def record(self, candidate_id: str, outcome: Rejection | None) -> None:
+        """Note one candidate's outcome: None if it was accepted."""
         if candidate_id in self.outcomes:
             raise ValueError(f"candidate {candidate_id!r} gated twice")
         self.outcomes[candidate_id] = outcome

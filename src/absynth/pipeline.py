@@ -2,7 +2,9 @@
 
 One image per (scenario, index) slot; the record seed is derived from the
 master seed so runs shard cleanly across workers and reproduce byte-for-byte
-regardless of job count.
+regardless of job count. The slots run in the order their outputs are
+written, scenarios by name and then index, so the order the scenarios are
+named in changes no byte either.
 
 SCENARIO_SOURCES is the only scenario table. It names, for each scenario, the
 generator module and the functions in it; `scenario_def` imports that module
@@ -39,11 +41,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import bridge
 from .gate import (
-    LLM_ANSWER_VOTES, GateConfig, GateReport, aesthetics_gate, feasibility_gate,
+    LLM_ANSWER_VOTES, GateConfig, GateReport, Rejection, aesthetics_gate, feasibility_gate,
 )
 from .records import (
     InstructionRecord, Manifest, Provenance, QuestionDraft, SCENARIOS, dump_manifest,
@@ -136,26 +138,31 @@ class RunConfig:
             raise ValueError("train_fraction must be in [0, 1]")
 
 
+def image_id_for(scenario: str, index: int) -> str:
+    """The image's gate-report key, and the stem of its file and record ids."""
+    return f"{scenario}-{index:05d}"
+
+
 @dataclass
 class ImageResult:
-    scenario: str
-    index: int
     image_id: str
-    rejection: tuple[str, str] | None = None  # (stage, reason)
+    image_ref: str
+    rejection: Rejection | None = None
     svg: bytes | None = None
     records: list[InstructionRecord] = field(default_factory=list)
-    dropped_records: list[tuple[str, str]] = field(default_factory=list)
+    dropped_records: list[tuple[str, Rejection]] = field(default_factory=list)
 
 
-def _assign_split(config: RunConfig, record_id: str) -> str:
+def _assign_split(config: RunConfig, image_id: str) -> str:
+    """One split per image, so no picture has records on both sides."""
     if config.train_fraction <= 0.0:
         return "test"
-    bucket = derive_seed(config.seed, "split", record_id) % 10_000
+    bucket = derive_seed(config.seed, "split", image_id) % 10_000
     return "train" if bucket < config.train_fraction * 10_000 else "test"
 
 
 def _llm_extra_record(
-    config: RunConfig, scenario: str, image_id: str, image_ref: str, spec: Any, seed: int
+    config: RunConfig, scenario: str, result: ImageResult, split: str, spec: Any, seed: int
 ) -> InstructionRecord | None:
     """One backend-proposed question gated by self-consistency support."""
     assert config.backend is not None
@@ -169,88 +176,84 @@ def _llm_extra_record(
         return None
     if support < config.gate.min_vote_support:
         return None
-    record_id = f"{image_id}-qllm"
     return InstructionRecord(
-        id=record_id, scenario=scenario, image_ref=image_ref,
+        id=f"{result.image_id}-qllm", scenario=scenario, image_ref=result.image_ref,
         question=question, answer=answer, answer_kind="phrase", question_type="llm_qa",
-        split=_assign_split(config, record_id),
-        provenance=Provenance("llm-bridge", seed),
+        split=split, provenance=Provenance("llm-bridge", seed),
     )
 
 
 def generate_image(config: RunConfig, scenario: str, index: int) -> ImageResult:
     sdef = scenario_def(scenario)
-    image_id = f"{scenario}-{index:05d}"
+    image_id = image_id_for(scenario, index)
     seed = derive_seed(config.seed, scenario, index)
-    result = ImageResult(scenario, index, image_id)
+    result = ImageResult(image_id, f"images/{scenario}/{image_id}.svg")
     spec = sdef.sample(seed)
     feasibility = feasibility_gate(spec, config.gate, sdef.build)
     if not feasibility.accepted:
-        result.rejection = (feasibility.rejection.stage, feasibility.rejection.reason)
+        result.rejection = feasibility.rejection
         return result
     aesthetics = aesthetics_gate(feasibility.scene, config.gate)
     if not aesthetics.passed:
-        result.rejection = ("aesthetics", "; ".join(aesthetics.reasons))
+        result.rejection = Rejection("aesthetics", "; ".join(aesthetics.reasons))
         return result
     result.svg = render_svg(feasibility.scene)
-    image_ref = f"images/{scenario}/{image_id}.svg"
     drafts = sdef.questions(spec)[: config.questions_per_image]
     # A second call: checking the records against `drafts` itself would be a tautology.
     oracle = sdef.questions(spec)
     difficulty = getattr(spec, "difficulty", None)
+    split = _assign_split(config, image_id)
     for j, draft in enumerate(drafts):
-        record_id = f"{image_id}-q{j:02d}"
         record = InstructionRecord(
-            id=record_id, scenario=scenario, image_ref=image_ref,
+            id=f"{image_id}-q{j:02d}", scenario=scenario, image_ref=result.image_ref,
             question=draft.question, answer=draft.answer,
             answer_kind=draft.answer_kind, question_type=draft.question_type,
             alternates=draft.alternates, rationale=draft.rationale,
-            difficulty=difficulty, split=_assign_split(config, record_id),
+            difficulty=difficulty, split=split,
             provenance=Provenance(sdef.generator, seed),
         )
         verdict = verify_record(record, oracle)
         if verdict.ok:
             result.records.append(record)
         else:
-            result.dropped_records.append((record_id, verdict.details))
+            result.dropped_records.append((record.id, Rejection("accuracy", verdict.details)))
     if config.backend is not None and result.records:
-        extra = _llm_extra_record(config, scenario, image_id, image_ref, spec, seed)
+        extra = _llm_extra_record(config, scenario, result, split, spec, seed)
         if extra is not None:
             result.records.append(extra)
     return result
+
+
+def _results(config: RunConfig) -> Iterator[ImageResult]:
+    """Every slot's result in slot order: scenarios by name, then index."""
+    slots = [(s, i) for s in sorted(config.scenarios) for i in range(config.count_for(s))]
+    if config.jobs == 1:
+        yield from (generate_image(config, *slot) for slot in slots)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        yield from pool.map(lambda slot: generate_image(config, *slot), slots)
 
 
 def generate_dataset(config: RunConfig) -> tuple[Manifest, GateReport, dict[str, bytes]]:
     """Run every (scenario, index) slot through the full pipeline.
 
     Returns the manifest, the gate report, and the image files keyed by
-    their manifest-relative path. Output is independent of config.jobs.
-    The manifest is validated once, when write_outputs dumps it.
+    their manifest-relative path, all three built in one pass as the
+    results arrive in slot order, with no sort. Output depends neither on
+    config.jobs nor on the order of config.scenarios. The manifest is
+    validated once, when write_outputs dumps it.
     """
-    slots = [
-        (scenario, index)
-        for scenario in config.scenarios
-        for index in range(config.count_for(scenario))
-    ]
-    if config.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(
-                lambda slot: generate_image(config, slot[0], slot[1]), slots))
-    else:
-        results = [generate_image(config, scenario, index) for scenario, index in slots]
-
     manifest = Manifest()
     report = GateReport()
     images: dict[str, bytes] = {}
-    for result in sorted(results, key=lambda r: (r.scenario, r.index)):
+    for result in _results(config):
+        report.record(result.image_id, result.rejection)
         if result.rejection is not None:
-            report.reject(result.image_id, *result.rejection)
             continue
-        report.accept(result.image_id)
-        for record_id, details in result.dropped_records:
-            report.reject(record_id, "accuracy", details)
-        images[f"images/{result.scenario}/{result.image_id}.svg"] = result.svg
+        for record_id, rejection in result.dropped_records:
+            report.record(record_id, rejection)
+        images[result.image_ref] = result.svg
         manifest.records.extend(result.records)
     return manifest, report, images
 
@@ -274,15 +277,14 @@ def write_outputs(
         fh.write(report.to_json() + "\n")
     paths["gate_report"] = report_path
     review_path = os.path.join(out_dir, "review_sample.json")
-    review_ids = (sample_for_review(manifest, review_fraction, config.seed)
-                  if manifest.records else [])
+    review_ids = sample_for_review(manifest, review_fraction, config.seed)
     with open(review_path, "w", encoding="utf-8") as fh:
         json.dump({"fraction": review_fraction, "record_ids": review_ids}, fh, indent=2)
         fh.write("\n")
     paths["review_sample"] = review_path
-    for rel_dir in sorted({os.path.dirname(rel) for rel in images}):
+    for rel_dir in {os.path.dirname(rel) for rel in images}:
         os.makedirs(os.path.join(out_dir, rel_dir), exist_ok=True)
-    for rel, data in sorted(images.items()):
+    for rel, data in images.items():
         with open(os.path.join(out_dir, rel), "wb") as fh:
             fh.write(data)
     return paths

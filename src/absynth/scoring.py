@@ -30,16 +30,16 @@ TOLERANT_SCENARIOS = frozenset({"chart", "table", "dashboard"})
 NUMERIC_TOLERANCE = 0.05
 
 
-_NOT_A_RESPONSE = {type(None): "null", bool: "a boolean", list: "an array", dict: "an object"}
+_JSON_NAMES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               list: "an array", dict: "an object"}
 
 
 def load_predictions(data: bytes | str) -> dict[str, str]:
-    """Parse a prediction file: one JSON object per line with fields
-    ``id`` and ``response``. A response is a string, or a JSON number,
-    which scores as its decimal text. Later duplicates win. A malformed
-    line, or a response that is null, a boolean, an array or an object,
-    raises ValueError naming its 1-based line number. Lines end at "\n"
-    only, as in `records.load_manifest`."""
+    """Parse a prediction file: one JSON object per line with a string
+    ``id`` and a ``response``, a string or a JSON number, which scores as
+    its decimal text. Later duplicates win. A malformed line, or an id or
+    response of another JSON type, raises ValueError naming its 1-based
+    line number. Lines end at "\n" only, as in `records.load_manifest`."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     out: dict[str, str] = {}
     for number, line in enumerate(text.split("\n"), start=1):
@@ -56,12 +56,15 @@ def load_predictions(data: bytes | str) -> dict[str, str]:
             raise ValueError(f"prediction line {number}: missing field {err}") from None
         except TypeError:
             raise ValueError(f"prediction line {number}: not a JSON object") from None
+        if type(record_id) is not str:
+            raise ValueError(f"prediction line {number}: id must be a string, "
+                             f"not {_JSON_NAMES[type(record_id)]}")
         if type(response) is not str:
             if type(response) not in (int, float):
                 raise ValueError(f"prediction line {number}: response must be a string or "
-                                 f"a number, not {_NOT_A_RESPONSE[type(response)]}")
+                                 f"a number, not {_JSON_NAMES[type(response)]}")
             response = str(response)
-        out[str(record_id)] = response
+        out[record_id] = response
     return out
 
 

@@ -48,6 +48,19 @@ def test_gen_twice_byte_identical(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_gen_prints_scenarios_in_the_order_named(tmp_path, capsys):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    for out, first, second in ((out_a, "table", "chart"), (out_b, "chart", "table")):
+        capsys.readouterr()
+        assert run(["gen", "--scenario", first, "--scenario", second, "--count", 2,
+                    "--seed", 4, "--out", out]) == 0
+        printed = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()]
+        assert printed[:2] == [first, second]
+    for name in ("manifest.jsonl", "gate_report.json", "review_sample.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
 def test_dry_run_writes_nothing(tmp_path, capsys):
     out = tmp_path / "never"
     assert run(["gen", "--all", "--count", 5, "--out", out, "--dry-run"]) == 0
@@ -233,6 +246,7 @@ def test_largest_64_bit_seed_accepted(tmp_path):
     ('["x", "4"]', "object"),
     ('{"id": "x", "response": ', "invalid JSON"),
     ('{"id": "x", "response": null}', "response must be a string or a number, not null"),
+    ('{"id": null, "response": "4"}', "id must be a string, not null"),
 ])
 def test_bad_prediction_line_is_one_line_error_with_line_number(tmp_path, capsys, line, reason):
     out = gen(tmp_path)

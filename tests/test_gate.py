@@ -7,8 +7,8 @@ import pytest
 
 from absynth.charts import ChartSpec, Series, SeriesPoint, build_chart_scene, sample_chart_spec
 from absynth.gate import (
-    FONT_SCALE_DECAY, AestheticsResult, GateConfig, GateReport, _interference_area,
-    aesthetics_gate, feasibility_gate,
+    FONT_SCALE_DECAY, AestheticsResult, GateConfig, GateReport, Rejection,
+    _interference_area, aesthetics_gate, feasibility_gate,
 )
 from absynth.pipeline import scenario_def
 from absynth.records import SCENARIOS
@@ -115,17 +115,17 @@ def test_gate_idempotent_on_accepted_scene():
 
 def test_report_counts_and_uniqueness():
     report = GateReport()
-    report.accept("a")
-    report.reject("b", "feasibility", "too wide")
-    report.reject("c", "aesthetics", "interference: overlap")
-    report.accept("d")
+    report.record("a", None)
+    report.record("b", Rejection("feasibility", "too wide"))
+    report.record("c", Rejection("aesthetics", "interference: overlap"))
+    report.record("d", None)
     summary = report.aggregate()
     assert summary["candidates"] == 4
     assert summary["accepted"] == 2
     assert summary["rejected_by_stage"] == {"aesthetics": 1, "feasibility": 1}
     assert summary["pass_rate"] == 0.5
     with pytest.raises(ValueError):
-        report.accept("a")
+        report.record("a", None)
     parsed = json.loads(report.to_json())
     assert parsed["outcomes"]["b"]["stage"] == "feasibility"
 

@@ -39,6 +39,16 @@ def test_jobs_do_not_change_output():
     assert serial[2] == parallel[2]
 
 
+def test_scenario_order_does_not_change_output():
+    """Slots run scenarios by name, so the order the scenarios are named in
+    changes no byte, no report entry and no image key's place."""
+    a = generate_dataset(small_config(scenarios=("table", "map", "chart")))
+    b = generate_dataset(small_config(scenarios=("chart", "map", "table")))
+    assert dump_manifest(a[0]) == dump_manifest(b[0])
+    assert a[1].to_json() == b[1].to_json()
+    assert list(a[2].items()) == list(b[2].items())
+
+
 def test_seed_changes_output():
     a = generate_dataset(small_config(seed=5))
     b = generate_dataset(small_config(seed=6))
@@ -73,6 +83,10 @@ def test_train_fraction_split():
     manifest, _, _ = generate_dataset(config)
     splits = {r.split for r in manifest.records}
     assert splits == {"train", "test"}
+    split_of: dict[str, set[str]] = {}
+    for r in manifest.records:
+        split_of.setdefault(r.image_ref, set()).add(r.split)
+    assert [ref for ref, sides in split_of.items() if len(sides) > 1] == []
     again, _, _ = generate_dataset(small_config(default_count=6, train_fraction=0.5))
     assert [r.split for r in again.records] == [r.split for r in manifest.records]
 

@@ -359,6 +359,17 @@ def test_prediction_response_of_another_json_type_is_refused(response, json_type
         load_predictions(data)
 
 
+@pytest.mark.parametrize("record_id, json_type", [
+    ("null", "null"), ("true", "a boolean"), ("7", "a number"), ("7.5", "a number"),
+    ('["a"]', "an array"), ('{"a": 1}', "an object"),
+], ids=["null", "true", "integer", "float", "array", "object"])
+def test_prediction_id_of_another_json_type_is_refused(record_id, json_type):
+    data = '{"id": "a", "response": "1"}\n\n{"id": ' + record_id + ', "response": "1"}\n'
+    message = f"prediction line 3: id must be a string, not {json_type}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_predictions(data)
+
+
 @pytest.mark.parametrize("response, text", [
     ('"4:10 PM"', "4:10 PM"), ("42", "42"), ("-1.5", "-1.5"), ("1e3", "1000.0"),
 ], ids=["string", "integer", "float", "exponent"])
