@@ -6,7 +6,8 @@ are serialized one-per-line as JSON (see MANIFEST_SCHEMA_VERSION and the
 field list in the README). record_to_json is the one record line writer: a
 single f-string in sorted key order over the C string escaper, giving the
 bytes of json.dumps(sort_keys=True, ensure_ascii=False) for every record that
-validate_record accepts. parse_json_line is the one line reader, for manifest
+validate_record accepts. It checks nothing itself, so it is right only for
+validated records. parse_json_line is the one line reader, for manifest
 and prediction lines alike: the C scanner first, json.loads only for what the
 scanner does not take whole, so it accepts, returns and rejects exactly what
 json.loads does.
@@ -15,7 +16,9 @@ InstructionRecord and QuestionDraft are plain slotted dataclasses: mutable,
 unhashable and without a per-instance __dict__, so building one stores each
 field directly instead of through a frozen __init__'s object.__setattr__.
 Building a record checks nothing; dump_manifest runs validate_record on every
-record before it writes it, and load_manifest on every record it reads.
+record before it writes it, and load_manifest on every record it reads. A
+valid record passes one short-circuit guard over every rule; the per-problem
+checks run only for a record that fails it, to name what is wrong.
 Provenance is slotted too but stays frozen and hashable, because its default
 is one instance shared by every record that leaves provenance out.
 
@@ -96,8 +99,44 @@ class InstructionRecord:
     provenance: Provenance = Provenance("unknown", 0)
 
 
+_SCENARIO_SET = frozenset(SCENARIOS)
+_ANSWER_KIND_SET = frozenset(ANSWER_KINDS)
+_SPLIT_SET = frozenset({"train", "test"})
+
+
 def validate_record(record: InstructionRecord) -> list[str]:
-    """All invariant violations for a record (empty list = valid)."""
+    """All invariant violations for a record (empty list = valid).
+
+    A valid record passes one short-circuit guard over every rule and
+    returns at once; the per-problem checks below it run only for a record
+    that fails the guard, to name what is wrong. The guard may refuse more
+    than the checks do (a str subclass as scenario, say), never less: a
+    vocabulary field is tested for membership only once it is a str, since
+    a JSON array or object would not hash.
+    """
+    r, p = record, record.provenance
+    answer, kind, qtype = r.answer, r.answer_kind, r.question_type
+    rationale, difficulty, alternates = r.rationale, r.difficulty, r.alternates
+    if (type(r.id) is str and type(r.image_ref) is str and type(qtype) is str
+            and isinstance(answer, str) and isinstance(r.question, str)
+            and (rationale is None or isinstance(rationale, str))
+            and isinstance(alternates, (tuple, list))
+            and (difficulty is None or type(difficulty) is int and 1 <= difficulty <= 5)
+            and type(p) is Provenance and type(p.generator) is str and type(p.seed) is int
+            and type(r.scenario) is str and r.scenario in _SCENARIO_SET
+            and type(kind) is str and kind in _ANSWER_KIND_SET
+            and type(r.split) is str and r.split in _SPLIT_SET
+            and (rationale or qtype not in RATIONALE_REQUIRED_TYPES)
+            and (kind != "numeric"
+                 or (value := parse_number(answer)) is not None and math.isfinite(value))
+            and (kind != "landmark_sequence"
+                 or len(names := [n.strip() for n in answer.split(",")]) == len(set(names))
+                 and all(names))):
+        for a in alternates:
+            if not isinstance(a, str):
+                break
+        else:
+            return []
     problems: list[str] = []
     # Type checks come first: a manifest line can hold any JSON value, and
     # the checks below parse and compare these fields.
@@ -327,7 +366,7 @@ def record_to_json(record: InstructionRecord) -> str:
     validate_record accepts: strings where strings go, ints or None for
     difficulty, and an int seed."""
     r, p = record, record.provenance
-    alternates = ", ".join(map(_quote, r.alternates))
+    alternates = ", ".join(map(_quote, r.alternates)) if r.alternates else ""
     difficulty = "null" if r.difficulty is None else r.difficulty
     rationale = "null" if r.rationale is None else _quote(r.rationale)
     return (
@@ -385,8 +424,7 @@ def dump_manifest(manifest: Manifest) -> bytes:
         {"kind": "manifest-header", "schema_version": MANIFEST_SCHEMA_VERSION},
         sort_keys=True,
     )
-    lines = [header] + [record_to_json(r) for r in manifest.records]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "\n".join([header, *map(record_to_json, manifest.records), ""]).encode("utf-8")
 
 
 def _line_error(err: Exception) -> str:
@@ -405,7 +443,7 @@ def load_manifest(data: bytes | str) -> Manifest:
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     numbered = enumerate(text.split("\n"), start=1)
     for number, first in numbered:
-        if first.strip():
+        if first and not first.isspace():
             break
     else:
         raise SchemaMismatch("empty manifest file")
@@ -420,7 +458,7 @@ def load_manifest(data: bytes | str) -> Manifest:
         raise SchemaMismatch(f"schema_version {version!r}, expected {MANIFEST_SCHEMA_VERSION!r}")
     records = []
     for number, line in numbered:
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
             records.append(record_from_json(line))

@@ -43,7 +43,7 @@ def load_predictions(data: bytes | str) -> dict[str, str]:
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     out: dict[str, str] = {}
     for number, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
             row = parse_json_line(line)

@@ -293,6 +293,12 @@ def test_gen_validates_the_manifest_once(tmp_path, monkeypatch):
     ("question_type", ["math"], "question_type must be a string, not list"),
     ("image_ref", 5, "image_ref must be a string, not int"),
     ("provenance", {"generator": 7, "seed": 3}, "provenance generator must be a string, not int"),
+    ("scenario", ["chart"], "unknown scenario ['chart']"),
+    ("scenario", {"chart": 1}, "unknown scenario {'chart': 1}"),
+    ("answer_kind", ["numeric"], "unknown answer_kind ['numeric']"),
+    ("answer_kind", {"numeric": 1}, "unknown answer_kind {'numeric': 1}"),
+    ("split", ["test"], "bad split ['test']"),
+    ("split", {"test": 1}, "bad split {'test': 1}"),
 ])
 def test_wrongly_typed_manifest_value_is_one_line_error(tmp_path, capsys, field, value, problem):
     out = gen(tmp_path)

@@ -19,6 +19,7 @@ from absynth.records import (
     dump_manifest, load_manifest, parse_json_line, record_from_json, record_to_json,
     validate_record,
 )
+from absynth.scoring import load_predictions
 from absynth.seeds import plain
 
 
@@ -113,8 +114,9 @@ WRONG_VALUES = {
     "provenance": [None, {"generator": "g", "seed": 1}, ("g", 1), Provenance(7, 1),
                    Provenance("g", True), Provenance("g", "12"), Provenance("g", 1.0),
                    Provenance(None, 1)],
-    "scenario": [None, 7],
-    "split": [None, 1],
+    "scenario": [None, 7, ["chart"], {"chart": 1}],
+    "answer_kind": [None, 7, ["numeric"], {"numeric": 1}],
+    "split": [None, 1, ["test"], {"test": 1}],
 }
 
 
@@ -149,6 +151,72 @@ def test_dump_refuses_what_the_writer_would_write_wrongly(field, value, problem)
     assert validate_record(record) == [problem]
     with pytest.raises(ValueError, match="^record "):
         dump_manifest(Manifest(records=[record]))
+
+
+class Text(str):
+    """A str subclass, which the isinstance checks on answer, question and
+    rationale accept."""
+
+
+def substitutions(record):
+    """(field, value) pairs that each replace one field of `record`: every
+    WRONG_VALUES entry, then a Text as answer, question and rationale."""
+    for field, values in sorted(WRONG_VALUES.items()):
+        for value in values:
+            yield field, value
+    yield "answer", Text(record.answer)
+    yield "question", Text(record.question)
+    yield "rationale", Text(record.rationale or "Because.")
+
+
+def test_dump_accepts_exactly_what_validate_record_accepts():
+    rng = Random(22)
+    records = [r for r in (random_valid_record(rng, i) for i in range(500)) if encodable(r)]
+    assert len(records) > 40
+    accepted = set()
+    for record in records[:40]:
+        for field, value in substitutions(record):
+            changed = dataclasses.replace(record, **{field: value})
+            problems = validate_record(changed)
+            try:
+                data = dump_manifest(Manifest(records=[changed]))
+            except ValueError as err:
+                assert problems and str(err) == f"record {changed.id}: {problems}", changed
+                continue
+            assert problems == [], changed
+            assert data.decode("utf-8").split("\n")[1] == reference_line(changed), changed
+            accepted.add((field, "Text" if type(value) is Text else repr(value)))
+    assert accepted == {("alternates", "['x', 'y']"), ("answer", "Text"), ("question", "Text"),
+                        ("rationale", "Text")}
+
+
+VOCABULARY_PROBLEMS = {"scenario": "unknown scenario", "answer_kind": "unknown answer_kind",
+                       "split": "bad split"}
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field in VOCABULARY_PROBLEMS for value in WRONG_VALUES[field]
+    if isinstance(value, (list, dict))])
+def test_load_refuses_a_vocabulary_field_that_is_an_array_or_object(field, value):
+    record = random_valid_record(Random(6), 0)
+    row = json.loads(record_to_json(record))
+    row[field] = value
+    data = dump_manifest(Manifest()) + json.dumps(row).encode("utf-8") + b"\n"
+    with pytest.raises(ValueError) as err:
+        load_manifest(data)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"record {record.id}: {[f'{VOCABULARY_PROBLEMS[field]} {value!r}']}"
+
+
+@pytest.mark.parametrize("blank", [" \x0b ", "", "\r", "\x1c\u3000\u2028"])
+def test_whitespace_only_line_is_skipped(blank):
+    rng = Random(7)
+    first, second = (random_valid_record(rng, i) for i in range(2))
+    header = dump_manifest(Manifest()).decode("utf-8")
+    manifest = f"{header}{record_to_json(first)}\n{blank}\n{record_to_json(second)}\n"
+    assert load_manifest(manifest).records == [first, second]
+    predictions = f'{{"id": "a", "response": "1"}}\n{blank}\n{{"id": "b", "response": "2"}}\n'
+    assert load_predictions(predictions) == {"a": "1", "b": "2"}
 
 
 def test_writer_keys_are_the_record_fields():
