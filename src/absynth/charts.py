@@ -117,9 +117,13 @@ class ChartSpec:
 # Sampling
 
 
-def _sample_values(rng: Random, unit: str, n: int) -> list[int]:
+def _value_series(rng: Random, unit: str, labels: tuple[str, ...],
+                  cats: tuple[str, ...]) -> tuple[Series, ...]:
+    """One series per label, each with one value per category, drawn label
+    by label."""
     lo, hi, _ = UNIT_CLASSES[unit]
-    return [rng.randint(lo, hi) for _ in range(n)]
+    return tuple(Series(label, tuple(SeriesPoint(c, float(rng.randint(lo, hi))) for c in cats))
+                 for label in labels)
 
 
 def _sample_pie_percentages(rng: Random) -> list[int]:
@@ -163,19 +167,14 @@ def _sample_simple(rng: Random, kind: str, topic, narrow: bool = False) -> Chart
             row_labels = pool_labels[:n_rows]
         else:
             row_labels = tuple(f"Row {i + 1}" for i in range(n_rows))
-        series = tuple(
-            Series(lbl, tuple(SeriesPoint(c, float(v)) for c, v in
-                              zip(cats, _sample_values(rng, topic.unit, n_cols))))
-            for lbl in row_labels
-        )
+        series = _value_series(rng, topic.unit, row_labels, cats)
         return ChartSpec("table", topic.text, topic.unit, series,
                          _axis_labels(topic.unit), rng.choice(LEGEND_POSITIONS), {})
     if kind == "bar":
         k = rng.randint(3, 4) if narrow else rng.randint(3, 6)
         cats = tuple(pool[:k])
         label = rng.choice(_SERIES_POOLS[rng.randrange(len(_SERIES_POOLS))])
-        series = (Series(label, tuple(SeriesPoint(c, float(v)) for c, v in
-                                      zip(cats, _sample_values(rng, topic.unit, k)))),)
+        series = _value_series(rng, topic.unit, (label,), cats)
         colors = _assign_colors(rng, (label,))
         return ChartSpec("bar", topic.text, topic.unit, series,
                          _axis_labels(topic.unit), rng.choice(LEGEND_POSITIONS), colors)
@@ -184,11 +183,7 @@ def _sample_simple(rng: Random, kind: str, topic, narrow: bool = False) -> Chart
     k = rng.randint(3, 5) if narrow else rng.randint(4, 8)
     cats = tuple(pool[:k])
     labels = _SERIES_POOLS[rng.randrange(len(_SERIES_POOLS))][:n_series]
-    series = tuple(
-        Series(lbl, tuple(SeriesPoint(c, float(v)) for c, v in
-                          zip(cats, _sample_values(rng, topic.unit, k))))
-        for lbl in labels
-    )
+    series = _value_series(rng, topic.unit, labels, cats)
     colors = _assign_colors(rng, labels)
     return ChartSpec("line", topic.text, topic.unit, series,
                      _axis_labels(topic.unit), rng.choice(LEGEND_POSITIONS), colors)

@@ -131,6 +131,19 @@ def _load_manifest_file(path: str):
         return load_manifest(fh.read())
 
 
+def _write_report(out_dir: str, stem: str, body: str, text: str) -> None:
+    """Write `<stem>.json` (the JSON `body` and a newline) and `<stem>.txt`
+    into `out_dir`, then print the text and where the JSON went."""
+    os.makedirs(out_dir, exist_ok=True)
+    json_path = os.path.join(out_dir, f"{stem}.json")
+    with open(json_path, "w", encoding="utf-8") as fh:
+        fh.write(body + "\n")
+    with open(os.path.join(out_dir, f"{stem}.txt"), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(text, end="")
+    print(f"wrote {json_path}")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.max_missing is not None and args.max_missing < 0:
         raise ValueError(f"--max-missing must be >= 0, not {args.max_missing}")
@@ -142,15 +155,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         predictions = load_predictions(fh.read())
     report = aggregate(manifest, predictions)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.predictions))
-    os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, "report.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
-    text = render_report_text(report)
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(text, end="")
-    print(f"wrote {json_path}")
+    _write_report(out_dir, "report", report.to_json(), render_report_text(report))
     missing = report.total.missing
     if args.max_missing is not None and missing > args.max_missing:
         print(f"error: {missing} predictions missing exceeds --max-missing "
@@ -163,21 +168,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .scoring import dataset_stats
     manifest = _load_manifest_file(args.manifest)
     stats = dataset_stats(manifest)
-    out_dir = args.out or os.path.dirname(os.path.abspath(args.manifest))
-    os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, "stats.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     lines = [f"records {stats['records']}  images {stats['images']}"]
     for scenario, counts in stats["per_scenario"].items():
         lines.append(f"  {scenario:<16} images {counts['images']:>5}  "
                      f"records {counts['records']:>6}")
-    text = "\n".join(lines) + "\n"
-    with open(os.path.join(out_dir, "stats.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(text, end="")
-    print(f"wrote {json_path}")
+    out_dir = args.out or os.path.dirname(os.path.abspath(args.manifest))
+    _write_report(out_dir, "stats", json.dumps(stats, indent=2, sort_keys=True),
+                  "\n".join(lines) + "\n")
     return 0
 
 

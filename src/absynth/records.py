@@ -16,9 +16,8 @@ InstructionRecord and QuestionDraft are plain slotted dataclasses: mutable,
 unhashable and without a per-instance __dict__, so building one stores each
 field directly instead of through a frozen __init__'s object.__setattr__.
 Building a record checks nothing; dump_manifest runs validate_record on every
-record before it writes it, and load_manifest on every record it reads. A
-valid record passes one short-circuit guard over every rule; the per-problem
-checks run only for a record that fails it, to name what is wrong.
+record before it writes it, and load_manifest on every record it reads.
+validate_record tests each rule once and names every problem it finds.
 Provenance is slotted too but stays frozen and hashable, because its default
 is one instance shared by every record that leaves provenance out.
 
@@ -105,91 +104,70 @@ _SPLIT_SET = frozenset({"train", "test"})
 
 
 def validate_record(record: InstructionRecord) -> list[str]:
-    """All invariant violations for a record (empty list = valid).
+    """All invariant violations for a record (empty list = valid), in a
+    fixed order.
 
-    A valid record passes one short-circuit guard over every rule and
-    returns at once; the per-problem checks below it run only for a record
-    that fails the guard, to name what is wrong. The guard may refuse more
-    than the checks do (a str subclass as scenario, say), never less: a
-    vocabulary field is tested for membership only once it is a str, since
-    a JSON array or object would not hash.
+    Type checks come first: a manifest line can hold any JSON value, and the
+    rules after them parse and compare these fields. A question_type, answer
+    or difficulty of the wrong type is set to None once it is named, so no
+    later rule reads it. A vocabulary field is looked up in its frozenset
+    only once it is a str, since a JSON array or object would not hash.
     """
+    problems: list[str] = []
     r, p = record, record.provenance
-    answer, kind, qtype = r.answer, r.answer_kind, r.question_type
-    rationale, difficulty, alternates = r.rationale, r.difficulty, r.alternates
-    if (type(r.id) is str and type(r.image_ref) is str and type(qtype) is str
-            and isinstance(answer, str) and isinstance(r.question, str)
-            and (rationale is None or isinstance(rationale, str))
-            and isinstance(alternates, (tuple, list))
-            and (difficulty is None or type(difficulty) is int and 1 <= difficulty <= 5)
-            and type(p) is Provenance and type(p.generator) is str and type(p.seed) is int
-            and type(r.scenario) is str and r.scenario in _SCENARIO_SET
-            and type(kind) is str and kind in _ANSWER_KIND_SET
-            and type(r.split) is str and r.split in _SPLIT_SET
-            and (rationale or qtype not in RATIONALE_REQUIRED_TYPES)
-            and (kind != "numeric"
-                 or (value := parse_number(answer)) is not None and math.isfinite(value))
-            and (kind != "landmark_sequence"
-                 or len(names := [n.strip() for n in answer.split(",")]) == len(set(names))
-                 and all(names))):
+    qtype, answer, rationale = r.question_type, r.answer, r.rationale
+    alternates, difficulty = r.alternates, r.difficulty
+    if type(r.id) is not str:
+        problems.append(f"id must be a string, not {type(r.id).__name__}")
+    if type(r.image_ref) is not str:
+        problems.append(f"image_ref must be a string, not {type(r.image_ref).__name__}")
+    if type(qtype) is not str:
+        problems.append(f"question_type must be a string, not {type(qtype).__name__}")
+        qtype = None
+    if not isinstance(answer, str):
+        problems.append(f"answer must be a string, not {type(answer).__name__}")
+        answer = None
+    if not isinstance(r.question, str):
+        problems.append(f"question must be a string, not {type(r.question).__name__}")
+    if rationale is not None and not isinstance(rationale, str):
+        problems.append(f"rationale must be a string, not {type(rationale).__name__}")
+    if not isinstance(alternates, (tuple, list)):
+        problems.append(f"alternates must be a list, not {type(alternates).__name__}")
+    else:
         for a in alternates:
             if not isinstance(a, str):
+                problems.append("alternates must all be strings")
                 break
-        else:
-            return []
-    problems: list[str] = []
-    # Type checks come first: a manifest line can hold any JSON value, and
-    # the checks below parse and compare these fields.
-    if type(record.id) is not str:
-        problems.append(f"id must be a string, not {type(record.id).__name__}")
-    if type(record.image_ref) is not str:
-        problems.append(f"image_ref must be a string, not {type(record.image_ref).__name__}")
-    qtype_is_str = type(record.question_type) is str  # a list would not hash below
-    if not qtype_is_str:
-        problems.append(
-            f"question_type must be a string, not {type(record.question_type).__name__}")
-    answer_is_str = isinstance(record.answer, str)
-    if not answer_is_str:
-        problems.append(f"answer must be a string, not {type(record.answer).__name__}")
-    if not isinstance(record.question, str):
-        problems.append(f"question must be a string, not {type(record.question).__name__}")
-    if record.rationale is not None and not isinstance(record.rationale, str):
-        problems.append(f"rationale must be a string, not {type(record.rationale).__name__}")
-    if not isinstance(record.alternates, (tuple, list)):
-        problems.append(f"alternates must be a list, not {type(record.alternates).__name__}")
-    elif not all(isinstance(a, str) for a in record.alternates):
-        problems.append("alternates must all be strings")
-    difficulty = record.difficulty
-    difficulty_is_int = type(difficulty) is int  # JSON true/false load as bool, not int
-    if difficulty is not None and not difficulty_is_int:
+    if difficulty is not None and type(difficulty) is not int:  # JSON true/false load as bool
         problems.append(f"difficulty must be an integer, not {type(difficulty).__name__}")
-    provenance = record.provenance
-    if type(provenance) is not Provenance:
-        problems.append(f"provenance must be a Provenance, not {type(provenance).__name__}")
+        difficulty = None
+    if type(p) is not Provenance:
+        problems.append(f"provenance must be a Provenance, not {type(p).__name__}")
     else:
-        if type(provenance.generator) is not str:
+        if type(p.generator) is not str:
             problems.append(f"provenance generator must be a string, "
-                            f"not {type(provenance.generator).__name__}")
-        if type(provenance.seed) is not int:  # True is a bool, and writes as true
-            problems.append(f"provenance seed must be an integer, "
-                            f"not {type(provenance.seed).__name__}")
-    if record.scenario not in SCENARIOS:
-        problems.append(f"unknown scenario {record.scenario!r}")
-    if record.answer_kind not in ANSWER_KINDS:
-        problems.append(f"unknown answer_kind {record.answer_kind!r}")
-    if record.answer_kind == "numeric" and answer_is_str:
-        value = parse_number(record.answer)
-        if value is None or not math.isfinite(value):
-            problems.append(f"numeric answer {record.answer!r} does not parse")
-    if record.answer_kind == "landmark_sequence" and answer_is_str:
-        names = [n.strip() for n in record.answer.split(",")]
-        if len(names) != len(set(names)) or any(not n for n in names):
-            problems.append("landmark sequence must be unique non-empty names")
-    if qtype_is_str and record.question_type in RATIONALE_REQUIRED_TYPES and not record.rationale:
-        problems.append(f"{record.question_type} record missing rationale")
-    if record.split not in ("train", "test"):
-        problems.append(f"bad split {record.split!r}")
-    if difficulty_is_int and not (1 <= difficulty <= 5):
+                            f"not {type(p.generator).__name__}")
+        if type(p.seed) is not int:  # True is a bool, and writes as true
+            problems.append(f"provenance seed must be an integer, not {type(p.seed).__name__}")
+    scenario, kind, split = r.scenario, r.answer_kind, r.split
+    if not (isinstance(scenario, str) and scenario in _SCENARIO_SET):
+        problems.append(f"unknown scenario {scenario!r}")
+    if not (isinstance(kind, str) and kind in _ANSWER_KIND_SET):
+        problems.append(f"unknown answer_kind {kind!r}")
+    if answer is not None:
+        if kind == "numeric":
+            value = parse_number(answer)
+            if value is None or not math.isfinite(value):
+                problems.append(f"numeric answer {answer!r} does not parse")
+        elif kind == "landmark_sequence":
+            names = [n.strip() for n in answer.split(",")]
+            if len(names) != len(set(names)) or not all(names):
+                problems.append("landmark sequence must be unique non-empty names")
+    if qtype in RATIONALE_REQUIRED_TYPES and not rationale:
+        problems.append(f"{qtype} record missing rationale")
+    if not (isinstance(split, str) and split in _SPLIT_SET):
+        problems.append(f"bad split {split!r}")
+    if difficulty is not None and not 1 <= difficulty <= 5:
         problems.append(f"difficulty {difficulty} outside 1..5")
     return problems
 
@@ -436,9 +414,16 @@ def _line_error(err: Exception) -> str:
 
 
 def load_manifest(data: bytes | str) -> Manifest:
-    """Parse a manifest file. A malformed line raises SchemaMismatch naming
-    its 1-based line number in the file, blank lines included. Lines end at
-    "\n" only: a record line holds U+0085, U+2028 and U+2029 unescaped, and
+    """Parse a manifest file.
+
+    A line that is not JSON, or from which no record can be built (a missing
+    field, say, or a provenance seed that is not an integer), raises
+    SchemaMismatch naming its 1-based line number in the file, blank lines
+    included. Once every line is read, Manifest.validate checks the records:
+    one that breaks a record rule raises ValueError naming the record id, as
+    in "record None: ['id must be a string, not NoneType']", and a repeated
+    id raises "duplicate record ids: [...]". Lines end at "\n" only: a
+    record line holds U+0085, U+2028 and U+2029 unescaped, and
     str.splitlines would cut it there."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     numbered = enumerate(text.split("\n"), start=1)

@@ -378,6 +378,18 @@ def test_record_lines_skip_the_generic_json_path():
     assert not offenders
 
 
+def test_each_record_rule_is_written_once():
+    """validate_record tests each rule in one place: no fast path in front of
+    the per-problem checks repeats a rule, and the vocabulary fields are
+    looked up in their frozensets, not scanned in the tuples."""
+    tree = ast.parse((SRC_DIR / "records.py").read_text(encoding="utf-8"))
+    [check] = functions(tree, "validate_record")
+    once = ("parse_number", "_SCENARIO_SET", "_ANSWER_KIND_SET", "_SPLIT_SET",
+            "RATIONALE_REQUIRED_TYPES")
+    uses = {name: len(name_uses(check, name)) for name in (*once, "SCENARIOS", "ANSWER_KINDS")}
+    assert uses == {**dict.fromkeys(once, 1), "SCENARIOS": 0, "ANSWER_KINDS": 0}
+
+
 def test_record_types_are_slotted():
     """Records and drafts keep their fields in slots, not a per-instance
     __dict__, so building one skips a frozen __init__'s object.__setattr__.

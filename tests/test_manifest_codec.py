@@ -4,11 +4,14 @@
 `records.parse_json_line` reads any line through the C scanner. Both must
 agree byte for byte and error for error with `json.dumps(plain(record),
 ensure_ascii=False, sort_keys=True)` and `json.loads(line)`, which are kept
-here as the reference.
+here as the reference. `reference_problems` likewise keeps the record checks
+that `records.validate_record` must match, message for message and in order.
 """
 
 import dataclasses
 import json
+import math
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -16,8 +19,8 @@ import pytest
 from absynth.pipeline import RunConfig, generate_dataset
 from absynth.records import (
     ANSWER_KINDS, RATIONALE_REQUIRED_TYPES, SCENARIOS, InstructionRecord, Manifest, Provenance,
-    dump_manifest, load_manifest, parse_json_line, record_from_json, record_to_json,
-    validate_record,
+    dump_manifest, load_manifest, parse_json_line, parse_number, record_from_json,
+    record_to_json, validate_record,
 )
 from absynth.scoring import load_predictions
 from absynth.seeds import plain
@@ -189,6 +192,111 @@ def test_dump_accepts_exactly_what_validate_record_accepts():
     assert accepted == {("alternates", "['x', 'y']"), ("answer", "Text"), ("question", "Text"),
                         ("rationale", "Text")}
 
+
+def reference_problems(record):
+    """validate_record as it was before it became one pass over locals and
+    frozensets: tuple membership for the vocabulary fields and a flag for
+    each field whose type would break a later rule. Kept as the reference
+    for every message and for their order."""
+    problems: list[str] = []
+    # Type checks come first: a manifest line can hold any JSON value, and
+    # the checks below parse and compare these fields.
+    if type(record.id) is not str:
+        problems.append(f"id must be a string, not {type(record.id).__name__}")
+    if type(record.image_ref) is not str:
+        problems.append(f"image_ref must be a string, not {type(record.image_ref).__name__}")
+    qtype_is_str = type(record.question_type) is str  # a list would not hash below
+    if not qtype_is_str:
+        problems.append(
+            f"question_type must be a string, not {type(record.question_type).__name__}")
+    answer_is_str = isinstance(record.answer, str)
+    if not answer_is_str:
+        problems.append(f"answer must be a string, not {type(record.answer).__name__}")
+    if not isinstance(record.question, str):
+        problems.append(f"question must be a string, not {type(record.question).__name__}")
+    if record.rationale is not None and not isinstance(record.rationale, str):
+        problems.append(f"rationale must be a string, not {type(record.rationale).__name__}")
+    if not isinstance(record.alternates, (tuple, list)):
+        problems.append(f"alternates must be a list, not {type(record.alternates).__name__}")
+    elif not all(isinstance(a, str) for a in record.alternates):
+        problems.append("alternates must all be strings")
+    difficulty = record.difficulty
+    difficulty_is_int = type(difficulty) is int  # JSON true/false load as bool, not int
+    if difficulty is not None and not difficulty_is_int:
+        problems.append(f"difficulty must be an integer, not {type(difficulty).__name__}")
+    provenance = record.provenance
+    if type(provenance) is not Provenance:
+        problems.append(f"provenance must be a Provenance, not {type(provenance).__name__}")
+    else:
+        if type(provenance.generator) is not str:
+            problems.append(f"provenance generator must be a string, "
+                            f"not {type(provenance.generator).__name__}")
+        if type(provenance.seed) is not int:  # True is a bool, and writes as true
+            problems.append(f"provenance seed must be an integer, "
+                            f"not {type(provenance.seed).__name__}")
+    if record.scenario not in SCENARIOS:
+        problems.append(f"unknown scenario {record.scenario!r}")
+    if record.answer_kind not in ANSWER_KINDS:
+        problems.append(f"unknown answer_kind {record.answer_kind!r}")
+    if record.answer_kind == "numeric" and answer_is_str:
+        value = parse_number(record.answer)
+        if value is None or not math.isfinite(value):
+            problems.append(f"numeric answer {record.answer!r} does not parse")
+    if record.answer_kind == "landmark_sequence" and answer_is_str:
+        names = [n.strip() for n in record.answer.split(",")]
+        if len(names) != len(set(names)) or any(not n for n in names):
+            problems.append("landmark sequence must be unique non-empty names")
+    if qtype_is_str and record.question_type in RATIONALE_REQUIRED_TYPES and not record.rationale:
+        problems.append(f"{record.question_type} record missing rationale")
+    if record.split not in ("train", "test"):
+        problems.append(f"bad split {record.split!r}")
+    if difficulty_is_int and not (1 <= difficulty <= 5):
+        problems.append(f"difficulty {difficulty} outside 1..5")
+    return problems
+
+
+# Every WRONG_VALUES value, plus str subclasses, which the vocabulary
+# membership tests accept and the exact question_type test refuses, and
+# values of the right type that break the numeric, landmark or rationale
+# rule, so that those messages also meet the type faults.
+FAULTS = {field: values + {
+    "scenario": [Text("chart")],
+    "answer_kind": [Text("numeric"), Text("landmark_sequence")],
+    "split": [Text("train")],
+    "answer": [Text("7"), Text("a, , a"), "no number"],
+    "question": [Text("What?")],
+    "question_type": [Text("math"), "math"],
+    "rationale": [Text("Because."), None, ""],
+}.get(field, []) for field, values in sorted(WRONG_VALUES.items())}
+
+
+def faulty_changes(rng, triples):
+    """Field replacements: each fault alone, every pair of faults on two
+    distinct fields, and `triples` seeded picks of three faults on three."""
+    for field, values in FAULTS.items():
+        for value in values:
+            yield {field: value}
+    for pair in combinations(FAULTS, 2):
+        for values in product(*(FAULTS[f] for f in pair)):
+            yield dict(zip(pair, values))
+    for _ in range(triples):
+        yield {f: rng.choice(FAULTS[f]) for f in rng.sample(sorted(FAULTS), 3)}
+
+
+def test_validate_record_gives_the_reference_messages_in_order():
+    rng = Random(23)
+    seen = set()
+    for i in range(40):
+        record = random_valid_record(rng, i)
+        assert validate_record(record) == reference_problems(record) == [], record
+        for change in faulty_changes(rng, 300):
+            changed = dataclasses.replace(record, **change)
+            problems = validate_record(changed)
+            assert problems == reference_problems(changed), (record, change)
+            seen.add(len(problems))
+    # Some replacements are valid (a str subclass, a list of strings), and
+    # three faulty fields give up to three messages.
+    assert seen == {0, 1, 2, 3}
 
 VOCABULARY_PROBLEMS = {"scenario": "unknown scenario", "answer_kind": "unknown answer_kind",
                        "split": "bad split"}
