@@ -109,7 +109,7 @@ def http_transport(config: BackendConfig) -> Transport:
     return send
 
 
-def offline_transport(_config: BackendConfig | None = None) -> Transport:
+def offline_transport() -> Transport:
     """Deterministic no-network fallback, seeded by a digest of the request."""
 
     def send(payload: dict) -> str:
@@ -202,7 +202,7 @@ def _call_with_retries(transport: Transport, payload: dict, config: BackendConfi
 
 
 def default_transport(config: BackendConfig) -> Transport:
-    return http_transport(config) if config.endpoint else offline_transport(config)
+    return http_transport(config) if config.endpoint else offline_transport()
 
 
 def propose_qa(
@@ -241,7 +241,6 @@ def self_consistent_answer(
     n: int = 3,
     config: BackendConfig | None = None,
     transport: Transport | None = None,
-    kind: str = "phrase",
 ) -> tuple[str, int]:
     """n independent completions, canonicalized and voted; returns the modal
     answer and its support count for gate thresholding. A completion that
@@ -274,4 +273,4 @@ def self_consistent_answer(
     if not votes:
         raise ContractViolation(f"none of {n} replies has an 'answer:' line",
                                 raw="\n\n".join(texts))
-    return vote_select(votes, kind=kind)
+    return vote_select(votes)

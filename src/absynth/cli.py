@@ -21,7 +21,7 @@ from dataclasses import fields, is_dataclass
 from types import UnionType
 from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
-from .records import SCENARIOS, SchemaMismatch, load_manifest
+from .records import JSON_TYPE_NAMES, SCENARIOS, SchemaMismatch, load_manifest
 
 if TYPE_CHECKING:
     from .pipeline import RunConfig
@@ -43,10 +43,6 @@ def _checked_keys(data: dict, known, source: str, section: str = "") -> dict:
     return data
 
 
-_JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-               list: "an array", tuple: "an array", dict: "an object", type(None): "null"}
-
-
 def _typed(value, hint, source: str, path: str):
     """`value` as a `hint`, after checking that it has that type's JSON type:
     bool is not a number, an integer is accepted as a float, `X | None` also
@@ -65,8 +61,8 @@ def _typed(value, hint, source: str, path: str):
         return {k: _typed(v, args[1], source, f"{path}.{k}") for k, v in value.items()}
     if type(value) is origin or (origin is float and type(value) is int):
         return value
-    raise ValueError(f"{source} key {path!r} must be {_JSON_NAMES[origin]}, "
-                     f"not {_JSON_NAMES[type(value)]}")
+    raise ValueError(f"{source} key {path!r} must be {JSON_TYPE_NAMES[origin]}, "
+                     f"not {JSON_TYPE_NAMES[type(value)]}")
 
 
 def _typed_fields(cls, data, source: str, section: str = "", renamed=None) -> dict:

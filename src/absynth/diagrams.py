@@ -314,8 +314,6 @@ def _node_box_width(label: str, font: float) -> float:
 def _arrow_head(b: SceneBuilder, x: float, y: float, direction: str) -> None:
     if direction == "down":
         pts = ((x, y), (x - 5, y - 8), (x + 5, y - 8))
-    elif direction == "up":
-        pts = ((x, y), (x - 5, y + 8), (x + 5, y + 8))
     elif direction == "left":
         pts = ((x, y), (x + 8, y - 5), (x + 8, y + 5))
     else:

@@ -7,17 +7,21 @@ field list in the README). record_to_json is the one record line writer: a
 single f-string in sorted key order over the C string escaper, giving the
 bytes of json.dumps(sort_keys=True, ensure_ascii=False) for every record that
 validate_record accepts. It checks nothing itself, so it is right only for
-validated records. parse_json_line is the one line reader, for manifest
-and prediction lines alike: the C scanner first, json.loads only for what the
+validated records.
+
+json_lines is the one reader of input lines, for manifest and prediction
+files alike: it decodes, splits, numbers and parses them, and it and its
+callers refuse a bad line with one SchemaMismatch("<file> line N: ...").
+Its parse_json_line runs the C scanner, and json.loads only for what the
 scanner does not take whole, so it accepts, returns and rejects exactly what
-json.loads does.
+json.loads does. JSON_TYPE_NAMES words a JSON type in every such error.
 
 InstructionRecord and QuestionDraft are plain slotted dataclasses: mutable,
 unhashable and without a per-instance __dict__, so building one stores each
 field directly instead of through a frozen __init__'s object.__setattr__.
 Building a record checks nothing; dump_manifest runs validate_record on every
-record before it writes it, and load_manifest on every record it reads.
-validate_record tests each rule once and names every problem it finds.
+record before it writes it, and load_manifest on each record as it reads its
+line. validate_record tests each rule once and names every problem it finds.
 Provenance is slotted too but stays frozen and hashable, because its default
 is one instance shared by every record that leaves provenance out.
 
@@ -37,6 +41,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
+from typing import Iterator
 
 from .seeds import derive_seed
 
@@ -325,10 +330,14 @@ class Manifest:
             problems = validate_record(r)
             if problems:
                 raise ValueError(f"record {r.id}: {problems}")
-        ids = [r.id for r in self.records]
-        if len(ids) != len(set(ids)):
-            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
-            raise ValueError(f"duplicate record ids: {dupes[:5]}")
+        _refuse_repeated_ids(self.records)
+
+
+def _refuse_repeated_ids(records: list[InstructionRecord]) -> None:
+    ids = [r.id for r in records]
+    if len(ids) != len(set(ids)):
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+        raise ValueError(f"duplicate record ids: {dupes[:5]}")
 
 
 # The C escaper behind json.dumps(ensure_ascii=False): quotes, backslashes
@@ -376,22 +385,52 @@ def parse_json_line(line: str):
     return value
 
 
-def record_from_json(line: str) -> InstructionRecord:
-    data = parse_json_line(line)
-    prov = data.get("provenance", {})
+# The JSON type of a value, or of a config field's Python type, in words.
+JSON_TYPE_NAMES = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
+                   str: "a string", list: "an array", tuple: "an array", dict: "an object"}
+
+
+def json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each line of a JSON-lines file that is not
+    blank or whitespace only, numbered from 1 with blank lines counted.
+
+    Lines end at "\n" only: a JSON string holds U+0085, U+2028 and U+2029
+    unescaped, and str.splitlines would cut it there. A byte that is not
+    UTF-8 (on line 1 plus the number of "\n" before it), a line that is not
+    JSON and one that is not an object raise SchemaMismatch("<what> line N:
+    ...")."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            number = data.count(b"\n", 0, err.start) + 1
+            raise SchemaMismatch(f"{what} line {number}: not UTF-8 ({err.reason})") from None
+    for number, line in enumerate(data.split("\n"), start=1):
+        if not line or line.isspace():
+            continue
+        try:
+            value = parse_json_line(line)
+        except json.JSONDecodeError as err:
+            raise SchemaMismatch(f"{what} line {number}: invalid JSON ({err.msg})") from None
+        if type(value) is not dict:
+            raise SchemaMismatch(f"{what} line {number}: not a JSON object")
+        yield number, value
+
+
+def record_from_json(row: dict) -> InstructionRecord:
+    """The record of a manifest line's object, unchecked: a missing field
+    raises KeyError, and a provenance that is not an object ValueError. The
+    other rules are validate_record's, so a non-list alternates is kept as is."""
+    prov = row.get("provenance", {})
     if type(prov) is not dict:  # 0, "" or [] is not a missing provenance
         raise ValueError(f"provenance must be an object, not {type(prov).__name__}")
-    seed = prov.get("seed", 0)
-    if type(seed) is not int:  # int() would read 1.9 as 1 and true as 1
-        raise ValueError(f"provenance seed must be an integer, not {type(seed).__name__}")
-    alternates = data.get("alternates", [])
-    if type(alternates) is not list:  # tuple() would split "ab" and read {"x": 1} as ("x",)
-        raise ValueError(f"alternates must be a list, not {type(alternates).__name__}")
+    alternates = row.get("alternates", ())
     return InstructionRecord(
-        data["id"], data["scenario"], data["image_ref"], data["question"], data["answer"],
-        data["answer_kind"], data["question_type"], tuple(alternates),
-        data.get("rationale"), data.get("difficulty"), data.get("split", "test"),
-        Provenance(prov.get("generator", "unknown"), seed),
+        row["id"], row["scenario"], row["image_ref"], row["question"], row["answer"],
+        row["answer_kind"], row["question_type"],
+        tuple(alternates) if type(alternates) is list else alternates,
+        row.get("rationale"), row.get("difficulty"), row.get("split", "test"),
+        Provenance(prov.get("generator", "unknown"), prov.get("seed", 0)),
     )
 
 
@@ -405,53 +444,40 @@ def dump_manifest(manifest: Manifest) -> bytes:
     return "\n".join([header, *map(record_to_json, manifest.records), ""]).encode("utf-8")
 
 
-def _line_error(err: Exception) -> str:
-    if isinstance(err, json.JSONDecodeError):
-        return f"invalid JSON ({err.msg})"
-    if isinstance(err, KeyError):
-        return f"missing field {err}"
-    return f"malformed record ({err})"
-
-
 def load_manifest(data: bytes | str) -> Manifest:
-    """Parse a manifest file.
+    """Parse a manifest file, read line by line through json_lines.
 
-    A line that is not JSON, or from which no record can be built (a missing
-    field, say, or a provenance seed that is not an integer), raises
-    SchemaMismatch naming its 1-based line number in the file, blank lines
-    included. Once every line is read, Manifest.validate checks the records:
-    one that breaks a record rule raises ValueError naming the record id, as
-    in "record None: ['id must be a string, not NoneType']", and a repeated
-    id raises "duplicate record ids: [...]". Lines end at "\n" only: a
-    record line holds U+0085, U+2028 and U+2029 unescaped, and
-    str.splitlines would cut it there."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    numbered = enumerate(text.split("\n"), start=1)
-    for number, first in numbered:
-        if first and not first.isspace():
-            break
+    The first line is the header of this schema version. Each record is
+    built and run through validate_record as its line is read, and a bad
+    line raises SchemaMismatch naming it: "manifest line N: " and then the
+    problem, as "missing field 'answer'" or, for a record that breaks a
+    record rule, Manifest.validate's text, as "record None: ['id must be a
+    string, not NoneType']". Once every line is read, a repeated id raises
+    ValueError("duplicate record ids: [...]")."""
+    rows = json_lines(data, "manifest")
+    for _, header in rows:
+        break
     else:
         raise SchemaMismatch("empty manifest file")
-    try:
-        header = parse_json_line(first)
-    except json.JSONDecodeError as err:
-        raise SchemaMismatch(f"manifest line {number}: {_line_error(err)}") from None
-    if not isinstance(header, dict) or header.get("kind") != "manifest-header":
+    if header.get("kind") != "manifest-header":
         raise SchemaMismatch("missing manifest header line")
     version = header.get("schema_version")
     if version != MANIFEST_SCHEMA_VERSION:
         raise SchemaMismatch(f"schema_version {version!r}, expected {MANIFEST_SCHEMA_VERSION!r}")
     records = []
-    for number, line in numbered:
-        if not line or line.isspace():
-            continue
+    for number, row in rows:
         try:
-            records.append(record_from_json(line))
-        except (KeyError, TypeError, AttributeError, ValueError) as err:
-            raise SchemaMismatch(f"manifest line {number}: {_line_error(err)}") from None
-    manifest = Manifest(records=records)
-    manifest.validate()
-    return manifest
+            record = record_from_json(row)
+        except KeyError as err:
+            raise SchemaMismatch(f"manifest line {number}: missing field {err}") from None
+        except ValueError as err:
+            raise SchemaMismatch(f"manifest line {number}: malformed record ({err})") from None
+        problems = validate_record(record)
+        if problems:
+            raise SchemaMismatch(f"manifest line {number}: record {record.id}: {problems}")
+        records.append(record)
+    _refuse_repeated_ids(records)
+    return Manifest(records=records)
 
 
 def sample_for_review(manifest: Manifest, fraction: float = 0.10, seed: int = 0) -> list[str]:

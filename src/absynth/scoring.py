@@ -9,11 +9,8 @@ score token-level Rouge-L (F1, beta=1); landmark sequences score the Landmark
 Coverage Rate, the LCS between the extracted and annotated sequences divided
 by the annotated length, with names found by the same boundary rule. Numeric
 extraction always takes the LAST number in a response, because
-chain-of-thought answers end with the result.
-
-"Compared sequentially" is implemented as LCS by default (the more generous
-order-preserving reading); a greedy mode is available for sensitivity
-analysis.
+chain-of-thought answers end with the result. "Compared sequentially" is
+read as the LCS, the more generous order-preserving reading.
 """
 
 from __future__ import annotations
@@ -24,45 +21,35 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable
 
-from .records import InstructionRecord, Manifest, canonicalize, parse_json_line, parse_number
+from .records import (
+    JSON_TYPE_NAMES, InstructionRecord, Manifest, SchemaMismatch, canonicalize, json_lines,
+    parse_number,
+)
 
 TOLERANT_SCENARIOS = frozenset({"chart", "table", "dashboard"})
 NUMERIC_TOLERANCE = 0.05
 
 
-_JSON_NAMES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
-               list: "an array", dict: "an object"}
-
-
 def load_predictions(data: bytes | str) -> dict[str, str]:
     """Parse a prediction file: one JSON object per line with a string
     ``id`` and a ``response``, a string or a JSON number, which scores as
-    its decimal text. Later duplicates win. A malformed line, or an id or
-    response of another JSON type, raises ValueError naming its 1-based
-    line number. Lines end at "\n" only, as in `records.load_manifest`."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    its decimal text. Later duplicates win. `records.json_lines` reads the
+    lines, so a bad one raises SchemaMismatch("prediction line N: ...") in a
+    manifest line's words, as does a missing or wrongly typed id or response."""
     out: dict[str, str] = {}
-    for number, line in enumerate(text.split("\n"), start=1):
-        if not line or line.isspace():
-            continue
-        try:
-            row = parse_json_line(line)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"prediction line {number}: invalid JSON ({err.msg})") from None
+    for number, row in json_lines(data, "prediction"):
         try:
             record_id = row["id"]
             response = row["response"]
         except KeyError as err:
-            raise ValueError(f"prediction line {number}: missing field {err}") from None
-        except TypeError:
-            raise ValueError(f"prediction line {number}: not a JSON object") from None
+            raise SchemaMismatch(f"prediction line {number}: missing field {err}") from None
         if type(record_id) is not str:
-            raise ValueError(f"prediction line {number}: id must be a string, "
-                             f"not {_JSON_NAMES[type(record_id)]}")
+            raise SchemaMismatch(f"prediction line {number}: id must be a string, "
+                                 f"not {JSON_TYPE_NAMES[type(record_id)]}")
         if type(response) is not str:
             if type(response) not in (int, float):
-                raise ValueError(f"prediction line {number}: response must be a string or "
-                                 f"a number, not {_JSON_NAMES[type(response)]}")
+                raise SchemaMismatch(f"prediction line {number}: response must be a string "
+                                     f"or a number, not {JSON_TYPE_NAMES[type(response)]}")
             response = str(response)
         out[record_id] = response
     return out
@@ -181,23 +168,13 @@ def extract_landmarks(pred_raw: str, vocabulary: Iterable[str]) -> list[str]:
     return [name for _, name in hits]
 
 
-def score_landmarks(pred_raw: str, gold_sequence: list[str] | tuple[str, ...],
-                    mode: str = "lcs") -> float:
-    """Landmark Coverage Rate in [0, 1]."""
+def score_landmarks(pred_raw: str, gold_sequence: list[str] | tuple[str, ...]) -> float:
+    """Landmark Coverage Rate in [0, 1]: the LCS of the names found in the
+    response and the gold sequence, over the gold length."""
     gold = list(gold_sequence)
     if not gold:
         raise ValueError("gold landmark sequence must be non-empty")
-    pred_seq = extract_landmarks(pred_raw, gold)
-    if mode == "lcs":
-        matched = lcs_length(pred_seq, gold)
-    elif mode == "greedy":
-        matched = 0
-        for name in pred_seq:
-            if matched < len(gold) and name == gold[matched]:
-                matched += 1
-    else:
-        raise ValueError(f"unknown landmark mode {mode!r}")
-    return matched / len(gold)
+    return lcs_length(extract_landmarks(pred_raw, gold), gold) / len(gold)
 
 
 # ---------------------------------------------------------------------------

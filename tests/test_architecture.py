@@ -364,18 +364,44 @@ def json_calls(tree, attr, skip=()):
         and node.func.attr == attr and id(node) not in skipped)
 
 
+def splits_at_newlines(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "split"
+            and [ast.unparse(arg) for arg in node.args] == [repr("\n")])
+
+
+def json_type_tables(tree):
+    """Line numbers of the top-level dicts that word a JSON type, as
+    "an object"."""
+    return [node.lineno for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict)
+            and any(isinstance(v, ast.Constant) and v.value == "an object"
+                    for v in node.value.values)]
+
+
 def test_record_lines_skip_the_generic_json_path():
     """A record line is one f-string, not json.dumps over a dict tree, and
-    every manifest or prediction line is read by records.parse_json_line,
-    which goes to the C scanner without json.loads's wrapper."""
-    trees = {name: ast.parse((SRC_DIR / f"{name}.py").read_text(encoding="utf-8"))
-             for name in ("records", "scoring")}
+    every manifest or prediction line is read by records.json_lines: the one
+    place that splits an input file into lines, calls parse_json_line, which
+    goes to the C scanner without json.loads's wrapper, and words a JSON
+    type in an error."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC_DIR.glob("*.py"))}
     [writer] = functions(trees["records"], "record_to_json")
     assert not json_calls(writer, "dumps")
     assert not name_uses(trees["records"], "plain")
-    offenders = [(name, line) for name, tree in trees.items()
-                 for line in json_calls(tree, "loads", skip=("parse_json_line",))]
+    offenders = [(name, line) for name in ("records", "scoring")
+                 for line in json_calls(trees[name], "loads", skip=("parse_json_line",))]
     assert not offenders
+    [reader] = functions(trees["records"], "json_lines")
+    assert enclosing_functions(trees["records"], splits_at_newlines) == ["json_lines"]
+    assert [ln for ln in name_uses(trees["records"], "parse_json_line")
+            if not reader.lineno <= ln <= reader.end_lineno] == []
+    assert len(json_type_tables(trees["records"])) == 1
+    elsewhere = [(name, line) for name, tree in trees.items() if name != "records"
+                 for line in (*name_uses(tree, "parse_json_line"), *json_type_tables(tree),
+                              *(n.lineno for n in ast.walk(tree) if splits_at_newlines(n)))]
+    assert not elsewhere
 
 
 def test_each_record_rule_is_written_once():
@@ -456,9 +482,9 @@ def test_specs_and_configs_check_themselves_on_construction(make, message):
 REMOVED_NAMES = {"validate_chart_spec", "validate_dial_spec", "validate_tree_spec",
                  "validate_flow_spec", "KeywordLibrary", "parse_tree", "serialize_tree",
                  "PromptTemplate", "TEMPLATES"}
-# The one `validate` method left, and the two places that call it.
-VALIDATE_SITES = {("records.py", "Manifest"), ("records.py", "dump_manifest"),
-                  ("records.py", "load_manifest")}
+# The one `validate` method left, and the one place that calls it: a loaded
+# manifest's records are checked line by line as they are read.
+VALIDATE_SITES = {("records.py", "Manifest"), ("records.py", "dump_manifest")}
 
 
 def validation_sites(tree):

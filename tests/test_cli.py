@@ -315,7 +315,7 @@ def test_wrongly_typed_manifest_value_is_one_line_error(tmp_path, capsys, field,
     preds.write_text("")
     assert run(["eval", manifest, preds, "--out", tmp_path]) == 1
     message = one_line_error(capsys)
-    assert message.startswith(f"error: record {record['id']}: ")
+    assert message.startswith(f"error: manifest line {n + 1}: record {record['id']}: ")
     assert problem in message
 
 

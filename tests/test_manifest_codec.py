@@ -19,8 +19,8 @@ import pytest
 from absynth.pipeline import RunConfig, generate_dataset
 from absynth.records import (
     ANSWER_KINDS, RATIONALE_REQUIRED_TYPES, SCENARIOS, InstructionRecord, Manifest, Provenance,
-    dump_manifest, load_manifest, parse_json_line, parse_number, record_from_json,
-    record_to_json, validate_record,
+    SchemaMismatch, dump_manifest, load_manifest, parse_json_line, parse_number,
+    record_from_json, record_to_json, validate_record,
 )
 from absynth.scoring import load_predictions
 from absynth.seeds import plain
@@ -96,7 +96,7 @@ def test_writer_matches_json_dumps_on_seeded_awkward_records():
         line = record_to_json(record)
         assert line == reference_line(record), record
         assert parse_json_line(line) == json.loads(line)
-        assert record_from_json(line) == record
+        assert record_from_json(parse_json_line(line)) == record
         seen_kinds.add(record.answer_kind)
         seen_alternates.add(len(record.alternates))
     assert seen_kinds == set(ANSWER_KINDS)
@@ -310,10 +310,10 @@ def test_load_refuses_a_vocabulary_field_that_is_an_array_or_object(field, value
     row = json.loads(record_to_json(record))
     row[field] = value
     data = dump_manifest(Manifest()) + json.dumps(row).encode("utf-8") + b"\n"
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(SchemaMismatch) as err:
         load_manifest(data)
-    assert type(err.value) is ValueError
-    assert str(err.value) == f"record {record.id}: {[f'{VOCABULARY_PROBLEMS[field]} {value!r}']}"
+    problems = [f"{VOCABULARY_PROBLEMS[field]} {value!r}"]
+    assert str(err.value) == f"manifest line 2: record {record.id}: {problems}"
 
 
 @pytest.mark.parametrize("blank", [" \x0b ", "", "\r", "\x1c\u3000\u2028"])
@@ -325,6 +325,32 @@ def test_whitespace_only_line_is_skipped(blank):
     assert load_manifest(manifest).records == [first, second]
     predictions = f'{{"id": "a", "response": "1"}}\n{blank}\n{{"id": "b", "response": "2"}}\n'
     assert load_predictions(predictions) == {"a": "1", "b": "2"}
+
+
+@pytest.mark.parametrize("newline, blanks, bad, problem", [
+    (b"\n", [], b'{"id": "\xfe"}', "not UTF-8 (invalid start byte)"),
+    (b"\n", [], b'{"id": ', "invalid JSON (Expecting value)"),
+    (b"\n", [], b'["a", "1"]', "not a JSON object"),
+    (b"\n", [b"", b" \t", b"\x0b"], b'{"id": ', "invalid JSON (Expecting value)"),
+    (b"\r\n", [b"", b" "], b'["a", "1"]', "not a JSON object"),
+    (b"\r\n", [b""], b'{"id": "\xff"}', "not UTF-8 (invalid start byte)"),
+], ids=["undecodable", "invalid-json", "array", "after-blank-lines", "crlf",
+        "crlf-undecodable"])
+def test_manifest_and_prediction_lines_are_refused_in_the_same_words(newline, blanks, bad,
+                                                                      problem):
+    """Both files are read by one line reader: a bad line gives the same
+    problem in each, under the file's own label, on the line it is on."""
+    record = InstructionRecord("chart-00000-q00", "chart", "images/chart/chart-00000.svg",
+                               "What is 'B'?", "30", "numeric", "ocr")
+    header, record = dump_manifest(Manifest(records=[record])).split(b"\n")[:2]
+    prediction = b'{"id": "a", "response": "1"}'
+    number = 3 + len(blanks)
+    for what, load, first, second in (("manifest", load_manifest, header, record),
+                                      ("prediction", load_predictions, prediction, prediction)):
+        data = newline.join([first, second, *blanks, bad, b""])
+        with pytest.raises(SchemaMismatch) as err:
+            load(data)
+        assert str(err.value) == f"{what} line {number}: {problem}"
 
 
 def test_writer_keys_are_the_record_fields():

@@ -303,7 +303,7 @@ def test_manifest_stats_recount():
 
 def test_record_json_round_trip():
     rec = make_record(7, alternates=("a", "b"), rationale="why")
-    assert record_from_json(record_to_json(rec)) == rec
+    assert record_from_json(json.loads(record_to_json(rec))) == rec
 
 
 def test_sample_for_review_sizes():
@@ -372,21 +372,25 @@ def _record_line(**changes):
     return json.dumps({k: v for k, v in row.items() if v is not _DROP})
 
 
+def _broken(problem):
+    """The text, as a pattern, of make_record(1) breaking one record rule."""
+    return re.escape(f"record chart-00001-q00: {[problem]}") + "$"
+
+
 @pytest.mark.parametrize("line, reason", [
-    ("[1, 2]", "malformed record"),
+    ("[1, 2]", "not a JSON object$"),
     (_record_line(id=_DROP), "missing field 'id'"),
-    (_record_line(alternates=5), "malformed record"),
-    (_record_line(provenance={"seed": "x"}), "malformed record"),
+    (_record_line(alternates=5), _broken("alternates must be a list, not int")),
+    (_record_line(provenance={"seed": "x"}),
+     _broken("provenance seed must be an integer, not str")),
     ('{"id": ', "invalid JSON"),
     (_record_line(provenance={"generator": "chart-gen", "seed": 1.9}),
-     r"malformed record \(provenance seed must be an integer, not float\)"),
+     _broken("provenance seed must be an integer, not float")),
     (_record_line(provenance={"generator": "chart-gen", "seed": True}),
-     r"malformed record \(provenance seed must be an integer, not bool\)"),
-    (_record_line(alternates="ab"), r"malformed record \(alternates must be a list, not str\)"),
-    (_record_line(alternates={"x": 1}),
-     r"malformed record \(alternates must be a list, not dict\)"),
-    (_record_line(alternates=None),
-     r"malformed record \(alternates must be a list, not NoneType\)"),
+     _broken("provenance seed must be an integer, not bool")),
+    (_record_line(alternates="ab"), _broken("alternates must be a list, not str")),
+    (_record_line(alternates={"x": 1}), _broken("alternates must be a list, not dict")),
+    (_record_line(alternates=None), _broken("alternates must be a list, not NoneType")),
     (_record_line(provenance=0), r"malformed record \(provenance must be an object, not int\)"),
     (_record_line(provenance=5), r"malformed record \(provenance must be an object, not int\)"),
     (_record_line(provenance=False),
@@ -412,11 +416,12 @@ def test_malformed_manifest_line_names_its_line_number(line, reason):
 
 
 def test_manifest_line_without_alternates_has_none():
-    assert record_from_json(_record_line(alternates=_DROP)).alternates == ()
+    assert record_from_json(json.loads(_record_line(alternates=_DROP))).alternates == ()
 
 
 def test_manifest_line_without_provenance_has_the_default():
-    assert record_from_json(_record_line(provenance=_DROP)).provenance == Provenance("unknown", 0)
+    row = json.loads(_record_line(provenance=_DROP))
+    assert record_from_json(row).provenance == Provenance("unknown", 0)
 
 
 def test_manifest_schema_version_is_a_constant():
@@ -439,8 +444,10 @@ def test_manifest_lines_end_at_newline_only():
 def test_malformed_manifest_header_is_schema_error():
     with pytest.raises(SchemaMismatch, match="^manifest line 2: invalid JSON"):
         load_manifest('\n{"kind": \n')
-    with pytest.raises(SchemaMismatch, match="missing manifest header line"):
+    with pytest.raises(SchemaMismatch, match="^manifest line 1: not a JSON object$"):
         load_manifest("[1, 2]\n")
+    with pytest.raises(SchemaMismatch, match="^missing manifest header line$"):
+        load_manifest('{"kind": "manifest"}\n')
 
 
 def test_vote_select_numeric_kind_strips_units():
