@@ -8,13 +8,15 @@ contract a real backend is asked to follow.
 
 A malformed QA proposal triggers exactly one reprompt carrying the parse
 error; a second failure surfaces as ContractViolation with the raw text
-retained. An answer reply without an `answer:` line casts no vote, and the
-vote runs over the replies that parse; only when none parses does it raise
-ContractViolation. Transport failures, and HTTP replies that are cut off,
-are not JSON or carry no string content, raise BackendUnavailable and retry
-with exponential backoff up to the configured budget. Concurrency is bounded
-by max_parallel, and votes are counted in request-id order, whatever order
-the replies arrive in.
+retained. A reply holding text that UTF-8 cannot encode breaks the contract
+too, since no manifest line could hold it. An answer reply without an
+`answer:` line casts no vote, and the vote runs over the replies that
+parse; only when none parses does it raise ContractViolation. Transport
+failures, and HTTP replies that are cut off, are not JSON or carry no
+string content, raise BackendUnavailable and retry with exponential backoff
+up to the configured budget. Concurrency is bounded by max_parallel, and
+votes are counted in request-id order, whatever order the replies arrive
+in.
 """
 
 from __future__ import annotations
@@ -151,6 +153,16 @@ def _kv_lines(text: str) -> list[tuple[str, str]]:
 
 
 def parse_output(stage: str, text: str) -> Any:
+    """The question/answer pairs of a "qa" reply or the answer of an
+    "answer" reply. A reply that breaks the contract raises
+    ContractViolation: one without what its stage asks for, and one that
+    UTF-8 cannot encode (a lone surrogate), since no manifest line can hold
+    its text."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise ContractViolation(f"reply cannot be encoded as UTF-8 ({err.reason})",
+                                raw=text) from None
     pairs = _kv_lines(text)
     if stage == "qa":
         out = []

@@ -120,11 +120,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_manifest_file(path: str):
+def _read_input(path: str, what: str) -> bytes:
+    """The bytes of an input file, or FileNotFoundError("<what> not found:
+    <path>") when there is none."""
     if not os.path.exists(path):
-        raise FileNotFoundError(f"manifest not found: {path}")
+        raise FileNotFoundError(f"{what} not found: {path}")
     with open(path, "rb") as fh:
-        return load_manifest(fh.read())
+        return fh.read()
 
 
 def _write_report(out_dir: str, stem: str, body: str, text: str) -> None:
@@ -144,11 +146,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.max_missing is not None and args.max_missing < 0:
         raise ValueError(f"--max-missing must be >= 0, not {args.max_missing}")
     from .scoring import aggregate, load_predictions, render_report_text
-    manifest = _load_manifest_file(args.gold)
-    if not os.path.exists(args.predictions):
-        raise FileNotFoundError(f"prediction file not found: {args.predictions}")
-    with open(args.predictions, "rb") as fh:
-        predictions = load_predictions(fh.read())
+    manifest = load_manifest(_read_input(args.gold, "manifest"))
+    predictions = load_predictions(_read_input(args.predictions, "prediction file"))
     report = aggregate(manifest, predictions)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.predictions))
     _write_report(out_dir, "report", report.to_json(), render_report_text(report))
@@ -162,7 +161,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from .scoring import dataset_stats
-    manifest = _load_manifest_file(args.manifest)
+    manifest = load_manifest(_read_input(args.manifest, "manifest"))
     stats = dataset_stats(manifest)
     lines = [f"records {stats['records']}  images {stats['images']}"]
     for scenario, counts in stats["per_scenario"].items():
@@ -176,7 +175,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_gallery(args: argparse.Namespace) -> int:
     from .gallery import render_gallery
-    manifest = _load_manifest_file(args.manifest)
+    manifest = load_manifest(_read_input(args.manifest, "manifest"))
     out_path = args.out or os.path.join(
         os.path.dirname(os.path.abspath(args.manifest)), "gallery.html")
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -242,7 +242,6 @@ def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
     n_obstacles = int(params.obstacle_density * rows * cols)
 
     path: list[Cell] = []
-    rng = Random()
     for attempt in range(RESEED_ATTEMPTS):
         rng = Random(derive_seed(seed, "map", attempt))
         obstacles = set(rng.sample(all_cells, n_obstacles))

@@ -39,7 +39,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from random import Random
 from typing import Iterator
 
@@ -287,9 +287,10 @@ def verify_record(record: InstructionRecord, oracle: list[QuestionDraft]) -> Ver
 def vote_select(candidates: list[str], kind: str = "phrase") -> tuple[str, int]:
     """Modal answer after canonicalization, with its support count.
 
-    Ties break toward the earliest-seen candidate. Requires at least one
-    candidate. The returned winner is the first raw candidate whose
-    canonical form won.
+    Requires at least one candidate. The tally keeps canonical forms in
+    first-seen order and max returns the first maximal one, so ties break
+    toward the earliest-seen form. The returned winner is the first raw
+    candidate whose canonical form won.
     """
     if not candidates:
         raise ValueError("vote_select needs at least one candidate")
@@ -299,13 +300,8 @@ def vote_select(candidates: list[str], kind: str = "phrase") -> tuple[str, int]:
         key = canonicalize(raw, kind)
         counts[key] = counts.get(key, 0) + 1
         first_raw.setdefault(key, raw)
-    best_key = None
-    best_count = -1
-    for key in counts:  # dict preserves first-seen order
-        if counts[key] > best_count:
-            best_key, best_count = key, counts[key]
-    assert best_key is not None
-    return first_raw[best_key], best_count
+    best_key = max(counts, key=counts.get)
+    return first_raw[best_key], counts[best_key]
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +430,42 @@ def record_from_json(row: dict) -> InstructionRecord:
     )
 
 
+# UTF-8 encodes every code point but a surrogate.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _texts(record: InstructionRecord) -> Iterator[tuple[str, str]]:
+    """(field name, text) for each string that a validated record's line
+    holds, in field order."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.name == "alternates":
+            yield from ((f.name, text) for text in value)
+        elif f.name == "provenance":
+            yield f.name, value.generator
+        elif type(value) is str:
+            yield f.name, value
+
+
 def dump_manifest(manifest: Manifest) -> bytes:
-    """Serialize to line-delimited JSON: one header line, one line per record."""
+    """Serialize to line-delimited JSON: one header line, one line per record.
+
+    A record holding text that UTF-8 cannot encode (a lone surrogate) raises
+    ValueError("record <id>: [...]") naming the first such field. That
+    record is looked for only once the file's encode has failed."""
     manifest.validate()
     header = json.dumps(
         {"kind": "manifest-header", "schema_version": MANIFEST_SCHEMA_VERSION},
         sort_keys=True,
     )
-    return "\n".join([header, *map(record_to_json, manifest.records), ""]).encode("utf-8")
+    text = "\n".join([header, *map(record_to_json, manifest.records), ""])
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as err:
+        record = manifest.records[text.count("\n", 0, err.start) - 1]
+        name = next(name for name, value in _texts(record) if _SURROGATE_RE.search(value))
+        problem = f"{name} cannot be encoded as UTF-8 ({err.reason})"
+        raise ValueError(f"record {record.id}: {[problem]}") from None
 
 
 def load_manifest(data: bytes | str) -> Manifest:
@@ -455,15 +479,16 @@ def load_manifest(data: bytes | str) -> Manifest:
     string, not NoneType']". Once every line is read, a repeated id raises
     ValueError("duplicate record ids: [...]")."""
     rows = json_lines(data, "manifest")
-    for _, header in rows:
+    for number, header in rows:
         break
     else:
         raise SchemaMismatch("empty manifest file")
     if header.get("kind") != "manifest-header":
-        raise SchemaMismatch("missing manifest header line")
+        raise SchemaMismatch(f"manifest line {number}: missing manifest header line")
     version = header.get("schema_version")
     if version != MANIFEST_SCHEMA_VERSION:
-        raise SchemaMismatch(f"schema_version {version!r}, expected {MANIFEST_SCHEMA_VERSION!r}")
+        raise SchemaMismatch(f"manifest line {number}: schema_version {version!r}, "
+                             f"expected {MANIFEST_SCHEMA_VERSION!r}")
     records = []
     for number, row in rows:
         try:

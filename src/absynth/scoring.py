@@ -1,16 +1,19 @@
 """Metric suite and aggregate scoring for prediction files.
 
 Routing is by answer kind: numeric answers use the 5% relative-error rule in
-chart/table/dashboard scenarios (inclusive boundary; a zero gold requires a
-zero prediction) and exact matching elsewhere; phrase and choice answers
-match canonically or as token-boundary substrings: a gold form matches where
-the characters on each side of it are not ASCII [a-z0-9]; sentence answers
-score token-level Rouge-L (F1, beta=1); landmark sequences score the Landmark
-Coverage Rate, the LCS between the extracted and annotated sequences divided
-by the annotated length, with names found by the same boundary rule. Numeric
-extraction always takes the LAST number in a response, because
-chain-of-thought answers end with the result. "Compared sequentially" is
-read as the LCS, the more generous order-preserving reading.
+chart/table/dashboard scenarios and exact matching elsewhere. The relative
+rule, |p - g| <= 5% of |g| with an inclusive boundary, is the only one: for
+a zero gold it leaves no room, so a zero gold needs a zero prediction.
+Phrase and choice answers match as token-boundary substrings of the
+canonical response (a response equal to a gold form is one): a gold form
+matches where the characters on each side of it are not ASCII [a-z0-9].
+Sentence answers score token-level Rouge-L (F1, beta=1). Landmark sequences
+score the Landmark Coverage Rate, the LCS between the extracted and
+annotated sequences divided by the annotated length, with names found by
+the same boundary rule. Numeric extraction always takes the LAST number in
+a response, because chain-of-thought answers end with the result.
+"Compared sequentially" is read as the LCS, the more generous
+order-preserving reading.
 """
 
 from __future__ import annotations
@@ -92,9 +95,8 @@ def lcs_length(a: list, b: list) -> int:
     for b[j], and after each token of a the count of zero bits in v is the
     LCS of b and the prefix of a read so far. One add, one subtract and two
     masks on a Python int update every bit at once, so the cost is len(a)
-    big-int steps over len(b) bits instead of a len(a) x len(b) table."""
-    if not a or not b:
-        return 0
+    big-int steps over len(b) bits instead of a len(a) x len(b) table. An
+    empty side leaves nothing to count: no bits, or no step that clears one."""
     masks: dict = {}
     for j, y in enumerate(b):
         masks[y] = masks.get(y, 0) | (1 << j)
@@ -118,10 +120,7 @@ def score_numeric(
         if g is None:
             continue
         if tolerant:
-            if g == 0:
-                if p == 0:
-                    return "correct"
-            elif abs(p - g) <= NUMERIC_TOLERANCE * abs(g):
+            if abs(p - g) <= NUMERIC_TOLERANCE * abs(g):
                 return "correct"
         elif p == g:
             return "correct"
@@ -129,24 +128,22 @@ def score_numeric(
 
 
 def score_phrase(pred: str, gold: str, alternates: tuple[str, ...] = ()) -> bool:
-    """Correct iff any gold form equals the canonical prediction or appears
-    in it as a token-boundary substring."""
+    """Correct iff any non-empty canonical gold form appears in the canonical
+    prediction as a token-boundary substring. A prediction equal to the gold
+    form is one: it starts at 0 and ends at the prediction's end."""
     canon_pred = canonicalize(pred)
     for form in (gold, *alternates):
         canon_gold = canonicalize(form)
-        if not canon_gold:
-            continue
-        if canon_pred == canon_gold or _boundary_find(canon_pred, canon_gold) >= 0:
+        if canon_gold and _boundary_find(canon_pred, canon_gold) >= 0:
             return True
     return False
 
 
 def score_sentence(pred: str, gold: str) -> float:
-    """Token-level Rouge-L F-score with beta = 1."""
+    """Token-level Rouge-L F-score with beta = 1; 0.0 when no token is
+    shared, which includes an empty side."""
     pred_tokens = tokenize(pred)
     gold_tokens = tokenize(gold)
-    if not pred_tokens or not gold_tokens:
-        return 0.0
     lcs = lcs_length(pred_tokens, gold_tokens)
     if lcs == 0:
         return 0.0

@@ -217,6 +217,20 @@ def test_no_module_uses_dataclasses_asdict():
     assert not offenders
 
 
+def test_no_rng_is_seeded_by_the_os():
+    """Every Random in the package takes a seed: an argument-less Random()
+    seeds itself from the OS, so what it draws cannot be replayed, and it
+    costs about twice a seeded one."""
+    offenders = []
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and not node.args and not node.keywords
+                    and "Random" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))):
+                offenders.append((path.name, node.lineno))
+    assert not offenders
+
+
 def test_text_width_has_one_formula():
     """Every text-width estimate goes through scene.text_width, so the layout
     checks of the generators and the scene's own boxes cannot disagree."""

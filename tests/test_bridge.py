@@ -92,6 +92,9 @@ def test_parse_output_answer_stage():
     assert parse_output("answer", "thinking...\nanswer: 42") == "42"
     with pytest.raises(ContractViolation):
         parse_output("answer", "no answer here")
+    with pytest.raises(ContractViolation, match=r"^reply cannot be encoded as UTF-8 \(surro"):
+        parse_output("answer", "answer: 4\ud8002")
+    assert parse_output("answer", "answer: \U0001f600") == "\U0001f600"
 
 
 def test_self_consistent_answer_votes():
@@ -279,3 +282,23 @@ def test_broken_http_reply_retries_then_costs_only_the_llm_record(
         ("qa", 0, False), ("qa", 1, False), ("qa", 2, False)]
     records = load_manifest((out / "manifest.jsonl").read_bytes()).records
     assert records and not [r for r in records if r.question_type == "llm_qa"]
+
+
+@pytest.mark.parametrize("stage", ["qa", "answer", None], ids=["qa", "answer", "neither"])
+def test_a_surrogate_reply_costs_only_the_llm_record(stage, monkeypatch, tmp_path, capsys):
+    inner = offline_transport()
+
+    def send(payload):
+        text = inner(payload)
+        return text + "\ud800" if payload["stage"] == stage else text
+
+    monkeypatch.setattr(bridge, "default_transport", lambda config: send)
+    backend = tmp_path / "backend.json"
+    backend.write_text(json.dumps({"endpoint": ""}))
+    out = tmp_path / "out"
+    assert main(["gen", "--scenario", "chart", "--count", "1", "--seed", "1",
+                 "--out", str(out), "--backend", str(backend)]) == 0
+    assert "error" not in capsys.readouterr().err
+    records = load_manifest((out / "manifest.jsonl").read_bytes()).records
+    llm = [r.id for r in records if r.question_type == "llm_qa"]
+    assert records and llm == ([] if stage else ["chart-00000-qllm"])

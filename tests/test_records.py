@@ -253,6 +253,53 @@ def test_vote_select_needs_a_candidate():
     assert vote_select(["x", "y"]) == ("x", 1)
 
 
+def reference_vote_select(candidates, kind="phrase"):
+    """vote_select as it was with a hand-written argmax, kept as the
+    reference for its winner, its support and its tie-break."""
+    if not candidates:
+        raise ValueError("vote_select needs at least one candidate")
+    counts: dict[str, int] = {}
+    first_raw: dict[str, str] = {}
+    for raw in candidates:
+        key = canonicalize(raw, kind)
+        counts[key] = counts.get(key, 0) + 1
+        first_raw.setdefault(key, raw)
+    best_key = None
+    best_count = -1
+    for key in counts:  # dict preserves first-seen order
+        if counts[key] > best_count:
+            best_key, best_count = key, counts[key]
+    assert best_key is not None
+    return first_raw[best_key], best_count
+
+
+VOTE_TEXTS = ["", " ", "x", "X ", "y", "4:10 PM", "16:10", "16:10 ", "4:10", "12:00 am", "0:00",
+              "30", "30 units", "$30", "30.0", "-0", "0", "29", "Yes", "yes"]
+
+
+@pytest.mark.parametrize("candidates, kind, expected", [
+    (["a", "b", "a", "b"], "phrase", ("a", 2)),
+    (["b", "a", "a", "b"], "phrase", ("b", 2)),
+    (["4:10 PM", "9:00", "16:10", "9:00"], "phrase", ("4:10 PM", 2)),
+    (["", " ", "x"], "phrase", ("", 2)),
+    (["-0", "0", "1", "1"], "numeric", ("-0", 2)),
+    (["30 units", "29", "$30", "29"], "numeric", ("30 units", 2)),
+], ids=["tie-first-seen", "tie-other-order", "clock-time-tie", "empty", "negative-zero",
+        "numeric-tie"])
+def test_vote_ties_go_to_the_earliest_seen_form(candidates, kind, expected):
+    assert vote_select(candidates, kind) == reference_vote_select(candidates, kind) == expected
+
+
+def test_vote_select_equals_the_reference_on_seeded_votes():
+    rng = Random(2524)
+    for _ in range(5000):
+        candidates = rng.choices(VOTE_TEXTS[:rng.randint(1, len(VOTE_TEXTS))],
+                                 k=rng.randint(1, 7))
+        for kind in ("phrase", "numeric"):
+            assert (vote_select(candidates, kind)
+                    == reference_vote_select(candidates, kind)), (candidates, kind)
+
+
 def test_vote_reorder_invariant_without_ties():
     candidates = ["30", "30", "29", "30", "29"]
     winner, support = vote_select(candidates)
@@ -446,8 +493,31 @@ def test_malformed_manifest_header_is_schema_error():
         load_manifest('\n{"kind": \n')
     with pytest.raises(SchemaMismatch, match="^manifest line 1: not a JSON object$"):
         load_manifest("[1, 2]\n")
-    with pytest.raises(SchemaMismatch, match="^missing manifest header line$"):
+    with pytest.raises(SchemaMismatch, match="^manifest line 1: missing manifest header line$"):
         load_manifest('{"kind": "manifest"}\n')
+    with pytest.raises(SchemaMismatch,
+                       match="^manifest line 3: schema_version '2', expected '1'$"):
+        load_manifest('\n \n{"kind": "manifest-header", "schema_version": "2"}\n')
+    with pytest.raises(SchemaMismatch, match="^empty manifest file$"):
+        load_manifest("\n\n")
+
+
+def test_dump_names_the_record_whose_text_cannot_be_encoded():
+    record = InstructionRecord("a", "chart", "x.svg", "Q\ud800?", "1", "numeric", "ocr")
+    message = "record a: ['question cannot be encoded as UTF-8 (surrogates not allowed)']"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dump_manifest(Manifest(records=[make_record(0), record]))
+    # The first such field in field order is named; an alternate or the
+    # generator is one too.
+    record = make_record(0, answer="Ok", kind="phrase", alternates=("ok", "\ud800"),
+                         question="\udbff?", rationale="r\udc00")
+    record.image_ref, record.provenance = "x\udfff.svg", Provenance("\udc80", 0)
+    for name, mended in [("image_ref", "x.svg"), ("question", "Q?"), ("alternates", ()),
+                         ("rationale", "r"), ("provenance", Provenance("chart-gen", 0))]:
+        with pytest.raises(ValueError, match=fr"^record {record.id}: \['{name} cannot"):
+            dump_manifest(Manifest(records=[record]))
+        setattr(record, name, mended)
+    assert load_manifest(dump_manifest(Manifest(records=[record]))).records == [record]
 
 
 def test_vote_select_numeric_kind_strips_units():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from absynth.records import InstructionRecord, Manifest, Provenance
+from absynth.records import InstructionRecord, Manifest, Provenance, canonicalize, parse_number
 from absynth.scoring import (
     NUMERIC_TOLERANCE, _boundary_find,
     aggregate, dataset_stats, extract_landmarks, lcs_length,
@@ -32,6 +32,131 @@ def lcs_oracle(a, b):
         return max(go(i + 1, j), go(i, j + 1))
 
     return go(0, 0)
+
+
+# The five scoring rules as they were when each still had a branch for an
+# edge case that the general rule covers (a zero gold, an exact phrase, an
+# empty token list, an empty LCS side), kept verbatim as the references that
+# the one-rule versions must equal.
+
+
+def reference_lcs_length(a: list, b: list) -> int:
+    if not a or not b:
+        return 0
+    masks: dict = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for x in a:
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
+
+
+def reference_score_numeric(pred, gold, alternates=(), tolerant=False):
+    p = parse_number(pred)
+    if p is None:
+        return "unparsable"
+    for form in (gold, *alternates):
+        g = parse_number(form)
+        if g is None:
+            continue
+        if tolerant:
+            if g == 0:
+                if p == 0:
+                    return "correct"
+            elif abs(p - g) <= NUMERIC_TOLERANCE * abs(g):
+                return "correct"
+        elif p == g:
+            return "correct"
+    return "incorrect"
+
+
+def reference_score_phrase(pred, gold, alternates=()):
+    canon_pred = canonicalize(pred)
+    for form in (gold, *alternates):
+        canon_gold = canonicalize(form)
+        if not canon_gold:
+            continue
+        if canon_pred == canon_gold or _boundary_find(canon_pred, canon_gold) >= 0:
+            return True
+    return False
+
+
+def reference_score_sentence(pred, gold):
+    pred_tokens = tokenize(pred)
+    gold_tokens = tokenize(gold)
+    if not pred_tokens or not gold_tokens:
+        return 0.0
+    lcs = reference_lcs_length(pred_tokens, gold_tokens)
+    if lcs == 0:
+        return 0.0
+    precision = lcs / len(pred_tokens)
+    recall = lcs / len(gold_tokens)
+    return 2 * precision * recall / (precision + recall)
+
+
+INFINITE = "9" * 400  # parses to float("inf")
+NUMBER_TEXTS = ["0", "-0", "0.0", "-0.0", "0.000", "00", "100", "105", "95", "105.01", "94.99",
+                "-100", "-105", "1,000", "1,050", "0.001", "-0.001", "1e3", "4:10", "16:10 PM",
+                "7 units", "$30", "", " ", "none", "-", INFINITE, "-" + INFINITE]
+PHRASE_TEXTS = ["", " ", "Yes", "yes.", "no", "C", "Cat", "option C", "4:10 PM", "16:10",
+                "4:10", "12:00 am", "0:00", "organization chart", "An Organization  Chart",
+                "10", "105", "a-b", "é", "İ", "ß", ".", "the answer is c."]
+SENTENCE_TEXTS = ["", " ", "...", "!? -", "the cat sat", "The cat ran.", "cat", "a b c",
+                  "c b a", "4:10 pm", "16 10", "Sat, the cat."]
+
+
+@pytest.mark.parametrize("pred, gold, alternates, tolerant, verdict", [
+    ("0", "0", (), True, "correct"),
+    ("-0", "0", (), True, "correct"),
+    ("0.0", "-0.0", (), True, "correct"),
+    ("0.001", "0", (), True, "incorrect"),
+    ("-0.001", "-0", (), True, "incorrect"),
+    ("none", "0", (), True, "unparsable"),
+    ("5", "0", (INFINITE,), True, "correct"),
+    ("5", "0", (INFINITE,), False, "incorrect"),
+    (INFINITE, "100", (), True, "incorrect"),
+    (INFINITE, INFINITE, (), True, "incorrect"),
+    (INFINITE, INFINITE, (), False, "correct"),
+    ("at 4:10", "10", (), True, "correct"),
+    ("1,050", "1,000", (), True, "correct"),
+], ids=["zero", "negative-zero", "zero-point-zero", "near-zero", "near-negative-zero",
+        "no-number", "infinite-alternate", "infinite-alternate-strict", "infinite-prediction",
+        "infinite-both", "infinite-both-strict", "clock-time", "thousands"])
+def test_numeric_edge_cases_match_the_reference(pred, gold, alternates, tolerant, verdict):
+    assert score_numeric(pred, gold, alternates, tolerant) == verdict
+    assert reference_score_numeric(pred, gold, alternates, tolerant) == verdict
+
+
+def test_one_rule_scores_equal_the_references_on_seeded_cases():
+    rng = Random(2525)
+    words = ["the", "cat", "sat", "ran", "a", "b"]
+    for _ in range(20000):
+        pred = rng.choice(NUMBER_TEXTS)
+        if rng.random() < 0.3:
+            pred = f"{rng.uniform(-200, 200):.{rng.randint(0, 3)}f}"
+        gold = rng.choice(NUMBER_TEXTS)
+        alternates = tuple(rng.sample(NUMBER_TEXTS, rng.randint(0, 2)))
+        for tolerant in (False, True):
+            assert (score_numeric(pred, gold, alternates, tolerant)
+                    == reference_score_numeric(pred, gold, alternates, tolerant)), (
+                pred, gold, alternates, tolerant)
+
+        phrase = " ".join(rng.sample(PHRASE_TEXTS, rng.randint(0, 3)))
+        gold = rng.choice([phrase, phrase.upper(), *PHRASE_TEXTS])
+        alternates = tuple(rng.sample(PHRASE_TEXTS, rng.randint(0, 2)))
+        assert (score_phrase(phrase, gold, alternates)
+                == reference_score_phrase(phrase, gold, alternates)), (phrase, gold, alternates)
+
+        pred = rng.choice(SENTENCE_TEXTS + [" ".join(rng.choices(words, k=rng.randint(0, 6)))])
+        gold = rng.choice(SENTENCE_TEXTS + [" ".join(rng.choices(words, k=rng.randint(0, 6)))])
+        assert score_sentence(pred, gold) == reference_score_sentence(pred, gold), (pred, gold)
+
+        a = rng.choices(words, k=rng.randint(0, 8))
+        b = rng.choices(words, k=rng.randint(0, 8))
+        assert lcs_length(a, b) == reference_lcs_length(a, b), (a, b)
 
 
 # -- numeric ----------------------------------------------------------------
