@@ -143,7 +143,7 @@ def offline_transport() -> Transport:
 
 def _kv_lines(text: str) -> list[tuple[str, str]]:
     pairs = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if not line or ":" not in line:
             continue

@@ -412,9 +412,9 @@ def _draw_kind(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float,
 def build_chart_scene(spec: ChartSpec, font_scale: float = 1.0) -> SceneGraph:
     """Render a ChartSpec to a SceneGraph.
 
-    The scene labels roles title/legend/axis/data_marks (a role that a kind
-    does not draw is absent). Raises LayoutOverflow when a label
-    cannot fit at the scaled font size; value-to-pixel mapping is
+    Each primitive carries one role: title, legend, axis, data_marks or grid
+    (a role that a kind does not draw is absent). Raises LayoutOverflow when
+    a label cannot fit at the scaled font size; value-to-pixel mapping is
     value / nice_axis_max(max value) * plot height.
     """
     canvas = Canvas(640, 480)

@@ -96,11 +96,10 @@ class AestheticsResult:
     reasons: tuple[str, ...] = ()
 
 
-def _interference_area(scene: SceneGraph, text: list[int]) -> float:
-    """Total pairwise bbox overlap among the `text` primitives and the legend
-    elements, ignoring pairs inside the legend itself (a swatch under its own
-    label is not interference). Summed in sorted pair order."""
-    legend = set(scene.labels.get("legend", ()))
+def _interference_area(scene: SceneGraph, text: list[int], legend: set[int]) -> float:
+    """Total pairwise bbox overlap among the `text` primitives and the
+    `legend` elements, ignoring pairs inside the legend itself (a swatch
+    under its own label is not interference). Summed in sorted pair order."""
     total = 0.0
     for i, j, area in overlap_pairs(scene, [*text, *legend]):
         if not (i in legend and j in legend):
@@ -114,14 +113,17 @@ def aesthetics_gate(scene: SceneGraph, config: GateConfig) -> AestheticsResult:
     min_font = config.min_font_px
     text: list[int] = []
     small: list[int] = []
+    legend: set[int] = set()
     for i, p in enumerate(scene.primitives):
         if p.kind == "text":
             text.append(i)
-            if (p.style.font_size or 0) < min_font:
+            if p.style.font_size < min_font:
                 small.append(i)
+        if p.role == "legend":
+            legend.add(i)
     reasons: list[str] = []
     canvas_area = scene.canvas.width * scene.canvas.height
-    overlap = _interference_area(scene, text)
+    overlap = _interference_area(scene, text, legend)
     if overlap > config.max_overlap_fraction * canvas_area:
         reasons.append(
             f"interference: text/legend overlap area {overlap:.1f}px^2 exceeds "

@@ -268,10 +268,9 @@ def _line_angle(prim) -> float:
 
 def decode_clock_scene(scene: SceneGraph) -> tuple[int, int]:
     """Recover (hour, minute) in 12-hour form from the hand angles."""
-    hour_hand = scene.primitives[scene.labels["hour_hand"][0]]
-    minute_hand = scene.primitives[scene.labels["minute_hand"][0]]
-    minute = round(_line_angle(minute_hand) / 6.0) % 60
-    return (_dial_hour(round((_line_angle(hour_hand) - 0.5 * minute) / 30.0)), minute)
+    hands = {p.role: p for p in scene.primitives if p.role in ("hour_hand", "minute_hand")}
+    minute = round(_line_angle(hands["minute_hand"]) / 6.0) % 60
+    return (_dial_hour(round((_line_angle(hands["hour_hand"]) - 0.5 * minute) / 30.0)), minute)
 
 
 def decode_gauge_scene(scene: SceneGraph, family: str) -> float:
@@ -280,15 +279,15 @@ def decode_gauge_scene(scene: SceneGraph, family: str) -> float:
     column family with no column drawn reads the low end of its scale."""
     row = _ROWS[family]
     lo, hi, _ = row.scale
-    if "needle" in scene.labels:
-        needle = scene.primitives[scene.labels["needle"][0]]
+    marks = {p.role: p for p in scene.primitives if p.role in ("needle", "mercury", "bulb")}
+    if "needle" in marks:
         start, sweep = row.arc
-        frac = ((_line_angle(needle) - start) % 360.0) / sweep
-    elif "mercury" not in scene.labels:  # a column of width 0 is not drawn
+        frac = ((_line_angle(marks["needle"]) - start) % 360.0) / sweep
+    elif "mercury" not in marks:  # a column of width 0 is not drawn
         return lo
     else:
-        _, _, w, h = scene.primitives[scene.labels["mercury"][0]].geometry
-        frac = (h - _BULB_OVERLAP if "bulb" in scene.labels else w) / row.length
+        _, _, w, h = marks["mercury"].geometry
+        frac = (h - _BULB_OVERLAP if "bulb" in marks else w) / row.length
     return lo + frac * (hi - lo)
 
 

@@ -359,7 +359,8 @@ def build_comparison_scene(spec: DiffPairSpec, font_scale: float = 1.0) -> Scene
         b.add(text(x + _DIFF_PANEL / 2, y0 - font - 10, title, title_style, anchor="middle"),
               "panel_titles")
         b.add(rect(x, y0, _DIFF_PANEL, _DIFF_PANEL, _PANEL_STYLE), "panels")
-        b.extend(diff_panel_primitives(items, x, y0), "marks")
+        for mark in diff_panel_primitives(items, x, y0):
+            b.add(mark, "marks")
     return b.build()
 
 

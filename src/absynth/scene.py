@@ -1,8 +1,8 @@
 """Resolution-independent scene graph and deterministic SVG renderer.
 
 A SceneGraph is the single source of truth for an image: an ordered list of
-primitives on a canvas, plus a role map ("legend", "hour_hand", ...) pointing
-at primitive indices. Rendering is a pure function of the scene graph; the
+primitives on a canvas, each tagged with the one role it plays ("legend",
+"hour_hand", ...). Rendering is a pure function of the scene graph; the
 same scene always produces byte-identical SVG, in any process.
 
 Text extent is not measured from font metrics. It is estimated as
@@ -26,7 +26,7 @@ standard library's XML escaper would load the network stack with it, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -100,12 +100,17 @@ class Primitive(NamedTuple):
 
     Angles are degrees, measured clockwise from 12 o'clock. (x, y) of a text
     primitive is the top of the line box at its anchor point.
+
+    `role` names what the element means in its scene ("legend", "hour_hand",
+    "roads", ...). The shape constructors below leave it empty, and
+    `SceneBuilder.add` sets it; it plays no part in rendering.
     """
 
     kind: str
     geometry: tuple
     style: StyleSpec
     z: int = 0
+    role: str = ""
 
 
 BBox = tuple[float, float, float, float]
@@ -150,51 +155,37 @@ def text(x, y, content: str, style: StyleSpec, anchor: str = "start", z: int = 0
 @dataclass(frozen=True)
 class SceneGraph:
     """A validated scene: construction raises InvalidScene on any violated
-    primitive or role invariant; the canvas and each style checked
-    themselves when they were built. Canvas, primitives and styles are
-    frozen, so a scene that was built is still valid when it is rendered."""
+    primitive invariant or any primitive out of z order; the canvas and each
+    style checked themselves when they were built. Canvas, primitives and
+    styles are frozen, so a scene that was built is still valid when it is
+    rendered."""
 
     canvas: Canvas
     primitives: tuple[Primitive, ...]
-    labels: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         validate_scene(self)
 
 
 class SceneBuilder:
-    """Accumulates primitives with optional roles, then emits a SceneGraph.
+    """Accumulates primitives, each tagged with its role, then emits a
+    SceneGraph.
 
-    build() sorts primitives stably by z and remaps role indices, so callers
-    never deal with draw-order bookkeeping.
+    build() sorts primitives stably by z, so callers never deal with
+    draw-order bookkeeping.
     """
 
     def __init__(self, canvas: Canvas):
         self.canvas = canvas
-        self._items: list[tuple[Primitive, tuple[str, ...]]] = []
+        self._prims: list[Primitive] = []
 
-    def add(self, prim: Primitive, *roles: str) -> None:
-        self._items.append((prim, roles))
-
-    def extend(self, prims, *roles: str) -> None:
-        for p in prims:
-            self.add(p, *roles)
+    def add(self, prim: Primitive, role: str) -> None:
+        # The direct constructor, not `_replace`, which costs twice as much.
+        self._prims.append(Primitive(prim.kind, prim.geometry, prim.style, prim.z, role))
 
     def build(self) -> SceneGraph:
         # A stable sort: primitives of equal z keep the order they were added in.
-        order = sorted(range(len(self._items)), key=lambda i: self._items[i][0].z)
-        labels: dict[str, list[int]] = {}
-        prims: list[Primitive] = []
-        for new_index, old_index in enumerate(order):
-            prim, roles = self._items[old_index]
-            prims.append(prim)
-            for role in roles:
-                labels.setdefault(role, []).append(new_index)
-        return SceneGraph(
-            canvas=self.canvas,
-            primitives=tuple(prims),
-            labels={role: tuple(ix) for role, ix in labels.items()},
-        )
+        return SceneGraph(self.canvas, tuple(sorted(self._prims, key=lambda p: p.z)))
 
 
 def _all_finite(values) -> bool:
@@ -259,11 +250,6 @@ def validate_scene(scene: SceneGraph) -> None:
         if last_z is not None and prim.z < last_z:
             problems.append((i, "primitives not sorted by z"))
         last_z = prim.z
-    n = len(scene.primitives)
-    for role, indices in scene.labels.items():
-        for ix in indices:
-            if not (0 <= ix < n):
-                problems.append((ix, f"label {role!r} index out of range"))
     if problems:
         raise InvalidScene(problems)
 
@@ -378,7 +364,7 @@ def _fmt(v: float) -> str:
 def _style_attrs(style: StyleSpec, is_text: bool) -> str:
     if is_text:
         return (f'fill="{color_css(style.fill or "black")}" '
-                f'font-size="{_fmt(style.font_size or 10.0)}" font-family="sans-serif"')
+                f'font-size="{_fmt(style.font_size)}" font-family="sans-serif"')
     attrs = f'fill="{color_css(style.fill)}"' if style.fill is not None else 'fill="none"'
     if style.stroke is not None:
         attrs += f' stroke="{color_css(style.stroke)}" stroke-width="{_fmt(style.stroke_width)}"'
@@ -430,7 +416,7 @@ def _element(p: Primitive, attrs: str) -> str:
     if kind == "text":
         x, y, content, anchor = g
         # Baseline sits at ~0.8em below the top of the heuristic line box.
-        baseline = y + 0.8 * float(p.style.font_size or 10.0)
+        baseline = y + 0.8 * float(p.style.font_size)
         return (f'<text x="{_coord(x)}" y="{_coord(baseline)}" text-anchor="{anchor}" {attrs}>'
                 f"{_escape(content)}</text>")
     if kind == "line":

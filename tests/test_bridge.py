@@ -95,6 +95,10 @@ def test_parse_output_answer_stage():
     with pytest.raises(ContractViolation, match=r"^reply cannot be encoded as UTF-8 \(surro"):
         parse_output("answer", "answer: 4\ud8002")
     assert parse_output("answer", "answer: \U0001f600") == "\U0001f600"
+    # Replies split into lines at "\n" only, not at the other Unicode breaks.
+    assert parse_output("answer", "answer: 4\u20282") == "4\u20282"
+    assert parse_output("qa", "question: a\x85b?\nanswer: c") == [
+        {"question": "a\x85b?", "answer": "c"}]
 
 
 def test_self_consistent_answer_votes():

@@ -11,6 +11,7 @@ from absynth.charts import (
 )
 from absynth.records import format_number
 from absynth.scene import LayoutOverflow, bounding_box, overlap_pairs
+from tests_helpers import role_indices
 
 
 def pie_spec(values=(40, 30, 20, 10), names=("Alpha", "Beta", "Gamma", "Delta")):
@@ -54,7 +55,7 @@ def test_all_five_kinds_at_least_10_percent():
         assert n >= 100, f"{kind} drawn only {n}/1000 times"
 
 
-# A scene labels only the roles its kind draws: a pie has no axis, a table
+# A scene holds only the roles its kind draws: a pie has no axis, a table
 # no legend but a grid.
 VALUE_CHART_ROLES = {"title", "legend", "axis", "data_marks"}
 CHART_ROLES = {"pie": {"title", "legend", "data_marks"},
@@ -65,7 +66,8 @@ def test_sampled_specs_build_clean_scenes():
     for seed in range(60):
         spec = sample_chart_spec(seed)
         scene = build_chart_scene(spec)
-        assert set(scene.labels) == CHART_ROLES.get(spec.kind, VALUE_CHART_ROLES), seed
+        roles = {p.role for p in scene.primitives}
+        assert roles == CHART_ROLES.get(spec.kind, VALUE_CHART_ROLES), seed
         # No primitive may leave the canvas.
         for p in scene.primitives:
             x0, y0, x1, y1 = bounding_box(p)
@@ -95,8 +97,7 @@ def test_bar_heights_proportional_to_values():
     spec = sample_chart_spec(3, kind="bar")
     values = [p.value for p in spec.series[0].points]
     scene = build_chart_scene(spec)
-    bars = [scene.primitives[i] for i in scene.labels["data_marks"]
-            if scene.primitives[i].kind == "rectangle"]
+    bars = [p for p in scene.primitives if p.role == "data_marks" and p.kind == "rectangle"]
     assert len(bars) == len(values)
     heights = [b.geometry[3] for b in bars]
     # Documented mapping: height = value / nice_axis_max(max) * plot_height.
@@ -110,8 +111,7 @@ def test_bar_height_matches_documented_mapping():
     spec = sample_chart_spec(3, kind="bar")
     values = [p.value for p in spec.series[0].points]
     scene = build_chart_scene(spec)
-    bars = [scene.primitives[i] for i in scene.labels["data_marks"]
-            if scene.primitives[i].kind == "rectangle"]
+    bars = [p for p in scene.primitives if p.role == "data_marks" and p.kind == "rectangle"]
     heights = [b.geometry[3] for b in bars]
     axis_max = nice_axis_max(max(values))
     plot_height = heights[0] / (values[0] / axis_max)
@@ -121,10 +121,10 @@ def test_bar_height_matches_documented_mapping():
 
 def test_table_3x4_has_12_cells_plus_grid():
     scene = build_chart_scene(table_spec(3, 4))
-    cells = [scene.primitives[i] for i in scene.labels["data_marks"]]
+    cells = [p for p in scene.primitives if p.role == "data_marks"]
     assert len(cells) == 12
     assert all(p.kind == "text" for p in cells)
-    grid = [scene.primitives[i] for i in scene.labels["grid"]]
+    grid = [p for p in scene.primitives if p.role == "grid"]
     assert all(p.kind == "line" for p in grid)
     assert len(grid) == (3 + 2) + (4 + 2)
 
@@ -140,7 +140,7 @@ def test_no_text_interference_on_sampled_charts():
     for seed in range(40):
         scene = build_chart_scene(sample_chart_spec(seed))
         text_ix = tuple(i for i, p in enumerate(scene.primitives) if p.kind == "text")
-        legend = set(scene.labels.get("legend", ()))
+        legend = set(role_indices(scene, "legend"))
         area = sum(a for i, j, a in overlap_pairs(scene, legend.union(text_ix))
                    if not (i in legend and j in legend))
         assert area <= 0.02 * scene.canvas.width * scene.canvas.height, seed

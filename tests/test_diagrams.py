@@ -8,6 +8,7 @@ from absynth.diagrams import (
 )
 from absynth.keywords import ORGANIZATION_TOPICS
 from absynth.scene import overlap_pairs
+from tests_helpers import role_indices
 
 
 def forensics_tree():
@@ -47,14 +48,13 @@ def test_forensics_existence_and_type():
 
 def test_forensics_layout_layers_and_connectors():
     scene = layout_hierarchy(forensics_tree())
-    boxes = [scene.primitives[i] for i in scene.labels["nodes"]]
+    boxes = [p for p in scene.primitives if p.role == "nodes"]
     assert len(boxes) == 7
     tops = sorted({b.geometry[1] for b in boxes})
     assert len(tops) == 3  # three horizontal layers
-    edges = [p for i in scene.labels["edges"] for p in [scene.primitives[i]]
-             if p.kind == "line"]
+    edges = [p for p in scene.primitives if p.role == "edges" and p.kind == "line"]
     assert len(edges) == 6  # one connector per non-root node
-    assert overlap_pairs(scene, scene.labels["nodes"]) == []
+    assert overlap_pairs(scene, role_indices(scene, "nodes")) == []
 
 
 def test_minimal_tree_single_node():
@@ -62,8 +62,8 @@ def test_minimal_tree_single_node():
         spec = sample_tree_spec(seed, "City Public Library")
         if len(tree_nodes(spec.root)) == 1:
             scene = layout_hierarchy(spec)
-            assert len(scene.labels["nodes"]) == 1
-            assert "edges" not in scene.labels
+            assert len(role_indices(scene, "nodes")) == 1
+            assert "edges" not in {p.role for p in scene.primitives}
             return
     pytest.fail("no minimal tree among 400 seeds")
 
@@ -150,4 +150,4 @@ def test_flowchart_branch_outcome_answers():
 def test_flow_layout_no_node_overlap():
     for seed in range(60):
         scene = layout_hierarchy(sample_flow_spec(seed))
-        assert overlap_pairs(scene, scene.labels["nodes"]) == []
+        assert overlap_pairs(scene, role_indices(scene, "nodes")) == []

@@ -17,6 +17,7 @@ from absynth.scene import (
     rect, text,
 )
 from test_gate_stress import STRESS_SEED, stress_cases
+from tests_helpers import role_indices
 
 
 def pie(title):
@@ -64,8 +65,8 @@ def test_retry_budget_respected():
 
 def scene_with(*prims_roles, canvas=None):
     b = SceneBuilder(canvas or Canvas(640, 480))
-    for prim, roles in prims_roles:
-        b.add(prim, *roles)
+    for prim, role in prims_roles:
+        b.add(prim, role)
     return b.build()
 
 
@@ -81,8 +82,8 @@ def test_coincident_titles_fail_with_interference():
     style = StyleSpec(font_size=18)
     content = "duplicated title " * 3
     scene = scene_with(
-        (text(320, 10, content, style, anchor="middle"), ("title",)),
-        (text(320, 12, content, style, anchor="middle"), ("title",)),
+        (text(320, 10, content, style, anchor="middle"), "title"),
+        (text(320, 12, content, style, anchor="middle"), "title"),
     )
     result = aesthetics_gate(scene, GateConfig())
     assert not result.passed
@@ -90,7 +91,7 @@ def test_coincident_titles_fail_with_interference():
 
 
 def test_small_font_fails():
-    scene = scene_with((text(10, 10, "tiny", StyleSpec(font_size=6)), ("title",)))
+    scene = scene_with((text(10, 10, "tiny", StyleSpec(font_size=6)), "title"))
     result = aesthetics_gate(scene, GateConfig())
     assert not result.passed
     assert any(r.startswith("small-font") for r in result.reasons)
@@ -99,7 +100,7 @@ def test_small_font_fails():
 def test_legend_internal_overlap_not_interference():
     swatch = rect(10, 10, 10, 10, StyleSpec(fill="blue"))
     label = text(12, 11, "series", StyleSpec(font_size=10))
-    scene = scene_with((swatch, ("legend",)), (label, ("legend",)))
+    scene = scene_with((swatch, "legend"), (label, "legend"))
     assert aesthetics_gate(scene, GateConfig()).passed
 
 
@@ -141,7 +142,7 @@ def test_config_validation():
 def reference_interference(scene):
     """Every pair of text/legend primitives in sorted order, zero-area and
     legend-internal pairs included, summed left to right."""
-    legend = set(scene.labels.get("legend", ()))
+    legend = set(role_indices(scene, "legend"))
     chosen = sorted({i for i, p in enumerate(scene.primitives) if p.kind == "text"} | legend)
     total = 0.0
     for pos, i in enumerate(chosen):
@@ -158,8 +159,10 @@ def test_interference_area_is_bit_identical_to_full_pair_sum(scenario):
     for seed in range(6):
         result = feasibility_gate(sdef.sample(seed), GateConfig(), sdef.build)
         if result.accepted:
-            text = [i for i, p in enumerate(result.scene.primitives) if p.kind == "text"]
-            assert _interference_area(result.scene, text) == reference_interference(result.scene)
+            scene = result.scene
+            text = [i for i, p in enumerate(scene.primitives) if p.kind == "text"]
+            legend = set(role_indices(scene, "legend"))
+            assert _interference_area(scene, text, legend) == reference_interference(scene)
 
 
 def two_scan_gate(scene, config):
@@ -222,14 +225,14 @@ def test_one_scan_gate_matches_the_two_scan_gate_on_crowded_scenes():
         b = SceneBuilder(Canvas(640, 480))
         for _ in range(rng.randint(0, 12)):
             x, y = rng.randint(0, 60), rng.randint(0, 60)
-            roles = rng.choice(((), (), ("legend",)))
+            role = rng.choice(("data_marks", "data_marks", "legend"))
             if rng.random() < 0.7:
                 style = StyleSpec(font_size=rng.choice((6, 7.5, 8, 10, 14)))
                 b.add(text(x, y, "w" * rng.randint(1, 9), style,
-                           anchor=rng.choice(("start", "middle", "end"))), *roles)
+                           anchor=rng.choice(("start", "middle", "end"))), role)
             else:
                 b.add(rect(x, y, rng.randint(0, 20), rng.randint(0, 20),
-                           StyleSpec(fill="blue")), *roles)
+                           StyleSpec(fill="blue")), role)
         scene = b.build()
         result = aesthetics_gate(scene, config)
         assert result == two_scan_gate(scene, config)

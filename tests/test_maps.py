@@ -13,6 +13,7 @@ from absynth.maps import (
 )
 from absynth.scene import bounding_box, line, overlap_pairs
 from absynth.seeds import derive_seed
+from tests_helpers import role_indices
 
 
 def count_turns(cells):
@@ -146,7 +147,8 @@ def reference_generate_map(seed, params=None):
 
 
 def reference_roads(spec):
-    """Every road line, in draw order, from the loop that kept a drawn set."""
+    """Every road line, in draw order and with its role, from the loop that
+    kept a drawn set."""
     roads, drawn = [], set()
     for cell in sorted(spec.network):
         x, y = _cell_center(cell)
@@ -154,7 +156,7 @@ def reference_roads(spec):
             other = (cell[0] + dr, cell[1] + dc)
             if other in spec.network and (other, cell) not in drawn:
                 ox, oy = _cell_center(other)
-                roads.append(line(x, y, ox, oy, _ROAD_STYLE))
+                roads.append(line(x, y, ox, oy, _ROAD_STYLE)._replace(role="roads"))
                 drawn.add((cell, other))
     return roads
 
@@ -164,7 +166,7 @@ def assert_matches_reference(seeds, params=None):
         spec = generate_map(seed, params)
         assert spec == reference_generate_map(seed, params), seed
         scene = build_map_scene(spec)
-        assert [scene.primitives[i] for i in scene.labels["roads"]] == reference_roads(spec), seed
+        assert [p for p in scene.primitives if p.role == "roads"] == reference_roads(spec), seed
 
 
 def test_sampler_and_roads_match_reference_at_defaults():
@@ -314,13 +316,11 @@ def test_scene_one_label_per_named_intersection():
     for seed in (1, 22, 333):
         spec = generate_map(seed)
         scene = build_map_scene(spec)
-        labels = [scene.primitives[i] for i in scene.labels["landmark_labels"]]
+        labels = [p for p in scene.primitives if p.role == "landmark_labels"]
         texts = sorted(p.geometry[2] for p in labels)
         assert texts == sorted(spec.landmark_names.values())
-        assert len(scene.labels["start_marker"]) == 1
-        assert len(scene.labels["end_marker"]) == 1
-        start = scene.primitives[scene.labels["start_marker"][0]]
-        end = scene.primitives[scene.labels["end_marker"][0]]
+        [start] = [p for p in scene.primitives if p.role == "start_marker"]
+        [end] = [p for p in scene.primitives if p.role == "end_marker"]
         assert start.kind != end.kind  # distinct glyphs
         assert start.style.fill != end.style.fill  # distinct colors
 
@@ -339,5 +339,5 @@ def test_scene_fits_canvas_and_text_interference_bounded():
         for p in scene.primitives:
             x0, y0, x1, y1 = bounding_box(p)
             assert x0 >= 0 and y0 >= 0 and x1 <= scene.canvas.width and y1 <= scene.canvas.height
-        area = sum(a for _, _, a in overlap_pairs(scene, scene.labels["landmark_labels"]))
+        area = sum(a for _, _, a in overlap_pairs(scene, role_indices(scene, "landmark_labels")))
         assert area <= 0.02 * scene.canvas.width * scene.canvas.height, seed

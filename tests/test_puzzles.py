@@ -8,6 +8,7 @@ from absynth.puzzles import (
     shared_wall, shown_panels,
 )
 from absynth.scene import overlap_pairs
+from tests_helpers import role_indices
 
 
 def correct_panel(rule: PatternRule) -> PanelSpec:
@@ -137,10 +138,10 @@ def test_puzzle_scenes_build():
         spec = sample_puzzle(seed)
         if isinstance(spec, PatternRule):
             scene = build_induction_scene(spec)
-            assert len(scene.labels["option_labels"]) == 4
+            assert len(role_indices(scene, "option_labels")) == 4
         else:
             scene = build_comparison_scene(spec)
-            assert len(scene.labels["panels"]) == 2
+            assert len(role_indices(scene, "panels")) == 2
 
 
 # -- floor plans ------------------------------------------------------------
@@ -260,5 +261,6 @@ def test_adjacency_answer_matches_geometry():
 def test_floorplan_scene_builds_without_room_overlap():
     for seed in range(40):
         scene = build_floorplan_scene(sample_floorplan(seed))
-        assert overlap_pairs(scene, scene.labels["rooms"]) == []
-        assert len(scene.labels["room_labels"]) == len(scene.labels["rooms"])
+        rooms = role_indices(scene, "rooms")
+        assert overlap_pairs(scene, rooms) == []
+        assert len(role_indices(scene, "room_labels")) == len(rooms)

@@ -19,6 +19,7 @@ from absynth.scene import (
     _fmt, angle_point, arc, bounding_box, bbox_intersection_area, circle, line, overlap_pairs,
     polygon, polyline, primitive_problems, rect, render_svg, text, wedge,
 )
+from tests_helpers import role_indices
 
 STROKED = StyleSpec(stroke="black")
 FILLED = StyleSpec(fill="blue")
@@ -51,9 +52,9 @@ def test_circle_round_trips_through_svg():
 
 def test_render_is_deterministic():
     b = SceneBuilder(Canvas(640, 480))
-    b.add(circle(10, 20, 5, FILLED))
-    b.add(text(50, 50, "hello & <world>", StyleSpec(font_size=12)))
-    b.add(wedge(100, 100, 40, 0, 144, FILLED))
+    b.add(circle(10, 20, 5, FILLED), "marks")
+    b.add(text(50, 50, "hello & <world>", StyleSpec(font_size=12)), "labels")
+    b.add(wedge(100, 100, 40, 0, 144, FILLED), "marks")
     scene = b.build()
     assert render_svg(scene) == render_svg(scene)
 
@@ -67,7 +68,7 @@ def test_text_content_is_escaped_like_the_standard_escaper():
     `xml.sax.saxutils.escape` makes of it, and parses back to the content."""
     b = SceneBuilder(Canvas(640, 480))
     for i, content in enumerate(ESCAPE_CASES):
-        b.add(text(10, 10 + 30 * i, content, StyleSpec(font_size=12)))
+        b.add(text(10, 10 + 30 * i, content, StyleSpec(font_size=12)), "labels")
     svg = render_svg(b.build()).decode("utf-8")
     raw = re.findall(r"<text [^>]*>(.*?)</text>", svg)
     assert raw == [xml_escape(c) for c in ESCAPE_CASES]
@@ -84,7 +85,7 @@ def test_z_order_and_each_primitive_once():
     b.add(circle(2, 2, 1, FILLED, z=0), "bottom")
     scene = b.build()
     assert scene.primitives[0].geometry[0] == 2.0
-    assert scene.labels["top"] == (1,)
+    assert [p.role for p in scene.primitives] == ["bottom", "top"]
     root = parse_svg(render_svg(scene))
     assert len(root.findall(f"{SVG_NS}circle")) == 2
 
@@ -210,29 +211,29 @@ def scene_with_rects(*boxes):
 
 def test_overlap_disjoint_rects_empty():
     scene = scene_with_rects((0, 0, 10, 10), (20, 20, 30, 30))
-    assert overlap_pairs(scene, scene.labels["marks"]) == []
+    assert overlap_pairs(scene, role_indices(scene, "marks")) == []
 
 
 def test_overlap_identical_rects():
     scene = scene_with_rects((0, 0, 10, 10), (0, 0, 10, 10))
-    assert overlap_pairs(scene, scene.labels["marks"]) == [(0, 1, 100.0)]
+    assert overlap_pairs(scene, role_indices(scene, "marks")) == [(0, 1, 100.0)]
 
 
 def test_overlap_partial_rects():
     # Intersection of (0,0,10,10) and (5,5,15,15) is the 5x5 square = 25.
     scene = scene_with_rects((0, 0, 10, 10), (5, 5, 15, 15))
-    assert overlap_pairs(scene, scene.labels["marks"]) == [(0, 1, 25.0)]
+    assert overlap_pairs(scene, role_indices(scene, "marks")) == [(0, 1, 25.0)]
 
 
 def test_overlap_explicit_indices_join_roles():
-    # A role's indices joined with those of primitives that carry no role,
+    # A role's indices joined with those of a primitive of another role,
     # in any order and with repeats, select each primitive once.
     b = SceneBuilder(Canvas(640, 480))
     b.add(rect(0, 0, 10, 10, FILLED), "marks")
-    b.add(text(5, 5, "unroled", StyleSpec(font_size=10)))
+    b.add(text(5, 5, "other role", StyleSpec(font_size=10)), "labels")
     b.add(rect(100, 100, 10, 10, FILLED), "marks")
     scene = b.build()
-    marks = scene.labels["marks"]
+    marks = role_indices(scene, "marks")
     assert overlap_pairs(scene, marks) == []
     assert overlap_pairs(scene, (1,) + marks + (0,)) == overlap_pairs(scene, (0, 1, 2))
     assert [(i, j) for i, j, _ in overlap_pairs(scene, marks + (1,))] == [(0, 1)]
@@ -308,15 +309,45 @@ def sampled_scenes(seeds=range(8)):
                 yield name, result.scene
 
 
+# The roles each scenario draws. Every primitive carries exactly one of its
+# scenario's roles, and a sample of scenes draws every one of them.
+SCENARIO_ROLES = {
+    "chart": {"axis", "data_marks", "legend", "title"},
+    "table": {"axis", "data_marks", "grid", "title"},
+    "map": {"end_marker", "landmark_labels", "landmarks", "obstacles", "roads", "start_marker"},
+    "dashboard": {"bulb", "face", "hour_hand", "hub", "mercury", "minute_hand", "needle",
+                  "numbers", "tick_labels", "ticks", "tube"},
+    "flowchart": {"edge_labels", "edges", "node_labels", "nodes"},
+    "relation_graph": {"edges", "extra_edges", "node_labels", "nodes"},
+    "puzzle": {"marks", "option_labels", "panel_titles", "panels", "title"},
+    "layout": {"doors", "fixture_labels", "fixtures", "room_labels", "rooms", "title"},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_every_primitive_has_one_role_from_its_scenario(scenario):
+    assert set(SCENARIO_ROLES) == set(SCENARIOS)
+    expected = SCENARIO_ROLES[scenario]
+    sdef = scenario_def(scenario)
+    seen = set()
+    for seed in range(100):
+        result = feasibility_gate(sdef.sample(seed), GateConfig(), sdef.build)
+        assert result.accepted, seed
+        for p in result.scene.primitives:
+            assert p.role in expected, (seed, p)
+            seen.add(p.role)
+    assert seen == expected
+
+
 def test_swept_overlaps_match_all_pairs_on_sampled_scenes():
     seen = set()
     for name, scene in sampled_scenes():
         seen.add(name)
         everything = range(len(scene.primitives))
         text_ix = [i for i, p in enumerate(scene.primitives) if p.kind == "text"]
-        labelled = [i for indices in scene.labels.values() for i in indices]
-        selections = [("all", everything), ("text", text_ix), ("labelled", labelled)]
-        selections += [(role, text_ix + list(ix)) for role, ix in scene.labels.items()]
+        roles = sorted({p.role for p in scene.primitives})
+        selections = [("all", everything), ("text", text_ix)]
+        selections += [(role, text_ix + list(role_indices(scene, role))) for role in roles]
         for what, indices in selections:
             assert overlap_pairs(scene, indices) == \
                 all_pairs_overlaps(scene, indices), (name, what)
@@ -381,8 +412,8 @@ def test_each_primitive_is_boxed_once_per_image(scenario, monkeypatch):
     config = RunConfig(scenarios=(scenario,), default_count=3, seed=1)
     for index in range(3):
         assert generate_image(config, scenario, index).rejection is None
-    compared = [p for scene in gated for i, p in enumerate(scene.primitives)
-                if p.kind == "text" or i in scene.labels.get("legend", ())]
+    compared = [p for scene in gated for p in scene.primitives
+                if p.kind == "text" or p.role == "legend"]
     assert len(gated) == 3
     assert compared
     assert sorted(map(id, boxed)) == sorted(map(id, compared))
