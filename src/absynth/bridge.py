@@ -22,6 +22,7 @@ in.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -70,6 +71,9 @@ class BackendConfig:
             raise ValueError("max_parallel must be >= 1")
         if self.retry_budget < 0:
             raise ValueError("retry_budget must be >= 0")
+        # Written so that NaN fails too; NaN and infinity are not JSON numbers.
+        if not (0 <= self.temperature < math.inf):
+            raise ValueError("temperature must be a finite number >= 0")
 
 
 Transport = Callable[[dict], str]

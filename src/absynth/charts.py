@@ -409,23 +409,22 @@ def _draw_kind(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float,
         raise ValueError(f"cannot draw kind {spec.kind!r}")
 
 
-def build_chart_scene(spec: ChartSpec, font_scale: float = 1.0) -> SceneGraph:
+def build_chart_scene(spec: ChartSpec) -> SceneGraph:
     """Render a ChartSpec to a SceneGraph.
 
     Each primitive carries one role: title, legend, axis, data_marks or grid
     (a role that a kind does not draw is absent). Raises LayoutOverflow when
-    a label cannot fit at the scaled font size; value-to-pixel mapping is
+    a label cannot fit at its font size; value-to-pixel mapping is
     value / nice_axis_max(max value) * plot height.
     """
     canvas = Canvas(640, 480)
     b = SceneBuilder(canvas)
-    title_font = TITLE_FONT * font_scale
-    if text_width(spec.topic, title_font) > canvas.width - 20:
+    if text_width(spec.topic, TITLE_FONT) > canvas.width - 20:
         raise LayoutOverflow(f"title {spec.topic!r} wider than canvas")
     b.add(text(canvas.width / 2.0, 10, spec.topic,
-               StyleSpec(font_size=title_font), anchor="middle", z=9), "title")
+               StyleSpec(font_size=TITLE_FONT), anchor="middle", z=9), "title")
 
-    top = 16 + 1.6 * title_font
+    top = 16 + 1.6 * TITLE_FONT
     if spec.kind == "composite":
         n = len(spec.subcharts)
         gap = 14.0
@@ -439,21 +438,20 @@ def build_chart_scene(spec: ChartSpec, font_scale: float = 1.0) -> SceneGraph:
             cw = (canvas.width - 24 - gap * (n - 1)) / n
             regions = [(12 + i * (cw + gap), top,
                         12 + i * (cw + gap) + cw, canvas.height - 14) for i in range(n)]
-        sub_scale = font_scale * SUB_SCALE
         for sub, (rx0, ry0, rx1, ry1) in zip(spec.subcharts, regions):
-            sub_title_font = LABEL_FONT * sub_scale
+            sub_title_font = LABEL_FONT * SUB_SCALE
             if text_width(sub.topic, sub_title_font) > (rx1 - rx0):
                 raise LayoutOverflow(f"sub-chart title {sub.topic!r} too wide")
             b.add(text((rx0 + rx1) / 2.0, ry0, sub.topic,
                        StyleSpec(font_size=sub_title_font), anchor="middle", z=9), "title")
-            inner: Region = (rx0 + 3.4 * TICK_FONT * sub_scale, ry0 + 1.8 * sub_title_font,
+            inner: Region = (rx0 + 3.4 * TICK_FONT * SUB_SCALE, ry0 + 1.8 * sub_title_font,
                              rx1 - 6, ry1 - 4)
-            _draw_kind(b, sub, inner, sub_scale, "")
+            _draw_kind(b, sub, inner, SUB_SCALE, "")
     else:
         margin_left = 70.0 if spec.kind in ("bar", "line") else 40.0
         region: Region = (margin_left, top, canvas.width - 30.0, canvas.height - 24.0)
         unit_label = spec.axis_labels[1] if spec.kind in ("bar", "line") else ""
-        _draw_kind(b, spec, region, font_scale, unit_label)
+        _draw_kind(b, spec, region, 1.0, unit_label)
 
     return b.build()
 

@@ -335,15 +335,14 @@ def _draw_node_box(
           "node_labels")
 
 
-def _layout_tree(spec: TreeSpec, font_scale: float) -> SceneGraph:
+def _layout_tree(spec: TreeSpec) -> SceneGraph:
     canvas = Canvas(640, 480)
     b = SceneBuilder(canvas)
-    font = NODE_FONT * font_scale
     layers = tree_layers(spec.root)
     top = 60.0
     centers: dict[str, tuple[float, float, float]] = {}  # label -> (cx, cy, w)
     for depth, layer in enumerate(layers):
-        widths = [_node_box_width(n.label, font) for n in layer]
+        widths = [_node_box_width(n.label, NODE_FONT) for n in layer]
         gap = 26.0
         total = sum(widths) + gap * (len(layer) - 1)
         if total > canvas.width - 20:
@@ -365,7 +364,7 @@ def _layout_tree(spec: TreeSpec, font_scale: float) -> SceneGraph:
             b.add(line(cx, cy + NODE_H / 2, ccx, ccy - NODE_H / 2 - 8, _EDGE_STYLE, z=0),
                   "edges")
             _arrow_head(b, ccx, ccy - NODE_H / 2, "down")
-    label_style = StyleSpec(font_size=font)
+    label_style = StyleSpec(font_size=NODE_FONT)
     for node in tree_nodes(spec.root):
         cx, cy, w = centers[node.label]
         _draw_node_box(b, node.label, cx, cy, w, NODE_H,
@@ -373,9 +372,8 @@ def _layout_tree(spec: TreeSpec, font_scale: float) -> SceneGraph:
     return b.build()
 
 
-def _layout_flow(spec: FlowSpec, font_scale: float) -> SceneGraph:
-    font = NODE_FONT * font_scale
-    label_style = StyleSpec(font_size=font)
+def _layout_flow(spec: FlowSpec) -> SceneGraph:
+    label_style = StyleSpec(font_size=NODE_FONT)
     # Side nodes are the no-branch targets; everything else stacks vertically.
     no_targets = {e.dst: e.src for e in spec.edges if e.label == "No"}
     main_rows: list[str] = []
@@ -399,7 +397,7 @@ def _layout_flow(spec: FlowSpec, font_scale: float) -> SceneGraph:
 
     boxes: dict[str, float] = {}
     for n in spec.nodes:
-        w = _node_box_width(n.label, font)
+        w = _node_box_width(n.label, NODE_FONT)
         extra = 20.0 if n.shape == "decision" else 0.0
         if rows[n.label][0] + w / 2 + extra > canvas.width - 4 or w / 2 + extra > rows[n.label][0]:
             raise LayoutOverflow(f"flow node {n.label!r} too wide")
@@ -415,14 +413,14 @@ def _layout_flow(spec: FlowSpec, font_scale: float) -> SceneGraph:
             b.add(line(x1, y1 + src_half_h, x2, y2 - dst_half_h - 8, _EDGE_STYLE), "edges")
             _arrow_head(b, x2, y2 - dst_half_h, "down")
             if e.label:
-                b.add(text(x1 + 6, (y1 + y2) / 2 - font, e.label, label_style), "edge_labels")
+                b.add(text(x1 + 6, (y1 + y2) / 2 - NODE_FONT, e.label, label_style), "edge_labels")
         elif y1 == y2:  # horizontal to the side node
             half_w1 = boxes[e.src] / 2 + (10 if src_shape == "decision" else 0)
             half_w2 = boxes[e.dst] / 2
             b.add(line(x1 + half_w1, y1, x2 - half_w2 - 8, y2, _EDGE_STYLE), "edges")
             _arrow_head(b, x2 - half_w2, y2, "right")
             if e.label:
-                b.add(text((x1 + half_w1 + x2 - half_w2) / 2, y1 - font - 4, e.label,
+                b.add(text((x1 + half_w1 + x2 - half_w2) / 2, y1 - NODE_FONT - 4, e.label,
                            label_style, anchor="middle"), "edge_labels")
         else:  # loop back from a fix node: right edge, up, into the target's side
             half_w = boxes[e.src] / 2
@@ -440,12 +438,12 @@ def _layout_flow(spec: FlowSpec, font_scale: float) -> SceneGraph:
     return b.build()
 
 
-def layout_hierarchy(spec: TreeSpec | FlowSpec, font_scale: float = 1.0) -> SceneGraph:
+def layout_hierarchy(spec: TreeSpec | FlowSpec) -> SceneGraph:
     """Layered layout: levels are vertical, siblings horizontal, connectors
     arrowed, no axes. Node boxes never overlap."""
     if isinstance(spec, TreeSpec):
-        return _layout_tree(spec, font_scale)
-    return _layout_flow(spec, font_scale)
+        return _layout_tree(spec)
+    return _layout_flow(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Three-level quality filter: render feasibility with bounded retries,
-geometric aesthetics screening, and answer-consistency support thresholds.
+"""Three-level quality filter: render feasibility, geometric aesthetics
+screening, and answer-consistency support thresholds.
 
-Feasibility retries rebuild the scene with fonts shrunk by 0.85 per attempt
-(the procedural analogue of regenerate-on-compiler-error); after max_retries
-failed attempts the candidate is rejected, never raised. The aesthetics gate
-is purely geometric: text/legend interference area and minimum font size,
-each reported as a machine-readable reason. It walks the primitives once,
+Feasibility is one build of the scene: a layout that overflows its canvas
+is rejected, never raised. (The paper regenerates drawing code that fails to
+compile; no spec the samplers can reach overflows, so a rebuild would have
+nothing to do.) The aesthetics gate is purely geometric: text/legend
+interference area and minimum font size, each reported as a
+machine-readable reason. It walks the primitives once,
 collecting the text and the too-small text together, and boxes only the text
 and legend primitives, in a sweep that skips pairs apart in x or in y before
 it computes any area. A GateConfig checks its thresholds when it is
@@ -21,7 +22,6 @@ from typing import Any, Callable
 
 from .scene import LayoutOverflow, SceneGraph, overlap_pairs
 
-FONT_SCALE_DECAY = 0.85
 # Completions voted on per LLM-proposed answer; min_vote_support counts
 # agreeing votes among them.
 LLM_ANSWER_VOTES = 3
@@ -29,15 +29,12 @@ LLM_ANSWER_VOTES = 3
 
 @dataclass(frozen=True)
 class GateConfig:
-    max_retries: int = 3
     max_overlap_fraction: float = 0.02
     min_font_px: float = 8.0
     min_vote_support: int = 2
     review_fraction: float = 0.10
 
     def __post_init__(self) -> None:
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
         for name in ("max_overlap_fraction", "review_fraction"):
             v = getattr(self, name)
             if not (0 < v <= 1):
@@ -58,36 +55,24 @@ class Rejection:
 @dataclass(frozen=True)
 class FeasibilityResult:
     scene: SceneGraph | None
-    attempts: int
     rejection: Rejection | None = None
+    # One build per image. Kept only while the bench tallies it (ROADMAP
+    # item 9(d)); a class attribute, so it is no field of the result.
+    attempts = 1
 
     @property
     def accepted(self) -> bool:
         return self.scene is not None
 
 
-def feasibility_gate(
-    spec: Any,
-    config: GateConfig,
-    builder: Callable[[Any, float], SceneGraph],
-) -> FeasibilityResult:
-    """Attempt scene construction up to max_retries times, shrinking fonts on
-    each retry. Rejection is a value, not an exception."""
-    last_error = "no attempts made"
-    for attempt in range(config.max_retries):
-        scale = FONT_SCALE_DECAY ** attempt
-        try:
-            scene = builder(spec, scale)
-        except LayoutOverflow as err:
-            last_error = str(err)
-            continue
-        return FeasibilityResult(scene, attempts=attempt + 1)
-    return FeasibilityResult(
-        None,
-        attempts=config.max_retries,
-        rejection=Rejection("feasibility", f"layout failed after "
-                            f"{config.max_retries} attempts: {last_error}"),
-    )
+def feasibility_gate(spec: Any, builder: Callable[[Any], SceneGraph]) -> FeasibilityResult:
+    """Build the spec's scene once. A layout overflow is the rejection: a
+    value, not an exception."""
+    try:
+        scene = builder(spec)
+    except LayoutOverflow as err:
+        return FeasibilityResult(None, Rejection("feasibility", f"layout failed: {err}"))
+    return FeasibilityResult(scene)
 
 
 @dataclass(frozen=True)

@@ -129,19 +129,19 @@ def _dial_angle(row: _Family, value: float) -> float:
     return start + _scale_frac(value, row.scale) * sweep
 
 
-def _build_clock(b: SceneBuilder, row: _Family, reading: tuple[int, int], font: float) -> None:
+def _build_clock(b: SceneBuilder, row: _Family, reading: tuple[int, int]) -> None:
     cx = cy = 200.0
     radius = 150.0
     b.add(circle(cx, cy, radius, StyleSpec(stroke="black", stroke_width=3.0, fill="yellow")),
           "face")
-    label_style = StyleSpec(font_size=font)
+    label_style = StyleSpec(font_size=row.font)
     for n in range(1, 13):
         deg = 30.0 * n
         x1, y1 = angle_point(cx, cy, radius - 8, deg)
         x2, y2 = angle_point(cx, cy, radius, deg)
         b.add(line(x1, y1, x2, y2, _TICK_STYLE, z=1), "ticks")
         nx, ny = angle_point(cx, cy, radius - 26, deg)
-        b.add(text(nx, ny - font / 2.0, str(n), label_style, anchor="middle", z=2), "numbers")
+        b.add(text(nx, ny - row.font / 2.0, str(n), label_style, anchor="middle", z=2), "numbers")
     hour, minute = reading
     hour_deg, minute_deg = clock_angles(hour, minute)
     hx, hy = angle_point(cx, cy, radius * 0.52, hour_deg)
@@ -151,26 +151,26 @@ def _build_clock(b: SceneBuilder, row: _Family, reading: tuple[int, int], font: 
     b.add(circle(cx, cy, 5, StyleSpec(fill="black"), z=4), "hub")
 
 
-def _build_needle_dial(b: SceneBuilder, row: _Family, reading: float, font: float) -> None:
+def _build_needle_dial(b: SceneBuilder, row: _Family, reading: float) -> None:
     cx, cy = 200.0, 190.0
     radius = 120.0
     start, sweep = row.arc
     b.add(arc(cx, cy, radius, start, sweep, _FACE_STYLE), "face")
-    label_style = StyleSpec(font_size=font)
+    label_style = StyleSpec(font_size=row.font)
     for v in _ticks(row.scale):
         deg = _dial_angle(row, v)
         x1, y1 = angle_point(cx, cy, radius - 10, deg)
         x2, y2 = angle_point(cx, cy, radius, deg)
         b.add(line(x1, y1, x2, y2, _TICK_STYLE, z=1), "ticks")
         lx, ly = angle_point(cx, cy, radius + 14, deg)
-        b.add(text(lx, ly - font / 2.0, format_number(v), label_style, anchor="middle", z=2),
+        b.add(text(lx, ly - row.font / 2.0, format_number(v), label_style, anchor="middle", z=2),
               "tick_labels")
     nx, ny = angle_point(cx, cy, radius * 0.85, _dial_angle(row, float(reading)))
     b.add(line(cx, cy, nx, ny, _NEEDLE_STYLE, z=3), "needle")
     b.add(circle(cx, cy, 5, StyleSpec(fill="black"), z=4), "hub")
 
 
-def _build_thermometer(b: SceneBuilder, row: _Family, reading: float, font: float) -> None:
+def _build_thermometer(b: SceneBuilder, row: _Family, reading: float) -> None:
     length = row.length
     x = 130.0
     y_bottom = 40.0 + length
@@ -180,22 +180,22 @@ def _build_thermometer(b: SceneBuilder, row: _Family, reading: float, font: floa
     level = _scale_frac(float(reading), row.scale) * length
     b.add(rect(x - 5, y_bottom - level, 10, level + _BULB_OVERLAP, StyleSpec(fill="red"), z=2),
           "mercury")
-    label_style = StyleSpec(font_size=font)
+    label_style = StyleSpec(font_size=row.font)
     for v in _ticks(row.scale):
         y = y_bottom - _scale_frac(v, row.scale) * length
         b.add(line(x - 16, y, x - 9, y, _TICK_STYLE), "ticks")
-        b.add(text(x - 20, y - font / 2.0, format_number(v), label_style, anchor="end"),
+        b.add(text(x - 20, y - row.font / 2.0, format_number(v), label_style, anchor="end"),
               "tick_labels")
 
 
-def _build_barometer(b: SceneBuilder, row: _Family, reading: float, font: float) -> None:
+def _build_barometer(b: SceneBuilder, row: _Family, reading: float) -> None:
     length = row.length
     x0, y0 = 50.0, 70.0
     b.add(rect(x0, y0, length, 26, StyleSpec(stroke="black", stroke_width=2.0)), "tube")
     fill_w = _scale_frac(float(reading), row.scale) * length
     if fill_w > 0:
         b.add(rect(x0, y0, fill_w, 26, StyleSpec(fill="cyan"), z=1), "mercury")
-    label_style = StyleSpec(font_size=font)
+    label_style = StyleSpec(font_size=row.font)
     for v in _ticks(row.scale):
         x = x0 + _scale_frac(v, row.scale) * length
         b.add(line(x, y0 + 26, x, y0 + 34, _TICK_STYLE, z=2), "ticks")
@@ -213,8 +213,8 @@ class _Family:
     clock leaves them at their defaults."""
 
     canvas: Canvas
-    font: float  # base font size in px, before the feasibility gate's scaling
-    build: Callable[[SceneBuilder, _Family, Any, float], None]
+    font: float  # label font size, in px
+    build: Callable[[SceneBuilder, _Family, Any], None]
     scale: tuple[float, float, float] | None = None  # low end, high end, major step
     arc: tuple[float, float] = (0.0, 0.0)  # a needle's start and sweep, in degrees
     length: float = 0.0  # a column's length, in px
@@ -250,10 +250,10 @@ _ROWS: dict[str, _Family] = {
 FAMILIES = tuple(_ROWS)
 
 
-def build_dial_scene(spec: DialSpec, font_scale: float = 1.0) -> SceneGraph:
+def build_dial_scene(spec: DialSpec) -> SceneGraph:
     row = _ROWS[spec.family]
     b = SceneBuilder(row.canvas)
-    row.build(b, row, spec.reading, row.font * font_scale)
+    row.build(b, row, spec.reading)
     return b.build()
 
 

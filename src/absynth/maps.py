@@ -319,7 +319,7 @@ def _cell_center(cell: Cell) -> tuple[float, float]:
     return (MARGIN_PX + c * CELL_PX, MARGIN_PX + r * CELL_PX)
 
 
-def build_map_scene(spec: RoadMapSpec, font_scale: float = 1.0) -> SceneGraph:
+def build_map_scene(spec: RoadMapSpec) -> SceneGraph:
     """Draw the road network, obstacles, landmark labels, and start/end
     markers. The gold path itself is not highlighted (it is the answer)."""
     rows, cols = spec.params.grid_size
@@ -343,8 +343,7 @@ def build_map_scene(spec: RoadMapSpec, font_scale: float = 1.0) -> SceneGraph:
         x, y = _cell_center(cell)
         b.add(rect(x - 8, y - 8, 16, 16, _OBSTACLE_STYLE, z=1), "obstacles")
 
-    font = LABEL_FONT * font_scale
-    label_style = StyleSpec(font_size=font)
+    label_style = StyleSpec(font_size=LABEL_FONT)
     for cell in sorted(spec.landmark_names):
         x, y = _cell_center(cell)
         if cell == spec.start:
@@ -354,7 +353,7 @@ def build_map_scene(spec: RoadMapSpec, font_scale: float = 1.0) -> SceneGraph:
         else:
             b.add(circle(x, y, 4.5, _NODE_STYLE, z=2), "landmarks")
         above = (cell[0] + cell[1]) % 2 == 0
-        ly = y - 13.0 - font if above else y + 11.0
+        ly = y - 13.0 - LABEL_FONT if above else y + 11.0
         b.add(text(x, ly, spec.landmark_names[cell], label_style, anchor="middle", z=4),
               "landmark_labels")
     return b.build()

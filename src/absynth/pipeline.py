@@ -58,7 +58,7 @@ from .seeds import derive_seed
 @dataclass(frozen=True)
 class ScenarioDef:
     sample: Callable[[int], Any]
-    build: Callable[[Any, float], SceneGraph]
+    build: Callable[[Any], SceneGraph]
     questions: Callable[[Any], list[QuestionDraft]]
     generator: str
 
@@ -189,7 +189,7 @@ def generate_image(config: RunConfig, scenario: str, index: int) -> ImageResult:
     seed = derive_seed(config.seed, scenario, index)
     result = ImageResult(image_id, f"images/{scenario}/{image_id}.svg")
     spec = sdef.sample(seed)
-    feasibility = feasibility_gate(spec, config.gate, sdef.build)
+    feasibility = feasibility_gate(spec, sdef.build)
     if not feasibility.accepted:
         result.rejection = feasibility.rejection
         return result

@@ -303,14 +303,13 @@ def _draw_marks(b: SceneBuilder, panel: PanelSpec, x: float, y: float) -> None:
                               11.0 * panel.size, panel.angle, panel.color), "marks")
 
 
-def build_induction_scene(rule: PatternRule, font_scale: float = 1.0) -> SceneGraph:
+def build_induction_scene(rule: PatternRule) -> SceneGraph:
     panels = shown_panels(rule)
     n_top = len(panels) + 1
     width = max(640, int(n_top * _PANEL + (n_top + 1) * _GAP))
     canvas = Canvas(width, 400)
     b = SceneBuilder(canvas)
-    font = 13.0 * font_scale
-    label_style = StyleSpec(font_size=font)
+    label_style = StyleSpec(font_size=13.0)
     b.add(text(canvas.width / 2, 12, "Which option continues the pattern?", label_style,
                anchor="middle"), "title")
     top_w = n_top * _PANEL + (n_top - 1) * _GAP
@@ -322,7 +321,7 @@ def build_induction_scene(rule: PatternRule, font_scale: float = 1.0) -> SceneGr
     b.add(rect(qx, y_top, _PANEL, _PANEL, StyleSpec(stroke="gray", stroke_width=1.5,
                                                     dash=(6.0, 4.0))), "panels")
     b.add(text(qx + _PANEL / 2, y_top + _PANEL / 2 - 14, "?",
-               StyleSpec(font_size=28.0 * font_scale), anchor="middle"), "marks")
+               StyleSpec(font_size=28.0), anchor="middle"), "marks")
     opt_w = 4 * _PANEL + 3 * _GAP
     ox0 = (canvas.width - opt_w) / 2
     y_opt = 210.0
@@ -348,10 +347,10 @@ def diff_panel_primitives(items: tuple[PanelItem, ...], x: float, y: float) -> l
     return prims
 
 
-def build_comparison_scene(spec: DiffPairSpec, font_scale: float = 1.0) -> SceneGraph:
+def build_comparison_scene(spec: DiffPairSpec) -> SceneGraph:
     canvas = Canvas(640, 340)
     b = SceneBuilder(canvas)
-    font = 13.0 * font_scale
+    font = 13.0
     title_style = StyleSpec(font_size=font)
     x_left, x_right, y0 = 40.0, 360.0, 60.0
     for title, x, items in (("Picture 1", x_left, spec.base_items),
@@ -509,15 +508,15 @@ def sample_floorplan(seed: int) -> FloorPlanSpec:
     return FloorPlanSpec(style, rooms, tuple(doors))
 
 
-def build_floorplan_scene(spec: FloorPlanSpec, font_scale: float = 1.0) -> SceneGraph:
+def build_floorplan_scene(spec: FloorPlanSpec) -> SceneGraph:
     canvas = Canvas(640, 480)
     b = SceneBuilder(canvas)
-    font = 11.0 * font_scale
+    font = 11.0
     title = "Floor Plan" if spec.style == "architectural" else "Webpage Layout"
-    b.add(text(canvas.width / 2, 14, title, StyleSpec(font_size=16.0 * font_scale),
+    b.add(text(canvas.width / 2, 14, title, StyleSpec(font_size=16.0),
                anchor="middle"), "title")
     room_label_style = StyleSpec(font_size=font)
-    fixture_label_style = StyleSpec(font_size=8.0 * font_scale)
+    fixture_label_style = StyleSpec(font_size=8.0)
     for i, room in enumerate(spec.rooms):
         x, y, w, h = room.bounds
         b.add(rect(x, y, w, h, _ROOM_STYLES[i % len(_ROOM_STYLES)]), "rooms")
@@ -573,8 +572,8 @@ def layout_questions(spec: FloorPlanSpec) -> list[QuestionDraft]:
     return drafts
 
 
-def build_puzzle_scene(spec: PatternRule | DiffPairSpec, font_scale: float = 1.0) -> SceneGraph:
+def build_puzzle_scene(spec: PatternRule | DiffPairSpec) -> SceneGraph:
     """Scene dispatcher used by the generation pipeline."""
     if isinstance(spec, PatternRule):
-        return build_induction_scene(spec, font_scale)
-    return build_comparison_scene(spec, font_scale)
+        return build_induction_scene(spec)
+    return build_comparison_scene(spec)

@@ -481,12 +481,17 @@ def _pie(*values):
     (lambda: GateConfig(min_vote_support=LLM_ANSWER_VOTES + 1),
      f"min_vote_support must be in [1, {LLM_ANSWER_VOTES}]"),
     (lambda: GateConfig(min_vote_support=0), f"min_vote_support must be in [1, {LLM_ANSWER_VOTES}]"),
+    (lambda: BackendConfig(temperature=math.nan), "temperature must be a finite number >= 0"),
+    (lambda: BackendConfig(temperature=math.inf), "temperature must be a finite number >= 0"),
+    (lambda: BackendConfig(temperature=-3.0), "temperature must be a finite number >= 0"),
 ], ids=["ChartSpec", "DialSpec", "FlowSpec", "TreeSpec", "WalkParams", "GateConfig",
         "BackendConfig", "RunConfig", "StyleSpec-stroke", "StyleSpec-fill",
         "StyleSpec-stroke_width", "Canvas-side", "Canvas-background",
         "RunConfig-questions_per_image-negative", "RunConfig-questions_per_image-zero",
         "GateConfig-min_font_px-nan", "GateConfig-min_font_px-negative",
-        "GateConfig-min_vote_support-above-votes", "GateConfig-min_vote_support-zero"])
+        "GateConfig-min_vote_support-above-votes", "GateConfig-min_vote_support-zero",
+        "BackendConfig-temperature-nan", "BackendConfig-temperature-inf",
+        "BackendConfig-temperature-negative"])
 def test_specs_and_configs_check_themselves_on_construction(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
@@ -521,6 +526,19 @@ def validation_sites(tree):
                     and node.func.attr == "validate"):
                 sites.append((owner, node.lineno, "validate"))
     return sites
+
+
+# Feasibility is one build: the font-shrink retry loop, its budget and every
+# builder's font scale are gone, as names, parameters and prose alike.
+RETRY_NAMES = ("font_scale", "FONT_SCALE_DECAY", "max_retries")
+
+
+def test_the_font_retry_names_stay_removed():
+    found = [(path.name, number, name)
+             for path in sorted(SRC_DIR.glob("*.py"))
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             for name in RETRY_NAMES if name in line]
+    assert not found
 
 
 def test_specs_and_configs_are_not_re_checked():

@@ -194,6 +194,8 @@ def one_line_error(capsys) -> str:
     ({"sead": 3}, "'sead'"),
     ({"gate": {"max_retry": 2}}, "'gate.max_retry'"),
     ({"backend": {"modle": "offline"}}, "'backend.modle'"),
+    # Feasibility is one build, so the retry budget is no key any more.
+    ({"gate": {"max_retries": 3}}, "'gate.max_retries'"),
 ])
 def test_unknown_run_config_key_is_one_line_error(tmp_path, capsys, config, key):
     cfg = tmp_path / "run.json"
@@ -223,7 +225,7 @@ def test_unknown_backend_file_key_is_one_line_error(tmp_path, capsys):
 def test_run_config_file_values_still_apply(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 3, "out": str(tmp_path / "o"), "jobs": 2,
-                               "default_count": 4, "gate": {"max_retries": 2}}))
+                               "default_count": 4, "gate": {"min_vote_support": 1}}))
     assert run(["gen", "--config", cfg, "--dry-run"]) == 0
     printed = capsys.readouterr().out
     assert f"seed 3, out {str(tmp_path / 'o')!r}, jobs 2" in printed
@@ -320,15 +322,23 @@ def test_wrongly_typed_manifest_value_is_one_line_error(tmp_path, capsys, field,
 
 
 def test_bad_backend_value_fails_the_dry_run(tmp_path, capsys):
+    """NaN and infinity are no JSON numbers, so a temperature of either would
+    make every request body invalid JSON."""
     backend = tmp_path / "f.json"
-    backend.write_text(json.dumps({"max_parallel": 0}))
-    assert run(["gen", "--dry-run", "--backend", backend]) == 1
-    assert one_line_error(capsys) == "error: max_parallel must be >= 1"
+    for value, message in [
+        ({"max_parallel": 0}, "max_parallel must be >= 1"),
+        ({"temperature": float("nan")}, "temperature must be a finite number >= 0"),
+        ({"temperature": float("inf")}, "temperature must be a finite number >= 0"),
+        ({"temperature": -3.0}, "temperature must be a finite number >= 0"),
+    ]:
+        backend.write_text(json.dumps(value))
+        assert run(["gen", "--dry-run", "--backend", backend]) == 1
+        assert one_line_error(capsys) == f"error: {message}"
 
 
 @pytest.mark.parametrize("flag, config, message", [
-    ("--config", {"gate": {"max_retries": "3"}},
-     "run-config key 'gate.max_retries' must be an integer, not a string"),
+    ("--config", {"gate": {"min_vote_support": "3"}},
+     "run-config key 'gate.min_vote_support' must be an integer, not a string"),
     ("--backend", {"max_parallel": "2"},
      "backend-config key 'max_parallel' must be an integer, not a string"),
     ("--config", {"gate": {"min_font_px": "8"}},
@@ -337,7 +347,7 @@ def test_bad_backend_value_fails_the_dry_run(tmp_path, capsys):
     ("--config", {"seed": 1.9}, "run-config key 'seed' must be an integer, not a number"),
     ("--config", {"counts": {"chart": 2.5}},
      "run-config key 'counts.chart' must be an integer, not a number"),
-], ids=["gate.max_retries", "backend.max_parallel", "gate.min_font_px", "seed-true",
+], ids=["gate.min_vote_support", "backend.max_parallel", "gate.min_font_px", "seed-true",
         "seed-float", "counts.chart"])
 def test_wrongly_typed_config_value_is_one_line_error(tmp_path, capsys, flag, config, message):
     path = tmp_path / "config.json"

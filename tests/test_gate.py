@@ -1,4 +1,4 @@
-"""Feasibility retries, aesthetics screening, and gate reports."""
+"""Feasibility, aesthetics screening, and gate reports."""
 
 import json
 from random import Random
@@ -7,13 +7,13 @@ import pytest
 
 from absynth.charts import ChartSpec, Series, SeriesPoint, build_chart_scene, sample_chart_spec
 from absynth.gate import (
-    FONT_SCALE_DECAY, AestheticsResult, GateConfig, GateReport, Rejection,
+    AestheticsResult, GateConfig, GateReport, Rejection,
     _interference_area, aesthetics_gate, feasibility_gate,
 )
 from absynth.pipeline import scenario_def
 from absynth.records import SCENARIOS
 from absynth.scene import (
-    Canvas, LayoutOverflow, SceneBuilder, StyleSpec, bbox_intersection_area, bounding_box,
+    Canvas, SceneBuilder, StyleSpec, bbox_intersection_area, bounding_box,
     rect, text,
 )
 from test_gate_stress import STRESS_SEED, stress_cases
@@ -29,38 +29,27 @@ def pie(title):
 
 
 def test_wellformed_spec_accepted_first_attempt():
-    result = feasibility_gate(sample_chart_spec(1), GateConfig(), build_chart_scene)
+    result = feasibility_gate(sample_chart_spec(1), build_chart_scene)
     assert result.accepted
-    assert result.attempts == 1
+    assert result.rejection is None
 
 
-def test_overflow_at_default_font_accepted_on_retry():
-    # 60 glyphs: too wide at the default 18px title, fits after one shrink.
-    spec = pie("x" * 60)
-    result = feasibility_gate(spec, GateConfig(), build_chart_scene)
-    assert result.accepted
-    assert result.attempts == 2
+def test_an_overflowing_spec_is_rejected_after_one_build():
+    # The title lane holds 57 glyphs at the 18 px title font.
+    for glyphs in (58, 60, 120):
+        spec = pie("x" * glyphs)
+        calls = []
 
+        def counting_builder(s):
+            calls.append(s)
+            return build_chart_scene(s)
 
-def test_hopeless_spec_rejected_after_exactly_3_attempts():
-    spec = pie("x" * 120)
-    result = feasibility_gate(spec, GateConfig(), build_chart_scene)
-    assert not result.accepted
-    assert result.attempts == 3
-    assert result.rejection.stage == "feasibility"
-
-
-def test_retry_budget_respected():
-    spec = pie("x" * 120)
-    calls = []
-
-    def counting_builder(s, scale):
-        calls.append(scale)
-        return build_chart_scene(s, scale)
-
-    feasibility_gate(spec, GateConfig(max_retries=5), counting_builder)
-    assert len(calls) == 5
-    assert calls == sorted(calls, reverse=True)  # monotone shrinking
+        result = feasibility_gate(spec, counting_builder)
+        assert calls == [spec]
+        assert not result.accepted
+        assert result.rejection == Rejection(
+            "feasibility", f"layout failed: title {spec.topic!r} wider than canvas")
+    assert feasibility_gate(pie("x" * 57), build_chart_scene).accepted
 
 
 def scene_with(*prims_roles, canvas=None):
@@ -107,8 +96,8 @@ def test_legend_internal_overlap_not_interference():
 def test_gate_idempotent_on_accepted_scene():
     spec = sample_chart_spec(5)
     config = GateConfig()
-    first = feasibility_gate(spec, config, build_chart_scene)
-    second = feasibility_gate(spec, config, build_chart_scene)
+    first = feasibility_gate(spec, build_chart_scene)
+    second = feasibility_gate(spec, build_chart_scene)
     assert first == second
     scene = first.scene
     assert aesthetics_gate(scene, config) == aesthetics_gate(scene, config)
@@ -133,8 +122,6 @@ def test_report_counts_and_uniqueness():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GateConfig(max_retries=0)
-    with pytest.raises(ValueError):
         GateConfig(max_overlap_fraction=0.0)
 
 
@@ -157,7 +144,7 @@ def reference_interference(scene):
 def test_interference_area_is_bit_identical_to_full_pair_sum(scenario):
     sdef = scenario_def(scenario)
     for seed in range(6):
-        result = feasibility_gate(sdef.sample(seed), GateConfig(), sdef.build)
+        result = feasibility_gate(sdef.sample(seed), sdef.build)
         if result.accepted:
             scene = result.scene
             text = [i for i, p in enumerate(scene.primitives) if p.kind == "text"]
@@ -186,32 +173,23 @@ def two_scan_gate(scene, config):
     return AestheticsResult(not reasons, tuple(reasons))
 
 
-SCALES = (1.0, FONT_SCALE_DECAY, FONT_SCALE_DECAY ** 2)
-
-
-def built_at_every_scale(spec, builder):
-    for scale in SCALES:
-        try:
-            yield builder(spec, scale)
-        except LayoutOverflow:
-            pass
-
-
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_one_scan_gate_matches_the_two_scan_gate_on_every_scenario(scenario):
     sdef, config = scenario_def(scenario), GateConfig()
     for seed in range(20):
-        for scene in built_at_every_scale(sdef.sample(seed), sdef.build):
-            assert aesthetics_gate(scene, config) == two_scan_gate(scene, config), seed
+        scene = sdef.build(sdef.sample(seed))
+        assert aesthetics_gate(scene, config) == two_scan_gate(scene, config), seed
 
 
 def test_one_scan_gate_matches_the_two_scan_gate_on_the_stress_specs():
     reasons = set()
     for _, spec, builder, config in stress_cases(STRESS_SEED):
-        for scene in built_at_every_scale(spec, builder):
-            result = aesthetics_gate(scene, config)
-            assert result == two_scan_gate(scene, config)
-            reasons.add(tuple(r.split(":")[0] for r in result.reasons))
+        scene = feasibility_gate(spec, builder).scene
+        if scene is None:
+            continue
+        result = aesthetics_gate(scene, config)
+        assert result == two_scan_gate(scene, config)
+        reasons.add(tuple(r.split(":")[0] for r in result.reasons))
     assert reasons == {(), ("interference",), ("small-font",), ("interference", "small-font")}
 
 

@@ -2,29 +2,28 @@
 property that lets the aesthetics gate skip an out-of-canvas check.
 
 Default specs never reach most gate outcomes: at seed 9, 300 images per
-scenario, no build retried and no aesthetics reason fired. The sampler
+scenario, no layout overflowed and no aesthetics reason fired. The sampler
 builds specs by hand (long titles, over-long room names, dense maps under a
-tighter interference bound) so that every outcome the gate can give happens,
-and pins how often each happens.
+tighter interference or font bound) so that every outcome the gate can give
+happens, and pins how often each happens. Feasibility is one build, so a
+spec that overflows is rejected there.
 """
 
 import dataclasses
 from collections import Counter
 from random import Random
 
-import pytest
-
-from absynth import maps
 from absynth.charts import ChartSpec, Series, SeriesPoint, build_chart_scene, sample_chart_spec
-from absynth.gate import FONT_SCALE_DECAY, GateConfig, aesthetics_gate, feasibility_gate
+from absynth.gate import GateConfig, aesthetics_gate, feasibility_gate
 from absynth.maps import WalkParams, build_map_scene, generate_map
 from absynth.pipeline import scenario_def
 from absynth.puzzles import FloorPlanSpec, build_floorplan_scene, sample_floorplan
 from absynth.records import SCENARIOS
 from absynth.scene import LayoutOverflow, bounding_box, text_width
 
-# The font scale of each feasibility attempt.
-SCALES = tuple(FONT_SCALE_DECAY ** attempt for attempt in range(GateConfig().max_retries))
+# Font scales that size the over-long room names: a name has from one glyph
+# fewer than fit at the first scale to two more than fit at the last.
+ROOM_NAME_SCALES = (1.0, 0.85, 0.85 ** 2)
 CASES_PER_KIND = 40
 STRESS_SEED = 16
 
@@ -54,11 +53,13 @@ def stress_cases(seed, n=CASES_PER_KIND):
     """(kind, spec, builder, gate config) for `n` hand-built specs of each kind:
     - pie title: 50-95 glyphs against a title lane that holds 57 at 18 px;
     - composite title: 50-70 glyphs on a composite chart, whose sub-chart
-      fonts sit at exactly 8 px before any retry;
+      fonts sit at exactly 8 px;
     - room name: one room renamed to about as many glyphs as its width holds
-      at the first, second or third font scale, or one more than that;
+      at one of ROOM_NAME_SCALES;
     - dense map: a 6x6 grid without obstacles, gated at 0.1% interference
-      instead of 2%."""
+      instead of 2%;
+    - small-font map: a dense map gated as above and at a 10 px font bound,
+      above its 9 px labels."""
     rng = Random(seed)
     composites = [s for s in map(sample_chart_spec, range(200)) if s.kind == "composite"]
     cases = []
@@ -72,7 +73,7 @@ def stress_cases(seed, n=CASES_PER_KIND):
         plan = sample_floorplan(rng.randrange(2**32))
         index = rng.randrange(len(plan.rooms))
         room_w = plan.rooms[index].bounds[2] - 8
-        fits = [int(room_w / text_width("x", 11.0 * scale)) for scale in SCALES]
+        fits = [int(room_w / text_width("x", 11.0 * scale)) for scale in ROOM_NAME_SCALES]
         name = letters(rng, rng.randint(fits[0] - 1, fits[-1] + 2))
         cases.append(("room name", renamed(plan, index, name), build_floorplan_scene,
                       GateConfig()))
@@ -80,34 +81,32 @@ def stress_cases(seed, n=CASES_PER_KIND):
     for _ in range(n):
         cases.append(("dense map", generate_map(rng.randrange(2**32), dense), build_map_scene,
                       GateConfig(max_overlap_fraction=0.001)))
+    for _ in range(n):
+        cases.append(("small-font map", generate_map(rng.randrange(2**32), dense),
+                      build_map_scene, GateConfig(max_overlap_fraction=0.001, min_font_px=10.0)))
     return cases
 
 
 def gate_outcome(spec, builder, config):
-    """"accept", "feasibility", or the aesthetics reasons, with the attempt
-    that built the scene."""
-    result = feasibility_gate(spec, config, builder)
+    """"accept", "feasibility", or the aesthetics reasons."""
+    result = feasibility_gate(spec, builder)
     if not result.accepted:
         return "feasibility"
     verdict = aesthetics_gate(result.scene, config)
-    reasons = "+".join(sorted(r.split(":")[0] for r in verdict.reasons)) or "accept"
-    return f"{reasons}@{result.attempts}"
+    return "+".join(sorted(r.split(":")[0] for r in verdict.reasons)) or "accept"
 
 
 STRESS_OUTCOMES = {
-    ("pie title", "accept@1"): 8,
-    ("pie title", "accept@2"): 10,
-    ("pie title", "small-font@3"): 14,
-    ("pie title", "feasibility"): 8,
-    ("composite title", "accept@1"): 15,
-    ("composite title", "small-font@2"): 20,
-    ("composite title", "small-font@3"): 5,
-    ("room name", "accept@1"): 6,
-    ("room name", "small-font@2"): 12,
-    ("room name", "small-font@3"): 19,
-    ("room name", "feasibility"): 3,
-    ("dense map", "accept@1"): 36,
-    ("dense map", "interference@1"): 4,
+    ("pie title", "accept"): 8,
+    ("pie title", "feasibility"): 32,
+    ("composite title", "accept"): 15,
+    ("composite title", "feasibility"): 25,
+    ("room name", "accept"): 6,
+    ("room name", "feasibility"): 34,
+    ("dense map", "accept"): 36,
+    ("dense map", "interference"): 4,
+    ("small-font map", "small-font"): 38,
+    ("small-font map", "interference+small-font"): 2,
 }
 
 
@@ -116,33 +115,18 @@ def test_stress_sampler_drives_every_gate_outcome():
                      for kind, spec, builder, config in stress_cases(STRESS_SEED))
     assert dict(counts) == STRESS_OUTCOMES
     outcomes = {outcome for _, outcome in counts}
-    # Accepted on a retry, rejected after max_retries, too small after a
-    # successful retry, and rejected for interference: each at least once.
-    assert {"accept@2", "feasibility", "small-font@2", "interference@1"} <= outcomes
-
-
-@pytest.mark.parametrize("builder, sample, smallest", [
-    (build_map_scene, generate_map, maps.LABEL_FONT),
-    (build_floorplan_scene, sample_floorplan, 8.0),
-], ids=["map", "layout"])
-def test_a_font_retry_cannot_rescue_a_map_or_a_layout(builder, sample, smallest):
-    """A map's labels (9 px) and a layout's fixture labels (8 px) fall below
-    the 8 px bound at the first retry, so a map or a layout that needs a
-    retry is always rejected, for small-font."""
-    config = GateConfig()
-    for seed in range(150):
-        scene = builder(sample(seed), FONT_SCALE_DECAY)
-        fonts = [p.style.font_size for p in scene.primitives if p.kind == "text"]
-        assert min(fonts) == smallest * FONT_SCALE_DECAY < config.min_font_px
-        reasons = aesthetics_gate(scene, config).reasons
-        assert [r.split(":")[0] for r in reasons] == ["small-font"], seed
+    # Accepted, rejected for a layout overflow, and rejected for each
+    # aesthetics reason alone and both together: each at least once.
+    assert {"accept", "feasibility", "interference", "small-font",
+            "interference+small-font"} <= outcomes
 
 
 def test_builders_keep_every_box_on_the_canvas():
     """Every box of every scene a builder makes lies on its canvas, within
-    0.5 px, at every feasibility scale. The builders rule it out by
-    construction: width checks raise LayoutOverflow and margins are fixed.
-    So the aesthetics gate has no containment check."""
+    0.5 px. The builders rule it out by construction: width checks raise
+    LayoutOverflow and margins are fixed. So the aesthetics gate has no
+    containment check. A default spec that overflows fails this test, since
+    feasibility would reject its image."""
     def off_canvas(scene):
         right, bottom = scene.canvas.width + 0.5, scene.canvas.height + 0.5
         return [p for p in scene.primitives
@@ -153,18 +137,16 @@ def test_builders_keep_every_box_on_the_canvas():
     for name in sorted(SCENARIOS):
         sdef = scenario_def(name)
         for seed in range(150):
-            spec = sdef.sample(seed)
-            for scale in SCALES:
-                scene = sdef.build(spec, scale)
-                assert not off_canvas(scene), (name, seed, scale)
-                built[name] += 1
+            scene = sdef.build(sdef.sample(seed))
+            assert not off_canvas(scene), (name, seed)
+            built[name] += 1
     for kind, spec, builder, _ in stress_cases(STRESS_SEED):
-        for scale in SCALES:
-            try:
-                scene = builder(spec, scale)
-            except LayoutOverflow:
-                continue
-            assert not off_canvas(scene), (kind, scale)
-            built[kind] += 1
-    assert all(built[name] == 150 * len(SCALES) for name in SCENARIOS)
-    assert {"pie title", "composite title", "room name", "dense map"} <= set(built)
+        try:
+            scene = builder(spec)
+        except LayoutOverflow:
+            continue
+        assert not off_canvas(scene), kind
+        built[kind] += 1
+    assert all(built[name] == 150 for name in SCENARIOS)
+    assert {"pie title", "composite title", "room name", "dense map",
+            "small-font map"} <= set(built)

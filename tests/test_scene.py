@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absynth import pipeline, scene as scene_module
-from absynth.gate import GateConfig, feasibility_gate
+from absynth.gate import feasibility_gate
 from absynth.pipeline import RunConfig, generate_image, scenario_def
 from absynth.records import SCENARIOS
 from absynth.scene import (
@@ -304,7 +304,7 @@ def sampled_scenes(seeds=range(8)):
     for name in sorted(SCENARIOS):
         sdef = scenario_def(name)
         for seed in seeds:
-            result = feasibility_gate(sdef.sample(seed), GateConfig(), sdef.build)
+            result = feasibility_gate(sdef.sample(seed), sdef.build)
             if result.accepted:
                 yield name, result.scene
 
@@ -331,7 +331,7 @@ def test_every_primitive_has_one_role_from_its_scenario(scenario):
     sdef = scenario_def(scenario)
     seen = set()
     for seed in range(100):
-        result = feasibility_gate(sdef.sample(seed), GateConfig(), sdef.build)
+        result = feasibility_gate(sdef.sample(seed), sdef.build)
         assert result.accepted, seed
         for p in result.scene.primitives:
             assert p.role in expected, (seed, p)
