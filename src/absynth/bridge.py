@@ -69,8 +69,9 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
-        if self.retry_budget < 0:
-            raise ValueError("retry_budget must be >= 0")
+        # The backoff doubles per attempt, so 8 retries already wait 51 s in all.
+        if not (0 <= self.retry_budget <= 8):
+            raise ValueError("retry_budget must be in [0, 8]")
         # Written so that NaN fails too; NaN and infinity are not JSON numbers.
         if not (0 <= self.temperature < math.inf):
             raise ValueError("temperature must be a finite number >= 0")

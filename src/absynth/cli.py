@@ -82,6 +82,8 @@ def _typed_fields(cls, data, source: str, section: str = "", renamed=None) -> di
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     from .bridge import BackendConfig
     from .pipeline import RunConfig
+    if args.jobs not in (None, 1):
+        raise ValueError(f"--jobs must be 1, not {args.jobs}: gen runs on one thread")
     file_cfg = _read_json(args.config) if args.config else {}
     kwargs = _typed_fields(RunConfig, file_cfg, "run-config", renamed={"out": "out_dir"})
     if args.all:
@@ -90,8 +92,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         kwargs["scenarios"] = tuple(args.scenario)
     if args.backend:
         kwargs["backend"] = _typed(_read_json(args.backend), BackendConfig, "backend-config", "")
-    flags = {"default_count": args.count, "seed": args.seed, "out_dir": args.out,
-             "jobs": args.jobs}
+    flags = {"default_count": args.count, "seed": args.seed, "out_dir": args.out}
     kwargs.update((name, value) for name, value in flags.items() if value is not None)
     return RunConfig(**kwargs)
 
@@ -102,7 +103,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.dry_run:
         plan = {s: config.count_for(s) for s in config.scenarios}
         print(f"dry run: seed {config.seed}, out {config.out_dir!r}, "
-              f"jobs {config.jobs}, images per scenario {plan}")
+              f"images per scenario {plan}")
         return 0
     os.makedirs(config.out_dir, exist_ok=True)  # an unusable --out fails before any image
     manifest, report, images = generate_dataset(config)
@@ -199,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="images per scenario (default 10)")
     gen.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     gen.add_argument("--out", default=None, help="output directory (default ./out)")
-    gen.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    gen.add_argument("--jobs", type=int, default=None,
+                     help="accepts only 1: gen runs on one thread; kept for bench/run.py "
+                          "until ROADMAP item 9(e) drops it")
     gen.add_argument("--config", default=None, help="JSON run-config file")
     gen.add_argument("--backend", default=None, help="JSON backend-config file")
     gen.add_argument("--dry-run", action="store_true",

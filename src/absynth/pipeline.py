@@ -1,24 +1,23 @@
 """End-to-end dataset generation: sample, gate, question, verify, serialize.
 
 One image per (scenario, index) slot; the record seed is derived from the
-master seed so runs shard cleanly across workers and reproduce byte-for-byte
-regardless of job count. The slots run in the order their outputs are
-written, scenarios by name and then index, so the order the scenarios are
-named in changes no byte either.
+master seed, so a run reproduces byte-for-byte. The slots run on one thread,
+in one pass, in the order their outputs are written, scenarios by name and
+then index, so the order the scenarios are named in changes no byte either.
 
 SCENARIO_SOURCES is the only scenario table. It names, for each scenario, the
 generator module and the functions in it; `scenario_def` imports that module
 the first time the scenario runs and keeps the resolved row in SCENARIO_DEFS,
 so `gen --scenario map` never loads the chart code. Every
 procedural record must re-verify against its spec before it is written. The
-oracle runs once per image: a second, independent call of the questions
-function in the image's own scenario row, whose drafts every record of the
-image is matched against. A mismatch (which would indicate a generator bug)
-drops the record through the accuracy gate rather than shipping a wrong
-answer. Both calls seed their question RNG with `stable_digest(spec.to_dict())`,
-which `seeds.question_seed` computes once per spec and keeps on it. Only that
-seed, a pure function of the frozen spec, is shared: the oracle still re-runs
-the questions function and builds its own drafts.
+oracle runs once per image: it reruns the same questions function on the
+same spec, and every record of the image is matched against those drafts. A
+mismatch drops the record through the accuracy gate. Both calls seed their
+question RNG with `stable_digest(spec.to_dict())`, which
+`seeds.question_seed` computes once per spec and keeps on it, so the rerun
+catches only an impure questions function, one whose drafts differ from call
+to call; a wrong answer that the function gives twice passes. ROADMAP item 3
+replaces this oracle with one that reads the scene.
 
 A RunConfig checks itself when it is constructed, as its GateConfig and
 BackendConfig do, so a bad value fails before any image is made, even
@@ -41,7 +40,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from . import bridge
 from .gate import (
@@ -88,8 +87,7 @@ SCENARIO_DEFS: dict[str, ScenarioDef] = {}
 def scenario_def(scenario: str) -> ScenarioDef:
     """The scenario's row, importing its generator module the first time.
 
-    Later calls read SCENARIO_DEFS alone. Two threads that miss at once
-    both resolve the row, to equal values, so no lock is needed."""
+    Later calls read SCENARIO_DEFS alone."""
     try:
         return SCENARIO_DEFS[scenario]
     except KeyError:
@@ -108,7 +106,6 @@ class RunConfig:
     default_count: int = 10
     seed: int = 0
     out_dir: str = "out"
-    jobs: int = 1
     gate: GateConfig = field(default_factory=GateConfig)
     questions_per_image: int = 5
     train_fraction: float = 0.0
@@ -130,8 +127,6 @@ class RunConfig:
                 raise ValueError(f"unknown scenario {scenario!r} in counts")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self.questions_per_image < 1:
             raise ValueError("questions_per_image must be >= 1")
         if not (0.0 <= self.train_fraction <= 1.0):
@@ -199,7 +194,7 @@ def generate_image(config: RunConfig, scenario: str, index: int) -> ImageResult:
         return result
     result.svg = render_svg(feasibility.scene)
     drafts = sdef.questions(spec)[: config.questions_per_image]
-    # A second call: checking the records against `drafts` itself would be a tautology.
+    # The same call again: it catches only a questions function that is not pure.
     oracle = sdef.questions(spec)
     difficulty = getattr(spec, "difficulty", None)
     split = _assign_split(config, image_id)
@@ -224,37 +219,28 @@ def generate_image(config: RunConfig, scenario: str, index: int) -> ImageResult:
     return result
 
 
-def _results(config: RunConfig) -> Iterator[ImageResult]:
-    """Every slot's result in slot order: scenarios by name, then index."""
-    slots = [(s, i) for s in sorted(config.scenarios) for i in range(config.count_for(s))]
-    if config.jobs == 1:
-        yield from (generate_image(config, *slot) for slot in slots)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        yield from pool.map(lambda slot: generate_image(config, *slot), slots)
-
-
 def generate_dataset(config: RunConfig) -> tuple[Manifest, GateReport, dict[str, bytes]]:
     """Run every (scenario, index) slot through the full pipeline.
 
     Returns the manifest, the gate report, and the image files keyed by
-    their manifest-relative path, all three built in one pass as the
-    results arrive in slot order, with no sort. Output depends neither on
-    config.jobs nor on the order of config.scenarios. The manifest is
-    validated once, when write_outputs dumps it.
+    their manifest-relative path, all three built in one pass over the
+    slots in slot order, scenarios by name and then index, with no sort.
+    Output does not depend on the order of config.scenarios. The manifest
+    is validated once, when write_outputs dumps it.
     """
     manifest = Manifest()
     report = GateReport()
     images: dict[str, bytes] = {}
-    for result in _results(config):
-        report.record(result.image_id, result.rejection)
-        if result.rejection is not None:
-            continue
-        for record_id, rejection in result.dropped_records:
-            report.record(record_id, rejection)
-        images[result.image_ref] = result.svg
-        manifest.records.extend(result.records)
+    for scenario in sorted(config.scenarios):
+        for index in range(config.count_for(scenario)):
+            result = generate_image(config, scenario, index)
+            report.record(result.image_id, result.rejection)
+            if result.rejection is not None:
+                continue
+            for record_id, rejection in result.dropped_records:
+                report.record(record_id, rejection)
+            images[result.image_ref] = result.svg
+            manifest.records.extend(result.records)
     return manifest, report, images
 
 

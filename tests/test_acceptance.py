@@ -33,7 +33,7 @@ def ok(n, message):
 
 @lru_cache(maxsize=1)
 def full_run():
-    config = RunConfig(default_count=50, seed=1, jobs=1, out_dir="unused")
+    config = RunConfig(default_count=50, seed=1, out_dir="unused")
     start = time.monotonic()
     manifest, report, images = generate_dataset(config)
     elapsed = time.monotonic() - start

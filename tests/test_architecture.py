@@ -484,6 +484,8 @@ def _pie(*values):
     (lambda: BackendConfig(temperature=math.nan), "temperature must be a finite number >= 0"),
     (lambda: BackendConfig(temperature=math.inf), "temperature must be a finite number >= 0"),
     (lambda: BackendConfig(temperature=-3.0), "temperature must be a finite number >= 0"),
+    (lambda: BackendConfig(retry_budget=9), "retry_budget must be in [0, 8]"),
+    (lambda: BackendConfig(retry_budget=-1), "retry_budget must be in [0, 8]"),
 ], ids=["ChartSpec", "DialSpec", "FlowSpec", "TreeSpec", "WalkParams", "GateConfig",
         "BackendConfig", "RunConfig", "StyleSpec-stroke", "StyleSpec-fill",
         "StyleSpec-stroke_width", "Canvas-side", "Canvas-background",
@@ -491,7 +493,8 @@ def _pie(*values):
         "GateConfig-min_font_px-nan", "GateConfig-min_font_px-negative",
         "GateConfig-min_vote_support-above-votes", "GateConfig-min_vote_support-zero",
         "BackendConfig-temperature-nan", "BackendConfig-temperature-inf",
-        "BackendConfig-temperature-negative"])
+        "BackendConfig-temperature-negative", "BackendConfig-retry_budget-above-8",
+        "BackendConfig-retry_budget-negative"])
 def test_specs_and_configs_check_themselves_on_construction(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
@@ -531,6 +534,17 @@ def validation_sites(tree):
 # Feasibility is one build: the font-shrink retry loop, its budget and every
 # builder's font scale are gone, as names, parameters and prose alike.
 RETRY_NAMES = ("font_scale", "FONT_SCALE_DECAY", "max_retries")
+
+
+def test_gen_runs_on_one_thread():
+    """Only the bridge's answer vote, which waits on the network, runs on a
+    thread pool; `gen` makes its images in one pass and has no worker count."""
+    importers = sorted(path.name for path in SRC_DIR.glob("*.py")
+                       if any(name == "concurrent" or name.startswith("concurrent.")
+                              for name in imported_names(ast.parse(
+                                  path.read_text(encoding="utf-8")))))
+    assert importers == ["bridge.py"]
+    assert "jobs" not in {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_the_font_retry_names_stay_removed():

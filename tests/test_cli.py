@@ -48,6 +48,26 @@ def test_gen_twice_byte_identical(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_jobs_1_writes_the_same_bytes_as_no_jobs_flag(tmp_path):
+    """bench/run.py passes --jobs 1 to every gen run, so the flag must stay
+    accepted and change no output byte."""
+    with_flag = gen(tmp_path / "with", "--jobs", 1)
+    without = gen(tmp_path / "without")
+    names = sorted(p.relative_to(without).as_posix() for p in without.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(with_flag).as_posix()
+                           for p in with_flag.rglob("*") if p.is_file())
+    for name in names:
+        assert (with_flag / name).read_bytes() == (without / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("jobs", [0, 2])
+def test_jobs_other_than_1_is_one_line_error(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    assert run(["gen", "--all", "--count", 1, "--jobs", jobs, "--out", out]) == 1
+    assert one_line_error(capsys) == f"error: --jobs must be 1, not {jobs}: gen runs on one thread"
+    assert not out.exists()
+
+
 def test_gen_prints_scenarios_in_the_order_named(tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -196,6 +216,8 @@ def one_line_error(capsys) -> str:
     ({"backend": {"modle": "offline"}}, "'backend.modle'"),
     # Feasibility is one build, so the retry budget is no key any more.
     ({"gate": {"max_retries": 3}}, "'gate.max_retries'"),
+    # gen runs on one thread, so the worker count is no key any more.
+    ({"jobs": 1}, "'jobs'"),
 ])
 def test_unknown_run_config_key_is_one_line_error(tmp_path, capsys, config, key):
     cfg = tmp_path / "run.json"
@@ -224,11 +246,11 @@ def test_unknown_backend_file_key_is_one_line_error(tmp_path, capsys):
 
 def test_run_config_file_values_still_apply(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"seed": 3, "out": str(tmp_path / "o"), "jobs": 2,
+    cfg.write_text(json.dumps({"seed": 3, "out": str(tmp_path / "o"),
                                "default_count": 4, "gate": {"min_vote_support": 1}}))
     assert run(["gen", "--config", cfg, "--dry-run"]) == 0
     printed = capsys.readouterr().out
-    assert f"seed 3, out {str(tmp_path / 'o')!r}, jobs 2" in printed
+    assert f"seed 3, out {str(tmp_path / 'o')!r}, images" in printed
     assert "'chart': 4" in printed
 
 
@@ -330,6 +352,7 @@ def test_bad_backend_value_fails_the_dry_run(tmp_path, capsys):
         ({"temperature": float("nan")}, "temperature must be a finite number >= 0"),
         ({"temperature": float("inf")}, "temperature must be a finite number >= 0"),
         ({"temperature": -3.0}, "temperature must be a finite number >= 0"),
+        ({"retry_budget": 9}, "retry_budget must be in [0, 8]"),
     ]:
         backend.write_text(json.dumps(value))
         assert run(["gen", "--dry-run", "--backend", backend]) == 1

@@ -43,7 +43,7 @@ def digest_tree(out) -> str:
 
 
 def run_digest(out, count: int) -> str:
-    config = RunConfig(default_count=count, seed=1, jobs=1, out_dir=str(out))
+    config = RunConfig(default_count=count, seed=1, out_dir=str(out))
     manifest, report, images = generate_dataset(config)
     write_outputs(config, manifest, report, images)
     assert len(images) == count * len(SCENARIOS)
