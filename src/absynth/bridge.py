@@ -147,13 +147,15 @@ def offline_transport() -> Transport:
 
 
 def _kv_lines(text: str) -> list[tuple[str, str]]:
+    """The (key, value) pair of each "key: value" line. A line whose value is
+    empty is no pair, so an empty answer casts no vote and an empty question
+    or answer makes no QA pair."""
     pairs = []
     for line in text.split("\n"):
-        line = line.strip()
-        if not line or ":" not in line:
-            continue
-        key, value = line.split(":", 1)
-        pairs.append((key.strip().lower(), value.strip()))
+        key, sep, value = line.partition(":")
+        value = value.strip()
+        if sep and value:
+            pairs.append((key.strip().lower(), value))
     return pairs
 
 

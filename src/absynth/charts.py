@@ -189,10 +189,11 @@ def _sample_simple(rng: Random, kind: str, topic, narrow: bool = False) -> Chart
                      _axis_labels(topic.unit), rng.choice(LEGEND_POSITIONS), colors)
 
 
-def sample_chart_spec(seed: int, kind: str | None = None) -> ChartSpec:
-    """Sample a valid ChartSpec. Identical seed -> identical spec."""
+def sample_chart_spec(seed: int, kind: str) -> ChartSpec:
+    """A valid ChartSpec of `kind`, drawn from the seed's "chart" stream; a
+    composite draws each sub-chart from its own ("chart-sub", i) stream.
+    The `chart` and `table` scenarios choose the kind."""
     rng = Random(derive_seed(seed, "chart"))
-    kind = kind or rng.choice(CHART_KINDS)
     topic = rng.choice(BUILTIN_TOPICS)
     if kind == "composite":
         n = rng.randint(2, 4)

@@ -1,10 +1,11 @@
 """Flowcharts (algorithm + workflow) and relation graphs (trees/graphs).
 
 Tree constraints follow the generation contract: at most 8 nodes, at most 3
-children per node, depth at most 3 levels, unique labels. The sampler is
-stricter still and also caps every layer's total width at 3. Relation graphs
+children per node, depth at most 3 levels, unique labels. Relation graphs
 are trees plus up to 3 extra undirected edges; subtree-counting questions are
-disabled once extra edges introduce cycles.
+disabled once extra edges introduce cycles. The relation-graph sampler draws
+an organization topic, a tree on it and its extra edges in one pass, and is
+stricter than the contract: it also caps every layer's total width at 3.
 
 A TreeSpec checks the tree contract when it is constructed, and a FlowSpec
 checks its own (one start terminator, two labelled branches per decision,
@@ -128,10 +129,15 @@ def tree_layers(root: TreeNode) -> list[list[TreeNode]]:
     return layers
 
 
-def sample_tree_spec(seed: int, topic: str) -> TreeSpec:
-    """Organization-style tree for `topic`; every layer's width stays <= 3."""
-    if not topic:
-        raise ValueError("topic must be non-empty")
+def sample_relation_graph(seed: int) -> TreeSpec:
+    """The `relation_graph` scenario's spec: an organization-style tree plus
+    up to 3 extra undirected edges between non-adjacent nodes.
+
+    The topic, from ORGANIZATION_TOPICS, comes from the seed's "graph-topic"
+    stream; the tree, whose every layer's width stays <= 3, and its node
+    colors from ("tree", topic); the extra edges from ("graph-edges", topic).
+    """
+    topic = Random(derive_seed(seed, "graph-topic")).choice(ORGANIZATION_TOPICS)
     rng = Random(derive_seed(seed, "tree", topic))
     n_departments = rng.choices((0, 1, 2, 3), weights=(1, 3, 8, 8))[0]
     departments = rng.sample(_DEPARTMENT_POOL, n_departments)
@@ -145,35 +151,20 @@ def sample_tree_spec(seed: int, topic: str) -> TreeSpec:
         for i, dept in enumerate(departments)
     )
     root = TreeNode(topic, children)
-    labels = [n.label for n in tree_nodes(root)]
+    nodes = tree_nodes(root)
+    labels = [n.label for n in nodes]
     colors = {lb: rng.choice(NODE_COLOR_POOL) for lb in labels}
-    return TreeSpec(root, colors)
-
-
-def sample_relation_graph(seed: int, topic: str) -> TreeSpec:
-    """Tree plus up to 3 extra undirected edges between non-adjacent nodes."""
-    spec = sample_tree_spec(seed, topic)
     rng = Random(derive_seed(seed, "graph-edges", topic))
-    nodes = tree_nodes(spec.root)
     if len(nodes) < 4 or rng.random() < 0.5:
-        return spec
+        return TreeSpec(root, colors)
     adjacent = {(n.label, c.label) for n in nodes for c in n.children}
     adjacent |= {(b, a) for a, b in adjacent}
-    labels = [n.label for n in nodes]
     candidates = [
         (a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
         if (a, b) not in adjacent
     ]
     k = min(rng.randint(1, 3), len(candidates))
-    extra = tuple(rng.sample(candidates, k))
-    return TreeSpec(spec.root, spec.node_colors, extra)
-
-
-def sample_graph(seed: int) -> TreeSpec:
-    """The `relation_graph` scenario's spec: a relation graph on an
-    organization topic drawn from the seed."""
-    topic = Random(derive_seed(seed, "graph-topic")).choice(ORGANIZATION_TOPICS)
-    return sample_relation_graph(seed, topic)
+    return TreeSpec(root, colors, tuple(rng.sample(candidates, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +234,17 @@ class FlowSpec:
         return [e for e in self.edges if e.src == label]
 
 
-def sample_flow_spec(seed: int, kind: str | None = None) -> FlowSpec:
-    """Linear flow of 3-5 steps with 0-2 decision branches.
+def sample_flow_spec(seed: int) -> FlowSpec:
+    """The `flowchart` scenario's spec: an algorithm or a workflow, its topic
+    and a linear flow of 3-5 steps with 0-2 decision branches, all drawn from
+    the seed's "flow" stream.
 
     A decision's no-branch leads to a fix step that loops back to the step
     before the decision (the only permitted cycles); its yes-branch continues
     down the main sequence.
     """
     rng = Random(derive_seed(seed, "flow"))
-    kind = kind or rng.choice(("algorithm", "workflow"))
+    kind = rng.choice(("algorithm", "workflow"))
     if kind == "workflow":
         topic = rng.choice(WORKFLOW_TOPICS)
         steps_pool, cond_pool = _WORKFLOW_STEPS, _WORKFLOW_CONDITIONS

@@ -72,10 +72,12 @@ def clock_angles(hour: int, minute: int) -> tuple[float, float]:
     return (30.0 * (hour % 12) + 0.5 * minute, 6.0 * minute)
 
 
-def sample_dial_spec(seed: int, family: str | None = None) -> DialSpec:
-    """Sample a valid DialSpec; clock minutes restricted to multiples of 5."""
+def sample_dial_spec(seed: int) -> DialSpec:
+    """The `dashboard` scenario's spec: a family from FAMILIES, its reading
+    and its question knobs, all drawn from the seed's "dial" stream. Clock
+    minutes are multiples of 5."""
     rng = Random(derive_seed(seed, "dial"))
-    family = family or rng.choice(FAMILIES)
+    family = rng.choice(FAMILIES)
     if family == "clock":
         reading = (rng.randint(1, 12), 5 * rng.randint(0, 11))
         offset = float(rng.randint(1, 12))

@@ -72,8 +72,8 @@ SCENARIO_SOURCES: dict[str, tuple[str, str, str, str, str]] = {
                   "gauge-gen"),
     "flowchart": ("diagrams", "sample_flow_spec", "layout_hierarchy", "diagram_questions",
                   "diagram-gen"),
-    "relation_graph": ("diagrams", "sample_graph", "layout_hierarchy", "diagram_questions",
-                       "diagram-gen"),
+    "relation_graph": ("diagrams", "sample_relation_graph", "layout_hierarchy",
+                       "diagram_questions", "diagram-gen"),
     "puzzle": ("puzzles", "sample_puzzle", "build_puzzle_scene", "puzzle_questions",
                "puzzle-gen"),
     "layout": ("puzzles", "sample_floorplan", "build_floorplan_scene", "layout_questions",

@@ -265,15 +265,11 @@ def sample_diff_pair(seed: int) -> DiffPairSpec:
     return DiffPairSpec(base, variant_items, tuple(manifest))
 
 
-def sample_puzzle(seed: int, kind: str | None = None) -> PatternRule | DiffPairSpec:
-    """Either puzzle family, chosen by seed when `kind` is not given."""
-    rng = Random(derive_seed(seed, "puzzle-kind"))
-    kind = kind or rng.choice(("induction", "comparison"))
-    if kind == "induction":
-        return sample_pattern_rule(seed)
-    if kind == "comparison":
-        return sample_diff_pair(seed)
-    raise ValueError(f"unknown puzzle kind {kind!r}")
+def sample_puzzle(seed: int) -> PatternRule | DiffPairSpec:
+    """The `puzzle` scenario's spec: an induction or a comparison puzzle,
+    chosen by the seed's "puzzle-kind" stream and drawn by its sampler."""
+    kind = Random(derive_seed(seed, "puzzle-kind")).choice(("induction", "comparison"))
+    return sample_pattern_rule(seed) if kind == "induction" else sample_diff_pair(seed)
 
 
 # ---------------------------------------------------------------------------

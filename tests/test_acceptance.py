@@ -11,10 +11,9 @@ from functools import lru_cache
 import pytest
 
 from absynth.charts import ChartSpec, Series, SeriesPoint, build_chart_scene
-from absynth.diagrams import sample_tree_spec, tree_layers, tree_nodes
+from absynth.diagrams import sample_relation_graph, tree_layers, tree_nodes
 from absynth.gate import GateConfig, aesthetics_gate, feasibility_gate
-from absynth.gauges import build_dial_scene, decode_clock_scene, dial_questions, sample_dial_spec
-from absynth.keywords import ORGANIZATION_TOPICS
+from absynth.gauges import DialSpec, build_dial_scene, decode_clock_scene, dial_questions
 from absynth.maps import generate_map
 from absynth.pipeline import RunConfig, generate_dataset, scenario_def, write_outputs
 from absynth.records import canonicalize, verify_record
@@ -60,12 +59,9 @@ def test_criterion_1_end_to_end_oracle_soundness():
 
 
 def test_criterion_2_clock_fidelity():
-    seed = next(
-        s for s in range(60_000)
-        if (spec := sample_dial_spec(s, family="clock")).reading == (8, 10)
-        and spec.offset == 8.0 and spec.exercise_hours == 1.5
-    )
-    spec = sample_dial_spec(seed, family="clock")
+    # The paper's clock, built directly: the dashboard sampler, which also
+    # draws the family, draws it once in 51,840 seeds on average.
+    spec = DialSpec("clock", (8, 10), 8.0, 1.5)
     drafts = {d.question_type: d for d in dial_questions(spec)}
 
     def forms(draft):
@@ -76,8 +72,8 @@ def test_criterion_2_clock_fidelity():
     assert forms(drafts["inverse_reasoning"]) == {"6", "7"}
     scene = build_dial_scene(spec)
     assert decode_clock_scene(scene) == (8, 10)
-    ok(2, f"seed {seed} forces the 8:10 clock; answers 8:10 / {{4:10,16:10}} / "
-          f"{{6,7}} reproduced and hand angles decode back to 8:10")
+    ok(2, "the 8:10 clock: answers 8:10 / {4:10,16:10} / {6,7} reproduced "
+          "and hand angles decode back to 8:10")
 
 
 def test_criterion_3_metric_oracles():
@@ -149,8 +145,7 @@ def test_criterion_6_gate_bounds():
 
 def test_criterion_7_tree_constraints():
     for seed in range(500):
-        topic = ORGANIZATION_TOPICS[seed % len(ORGANIZATION_TOPICS)]
-        spec = sample_tree_spec(seed, topic)
+        spec = sample_relation_graph(seed)
         nodes = tree_nodes(spec.root)
         assert len(nodes) <= 8, f"seed {seed}: {len(nodes)} nodes"
         for layer in tree_layers(spec.root):

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from absynth.gate import LLM_ANSWER_VOTES, GateConfig
 from absynth.gauges import FAMILIES, DialSpec
 from absynth.keywords import BUILTIN_TOPICS
 from absynth.maps import WalkParams
-from absynth.pipeline import RunConfig
+from absynth.pipeline import SCENARIO_SOURCES, RunConfig
 from absynth.records import (
     InstructionRecord, Manifest, Provenance, QuestionDraft, dump_manifest, sample_for_review,
 )
@@ -565,3 +566,24 @@ def test_specs_and_configs_are_not_re_checked():
             if what in REMOVED_NAMES or (path.name, owner) not in VALIDATE_SITES:
                 offenders.append((path.name, line, what))
     assert not offenders
+
+
+# Each scenario samples one way, the way `gen` does: its sampler takes the
+# seed alone. maps.generate_map keeps `params`: WalkParams is a field of
+# RoadMapSpec, so it is part of the spec's dict and of its question seed, and
+# tests reach the walk's degenerate branches only through it.
+SAMPLER_PARAMS = {("maps", "generate_map"): ["seed", "params"]}
+
+
+def test_each_scenario_samples_one_way():
+    offenders = []
+    for module, sample, *_ in SCENARIO_SOURCES.values():
+        sampler = getattr(importlib.import_module(f"absynth.{module}"), sample)
+        params = list(inspect.signature(sampler).parameters)
+        if params != SAMPLER_PARAMS.get((module, sample), ["seed"]):
+            offenders.append((module, sample, params))
+    assert not offenders
+    from absynth import charts, diagrams
+    assert inspect.signature(charts.sample_chart_spec).parameters["kind"].default \
+        is inspect.Parameter.empty
+    assert not {"sample_graph", "sample_tree_spec"} & set(vars(diagrams))

@@ -99,6 +99,12 @@ def test_parse_output_answer_stage():
     assert parse_output("answer", "answer: 4\u20282") == "4\u20282"
     assert parse_output("qa", "question: a\x85b?\nanswer: c") == [
         {"question": "a\x85b?", "answer": "c"}]
+    # A line whose value is empty is no pair: no answer, no QA pair.
+    with pytest.raises(ContractViolation, match="missing 'answer:' line"):
+        parse_output("answer", "answer:")
+    assert parse_output("answer", "answer: \nanswer: 7") == "7"
+    with pytest.raises(ContractViolation, match="no question/answer pairs"):
+        parse_output("qa", "question: \nanswer: x")
 
 
 def test_self_consistent_answer_votes():
@@ -306,3 +312,29 @@ def test_a_surrogate_reply_costs_only_the_llm_record(stage, monkeypatch, tmp_pat
     records = load_manifest((out / "manifest.jsonl").read_bytes()).records
     llm = [r.id for r in records if r.question_type == "llm_qa"]
     assert records and llm == ([] if stage else ["chart-00000-qllm"])
+
+
+@pytest.mark.parametrize("stage, reply", [("qa", "question: \nanswer: x"), ("answer", "answer:")],
+                         ids=["empty-question", "empty-answer"])
+def test_an_empty_reply_value_costs_only_the_llm_record(stage, reply, monkeypatch, tmp_path,
+                                                        capsys):
+    inner = offline_transport()
+
+    def send(payload):
+        return reply if payload["stage"] == stage else inner(payload)
+
+    backend = tmp_path / "backend.json"
+    backend.write_text(json.dumps({"endpoint": ""}))
+
+    def gen(out, transport):
+        monkeypatch.setattr(bridge, "default_transport", lambda config: transport)
+        assert main(["gen", "--scenario", "chart", "--count", "2", "--seed", "1",
+                     "--out", str(out), "--backend", str(backend)]) == 0
+        assert "error" not in capsys.readouterr().err
+        return load_manifest((out / "manifest.jsonl").read_bytes()).records
+
+    full = gen(tmp_path / "offline", inner)
+    kept = gen(tmp_path / "empty", send)
+    assert [r.id for r in full if r.question_type == "llm_qa"] == [
+        "chart-00000-qllm", "chart-00001-qllm"]
+    assert kept == [r for r in full if r.question_type != "llm_qa"]

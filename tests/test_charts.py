@@ -7,7 +7,7 @@ import pytest
 
 from absynth.charts import (
     ChartSpec, Series, SeriesPoint, build_chart_scene, chart_questions,
-    nice_axis_max, sample_chart_spec,
+    nice_axis_max, sample_chart, sample_chart_spec, sample_table,
 )
 from absynth.records import format_number
 from absynth.scene import LayoutOverflow, bounding_box, overlap_pairs
@@ -33,6 +33,14 @@ def table_spec(rows=3, cols=4):
 
 # -- sampling ---------------------------------------------------------------
 
+# The two scenarios' samplers, the only ways `gen` draws a chart spec.
+SAMPLERS = (sample_chart, sample_table)
+
+
+def sampled_specs(n):
+    """(seed, spec) for seeds 0..n-1 of each scenario's sampler."""
+    return [(seed, sample(seed)) for sample in SAMPLERS for seed in range(n)]
+
 
 def test_pie_has_four_categories_summing_to_100():
     for seed in range(50):
@@ -44,15 +52,20 @@ def test_pie_has_four_categories_summing_to_100():
 
 
 def test_same_seed_same_spec():
-    for seed in (0, 7, 991):
-        assert sample_chart_spec(seed) == sample_chart_spec(seed)
+    for sample in SAMPLERS:
+        for seed in (0, 7, 991):
+            assert sample(seed) == sample(seed)
 
 
-def test_all_five_kinds_at_least_10_percent():
-    counts = Counter(sample_chart_spec(seed).kind for seed in range(1000))
-    assert set(counts) == {"line", "bar", "pie", "table", "composite"}
+def test_chart_scenario_draws_each_non_table_kind_at_least_10_percent():
+    counts = Counter(sample_chart(seed).kind for seed in range(1000))
+    assert set(counts) == {"line", "bar", "pie", "composite"}
     for kind, n in counts.items():
         assert n >= 100, f"{kind} drawn only {n}/1000 times"
+
+
+def test_table_scenario_always_gives_a_table():
+    assert {sample_table(seed).kind for seed in range(200)} == {"table"}
 
 
 # A scene holds only the roles its kind draws: a pie has no axis, a table
@@ -63,8 +76,7 @@ CHART_ROLES = {"pie": {"title", "legend", "data_marks"},
 
 
 def test_sampled_specs_build_clean_scenes():
-    for seed in range(60):
-        spec = sample_chart_spec(seed)
+    for seed, spec in sampled_specs(60):
         scene = build_chart_scene(spec)
         roles = {p.role for p in scene.primitives}
         assert roles == CHART_ROLES.get(spec.kind, VALUE_CHART_ROLES), seed
@@ -137,8 +149,8 @@ def test_oversized_title_overflows():
 
 
 def test_no_text_interference_on_sampled_charts():
-    for seed in range(40):
-        scene = build_chart_scene(sample_chart_spec(seed))
+    for seed, spec in sampled_specs(40):
+        scene = build_chart_scene(spec)
         text_ix = tuple(i for i, p in enumerate(scene.primitives) if p.kind == "text")
         legend = set(role_indices(scene, "legend"))
         area = sum(a for i, j, a in overlap_pairs(scene, legend.union(text_ix))
@@ -217,18 +229,17 @@ def test_extraction_is_direct_lookup():
 
 
 def test_all_five_question_types_present():
-    types = {d.question_type for d in chart_questions(sample_chart_spec(5))}
+    types = {d.question_type for d in chart_questions(sample_chart(5))}
     assert types == {"ocr", "caption", "perception", "extraction", "math"}
 
 
 def test_questions_deterministic_per_spec():
-    spec = sample_chart_spec(42)
+    spec = sample_chart(42)
     assert chart_questions(spec) == chart_questions(spec)
 
 
 def test_oracle_reproduces_all_answers():
-    for seed in range(200):
-        spec = sample_chart_spec(seed)
+    for seed, spec in sampled_specs(200):
         for draft in chart_questions(spec):
             expected = chart_answer_oracle(spec, draft)
             if expected is None:
@@ -240,16 +251,14 @@ def test_oracle_reproduces_all_answers():
 
 
 def test_math_rationale_cites_operands():
-    for seed in range(50):
-        spec = sample_chart_spec(seed)
+    for seed, spec in sampled_specs(50):
         math_draft = next(d for d in chart_questions(spec) if d.question_type == "math")
         assert math_draft.answer in math_draft.rationale.replace(",", "")
 
 
 def test_values_respect_unit_ranges():
     from absynth.keywords import UNIT_CLASSES
-    for seed in range(80):
-        spec = sample_chart_spec(seed)
+    for seed, spec in sampled_specs(80):
         targets = spec.subcharts if spec.kind == "composite" else (spec,)
         for target in targets:
             lo, hi, _ = UNIT_CLASSES["percent" if target.kind == "pie" else target.unit]

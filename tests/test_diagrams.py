@@ -4,9 +4,8 @@ import pytest
 
 from absynth.diagrams import (
     TreeNode, TreeSpec, diagram_questions, layout_hierarchy,
-    sample_flow_spec, sample_relation_graph, sample_tree_spec, tree_layers, tree_nodes,
+    sample_flow_spec, sample_relation_graph, tree_layers, tree_nodes,
 )
-from absynth.keywords import ORGANIZATION_TOPICS
 from absynth.scene import overlap_pairs
 from tests_helpers import role_indices
 
@@ -59,7 +58,7 @@ def test_forensics_layout_layers_and_connectors():
 
 def test_minimal_tree_single_node():
     for seed in range(400):
-        spec = sample_tree_spec(seed, "City Public Library")
+        spec = sample_relation_graph(seed)
         if len(tree_nodes(spec.root)) == 1:
             scene = layout_hierarchy(spec)
             assert len(role_indices(scene, "nodes")) == 1
@@ -70,8 +69,7 @@ def test_minimal_tree_single_node():
 
 def test_500_sampled_trees_satisfy_constraints():
     for seed in range(500):
-        topic = ORGANIZATION_TOPICS[seed % len(ORGANIZATION_TOPICS)]
-        spec = sample_tree_spec(seed, topic)
+        spec = sample_relation_graph(seed)
         nodes = tree_nodes(spec.root)
         assert 1 <= len(nodes) <= 8
         for layer in tree_layers(spec.root):
@@ -81,14 +79,13 @@ def test_500_sampled_trees_satisfy_constraints():
 
 
 def test_tree_sampling_deterministic():
-    assert sample_tree_spec(9, "Culinary School") == sample_tree_spec(9, "Culinary School")
+    assert sample_relation_graph(9) == sample_relation_graph(9)
     assert sample_flow_spec(9) == sample_flow_spec(9)
 
 
 def test_counting_answers_match_independent_traversal():
     for seed in range(100):
-        topic = ORGANIZATION_TOPICS[seed % len(ORGANIZATION_TOPICS)]
-        spec = sample_tree_spec(seed, topic)
+        spec = sample_relation_graph(seed)
         by_label = {n.label: n for n in tree_nodes(spec.root)}
         for draft in diagram_questions(spec):
             if draft.question_type == "node_count":
@@ -106,8 +103,7 @@ def test_counting_answers_match_independent_traversal():
 def test_relation_graph_extra_edges_disable_subtree_counting():
     seen_edges = False
     for seed in range(200):
-        topic = ORGANIZATION_TOPICS[seed % len(ORGANIZATION_TOPICS)]
-        spec = sample_relation_graph(seed, topic)
+        spec = sample_relation_graph(seed)
         drafts = diagram_questions(spec)
         if spec.extra_edges:
             seen_edges = True

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from absynth.charts import ChartSpec, Series, SeriesPoint, build_chart_scene, sample_chart_spec
+from absynth.charts import ChartSpec, Series, SeriesPoint, build_chart_scene, sample_chart
 from absynth.gate import (
     AestheticsResult, GateConfig, GateReport, Rejection,
     _interference_area, aesthetics_gate, feasibility_gate,
@@ -29,7 +29,7 @@ def pie(title):
 
 
 def test_wellformed_spec_accepted_first_attempt():
-    result = feasibility_gate(sample_chart_spec(1), build_chart_scene)
+    result = feasibility_gate(sample_chart(1), build_chart_scene)
     assert result.accepted
     assert result.rejection is None
 
@@ -60,7 +60,7 @@ def scene_with(*prims_roles, canvas=None):
 
 
 def test_clean_scene_passes_aesthetics():
-    scene = build_chart_scene(sample_chart_spec(2))
+    scene = build_chart_scene(sample_chart(2))
     result = aesthetics_gate(scene, GateConfig())
     assert result.passed
     assert result.reasons == ()
@@ -94,7 +94,7 @@ def test_legend_internal_overlap_not_interference():
 
 
 def test_gate_idempotent_on_accepted_scene():
-    spec = sample_chart_spec(5)
+    spec = sample_chart(5)
     config = GateConfig()
     first = feasibility_gate(spec, build_chart_scene)
     second = feasibility_gate(spec, build_chart_scene)

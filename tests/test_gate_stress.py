@@ -13,7 +13,7 @@ import dataclasses
 from collections import Counter
 from random import Random
 
-from absynth.charts import ChartSpec, Series, SeriesPoint, build_chart_scene, sample_chart_spec
+from absynth.charts import ChartSpec, Series, SeriesPoint, build_chart_scene, sample_chart
 from absynth.gate import GateConfig, aesthetics_gate, feasibility_gate
 from absynth.maps import WalkParams, build_map_scene, generate_map
 from absynth.pipeline import scenario_def
@@ -52,8 +52,8 @@ def renamed(plan, index, name):
 def stress_cases(seed, n=CASES_PER_KIND):
     """(kind, spec, builder, gate config) for `n` hand-built specs of each kind:
     - pie title: 50-95 glyphs against a title lane that holds 57 at 18 px;
-    - composite title: 50-70 glyphs on a composite chart, whose sub-chart
-      fonts sit at exactly 8 px;
+    - composite title: 50-70 glyphs on a composite chart that the `chart`
+      scenario draws, whose sub-chart fonts sit at exactly 8 px;
     - room name: one room renamed to about as many glyphs as its width holds
       at one of ROOM_NAME_SCALES;
     - dense map: a 6x6 grid without obstacles, gated at 0.1% interference
@@ -61,7 +61,7 @@ def stress_cases(seed, n=CASES_PER_KIND):
     - small-font map: a dense map gated as above and at a 10 px font bound,
       above its 9 px labels."""
     rng = Random(seed)
-    composites = [s for s in map(sample_chart_spec, range(200)) if s.kind == "composite"]
+    composites = [s for s in map(sample_chart, range(200)) if s.kind == "composite"]
     cases = []
     for _ in range(n):
         cases.append(("pie title", pie(letters(rng, rng.randint(50, 95))),
@@ -99,10 +99,10 @@ def gate_outcome(spec, builder, config):
 STRESS_OUTCOMES = {
     ("pie title", "accept"): 8,
     ("pie title", "feasibility"): 32,
-    ("composite title", "accept"): 15,
-    ("composite title", "feasibility"): 25,
-    ("room name", "accept"): 6,
-    ("room name", "feasibility"): 34,
+    ("composite title", "accept"): 14,
+    ("composite title", "feasibility"): 26,
+    ("room name", "accept"): 7,
+    ("room name", "feasibility"): 33,
     ("dense map", "accept"): 36,
     ("dense map", "interference"): 4,
     ("small-font map", "small-font"): 38,

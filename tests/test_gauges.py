@@ -1,6 +1,7 @@
 """Dial sampling, clock arithmetic, scene round-trips."""
 
 from datetime import datetime, timedelta
+from itertools import count, islice
 
 import pytest
 
@@ -20,6 +21,12 @@ def answer_forms(draft):
     return {canonicalize(draft.answer)} | {canonicalize(a) for a in draft.alternates}
 
 
+def sampled_dials(family, n):
+    """The first `n` specs of `family` that the dashboard sampler draws."""
+    specs = (sample_dial_spec(seed) for seed in count())
+    return list(islice((spec for spec in specs if spec.family == family), n))
+
+
 def test_810_hand_angles():
     assert clock_angles(8, 10) == (245.0, 60.0)
 
@@ -30,8 +37,7 @@ def test_sampling_deterministic():
 
 
 def test_fuel_reading_within_tank_scale():
-    for seed in range(40):
-        spec = sample_dial_spec(seed, family="fuel")
+    for spec in sampled_dials("fuel", 40):
         assert 0.0 <= spec.reading <= 1.0
 
 
@@ -79,8 +85,7 @@ def calendar_offset_oracle(hour, minute, offset_hours):
 
 
 def test_offset_answers_match_calendar_oracle():
-    for seed in range(120):
-        spec = sample_dial_spec(seed, family="clock")
+    for spec in sampled_dials("clock", 120):
         hour, minute = spec.reading
         drafts = dial_questions(spec)
         offset = next(d for d in drafts if d.question_type == "offset_math")
@@ -112,8 +117,7 @@ def test_rationales_cite_base_and_offset():
 
 
 def test_clock_scene_round_trip():
-    for seed in range(60):
-        spec = sample_dial_spec(seed, family="clock")
+    for spec in sampled_dials("clock", 60):
         scene = build_dial_scene(spec)
         hour, minute = spec.reading
         assert decode_clock_scene(scene) == (hour % 12 or 12, minute)
@@ -132,7 +136,8 @@ def test_gauge_scene_round_trip_within_half_minor_tick():
 
 @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "clock"])
 def test_gauge_scene_round_trip_at_both_ends_of_the_scale(family):
-    lo, hi, step = sample_dial_spec(0, family=family).scale
+    [spec] = sampled_dials(family, 1)
+    lo, hi, step = spec.scale
     for reading in (lo, hi):
         decoded = decode_gauge_scene(build_dial_scene(DialSpec(family, reading)), family)
         assert abs(decoded - reading) <= step / 10.0, (family, reading, decoded)
