@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import fields, is_dataclass
+from functools import cache
 from types import UnionType
 from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
@@ -27,9 +28,18 @@ if TYPE_CHECKING:
     from .pipeline import RunConfig
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read_json(path: str, source: str):
+    """The JSON value in the file at `path`. A file that is not UTF-8, or not
+    JSON, raises ValueError("<source> file <path>: ...")."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{source} file {path}: not UTF-8 ({err.reason})") from None
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{source} file {path}: invalid JSON "
+                         f"({err.msg}: line {err.lineno} column {err.colno})") from None
 
 
 def _checked_keys(data: dict, known, source: str, section: str = "") -> dict:
@@ -65,10 +75,16 @@ def _typed(value, hint, source: str, path: str):
                      f"not {JSON_TYPE_NAMES[type(value)]}")
 
 
+@cache
+def _type_hints(cls) -> dict:
+    """`get_type_hints(cls)`, resolved once per config class."""
+    return get_type_hints(cls)
+
+
 def _typed_fields(cls, data, source: str, section: str = "", renamed=None) -> dict:
     """Keyword arguments for `cls` from the JSON object `data`, whose keys
     are field names (or keys of `renamed`, which maps a key to its field)."""
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     known = {f.name: f.name for f in fields(cls)}
     for key, name in (renamed or {}).items():
         known[key] = known.pop(name)
@@ -84,14 +100,15 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     from .pipeline import RunConfig
     if args.jobs not in (None, 1):
         raise ValueError(f"--jobs must be 1, not {args.jobs}: gen runs on one thread")
-    file_cfg = _read_json(args.config) if args.config else {}
+    file_cfg = _read_json(args.config, "run-config") if args.config else {}
     kwargs = _typed_fields(RunConfig, file_cfg, "run-config", renamed={"out": "out_dir"})
     if args.all:
         kwargs["scenarios"] = SCENARIOS
     elif args.scenario:
         kwargs["scenarios"] = tuple(args.scenario)
     if args.backend:
-        kwargs["backend"] = _typed(_read_json(args.backend), BackendConfig, "backend-config", "")
+        backend = _read_json(args.backend, "backend-config")
+        kwargs["backend"] = _typed(backend, BackendConfig, "backend-config", "")
     flags = {"default_count": args.count, "seed": args.seed, "out_dir": args.out}
     kwargs.update((name, value) for name, value in flags.items() if value is not None)
     return RunConfig(**kwargs)
@@ -177,15 +194,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_gallery(args: argparse.Namespace) -> int:
     from .gallery import render_gallery
     manifest = load_manifest(_read_input(args.manifest, "manifest"))
-    out_path = args.out or os.path.join(
-        os.path.dirname(os.path.abspath(args.manifest)), "gallery.html")
+    manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
+    out_path = args.out or os.path.join(manifest_dir, "gallery.html")
+    page_dir = os.path.dirname(os.path.abspath(out_path))
+    os.makedirs(page_dir, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(render_gallery(manifest))
+        fh.write(render_gallery(manifest, os.path.relpath(manifest_dir, page_dir)))
     print(f"wrote {out_path}")
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `absynth` parser, built on the first call and shared after it:
+    parsing leaves it unchanged, and each parse starts a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="absynth",
         description="Generate abstract-image instruction datasets and score predictions.",

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from html import escape
+from os import curdir
+from pathlib import PurePath
 
 from .records import InstructionRecord, Manifest
 
@@ -51,8 +53,10 @@ def _entry(record: InstructionRecord) -> str:
     return "\n".join(lines)
 
 
-def render_gallery(manifest: Manifest) -> str:
-    """Standalone page; image references stay relative, openable offline."""
+def render_gallery(manifest: Manifest, root: str = curdir) -> str:
+    """Standalone page, openable offline. `root` is the manifest's directory
+    relative to the page's; each image's src is its image_ref under `root`,
+    so the image_ref itself when the page sits beside the manifest."""
     groups: dict[str, list[InstructionRecord]] = {}
     for record in manifest.records:
         groups.setdefault(record.image_ref, []).append(record)
@@ -61,7 +65,8 @@ def render_gallery(manifest: Manifest) -> str:
         records = groups[image_ref]
         image_id = image_ref.rsplit("/", 1)[-1].removesuffix(".svg")
         figures.append(_FIGURE.format(
-            src=escape(image_ref), image_id=escape(image_id),
+            src=escape(image_ref if root == curdir else PurePath(root, image_ref).as_posix()),
+            image_id=escape(image_id),
             scenario=escape(records[0].scenario),
             entries="\n".join(_entry(r) for r in records),
         ))

@@ -12,12 +12,14 @@ so `gen --scenario map` never loads the chart code. Every
 procedural record must re-verify against its spec before it is written. The
 oracle runs once per image: it reruns the same questions function on the
 same spec, and every record of the image is matched against those drafts. A
-mismatch drops the record through the accuracy gate. Both calls seed their
-question RNG with `stable_digest(spec.to_dict())`, which
-`seeds.question_seed` computes once per spec and keeps on it, so the rerun
-catches only an impure questions function, one whose drafts differ from call
-to call; a wrong answer that the function gives twice passes. ROADMAP item 3
-replaces this oracle with one that reads the scene.
+mismatch drops the record through the accuracy gate. For chart, table,
+flowchart, relation_graph and layout, both calls seed their question RNG with
+`stable_digest(spec.to_dict())`, which `seeds.question_seed` computes once per
+spec and keeps on it; map, dashboard and puzzle questions draw nothing at
+random and compute no spec digest. So the rerun catches only an impure
+questions function, one whose drafts differ from call to call; a wrong answer
+that the function gives twice passes. ROADMAP item 3 replaces this oracle with
+one that reads the scene.
 
 A RunConfig checks itself when it is constructed, as its GateConfig and
 BackendConfig do, so a bad value fails before any image is made, even

@@ -569,9 +569,10 @@ def test_specs_and_configs_are_not_re_checked():
 
 
 # Each scenario samples one way, the way `gen` does: its sampler takes the
-# seed alone. maps.generate_map keeps `params`: WalkParams is a field of
-# RoadMapSpec, so it is part of the spec's dict and of its question seed, and
-# tests reach the walk's degenerate branches only through it.
+# seed alone. maps.generate_map keeps `params`, and three readers tie it down:
+# build_map_scene reads the grid from spec.params.grid_size, test_maps.py
+# reaches the walk's degenerate branches only through params, and
+# test_gate_stress.py builds its dense maps on 6x6 grids.
 SAMPLER_PARAMS = {("maps", "generate_map"): ["seed", "params"]}
 
 

@@ -1,10 +1,13 @@
 """CLI surface: gen/eval/stats/gallery commands and their files."""
 
+import argparse
+import html
 import json
+import re
 
 import pytest
 
-from absynth import pipeline
+from absynth import cli, pipeline
 from absynth.cli import main
 from absynth.records import Manifest, load_manifest
 from tests_helpers import dump_predictions
@@ -162,6 +165,30 @@ def test_gallery_lists_every_image(tmp_path):
         assert record.image_ref in html
 
 
+def image_srcs(page) -> list[str]:
+    return [html.unescape(src) for src in re.findall(r'<img src="([^"]*)"', page.read_text())]
+
+
+def test_gallery_beside_the_manifest_links_each_image_ref(tmp_path):
+    out = gen(tmp_path)
+    assert run(["gallery", out / "manifest.jsonl"]) == 0
+    manifest = load_manifest((out / "manifest.jsonl").read_bytes())
+    assert image_srcs(out / "gallery.html") == sorted({r.image_ref for r in manifest.records})
+
+
+def test_gallery_out_elsewhere_links_every_image(tmp_path):
+    """A page two directories away from the manifest, in a directory that
+    does not exist yet, still shows every image."""
+    out = gen(tmp_path)
+    page = tmp_path / "site" / "pages" / "g.html"
+    assert run(["gallery", out / "manifest.jsonl", "--out", page]) == 0
+    manifest = load_manifest((out / "manifest.jsonl").read_bytes())
+    srcs = image_srcs(page)
+    assert len(srcs) == len({r.image_ref for r in manifest.records}) > 0
+    assert all(src.startswith("../../") for src in srcs)
+    assert all((page.parent / src).resolve().is_file() for src in srcs)
+
+
 def test_gallery_empty_manifest_is_valid_page(tmp_path):
     manifest_path = tmp_path / "m.jsonl"
     manifest_path.write_text('{"kind": "manifest-header", "schema_version": "1"}\n')
@@ -242,6 +269,21 @@ def test_unknown_backend_file_key_is_one_line_error(tmp_path, capsys):
     backend.write_text(json.dumps({"modle": "offline"}))
     assert run(["gen", "--backend", backend, "--dry-run"]) == 1
     assert one_line_error(capsys) == "error: unknown backend-config key 'modle'"
+
+
+@pytest.mark.parametrize("flag, source", [("--config", "run-config"),
+                                          ("--backend", "backend-config")])
+@pytest.mark.parametrize("content, problem", [
+    (b"{bad}", "invalid JSON (Expecting property name enclosed in double quotes: "
+               "line 1 column 2)"),
+    (b'{"model": "\xff"}', "not UTF-8 (invalid start byte)"),
+], ids=["invalid-json", "not-utf8"])
+def test_unreadable_config_file_error_names_the_file(tmp_path, capsys, flag, source,
+                                                     content, problem):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert run(["gen", flag, path, "--out", tmp_path / "out", "--dry-run"]) == 1
+    assert one_line_error(capsys) == f"error: {source} file {path}: {problem}"
 
 
 def test_run_config_file_values_still_apply(tmp_path, capsys):
@@ -450,3 +492,80 @@ def test_directory_given_as_a_file_is_one_line_error(tmp_path, capsys, argv):
     assert run([arg.format(**paths) for arg in argv]) == 1
     message = one_line_error(capsys)
     assert message.startswith("error: ") and "Is a directory" in message
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    """Two main calls in one process build one parser (the main parser and
+    its four command parsers); the cache is cleared first, so the order the
+    tests run in cannot hide a rebuild."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert run(["gen", "--scenario", "map", "--count", 1, "--dry-run"]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 5
+
+
+def test_config_type_hints_are_resolved_once_per_class(tmp_path, monkeypatch):
+    resolved = []
+    get_type_hints = cli.get_type_hints
+    monkeypatch.setattr(cli, "get_type_hints",
+                        lambda cls: resolved.append(cls.__name__) or get_type_hints(cls))
+    cli._type_hints.cache_clear()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gate": {"min_font_px": 8}, "backend": {"model": "offline"}}))
+    try:
+        for _ in range(2):
+            assert run(["gen", "--config", cfg, "--dry-run"]) == 0
+    finally:
+        cli._type_hints.cache_clear()
+    assert sorted(resolved) == ["BackendConfig", "GateConfig", "RunConfig"]
+
+
+def outcome(argv, capsys, out) -> tuple:
+    """Exit code (a usage error's SystemExit code too), stdout, stderr and
+    the bytes of every file under `out`, after one main call."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    printed = capsys.readouterr()
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return code, printed.out, printed.err, files
+
+
+def test_successive_main_calls_are_independent(tmp_path, capsys, monkeypatch):
+    """Each command run on the shared parser gives what a fresh parser gives:
+    no --scenario list, --max-missing or usage error carries over."""
+    commands = [
+        ["gen", "--scenario", "map", "--count", "2", "--out", "a"],
+        ["gen", "--scenario", "chart", "--scenario", "table", "--count", "1", "--out", "b"],
+        ["eval", "a/manifest.jsonl", "empty.jsonl", "--out", "e1", "--max-missing", "0"],
+        ["gen", "--scenario", "nope"],
+        ["eval", "a/manifest.jsonl", "empty.jsonl", "--out", "e2"],
+        ["gen", "--count", "1", "--out", "c"],
+    ]
+    outcomes = {}
+    for fresh in (False, True):
+        root = tmp_path / ("fresh" if fresh else "shared")
+        root.mkdir()
+        (root / "empty.jsonl").write_text("")
+        monkeypatch.chdir(root)
+        cli.build_parser.cache_clear()
+        results = []
+        for argv in commands:
+            if fresh:
+                cli.build_parser.cache_clear()
+            results.append(outcome(argv, capsys, root))
+        outcomes[fresh] = results
+    cli.build_parser.cache_clear()
+    assert [r[0] for r in outcomes[False]] == [0, 0, 2, 2, 0, 0]
+    assert [line.split()[0] for line in outcomes[False][1][1].splitlines()] == \
+        ["chart", "table", "wrote"]
+    assert outcomes[False] == outcomes[True]
