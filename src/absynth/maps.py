@@ -1,14 +1,15 @@
-"""Simulated road-map synthesis via a self-avoiding biased random walk.
+"""Simulated road-map synthesis via a self-avoiding random walk.
 
-One map = one walk: starting from a random free cell the walker steps
-according to per-direction probabilities, re-samples its direction with
-probability turn_prob, never revisits a cell, and stops when the step budget
-runs out or it is boxed in; the stopping cell becomes the endpoint. With
-turn_prob = 0 a blocked walker simply stops, so the gold path is a straight
-segment. Distractor branches are then grown off cells where the path turns,
-one self-avoiding corridor each, never touching the rest of the network, so
-a junction always coincides with a turn and a straight gold path stays at
-difficulty 1.
+One map = one walk on a GRID_ROWS x GRID_COLS grid (12 x 12) with
+OBSTACLE_DENSITY (10%) of its cells blocked. Starting from a random free
+cell, the walker picks its first direction uniformly from the open ones,
+keeps it until a draw of TURN_PROB (0.30) or a blockage makes it pick again
+uniformly, never revisits a cell, and stops when its budget of at most
+MAX_STEPS (36) steps runs out or it is boxed in; the stopping cell becomes
+the endpoint. Distractor branches are then grown off cells where the path
+turns, one self-avoiding corridor each, never touching the rest of the
+network, so a junction always coincides with a turn and a straight gold path
+stays at difficulty 1.
 
 Intersections (network degree >= 3) plus the start and end cells are named
 from a fixed street-name list; the gold answer to the navigation question is
@@ -18,16 +19,16 @@ Difficulty is level = 1 + min(4, (turns + intersections) // 2), a documented
 config-style formula: two turns plus two intersections is exactly level 3.
 
 Neighbours are never worked out by coordinate arithmetic while sampling:
-`_grid(rows, cols)`, cached per grid size, maps each cell in row-major
-order to its in-grid neighbours by direction, and the walk, the branches, the
-junction scan and the obstacle draw read it. The scene draws each road once,
-from whichever of its two cells comes first in sorted order.
+`_GRID`, built once at import, maps each cell in row-major order to its
+in-grid neighbours by direction, and the walk, the branches, the junction
+scan and the obstacle draw read it. The scene draws each road once, from
+whichever of its two cells comes first in sorted order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from math import ceil
 from random import Random
 
 from .records import QuestionDraft
@@ -55,6 +56,11 @@ STREET_NAMES: tuple[str, ...] = (
     "Jasper", "Keaton", "Langley", "Mercer", "Norton", "Oswald", "Preston", "Quincy",
 )
 
+GRID_ROWS = 12
+GRID_COLS = 12
+TURN_PROB = 0.30
+MAX_STEPS = 36
+OBSTACLE_DENSITY = 0.10
 MAX_BRANCHES = 4
 BRANCH_MIN_LEN = 2
 BRANCH_MAX_LEN = 5
@@ -63,31 +69,7 @@ RESEED_ATTEMPTS = 20
 
 
 class DegenerateMap(ValueError):
-    """Walk parameters cannot produce a usable gold path."""
-
-
-@dataclass(frozen=True)
-class WalkParams:
-    grid_size: tuple[int, int] = (12, 12)
-    direction_probs: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
-    turn_prob: float = 0.30
-    max_steps: int = 36
-    obstacle_density: float = 0.10
-
-    def __post_init__(self) -> None:
-        rows, cols = self.grid_size
-        if rows < 2 or cols < 2:
-            raise ValueError("grid must be at least 2x2")
-        if abs(sum(self.direction_probs) - 1.0) > 1e-9:
-            raise ValueError("direction probabilities must sum to 1")
-        if any(p < 0 for p in self.direction_probs):
-            raise ValueError("direction probabilities must be non-negative")
-        if not (0.0 <= self.turn_prob <= 1.0):
-            raise ValueError("turn_prob must be in [0, 1]")
-        if not (0 < self.max_steps <= rows * cols):
-            raise ValueError("max_steps must be in 1..rows*cols")
-        if not (0.0 <= self.obstacle_density <= 0.4):
-            raise ValueError("obstacle_density must be in [0, 0.4]")
+    """No attempt produced a usable gold path."""
 
 
 @dataclass(frozen=True)
@@ -100,7 +82,6 @@ class PathTrace:
 
 @dataclass(frozen=True)
 class RoadMapSpec:
-    params: WalkParams
     network: frozenset[Cell]
     obstacles: frozenset[Cell]
     start: Cell
@@ -123,34 +104,30 @@ def _corners(cells: list[Cell] | tuple[Cell, ...]) -> list[Cell]:
             if (b[0] - a[0], b[1] - a[1]) != (c[0] - b[0], c[1] - b[1])]
 
 
-Grid = dict[Cell, tuple[tuple[int, Cell], ...]]
+# Every cell of the grid, in row-major order, mapped to its in-grid
+# neighbours as (index into _DIR_ORDER, cell) pairs, in _DIR_ORDER. Nothing
+# mutates it.
+_GRID: dict[Cell, tuple[tuple[int, Cell], ...]] = {
+    (r, c): tuple((i, (r + dr, c + dc))
+                  for i, (dr, dc) in enumerate(DIRECTIONS[d] for d in _DIR_ORDER)
+                  if 0 <= r + dr < GRID_ROWS and 0 <= c + dc < GRID_COLS)
+    for r in range(GRID_ROWS) for c in range(GRID_COLS)
+}
+_CELLS = tuple(_GRID)
+_N_OBSTACLES = int(OBSTACLE_DENSITY * GRID_ROWS * GRID_COLS)
 
 
-@lru_cache(maxsize=8)
-def _grid(rows: int, cols: int) -> Grid:
-    """Every cell of a rows x cols grid, in row-major order, mapped to its
-    in-grid neighbours as (index into _DIR_ORDER, cell) pairs, in
-    _DIR_ORDER. Cached per grid size; nothing mutates it."""
-    steps = [DIRECTIONS[d] for d in _DIR_ORDER]
-    grid: Grid = {}
-    for r in range(rows):
-        for c in range(cols):
-            grid[(r, c)] = tuple((i, (r + dr, c + dc)) for i, (dr, dc) in enumerate(steps)
-                                 if 0 <= r + dr < rows and 0 <= c + dc < cols)
-    return grid
-
-
-def _open_steps(grid: Grid, cell: Cell, taken: set[Cell], obstacles: set[Cell]) -> dict[int, Cell]:
+def _open_steps(cell: Cell, taken: set[Cell], obstacles: set[Cell]) -> dict[int, Cell]:
     """The grid neighbours of `cell`, itself in `taken`, that a corridor may
     grow into, keyed by direction index, in _DIR_ORDER: free, untaken,
     and touching `taken` only through `cell`, so the corridor never runs
     alongside itself or the rest of the network (a fold would draw a
     shortcut edge and make the gold route ambiguous)."""
     steps = {}
-    for d, nxt in grid[cell]:
+    for d, nxt in _GRID[cell]:
         if nxt in taken or nxt in obstacles:
             continue
-        for _, other in grid[nxt]:
+        for _, other in _GRID[nxt]:
             if other in taken and other != cell:
                 break
         else:
@@ -163,89 +140,60 @@ def classify_difficulty(gold: PathTrace) -> int:
     return 1 + min(4, (gold.turns + gold.intersections) // 2)
 
 
-def _weighted_direction(rng: Random, params: WalkParams, valid: list[int]) -> int | None:
-    """A direction index drawn from `valid` with weights from direction_probs."""
-    weights = [params.direction_probs[d] for d in valid]
-    total = sum(weights)
-    if total <= 0:
-        return None
-    roll = rng.random() * total
-    acc = 0.0
-    for d, w in zip(valid, weights):
-        acc += w
-        if roll <= acc:
-            return d
-    return valid[-1]
+def _uniform_direction(rng: Random, valid: list[int]) -> int:
+    """A direction index drawn uniformly from `valid` with one rng.random():
+    a draw of u picks the first i with u * len(valid) <= i + 1, so a draw on
+    a boundary takes the lower index."""
+    return valid[max(ceil(rng.random() * len(valid)) - 1, 0)]
 
 
-def _walk(rng: Random, params: WalkParams, grid: Grid, obstacles: set[Cell]) -> list[Cell]:
-    free = [cell for cell in grid if cell not in obstacles]
-    if not free:
-        return []
+def _walk(rng: Random, obstacles: set[Cell]) -> list[Cell]:
+    free = [cell for cell in _CELLS if cell not in obstacles]
     start = free[rng.randrange(len(free))]
-    low = min(MIN_GOLD_CELLS + 1, params.max_steps)
-    budget = rng.randint(low, params.max_steps)
+    budget = rng.randint(MIN_GOLD_CELLS + 1, MAX_STEPS)
     path = [start]
     visited = {start}
     direction: int | None = None
     for _ in range(budget):
-        steps = _open_steps(grid, path[-1], visited, obstacles)
-        valid = list(steps)
-        if not valid:
+        steps = _open_steps(path[-1], visited, obstacles)
+        if not steps:
             break  # boxed in
-        if direction is None or rng.random() < params.turn_prob:
-            chosen = _weighted_direction(rng, params, valid)
-            if chosen is None:
-                break
-        elif direction in steps:
-            chosen = direction
-        elif params.turn_prob > 0.0:
-            chosen = _weighted_direction(rng, params, valid)
-            if chosen is None:
-                break
-        else:
-            break  # a walker that never turns stops at the first blockage
-        direction = chosen
-        path.append(steps[chosen])
-        visited.add(steps[chosen])
+        # The turn draw is made whenever there is a direction to keep, even
+        # when that direction is blocked: the rng stream, and so every map,
+        # depends on it.
+        if direction is None or rng.random() < TURN_PROB or direction not in steps:
+            direction = _uniform_direction(rng, list(steps))
+        path.append(steps[direction])
+        visited.add(steps[direction])
     return path
 
 
-def _grow_branch(
-    rng: Random, grid: Grid, network: set[Cell], obstacles: set[Cell], attach: Cell, length: int,
-) -> None:
+def _grow_branch(rng: Random, network: set[Cell], obstacles: set[Cell], attach: Cell,
+                 length: int) -> None:
     """Add to `network` a self-avoiding corridor growing out of `attach`; each
     new cell touches the existing network only through its predecessor."""
     current = attach
     for _ in range(length):
-        options = list(_open_steps(grid, current, network, obstacles).values())
+        options = list(_open_steps(current, network, obstacles).values())
         if not options:
             break
         current = options[rng.randrange(len(options))]
         network.add(current)
 
 
-_DEFAULT_PARAMS = WalkParams()
-
-
-def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
-    """Generate a deterministic road map for (seed, params).
+def generate_map(seed: int) -> RoadMapSpec:
+    """Generate a deterministic road map for `seed`.
 
     Raises DegenerateMap if no attempt out of RESEED_ATTEMPTS produces a gold
-    path of at least MIN_GOLD_CELLS cells.
+    path of at least MIN_GOLD_CELLS cells. The landmark names always suffice:
+    a path of at most MAX_STEPS + 1 cells plus MAX_BRANCHES branches of at
+    most BRANCH_MAX_LEN cells is no more cells than STREET_NAMES has names.
     """
-    if params is None:
-        params = _DEFAULT_PARAMS
-    rows, cols = params.grid_size
-    grid = _grid(rows, cols)
-    all_cells = tuple(grid)
-    n_obstacles = int(params.obstacle_density * rows * cols)
-
     path: list[Cell] = []
     for attempt in range(RESEED_ATTEMPTS):
         rng = Random(derive_seed(seed, "map", attempt))
-        obstacles = set(rng.sample(all_cells, n_obstacles))
-        path = _walk(rng, params, grid, obstacles)
+        obstacles = set(rng.sample(_CELLS, _N_OBSTACLES))
+        path = _walk(rng, obstacles)
         if len(path) >= MIN_GOLD_CELLS:
             break
     else:
@@ -261,14 +209,14 @@ def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
         n_branches = rng.randint(0, min(MAX_BRANCHES, len(corners)))
         attach_cells = rng.sample(corners, n_branches)
         for attach in attach_cells:
-            _grow_branch(rng, grid, network, obstacles,
-                         attach, rng.randint(BRANCH_MIN_LEN, BRANCH_MAX_LEN))
+            _grow_branch(rng, network, obstacles, attach,
+                         rng.randint(BRANCH_MIN_LEN, BRANCH_MAX_LEN))
 
     start, end = path[0], path[-1]
     junctions = set()
     for cell in network:
         degree = 0
-        for _, other in grid[cell]:
+        for _, other in _GRID[cell]:
             if other in network:
                 degree += 1
         if degree >= 3:
@@ -276,8 +224,6 @@ def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
     ordered = sorted(junctions | {start, end})
     names = list(STREET_NAMES)
     rng.shuffle(names)
-    if len(ordered) > len(names):
-        raise DegenerateMap("more intersections than available landmark names")
     landmark_names = {cell: names[i] for i, cell in enumerate(ordered)}
 
     cells = tuple(path)
@@ -289,7 +235,6 @@ def generate_map(seed: int, params: WalkParams | None = None) -> RoadMapSpec:
         landmarks=landmarks,
     )
     return RoadMapSpec(
-        params=params,
         network=frozenset(network),
         obstacles=frozenset(obstacles),
         start=start,
@@ -322,10 +267,9 @@ def _cell_center(cell: Cell) -> tuple[float, float]:
 def build_map_scene(spec: RoadMapSpec) -> SceneGraph:
     """Draw the road network, obstacles, landmark labels, and start/end
     markers. The gold path itself is not highlighted (it is the answer)."""
-    rows, cols = spec.params.grid_size
     canvas = Canvas(
-        int(2 * MARGIN_PX + (cols - 1) * CELL_PX),
-        int(2 * MARGIN_PX + (rows - 1) * CELL_PX),
+        int(2 * MARGIN_PX + (GRID_COLS - 1) * CELL_PX),
+        int(2 * MARGIN_PX + (GRID_ROWS - 1) * CELL_PX),
         background=(250, 247, 240),
     )
     b = SceneBuilder(canvas)

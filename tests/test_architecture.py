@@ -19,7 +19,6 @@ from absynth.diagrams import FlowNode, FlowSpec, TreeNode, TreeSpec
 from absynth.gate import LLM_ANSWER_VOTES, GateConfig
 from absynth.gauges import FAMILIES, DialSpec
 from absynth.keywords import BUILTIN_TOPICS
-from absynth.maps import WalkParams
 from absynth.pipeline import SCENARIO_SOURCES, RunConfig
 from absynth.records import (
     InstructionRecord, Manifest, Provenance, QuestionDraft, dump_manifest, sample_for_review,
@@ -466,7 +465,6 @@ def _pie(*values):
      "flowchart needs exactly one start terminator"),
     (lambda: TreeSpec(TreeNode("Root", (TreeNode("Leaf"),)), {"Root": "cyan"}),
      "node 'Leaf' has no color assigned"),
-    (lambda: WalkParams(turn_prob=1.5), "turn_prob must be in [0, 1]"),
     (lambda: GateConfig(review_fraction=0.0), "review_fraction must be in (0, 1]"),
     (lambda: BackendConfig(max_parallel=0), "max_parallel must be >= 1"),
     (lambda: RunConfig(seed=2**64), f"seed {2**64} outside [0, 2**64)"),
@@ -487,9 +485,9 @@ def _pie(*values):
     (lambda: BackendConfig(temperature=-3.0), "temperature must be a finite number >= 0"),
     (lambda: BackendConfig(retry_budget=9), "retry_budget must be in [0, 8]"),
     (lambda: BackendConfig(retry_budget=-1), "retry_budget must be in [0, 8]"),
-], ids=["ChartSpec", "DialSpec", "FlowSpec", "TreeSpec", "WalkParams", "GateConfig",
-        "BackendConfig", "RunConfig", "StyleSpec-stroke", "StyleSpec-fill",
-        "StyleSpec-stroke_width", "Canvas-side", "Canvas-background",
+], ids=["ChartSpec", "DialSpec", "FlowSpec", "TreeSpec", "GateConfig", "BackendConfig",
+        "RunConfig", "StyleSpec-stroke", "StyleSpec-fill", "StyleSpec-stroke_width",
+        "Canvas-side", "Canvas-background",
         "RunConfig-questions_per_image-negative", "RunConfig-questions_per_image-zero",
         "GateConfig-min_font_px-nan", "GateConfig-min_font_px-negative",
         "GateConfig-min_vote_support-above-votes", "GateConfig-min_vote_support-zero",
@@ -569,20 +567,18 @@ def test_specs_and_configs_are_not_re_checked():
 
 
 # Each scenario samples one way, the way `gen` does: its sampler takes the
-# seed alone. maps.generate_map keeps `params`, and three readers tie it down:
-# build_map_scene reads the grid from spec.params.grid_size, test_maps.py
-# reaches the walk's degenerate branches only through params, and
-# test_gate_stress.py builds its dense maps on 6x6 grids.
-SAMPLER_PARAMS = {("maps", "generate_map"): ["seed", "params"]}
-
-
+# seed alone. The road-map walk's settings are module constants in maps.py,
+# so no parameter object for them comes back.
 def test_each_scenario_samples_one_way():
     offenders = []
     for module, sample, *_ in SCENARIO_SOURCES.values():
         sampler = getattr(importlib.import_module(f"absynth.{module}"), sample)
         params = list(inspect.signature(sampler).parameters)
-        if params != SAMPLER_PARAMS.get((module, sample), ["seed"]):
+        if params != ["seed"]:
             offenders.append((module, sample, params))
+    offenders += [(path.name, number) for path in sorted(SRC_DIR.glob("*.py"))
+                  for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                  if "WalkParams" in line]
     assert not offenders
     from absynth import charts, diagrams
     assert inspect.signature(charts.sample_chart_spec).parameters["kind"].default \

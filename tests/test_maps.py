@@ -5,11 +5,12 @@ from random import Random
 
 import pytest
 
+from absynth import maps
 from absynth.maps import (
-    BRANCH_MAX_LEN, BRANCH_MIN_LEN, MAX_BRANCHES, MIN_GOLD_CELLS, RESEED_ATTEMPTS,
-    STREET_NAMES, DegenerateMap, DIRECTIONS, PathTrace, RoadMapSpec, WalkParams, _cell_center,
-    _corners, _ROAD_STYLE, build_map_scene, classify_difficulty, generate_map,
-    map_instruction,
+    BRANCH_MAX_LEN, BRANCH_MIN_LEN, GRID_COLS, GRID_ROWS, MAX_BRANCHES, MAX_STEPS,
+    MIN_GOLD_CELLS, OBSTACLE_DENSITY, RESEED_ATTEMPTS, STREET_NAMES, TURN_PROB, DegenerateMap,
+    DIRECTIONS, PathTrace, RoadMapSpec, _cell_center, _corners, _ROAD_STYLE, build_map_scene,
+    classify_difficulty, generate_map, map_instruction,
 )
 from absynth.scene import bounding_box, line, overlap_pairs
 from absynth.seeds import derive_seed
@@ -22,8 +23,9 @@ def count_turns(cells):
 
 # ---------------------------------------------------------------------------
 # The sampler and road loop as they were before the neighbour table, which
-# worked every neighbour out by coordinate arithmetic. Kept as the reference
-# the table-driven code must match spec for spec and line for line.
+# worked every neighbour out by coordinate arithmetic and drew directions by
+# accumulating per-direction weights, all 0.25. Kept as the reference the
+# table-driven code must match spec for spec and line for line.
 
 _DIR_ORDER = ("up", "down", "left", "right")
 
@@ -33,24 +35,20 @@ def network_degree(cell, network):
     return sum((r + dr, c + dc) in network for dr, dc in DIRECTIONS.values())
 
 
-def reference_open_steps(params, cell, taken, obstacles):
-    rows, cols = params.grid_size
+def reference_open_steps(cell, taken, obstacles):
     steps = {}
     for d in _DIR_ORDER:
         dr, dc = DIRECTIONS[d]
         nxt = (cell[0] + dr, cell[1] + dc)
-        if (0 <= nxt[0] < rows and 0 <= nxt[1] < cols and nxt not in taken
+        if (0 <= nxt[0] < GRID_ROWS and 0 <= nxt[1] < GRID_COLS and nxt not in taken
                 and nxt not in obstacles and network_degree(nxt, taken) == 1):
             steps[d] = nxt
     return steps
 
 
-def reference_weighted_direction(rng, params, valid):
-    weights = [params.direction_probs[_DIR_ORDER.index(d)] for d in valid]
-    total = sum(weights)
-    if total <= 0:
-        return None
-    roll = rng.random() * total
+def reference_weighted_direction(rng, valid):
+    weights = [0.25 for _ in valid]
+    roll = rng.random() * sum(weights)
     acc = 0.0
     for d, w in zip(valid, weights):
         acc += w
@@ -59,60 +57,48 @@ def reference_weighted_direction(rng, params, valid):
     return valid[-1]
 
 
-def reference_walk(rng, params, obstacles):
-    rows, cols = params.grid_size
-    free = [(r, c) for r in range(rows) for c in range(cols) if (r, c) not in obstacles]
-    if not free:
-        return []
+def reference_walk(rng, obstacles):
+    free = [(r, c) for r in range(GRID_ROWS) for c in range(GRID_COLS) if (r, c) not in obstacles]
     start = free[rng.randrange(len(free))]
-    low = min(MIN_GOLD_CELLS + 1, params.max_steps)
-    budget = rng.randint(low, params.max_steps)
+    budget = rng.randint(MIN_GOLD_CELLS + 1, MAX_STEPS)
     path = [start]
     visited = {start}
     direction = None
     for _ in range(budget):
-        steps = reference_open_steps(params, path[-1], visited, obstacles)
+        steps = reference_open_steps(path[-1], visited, obstacles)
         valid = list(steps)
         if not valid:
             break
-        if direction is None or rng.random() < params.turn_prob:
-            chosen = reference_weighted_direction(rng, params, valid)
-            if chosen is None:
-                break
+        if direction is None or rng.random() < TURN_PROB:
+            chosen = reference_weighted_direction(rng, valid)
         elif direction in valid:
             chosen = direction
-        elif params.turn_prob > 0.0:
-            chosen = reference_weighted_direction(rng, params, valid)
-            if chosen is None:
-                break
         else:
-            break
+            chosen = reference_weighted_direction(rng, valid)
         direction = chosen
         path.append(steps[chosen])
         visited.add(steps[chosen])
     return path
 
 
-def reference_grow_branch(rng, params, network, obstacles, attach, length):
+def reference_grow_branch(rng, network, obstacles, attach, length):
     current = attach
     for _ in range(length):
-        options = list(reference_open_steps(params, current, network, obstacles).values())
+        options = list(reference_open_steps(current, network, obstacles).values())
         if not options:
             break
         current = options[rng.randrange(len(options))]
         network.add(current)
 
 
-def reference_generate_map(seed, params=None):
-    params = params or WalkParams()
-    rows, cols = params.grid_size
+def reference_generate_map(seed):
     path = []
     rng = Random()
     for attempt in range(RESEED_ATTEMPTS):
         rng = Random(derive_seed(seed, "map", attempt))
-        all_cells = [(r, c) for r in range(rows) for c in range(cols)]
-        obstacles = set(rng.sample(all_cells, int(params.obstacle_density * rows * cols)))
-        path = reference_walk(rng, params, obstacles)
+        all_cells = [(r, c) for r in range(GRID_ROWS) for c in range(GRID_COLS)]
+        obstacles = set(rng.sample(all_cells, int(OBSTACLE_DENSITY * GRID_ROWS * GRID_COLS)))
+        path = reference_walk(rng, obstacles)
         if len(path) >= MIN_GOLD_CELLS:
             break
     else:
@@ -124,7 +110,7 @@ def reference_generate_map(seed, params=None):
     if corners:
         n_branches = rng.randint(0, min(MAX_BRANCHES, len(corners)))
         for attach in rng.sample(corners, n_branches):
-            reference_grow_branch(rng, params, network, obstacles,
+            reference_grow_branch(rng, network, obstacles,
                                   attach, rng.randint(BRANCH_MIN_LEN, BRANCH_MAX_LEN))
     frozen_network = frozenset(network)
     start, end = path[0], path[-1]
@@ -142,7 +128,7 @@ def reference_generate_map(seed, params=None):
         intersections=sum(c in junctions for c in cells),
         landmarks=tuple(landmark_names[c] for c in cells if c in landmark_names),
     )
-    return RoadMapSpec(params, frozen_network, frozenset(obstacles), start, end, trace,
+    return RoadMapSpec(frozen_network, frozenset(obstacles), start, end, trace,
                        landmark_names, classify_difficulty(trace))
 
 
@@ -161,37 +147,53 @@ def reference_roads(spec):
     return roads
 
 
-def assert_matches_reference(seeds, params=None):
-    for seed in seeds:
-        spec = generate_map(seed, params)
-        assert spec == reference_generate_map(seed, params), seed
+def test_sampler_and_roads_match_reference_at_defaults():
+    for seed in range(2000):
+        spec = generate_map(seed)
+        assert spec == reference_generate_map(seed), seed
         scene = build_map_scene(spec)
         assert [p for p in scene.primitives if p.role == "roads"] == reference_roads(spec), seed
 
 
-def test_sampler_and_roads_match_reference_at_defaults():
-    assert_matches_reference(range(2000))
+class FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
-@pytest.mark.parametrize("params", [
-    WalkParams(grid_size=(5, 9)),
-    WalkParams(turn_prob=0.0),
-    WalkParams(turn_prob=1.0),
-    WalkParams(obstacle_density=0.0),
-    WalkParams(obstacle_density=0.4),
-    WalkParams(direction_probs=(0.5, 0.0, 0.25, 0.25)),
-], ids=["grid-5x9", "turn-0", "turn-1", "obstacles-0", "obstacles-0.4", "no-down"])
-def test_sampler_and_roads_match_reference(params):
-    assert_matches_reference(range(300), params)
+def test_direction_draw_matches_reference_on_boundaries():
+    """A draw that lands exactly on a boundary between directions takes the
+    lower index, as the accumulating draw does. Random seeds almost never hit
+    a boundary, so the draws are fixed here."""
+    for k in range(1, 5):
+        valid = list(range(k))
+        draws = [i / k for i in range(k)] + [i / k + 1e-12 for i in range(k)] + [1 - 2**-53]
+        for u in draws:
+            assert (maps._uniform_direction(FixedDraw(u), valid)
+                    == reference_weighted_direction(FixedDraw(u), valid)), (k, u)
 
 
-def test_degenerate_map_message_matches_reference():
-    params = WalkParams(grid_size=(3, 3), max_steps=1, obstacle_density=0.0)
+def one_cell_walk(rng, obstacles):
+    return [(0, 0)]
+
+
+def test_degenerate_map_message_matches_reference(monkeypatch):
+    monkeypatch.setattr(maps, "_walk", one_cell_walk)
+    monkeypatch.setitem(globals(), "reference_walk", one_cell_walk)
     with pytest.raises(DegenerateMap) as expected:
-        reference_generate_map(0, params)
+        reference_generate_map(0)
     with pytest.raises(DegenerateMap) as actual:
-        generate_map(0, params)
+        generate_map(0)
     assert str(actual.value) == str(expected.value)
+
+
+def test_landmark_names_cover_the_largest_network():
+    """Every junction, the start and the end get a distinct name. A network
+    is at most the path's MAX_STEPS + 1 cells plus MAX_BRANCHES branches of
+    BRANCH_MAX_LEN cells, so it never has more cells than there are names."""
+    assert MAX_STEPS + 1 + MAX_BRANCHES * BRANCH_MAX_LEN <= len(set(STREET_NAMES))
 
 
 def trace(turns, intersections):
@@ -221,16 +223,22 @@ def test_same_seed_same_map():
     assert generate_map(17) == generate_map(17)
 
 
-def test_zero_turn_prob_gives_straight_level1_path():
-    params = WalkParams(turn_prob=0.0, obstacle_density=0.0)
-    for seed in range(20):
-        spec = generate_map(seed, params)
-        assert spec.gold.turns == 0
+@pytest.fixture(scope="module")
+def zero_turn_maps():
+    """The maps among seeds 0-1999 whose gold path never turns."""
+    specs = [spec for spec in map(generate_map, range(2000)) if spec.gold.turns == 0]
+    assert len(specs) == 79
+    return specs
+
+
+def test_zero_turn_prob_gives_straight_level1_path(zero_turn_maps):
+    for spec in zero_turn_maps:
         rows = {c[0] for c in spec.gold.cells}
         cols = {c[1] for c in spec.gold.cells}
         assert len(rows) == 1 or len(cols) == 1  # straight segment
         assert spec.difficulty == 1
         assert not spec.gold.intersections
+        assert spec.network == set(spec.gold.cells)  # no branch, so no junction
 
 
 def test_gold_path_valid_and_self_avoiding():
@@ -305,11 +313,11 @@ def test_map_instruction_answer_is_landmark_sequence():
     assert start_name in draft.question and end_name in draft.question
 
 
-def test_single_landmark_degenerate_sequence():
-    params = WalkParams(turn_prob=0.0, obstacle_density=0.0)
-    spec = generate_map(0, params)
+def test_single_landmark_degenerate_sequence(zero_turn_maps):
     # Straight path: only start and end are named.
-    assert len(spec.gold.landmarks) == 2
+    for spec in zero_turn_maps:
+        assert len(spec.gold.landmarks) == 2
+        assert spec.landmark_names.keys() == {spec.start, spec.end}
 
 
 def test_scene_one_label_per_named_intersection():
@@ -325,11 +333,13 @@ def test_scene_one_label_per_named_intersection():
         assert start.style.fill != end.style.fill  # distinct colors
 
 
-def test_pathological_params_raise_degenerate_map():
-    # A one-step budget can never produce a 3-cell gold path.
-    params = WalkParams(grid_size=(3, 3), max_steps=1, obstacle_density=0.0)
+def test_pathological_params_raise_degenerate_map(monkeypatch):
+    # A walk that never leaves its start cell fails every reseed attempt.
+    calls = []
+    monkeypatch.setattr(maps, "_walk", lambda rng, obstacles: calls.append(rng) or [(0, 0)])
     with pytest.raises(DegenerateMap, match="20 attempts"):
-        generate_map(0, params)
+        generate_map(0)
+    assert len(calls) == RESEED_ATTEMPTS
 
 
 def test_scene_fits_canvas_and_text_interference_bounded():
