@@ -25,7 +25,7 @@ from .scene import (
     Canvas, LayoutOverflow, SceneBuilder, SceneGraph, StyleSpec,
     circle, line, polyline, rect, text, text_width, wedge,
 )
-from .seeds import derive_seed, plain, question_seed
+from .seeds import derive_seed, fields_of, question_seed
 
 CHART_KINDS = ("line", "bar", "pie", "table", "composite")
 NON_TABLE_CHART_KINDS = tuple(kind for kind in CHART_KINDS if kind != "table")
@@ -110,7 +110,7 @@ class ChartSpec:
         return tuple(p.category for p in self.series[0].points)
 
     def to_dict(self) -> dict:
-        return plain(self)
+        return fields_of(self)
 
 
 # ---------------------------------------------------------------------------

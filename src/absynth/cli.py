@@ -29,10 +29,9 @@ if TYPE_CHECKING:
 
 
 def _read_json(path: str, source: str):
-    """The JSON value in the file at `path`. A file that is not UTF-8, or not
-    JSON, raises ValueError("<source> file <path>: ...")."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """The JSON value in the file at `path`, read by `_read_input`. A file that
+    is not UTF-8, or not JSON, raises ValueError("<source> file <path>: ...")."""
+    data = _read_input(path, f"{source} file")
     try:
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as err:
@@ -141,10 +140,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _read_input(path: str, what: str) -> bytes:
     """The bytes of an input file, or FileNotFoundError("<what> not found:
     <path>") when there is none."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{what} not found: {path}")
-    with open(path, "rb") as fh:
-        return fh.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{what} not found: {path}") from None
 
 
 def _write_report(out_dir: str, stem: str, body: str, text: str) -> None:

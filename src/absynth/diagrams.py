@@ -31,7 +31,7 @@ from .scene import (
     Canvas, LayoutOverflow, SceneBuilder, SceneGraph, StyleSpec,
     line, polygon, polyline, rect, text, text_width,
 )
-from .seeds import derive_seed, plain, question_seed
+from .seeds import derive_seed, fields_of, question_seed
 
 MAX_TREE_NODES = 8
 MAX_CHILDREN = 3
@@ -110,7 +110,7 @@ class TreeSpec:
         return self.root.label
 
     def to_dict(self) -> dict:
-        return plain(self)
+        return fields_of(self)
 
 
 def tree_nodes(node: TreeNode) -> list[TreeNode]:
@@ -225,7 +225,7 @@ class FlowSpec:
             raise ValueError("flowchart is not connected from the start node")
 
     def to_dict(self) -> dict:
-        return plain(self)
+        return fields_of(self)
 
     def node(self, label: str) -> FlowNode:
         return next(n for n in self.nodes if n.label == label)

@@ -27,7 +27,7 @@ from .scene import (
     Canvas, SceneBuilder, SceneGraph, StyleSpec, angle_point, arc, circle, line,
     rect, text,
 )
-from .seeds import derive_seed, plain
+from .seeds import derive_seed, fields_of
 
 _DURATION_PHRASES: dict[float, str] = {
     0.5: "half an hour",
@@ -64,7 +64,7 @@ class DialSpec:
         return _ROWS[self.family].scale
 
     def to_dict(self) -> dict:
-        return plain(self)
+        return fields_of(self)
 
 
 def clock_angles(hour: int, minute: int) -> tuple[float, float]:

@@ -18,11 +18,11 @@ the ordered landmark-name sequence along the path, including start and end.
 Difficulty is level = 1 + min(4, (turns + intersections) // 2), a documented
 config-style formula: two turns plus two intersections is exactly level 3.
 
-Neighbours are never worked out by coordinate arithmetic while sampling:
-`_GRID`, built once at import, maps each cell in row-major order to its
-in-grid neighbours by direction, and the walk, the branches, the junction
-scan and the obstacle draw read it. The scene draws each road once, from
-whichever of its two cells comes first in sorted order.
+Neighbours are never worked out by coordinate arithmetic: `_GRID`, built at
+import, maps each cell in row-major order to its in-grid neighbours by
+direction for the walk, the branches, the junction scan and the obstacle draw.
+The scene reads `_CENTER`, each cell's canvas centre and down and right
+neighbours, and draws each road once, from whichever of its cells sorts first.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from random import Random
 
 from .records import QuestionDraft
 from .scene import Canvas, SceneBuilder, SceneGraph, StyleSpec, circle, line, rect, text
-from .seeds import derive_seed, plain
+from .seeds import derive_seed, fields_of
 
 Cell = tuple[int, int]  # (row, col)
 
@@ -91,7 +91,7 @@ class RoadMapSpec:
     difficulty: int
 
     def to_dict(self) -> dict:
-        data = plain(self)
+        data = fields_of(self)
         data["network"] = sorted(self.network)
         data["obstacles"] = sorted(self.obstacles)
         data["landmark_names"] = {str(k): v for k, v in sorted(self.landmark_names.items())}
@@ -259,9 +259,13 @@ _START_STYLE = StyleSpec(fill="green", stroke="black", stroke_width=1.0)
 _END_STYLE = StyleSpec(fill="red", stroke="black", stroke_width=1.0)
 
 
-def _cell_center(cell: Cell) -> tuple[float, float]:
-    r, c = cell
-    return (MARGIN_PX + c * CELL_PX, MARGIN_PX + r * CELL_PX)
+# Every cell's canvas centre, then its down and right neighbours from _GRID,
+# in that order: the road to each is drawn from this cell. Nothing mutates it.
+_CENTER: dict[Cell, tuple[float, float, tuple[Cell, ...]]] = {
+    (r, c): (MARGIN_PX + c * CELL_PX, MARGIN_PX + r * CELL_PX,
+             tuple(other for d, other in links if _DIR_ORDER[d] in ("down", "right")))
+    for (r, c), links in _GRID.items()
+}
 
 
 def build_map_scene(spec: RoadMapSpec) -> SceneGraph:
@@ -277,19 +281,18 @@ def build_map_scene(spec: RoadMapSpec) -> SceneGraph:
     # Each road is drawn from its first cell in sorted order, which is the
     # cell above it or to its left, so only down and right are looked at.
     for cell in sorted(network):
-        r, c = cell
-        x, y = _cell_center(cell)
-        for other in ((r + 1, c), (r, c + 1)):
+        x, y, down_right = _CENTER[cell]
+        for other in down_right:
             if other in network:
-                ox, oy = _cell_center(other)
+                ox, oy, _ = _CENTER[other]
                 b.add(line(x, y, ox, oy, _ROAD_STYLE), "roads")
     for cell in sorted(spec.obstacles):
-        x, y = _cell_center(cell)
+        x, y, _ = _CENTER[cell]
         b.add(rect(x - 8, y - 8, 16, 16, _OBSTACLE_STYLE, z=1), "obstacles")
 
     label_style = StyleSpec(font_size=LABEL_FONT)
     for cell in sorted(spec.landmark_names):
-        x, y = _cell_center(cell)
+        x, y, _ = _CENTER[cell]
         if cell == spec.start:
             b.add(circle(x, y, 8, _START_STYLE, z=3), "start_marker")
         elif cell == spec.end:

@@ -23,7 +23,7 @@ from .scene import (
     Canvas, LayoutOverflow, Primitive, SceneBuilder, SceneGraph, StyleSpec,
     circle, polygon, rect, text, text_width,
 )
-from .seeds import derive_seed, plain, question_seed
+from .seeds import derive_seed, fields_of, question_seed
 
 PUZZLE_SHAPES = ("triangle", "square", "arrow", "circle", "star")
 ORIENTABLE_SHAPES = ("triangle", "arrow")
@@ -102,7 +102,7 @@ class PatternRule:
     correct_index: int
 
     def to_dict(self) -> dict:
-        return plain(self)
+        return fields_of(self)
 
 
 def apply_transform(panel: PanelSpec, transform: tuple[str, float]) -> PanelSpec:
@@ -208,7 +208,7 @@ class DiffPairSpec:
     diff_manifest: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return plain(self)
+        return fields_of(self)
 
 
 def sample_diff_pair(seed: int) -> DiffPairSpec:
@@ -410,7 +410,7 @@ class FloorPlanSpec:
     doors: tuple[tuple[str, str], ...]
 
     def to_dict(self) -> dict:
-        return plain(self)
+        return fields_of(self)
 
 
 _ROOM_NAMES = ("Living Room", "Kitchen", "Bedroom 1", "Bedroom 2", "Bedroom 3",

@@ -2,6 +2,8 @@
 
 Python's built-in hash() is salted per process, so anything that must be
 reproducible across runs derives integer seeds through sha256 instead.
+A spec is encoded for its digest in one pass: the C JSON encoder walks its
+lists, dicts and dataclasses itself, with `fields_of` as its fallback.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from typing import Any
 
 MASK64 = (1 << 64) - 1
 
-_LEAVES = frozenset({str, int, float, bool, type(None)})
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}  # dataclass -> its field names
 
 
@@ -27,37 +28,31 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def plain(obj: Any) -> Any:
-    """JSON-ready form of a dataclass tree: each dataclass becomes a dict of
-    its fields, each tuple or list a list, each dict a dict, recursively.
-
-    Encodes to the same JSON as the standard library's dataclass-to-dict
-    conversion, without its per-leaf deepcopy. Other values (str, numbers,
-    None, sets) are returned as is.
-    """
+def fields_of(obj: Any) -> Any:
+    """The field dict of a dataclass instance, one level deep, else `str(obj)`
+    (a set or a dataclass class too). A tree encodes as `dataclasses.asdict`
+    would, without its per-leaf deepcopy."""
     cls = type(obj)
-    if cls in _LEAVES:
-        return obj
-    if isinstance(obj, (tuple, list)):
-        return [plain(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: plain(v) for k, v in obj.items()}
     names = _FIELD_NAMES.get(cls)
-    if names is None and is_dataclass(cls):
+    if names is None:
+        if not is_dataclass(cls):
+            return str(obj)
         names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
-    if names is not None:
-        return {name: plain(getattr(obj, name)) for name in names}
-    return obj
+    return {name: getattr(obj, name) for name in names}
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, default=fields_of)
 
 
 def stable_digest(obj: Any) -> int:
     """64-bit digest of a JSON-representable object, stable across processes.
 
-    `question_seed` uses it to seed question-selection RNGs from a scenario
-    spec, so that questions are a pure function of the spec itself.
+    Each dataclass in `obj` encodes as its field dict and any other value
+    JSON has no type for as its `str()`, in one pass. `question_seed` uses
+    it to seed question-selection RNGs from a scenario spec, so that
+    questions are a pure function of the spec itself.
     """
-    blob = json.dumps(obj, sort_keys=True, ensure_ascii=False, default=str)
-    digest = hashlib.sha256(blob.encode("utf-8")).digest()
+    digest = hashlib.sha256(_ENCODER.encode(obj).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -208,8 +208,9 @@ def name_uses(tree, name):
 
 
 def test_no_module_uses_dataclasses_asdict():
-    """Spec digests and manifest lines go through seeds.plain; asdict
-    deep-copies every leaf and was the top self-time entry of `gen`."""
+    """Spec digests go through seeds.fields_of and manifest lines through
+    records.record_to_json; asdict deep-copies every leaf and was the top
+    self-time entry of `gen`."""
     offenders = []
     for path in sorted(SRC_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -293,6 +294,26 @@ def test_specs_are_encoded_only_for_the_question_seed():
              for owner in enclosing_functions(
                  ast.parse(path.read_text(encoding="utf-8")), calls_to_dict)]
     assert found == [("seeds", "question_seed")]
+
+
+# Each spec class keeps its own `to_dict` (bench/spans.py times each one by
+# name); the JSON encoder walks what it returns in one pass, so the Python
+# pre-pass that built a JSON-ready copy of the tree stays out.
+SPEC_CLASSES = {"ChartSpec", "RoadMapSpec", "DialSpec", "TreeSpec", "FlowSpec", "PatternRule",
+                "DiffPairSpec", "FloorPlanSpec"}
+
+
+def test_specs_are_encoded_in_one_pass():
+    owners, offenders = set(), []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners |= {cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   and functions(cls, "to_dict")}
+        offenders += [(path.name, line, name) for name in ("plain", "_LEAVES")
+                      for line in [*name_uses(tree, name),
+                                   *(f.lineno for f in functions(tree, name))]]
+    assert owners == SPEC_CLASSES
+    assert not offenders
 
 
 def module_dicts(tree):

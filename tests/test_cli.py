@@ -286,6 +286,15 @@ def test_unreadable_config_file_error_names_the_file(tmp_path, capsys, flag, sou
     assert one_line_error(capsys) == f"error: {source} file {path}: {problem}"
 
 
+@pytest.mark.parametrize("flag, source", [("--config", "run-config"),
+                                          ("--backend", "backend-config")])
+def test_missing_config_file_is_worded_like_any_missing_input(tmp_path, capsys, flag, source):
+    """As a missing manifest or prediction file is, with no errno or quotes."""
+    path = tmp_path / "missing.json"
+    assert run(["gen", flag, path, "--out", tmp_path / "out", "--dry-run"]) == 1
+    assert one_line_error(capsys) == f"error: {source} file not found: {path}"
+
+
 def test_run_config_file_values_still_apply(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 3, "out": str(tmp_path / "o"),
@@ -482,7 +491,9 @@ def test_gen_out_an_existing_file_is_one_line_error(tmp_path, capsys, monkeypatc
     ["gallery", "{dir}"],
     ["eval", "{dir}", "{empty}"],
     ["eval", "{manifest}", "{dir}"],
-], ids=["stats", "gallery", "eval-gold", "eval-predictions"])
+    ["gen", "--config", "{dir}", "--dry-run"],
+    ["gen", "--backend", "{dir}", "--dry-run"],
+], ids=["stats", "gallery", "eval-gold", "eval-predictions", "gen-config", "gen-backend"])
 def test_directory_given_as_a_file_is_one_line_error(tmp_path, capsys, argv):
     paths = {"dir": tmp_path / "a-directory", "empty": tmp_path / "p.jsonl",
              "manifest": tmp_path / "m.jsonl"}

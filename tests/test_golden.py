@@ -23,7 +23,7 @@ from absynth.pipeline import (
 )
 from absynth.puzzles import PatternRule
 from absynth.records import SCENARIOS, record_to_json
-from absynth.seeds import derive_seed, plain, question_seed, stable_digest
+from absynth.seeds import derive_seed, fields_of, question_seed, stable_digest
 from tests_helpers import SRC_DIR
 
 GOLDEN_DIGEST = "a717a88ebf7e8792aa3449a8df9ca64cc2f87dda65daf3004f71f7cadcce5cd4"
@@ -168,12 +168,20 @@ class Tree:
     nested: list = dataclasses.field(default_factory=list)
 
 
-def test_plain_encodes_like_asdict():
+def test_stable_digest_encodes_like_asdict():
     tree = Tree((Leaf(1.5), Leaf(-2, "b")), {"a": Leaf(0.0, "a"), "n": None},
                 [[Leaf(3)], (), [Tree()]])
-    assert (json.dumps(plain(tree), sort_keys=True)
-            == json.dumps(dataclasses.asdict(tree), sort_keys=True))
-    assert "kind" not in plain(tree)
+    assert stable_digest(tree) == stable_digest(dataclasses.asdict(tree))
+    assert "kind" not in fields_of(tree)
+
+
+@pytest.mark.parametrize("value", [{3}, frozenset({Leaf(1.0)}), Leaf, Tree],
+                         ids=["set", "set-of-dataclasses", "class", "class-with-classvar"])
+def test_sets_and_dataclass_classes_encode_as_their_str(value):
+    """A set, and a dataclass class as against an instance, encode as their
+    str(), as the `default=str` fallback of the two-pass encoding did."""
+    assert fields_of(value) == str(value)
+    assert stable_digest({"v": value}) == stable_digest({"v": str(value)})
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

@@ -2,9 +2,9 @@
 
 `records.record_to_json` writes a record line directly and
 `records.parse_json_line` reads any line through the C scanner. Both must
-agree byte for byte and error for error with `json.dumps(plain(record),
-ensure_ascii=False, sort_keys=True)` and `json.loads(line)`, which are kept
-here as the reference. `reference_problems` likewise keeps the record checks
+agree byte for byte and error for error with `json.dumps(dataclasses.asdict(
+record), ensure_ascii=False, sort_keys=True)` and `json.loads(line)`, which
+are kept here as the reference. `reference_problems` likewise keeps the record checks
 that `records.validate_record` must match, message for message and in order.
 """
 
@@ -23,11 +23,10 @@ from absynth.records import (
     record_from_json, record_to_json, validate_record,
 )
 from absynth.scoring import load_predictions
-from absynth.seeds import plain
 
 
 def reference_line(record):
-    return json.dumps(plain(record), ensure_ascii=False, sort_keys=True)
+    return json.dumps(dataclasses.asdict(record), ensure_ascii=False, sort_keys=True)
 
 
 # Characters the escaper treats differently: quotes, backslashes, every

@@ -7,9 +7,9 @@ import pytest
 
 from absynth import maps
 from absynth.maps import (
-    BRANCH_MAX_LEN, BRANCH_MIN_LEN, GRID_COLS, GRID_ROWS, MAX_BRANCHES, MAX_STEPS,
-    MIN_GOLD_CELLS, OBSTACLE_DENSITY, RESEED_ATTEMPTS, STREET_NAMES, TURN_PROB, DegenerateMap,
-    DIRECTIONS, PathTrace, RoadMapSpec, _cell_center, _corners, _ROAD_STYLE, build_map_scene,
+    BRANCH_MAX_LEN, BRANCH_MIN_LEN, CELL_PX, GRID_COLS, GRID_ROWS, MARGIN_PX, MAX_BRANCHES,
+    MAX_STEPS, MIN_GOLD_CELLS, OBSTACLE_DENSITY, RESEED_ATTEMPTS, STREET_NAMES, TURN_PROB,
+    DegenerateMap, DIRECTIONS, PathTrace, RoadMapSpec, _corners, _ROAD_STYLE, build_map_scene,
     classify_difficulty, generate_map, map_instruction,
 )
 from absynth.scene import bounding_box, line, overlap_pairs
@@ -132,16 +132,21 @@ def reference_generate_map(seed):
                        landmark_names, classify_difficulty(trace))
 
 
+def reference_center(cell):
+    r, c = cell
+    return (MARGIN_PX + c * CELL_PX, MARGIN_PX + r * CELL_PX)
+
+
 def reference_roads(spec):
     """Every road line, in draw order and with its role, from the loop that
-    kept a drawn set."""
+    kept a drawn set and worked out centres and neighbours by arithmetic."""
     roads, drawn = [], set()
     for cell in sorted(spec.network):
-        x, y = _cell_center(cell)
+        x, y = reference_center(cell)
         for dr, dc in DIRECTIONS.values():
             other = (cell[0] + dr, cell[1] + dc)
             if other in spec.network and (other, cell) not in drawn:
-                ox, oy = _cell_center(other)
+                ox, oy = reference_center(other)
                 roads.append(line(x, y, ox, oy, _ROAD_STYLE)._replace(role="roads"))
                 drawn.add((cell, other))
     return roads
