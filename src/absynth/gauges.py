@@ -13,19 +13,27 @@ question knobs (offset, exercise_hours), so questions are a pure function of
 the spec. It checks its family and reading range when it is constructed, so
 the builder and the questions do not. The decoders read a dial back from its
 scene alone.
+
+Each family row draws its dial in two parts: a `face`, which no reading
+moves (the dial or tube, ticks, tick labels and hub), and a `mark`, which
+shows the reading (the hands, needle or mercury). The face is drawn once per
+family and process, as `scene.shared` primitives (107 for the five
+families), and the mark once per image, after the face; the builder's
+stable sort by z then puts every primitive where a one-pass build put it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from .records import QuestionDraft, format_number
 from .scene import (
-    Canvas, SceneBuilder, SceneGraph, StyleSpec, angle_point, arc, circle, line,
-    rect, text,
+    Canvas, Primitive, SceneBuilder, SceneGraph, StyleSpec, angle_point, arc, circle, line,
+    rect, shared, text,
 )
 from .seeds import derive_seed, fields_of
 
@@ -131,78 +139,109 @@ def _dial_angle(row: _Family, value: float) -> float:
     return start + _scale_frac(value, row.scale) * sweep
 
 
-def _build_clock(b: SceneBuilder, row: _Family, reading: tuple[int, int]) -> None:
-    cx = cy = 200.0
-    radius = 150.0
-    b.add(circle(cx, cy, radius, StyleSpec(stroke="black", stroke_width=3.0, fill="yellow")),
-          "face")
+# Where each kind of dial sits on its canvas: the face and the mark of a
+# family are drawn from the same numbers.
+_CLOCK_CENTER = 200.0
+_CLOCK_RADIUS = 150.0
+_NEEDLE_CX, _NEEDLE_CY = 200.0, 190.0
+_NEEDLE_RADIUS = 120.0
+_THERMOMETER_X = 130.0
+_THERMOMETER_TOP = 40.0
+_BAROMETER_X, _BAROMETER_Y = 50.0, 70.0
+
+_HUB_STYLE = StyleSpec(fill="black")
+_THERMOMETER_MERCURY_STYLE = StyleSpec(fill="red")
+_BAROMETER_MERCURY_STYLE = StyleSpec(fill="cyan")
+
+Part = tuple[Primitive, str]  # a primitive and its role
+
+
+def _clock_face(row: _Family) -> Iterator[Part]:
+    c = _CLOCK_CENTER
+    radius = _CLOCK_RADIUS
+    yield circle(c, c, radius, StyleSpec(stroke="black", stroke_width=3.0, fill="yellow")), "face"
     label_style = StyleSpec(font_size=row.font)
     for n in range(1, 13):
         deg = 30.0 * n
-        x1, y1 = angle_point(cx, cy, radius - 8, deg)
-        x2, y2 = angle_point(cx, cy, radius, deg)
-        b.add(line(x1, y1, x2, y2, _TICK_STYLE, z=1), "ticks")
-        nx, ny = angle_point(cx, cy, radius - 26, deg)
-        b.add(text(nx, ny - row.font / 2.0, str(n), label_style, anchor="middle", z=2), "numbers")
-    hour, minute = reading
-    hour_deg, minute_deg = clock_angles(hour, minute)
-    hx, hy = angle_point(cx, cy, radius * 0.52, hour_deg)
-    b.add(line(cx, cy, hx, hy, _HOUR_STYLE, z=3), "hour_hand")
-    mx, my = angle_point(cx, cy, radius * 0.82, minute_deg)
-    b.add(line(cx, cy, mx, my, _MINUTE_STYLE, z=3), "minute_hand")
-    b.add(circle(cx, cy, 5, StyleSpec(fill="black"), z=4), "hub")
+        x1, y1 = angle_point(c, c, radius - 8, deg)
+        x2, y2 = angle_point(c, c, radius, deg)
+        yield line(x1, y1, x2, y2, _TICK_STYLE, z=1), "ticks"
+        nx, ny = angle_point(c, c, radius - 26, deg)
+        yield text(nx, ny - row.font / 2.0, str(n), label_style, anchor="middle", z=2), "numbers"
+    yield circle(c, c, 5, _HUB_STYLE, z=4), "hub"
 
 
-def _build_needle_dial(b: SceneBuilder, row: _Family, reading: float) -> None:
-    cx, cy = 200.0, 190.0
-    radius = 120.0
+def _clock_hands(row: _Family, reading: tuple[int, int]) -> Iterator[Part]:
+    c = _CLOCK_CENTER
+    hour_deg, minute_deg = clock_angles(*reading)
+    hx, hy = angle_point(c, c, _CLOCK_RADIUS * 0.52, hour_deg)
+    yield line(c, c, hx, hy, _HOUR_STYLE, z=3), "hour_hand"
+    mx, my = angle_point(c, c, _CLOCK_RADIUS * 0.82, minute_deg)
+    yield line(c, c, mx, my, _MINUTE_STYLE, z=3), "minute_hand"
+
+
+def _needle_face(row: _Family) -> Iterator[Part]:
+    cx, cy = _NEEDLE_CX, _NEEDLE_CY
+    radius = _NEEDLE_RADIUS
     start, sweep = row.arc
-    b.add(arc(cx, cy, radius, start, sweep, _FACE_STYLE), "face")
+    yield arc(cx, cy, radius, start, sweep, _FACE_STYLE), "face"
     label_style = StyleSpec(font_size=row.font)
     for v in _ticks(row.scale):
         deg = _dial_angle(row, v)
         x1, y1 = angle_point(cx, cy, radius - 10, deg)
         x2, y2 = angle_point(cx, cy, radius, deg)
-        b.add(line(x1, y1, x2, y2, _TICK_STYLE, z=1), "ticks")
+        yield line(x1, y1, x2, y2, _TICK_STYLE, z=1), "ticks"
         lx, ly = angle_point(cx, cy, radius + 14, deg)
-        b.add(text(lx, ly - row.font / 2.0, format_number(v), label_style, anchor="middle", z=2),
-              "tick_labels")
-    nx, ny = angle_point(cx, cy, radius * 0.85, _dial_angle(row, float(reading)))
-    b.add(line(cx, cy, nx, ny, _NEEDLE_STYLE, z=3), "needle")
-    b.add(circle(cx, cy, 5, StyleSpec(fill="black"), z=4), "hub")
+        yield (text(lx, ly - row.font / 2.0, format_number(v), label_style, anchor="middle", z=2),
+               "tick_labels")
+    yield circle(cx, cy, 5, _HUB_STYLE, z=4), "hub"
 
 
-def _build_thermometer(b: SceneBuilder, row: _Family, reading: float) -> None:
+def _needle(row: _Family, reading: float) -> Iterator[Part]:
+    cx, cy = _NEEDLE_CX, _NEEDLE_CY
+    nx, ny = angle_point(cx, cy, _NEEDLE_RADIUS * 0.85, _dial_angle(row, float(reading)))
+    yield line(cx, cy, nx, ny, _NEEDLE_STYLE, z=3), "needle"
+
+
+def _thermometer_face(row: _Family) -> Iterator[Part]:
     length = row.length
-    x = 130.0
-    y_bottom = 40.0 + length
-    b.add(rect(x - 9, 40.0, 18, length, StyleSpec(stroke="black", stroke_width=2.0)), "tube")
-    b.add(circle(x, y_bottom + 20, 20, StyleSpec(stroke="black", stroke_width=2.0, fill="red"),
-                 z=1), "bulb")
-    level = _scale_frac(float(reading), row.scale) * length
-    b.add(rect(x - 5, y_bottom - level, 10, level + _BULB_OVERLAP, StyleSpec(fill="red"), z=2),
-          "mercury")
+    x = _THERMOMETER_X
+    y_bottom = _THERMOMETER_TOP + length
+    yield rect(x - 9, _THERMOMETER_TOP, 18, length, StyleSpec(stroke="black", stroke_width=2.0)), \
+        "tube"
+    yield circle(x, y_bottom + 20, 20, StyleSpec(stroke="black", stroke_width=2.0, fill="red"),
+                 z=1), "bulb"
     label_style = StyleSpec(font_size=row.font)
     for v in _ticks(row.scale):
         y = y_bottom - _scale_frac(v, row.scale) * length
-        b.add(line(x - 16, y, x - 9, y, _TICK_STYLE), "ticks")
-        b.add(text(x - 20, y - row.font / 2.0, format_number(v), label_style, anchor="end"),
-              "tick_labels")
+        yield line(x - 16, y, x - 9, y, _TICK_STYLE), "ticks"
+        yield (text(x - 20, y - row.font / 2.0, format_number(v), label_style, anchor="end"),
+               "tick_labels")
 
 
-def _build_barometer(b: SceneBuilder, row: _Family, reading: float) -> None:
+def _thermometer_column(row: _Family, reading: float) -> Iterator[Part]:
+    y_bottom = _THERMOMETER_TOP + row.length
+    level = _scale_frac(float(reading), row.scale) * row.length
+    yield rect(_THERMOMETER_X - 5, y_bottom - level, 10, level + _BULB_OVERLAP,
+               _THERMOMETER_MERCURY_STYLE, z=2), "mercury"
+
+
+def _barometer_face(row: _Family) -> Iterator[Part]:
     length = row.length
-    x0, y0 = 50.0, 70.0
-    b.add(rect(x0, y0, length, 26, StyleSpec(stroke="black", stroke_width=2.0)), "tube")
-    fill_w = _scale_frac(float(reading), row.scale) * length
-    if fill_w > 0:
-        b.add(rect(x0, y0, fill_w, 26, StyleSpec(fill="cyan"), z=1), "mercury")
+    x0, y0 = _BAROMETER_X, _BAROMETER_Y
+    yield rect(x0, y0, length, 26, StyleSpec(stroke="black", stroke_width=2.0)), "tube"
     label_style = StyleSpec(font_size=row.font)
     for v in _ticks(row.scale):
         x = x0 + _scale_frac(v, row.scale) * length
-        b.add(line(x, y0 + 26, x, y0 + 34, _TICK_STYLE, z=2), "ticks")
-        b.add(text(x, y0 + 38, format_number(v), label_style, anchor="middle", z=2),
-              "tick_labels")
+        yield line(x, y0 + 26, x, y0 + 34, _TICK_STYLE, z=2), "ticks"
+        yield text(x, y0 + 38, format_number(v), label_style, anchor="middle", z=2), "tick_labels"
+
+
+def _barometer_column(row: _Family, reading: float) -> Iterator[Part]:
+    fill_w = _scale_frac(float(reading), row.scale) * row.length
+    if fill_w > 0:
+        yield rect(_BAROMETER_X, _BAROMETER_Y, fill_w, 26, _BAROMETER_MERCURY_STYLE, z=1), \
+            "mercury"
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +255,8 @@ class _Family:
 
     canvas: Canvas
     font: float  # label font size, in px
-    build: Callable[[SceneBuilder, _Family, Any], None]
+    face: Callable[[_Family], Iterable[Part]]  # what no reading moves
+    mark: Callable[[_Family, Any], Iterable[Part]]  # what shows the reading
     scale: tuple[float, float, float] | None = None  # low end, high end, major step
     arc: tuple[float, float] = (0.0, 0.0)  # a needle's start and sweep, in degrees
     length: float = 0.0  # a column's length, in px
@@ -230,21 +270,23 @@ class _Family:
 _BACKGROUND = (245, 245, 245)
 
 _ROWS: dict[str, _Family] = {
-    "clock": _Family(Canvas(400, 400, _BACKGROUND), 16.0, _build_clock),
+    "clock": _Family(Canvas(400, 400, _BACKGROUND), 16.0, _clock_face, _clock_hands),
     "speedometer": _Family(
-        Canvas(400, 340, _BACKGROUND), 10.0, _build_needle_dial, (0.0, 240.0, 20.0),
+        Canvas(400, 340, _BACKGROUND), 10.0, _needle_face, _needle, (0.0, 240.0, 20.0),
         arc=(225.0, 270.0), unit="km/h", grain=5.0, readings=(2, 44), offsets=(2, 8),
         question="What speed does the speedometer show, in km/h?"),
     "fuel": _Family(
-        Canvas(400, 340, _BACKGROUND), 10.0, _build_needle_dial, (0.0, 1.0, 0.25),
+        Canvas(400, 340, _BACKGROUND), 10.0, _needle_face, _needle, (0.0, 1.0, 0.25),
         arc=(270.0, 180.0), unit="of a full tank", grain=0.125, readings=(0, 8),
         offsets=(1, 3), question="What fraction of a full tank does the fuel gauge show?"),
     "thermometer": _Family(
-        Canvas(260, 440, _BACKGROUND), 10.0, _build_thermometer, (-20.0, 50.0, 10.0),
+        Canvas(260, 440, _BACKGROUND), 10.0, _thermometer_face, _thermometer_column,
+        (-20.0, 50.0, 10.0),
         length=300.0, unit="degrees Celsius", readings=(-15, 45), offsets=(3, 15),
         question="What temperature does the thermometer show, in degrees Celsius?"),
     "barometer": _Family(
-        Canvas(500, 180, _BACKGROUND), 10.0, _build_barometer, (950.0, 1050.0, 10.0),
+        Canvas(500, 180, _BACKGROUND), 10.0, _barometer_face, _barometer_column,
+        (950.0, 1050.0, 10.0),
         length=400.0, unit="hPa", readings=(955, 1045), offsets=(5, 25),
         question="What pressure does the barometer show, in hPa?"),
 }
@@ -252,10 +294,23 @@ _ROWS: dict[str, _Family] = {
 FAMILIES = tuple(_ROWS)
 
 
+@cache
+def _face(family: str) -> tuple[Primitive, ...]:
+    """The shared parts of a family's dial, drawn once per process."""
+    row = _ROWS[family]
+    return tuple(shared(prim, role) for prim, role in row.face(row))
+
+
 def build_dial_scene(spec: DialSpec) -> SceneGraph:
+    """The family's shared face, then its mark for the reading. The mark is
+    added last, and the builder's stable sort by z puts each of its
+    primitives where the face leaves room for it."""
     row = _ROWS[spec.family]
     b = SceneBuilder(row.canvas)
-    row.build(b, row, spec.reading)
+    for prim in _face(spec.family):
+        b.add(prim, prim.role)
+    for prim, role in row.mark(row, spec.reading):
+        b.add(prim, role)
     return b.build()
 
 

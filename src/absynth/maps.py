@@ -23,16 +23,25 @@ import, maps each cell in row-major order to its in-grid neighbours by
 direction for the walk, the branches, the junction scan and the obstacle draw.
 The scene reads `_CENTER`, each cell's canvas centre and down and right
 neighbours, and draws each road once, from whichever of its cells sorts first.
+
+Every map is drawn on the same grid, so a road is fixed by its cell and its
+down or right neighbour, and an obstacle or a start, end or landmark marker
+by its cell. Each is a `scene.shared` primitive, made by a cached helper the
+first time a map needs it: at most 264 roads, 144 obstacles and 432 markers
+per process. Only the labels, whose text is the map's own, are made per map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import ceil
 from random import Random
 
 from .records import QuestionDraft
-from .scene import Canvas, SceneBuilder, SceneGraph, StyleSpec, circle, line, rect, text
+from .scene import (
+    Canvas, Primitive, SceneBuilder, SceneGraph, StyleSpec, circle, line, rect, shared, text,
+)
 from .seeds import derive_seed, fields_of
 
 Cell = tuple[int, int]  # (row, col)
@@ -257,6 +266,7 @@ _OBSTACLE_STYLE = StyleSpec(fill="brown", stroke="black", stroke_width=0.5)
 _NODE_STYLE = StyleSpec(fill="black")
 _START_STYLE = StyleSpec(fill="green", stroke="black", stroke_width=1.0)
 _END_STYLE = StyleSpec(fill="red", stroke="black", stroke_width=1.0)
+_LABEL_STYLE = StyleSpec(font_size=LABEL_FONT)
 
 
 # Every cell's canvas centre, then its down and right neighbours from _GRID,
@@ -268,41 +278,63 @@ _CENTER: dict[Cell, tuple[float, float, tuple[Cell, ...]]] = {
 }
 
 
+_CANVAS = Canvas(
+    int(2 * MARGIN_PX + (GRID_COLS - 1) * CELL_PX),
+    int(2 * MARGIN_PX + (GRID_ROWS - 1) * CELL_PX),
+    background=(250, 247, 240),
+)
+
+
+# The shared parts of a map, each made the first time a scene needs it.
+@cache
+def _roads_from(cell: Cell) -> tuple[tuple[Cell, Primitive], ...]:
+    """The road from `cell` to each of its down and right neighbours."""
+    x, y, down_right = _CENTER[cell]
+    return tuple((other, shared(line(x, y, *_CENTER[other][:2], _ROAD_STYLE), "roads"))
+                 for other in down_right)
+
+
+@cache
+def _obstacle(cell: Cell) -> Primitive:
+    x, y, _ = _CENTER[cell]
+    return shared(rect(x - 8, y - 8, 16, 16, _OBSTACLE_STYLE, z=1), "obstacles")
+
+
+@cache
+def _marker(cell: Cell, role: str) -> Primitive:
+    """The start, end or landmark marker at `cell`, by its role."""
+    x, y, _ = _CENTER[cell]
+    if role == "start_marker":
+        return shared(circle(x, y, 8, _START_STYLE, z=3), role)
+    if role == "end_marker":
+        return shared(rect(x - 7, y - 7, 14, 14, _END_STYLE, z=3), role)
+    return shared(circle(x, y, 4.5, _NODE_STYLE, z=2), role)
+
+
 def build_map_scene(spec: RoadMapSpec) -> SceneGraph:
     """Draw the road network, obstacles, landmark labels, and start/end
-    markers. The gold path itself is not highlighted (it is the answer)."""
-    canvas = Canvas(
-        int(2 * MARGIN_PX + (GRID_COLS - 1) * CELL_PX),
-        int(2 * MARGIN_PX + (GRID_ROWS - 1) * CELL_PX),
-        background=(250, 247, 240),
-    )
-    b = SceneBuilder(canvas)
+    markers. The gold path itself is not highlighted (it is the answer).
+    Roads, obstacles and markers are shared primitives; only the labels,
+    whose text is the spec's, are made per scene."""
+    b = SceneBuilder(_CANVAS)
     network = spec.network
     # Each road is drawn from its first cell in sorted order, which is the
     # cell above it or to its left, so only down and right are looked at.
     for cell in sorted(network):
-        x, y, down_right = _CENTER[cell]
-        for other in down_right:
+        for other, road in _roads_from(cell):
             if other in network:
-                ox, oy, _ = _CENTER[other]
-                b.add(line(x, y, ox, oy, _ROAD_STYLE), "roads")
+                b.add(road, "roads")
     for cell in sorted(spec.obstacles):
-        x, y, _ = _CENTER[cell]
-        b.add(rect(x - 8, y - 8, 16, 16, _OBSTACLE_STYLE, z=1), "obstacles")
+        b.add(_obstacle(cell), "obstacles")
 
-    label_style = StyleSpec(font_size=LABEL_FONT)
-    for cell in sorted(spec.landmark_names):
+    start, end = spec.start, spec.end
+    for cell, name in sorted(spec.landmark_names.items()):
+        role = ("start_marker" if cell == start else "end_marker" if cell == end
+                else "landmarks")
+        b.add(_marker(cell, role), role)
         x, y, _ = _CENTER[cell]
-        if cell == spec.start:
-            b.add(circle(x, y, 8, _START_STYLE, z=3), "start_marker")
-        elif cell == spec.end:
-            b.add(rect(x - 7, y - 7, 14, 14, _END_STYLE, z=3), "end_marker")
-        else:
-            b.add(circle(x, y, 4.5, _NODE_STYLE, z=2), "landmarks")
-        above = (cell[0] + cell[1]) % 2 == 0
-        ly = y - 13.0 - LABEL_FONT if above else y + 11.0
-        b.add(text(x, ly, spec.landmark_names[cell], label_style, anchor="middle", z=4),
-              "landmark_labels")
+        ly = y - 13.0 - LABEL_FONT if (cell[0] + cell[1]) % 2 == 0 else y + 11.0
+        b.add(text(x, ly, name, _LABEL_STYLE, anchor="middle", z=4), "landmark_labels")
     return b.build()
 
 

@@ -8,20 +8,28 @@ attribute. Comparison puzzles inject 1-3 cell-disjoint differences into a
 copy of a panel. Floor plans come from recursive rectangle splits, so rooms
 can never overlap; webpage layouts reuse the same machinery with region
 names.
+
+Puzzle frames sit where a fixed layout puts them, so they are `scene.shared`
+primitives, made once per process: the induction title, panel frames, "?"
+box and option frames and letters by position (20 in all), the comparison
+titles and frames as module constants, and each comparison mark by its item
+and panel (at most 4 shapes x 6 colours x 9 cells x 2 panels = 432). The
+induction marks follow the sampled rule and are made per image, and floor
+plans share nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from random import Random
 
 from .palette import PALETTE
 from .records import QuestionDraft
 from .scene import (
     Canvas, LayoutOverflow, Primitive, SceneBuilder, SceneGraph, StyleSpec,
-    circle, polygon, rect, text, text_width,
+    circle, polygon, rect, shared, text, text_width,
 )
 from .seeds import derive_seed, fields_of, question_seed
 
@@ -278,10 +286,41 @@ def sample_puzzle(seed: int) -> PatternRule | DiffPairSpec:
 _PANEL = 100.0
 _GAP = 16.0
 _PANEL_STYLE = StyleSpec(stroke="black", stroke_width=1.5)
+_LABEL_STYLE = StyleSpec(font_size=13.0)
+
+
+# The frames, boxes and labels of an induction puzzle sit where the number
+# of panels puts them, so each is shared by its position, made the first
+# time a scene needs it.
+@cache
+def _frame(x: float, y: float) -> Primitive:
+    return shared(rect(x, y, _PANEL, _PANEL, _PANEL_STYLE), "panels")
+
+
+@cache
+def _induction_title(width: int) -> Primitive:
+    title = text(width / 2, 12, "Which option continues the pattern?", _LABEL_STYLE,
+                 anchor="middle")
+    return shared(title, "title")
+
+
+@cache
+def _question_box(x: float, y: float) -> tuple[Primitive, Primitive]:
+    """The dashed frame of the missing panel and its "?"."""
+    box = rect(x, y, _PANEL, _PANEL, StyleSpec(stroke="gray", stroke_width=1.5, dash=(6.0, 4.0)))
+    mark = text(x + _PANEL / 2, y + _PANEL / 2 - 14, "?", StyleSpec(font_size=28.0),
+                anchor="middle")
+    return shared(box, "panels"), shared(mark, "marks")
+
+
+@cache
+def _option_label(x: float, y: float, letter: str) -> Primitive:
+    return shared(text(x + _PANEL / 2, y + _PANEL + 8, letter, _LABEL_STYLE, anchor="middle"),
+                  "option_labels")
 
 
 def _draw_panel(b: SceneBuilder, panel: PanelSpec, x: float, y: float) -> None:
-    b.add(rect(x, y, _PANEL, _PANEL, _PANEL_STYLE), "panels")
+    b.add(_frame(x, y), "panels")
     _draw_marks(b, panel, x, y)
 
 
@@ -300,40 +339,49 @@ def _draw_marks(b: SceneBuilder, panel: PanelSpec, x: float, y: float) -> None:
 
 
 def build_induction_scene(rule: PatternRule) -> SceneGraph:
+    """The shown panels, the missing one and the four options. The marks
+    are the rule's, made per scene; everything else is shared."""
     panels = shown_panels(rule)
     n_top = len(panels) + 1
     width = max(640, int(n_top * _PANEL + (n_top + 1) * _GAP))
-    canvas = Canvas(width, 400)
-    b = SceneBuilder(canvas)
-    label_style = StyleSpec(font_size=13.0)
-    b.add(text(canvas.width / 2, 12, "Which option continues the pattern?", label_style,
-               anchor="middle"), "title")
+    b = SceneBuilder(Canvas(width, 400))
+    b.add(_induction_title(width), "title")
     top_w = n_top * _PANEL + (n_top - 1) * _GAP
-    x0 = (canvas.width - top_w) / 2
+    x0 = (width - top_w) / 2
     y_top = 48.0
     for i, panel in enumerate(panels):
         _draw_panel(b, panel, x0 + i * (_PANEL + _GAP), y_top)
-    qx = x0 + len(panels) * (_PANEL + _GAP)
-    b.add(rect(qx, y_top, _PANEL, _PANEL, StyleSpec(stroke="gray", stroke_width=1.5,
-                                                    dash=(6.0, 4.0))), "panels")
-    b.add(text(qx + _PANEL / 2, y_top + _PANEL / 2 - 14, "?",
-               StyleSpec(font_size=28.0), anchor="middle"), "marks")
+    box, mark = _question_box(x0 + len(panels) * (_PANEL + _GAP), y_top)
+    b.add(box, "panels")
+    b.add(mark, "marks")
     opt_w = 4 * _PANEL + 3 * _GAP
-    ox0 = (canvas.width - opt_w) / 2
+    ox0 = (width - opt_w) / 2
     y_opt = 210.0
     for i, option in enumerate(rule.options):
         x = ox0 + i * (_PANEL + _GAP)
         _draw_panel(b, option, x, y_opt)
-        b.add(text(x + _PANEL / 2, y_opt + _PANEL + 8, OPTION_LETTERS[i], label_style,
-                   anchor="middle"), "option_labels")
+        b.add(_option_label(x, y_opt, OPTION_LETTERS[i]), "option_labels")
     return b.build()
 
 
 _DIFF_PANEL = 240.0
 _DIFF_CELL = _DIFF_PANEL / 3
+_DIFF_FONT = 13.0
+_DIFF_Y = 60.0
+_DIFF_CANVAS = Canvas(640, 340)
+
+
+# (x, title, frame) of the two comparison panels, the original first.
+_DIFF_PANELS = tuple(
+    (x,
+     shared(text(x + _DIFF_PANEL / 2, _DIFF_Y - _DIFF_FONT - 10, title,
+                 StyleSpec(font_size=_DIFF_FONT), anchor="middle"), "panel_titles"),
+     shared(rect(x, _DIFF_Y, _DIFF_PANEL, _DIFF_PANEL, _PANEL_STYLE), "panels"))
+    for x, title in ((40.0, "Picture 1"), (360.0, "Picture 2")))
 
 
 def diff_panel_primitives(items: tuple[PanelItem, ...], x: float, y: float) -> list[Primitive]:
+    """The marks of a comparison panel whose top left corner is (x, y), in cell order."""
     prims = []
     for item in sorted(items, key=lambda it: it.cell):
         row, col = divmod(item.cell, 3)
@@ -343,19 +391,22 @@ def diff_panel_primitives(items: tuple[PanelItem, ...], x: float, y: float) -> l
     return prims
 
 
+@cache
+def _diff_mark(item: PanelItem, x: float) -> Primitive:
+    """The mark of `item` in the comparison panel at `x`."""
+    [mark] = diff_panel_primitives((item,), x, _DIFF_Y)
+    return shared(mark, "marks")
+
+
 def build_comparison_scene(spec: DiffPairSpec) -> SceneGraph:
-    canvas = Canvas(640, 340)
-    b = SceneBuilder(canvas)
-    font = 13.0
-    title_style = StyleSpec(font_size=font)
-    x_left, x_right, y0 = 40.0, 360.0, 60.0
-    for title, x, items in (("Picture 1", x_left, spec.base_items),
-                            ("Picture 2", x_right, spec.variant_items)):
-        b.add(text(x + _DIFF_PANEL / 2, y0 - font - 10, title, title_style, anchor="middle"),
-              "panel_titles")
-        b.add(rect(x, y0, _DIFF_PANEL, _DIFF_PANEL, _PANEL_STYLE), "panels")
-        for mark in diff_panel_primitives(items, x, y0):
-            b.add(mark, "marks")
+    """Two titled panels of marks on a 3x3 grid. Titles, frames and marks
+    are all shared: a mark is fixed by its item and its panel."""
+    b = SceneBuilder(_DIFF_CANVAS)
+    for (x, title, frame), items in zip(_DIFF_PANELS, (spec.base_items, spec.variant_items)):
+        b.add(title, "panel_titles")
+        b.add(frame, "panels")
+        for item in sorted(items, key=lambda it: it.cell):
+            b.add(_diff_mark(item, x), "marks")
     return b.build()
 
 

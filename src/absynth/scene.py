@@ -21,6 +21,15 @@ safe because equal values always format alike.
 Text content is escaped by a local three-replacement function: importing the
 standard library's XML escaper would load the network stack with it, and
 `import absynth` would pay for that on every start.
+
+A part that many scenes draw alike (a road of the map grid, a dial face, a
+puzzle frame) can be made once with `shared(prim, role)`: it is checked and
+rendered when it is registered, and each scene that holds it skips its
+per-primitive check and writes the stored SVG text. The registry is keyed by
+id(), which is safe because each entry holds its primitive: while the entry
+exists, no other object can have that id. Entries are never removed, so
+`shared` is only called where the key comes from a small fixed set, at
+import or from a cached function, never once per image.
 """
 
 from __future__ import annotations
@@ -180,8 +189,12 @@ class SceneBuilder:
         self._prims: list[Primitive] = []
 
     def add(self, prim: Primitive, role: str) -> None:
-        # The direct constructor, not `_replace`, which costs twice as much.
-        self._prims.append(Primitive(prim.kind, prim.geometry, prim.style, prim.z, role))
+        # A primitive that already plays `role` (a shared one does) is kept
+        # as it is; otherwise the direct constructor, not `_replace`, which
+        # costs twice as much.
+        if prim.role != role:
+            prim = Primitive(prim.kind, prim.geometry, prim.style, prim.z, role)
+        self._prims.append(prim)
 
     def build(self) -> SceneGraph:
         # A stable sort: primitives of equal z keep the order they were added in.
@@ -242,16 +255,42 @@ def primitive_problems(p: Primitive) -> list[str]:
 
 
 def validate_scene(scene: SceneGraph) -> None:
+    """Raise InvalidScene naming each primitive that breaks its kind's
+    invariants or the z order. A shared primitive was checked when it was
+    registered, so only its z is looked at here."""
     problems: list[tuple[int, str]] = []
     last_z = None
     for i, prim in enumerate(scene.primitives):
-        for msg in primitive_problems(prim):
-            problems.append((i, msg))
+        if id(prim) not in _SHARED:
+            for msg in primitive_problems(prim):
+                problems.append((i, msg))
         if last_z is not None and prim.z < last_z:
             problems.append((i, "primitives not sorted by z"))
         last_z = prim.z
     if problems:
         raise InvalidScene(problems)
+
+
+# ---------------------------------------------------------------------------
+# Shared primitives
+
+# Every shared primitive by id(), with its SVG element text. An entry keeps
+# its primitive alive, so a hit on id(p) is always p itself. Nothing is ever
+# removed (tests/test_architecture.py checks that every call to `shared`
+# sits at module level or in a cached function).
+_SHARED: dict[int, tuple[Primitive, str]] = {}
+
+
+def shared(prim: Primitive, role: str) -> Primitive:
+    """`prim` tagged with `role`, checked once and rendered once for every
+    scene in the process that holds it. Raises InvalidScene, registering
+    nothing, if it breaks its kind's invariants."""
+    prim = Primitive(prim.kind, prim.geometry, prim.style, prim.z, role)
+    problems = primitive_problems(prim)
+    if problems:
+        raise InvalidScene([(0, msg) for msg in problems])
+    _SHARED[id(prim)] = (prim, _element(prim, _style_attrs(prim.style, prim.kind == "text")))
+    return prim
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +481,10 @@ def render_svg(scene: SceneGraph) -> bytes:
     """Render a scene to a standalone SVG 1.1 document.
 
     Deterministic: the same scene yields byte-identical output. The scene
-    was validated when it was constructed. Each distinct style is formatted
-    once per call, and each coordinate's text comes from the memo `_coord`.
+    was validated when it was constructed. A shared primitive's element is
+    the text stored when it was registered. For the rest, each distinct
+    style is formatted once per call, and each coordinate's text comes from
+    the memo `_coord`.
     """
     c = scene.canvas
     lines = [
@@ -456,6 +497,10 @@ def render_svg(scene: SceneGraph) -> bytes:
     # style alive for the whole call, so no id() is reused while it runs.
     styles: dict[tuple[int, bool], str] = {}
     for p in scene.primitives:
+        entry = _SHARED.get(id(p))
+        if entry is not None:
+            lines.append(entry[1])
+            continue
         is_text = p.kind == "text"
         key = (id(p.style), is_text)
         attrs = styles.get(key)

@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -605,3 +606,137 @@ def test_each_scenario_samples_one_way():
     assert inspect.signature(charts.sample_chart_spec).parameters["kind"].default \
         is inspect.Parameter.empty
     assert not {"sample_graph", "sample_tree_spec"} & set(vars(diagrams))
+
+
+def calls_shared(node):
+    return isinstance(node, ast.Call) and "shared" in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None))
+
+
+def is_cached(func):
+    """Whether a function is decorated with functools.cache or lru_cache,
+    bare, called or read off the module."""
+    for decorator in func.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (getattr(target, "id", None) or getattr(target, "attr", None)) in ("cache",
+                                                                            "lru_cache"):
+            return True
+    return False
+
+
+def shared_call_owners(tree):
+    """For each call to `shared`, the innermost function or lambda around
+    it, or None at module level."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = node
+        if calls_shared(node):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_parts_are_shared_only_from_module_level_or_a_cache():
+    """The registry keeps every part it is given alive, and never lets one
+    go, so a part made per image would grow it without bound. Each call to
+    `shared` runs once per key: at import, or the first time a cached
+    function sees its arguments."""
+    callers, offenders = set(), []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for owner in shared_call_owners(ast.parse(path.read_text(encoding="utf-8"))):
+            callers.add(path.stem)
+            if owner is not None and not (isinstance(owner, ast.FunctionDef)
+                                          and is_cached(owner)):
+                offenders.append((path.name, owner.lineno))
+    assert callers == {"maps", "gauges", "puzzles"}
+    assert not offenders
+
+
+# ROADMAP item 15(a): every function of src/ that `gen --all --count 40
+# --seed 9` never enters, outside the modules of the other commands, with why.
+GEN_SKIPS = ("scoring", "bridge", "gallery", "cli")
+NEVER_ENTERED_BY_GEN = {
+    "__init__.__dir__": "dir(absynth) only",
+    "gauges.DialSpec.to_dict": "no seed drawn from a dial spec; bench/spans.py times it",
+    "maps.RoadMapSpec.to_dict": "no seed drawn from a map spec; bench/spans.py times it",
+    "puzzles.PatternRule.to_dict": "no seed drawn from a puzzle spec; bench/spans.py times it",
+    "puzzles.DiffPairSpec.to_dict": "no seed drawn from a puzzle spec; bench/spans.py times it",
+    "gauges._line_angle": "item 3 calls it: the scene-reading oracle",
+    "gauges.decode_clock_scene": "item 3 calls it: the scene-reading oracle",
+    "gauges.decode_gauge_scene": "item 3 calls it: the scene-reading oracle",
+    "pipeline._llm_extra_record": "backend: runs only with --backend",
+    "records.vote_select": "backend: the bridge's answer vote",
+    "records.canonicalize": "eval; the oracle only when a record's answer differs in form",
+    "records.answer_set": "the oracle only when a record's answer differs in form",
+    "records.Verdict.__bool__": "tests only: gen reads Verdict.ok",
+    "records.parse_json_line": "eval, stats, gallery: reading a manifest",
+    "records.json_lines": "eval, stats, gallery: reading a manifest",
+    "records.record_from_json": "eval, stats, gallery: reading a manifest",
+    "records.load_manifest": "eval, stats, gallery: reading a manifest",
+    "records._texts": "refusal: a record that cannot be encoded as UTF-8",
+    "scene.InvalidScene.__init__": "refusal: an invalid scene",
+    "scene._all_finite": "refusal: coordinates whose sum is not finite",
+}
+# The helpers that make each shared scene part on first use.
+SHARED_PART_MAKERS = {"maps._roads_from", "maps._obstacle", "maps._marker", "gauges._face",
+                      "puzzles._frame", "puzzles._induction_title", "puzzles._question_box",
+                      "puzzles._option_label", "puzzles._diff_mark", "scene.shared"}
+
+_TRACE_GEN = """
+import json, sys
+from absynth import cli
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(profile)
+status = cli.main(["gen", "--all", "--count", "40", "--seed", "9", "--out", sys.argv[1]])
+sys.setprofile(None)
+assert status == 0
+print(json.dumps(sorted(entered)))
+"""
+
+
+def src_functions():
+    """{qualified name: (file, the first line of the def or its first
+    decorator, which is the code object's first line)} for each function in
+    src/ outside GEN_SKIPS; a nested name is joined with dots."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[name] = (str(path), first)
+                visit(child, path, name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(SRC_DIR.glob("*.py")):
+        if path.stem not in GEN_SKIPS:
+            visit(ast.parse(path.read_text(encoding="utf-8")), path, path.stem + ".")
+    return found
+
+
+def test_every_function_gen_never_enters_is_named(tmp_path):
+    """A fresh interpreter, so each cached helper starts empty and is
+    entered the first time its key comes up."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR.parent))
+    done = subprocess.run([sys.executable, "-c", _TRACE_GEN, str(tmp_path / "out")], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, check=True)
+    entered = {(str(pathlib.Path(f).resolve()), line)
+               for f, line in json.loads(done.stdout.splitlines()[-1])}
+    defined = {name: (str(pathlib.Path(f).resolve()), line)
+                  for name, (f, line) in src_functions().items()}
+    never = {name for name, where in defined.items() if where not in entered}
+    assert sorted(never) == sorted(NEVER_ENTERED_BY_GEN)
+    assert SHARED_PART_MAKERS <= set(defined) - never
