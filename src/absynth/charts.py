@@ -244,17 +244,14 @@ _GRID_STYLE = StyleSpec(stroke="gray", stroke_width=0.5)
 def _draw_axes(b: SceneBuilder, plot: Region, axis_max: float, label_style: StyleSpec) -> None:
     x0, y0, x1, y1 = plot
     font = label_style.font_size
-    b.add(line(x0, y0, x0, y1, _AXIS_STYLE), "axis")
-    b.add(line(x0, y1, x1, y1, _AXIS_STYLE), "axis")
+    b.add(line(x0, y0, x0, y1, _AXIS_STYLE, "axis"))
+    b.add(line(x0, y1, x1, y1, _AXIS_STYLE, "axis"))
     for t in range(5):
         v = axis_max * t / 4.0
         y = y1 - (y1 - y0) * t / 4.0
-        b.add(line(x0 - 4, y, x0, y, _AXIS_STYLE), "axis")
-        b.add(
-            text(x0 - 6, y - font / 2.0, format_number(round(v, 2)), label_style,
-                 anchor="end"),
-            "axis",
-        )
+        b.add(line(x0 - 4, y, x0, y, _AXIS_STYLE, "axis"))
+        b.add(text(x0 - 6, y - font / 2.0, format_number(round(v, 2)), label_style, "axis",
+                   anchor="end"))
 
 
 def _legend_strip(
@@ -271,8 +268,8 @@ def _legend_strip(
     label_style = StyleSpec(font_size=font)
     for (lbl, color), w in zip(entries, widths):
         b.add(rect(lx, y + 2, 10, 10, StyleSpec(fill=color, stroke="black", stroke_width=0.5),
-                   z=6), "legend")
-        b.add(text(lx + 14, y, lbl, label_style, z=6), "legend")
+                   "legend", z=6))
+        b.add(text(lx + 14, y, lbl, label_style, "legend", z=6))
         lx += w
 
 
@@ -305,12 +302,12 @@ def _draw_pie(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) ->
         sweep = 3.6 * point.value
         color = spec.palette_assignment[point.category]
         b.add(wedge(cx, cy, radius, start, sweep,
-                    StyleSpec(fill=color, stroke="black", stroke_width=0.8)), "data_marks")
+                    StyleSpec(fill=color, stroke="black", stroke_width=0.8), "data_marks"))
         mid = math.radians(start + sweep / 2.0)
         lx = cx + (radius + 1.2 * font) * math.sin(mid)
         ly = cy - (radius + 1.2 * font) * math.cos(mid) - font / 2.0
-        b.add(text(lx, ly, f"{format_number(point.value)}%", label_style, anchor="middle"),
-              "data_marks")
+        b.add(text(lx, ly, f"{format_number(point.value)}%", label_style, "data_marks",
+                   anchor="middle"))
         start += sweep
 
 
@@ -333,7 +330,7 @@ def _draw_value_chart(
     _legend_strip(b, entries, region[0], region[2], legend_y, label_font, spec.legend_position)
     tick_style = StyleSpec(font_size=font)
     if unit_label:
-        b.add(text(px0, py0 - 1.6 * font, unit_label, tick_style), "axis")
+        b.add(text(px0, py0 - 1.6 * font, unit_label, tick_style, "axis"))
 
     all_values = [p.value for s in spec.series for p in s.points]
     axis_max = nice_axis_max(max(all_values))
@@ -343,8 +340,8 @@ def _draw_value_chart(
     for i, cat in enumerate(cats):
         if text_width(cat, font) > slot:
             raise LayoutOverflow(f"category label {cat!r} exceeds its slot")
-        b.add(text(px0 + i * slot + slot / 2.0, py1 + 0.4 * font, cat, tick_style,
-                   anchor="middle"), "axis")
+        b.add(text(px0 + i * slot + slot / 2.0, py1 + 0.4 * font, cat, tick_style, "axis",
+                   anchor="middle"))
 
     if spec.kind == "bar":
         bar_w = slot * 0.6
@@ -353,7 +350,7 @@ def _draw_value_chart(
         for i, point in enumerate(spec.series[0].points):
             h = point.value / axis_max * (py1 - py0)
             bx = px0 + i * slot + (slot - bar_w) / 2.0
-            b.add(rect(bx, py1 - h, bar_w, h, bar_style), "data_marks")
+            b.add(rect(bx, py1 - h, bar_w, h, bar_style, "data_marks"))
     else:
         for s in spec.series:
             color = spec.palette_assignment[s.label]
@@ -362,10 +359,10 @@ def _draw_value_chart(
                 x = px0 + i * slot + slot / 2.0
                 y = py1 - point.value / axis_max * (py1 - py0)
                 pts.append((x, y))
-            b.add(polyline(pts, StyleSpec(stroke=color, stroke_width=2.0), z=2), "data_marks")
+            b.add(polyline(pts, StyleSpec(stroke=color, stroke_width=2.0), "data_marks", z=2))
             point_style = StyleSpec(fill=color)
             for x, y in pts:
-                b.add(circle(x, y, 3.0, point_style, z=3), "data_marks")
+                b.add(circle(x, y, 3.0, point_style, "data_marks", z=3))
 
 
 def _draw_table(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) -> None:
@@ -379,16 +376,16 @@ def _draw_table(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) 
     ty0 = y0 + ((y1 - y0) - table_h) / 2.0
     cell_style = StyleSpec(font_size=font)
     for r in range(n_rows + 2):
-        b.add(line(x0, ty0 + r * row_h, x1, ty0 + r * row_h, _GRID_STYLE), "grid")
+        b.add(line(x0, ty0 + r * row_h, x1, ty0 + r * row_h, _GRID_STYLE, "grid"))
     for c in range(n_cols + 2):
-        b.add(line(x0 + c * col_w, ty0, x0 + c * col_w, ty0 + table_h, _GRID_STYLE), "grid")
+        b.add(line(x0 + c * col_w, ty0, x0 + c * col_w, ty0 + table_h, _GRID_STYLE, "grid"))
 
     def cell_text(row: int, col: int, content: str, role: str) -> None:
         if text_width(content, font) > col_w - 6:
             raise LayoutOverflow(f"cell text {content!r} exceeds column width")
         cx = x0 + col * col_w + col_w / 2.0
         cy = ty0 + row * row_h + (row_h - font) / 2.0
-        b.add(text(cx, cy, content, cell_style, anchor="middle"), role)
+        b.add(text(cx, cy, content, cell_style, role, anchor="middle"))
 
     for c, cat in enumerate(spec.categories()):
         cell_text(0, c + 1, cat, "axis")
@@ -423,7 +420,7 @@ def build_chart_scene(spec: ChartSpec) -> SceneGraph:
     if text_width(spec.topic, TITLE_FONT) > canvas.width - 20:
         raise LayoutOverflow(f"title {spec.topic!r} wider than canvas")
     b.add(text(canvas.width / 2.0, 10, spec.topic,
-               StyleSpec(font_size=TITLE_FONT), anchor="middle", z=9), "title")
+               StyleSpec(font_size=TITLE_FONT), "title", anchor="middle", z=9))
 
     top = 16 + 1.6 * TITLE_FONT
     if spec.kind == "composite":
@@ -444,7 +441,7 @@ def build_chart_scene(spec: ChartSpec) -> SceneGraph:
             if text_width(sub.topic, sub_title_font) > (rx1 - rx0):
                 raise LayoutOverflow(f"sub-chart title {sub.topic!r} too wide")
             b.add(text((rx0 + rx1) / 2.0, ry0, sub.topic,
-                       StyleSpec(font_size=sub_title_font), anchor="middle", z=9), "title")
+                       StyleSpec(font_size=sub_title_font), "title", anchor="middle", z=9))
             inner: Region = (rx0 + 3.4 * TICK_FONT * SUB_SCALE, ry0 + 1.8 * sub_title_font,
                              rx1 - 6, ry1 - 4)
             _draw_kind(b, sub, inner, SUB_SCALE, "")

@@ -311,7 +311,7 @@ def _arrow_head(b: SceneBuilder, x: float, y: float, direction: str) -> None:
         pts = ((x, y), (x + 8, y - 5), (x + 8, y + 5))
     else:
         pts = ((x, y), (x - 8, y - 5), (x - 8, y + 5))
-    b.add(polygon(pts, _ARROW_STYLE, z=2), "edges")
+    b.add(polygon(pts, _ARROW_STYLE, "edges", z=2))
 
 
 def _draw_node_box(
@@ -321,11 +321,11 @@ def _draw_node_box(
     if shape == "decision":
         pts = ((cx, cy - h / 2 - 6), (cx + w / 2 + 10, cy), (cx, cy + h / 2 + 6),
                (cx - w / 2 - 10, cy))
-        b.add(polygon(pts, box_style, z=1), "nodes")
+        b.add(polygon(pts, box_style, "nodes", z=1))
     else:
-        b.add(rect(cx - w / 2, cy - h / 2, w, h, box_style, z=1), "nodes")
-    b.add(text(cx, cy - label_style.font_size / 2.0, label, label_style, anchor="middle", z=3),
-          "node_labels")
+        b.add(rect(cx - w / 2, cy - h / 2, w, h, box_style, "nodes", z=1))
+    b.add(text(cx, cy - label_style.font_size / 2.0, label, label_style, "node_labels",
+               anchor="middle", z=3))
 
 
 def _layout_tree(spec: TreeSpec) -> SceneGraph:
@@ -348,14 +348,14 @@ def _layout_tree(spec: TreeSpec) -> SceneGraph:
             x += w + gap
     for a, bl in spec.extra_edges:
         (ax, ay, _), (bx, by, _) = centers[a], centers[bl]
-        b.add(line(ax, ay + NODE_H / 2, bx, by + NODE_H / 2, _EXTRA_EDGE_STYLE, z=0),
-              "extra_edges")
+        b.add(line(ax, ay + NODE_H / 2, bx, by + NODE_H / 2, _EXTRA_EDGE_STYLE, "extra_edges",
+                   z=0))
     for node in tree_nodes(spec.root):
         cx, cy, w = centers[node.label]
         for child in node.children:
             ccx, ccy, _ = centers[child.label]
-            b.add(line(cx, cy + NODE_H / 2, ccx, ccy - NODE_H / 2 - 8, _EDGE_STYLE, z=0),
-                  "edges")
+            b.add(line(cx, cy + NODE_H / 2, ccx, ccy - NODE_H / 2 - 8, _EDGE_STYLE, "edges",
+                       z=0))
             _arrow_head(b, ccx, ccy - NODE_H / 2, "down")
     label_style = StyleSpec(font_size=NODE_FONT)
     for node in tree_nodes(spec.root):
@@ -403,24 +403,24 @@ def _layout_flow(spec: FlowSpec) -> SceneGraph:
         dst_shape = spec.node(e.dst).shape
         dst_half_h = NODE_H / 2 + (6 if dst_shape == "decision" else 0)
         if x1 == x2 and y2 > y1:  # straight down
-            b.add(line(x1, y1 + src_half_h, x2, y2 - dst_half_h - 8, _EDGE_STYLE), "edges")
+            b.add(line(x1, y1 + src_half_h, x2, y2 - dst_half_h - 8, _EDGE_STYLE, "edges"))
             _arrow_head(b, x2, y2 - dst_half_h, "down")
             if e.label:
-                b.add(text(x1 + 6, (y1 + y2) / 2 - NODE_FONT, e.label, label_style), "edge_labels")
+                b.add(text(x1 + 6, (y1 + y2) / 2 - NODE_FONT, e.label, label_style, "edge_labels"))
         elif y1 == y2:  # horizontal to the side node
             half_w1 = boxes[e.src] / 2 + (10 if src_shape == "decision" else 0)
             half_w2 = boxes[e.dst] / 2
-            b.add(line(x1 + half_w1, y1, x2 - half_w2 - 8, y2, _EDGE_STYLE), "edges")
+            b.add(line(x1 + half_w1, y1, x2 - half_w2 - 8, y2, _EDGE_STYLE, "edges"))
             _arrow_head(b, x2 - half_w2, y2, "right")
             if e.label:
                 b.add(text((x1 + half_w1 + x2 - half_w2) / 2, y1 - NODE_FONT - 4, e.label,
-                           label_style, anchor="middle"), "edge_labels")
+                           label_style, "edge_labels", anchor="middle"))
         else:  # loop back from a fix node: right edge, up, into the target's side
             half_w = boxes[e.src] / 2
             lane_x = canvas.width - 10.0
             target_half = boxes[e.dst] / 2
             pts = ((x1 + half_w, y1), (lane_x, y1), (lane_x, y2), (x2 + target_half + 8, y2))
-            b.add(polyline(pts, _EDGE_STYLE), "edges")
+            b.add(polyline(pts, _EDGE_STYLE, "edges"))
             _arrow_head(b, x2 + target_half, y2, "left")
 
     fills = {"terminator": "gray", "process": "cyan", "decision": "yellow"}

@@ -16,10 +16,12 @@ scene alone.
 
 Each family row draws its dial in two parts: a `face`, which no reading
 moves (the dial or tube, ticks, tick labels and hub), and a `mark`, which
-shows the reading (the hands, needle or mercury). The face is drawn once per
-family and process, as `scene.shared` primitives (107 for the five
-families), and the mark once per image, after the face; the builder's
-stable sort by z then puts every primitive where a one-pass build put it.
+shows the reading (the hands, needle or mercury). Both yield primitives
+built with their roles. The face is drawn once per family and process, and
+each of its primitives goes to `scene.shared` as it is (107 for the five
+families); the mark is drawn once per image and added after the face, and
+the builder's stable sort by z then puts every primitive where a one-pass
+build put it.
 """
 
 from __future__ import annotations
@@ -153,95 +155,93 @@ _HUB_STYLE = StyleSpec(fill="black")
 _THERMOMETER_MERCURY_STYLE = StyleSpec(fill="red")
 _BAROMETER_MERCURY_STYLE = StyleSpec(fill="cyan")
 
-Part = tuple[Primitive, str]  # a primitive and its role
 
-
-def _clock_face(row: _Family) -> Iterator[Part]:
+def _clock_face(row: _Family) -> Iterator[Primitive]:
     c = _CLOCK_CENTER
     radius = _CLOCK_RADIUS
-    yield circle(c, c, radius, StyleSpec(stroke="black", stroke_width=3.0, fill="yellow")), "face"
+    yield circle(c, c, radius, StyleSpec(stroke="black", stroke_width=3.0, fill="yellow"), "face")
     label_style = StyleSpec(font_size=row.font)
     for n in range(1, 13):
         deg = 30.0 * n
         x1, y1 = angle_point(c, c, radius - 8, deg)
         x2, y2 = angle_point(c, c, radius, deg)
-        yield line(x1, y1, x2, y2, _TICK_STYLE, z=1), "ticks"
+        yield line(x1, y1, x2, y2, _TICK_STYLE, "ticks", z=1)
         nx, ny = angle_point(c, c, radius - 26, deg)
-        yield text(nx, ny - row.font / 2.0, str(n), label_style, anchor="middle", z=2), "numbers"
-    yield circle(c, c, 5, _HUB_STYLE, z=4), "hub"
+        yield text(nx, ny - row.font / 2.0, str(n), label_style, "numbers", anchor="middle", z=2)
+    yield circle(c, c, 5, _HUB_STYLE, "hub", z=4)
 
 
-def _clock_hands(row: _Family, reading: tuple[int, int]) -> Iterator[Part]:
+def _clock_hands(row: _Family, reading: tuple[int, int]) -> Iterator[Primitive]:
     c = _CLOCK_CENTER
     hour_deg, minute_deg = clock_angles(*reading)
     hx, hy = angle_point(c, c, _CLOCK_RADIUS * 0.52, hour_deg)
-    yield line(c, c, hx, hy, _HOUR_STYLE, z=3), "hour_hand"
+    yield line(c, c, hx, hy, _HOUR_STYLE, "hour_hand", z=3)
     mx, my = angle_point(c, c, _CLOCK_RADIUS * 0.82, minute_deg)
-    yield line(c, c, mx, my, _MINUTE_STYLE, z=3), "minute_hand"
+    yield line(c, c, mx, my, _MINUTE_STYLE, "minute_hand", z=3)
 
 
-def _needle_face(row: _Family) -> Iterator[Part]:
+def _needle_face(row: _Family) -> Iterator[Primitive]:
     cx, cy = _NEEDLE_CX, _NEEDLE_CY
     radius = _NEEDLE_RADIUS
     start, sweep = row.arc
-    yield arc(cx, cy, radius, start, sweep, _FACE_STYLE), "face"
+    yield arc(cx, cy, radius, start, sweep, _FACE_STYLE, "face")
     label_style = StyleSpec(font_size=row.font)
     for v in _ticks(row.scale):
         deg = _dial_angle(row, v)
         x1, y1 = angle_point(cx, cy, radius - 10, deg)
         x2, y2 = angle_point(cx, cy, radius, deg)
-        yield line(x1, y1, x2, y2, _TICK_STYLE, z=1), "ticks"
+        yield line(x1, y1, x2, y2, _TICK_STYLE, "ticks", z=1)
         lx, ly = angle_point(cx, cy, radius + 14, deg)
-        yield (text(lx, ly - row.font / 2.0, format_number(v), label_style, anchor="middle", z=2),
-               "tick_labels")
-    yield circle(cx, cy, 5, _HUB_STYLE, z=4), "hub"
+        yield text(lx, ly - row.font / 2.0, format_number(v), label_style, "tick_labels",
+                   anchor="middle", z=2)
+    yield circle(cx, cy, 5, _HUB_STYLE, "hub", z=4)
 
 
-def _needle(row: _Family, reading: float) -> Iterator[Part]:
+def _needle(row: _Family, reading: float) -> Iterator[Primitive]:
     cx, cy = _NEEDLE_CX, _NEEDLE_CY
     nx, ny = angle_point(cx, cy, _NEEDLE_RADIUS * 0.85, _dial_angle(row, float(reading)))
-    yield line(cx, cy, nx, ny, _NEEDLE_STYLE, z=3), "needle"
+    yield line(cx, cy, nx, ny, _NEEDLE_STYLE, "needle", z=3)
 
 
-def _thermometer_face(row: _Family) -> Iterator[Part]:
+def _thermometer_face(row: _Family) -> Iterator[Primitive]:
     length = row.length
     x = _THERMOMETER_X
     y_bottom = _THERMOMETER_TOP + length
-    yield rect(x - 9, _THERMOMETER_TOP, 18, length, StyleSpec(stroke="black", stroke_width=2.0)), \
-        "tube"
+    yield rect(x - 9, _THERMOMETER_TOP, 18, length, StyleSpec(stroke="black", stroke_width=2.0),
+               "tube")
     yield circle(x, y_bottom + 20, 20, StyleSpec(stroke="black", stroke_width=2.0, fill="red"),
-                 z=1), "bulb"
+                 "bulb", z=1)
     label_style = StyleSpec(font_size=row.font)
     for v in _ticks(row.scale):
         y = y_bottom - _scale_frac(v, row.scale) * length
-        yield line(x - 16, y, x - 9, y, _TICK_STYLE), "ticks"
-        yield (text(x - 20, y - row.font / 2.0, format_number(v), label_style, anchor="end"),
-               "tick_labels")
+        yield line(x - 16, y, x - 9, y, _TICK_STYLE, "ticks")
+        yield text(x - 20, y - row.font / 2.0, format_number(v), label_style, "tick_labels",
+                   anchor="end")
 
 
-def _thermometer_column(row: _Family, reading: float) -> Iterator[Part]:
+def _thermometer_column(row: _Family, reading: float) -> Iterator[Primitive]:
     y_bottom = _THERMOMETER_TOP + row.length
     level = _scale_frac(float(reading), row.scale) * row.length
     yield rect(_THERMOMETER_X - 5, y_bottom - level, 10, level + _BULB_OVERLAP,
-               _THERMOMETER_MERCURY_STYLE, z=2), "mercury"
+               _THERMOMETER_MERCURY_STYLE, "mercury", z=2)
 
 
-def _barometer_face(row: _Family) -> Iterator[Part]:
+def _barometer_face(row: _Family) -> Iterator[Primitive]:
     length = row.length
     x0, y0 = _BAROMETER_X, _BAROMETER_Y
-    yield rect(x0, y0, length, 26, StyleSpec(stroke="black", stroke_width=2.0)), "tube"
+    yield rect(x0, y0, length, 26, StyleSpec(stroke="black", stroke_width=2.0), "tube")
     label_style = StyleSpec(font_size=row.font)
     for v in _ticks(row.scale):
         x = x0 + _scale_frac(v, row.scale) * length
-        yield line(x, y0 + 26, x, y0 + 34, _TICK_STYLE, z=2), "ticks"
-        yield text(x, y0 + 38, format_number(v), label_style, anchor="middle", z=2), "tick_labels"
+        yield line(x, y0 + 26, x, y0 + 34, _TICK_STYLE, "ticks", z=2)
+        yield text(x, y0 + 38, format_number(v), label_style, "tick_labels", anchor="middle", z=2)
 
 
-def _barometer_column(row: _Family, reading: float) -> Iterator[Part]:
+def _barometer_column(row: _Family, reading: float) -> Iterator[Primitive]:
     fill_w = _scale_frac(float(reading), row.scale) * row.length
     if fill_w > 0:
-        yield rect(_BAROMETER_X, _BAROMETER_Y, fill_w, 26, _BAROMETER_MERCURY_STYLE, z=1), \
-            "mercury"
+        yield rect(_BAROMETER_X, _BAROMETER_Y, fill_w, 26, _BAROMETER_MERCURY_STYLE, "mercury",
+                   z=1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +255,8 @@ class _Family:
 
     canvas: Canvas
     font: float  # label font size, in px
-    face: Callable[[_Family], Iterable[Part]]  # what no reading moves
-    mark: Callable[[_Family, Any], Iterable[Part]]  # what shows the reading
+    face: Callable[[_Family], Iterable[Primitive]]  # what no reading moves
+    mark: Callable[[_Family, Any], Iterable[Primitive]]  # what shows the reading
     scale: tuple[float, float, float] | None = None  # low end, high end, major step
     arc: tuple[float, float] = (0.0, 0.0)  # a needle's start and sweep, in degrees
     length: float = 0.0  # a column's length, in px
@@ -298,7 +298,7 @@ FAMILIES = tuple(_ROWS)
 def _face(family: str) -> tuple[Primitive, ...]:
     """The shared parts of a family's dial, drawn once per process."""
     row = _ROWS[family]
-    return tuple(shared(prim, role) for prim, role in row.face(row))
+    return tuple(shared(prim) for prim in row.face(row))
 
 
 def build_dial_scene(spec: DialSpec) -> SceneGraph:
@@ -308,9 +308,9 @@ def build_dial_scene(spec: DialSpec) -> SceneGraph:
     row = _ROWS[spec.family]
     b = SceneBuilder(row.canvas)
     for prim in _face(spec.family):
-        b.add(prim, prim.role)
-    for prim, role in row.mark(row, spec.reading):
-        b.add(prim, role)
+        b.add(prim)
+    for prim in row.mark(row, spec.reading):
+        b.add(prim)
     return b.build()
 
 

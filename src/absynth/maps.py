@@ -290,14 +290,14 @@ _CANVAS = Canvas(
 def _roads_from(cell: Cell) -> tuple[tuple[Cell, Primitive], ...]:
     """The road from `cell` to each of its down and right neighbours."""
     x, y, down_right = _CENTER[cell]
-    return tuple((other, shared(line(x, y, *_CENTER[other][:2], _ROAD_STYLE), "roads"))
+    return tuple((other, shared(line(x, y, *_CENTER[other][:2], _ROAD_STYLE, "roads")))
                  for other in down_right)
 
 
 @cache
 def _obstacle(cell: Cell) -> Primitive:
     x, y, _ = _CENTER[cell]
-    return shared(rect(x - 8, y - 8, 16, 16, _OBSTACLE_STYLE, z=1), "obstacles")
+    return shared(rect(x - 8, y - 8, 16, 16, _OBSTACLE_STYLE, "obstacles", z=1))
 
 
 @cache
@@ -305,10 +305,10 @@ def _marker(cell: Cell, role: str) -> Primitive:
     """The start, end or landmark marker at `cell`, by its role."""
     x, y, _ = _CENTER[cell]
     if role == "start_marker":
-        return shared(circle(x, y, 8, _START_STYLE, z=3), role)
+        return shared(circle(x, y, 8, _START_STYLE, role, z=3))
     if role == "end_marker":
-        return shared(rect(x - 7, y - 7, 14, 14, _END_STYLE, z=3), role)
-    return shared(circle(x, y, 4.5, _NODE_STYLE, z=2), role)
+        return shared(rect(x - 7, y - 7, 14, 14, _END_STYLE, role, z=3))
+    return shared(circle(x, y, 4.5, _NODE_STYLE, role, z=2))
 
 
 def build_map_scene(spec: RoadMapSpec) -> SceneGraph:
@@ -323,23 +323,23 @@ def build_map_scene(spec: RoadMapSpec) -> SceneGraph:
     for cell in sorted(network):
         for other, road in _roads_from(cell):
             if other in network:
-                b.add(road, "roads")
+                b.add(road)
     for cell in sorted(spec.obstacles):
-        b.add(_obstacle(cell), "obstacles")
+        b.add(_obstacle(cell))
 
     start, end = spec.start, spec.end
     for cell, name in sorted(spec.landmark_names.items()):
         role = ("start_marker" if cell == start else "end_marker" if cell == end
                 else "landmarks")
-        b.add(_marker(cell, role), role)
+        b.add(_marker(cell, role))
         x, y, _ = _CENTER[cell]
         ly = y - 13.0 - LABEL_FONT if (cell[0] + cell[1]) % 2 == 0 else y + 11.0
-        b.add(text(x, ly, name, _LABEL_STYLE, anchor="middle", z=4), "landmark_labels")
+        b.add(text(x, ly, name, _LABEL_STYLE, "landmark_labels", anchor="middle", z=4))
     return b.build()
 
 
-def map_instruction(spec: RoadMapSpec) -> QuestionDraft:
-    """The navigation question: the route's landmark names in order,
+def map_questions(spec: RoadMapSpec) -> list[QuestionDraft]:
+    """The one navigation question: the route's landmark names in order,
     including the start and end cells (the recorded convention)."""
     start_name = spec.landmark_names[spec.start]
     end_name = spec.landmark_names[spec.end]
@@ -353,10 +353,5 @@ def map_instruction(spec: RoadMapSpec) -> QuestionDraft:
         f"Starting at {start_name}, the road leads through "
         f"{sequence} and ends at {end_name}."
     )
-    return QuestionDraft(question, sequence, "landmark_sequence", "navigation",
-                         rationale=rationale)
-
-
-def map_questions(spec: RoadMapSpec) -> list[QuestionDraft]:
-    """Draft list wrapper, so maps fit the scenario table like every other generator."""
-    return [map_instruction(spec)]
+    return [QuestionDraft(question, sequence, "landmark_sequence", "navigation",
+                          rationale=rationale)]

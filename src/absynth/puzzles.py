@@ -9,13 +9,14 @@ copy of a panel. Floor plans come from recursive rectangle splits, so rooms
 can never overlap; webpage layouts reuse the same machinery with region
 names.
 
+Every primitive is built with its role, a mark by `shape_primitive` too.
 Puzzle frames sit where a fixed layout puts them, so they are `scene.shared`
 primitives, made once per process: the induction title, panel frames, "?"
 box and option frames and letters by position (20 in all), the comparison
 titles and frames as module constants, and each comparison mark by its item
-and panel (at most 4 shapes x 6 colours x 9 cells x 2 panels = 432). The
-induction marks follow the sampled rule and are made per image, and floor
-plans share nothing.
+and panel (at most 4 shapes x 6 colours x 9 cells x 2 panels = 432; every
+comparison mark has the one radius). The induction marks follow the sampled
+rule and are made per image, and floor plans share nothing.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ def _mark_style(color: str) -> StyleSpec:
 
 
 def shape_primitive(shape: str, cx: float, cy: float, radius: float, angle: float,
-                    color: str, z: int = 1) -> Primitive:
-    """One filled mark; `angle` rotates clockwise around its center."""
+                    color: str, role: str) -> Primitive:
+    """One filled mark at z 1; `angle` rotates clockwise around its center."""
     style = _mark_style(color)
     if shape == "circle":
-        return circle(cx, cy, radius, style, z=z)
+        return circle(cx, cy, radius, style, role, z=1)
     if shape == "square":
         half = radius * 0.78
         pts = ((cx - half, cy - half), (cx + half, cy - half),
@@ -85,7 +86,7 @@ def shape_primitive(shape: str, cx: float, cy: float, radius: float, angle: floa
         pts = tuple(pts)
     else:
         raise ValueError(f"unknown puzzle shape {shape!r}")
-    return polygon(_rotate(pts, cx, cy, angle), style, z=z)
+    return polygon(_rotate(pts, cx, cy, angle), style, role, z=1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,6 @@ class PanelItem:
     shape: str
     color: str
     cell: int  # 0..8 on a 3x3 grid
-    size: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -294,33 +294,33 @@ _LABEL_STYLE = StyleSpec(font_size=13.0)
 # time a scene needs it.
 @cache
 def _frame(x: float, y: float) -> Primitive:
-    return shared(rect(x, y, _PANEL, _PANEL, _PANEL_STYLE), "panels")
+    return shared(rect(x, y, _PANEL, _PANEL, _PANEL_STYLE, "panels"))
 
 
 @cache
 def _induction_title(width: int) -> Primitive:
-    title = text(width / 2, 12, "Which option continues the pattern?", _LABEL_STYLE,
-                 anchor="middle")
-    return shared(title, "title")
+    return shared(text(width / 2, 12, "Which option continues the pattern?", _LABEL_STYLE,
+                       "title", anchor="middle"))
 
 
 @cache
 def _question_box(x: float, y: float) -> tuple[Primitive, Primitive]:
     """The dashed frame of the missing panel and its "?"."""
-    box = rect(x, y, _PANEL, _PANEL, StyleSpec(stroke="gray", stroke_width=1.5, dash=(6.0, 4.0)))
-    mark = text(x + _PANEL / 2, y + _PANEL / 2 - 14, "?", StyleSpec(font_size=28.0),
+    box = rect(x, y, _PANEL, _PANEL, StyleSpec(stroke="gray", stroke_width=1.5, dash=(6.0, 4.0)),
+               "panels")
+    mark = text(x + _PANEL / 2, y + _PANEL / 2 - 14, "?", StyleSpec(font_size=28.0), "marks",
                 anchor="middle")
-    return shared(box, "panels"), shared(mark, "marks")
+    return shared(box), shared(mark)
 
 
 @cache
 def _option_label(x: float, y: float, letter: str) -> Primitive:
-    return shared(text(x + _PANEL / 2, y + _PANEL + 8, letter, _LABEL_STYLE, anchor="middle"),
-                  "option_labels")
+    return shared(text(x + _PANEL / 2, y + _PANEL + 8, letter, _LABEL_STYLE, "option_labels",
+                       anchor="middle"))
 
 
 def _draw_panel(b: SceneBuilder, panel: PanelSpec, x: float, y: float) -> None:
-    b.add(_frame(x, y), "panels")
+    b.add(_frame(x, y))
     _draw_marks(b, panel, x, y)
 
 
@@ -328,14 +328,14 @@ def _draw_marks(b: SceneBuilder, panel: PanelSpec, x: float, y: float) -> None:
     if panel.count == 1:
         radius = min(20.0 * panel.size, _PANEL / 2 - 4)
         b.add(shape_primitive(panel.shape, x + _PANEL / 2, y + _PANEL / 2,
-                              radius, panel.angle, panel.color), "marks")
+                              radius, panel.angle, panel.color, "marks"))
         return
     positions = ((0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75),
                  (0.5, 0.5), (0.25, 0.5), (0.75, 0.5), (0.5, 0.25), (0.5, 0.75))
     for i in range(panel.count):
         px, py = positions[i % len(positions)]
         b.add(shape_primitive(panel.shape, x + px * _PANEL, y + py * _PANEL,
-                              11.0 * panel.size, panel.angle, panel.color), "marks")
+                              11.0 * panel.size, panel.angle, panel.color, "marks"))
 
 
 def build_induction_scene(rule: PatternRule) -> SceneGraph:
@@ -345,22 +345,22 @@ def build_induction_scene(rule: PatternRule) -> SceneGraph:
     n_top = len(panels) + 1
     width = max(640, int(n_top * _PANEL + (n_top + 1) * _GAP))
     b = SceneBuilder(Canvas(width, 400))
-    b.add(_induction_title(width), "title")
+    b.add(_induction_title(width))
     top_w = n_top * _PANEL + (n_top - 1) * _GAP
     x0 = (width - top_w) / 2
     y_top = 48.0
     for i, panel in enumerate(panels):
         _draw_panel(b, panel, x0 + i * (_PANEL + _GAP), y_top)
     box, mark = _question_box(x0 + len(panels) * (_PANEL + _GAP), y_top)
-    b.add(box, "panels")
-    b.add(mark, "marks")
+    b.add(box)
+    b.add(mark)
     opt_w = 4 * _PANEL + 3 * _GAP
     ox0 = (width - opt_w) / 2
     y_opt = 210.0
     for i, option in enumerate(rule.options):
         x = ox0 + i * (_PANEL + _GAP)
         _draw_panel(b, option, x, y_opt)
-        b.add(_option_label(x, y_opt, OPTION_LETTERS[i]), "option_labels")
+        b.add(_option_label(x, y_opt, OPTION_LETTERS[i]))
     return b.build()
 
 
@@ -375,8 +375,8 @@ _DIFF_CANVAS = Canvas(640, 340)
 _DIFF_PANELS = tuple(
     (x,
      shared(text(x + _DIFF_PANEL / 2, _DIFF_Y - _DIFF_FONT - 10, title,
-                 StyleSpec(font_size=_DIFF_FONT), anchor="middle"), "panel_titles"),
-     shared(rect(x, _DIFF_Y, _DIFF_PANEL, _DIFF_PANEL, _PANEL_STYLE), "panels"))
+                 StyleSpec(font_size=_DIFF_FONT), "panel_titles", anchor="middle")),
+     shared(rect(x, _DIFF_Y, _DIFF_PANEL, _DIFF_PANEL, _PANEL_STYLE, "panels")))
     for x, title in ((40.0, "Picture 1"), (360.0, "Picture 2")))
 
 
@@ -387,7 +387,7 @@ def diff_panel_primitives(items: tuple[PanelItem, ...], x: float, y: float) -> l
         row, col = divmod(item.cell, 3)
         cx = x + (col + 0.5) * _DIFF_CELL
         cy = y + (row + 0.5) * _DIFF_CELL
-        prims.append(shape_primitive(item.shape, cx, cy, 26.0 * item.size, 0.0, item.color))
+        prims.append(shape_primitive(item.shape, cx, cy, 26.0, 0.0, item.color, "marks"))
     return prims
 
 
@@ -395,7 +395,7 @@ def diff_panel_primitives(items: tuple[PanelItem, ...], x: float, y: float) -> l
 def _diff_mark(item: PanelItem, x: float) -> Primitive:
     """The mark of `item` in the comparison panel at `x`."""
     [mark] = diff_panel_primitives((item,), x, _DIFF_Y)
-    return shared(mark, "marks")
+    return shared(mark)
 
 
 def build_comparison_scene(spec: DiffPairSpec) -> SceneGraph:
@@ -403,10 +403,10 @@ def build_comparison_scene(spec: DiffPairSpec) -> SceneGraph:
     are all shared: a mark is fixed by its item and its panel."""
     b = SceneBuilder(_DIFF_CANVAS)
     for (x, title, frame), items in zip(_DIFF_PANELS, (spec.base_items, spec.variant_items)):
-        b.add(title, "panel_titles")
-        b.add(frame, "panels")
+        b.add(title)
+        b.add(frame)
         for item in sorted(items, key=lambda it: it.cell):
-            b.add(_diff_mark(item, x), "marks")
+            b.add(_diff_mark(item, x))
     return b.build()
 
 
@@ -560,29 +560,29 @@ def build_floorplan_scene(spec: FloorPlanSpec) -> SceneGraph:
     b = SceneBuilder(canvas)
     font = 11.0
     title = "Floor Plan" if spec.style == "architectural" else "Webpage Layout"
-    b.add(text(canvas.width / 2, 14, title, StyleSpec(font_size=16.0),
-               anchor="middle"), "title")
+    b.add(text(canvas.width / 2, 14, title, StyleSpec(font_size=16.0), "title",
+               anchor="middle"))
     room_label_style = StyleSpec(font_size=font)
     fixture_label_style = StyleSpec(font_size=8.0)
     for i, room in enumerate(spec.rooms):
         x, y, w, h = room.bounds
-        b.add(rect(x, y, w, h, _ROOM_STYLES[i % len(_ROOM_STYLES)]), "rooms")
+        b.add(rect(x, y, w, h, _ROOM_STYLES[i % len(_ROOM_STYLES)], "rooms"))
         if text_width(room.name, font) > w - 8:
             raise LayoutOverflow(f"room name {room.name!r} wider than its room")
-        b.add(text(x + w / 2, y + 8, room.name, room_label_style, anchor="middle", z=3),
-              "room_labels")
+        b.add(text(x + w / 2, y + 8, room.name, room_label_style, "room_labels",
+                   anchor="middle", z=3))
         for j, fixture in enumerate(room.fixtures):
             fx, fy = x + 8, y + h - 26 - j * 26
-            b.add(rect(fx, fy, 14, 14, _FIXTURE_STYLE, z=2), "fixtures")
-            b.add(text(fx + 18, fy + 3, fixture, fixture_label_style, z=3), "fixture_labels")
+            b.add(rect(fx, fy, 14, 14, _FIXTURE_STYLE, "fixtures", z=2))
+            b.add(text(fx + 18, fy + 3, fixture, fixture_label_style, "fixture_labels", z=3))
     by_name = {r.name: r for r in spec.rooms}
     for a_name, b_name in spec.doors:
         axis, at, lo, hi = _wall(by_name[a_name], by_name[b_name])
         mid = (lo + hi) / 2
         if axis == "x":
-            b.add(rect(at - 3, mid - 12, 6, 24, _DOOR_STYLE, z=4), "doors")
+            b.add(rect(at - 3, mid - 12, 6, 24, _DOOR_STYLE, "doors", z=4))
         else:
-            b.add(rect(mid - 12, at - 3, 24, 6, _DOOR_STYLE, z=4), "doors")
+            b.add(rect(mid - 12, at - 3, 24, 6, _DOOR_STYLE, "doors", z=4))
     return b.build()
 
 

@@ -252,9 +252,6 @@ class Verdict:
     ok: bool
     details: str = ""
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_record(record: InstructionRecord, oracle: list[QuestionDraft]) -> Verdict:
     """Compare a record's answer with the oracle's.
@@ -505,7 +502,7 @@ def load_manifest(data: bytes | str) -> Manifest:
     return Manifest(records=records)
 
 
-def sample_for_review(manifest: Manifest, fraction: float = 0.10, seed: int = 0) -> list[str]:
+def sample_for_review(manifest: Manifest, fraction: float, seed: int) -> list[str]:
     """Deterministic stratified sample of record ids for human review.
 
     Per scenario, in SCENARIOS order, picks ceil(fraction * count) ids. The

@@ -1,8 +1,9 @@
 """Resolution-independent scene graph and deterministic SVG renderer.
 
 A SceneGraph is the single source of truth for an image: an ordered list of
-primitives on a canvas, each tagged with the one role it plays ("legend",
-"hour_hand", ...). Rendering is a pure function of the scene graph; the
+primitives on a canvas, each built with the one role it plays ("legend",
+"hour_hand", ...): every shape constructor takes the role, so a primitive is
+made once, whole. Rendering is a pure function of the scene graph; the
 same scene always produces byte-identical SVG, in any process.
 
 Text extent is not measured from font metrics. It is estimated as
@@ -23,8 +24,8 @@ standard library's XML escaper would load the network stack with it, and
 `import absynth` would pay for that on every start.
 
 A part that many scenes draw alike (a road of the map grid, a dial face, a
-puzzle frame) can be made once with `shared(prim, role)`: it is checked and
-rendered when it is registered, and each scene that holds it skips its
+puzzle frame) can be made once and passed to `shared(prim)`: it is checked
+and rendered when it is registered, and each scene that holds it skips its
 per-primitive check and writes the stored SVG text. The registry is keyed by
 id(), which is safe because each entry holds its primitive: while the entry
 exists, no other object can have that id. Entries are never removed, so
@@ -111,8 +112,8 @@ class Primitive(NamedTuple):
     primitive is the top of the line box at its anchor point.
 
     `role` names what the element means in its scene ("legend", "hour_hand",
-    "roads", ...). The shape constructors below leave it empty, and
-    `SceneBuilder.add` sets it; it plays no part in rendering.
+    "roads", ...). Each shape constructor below takes it, right after the
+    style; it plays no part in rendering.
     """
 
     kind: str
@@ -125,40 +126,41 @@ class Primitive(NamedTuple):
 BBox = tuple[float, float, float, float]
 
 
-def line(x1, y1, x2, y2, style: StyleSpec, z: int = 0) -> Primitive:
-    return Primitive("line", (float(x1), float(y1), float(x2), float(y2)), style, z)
+def line(x1, y1, x2, y2, style: StyleSpec, role: str, z: int = 0) -> Primitive:
+    return Primitive("line", (float(x1), float(y1), float(x2), float(y2)), style, z, role)
 
 
-def polyline(points, style: StyleSpec, z: int = 0) -> Primitive:
+def polyline(points, style: StyleSpec, role: str, z: int = 0) -> Primitive:
     pts = tuple((float(x), float(y)) for x, y in points)
-    return Primitive("polyline", pts, style, z)
+    return Primitive("polyline", pts, style, z, role)
 
 
-def polygon(points, style: StyleSpec, z: int = 0) -> Primitive:
+def polygon(points, style: StyleSpec, role: str, z: int = 0) -> Primitive:
     pts = tuple((float(x), float(y)) for x, y in points)
-    return Primitive("polygon", pts, style, z)
+    return Primitive("polygon", pts, style, z, role)
 
 
-def rect(x, y, w, h, style: StyleSpec, z: int = 0) -> Primitive:
-    return Primitive("rectangle", (float(x), float(y), float(w), float(h)), style, z)
+def rect(x, y, w, h, style: StyleSpec, role: str, z: int = 0) -> Primitive:
+    return Primitive("rectangle", (float(x), float(y), float(w), float(h)), style, z, role)
 
 
-def circle(cx, cy, r, style: StyleSpec, z: int = 0) -> Primitive:
-    return Primitive("circle", (float(cx), float(cy), float(r)), style, z)
+def circle(cx, cy, r, style: StyleSpec, role: str, z: int = 0) -> Primitive:
+    return Primitive("circle", (float(cx), float(cy), float(r)), style, z, role)
 
 
-def arc(cx, cy, r, start_deg, sweep_deg, style: StyleSpec, z: int = 0) -> Primitive:
+def arc(cx, cy, r, start_deg, sweep_deg, style: StyleSpec, role: str, z: int = 0) -> Primitive:
     geo = (float(cx), float(cy), float(r), float(start_deg), float(sweep_deg))
-    return Primitive("arc", geo, style, z)
+    return Primitive("arc", geo, style, z, role)
 
 
-def wedge(cx, cy, r, start_deg, sweep_deg, style: StyleSpec, z: int = 0) -> Primitive:
+def wedge(cx, cy, r, start_deg, sweep_deg, style: StyleSpec, role: str, z: int = 0) -> Primitive:
     geo = (float(cx), float(cy), float(r), float(start_deg), float(sweep_deg))
-    return Primitive("wedge", geo, style, z)
+    return Primitive("wedge", geo, style, z, role)
 
 
-def text(x, y, content: str, style: StyleSpec, anchor: str = "start", z: int = 0) -> Primitive:
-    return Primitive("text", (float(x), float(y), str(content), anchor), style, z)
+def text(x, y, content: str, style: StyleSpec, role: str, anchor: str = "start",
+         z: int = 0) -> Primitive:
+    return Primitive("text", (float(x), float(y), str(content), anchor), style, z, role)
 
 
 @dataclass(frozen=True)
@@ -177,8 +179,9 @@ class SceneGraph:
 
 
 class SceneBuilder:
-    """Accumulates primitives, each tagged with its role, then emits a
-    SceneGraph.
+    """Accumulates primitives, each already built with its role, then emits
+    a SceneGraph. add() keeps the very object it is given, so a shared
+    primitive stays shared.
 
     build() sorts primitives stably by z, so callers never deal with
     draw-order bookkeeping.
@@ -188,12 +191,7 @@ class SceneBuilder:
         self.canvas = canvas
         self._prims: list[Primitive] = []
 
-    def add(self, prim: Primitive, role: str) -> None:
-        # A primitive that already plays `role` (a shared one does) is kept
-        # as it is; otherwise the direct constructor, not `_replace`, which
-        # costs twice as much.
-        if prim.role != role:
-            prim = Primitive(prim.kind, prim.geometry, prim.style, prim.z, role)
+    def add(self, prim: Primitive) -> None:
         self._prims.append(prim)
 
     def build(self) -> SceneGraph:
@@ -281,11 +279,10 @@ def validate_scene(scene: SceneGraph) -> None:
 _SHARED: dict[int, tuple[Primitive, str]] = {}
 
 
-def shared(prim: Primitive, role: str) -> Primitive:
-    """`prim` tagged with `role`, checked once and rendered once for every
-    scene in the process that holds it. Raises InvalidScene, registering
-    nothing, if it breaks its kind's invariants."""
-    prim = Primitive(prim.kind, prim.geometry, prim.style, prim.z, role)
+def shared(prim: Primitive) -> Primitive:
+    """`prim` itself, checked once and rendered once for every scene in the
+    process that holds it. Raises InvalidScene, registering nothing, if it
+    breaks its kind's invariants."""
     problems = primitive_problems(prim)
     if problems:
         raise InvalidScene([(0, msg) for msg in problems])

@@ -127,8 +127,8 @@ def test_criterion_6_gate_bounds():
 
     b = SceneBuilder(Canvas(640, 480))
     content = "forced overlapping title " * 2
-    b.add(text(320, 10, content, StyleSpec(font_size=18), anchor="middle"), "title")
-    b.add(text(320, 12, content, StyleSpec(font_size=18), anchor="middle"), "title")
+    b.add(text(320, 10, content, StyleSpec(font_size=18), "title", anchor="middle"))
+    b.add(text(320, 12, content, StyleSpec(font_size=18), "title", anchor="middle"))
     verdict = aesthetics_gate(b.build(), GateConfig())
     assert not verdict.passed
     assert any(r.startswith("interference") for r in verdict.reasons)

@@ -155,10 +155,15 @@ def test_keyword_library_ships_150_topics():
 
 
 def test_review_sample_fraction_matches_config_default():
+    """The review fraction has one home, GateConfig: `sample_for_review`
+    takes it with no default of its own."""
     from test_records import make_record
+    fraction = GateConfig().review_fraction
+    params = inspect.signature(sample_for_review).parameters
+    assert all(params[name].default is inspect.Parameter.empty for name in ("fraction", "seed"))
     manifest = Manifest(records=[make_record(i) for i in range(40)])
-    ids = sample_for_review(manifest, 0.10, seed=1)
-    assert len(ids) == math.ceil(0.10 * 40)
+    ids = sample_for_review(manifest, fraction, seed=1)
+    assert len(ids) == math.ceil(fraction * 40)
 
 
 # Modules below the scenario table: they must not reach up to it, so no
@@ -657,6 +662,56 @@ def test_parts_are_shared_only_from_module_level_or_a_cache():
     assert not offenders
 
 
+SHAPE_CONSTRUCTORS = {"line", "polyline", "polygon", "rect", "circle", "arc", "wedge", "text"}
+
+
+def call_sites(tree, attr):
+    """(innermost enclosing function name or None, line) for each call whose
+    callee is named `attr`, bare or as an attribute."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and attr in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def parameter_names(tree, qualname):
+    """The parameter names of the function `qualname` (`f` or `Class.f`)."""
+    *owner, name = qualname.split(".")
+    scope = tree.body
+    if owner:
+        [cls] = [n for n in scope if isinstance(n, ast.ClassDef) and n.name == owner[0]]
+        scope = cls.body
+    [func] = [n for n in scope if isinstance(n, ast.FunctionDef) and n.name == name]
+    return [a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs]
+
+
+def test_each_primitive_is_built_once_with_its_role():
+    """Only the shape constructors build a Primitive, each with its role, so
+    neither the builder nor the shared-part registry makes a second copy."""
+    builders, replaced = set(), []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builders |= {(path.stem, owner) for owner, _ in call_sites(tree, "Primitive")}
+        replaced += [(path.name, line) for _, line in call_sites(tree, "_replace")]
+    assert builders == {("scene", name) for name in SHAPE_CONSTRUCTORS}
+    assert not replaced
+    tree = ast.parse((SRC_DIR / "scene.py").read_text(encoding="utf-8"))
+    assert parameter_names(tree, "SceneBuilder.add") == ["self", "prim"]
+    assert parameter_names(tree, "shared") == ["prim"]
+    for name in SHAPE_CONSTRUCTORS:
+        params = parameter_names(tree, name)
+        assert params[params.index("style") + 1] == "role", name
+
+
 # ROADMAP item 15(a): every function of src/ that `gen --all --count 40
 # --seed 9` never enters, outside the modules of the other commands, with why.
 GEN_SKIPS = ("scoring", "bridge", "gallery", "cli")
@@ -673,7 +728,6 @@ NEVER_ENTERED_BY_GEN = {
     "records.vote_select": "backend: the bridge's answer vote",
     "records.canonicalize": "eval; the oracle only when a record's answer differs in form",
     "records.answer_set": "the oracle only when a record's answer differs in form",
-    "records.Verdict.__bool__": "tests only: gen reads Verdict.ok",
     "records.parse_json_line": "eval, stats, gallery: reading a manifest",
     "records.json_lines": "eval, stats, gallery: reading a manifest",
     "records.record_from_json": "eval, stats, gallery: reading a manifest",

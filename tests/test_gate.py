@@ -52,10 +52,10 @@ def test_an_overflowing_spec_is_rejected_after_one_build():
     assert feasibility_gate(pie("x" * 57), build_chart_scene).accepted
 
 
-def scene_with(*prims_roles, canvas=None):
+def scene_with(*prims, canvas=None):
     b = SceneBuilder(canvas or Canvas(640, 480))
-    for prim, role in prims_roles:
-        b.add(prim, role)
+    for prim in prims:
+        b.add(prim)
     return b.build()
 
 
@@ -71,8 +71,8 @@ def test_coincident_titles_fail_with_interference():
     style = StyleSpec(font_size=18)
     content = "duplicated title " * 3
     scene = scene_with(
-        (text(320, 10, content, style, anchor="middle"), "title"),
-        (text(320, 12, content, style, anchor="middle"), "title"),
+        text(320, 10, content, style, "title", anchor="middle"),
+        text(320, 12, content, style, "title", anchor="middle"),
     )
     result = aesthetics_gate(scene, GateConfig())
     assert not result.passed
@@ -80,16 +80,16 @@ def test_coincident_titles_fail_with_interference():
 
 
 def test_small_font_fails():
-    scene = scene_with((text(10, 10, "tiny", StyleSpec(font_size=6)), "title"))
+    scene = scene_with(text(10, 10, "tiny", StyleSpec(font_size=6), "title"))
     result = aesthetics_gate(scene, GateConfig())
     assert not result.passed
     assert any(r.startswith("small-font") for r in result.reasons)
 
 
 def test_legend_internal_overlap_not_interference():
-    swatch = rect(10, 10, 10, 10, StyleSpec(fill="blue"))
-    label = text(12, 11, "series", StyleSpec(font_size=10))
-    scene = scene_with((swatch, "legend"), (label, "legend"))
+    swatch = rect(10, 10, 10, 10, StyleSpec(fill="blue"), "legend")
+    label = text(12, 11, "series", StyleSpec(font_size=10), "legend")
+    scene = scene_with(swatch, label)
     assert aesthetics_gate(scene, GateConfig()).passed
 
 
@@ -206,11 +206,11 @@ def test_one_scan_gate_matches_the_two_scan_gate_on_crowded_scenes():
             role = rng.choice(("data_marks", "data_marks", "legend"))
             if rng.random() < 0.7:
                 style = StyleSpec(font_size=rng.choice((6, 7.5, 8, 10, 14)))
-                b.add(text(x, y, "w" * rng.randint(1, 9), style,
-                           anchor=rng.choice(("start", "middle", "end"))), role)
+                b.add(text(x, y, "w" * rng.randint(1, 9), style, role,
+                           anchor=rng.choice(("start", "middle", "end"))))
             else:
                 b.add(rect(x, y, rng.randint(0, 20), rng.randint(0, 20),
-                           StyleSpec(fill="blue")), role)
+                           StyleSpec(fill="blue"), role))
         scene = b.build()
         result = aesthetics_gate(scene, config)
         assert result == two_scan_gate(scene, config)

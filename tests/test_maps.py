@@ -10,7 +10,7 @@ from absynth.maps import (
     BRANCH_MAX_LEN, BRANCH_MIN_LEN, CELL_PX, GRID_COLS, GRID_ROWS, MARGIN_PX, MAX_BRANCHES,
     MAX_STEPS, MIN_GOLD_CELLS, OBSTACLE_DENSITY, RESEED_ATTEMPTS, STREET_NAMES, TURN_PROB,
     DegenerateMap, DIRECTIONS, PathTrace, RoadMapSpec, _corners, _ROAD_STYLE, build_map_scene,
-    classify_difficulty, generate_map, map_instruction,
+    classify_difficulty, generate_map, map_questions,
 )
 from absynth.scene import bounding_box, line, overlap_pairs
 from absynth.seeds import derive_seed
@@ -147,7 +147,7 @@ def reference_roads(spec):
             other = (cell[0] + dr, cell[1] + dc)
             if other in spec.network and (other, cell) not in drawn:
                 ox, oy = reference_center(other)
-                roads.append(line(x, y, ox, oy, _ROAD_STYLE)._replace(role="roads"))
+                roads.append(line(x, y, ox, oy, _ROAD_STYLE, "roads"))
                 drawn.add((cell, other))
     return roads
 
@@ -310,7 +310,7 @@ def test_landmark_sequence_matches_oracle_rewalk():
 
 def test_map_instruction_answer_is_landmark_sequence():
     spec = generate_map(123)
-    draft = map_instruction(spec)
+    draft = map_questions(spec)[0]
     assert draft.answer == ", ".join(spec.gold.landmarks)
     assert draft.answer_kind == "landmark_sequence"
     start_name = spec.landmark_names[spec.start]

@@ -53,7 +53,7 @@ def test_every_record_reverifies_from_provenance():
     for record in manifest.records:
         sdef = scenario_def(record.scenario)
         spec = sdef.sample(record.provenance.seed)
-        assert verify_record(record, sdef.questions(spec)), record.id
+        assert verify_record(record, sdef.questions(spec)).ok, record.id
 
 
 def test_image_refs_point_at_written_images():

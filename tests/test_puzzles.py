@@ -99,8 +99,7 @@ def structural_diff_count(spec: DiffPairSpec) -> int:
         base_item = next(i for i in spec.base_items if i.cell == c)
         for a in list(appeared):
             var_item = next(i for i in spec.variant_items if i.cell == a)
-            if (base_item.shape, base_item.color, base_item.size) == \
-                    (var_item.shape, var_item.color, var_item.size):
+            if (base_item.shape, base_item.color) == (var_item.shape, var_item.color):
                 moves += 1
                 gone.remove(c)
                 appeared.remove(a)

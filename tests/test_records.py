@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from absynth.charts import chart_questions, sample_chart_spec
 from absynth.gauges import DialSpec
-from absynth.maps import generate_map, map_instruction, map_questions
+from absynth.maps import generate_map, map_questions
 from absynth.records import (
     ANSWER_KINDS, MANIFEST_SCHEMA_VERSION, SCENARIOS, InstructionRecord, Manifest, Provenance,
     QuestionDraft, Verdict, answer_set, canonicalize,
@@ -143,7 +143,7 @@ def test_verify_record_ok_for_generated_chart_answers():
             question_type=draft.question_type, alternates=draft.alternates,
             rationale=draft.rationale, provenance=Provenance("chart-gen", 3),
         )
-        assert verify_record(rec, chart_questions(spec))
+        assert verify_record(rec, chart_questions(spec)).ok
 
 
 def test_verify_record_detects_tampering():
@@ -209,19 +209,19 @@ def test_verify_clock_alternates_accepted():
         question_type="offset_math", alternates=("4:10",), rationale=draft.rationale,
         provenance=Provenance("gauge-gen", 0),
     )
-    assert verify_record(rec, dial_questions(spec))
+    assert verify_record(rec, dial_questions(spec)).ok
 
 
 def test_verify_map_instruction():
     spec = generate_map(9)
-    draft = map_instruction(spec)
+    draft = map_questions(spec)[0]
     rec = InstructionRecord(
         id="map-00009-q00", scenario="map", image_ref="images/map/x.svg",
         question=draft.question, answer=draft.answer, answer_kind="landmark_sequence",
         question_type="navigation", rationale=draft.rationale,
         provenance=Provenance("map-gen", 9),
     )
-    assert verify_record(rec, map_questions(spec))
+    assert verify_record(rec, map_questions(spec)).ok
 
 
 # -- voting -----------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_empty_scene_has_only_background_rect():
 
 
 def test_circle_round_trips_through_svg():
-    scene = SceneGraph(Canvas(640, 480), (circle(100, 100, 10, STROKED),))
+    scene = SceneGraph(Canvas(640, 480), (circle(100, 100, 10, STROKED, "marks"),))
     root = parse_svg(render_svg(scene))
     el = root.find(f"{SVG_NS}circle")
     assert el is not None
@@ -52,9 +52,9 @@ def test_circle_round_trips_through_svg():
 
 def test_render_is_deterministic():
     b = SceneBuilder(Canvas(640, 480))
-    b.add(circle(10, 20, 5, FILLED), "marks")
-    b.add(text(50, 50, "hello & <world>", StyleSpec(font_size=12)), "labels")
-    b.add(wedge(100, 100, 40, 0, 144, FILLED), "marks")
+    b.add(circle(10, 20, 5, FILLED, "marks"))
+    b.add(text(50, 50, "hello & <world>", StyleSpec(font_size=12), "labels"))
+    b.add(wedge(100, 100, 40, 0, 144, FILLED, "marks"))
     scene = b.build()
     assert render_svg(scene) == render_svg(scene)
 
@@ -68,7 +68,7 @@ def test_text_content_is_escaped_like_the_standard_escaper():
     `xml.sax.saxutils.escape` makes of it, and parses back to the content."""
     b = SceneBuilder(Canvas(640, 480))
     for i, content in enumerate(ESCAPE_CASES):
-        b.add(text(10, 10 + 30 * i, content, StyleSpec(font_size=12)), "labels")
+        b.add(text(10, 10 + 30 * i, content, StyleSpec(font_size=12), "labels"))
     svg = render_svg(b.build()).decode("utf-8")
     raw = re.findall(r"<text [^>]*>(.*?)</text>", svg)
     assert raw == [xml_escape(c) for c in ESCAPE_CASES]
@@ -81,10 +81,14 @@ def test_text_content_is_escaped_like_the_standard_escaper():
 
 def test_z_order_and_each_primitive_once():
     b = SceneBuilder(Canvas(640, 480))
-    b.add(circle(1, 1, 1, FILLED, z=5), "top")
-    b.add(circle(2, 2, 1, FILLED, z=0), "bottom")
+    top, bottom = circle(1, 1, 1, FILLED, "top", z=5), circle(2, 2, 1, FILLED, "bottom", z=0)
+    b.add(top)
+    b.add(bottom)
     scene = b.build()
-    assert scene.primitives[0].geometry[0] == 2.0
+    # A primitive is built once, with its role: the scene holds the very
+    # objects handed to `add`, shared or not, only sorted by z.
+    assert scene.primitives[0] is bottom and scene.primitives[1] is top
+    assert not any(id(p) in scene_module._SHARED for p in scene.primitives)
     assert [p.role for p in scene.primitives] == ["bottom", "top"]
     root = parse_svg(render_svg(scene))
     assert len(root.findall(f"{SVG_NS}circle")) == 2
@@ -93,20 +97,20 @@ def test_z_order_and_each_primitive_once():
 def test_invalid_scene_lists_offenders():
     bad = Primitive("circle", (1.0, 1.0, -3.0), FILLED)
     with pytest.raises(InvalidScene) as err:
-        SceneGraph(Canvas(640, 480), (circle(5, 5, 1, FILLED), bad))
+        SceneGraph(Canvas(640, 480), (circle(5, 5, 1, FILLED, "marks"), bad))
     assert [i for i, _ in err.value.problems] == [1]
 
 
 @pytest.mark.parametrize("bad, message", [
-    (polyline([], STROKED), "polyline without points"),
-    (polygon([], FILLED), "polygon without points"),
-    (rect(630, 0, -700, 10, FILLED), "negative width or height"),
-    (rect(0, 0, 10, -0.5, FILLED), "negative width or height"),
+    (polyline([], STROKED, "marks"), "polyline without points"),
+    (polygon([], FILLED, "marks"), "polygon without points"),
+    (rect(630, 0, -700, 10, FILLED, "marks"), "negative width or height"),
+    (rect(0, 0, 10, -0.5, FILLED, "marks"), "negative width or height"),
 ], ids=["empty-polyline", "empty-polygon", "negative-width", "negative-height"])
 def test_degenerate_shapes_are_invalid(bad, message):
     # Each would reach the gate with no box or an inverted one.
     with pytest.raises(InvalidScene) as err:
-        SceneGraph(Canvas(640, 480), (circle(5, 5, 1, FILLED), bad))
+        SceneGraph(Canvas(640, 480), (circle(5, 5, 1, FILLED, "marks"), bad))
     assert err.value.problems == [(1, message)]
 
 
@@ -119,30 +123,30 @@ def test_text_without_font_size_is_invalid():
 
 
 def test_bbox_circle():
-    assert bounding_box(circle(100, 100, 10, FILLED)) == (90, 90, 110, 110)
+    assert bounding_box(circle(100, 100, 10, FILLED, "marks")) == (90, 90, 110, 110)
 
 
 def test_bbox_line():
-    assert bounding_box(line(0, 0, 10, 20, STROKED)) == (0, 0, 10, 20)
+    assert bounding_box(line(0, 0, 10, 20, STROKED, "marks")) == (0, 0, 10, 20)
 
 
 def test_bbox_text_heuristic():
     # width = 0.6 * font_size * chars, height = font_size
-    p = text(0, 0, "AB", StyleSpec(font_size=10))
+    p = text(0, 0, "AB", StyleSpec(font_size=10), "labels")
     assert bounding_box(p) == (0, 0, 12, 10)
 
 
 def test_bbox_text_middle_anchor():
-    p = text(100, 0, "AB", StyleSpec(font_size=10), anchor="middle")
+    p = text(100, 0, "AB", StyleSpec(font_size=10), "labels", anchor="middle")
     assert bounding_box(p) == (94, 0, 106, 10)
 
 
 def test_bbox_wedge_contains_arc_extremes():
     # Quarter wedge from 12 o'clock to 3 o'clock around (0, 0).
-    box = bounding_box(wedge(0, 0, 10, 0, 90, FILLED))
+    box = bounding_box(wedge(0, 0, 10, 0, 90, FILLED, "marks"))
     assert box == (0, -10, 10, 0)
     # Sweep crossing 90 and 180 degrees pulls the box to the full extents.
-    box = bounding_box(wedge(0, 0, 10, 45, 180, FILLED))
+    box = bounding_box(wedge(0, 0, 10, 45, 180, FILLED, "marks"))
     assert box[2] == pytest.approx(10)
     assert box[3] == pytest.approx(10)
 
@@ -152,18 +156,18 @@ def primitives(draw):
     x = st.floats(min_value=-500, max_value=500, allow_nan=False, width=32)
     kind = draw(st.sampled_from(["line", "rect", "circle", "polyline", "polygon", "wedge"]))
     if kind == "line":
-        return line(draw(x), draw(x), draw(x), draw(x), STROKED)
+        return line(draw(x), draw(x), draw(x), draw(x), STROKED, "marks")
     if kind == "rect":
         return rect(draw(x), draw(x), draw(st.floats(0, 100, width=32)),
-                    draw(st.floats(0, 100, width=32)), FILLED)
+                    draw(st.floats(0, 100, width=32)), FILLED, "marks")
     if kind == "circle":
-        return circle(draw(x), draw(x), draw(st.floats(0.5, 100, width=32)), FILLED)
+        return circle(draw(x), draw(x), draw(st.floats(0.5, 100, width=32)), FILLED, "marks")
     if kind == "wedge":
         return wedge(draw(x), draw(x), draw(st.floats(0.5, 100, width=32)),
                      draw(st.floats(0, 360, width=32)),
-                     draw(st.floats(1, 360, width=32)), FILLED)
+                     draw(st.floats(1, 360, width=32)), FILLED, "marks")
     pts = draw(st.lists(st.tuples(x, x), min_size=2, max_size=8))
-    return polyline(pts, STROKED) if kind == "polyline" else polygon(pts, FILLED)
+    return polyline(pts, STROKED, "marks") if kind == "polyline" else polygon(pts, FILLED, "marks")
 
 
 def geometry_points(p: Primitive):
@@ -205,7 +209,7 @@ def test_bbox_contains_geometry(p):
 def scene_with_rects(*boxes):
     b = SceneBuilder(Canvas(640, 480))
     for x0, y0, x1, y1 in boxes:
-        b.add(rect(x0, y0, x1 - x0, y1 - y0, FILLED), "marks")
+        b.add(rect(x0, y0, x1 - x0, y1 - y0, FILLED, "marks"))
     return b.build()
 
 
@@ -229,9 +233,9 @@ def test_overlap_explicit_indices_join_roles():
     # A role's indices joined with those of a primitive of another role,
     # in any order and with repeats, select each primitive once.
     b = SceneBuilder(Canvas(640, 480))
-    b.add(rect(0, 0, 10, 10, FILLED), "marks")
-    b.add(text(5, 5, "other role", StyleSpec(font_size=10)), "labels")
-    b.add(rect(100, 100, 10, 10, FILLED), "marks")
+    b.add(rect(0, 0, 10, 10, FILLED, "marks"))
+    b.add(text(5, 5, "other role", StyleSpec(font_size=10), "labels"))
+    b.add(rect(100, 100, 10, 10, FILLED, "marks"))
     scene = b.build()
     marks = role_indices(scene, "marks")
     assert overlap_pairs(scene, marks) == []
@@ -363,7 +367,7 @@ def test_swept_overlaps_match_all_pairs_on_random_boxes():
         for _ in range(rng.randint(0, 14)):
             x, y = rng.randint(0, 12), rng.randint(0, 12)
             w, h = rng.choice((0, 0, 1, 2, 3, 5, 8)), rng.choice((0, 1, 2, 4, 6))
-            b.add(rect(x, y, w, h, FILLED), rng.choice(("a", "b")))
+            b.add(rect(x, y, w, h, FILLED, rng.choice(("a", "b"))))
         scene = b.build()
         everything = range(len(scene.primitives))
         assert overlap_pairs(scene, everything) == all_pairs_overlaps(scene, everything)
@@ -469,20 +473,22 @@ def test_render_with_the_coordinate_memo_matches_formatting_each_value(monkeypat
 
 
 def test_primitive_fields_cannot_be_assigned():
-    prim = line(0, 0, 10, 10, STROKED)
-    for name, value in (("kind", "circle"), ("geometry", ()), ("style", FILLED), ("z", 3)):
+    prim = line(0, 0, 10, 10, STROKED, "marks")
+    for name, value in (("kind", "circle"), ("geometry", ()), ("style", FILLED), ("z", 3),
+                        ("role", "labels")):
         with pytest.raises(AttributeError):
             setattr(prim, name, value)
-    assert prim == line(0, 0, 10, 10, STROKED)
+    assert prim == line(0, 0, 10, 10, STROKED, "marks")
 
 
 def test_style_memo_keeps_each_style_string():
     # Equal styles, text and shape use of one style, and a dash pattern.
     dashed = StyleSpec(stroke="black", stroke_width=1.5, dash=(4.0, 2.5))
-    prims = (line(0, 0, 10, 10, dashed), line(1, 1, 5, 5, StyleSpec(stroke="black",
-             stroke_width=1.5, dash=(4.0, 2.5))), rect(2, 2, 3, 3, StyleSpec(fill="blue")),
-             text(5, 5, "a", StyleSpec(fill="blue", font_size=12.5)),
-             rect(8, 8, 2, 2, StyleSpec(fill="blue", font_size=12.5)))
+    prims = (line(0, 0, 10, 10, dashed, "marks"), line(1, 1, 5, 5, StyleSpec(stroke="black",
+             stroke_width=1.5, dash=(4.0, 2.5)), "marks"),
+             rect(2, 2, 3, 3, StyleSpec(fill="blue"), "marks"),
+             text(5, 5, "a", StyleSpec(fill="blue", font_size=12.5), "labels"),
+             rect(8, 8, 2, 2, StyleSpec(fill="blue", font_size=12.5), "marks"))
     root = parse_svg(render_svg(SceneGraph(Canvas(640, 480), prims)))
     lines = root.findall(f"{SVG_NS}line")
     assert [el.get("stroke-dasharray") for el in lines] == ["4 2.5", "4 2.5"]
@@ -500,14 +506,14 @@ def coordinate_slots():
     """(arity, build) pairs; build(values) makes a primitive from a flat
     list of `arity` coordinates."""
     return [
-        (4, lambda v: line(*v, STROKED)),
-        (4, lambda v: rect(*v, FILLED)),
-        (3, lambda v: circle(*v, FILLED)),
-        (5, lambda v: arc(*v, STROKED)),
-        (5, lambda v: wedge(*v, FILLED)),
-        (2, lambda v: text(*v, "t", StyleSpec(font_size=10))),
-        (6, lambda v: polyline(zip(v[0::2], v[1::2]), STROKED)),
-        (6, lambda v: polygon(zip(v[0::2], v[1::2]), FILLED)),
+        (4, lambda v: line(*v, STROKED, "marks")),
+        (4, lambda v: rect(*v, FILLED, "marks")),
+        (3, lambda v: circle(*v, FILLED, "marks")),
+        (5, lambda v: arc(*v, STROKED, "marks")),
+        (5, lambda v: wedge(*v, FILLED, "marks")),
+        (2, lambda v: text(*v, "t", StyleSpec(font_size=10), "labels")),
+        (6, lambda v: polyline(zip(v[0::2], v[1::2]), STROKED, "marks")),
+        (6, lambda v: polygon(zip(v[0::2], v[1::2]), FILLED, "marks")),
     ]
 
 
@@ -526,8 +532,9 @@ def test_finiteness_check_rejects_each_non_finite_slot():
 def test_finiteness_check_accepts_large_finite_values_whose_sum_overflows():
     big = 1e308
     assert math.isinf(big + big)
-    assert primitive_problems(text(big, big, "t", StyleSpec(font_size=10))) == []
-    assert primitive_problems(line(big, big, big, big, STROKED)) == []
-    assert primitive_problems(rect(big, -big, big, big, FILLED)) == []
-    assert primitive_problems(polyline([(big, big), (-big, -big), (-big, big)], STROKED)) == []
-    assert primitive_problems(circle(big, big, big, FILLED)) == []
+    assert primitive_problems(text(big, big, "t", StyleSpec(font_size=10), "labels")) == []
+    assert primitive_problems(line(big, big, big, big, STROKED, "marks")) == []
+    assert primitive_problems(rect(big, -big, big, big, FILLED, "marks")) == []
+    assert primitive_problems(polyline([(big, big), (-big, -big), (-big, big)], STROKED,
+                                       "marks")) == []
+    assert primitive_problems(circle(big, big, big, FILLED, "marks")) == []

@@ -32,10 +32,22 @@ def unshared(graph: SceneGraph) -> SceneGraph:
     return SceneGraph(graph.canvas, tuple(Primitive(*p) for p in graph.primitives))
 
 
+# The roles whose every primitive is a fixed part of its scenario's frame,
+# and so must reach the built scene as the registered object itself. A puzzle's
+# marks are shared only in comparison scenes, and labels, hands, needles and
+# columns are made per image, so none of them is listed.
+FIXED_ROLES = {
+    "map": {"roads", "obstacles", "start_marker", "end_marker", "landmarks"},
+    "dashboard": {"face", "ticks", "numbers", "tick_labels", "hub", "tube", "bulb"},
+    "puzzle": {"title", "panels", "option_labels", "panel_titles"},
+}
+
+
 @pytest.mark.parametrize("scenario", ["map", "dashboard", "puzzle"])
 def test_shared_parts_render_like_fresh_copies(scenario):
     sdef = scenario_def(scenario)
     n_shared = n_prims = 0
+    fixed = set()
     for seed in range(300):
         graph = sdef.build(sdef.sample(seed))
         copy = unshared(graph)
@@ -43,44 +55,49 @@ def test_shared_parts_render_like_fresh_copies(scenario):
         assert render_svg(graph) == render_svg(copy), seed
         n_shared += sum(id(p) in scene._SHARED for p in graph.primitives)
         n_prims += len(graph.primitives)
+        for prim in graph.primitives:
+            if prim.role in FIXED_ROLES[scenario]:
+                fixed.add(prim.role)
+                assert scene._SHARED[id(prim)][0] is prim, (seed, prim.role)
     # Most of each scene is shared, so the comparison above tests the registry.
     assert n_shared > n_prims / 3
+    assert fixed == FIXED_ROLES[scenario]
 
 
 def test_an_invalid_part_is_refused_and_not_registered():
     before = dict(scene._SHARED)
     with pytest.raises(InvalidScene, match="negative width or height"):
-        shared(rect(0, 0, -5, 5, FILLED), "boxes")
+        shared(rect(0, 0, -5, 5, FILLED, "boxes"))
     with pytest.raises(InvalidScene, match="shape needs stroke or fill"):
-        shared(circle(10, 10, 5, StyleSpec()), "dots")
+        shared(circle(10, 10, 5, StyleSpec(), "dots"))
     assert scene._SHARED == before
 
 
 def test_a_part_is_tagged_checked_and_rendered_once():
-    part = shared(line(0, 0, 10, 10, STROKED, z=2), "roads")
-    assert part.role == "roads" and part.z == 2
+    """A part is tagged with its role when it is built; `shared` registers
+    that very object, and a scene built from it holds it as it is."""
+    part = line(0, 0, 10, 10, STROKED, "roads", z=2)
+    assert shared(part) is part
     stored, text = scene._SHARED[id(part)]
     assert stored is part
     assert text == scene._element(part, scene._style_attrs(STROKED, False))
     b = SceneBuilder(Canvas())
-    b.add(part, "roads")
-    b.add(part, "other")  # another role makes an unshared copy
-    first, second = b.build().primitives
-    assert first is part
-    assert second is not part and second.role == "other" and id(second) not in scene._SHARED
+    b.add(part)
+    [placed] = b.build().primitives
+    assert placed is part
 
 
 def test_an_unshared_fault_is_named_among_shared_parts():
-    parts = (shared(rect(0, 0, 10, 10, FILLED), "a"), shared(circle(5, 5, 3, FILLED, z=1), "b"))
-    bad = rect(0, 0, 10, -1, FILLED, z=1)
+    parts = (shared(rect(0, 0, 10, 10, FILLED, "a")), shared(circle(5, 5, 3, FILLED, "b", z=1)))
+    bad = rect(0, 0, 10, -1, FILLED, "c", z=1)
     with pytest.raises(InvalidScene) as err:
         SceneGraph(Canvas(), (*parts, bad))
     assert err.value.problems == [(2, "negative width or height")]
 
 
 def test_shared_parts_are_still_checked_for_z_order():
-    low = shared(rect(0, 0, 10, 10, FILLED), "low")
-    high = shared(rect(0, 0, 10, 10, FILLED, z=3), "high")
+    low = shared(rect(0, 0, 10, 10, FILLED, "low"))
+    high = shared(rect(0, 0, 10, 10, FILLED, "high", z=3))
     with pytest.raises(InvalidScene) as err:
         SceneGraph(Canvas(), (high, low))
     assert err.value.problems == [(1, "primitives not sorted by z")]
