@@ -144,12 +144,42 @@ class GateReport:
         }
 
     def to_json(self) -> str:
-        body = {
-            "summary": self.aggregate(),
-            "outcomes": {
-                cid: ({"accepted": True} if out is None
-                      else {"accepted": False, "stage": out.stage, "reason": out.reason})
-                for cid, out in sorted(self.outcomes.items())
-            },
-        }
-        return json.dumps(body, indent=2, sort_keys=True, ensure_ascii=False)
+        """The report as `json.dumps(body, indent=2, sort_keys=True,
+        ensure_ascii=False)` writes it, with the summary and each outcome
+        under its candidate id in sorted order. Written directly, one
+        fixed-schema f-string per entry over the C string escaper, because
+        with `indent` json.dumps runs its pure-Python encoder."""
+        entries = []
+        for cid, out in sorted(self.outcomes.items()):
+            if out is None:
+                entries.append(f'    {_quote(cid)}: {{\n      "accepted": true\n    }}')
+            else:
+                entries.append(f'    {_quote(cid)}: {{\n      "accepted": false,\n'
+                               f'      "reason": {_quote(out.reason)},\n'
+                               f'      "stage": {_quote(out.stage)}\n    }}')
+        summary = self.aggregate()
+        stages = [f"      {_quote(stage)}: {n}"
+                  for stage, n in summary["rejected_by_stage"].items()]
+        return (
+            f'{{\n  "outcomes": {_block(entries, "  ")},\n'
+            f'  "summary": {{\n'
+            f'    "accepted": {summary["accepted"]},\n'
+            f'    "candidates": {summary["candidates"]},\n'
+            f'    "pass_rate": {summary["pass_rate"]!r},\n'
+            f'    "rejected": {summary["rejected"]},\n'
+            f'    "rejected_by_stage": {_block(stages, "    ")}\n'
+            f'  }}\n}}'
+        )
+
+
+# The C escaper behind json.dumps(ensure_ascii=False): quotes, backslashes
+# and control characters escaped, everything else written as is.
+_quote = json.encoder.encode_basestring
+
+
+def _block(entries: list[str], indent: str) -> str:
+    """A JSON object of already indented `entries`, closed at `indent`, as
+    json.dumps with indent=2 writes it: `{}` when there are none."""
+    if not entries:
+        return "{}"
+    return "{\n" + ",\n".join(entries) + "\n" + indent + "}"

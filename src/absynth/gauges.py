@@ -17,9 +17,10 @@ scene alone.
 Each family row draws its dial in two parts: a `face`, which no reading
 moves (the dial or tube, ticks, tick labels and hub), and a `mark`, which
 shows the reading (the hands, needle or mercury). Both yield primitives
-built with their roles. The face is drawn once per family and process, and
-each of its primitives goes to `scene.shared` as it is (107 for the five
-families); the mark is drawn once per image and added after the face, and
+built with their roles, each checked and rendered by its shape constructor.
+The face is drawn once per family and process by the cached `_face`, so every
+dial of a family holds the same face primitives (107 for the five families);
+the mark is drawn once per image and added after the face, and
 the builder's stable sort by z then puts every primitive where a one-pass
 build put it.
 """
@@ -35,7 +36,7 @@ from typing import Any, Callable, Iterable, Iterator
 from .records import QuestionDraft, format_number
 from .scene import (
     Canvas, Primitive, SceneBuilder, SceneGraph, StyleSpec, angle_point, arc, circle, line,
-    rect, shared, text,
+    rect, text,
 )
 from .seeds import derive_seed, fields_of
 
@@ -298,7 +299,7 @@ FAMILIES = tuple(_ROWS)
 def _face(family: str) -> tuple[Primitive, ...]:
     """The shared parts of a family's dial, drawn once per process."""
     row = _ROWS[family]
-    return tuple(shared(prim) for prim in row.face(row))
+    return tuple(row.face(row))
 
 
 def build_dial_scene(spec: DialSpec) -> SceneGraph:

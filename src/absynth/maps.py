@@ -26,9 +26,10 @@ neighbours, and draws each road once, from whichever of its cells sorts first.
 
 Every map is drawn on the same grid, so a road is fixed by its cell and its
 down or right neighbour, and an obstacle or a start, end or landmark marker
-by its cell. Each is a `scene.shared` primitive, made by a cached helper the
-first time a map needs it: at most 264 roads, 144 obstacles and 432 markers
-per process. Only the labels, whose text is the map's own, are made per map.
+by its cell. Each is made by a cached helper the first time a map needs it,
+so its shape constructor checks and renders it once per process: at most 264
+roads, 144 obstacles and 432 markers. Only the labels, whose text is the
+map's own, are made per map.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from random import Random
 
 from .records import QuestionDraft
 from .scene import (
-    Canvas, Primitive, SceneBuilder, SceneGraph, StyleSpec, circle, line, rect, shared, text,
+    Canvas, Primitive, SceneBuilder, SceneGraph, StyleSpec, circle, line, rect, text,
 )
 from .seeds import derive_seed, fields_of
 
@@ -290,14 +291,14 @@ _CANVAS = Canvas(
 def _roads_from(cell: Cell) -> tuple[tuple[Cell, Primitive], ...]:
     """The road from `cell` to each of its down and right neighbours."""
     x, y, down_right = _CENTER[cell]
-    return tuple((other, shared(line(x, y, *_CENTER[other][:2], _ROAD_STYLE, "roads")))
+    return tuple((other, line(x, y, *_CENTER[other][:2], _ROAD_STYLE, "roads"))
                  for other in down_right)
 
 
 @cache
 def _obstacle(cell: Cell) -> Primitive:
     x, y, _ = _CENTER[cell]
-    return shared(rect(x - 8, y - 8, 16, 16, _OBSTACLE_STYLE, "obstacles", z=1))
+    return rect(x - 8, y - 8, 16, 16, _OBSTACLE_STYLE, "obstacles", z=1)
 
 
 @cache
@@ -305,17 +306,17 @@ def _marker(cell: Cell, role: str) -> Primitive:
     """The start, end or landmark marker at `cell`, by its role."""
     x, y, _ = _CENTER[cell]
     if role == "start_marker":
-        return shared(circle(x, y, 8, _START_STYLE, role, z=3))
+        return circle(x, y, 8, _START_STYLE, role, z=3)
     if role == "end_marker":
-        return shared(rect(x - 7, y - 7, 14, 14, _END_STYLE, role, z=3))
-    return shared(circle(x, y, 4.5, _NODE_STYLE, role, z=2))
+        return rect(x - 7, y - 7, 14, 14, _END_STYLE, role, z=3)
+    return circle(x, y, 4.5, _NODE_STYLE, role, z=2)
 
 
 def build_map_scene(spec: RoadMapSpec) -> SceneGraph:
     """Draw the road network, obstacles, landmark labels, and start/end
     markers. The gold path itself is not highlighted (it is the answer).
-    Roads, obstacles and markers are shared primitives; only the labels,
-    whose text is the spec's, are made per scene."""
+    Roads, obstacles and markers come from the cached helpers; only the
+    labels, whose text is the spec's, are made per scene."""
     b = SceneBuilder(_CANVAS)
     network = spec.network
     # Each road is drawn from its first cell in sorted order, which is the

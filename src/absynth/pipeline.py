@@ -200,14 +200,15 @@ def generate_image(config: RunConfig, scenario: str, index: int) -> ImageResult:
     oracle = sdef.questions(spec)
     difficulty = getattr(spec, "difficulty", None)
     split = _assign_split(config, image_id)
+    # Frozen, so every record of the image can hold the one object.
+    provenance = Provenance(sdef.generator, seed)
     for j, draft in enumerate(drafts):
         record = InstructionRecord(
             id=f"{image_id}-q{j:02d}", scenario=scenario, image_ref=result.image_ref,
             question=draft.question, answer=draft.answer,
             answer_kind=draft.answer_kind, question_type=draft.question_type,
             alternates=draft.alternates, rationale=draft.rationale,
-            difficulty=difficulty, split=split,
-            provenance=Provenance(sdef.generator, seed),
+            difficulty=difficulty, split=split, provenance=provenance,
         )
         verdict = verify_record(record, oracle)
         if verdict.ok:
@@ -273,6 +274,23 @@ def write_outputs(
     for rel_dir in {os.path.dirname(rel) for rel in images}:
         os.makedirs(os.path.join(out_dir, rel_dir), exist_ok=True)
     for rel, data in images.items():
-        with open(os.path.join(out_dir, rel), "wb") as fh:
-            fh.write(data)
+        _write_file(os.path.join(out_dir, rel), data)
     return paths
+
+
+# The flags open(path, "wb") passes, so the file is made, truncated and moded
+# (0o666 less the umask) as it would be.
+_WRITE_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+                | getattr(os, "O_CLOEXEC", 0))
+
+
+def _write_file(path: str, data: bytes) -> None:
+    """Write `data` to `path` through the raw descriptor calls, which skip
+    the buffered file object that open() builds around them."""
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, memoryview(data)[written:])
+    finally:
+        os.close(fd)

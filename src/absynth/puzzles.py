@@ -10,13 +10,15 @@ can never overlap; webpage layouts reuse the same machinery with region
 names.
 
 Every primitive is built with its role, a mark by `shape_primitive` too.
-Puzzle frames sit where a fixed layout puts them, so they are `scene.shared`
-primitives, made once per process: the induction title, panel frames, "?"
-box and option frames and letters by position (20 in all), the comparison
-titles and frames as module constants, and each comparison mark by its item
-and panel (at most 4 shapes x 6 colours x 9 cells x 2 panels = 432; every
-comparison mark has the one radius). The induction marks follow the sampled
-rule and are made per image, and floor plans share nothing.
+Puzzle frames sit where a fixed layout puts them, so each is made, and so
+checked and rendered by its shape constructor, once per process: the
+induction title, panel frames, "?" box and option frames and letters by a
+cached helper keyed by position (20 in all), the comparison titles and
+frames as module constants, and each comparison mark by a cached helper
+keyed by its item and panel (at most 4 shapes x 6 colours x 9 cells x 2
+panels = 432; every comparison mark has the one radius). The induction
+marks follow the sampled rule and are made per image, and floor plans
+share nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .palette import PALETTE
 from .records import QuestionDraft
 from .scene import (
     Canvas, LayoutOverflow, Primitive, SceneBuilder, SceneGraph, StyleSpec,
-    circle, polygon, rect, shared, text, text_width,
+    circle, polygon, rect, text, text_width,
 )
 from .seeds import derive_seed, fields_of, question_seed
 
@@ -294,13 +296,13 @@ _LABEL_STYLE = StyleSpec(font_size=13.0)
 # time a scene needs it.
 @cache
 def _frame(x: float, y: float) -> Primitive:
-    return shared(rect(x, y, _PANEL, _PANEL, _PANEL_STYLE, "panels"))
+    return rect(x, y, _PANEL, _PANEL, _PANEL_STYLE, "panels")
 
 
 @cache
 def _induction_title(width: int) -> Primitive:
-    return shared(text(width / 2, 12, "Which option continues the pattern?", _LABEL_STYLE,
-                       "title", anchor="middle"))
+    return text(width / 2, 12, "Which option continues the pattern?", _LABEL_STYLE, "title",
+                anchor="middle")
 
 
 @cache
@@ -310,13 +312,13 @@ def _question_box(x: float, y: float) -> tuple[Primitive, Primitive]:
                "panels")
     mark = text(x + _PANEL / 2, y + _PANEL / 2 - 14, "?", StyleSpec(font_size=28.0), "marks",
                 anchor="middle")
-    return shared(box), shared(mark)
+    return box, mark
 
 
 @cache
 def _option_label(x: float, y: float, letter: str) -> Primitive:
-    return shared(text(x + _PANEL / 2, y + _PANEL + 8, letter, _LABEL_STYLE, "option_labels",
-                       anchor="middle"))
+    return text(x + _PANEL / 2, y + _PANEL + 8, letter, _LABEL_STYLE, "option_labels",
+                anchor="middle")
 
 
 def _draw_panel(b: SceneBuilder, panel: PanelSpec, x: float, y: float) -> None:
@@ -374,9 +376,9 @@ _DIFF_CANVAS = Canvas(640, 340)
 # (x, title, frame) of the two comparison panels, the original first.
 _DIFF_PANELS = tuple(
     (x,
-     shared(text(x + _DIFF_PANEL / 2, _DIFF_Y - _DIFF_FONT - 10, title,
-                 StyleSpec(font_size=_DIFF_FONT), "panel_titles", anchor="middle")),
-     shared(rect(x, _DIFF_Y, _DIFF_PANEL, _DIFF_PANEL, _PANEL_STYLE, "panels")))
+     text(x + _DIFF_PANEL / 2, _DIFF_Y - _DIFF_FONT - 10, title,
+          StyleSpec(font_size=_DIFF_FONT), "panel_titles", anchor="middle"),
+     rect(x, _DIFF_Y, _DIFF_PANEL, _DIFF_PANEL, _PANEL_STYLE, "panels"))
     for x, title in ((40.0, "Picture 1"), (360.0, "Picture 2")))
 
 
@@ -395,7 +397,7 @@ def diff_panel_primitives(items: tuple[PanelItem, ...], x: float, y: float) -> l
 def _diff_mark(item: PanelItem, x: float) -> Primitive:
     """The mark of `item` in the comparison panel at `x`."""
     [mark] = diff_panel_primitives((item,), x, _DIFF_Y)
-    return shared(mark)
+    return mark
 
 
 def build_comparison_scene(spec: DiffPairSpec) -> SceneGraph:

@@ -253,6 +253,10 @@ class Verdict:
     details: str = ""
 
 
+# The one passing verdict, returned for every record that passes.
+_PASSED = Verdict(True)
+
+
 def verify_record(record: InstructionRecord, oracle: list[QuestionDraft]) -> Verdict:
     """Compare a record's answer with the oracle's.
 
@@ -273,11 +277,11 @@ def verify_record(record: InstructionRecord, oracle: list[QuestionDraft]) -> Ver
         return Verdict(False, f"no draft regenerated for question {record.question!r}")
     if (match.answer == record.answer and match.alternates == record.alternates
             and match.answer_kind == record.answer_kind):
-        return Verdict(True)
+        return _PASSED
     expected = answer_set(match)
     got = answer_set(record)
     if expected == got:
-        return Verdict(True)
+        return _PASSED
     return Verdict(False, f"expected {sorted(expected)}, got {sorted(got)}")
 
 

@@ -2,8 +2,7 @@
 
 A SceneGraph is the single source of truth for an image: an ordered list of
 primitives on a canvas, each built with the one role it plays ("legend",
-"hour_hand", ...): every shape constructor takes the role, so a primitive is
-made once, whole. Rendering is a pure function of the scene graph; the
+"hour_hand", ...). Rendering is a pure function of the scene graph; the
 same scene always produces byte-identical SVG, in any process.
 
 Text extent is not measured from font metrics. It is estimated as
@@ -11,26 +10,23 @@ Text extent is not measured from font metrics. It is estimated as
 (TEXT_WIDTH_FACTOR / TEXT_HEIGHT_FACTOR), which keeps geometry queries
 deterministic and independent of any font stack.
 
-A primitive is an immutable named tuple, cheaper to build than a frozen
-dataclass. A `Canvas` and a `StyleSpec` check themselves when they are
-built, so a scene checks only what depends on each primitive's kind.
+A primitive is an immutable named tuple, made whole by one of the 8 shape
+constructors (`line` ... `text`): the constructor checks its kind's rules
+and formats its SVG element, which the primitive keeps as `svg`. A scene
+then checks only its z order, and `render_svg` joins the stored texts. A
+`Canvas` and a `StyleSpec` check themselves when they are built; a style
+also formats its SVG attributes then, once per object, for every primitive
+drawn with it. A part that many scenes draw alike (a road of the map grid, a
+dial face, a puzzle frame) comes from a cached helper of its generator, so
+it is checked and rendered once per process.
 
-The renderer reuses the text of coordinate values it formatted recently:
-`_coord` is a bounded memo of `_fmt` shared by every render in the process,
-safe because equal values always format alike.
+The constructors reuse the text of coordinate values formatted recently:
+`_coord` is a bounded memo of `_fmt` shared by every constructor in the
+process, safe because equal values always format alike.
 
 Text content is escaped by a local three-replacement function: importing the
 standard library's XML escaper would load the network stack with it, and
 `import absynth` would pay for that on every start.
-
-A part that many scenes draw alike (a road of the map grid, a dial face, a
-puzzle frame) can be made once and passed to `shared(prim)`: it is checked
-and rendered when it is registered, and each scene that holds it skips its
-per-primitive check and writes the stored SVG text. The registry is keyed by
-id(), which is safe because each entry holds its primitive: while the entry
-exists, no other object can have that id. Entries are never removed, so
-`shared` is only called where the key comes from a small fixed set, at
-import or from a cached function, never once per image.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .palette import PALETTE, color_css, rgb_css
@@ -45,9 +42,9 @@ from .palette import PALETTE, color_css, rgb_css
 TEXT_WIDTH_FACTOR = 0.6
 TEXT_HEIGHT_FACTOR = 1.0
 
-KINDS = ("line", "polyline", "rectangle", "circle", "arc", "wedge", "text", "polygon")
-
 MIN_CANVAS_SIDE = 64
+
+ANCHORS = ("start", "middle", "end")
 
 
 class InvalidScene(ValueError):
@@ -78,7 +75,13 @@ class Canvas:
 
 @dataclass(frozen=True)
 class StyleSpec:
-    """Drawing style. Colors are palette names (see palette.PALETTE)."""
+    """Drawing style. Colors are palette names (see palette.PALETTE).
+
+    Built, a style also holds its SVG attribute text, formatted once:
+    `shape_attrs` for a shape drawn with it, or None if it has neither
+    stroke nor fill, and `text_attrs` for text set in it, or None if it has
+    no positive font size. They are plain attributes, not fields, so they
+    take no part in equality, hashing or repr."""
 
     stroke: str | None = None
     stroke_width: float = 1.0
@@ -93,10 +96,26 @@ class StyleSpec:
             raise ValueError(f"unknown fill color {self.fill!r}")
         if self.stroke_width < 0:
             raise ValueError("negative stroke_width")
+        shape = None
+        if self.stroke is not None or self.fill is not None:
+            shape = f'fill="{color_css(self.fill)}"' if self.fill is not None else 'fill="none"'
+            if self.stroke is not None:
+                shape += (f' stroke="{color_css(self.stroke)}"'
+                          f' stroke-width="{_fmt(self.stroke_width)}"')
+            if self.dash:
+                shape += f' stroke-dasharray="{" ".join([_fmt(d) for d in self.dash])}"'
+        text = None
+        # Written as primitive_problems tests it, so a NaN size counts as positive.
+        if self.font_size is not None and not self.font_size <= 0:
+            text = (f'fill="{color_css(self.fill or "black")}" '
+                    f'font-size="{_fmt(self.font_size)}" font-family="sans-serif"')
+        object.__setattr__(self, "shape_attrs", shape)
+        object.__setattr__(self, "text_attrs", text)
 
 
 class Primitive(NamedTuple):
-    """One drawable element, immutable.
+    """One drawable element, immutable, made only by the shape constructors
+    below.
 
     Geometry layout per kind:
       line:      (x1, y1, x2, y2)
@@ -112,64 +131,128 @@ class Primitive(NamedTuple):
     primitive is the top of the line box at its anchor point.
 
     `role` names what the element means in its scene ("legend", "hour_hand",
-    "roads", ...). Each shape constructor below takes it, right after the
-    style; it plays no part in rendering.
+    "roads", ...); it plays no part in rendering. `svg` is the element's SVG
+    text, formatted by its constructor.
     """
 
     kind: str
     geometry: tuple
     style: StyleSpec
-    z: int = 0
-    role: str = ""
+    z: int
+    role: str
+    svg: str
 
 
 BBox = tuple[float, float, float, float]
 
+# A primitive is built with the tuple constructor itself: the named tuple's
+# own __new__ is a Python function that only passes its arguments on.
+_new = tuple.__new__
+
+
+def _refuse(kind: str, geometry: tuple, style: StyleSpec) -> None:
+    """Raise InvalidScene, in primitive_problems' words, for a primitive that
+    failed its constructor's quick check. Finite coordinates whose sum
+    overflows fail that check too, and pass this one."""
+    problems = primitive_problems(kind, geometry, style)
+    if problems:
+        raise InvalidScene([(0, msg) for msg in problems])
+
+
+# Each shape constructor checks its kind's rules, the same ones as
+# primitive_problems, in one quick test and hands a primitive that fails it
+# to `_refuse`. It then formats the element from the style's attribute text
+# and each coordinate's text from the memo `_coord`.
+
 
 def line(x1, y1, x2, y2, style: StyleSpec, role: str, z: int = 0) -> Primitive:
-    return Primitive("line", (float(x1), float(y1), float(x2), float(y2)), style, z, role)
+    geo = x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
+    attrs = style.shape_attrs
+    if attrs is None or not math.isfinite(x1 + y1 + x2 + y2):
+        _refuse("line", geo, style)
+    return _new(Primitive, ("line", geo, style, z, role,
+                            f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" '
+                            f'x2="{_coord(x2)}" y2="{_coord(y2)}" {attrs}/>'))
+
+
+def _points(kind: str, points, style: StyleSpec, role: str, z: int) -> Primitive:
+    pts = tuple((float(x), float(y)) for x, y in points)
+    attrs = style.shape_attrs
+    if attrs is None or not pts or not math.isfinite(sum(map(sum, pts))):
+        _refuse(kind, pts, style)
+    return _new(Primitive, (kind, pts, style, z, role,
+                            f'<{kind} points="{_points_attr(pts)}" {attrs}/>'))
 
 
 def polyline(points, style: StyleSpec, role: str, z: int = 0) -> Primitive:
-    pts = tuple((float(x), float(y)) for x, y in points)
-    return Primitive("polyline", pts, style, z, role)
+    return _points("polyline", points, style, role, z)
 
 
 def polygon(points, style: StyleSpec, role: str, z: int = 0) -> Primitive:
-    pts = tuple((float(x), float(y)) for x, y in points)
-    return Primitive("polygon", pts, style, z, role)
+    return _points("polygon", points, style, role, z)
 
 
 def rect(x, y, w, h, style: StyleSpec, role: str, z: int = 0) -> Primitive:
-    return Primitive("rectangle", (float(x), float(y), float(w), float(h)), style, z, role)
+    geo = x, y, w, h = float(x), float(y), float(w), float(h)
+    attrs = style.shape_attrs
+    if attrs is None or w < 0 or h < 0 or not math.isfinite(x + y + w + h):
+        _refuse("rectangle", geo, style)
+    return _new(Primitive, ("rectangle", geo, style, z, role,
+                            f'<rect x="{_coord(x)}" y="{_coord(y)}" '
+                            f'width="{_coord(w)}" height="{_coord(h)}" {attrs}/>'))
 
 
 def circle(cx, cy, r, style: StyleSpec, role: str, z: int = 0) -> Primitive:
-    return Primitive("circle", (float(cx), float(cy), float(r)), style, z, role)
+    geo = cx, cy, r = float(cx), float(cy), float(r)
+    attrs = style.shape_attrs
+    if attrs is None or not r > 0 or not math.isfinite(cx + cy + r):
+        _refuse("circle", geo, style)
+    return _new(Primitive, ("circle", geo, style, z, role,
+                            f'<circle cx="{_coord(cx)}" cy="{_coord(cy)}" r="{_coord(r)}" '
+                            f'{attrs}/>'))
+
+
+def _arc(kind: str, cx, cy, r, start_deg, sweep_deg, style: StyleSpec, role: str,
+         z: int) -> Primitive:
+    geo = cx, cy, r, start, sweep = (float(cx), float(cy), float(r), float(start_deg),
+                                     float(sweep_deg))
+    attrs = style.shape_attrs
+    if (attrs is None or not r > 0 or not 0.0 < sweep <= 360.0
+            or not math.isfinite(cx + cy + r + start + sweep)):
+        _refuse(kind, geo, style)
+    path = _arc_path(cx, cy, r, start, sweep, kind == "wedge")
+    return _new(Primitive, (kind, geo, style, z, role, f'<path d="{path}" {attrs}/>'))
 
 
 def arc(cx, cy, r, start_deg, sweep_deg, style: StyleSpec, role: str, z: int = 0) -> Primitive:
-    geo = (float(cx), float(cy), float(r), float(start_deg), float(sweep_deg))
-    return Primitive("arc", geo, style, z, role)
+    return _arc("arc", cx, cy, r, start_deg, sweep_deg, style, role, z)
 
 
 def wedge(cx, cy, r, start_deg, sweep_deg, style: StyleSpec, role: str, z: int = 0) -> Primitive:
-    geo = (float(cx), float(cy), float(r), float(start_deg), float(sweep_deg))
-    return Primitive("wedge", geo, style, z, role)
+    return _arc("wedge", cx, cy, r, start_deg, sweep_deg, style, role, z)
 
 
 def text(x, y, content: str, style: StyleSpec, role: str, anchor: str = "start",
          z: int = 0) -> Primitive:
-    return Primitive("text", (float(x), float(y), str(content), anchor), style, z, role)
+    x, y, content = float(x), float(y), str(content)
+    geo = (x, y, content, anchor)
+    attrs = style.text_attrs
+    if attrs is None or not content or anchor not in ANCHORS or not math.isfinite(x + y):
+        _refuse("text", geo, style)
+    # Baseline sits at ~0.8em below the top of the heuristic line box.
+    baseline = y + 0.8 * float(style.font_size)
+    return _new(Primitive, ("text", geo, style, z, role,
+                            f'<text x="{_coord(x)}" y="{_coord(baseline)}" '
+                            f'text-anchor="{anchor}" {attrs}>{_escape(content)}</text>'))
 
 
 @dataclass(frozen=True)
 class SceneGraph:
-    """A validated scene: construction raises InvalidScene on any violated
-    primitive invariant or any primitive out of z order; the canvas and each
-    style checked themselves when they were built. Canvas, primitives and
-    styles are frozen, so a scene that was built is still valid when it is
-    rendered."""
+    """A validated scene: construction raises InvalidScene on any primitive
+    out of z order. Each primitive checked its kind's rules when it was
+    built, and the canvas and each style checked themselves. Canvas,
+    primitives and styles are frozen, so a scene that was built is still
+    valid when it is rendered."""
 
     canvas: Canvas
     primitives: tuple[Primitive, ...]
@@ -178,10 +261,13 @@ class SceneGraph:
         validate_scene(self)
 
 
+_by_z = attrgetter("z")
+
+
 class SceneBuilder:
     """Accumulates primitives, each already built with its role, then emits
-    a SceneGraph. add() keeps the very object it is given, so a shared
-    primitive stays shared.
+    a SceneGraph. `add` is the list's own append, so it keeps the very
+    object it is given, and a part made once stays one object.
 
     build() sorts primitives stably by z, so callers never deal with
     draw-order bookkeeping.
@@ -190,21 +276,20 @@ class SceneBuilder:
     def __init__(self, canvas: Canvas):
         self.canvas = canvas
         self._prims: list[Primitive] = []
-
-    def add(self, prim: Primitive) -> None:
-        self._prims.append(prim)
+        self.add = self._prims.append
 
     def build(self) -> SceneGraph:
         # A stable sort: primitives of equal z keep the order they were added in.
-        return SceneGraph(self.canvas, tuple(sorted(self._prims, key=lambda p: p.z)))
+        return SceneGraph(self.canvas, tuple(sorted(self._prims, key=_by_z)))
 
 
 def _all_finite(values) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-def primitive_problems(p: Primitive) -> list[str]:
-    """All invariant violations for one primitive (empty list = valid). Its
+def primitive_problems(kind: str, geometry: tuple, style: StyleSpec) -> list[str]:
+    """All invariant violations of a primitive of `kind` with this geometry
+    and style (empty list = valid), as its shape constructor made them. Its
     style checked its colours and stroke width when it was built.
 
     Coordinates are checked by their sum first: a NaN or an infinity always
@@ -212,11 +297,7 @@ def primitive_problems(p: Primitive) -> list[str]:
     may also be the overflow of large finite values, so only then is each
     value checked.
     """
-    kind = p.kind
-    if kind not in KINDS:
-        return [f"unknown kind {kind!r}"]
-    g = p.geometry
-    style = p.style
+    g = geometry
     problems: list[str] = []
     if kind == "text":
         x, y, content, anchor = g
@@ -224,7 +305,7 @@ def primitive_problems(p: Primitive) -> list[str]:
             problems.append("non-finite coordinates")
         if not content:
             problems.append("empty text content")
-        if anchor not in ("start", "middle", "end"):
+        if anchor not in ANCHORS:
             problems.append(f"bad anchor {anchor!r}")
         if style.font_size is None or style.font_size <= 0:
             problems.append("text requires positive font_size")
@@ -253,41 +334,12 @@ def primitive_problems(p: Primitive) -> list[str]:
 
 
 def validate_scene(scene: SceneGraph) -> None:
-    """Raise InvalidScene naming each primitive that breaks its kind's
-    invariants or the z order. A shared primitive was checked when it was
-    registered, so only its z is looked at here."""
-    problems: list[tuple[int, str]] = []
-    last_z = None
-    for i, prim in enumerate(scene.primitives):
-        if id(prim) not in _SHARED:
-            for msg in primitive_problems(prim):
-                problems.append((i, msg))
-        if last_z is not None and prim.z < last_z:
-            problems.append((i, "primitives not sorted by z"))
-        last_z = prim.z
-    if problems:
-        raise InvalidScene(problems)
-
-
-# ---------------------------------------------------------------------------
-# Shared primitives
-
-# Every shared primitive by id(), with its SVG element text. An entry keeps
-# its primitive alive, so a hit on id(p) is always p itself. Nothing is ever
-# removed (tests/test_architecture.py checks that every call to `shared`
-# sits at module level or in a cached function).
-_SHARED: dict[int, tuple[Primitive, str]] = {}
-
-
-def shared(prim: Primitive) -> Primitive:
-    """`prim` itself, checked once and rendered once for every scene in the
-    process that holds it. Raises InvalidScene, registering nothing, if it
-    breaks its kind's invariants."""
-    problems = primitive_problems(prim)
-    if problems:
-        raise InvalidScene([(0, msg) for msg in problems])
-    _SHARED[id(prim)] = (prim, _element(prim, _style_attrs(prim.style, prim.kind == "text")))
-    return prim
+    """Raise InvalidScene naming each primitive that comes after one of
+    higher z. Each primitive checked its kind's rules when it was built."""
+    zs = [p.z for p in scene.primitives]
+    if zs != sorted(zs):
+        raise InvalidScene([(i, "primitives not sorted by z")
+                            for i in range(1, len(zs)) if zs[i] < zs[i - 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -397,19 +449,7 @@ def _fmt(v: float) -> str:
     return f"{f:.3f}".rstrip("0").rstrip(".")
 
 
-def _style_attrs(style: StyleSpec, is_text: bool) -> str:
-    if is_text:
-        return (f'fill="{color_css(style.fill or "black")}" '
-                f'font-size="{_fmt(style.font_size)}" font-family="sans-serif"')
-    attrs = f'fill="{color_css(style.fill)}"' if style.fill is not None else 'fill="none"'
-    if style.stroke is not None:
-        attrs += f' stroke="{color_css(style.stroke)}" stroke-width="{_fmt(style.stroke_width)}"'
-    if style.dash:
-        attrs += f' stroke-dasharray="{" ".join([_fmt(d) for d in style.dash])}"'
-    return attrs
-
-
-# Coordinate text by value, shared by every render in the process. Maps,
+# Coordinate text by value, shared by every constructor in the process. Maps,
 # puzzles and dashboards draw on a small set of recurring coordinates, so
 # most lookups hit. Equal keys format alike (0.0, -0.0 and 0 all give "0";
 # 1, 1.0 and True all give "1"), so a shared entry changes no byte. Bounded,
@@ -446,42 +486,12 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _element(p: Primitive, attrs: str) -> str:
-    """One SVG element for `p`, whose style attributes are `attrs`."""
-    kind, g = p.kind, p.geometry
-    if kind == "text":
-        x, y, content, anchor = g
-        # Baseline sits at ~0.8em below the top of the heuristic line box.
-        baseline = y + 0.8 * float(p.style.font_size)
-        return (f'<text x="{_coord(x)}" y="{_coord(baseline)}" text-anchor="{anchor}" {attrs}>'
-                f"{_escape(content)}</text>")
-    if kind == "line":
-        x1, y1, x2, y2 = g
-        return (f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" '
-                f'x2="{_coord(x2)}" y2="{_coord(y2)}" {attrs}/>')
-    if kind == "rectangle":
-        x, y, w, h = g
-        return (f'<rect x="{_coord(x)}" y="{_coord(y)}" '
-                f'width="{_coord(w)}" height="{_coord(h)}" {attrs}/>')
-    if kind == "polyline" or kind == "polygon":
-        return f'<{kind} points="{_points_attr(g)}" {attrs}/>'
-    if kind == "circle":
-        cx, cy, r = g
-        return f'<circle cx="{_coord(cx)}" cy="{_coord(cy)}" r="{_coord(r)}" {attrs}/>'
-    if kind == "arc" or kind == "wedge":
-        cx, cy, r, start, sweep = g
-        return f'<path d="{_arc_path(cx, cy, r, start, sweep, kind == "wedge")}" {attrs}/>'
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def render_svg(scene: SceneGraph) -> bytes:
     """Render a scene to a standalone SVG 1.1 document.
 
     Deterministic: the same scene yields byte-identical output. The scene
-    was validated when it was constructed. A shared primitive's element is
-    the text stored when it was registered. For the rest, each distinct
-    style is formatted once per call, and each coordinate's text comes from
-    the memo `_coord`.
+    was validated when it was constructed, and each primitive holds the
+    element text its constructor formatted, so rendering only joins them.
     """
     c = scene.canvas
     lines = [
@@ -490,19 +500,6 @@ def render_svg(scene: SceneGraph) -> bytes:
         f'width="{c.width}" height="{c.height}" viewBox="0 0 {c.width} {c.height}">',
         f'<rect x="0" y="0" width="{c.width}" height="{c.height}" fill="{rgb_css(c.background)}"/>',
     ]
-    # Keyed by identity, not by the dataclass hash: the scene keeps every
-    # style alive for the whole call, so no id() is reused while it runs.
-    styles: dict[tuple[int, bool], str] = {}
-    for p in scene.primitives:
-        entry = _SHARED.get(id(p))
-        if entry is not None:
-            lines.append(entry[1])
-            continue
-        is_text = p.kind == "text"
-        key = (id(p.style), is_text)
-        attrs = styles.get(key)
-        if attrs is None:
-            attrs = styles[key] = _style_attrs(p.style, is_text)
-        lines.append(_element(p, attrs))
+    lines += [p.svg for p in scene.primitives]
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")

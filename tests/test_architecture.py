@@ -613,55 +613,6 @@ def test_each_scenario_samples_one_way():
     assert not {"sample_graph", "sample_tree_spec"} & set(vars(diagrams))
 
 
-def calls_shared(node):
-    return isinstance(node, ast.Call) and "shared" in (getattr(node.func, "id", None),
-                                                       getattr(node.func, "attr", None))
-
-
-def is_cached(func):
-    """Whether a function is decorated with functools.cache or lru_cache,
-    bare, called or read off the module."""
-    for decorator in func.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if (getattr(target, "id", None) or getattr(target, "attr", None)) in ("cache",
-                                                                            "lru_cache"):
-            return True
-    return False
-
-
-def shared_call_owners(tree):
-    """For each call to `shared`, the innermost function or lambda around
-    it, or None at module level."""
-    found = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            owner = node
-        if calls_shared(node):
-            found.append(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(tree, None)
-    return found
-
-
-def test_parts_are_shared_only_from_module_level_or_a_cache():
-    """The registry keeps every part it is given alive, and never lets one
-    go, so a part made per image would grow it without bound. Each call to
-    `shared` runs once per key: at import, or the first time a cached
-    function sees its arguments."""
-    callers, offenders = set(), []
-    for path in sorted(SRC_DIR.glob("*.py")):
-        for owner in shared_call_owners(ast.parse(path.read_text(encoding="utf-8"))):
-            callers.add(path.stem)
-            if owner is not None and not (isinstance(owner, ast.FunctionDef)
-                                          and is_cached(owner)):
-                offenders.append((path.name, owner.lineno))
-    assert callers == {"maps", "gauges", "puzzles"}
-    assert not offenders
-
-
 SHAPE_CONSTRUCTORS = {"line", "polyline", "polygon", "rect", "circle", "arc", "wedge", "text"}
 
 
@@ -694,22 +645,74 @@ def parameter_names(tree, qualname):
     return [a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs]
 
 
+def primitive_builds(tree):
+    """(innermost enclosing function name or None, line) for each call that
+    builds a Primitive: the class called, its `_make`, or any call that is
+    handed the class, such as `tuple.__new__(Primitive, ...)`."""
+    def names_primitive(node):
+        return getattr(node, "id", None) == "Primitive"
+
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and (
+                names_primitive(node.func) or names_primitive(getattr(node.func, "value", None))
+                or any(names_primitive(arg) for arg in node.args)):
+            found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
 def test_each_primitive_is_built_once_with_its_role():
-    """Only the shape constructors build a Primitive, each with its role, so
-    neither the builder nor the shared-part registry makes a second copy."""
+    """Only the shape constructors build a Primitive, each with its role and
+    its SVG text, so nothing makes a second copy of one."""
     builders, replaced = set(), []
     for path in sorted(SRC_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        builders |= {(path.stem, owner) for owner, _ in call_sites(tree, "Primitive")}
+        builders |= {(path.stem, owner) for owner, _ in primitive_builds(tree)}
         replaced += [(path.name, line) for _, line in call_sites(tree, "_replace")]
-    assert builders == {("scene", name) for name in SHAPE_CONSTRUCTORS}
+    # polyline and polygon share `_points`, arc and wedge `_arc`.
+    assert builders == {("scene", name) for name in
+                        SHAPE_CONSTRUCTORS - {"polyline", "polygon", "arc", "wedge"}
+                        | {"_points", "_arc"}}
     assert not replaced
     tree = ast.parse((SRC_DIR / "scene.py").read_text(encoding="utf-8"))
-    assert parameter_names(tree, "SceneBuilder.add") == ["self", "prim"]
-    assert parameter_names(tree, "shared") == ["prim"]
     for name in SHAPE_CONSTRUCTORS:
         params = parameter_names(tree, name)
         assert params[params.index("style") + 1] == "role", name
+
+
+# The shared-part registry is gone: a primitive is checked and rendered by
+# its shape constructor, and a part that many scenes draw comes from a cached
+# helper of its generator.
+REGISTRY_NAMES = {"shared", "_SHARED", "_element"}
+
+
+def test_each_primitive_is_checked_and_rendered_in_its_constructor():
+    """No module names the registry, its `shared` or the renderer's kind
+    dispatch `_element`, and Primitive declares no field defaults, so every
+    field, the SVG text too, comes from the constructor that made it."""
+    named = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None), getattr(node, "arg", None)}
+            if isinstance(node, ast.alias):
+                names |= {node.name, node.asname}
+            if names & REGISTRY_NAMES:
+                named.append((path.name, getattr(node, "lineno", None)))
+    assert not named
+    tree = ast.parse((SRC_DIR / "scene.py").read_text(encoding="utf-8"))
+    [primitive] = [node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "Primitive"]
+    fields = [n for n in primitive.body if isinstance(n, ast.AnnAssign)]
+    assert [f.target.id for f in fields] == ["kind", "geometry", "style", "z", "role", "svg"]
+    assert [f.target.id for f in fields if f.value is not None] == []
 
 
 # ROADMAP item 15(a): every function of src/ that `gen --all --count 40
@@ -735,11 +738,13 @@ NEVER_ENTERED_BY_GEN = {
     "records._texts": "refusal: a record that cannot be encoded as UTF-8",
     "scene.InvalidScene.__init__": "refusal: an invalid scene",
     "scene._all_finite": "refusal: coordinates whose sum is not finite",
+    "scene._refuse": "refusal: a primitive that fails its constructor's quick check",
+    "scene.primitive_problems": "refusal: a primitive that fails its constructor's quick check",
 }
 # The helpers that make each shared scene part on first use.
 SHARED_PART_MAKERS = {"maps._roads_from", "maps._obstacle", "maps._marker", "gauges._face",
                       "puzzles._frame", "puzzles._induction_title", "puzzles._question_box",
-                      "puzzles._option_label", "puzzles._diff_mark", "scene.shared"}
+                      "puzzles._option_label", "puzzles._diff_mark"}
 
 _TRACE_GEN = """
 import json, sys

@@ -120,6 +120,55 @@ def test_report_counts_and_uniqueness():
     assert parsed["outcomes"]["b"]["stage"] == "feasibility"
 
 
+def reference_report_json(report: GateReport) -> str:
+    """`GateReport.to_json` as it was before it wrote its text directly,
+    kept as the reference."""
+    body = {
+        "summary": report.aggregate(),
+        "outcomes": {
+            cid: ({"accepted": True} if out is None
+                  else {"accepted": False, "stage": out.stage, "reason": out.reason})
+            for cid, out in sorted(report.outcomes.items())
+        },
+    }
+    return json.dumps(body, indent=2, sort_keys=True, ensure_ascii=False)
+
+
+# Text that each escape rule of the encoder acts on, and text it leaves be.
+AWKWARD_TEXT = ['say "hi"', "back\\slash", "tab\there", "new\nline", "bell\x07 nul\x00",
+                "del\x7f", "naïve café, 温度 ±5°", "emoji \U0001f600", "line\u2028sep", "",
+                " "]
+
+
+def random_report(rng: Random) -> GateReport:
+    report = GateReport()
+    for image in range(rng.randint(1, 40)):
+        scenario = rng.choice(["chart", "map", "puzzle", rng.choice(AWKWARD_TEXT)])
+        image_id = f"{scenario}-{image:05d}"
+        outcome = rng.choice([None, None, Rejection("feasibility", rng.choice(AWKWARD_TEXT)),
+                              Rejection("aesthetics", "; ".join(rng.sample(AWKWARD_TEXT, 2)))])
+        report.record(image_id, outcome)
+        if outcome is None:
+            for q in rng.sample(range(6), rng.randint(0, 2)):
+                expected, got = rng.choice(AWKWARD_TEXT), rng.choice(AWKWARD_TEXT)
+                reason = f"expected [{expected!r}], got [{got!r}]"
+                report.record(f"{image_id}-q{q:02d}", Rejection("accuracy", reason))
+    return report
+
+
+def test_report_json_matches_json_dumps():
+    """The directly written report is byte for byte what json.dumps writes:
+    the empty report, and seeded mixes of accepted, rejected and
+    accuracy-dropped entries whose ids and reasons need escaping."""
+    assert GateReport().to_json() == reference_report_json(GateReport())
+    stages = set()
+    for seed in range(300):
+        report = random_report(Random(seed))
+        assert report.to_json() == reference_report_json(report), seed
+        stages |= set(report.aggregate()["rejected_by_stage"])
+    assert stages == {"feasibility", "aesthetics", "accuracy"}
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GateConfig(max_overlap_fraction=0.0)

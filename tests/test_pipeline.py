@@ -1,5 +1,8 @@
 """Generation pipeline: determinism, verification, scenario-order invariance, backend."""
 
+import os
+import stat
+
 import pytest
 
 from absynth import pipeline
@@ -121,6 +124,41 @@ def test_write_outputs_layout(tmp_path):
     for rel in images:
         assert (tmp_path / rel).exists()
     assert paths["manifest"].endswith("manifest.jsonl")
+
+
+def test_written_images_are_moded_by_the_umask_and_overwritten_whole(tmp_path, monkeypatch):
+    """Each SVG is written as open(path, "wb") writes it: made with mode
+    0o666 less the umask, a longer file already there cut to the new bytes,
+    and every byte written however short each write is."""
+    config = small_config(default_count=1, out_dir=str(tmp_path))
+    manifest, report, images = generate_dataset(config)
+    for rel in images:
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_bytes(b"x" * (len(images[rel]) + 500))
+        (tmp_path / rel).chmod(0o600)
+    real_write = os.write
+    monkeypatch.setattr(pipeline.os, "write", lambda fd, data: real_write(fd, data[:7]))
+    previous = os.umask(0o022)
+    try:
+        write_outputs(config, manifest, report, images)
+        fresh = tmp_path / "fresh"
+        write_outputs(small_config(default_count=1, out_dir=str(fresh)), manifest, report, images)
+    finally:
+        os.umask(previous)
+    for rel, data in images.items():
+        assert (tmp_path / rel).read_bytes() == data
+        assert stat.S_IMODE((tmp_path / rel).stat().st_mode) == 0o600  # kept, as open() keeps it
+        assert stat.S_IMODE((fresh / rel).stat().st_mode) == 0o644
+
+
+def test_records_of_an_image_share_their_provenance_and_passing_verdict():
+    result = generate_image(small_config(), "chart", 0)
+    assert len(result.records) == 5
+    assert len({id(r.provenance) for r in result.records}) == 1
+    sdef = scenario_def("chart")
+    oracle = sdef.questions(sdef.sample(result.records[0].provenance.seed))
+    verdicts = [verify_record(r, oracle) for r in result.records]
+    assert all(v.ok and v is verdicts[0] for v in verdicts)
 
 
 def test_generate_image_slot_is_self_contained():

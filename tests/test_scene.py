@@ -14,8 +14,9 @@ from absynth import pipeline, scene as scene_module
 from absynth.gate import feasibility_gate
 from absynth.pipeline import RunConfig, generate_image, scenario_def
 from absynth.records import SCENARIOS
+from absynth.palette import color_css
 from absynth.scene import (
-    Canvas, InvalidScene, Primitive, SceneBuilder, SceneGraph, StyleSpec,
+    ANCHORS, Canvas, InvalidScene, Primitive, SceneBuilder, SceneGraph, StyleSpec,
     _fmt, angle_point, arc, bounding_box, bbox_intersection_area, circle, line, overlap_pairs,
     polygon, polyline, primitive_problems, rect, render_svg, text, wedge,
 )
@@ -86,37 +87,126 @@ def test_z_order_and_each_primitive_once():
     b.add(bottom)
     scene = b.build()
     # A primitive is built once, with its role: the scene holds the very
-    # objects handed to `add`, shared or not, only sorted by z.
+    # objects handed to `add`, only sorted by z.
     assert scene.primitives[0] is bottom and scene.primitives[1] is top
-    assert not any(id(p) in scene_module._SHARED for p in scene.primitives)
     assert [p.role for p in scene.primitives] == ["bottom", "top"]
     root = parse_svg(render_svg(scene))
     assert len(root.findall(f"{SVG_NS}circle")) == 2
 
 
 def test_invalid_scene_lists_offenders():
-    bad = Primitive("circle", (1.0, 1.0, -3.0), FILLED)
+    # Each primitive checked itself when it was built, so what a scene can
+    # still get wrong is its z order: every primitive after one of higher z
+    # is named.
+    prims = [circle(5, 5, 1, FILLED, "marks", z=z) for z in (2, 0, 3, 1, 1)]
     with pytest.raises(InvalidScene) as err:
-        SceneGraph(Canvas(640, 480), (circle(5, 5, 1, FILLED, "marks"), bad))
-    assert [i for i, _ in err.value.problems] == [1]
+        SceneGraph(Canvas(640, 480), tuple(prims))
+    assert err.value.problems == [(1, "primitives not sorted by z"),
+                                  (3, "primitives not sorted by z")]
 
 
-@pytest.mark.parametrize("bad, message", [
-    (polyline([], STROKED, "marks"), "polyline without points"),
-    (polygon([], FILLED, "marks"), "polygon without points"),
-    (rect(630, 0, -700, 10, FILLED, "marks"), "negative width or height"),
-    (rect(0, 0, 10, -0.5, FILLED, "marks"), "negative width or height"),
-], ids=["empty-polyline", "empty-polygon", "negative-width", "negative-height"])
-def test_degenerate_shapes_are_invalid(bad, message):
-    # Each would reach the gate with no box or an inverted one.
+TEXT_STYLE = StyleSpec(font_size=10)
+
+# Each constructor call breaks its kind's rules, with every message it must
+# raise, in primitive_problems' order.
+INVALID_PRIMITIVES = {
+    "empty-polyline": (lambda: polyline([], STROKED, "marks"), ["polyline without points"]),
+    "empty-polygon": (lambda: polygon([], FILLED, "marks"), ["polygon without points"]),
+    "negative-width": (lambda: rect(630, 0, -700, 10, FILLED, "marks"),
+                       ["negative width or height"]),
+    "negative-height": (lambda: rect(0, 0, 10, -0.5, FILLED, "marks"),
+                        ["negative width or height"]),
+    "slightly-negative-width": (lambda: rect(0, 0, -1e-9, 10, FILLED, "marks"),
+                                ["negative width or height"]),
+    "no-ink-line": (lambda: line(0, 0, 1, 1, StyleSpec(), "marks"),
+                    ["shape needs stroke or fill"]),
+    "no-ink-text-style": (lambda: rect(0, 0, 1, 1, TEXT_STYLE, "marks"),
+                          ["shape needs stroke or fill"]),
+    "zero-radius-circle": (lambda: circle(0, 0, 0, FILLED, "marks"), ["non-positive radius"]),
+    "negative-radius-arc": (lambda: arc(0, 0, -1, 0, 90, STROKED, "marks"),
+                            ["non-positive radius"]),
+    "zero-sweep-wedge": (lambda: wedge(0, 0, 5, 0, 0, FILLED, "marks"),
+                         ["sweep 0.0 outside (0, 360]"]),
+    "wide-sweep-arc": (lambda: arc(0, 0, 5, 0, 361, STROKED, "marks"),
+                       ["sweep 361.0 outside (0, 360]"]),
+    "nan-sweep-wedge": (lambda: wedge(0, 0, 5, 0, math.nan, FILLED, "marks"),
+                        ["non-finite coordinates", "sweep nan outside (0, 360]"]),
+    "nan-radius-circle": (lambda: circle(0, 0, math.nan, FILLED, "marks"),
+                          ["non-finite coordinates"]),
+    "empty-text": (lambda: text(0, 0, "", TEXT_STYLE, "labels"), ["empty text content"]),
+    "bad-anchor": (lambda: text(0, 0, "x", TEXT_STYLE, "labels", anchor="left"),
+                   ["bad anchor 'left'"]),
+    "no-font-size": (lambda: text(0, 0, "x", StyleSpec(), "labels"),
+                     ["text requires positive font_size"]),
+    "zero-font-size": (lambda: text(0, 0, "x", StyleSpec(font_size=0), "labels"),
+                       ["text requires positive font_size"]),
+    "every-text-fault": (lambda: text(math.inf, 0, "", StyleSpec(fill="red"), "labels",
+                                      anchor=""),
+                         ["non-finite coordinates", "empty text content", "bad anchor ''",
+                          "text requires positive font_size"]),
+    "every-wedge-fault": (lambda: wedge(0, math.nan, -2, 0, 400, StyleSpec(), "marks"),
+                          ["non-finite coordinates", "shape needs stroke or fill",
+                           "sweep 400.0 outside (0, 360]", "non-positive radius"]),
+}
+
+
+@pytest.mark.parametrize("name", INVALID_PRIMITIVES)
+def test_degenerate_shapes_are_invalid(name):
+    # Each would reach the gate with no box, an inverted one or nothing to
+    # draw, so its constructor refuses it, naming every fault.
+    build, messages = INVALID_PRIMITIVES[name]
     with pytest.raises(InvalidScene) as err:
-        SceneGraph(Canvas(640, 480), (circle(5, 5, 1, FILLED, "marks"), bad))
-    assert err.value.problems == [(1, message)]
+        build()
+    assert err.value.problems == [(0, message) for message in messages]
+
+
+VALUES = (0.0, -0.0, 1.0, -1.0, 5.5, 360.0, 360.5, -1e-9, 1e308, -1e308, math.nan, math.inf,
+          -math.inf)
+STYLES = (StyleSpec(), STROKED, FILLED, StyleSpec(font_size=0), StyleSpec(font_size=-1),
+          StyleSpec(font_size=math.nan), StyleSpec(font_size=9, stroke="red"))
+
+
+def test_each_constructor_refuses_exactly_what_primitive_problems_names():
+    """Random geometry and styles, valid and not: a constructor raises, in
+    primitive_problems' words, exactly when that function names a problem,
+    and otherwise makes the primitive. Its quick check never lets a fault by."""
+    rng = Random(13)
+    kinds = {"line": (line, 4), "rectangle": (rect, 4), "circle": (circle, 3), "arc": (arc, 5),
+             "wedge": (wedge, 5), "polyline": (polyline, None), "polygon": (polygon, None),
+             "text": (text, 2)}
+    made = refused = 0
+    for _ in range(20_000):
+        kind = rng.choice(sorted(kinds))
+        build, arity = kinds[kind]
+        style = rng.choice(STYLES)
+        if kind == "text":
+            content, anchor = rng.choice(("", "x")), rng.choice(ANCHORS + ("left",))
+            x, y = rng.choice(VALUES), rng.choice(VALUES)
+            geometry = (x, y, content, anchor)
+            call = lambda: text(x, y, content, style, "labels", anchor=anchor)
+        elif arity is None:
+            geometry = tuple((rng.choice(VALUES), rng.choice(VALUES))
+                             for _ in range(rng.randint(0, 3)))
+            call = lambda: build(geometry, style, "marks")
+        else:
+            geometry = tuple(rng.choice(VALUES) for _ in range(arity))
+            call = lambda: build(*geometry, style, "marks")
+        problems = primitive_problems(kind, geometry, style)
+        if problems:
+            with pytest.raises(InvalidScene) as err:
+                call()
+            assert err.value.problems == [(0, msg) for msg in problems], (kind, geometry, style)
+            refused += 1
+        else:
+            prim = call()
+            assert (prim.kind, prim.geometry, prim.style) == (kind, geometry, style)
+            made += 1
+    assert made > 1000 and refused > 1000
 
 
 def test_text_without_font_size_is_invalid():
-    with pytest.raises(InvalidScene):
-        SceneGraph(Canvas(640, 480), (Primitive("text", (0.0, 0.0, "x", "start"), StyleSpec()),))
+    with pytest.raises(InvalidScene, match="text requires positive font_size"):
+        text(0, 0, "x", StyleSpec(), "labels")
 
 
 # -- bounding boxes ---------------------------------------------------------
@@ -304,8 +394,8 @@ def all_pairs_overlaps(scene, indices):
     return pairs
 
 
-def sampled_scenes(seeds=range(8)):
-    for name in sorted(SCENARIOS):
+def sampled_scenes(seeds=range(8), scenarios=SCENARIOS):
+    for name in sorted(scenarios):
         sdef = scenario_def(name)
         for seed in seeds:
             result = feasibility_gate(sdef.sample(seed), sdef.build)
@@ -462,20 +552,139 @@ def test_coordinate_memo_gives_the_reference_text_whichever_key_came_first(order
 
 
 def test_render_with_the_coordinate_memo_matches_formatting_each_value(monkeypatch):
-    named = list(sampled_scenes(range(4)))
-    assert {name for name, _ in named} == set(SCENARIOS)
-    scenes = [scene for _, scene in named]
+    """Each constructor formats its element, so every scene is built again
+    for each way of formatting its coordinates."""
+    def rendered():
+        named = list(sampled_scenes(range(4)))
+        assert {name for name, _ in named} == set(SCENARIOS)
+        return [render_svg(scene) for _, scene in named]
+
     scene_module._coord.cache_clear()
-    cold = [render_svg(scene) for scene in scenes]
-    warm = [render_svg(scene) for scene in scenes]
+    cold = rendered()
+    warm = rendered()
     monkeypatch.setattr(scene_module, "_coord", _fmt)
-    assert cold == warm == [render_svg(scene) for scene in scenes]
+    assert cold == warm == rendered()
+
+
+# -- each constructor's render against the renderer it replaced -------------
+#
+# The renderer's per-kind functions as they were before each shape
+# constructor formatted its own element, kept verbatim as the reference. They
+# read their coordinates through `_coord` and escape through `_escape`, here
+# the reference formula and the standard escaper.
+
+_coord = fmt_reference
+_fmt = fmt_reference
+_escape = xml_escape
+
+
+def _style_attrs(style: StyleSpec, is_text: bool) -> str:
+    if is_text:
+        return (f'fill="{color_css(style.fill or "black")}" '
+                f'font-size="{_fmt(style.font_size)}" font-family="sans-serif"')
+    attrs = f'fill="{color_css(style.fill)}"' if style.fill is not None else 'fill="none"'
+    if style.stroke is not None:
+        attrs += f' stroke="{color_css(style.stroke)}" stroke-width="{_fmt(style.stroke_width)}"'
+    if style.dash:
+        attrs += f' stroke-dasharray="{" ".join([_fmt(d) for d in style.dash])}"'
+    return attrs
+
+
+def _points_attr(points) -> str:
+    return " ".join([f"{_coord(x)},{_coord(y)}" for x, y in points])
+
+
+def _arc_path(cx, cy, r, start, sweep, close_to_center: bool) -> str:
+    x1, y1 = angle_point(cx, cy, r, start)
+    if sweep >= 360.0:
+        # Full circle: two half arcs, since a single 360-degree arc collapses.
+        xm, ym = angle_point(cx, cy, r, start + 180.0)
+        d = (
+            f"M {_coord(x1)} {_coord(y1)} "
+            f"A {_coord(r)} {_coord(r)} 0 0 1 {_coord(xm)} {_coord(ym)} "
+            f"A {_coord(r)} {_coord(r)} 0 0 1 {_coord(x1)} {_coord(y1)}"
+        )
+        return d + " Z" if close_to_center else d
+    x2, y2 = angle_point(cx, cy, r, start + sweep)
+    large = 1 if sweep > 180.0 else 0
+    arc_part = f"A {_coord(r)} {_coord(r)} 0 {large} 1 {_coord(x2)} {_coord(y2)}"
+    if close_to_center:
+        return f"M {_coord(cx)} {_coord(cy)} L {_coord(x1)} {_coord(y1)} {arc_part} Z"
+    return f"M {_coord(x1)} {_coord(y1)} {arc_part}"
+
+
+def _element(p: Primitive, attrs: str) -> str:
+    """One SVG element for `p`, whose style attributes are `attrs`."""
+    kind, g = p.kind, p.geometry
+    if kind == "text":
+        x, y, content, anchor = g
+        # Baseline sits at ~0.8em below the top of the heuristic line box.
+        baseline = y + 0.8 * float(p.style.font_size)
+        return (f'<text x="{_coord(x)}" y="{_coord(baseline)}" text-anchor="{anchor}" {attrs}>'
+                f"{_escape(content)}</text>")
+    if kind == "line":
+        x1, y1, x2, y2 = g
+        return (f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" '
+                f'x2="{_coord(x2)}" y2="{_coord(y2)}" {attrs}/>')
+    if kind == "rectangle":
+        x, y, w, h = g
+        return (f'<rect x="{_coord(x)}" y="{_coord(y)}" '
+                f'width="{_coord(w)}" height="{_coord(h)}" {attrs}/>')
+    if kind == "polyline" or kind == "polygon":
+        return f'<{kind} points="{_points_attr(g)}" {attrs}/>'
+    if kind == "circle":
+        cx, cy, r = g
+        return f'<circle cx="{_coord(cx)}" cy="{_coord(cy)}" r="{_coord(r)}" {attrs}/>'
+    if kind == "arc" or kind == "wedge":
+        cx, cy, r, start, sweep = g
+        return f'<path d="{_arc_path(cx, cy, r, start, sweep, kind == "wedge")}" {attrs}/>'
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def reference_render(p: Primitive) -> str:
+    return _element(p, _style_attrs(p.style, p.kind == "text"))
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_each_primitive_renders_like_the_reference(scenario):
+    """300 seeds of each scenario: every primitive's stored element is what
+    the reference renders from its kind, geometry and style, and a scene
+    renders as the reference's elements joined in z order."""
+    scenes = 0
+    for _, scene in sampled_scenes(range(300), (scenario,)):
+        texts = [reference_render(p) for p in scene.primitives]
+        assert [p.svg for p in scene.primitives] == texts
+        assert render_svg(scene).decode("utf-8").splitlines()[3:-1] == texts
+        scenes += 1
+    assert scenes == 300
+
+
+def test_hand_built_primitives_render_like_the_reference():
+    """Every kind, a full circle of arc and wedge, points, dashes, escapes,
+    anchors and values the memo keys alike."""
+    dashed = StyleSpec(stroke="navy", stroke_width=0.25, fill="red", dash=(4.0, 2.5, 1.125))
+    prims = [
+        line(-0.0, 1, 2.0005, True, dashed, "marks"),
+        polyline([(0, 0), (1.5, 2.25), (1e-4, -3)], STROKED, "marks"),
+        polygon([(10, 10), (20, 10), (15, 0.1 + 0.2)], FILLED, "marks"),
+        rect(1, 2, 0, 0, dashed, "marks"),
+        circle(100, 100.4999, 0.001, FILLED, "marks"),
+        arc(50, 50, 20, 0, 360, STROKED, "marks"),
+        wedge(50, 50, 20, 45, 360, FILLED, "marks"),
+        arc(50, 50, 20, 350, 181, STROKED, "marks"),
+        wedge(50, 50, 20, -30, 180, dashed, "marks"),
+        *[text(10, 12.5, content, StyleSpec(fill="blue", font_size=9.75), "labels",
+               anchor=anchor) for content, anchor in zip(ESCAPE_CASES, ANCHORS * 4)],
+        text(0, 0, 42, StyleSpec(font_size=12), "labels"),
+    ]
+    for p in prims:
+        assert p.svg == reference_render(p), p
 
 
 def test_primitive_fields_cannot_be_assigned():
     prim = line(0, 0, 10, 10, STROKED, "marks")
     for name, value in (("kind", "circle"), ("geometry", ()), ("style", FILLED), ("z", 3),
-                        ("role", "labels")):
+                        ("role", "labels"), ("svg", "")):
         with pytest.raises(AttributeError):
             setattr(prim, name, value)
     assert prim == line(0, 0, 10, 10, STROKED, "marks")
@@ -520,21 +729,40 @@ def coordinate_slots():
 def test_finiteness_check_rejects_each_non_finite_slot():
     base = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
     for arity, build in coordinate_slots():
-        assert "non-finite coordinates" not in primitive_problems(build(base[:arity]))
+        build(base[:arity])
         for slot in range(arity):
             for bad in NON_FINITE:
                 values = base[:arity]
                 values[slot] = bad
-                problems = primitive_problems(build(values))
-                assert "non-finite coordinates" in problems, (arity, slot, bad)
+                with pytest.raises(InvalidScene) as err:
+                    build(values)
+                assert (0, "non-finite coordinates") in err.value.problems, (arity, slot, bad)
 
 
 def test_finiteness_check_accepts_large_finite_values_whose_sum_overflows():
+    """Their sum fails each constructor's quick check, so primitive_problems
+    looks at each value, finds them finite, and the primitive is made."""
     big = 1e308
     assert math.isinf(big + big)
-    assert primitive_problems(text(big, big, "t", StyleSpec(font_size=10), "labels")) == []
-    assert primitive_problems(line(big, big, big, big, STROKED, "marks")) == []
-    assert primitive_problems(rect(big, -big, big, big, FILLED, "marks")) == []
-    assert primitive_problems(polyline([(big, big), (-big, -big), (-big, big)], STROKED,
-                                       "marks")) == []
-    assert primitive_problems(circle(big, big, big, FILLED, "marks")) == []
+    digits = str(int(big))
+    prims = (text(big, big, "t", StyleSpec(font_size=10), "labels"),
+             line(big, big, big, big, STROKED, "marks"),
+             rect(big, -big, big, big, FILLED, "marks"),
+             polyline([(big, big), (-big, -big), (-big, big)], STROKED, "marks"),
+             circle(big, big, big, FILLED, "marks"),
+             wedge(big, big, big, 0, 90, FILLED, "marks"))
+    for p in prims:
+        assert math.isinf(sum(geometry_values(p)))
+        assert primitive_problems(p.kind, p.geometry, p.style) == []
+        assert digits in p.svg, p.kind
+    svg = render_svg(SceneGraph(Canvas(640, 480), prims)).decode("utf-8")
+    assert svg.splitlines()[3:-1] == [p.svg for p in prims]
+
+
+def geometry_values(p):
+    """The numbers of a primitive's geometry, points flattened."""
+    for v in p.geometry:
+        if isinstance(v, tuple):
+            yield from v
+        elif isinstance(v, float):
+            yield v
