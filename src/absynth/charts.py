@@ -8,8 +8,9 @@ Each unit class has one row of fixed config (keywords.UNIT_CLASSES), its
 value range and axis suffix: percent 1-60 (%), currency 10-10000 ($) and
 count 1-500 (none). Pie charts always use four categories with integer
 percentages summing to 100. Composite charts hold 2-4 bar/line sub-charts
-laid out in a row or 2x2 grid. A ChartSpec checks these rules when it is
-constructed, so the scene builder and the questions take every spec as valid.
+laid out in a row or 2x2 grid. Every value is finite, and no bar is
+negative. A ChartSpec checks these rules when it is constructed, so the
+scene builder and the questions take every spec as valid.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ class ChartSpec:
         for s in self.series:
             if tuple(p.category for p in s.points) != cats:
                 raise ValueError("inconsistent categories across series")
+            for p in s.points:
+                if not math.isfinite(p.value):
+                    raise ValueError(f"series {s.label!r} value {p.value} is not finite")
+                if self.kind == "bar" and p.value < 0:
+                    raise ValueError(f"bar series {s.label!r} value {p.value} is negative")
         if self.kind == "pie":
             values = [p.value for p in self.series[0].points]
             if any(v <= 0 for v in values):

@@ -22,7 +22,7 @@ from functools import cache
 from types import UnionType
 from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
-from .records import JSON_TYPE_NAMES, SCENARIOS, SchemaMismatch, load_manifest
+from .records import JSON_TYPE_NAMES, SCENARIOS, SchemaMismatch, load_manifest, write_files
 
 if TYPE_CHECKING:
     from .pipeline import RunConfig
@@ -149,15 +149,12 @@ def _read_input(path: str, what: str) -> bytes:
 
 def _write_report(out_dir: str, stem: str, body: str, text: str) -> None:
     """Write `<stem>.json` (the JSON `body` and a newline) and `<stem>.txt`
-    into `out_dir`, then print the text and where the JSON went."""
-    os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, f"{stem}.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(body + "\n")
-    with open(os.path.join(out_dir, f"{stem}.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    into `out_dir` through records.write_files, then print the text and
+    where the JSON went."""
+    write_files(out_dir, {f"{stem}.json": (body + "\n").encode("utf-8"),
+                          f"{stem}.txt": text.encode("utf-8")})
     print(text, end="")
-    print(f"wrote {json_path}")
+    print(f"wrote {os.path.join(out_dir, f'{stem}.json')}")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -196,10 +193,9 @@ def cmd_gallery(args: argparse.Namespace) -> int:
     manifest = load_manifest(_read_input(args.manifest, "manifest"))
     manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
     out_path = args.out or os.path.join(manifest_dir, "gallery.html")
-    page_dir = os.path.dirname(os.path.abspath(out_path))
-    os.makedirs(page_dir, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(render_gallery(manifest, os.path.relpath(manifest_dir, page_dir)))
+    page_dir, page_name = os.path.split(os.path.abspath(out_path))
+    page = render_gallery(manifest, os.path.relpath(manifest_dir, page_dir))
+    write_files(page_dir, {page_name: page.encode("utf-8")})
     print(f"wrote {out_path}")
     return 0
 

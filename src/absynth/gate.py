@@ -15,11 +15,11 @@ constructed, so the gates take it as valid.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .records import _quote
 from .scene import LayoutOverflow, SceneGraph, overlap_pairs
 
 # Completions voted on per LLM-proposed answer; min_vote_support counts
@@ -147,7 +147,7 @@ class GateReport:
         """The report as `json.dumps(body, indent=2, sort_keys=True,
         ensure_ascii=False)` writes it, with the summary and each outcome
         under its candidate id in sorted order. Written directly, one
-        fixed-schema f-string per entry over the C string escaper, because
+        fixed-schema f-string per entry over records' C string escaper, because
         with `indent` json.dumps runs its pure-Python encoder."""
         entries = []
         for cid, out in sorted(self.outcomes.items()):
@@ -170,11 +170,6 @@ class GateReport:
             f'    "rejected_by_stage": {_block(stages, "    ")}\n'
             f'  }}\n}}'
         )
-
-
-# The C escaper behind json.dumps(ensure_ascii=False): quotes, backslashes
-# and control characters escaped, everything else written as is.
-_quote = json.encoder.encode_basestring
 
 
 def _block(entries: list[str], indent: str) -> str:

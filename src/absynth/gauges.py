@@ -10,9 +10,10 @@ between two hour marks accept both flanking numbers.
 
 A DialSpec holds only what was sampled: the family, the reading and the
 question knobs (offset, exercise_hours), so questions are a pure function of
-the spec. It checks its family and reading range when it is constructed, so
-the builder and the questions do not. The decoders read a dial back from its
-scene alone.
+the spec. It checks its family, its reading range and its knobs (a finite
+offset; for a clock, whole offset hours and an exercise duration that has a
+phrase) when it is constructed, so the builder and the questions do not.
+The decoders read a dial back from its scene alone.
 
 Each family row draws its dial in two parts: a `face`, which no reading
 moves (the dial or tube, ticks, tick labels and hub), and a `mark`, which
@@ -60,10 +61,17 @@ class DialSpec:
     def __post_init__(self) -> None:
         if self.family not in _ROWS:
             raise ValueError(f"unknown dial family {self.family!r}")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset {self.offset} is not finite")
         if self.family == "clock":
             hour, minute = self.reading
             if not (0 <= hour <= 23 and 0 <= minute <= 59):
                 raise ValueError(f"clock reading {self.reading} out of range")
+            if self.offset != int(self.offset):
+                raise ValueError(f"clock offset {self.offset} is not a whole number of hours")
+            if self.exercise_hours not in _DURATION_PHRASES:
+                raise ValueError(f"clock exercise_hours {self.exercise_hours} is not one of "
+                                 f"{sorted(_DURATION_PHRASES)}")
         else:
             lo, hi, _ = self.scale
             if not (lo <= float(self.reading) <= hi):

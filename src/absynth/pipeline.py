@@ -50,7 +50,7 @@ from .gate import (
 )
 from .records import (
     InstructionRecord, Manifest, Provenance, QuestionDraft, SCENARIOS, dump_manifest,
-    sample_for_review, verify_record,
+    sample_for_review, verify_record, write_files,
 )
 from .scene import SceneGraph, render_svg
 from .seeds import derive_seed
@@ -252,45 +252,14 @@ def write_outputs(
 ) -> dict[str, str]:
     """Write manifest.jsonl, gate_report.json, the stratified human-review
     sample (config.gate.review_fraction, seeded by config.seed), and every
-    SVG under config.out_dir."""
-    out_dir = config.out_dir
+    SVG under config.out_dir, all through records.write_files."""
     review_fraction = config.gate.review_fraction
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    with open(manifest_path, "wb") as fh:
-        fh.write(dump_manifest(manifest))
-    paths["manifest"] = manifest_path
-    report_path = os.path.join(out_dir, "gate_report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
-    paths["gate_report"] = report_path
-    review_path = os.path.join(out_dir, "review_sample.json")
-    review_ids = sample_for_review(manifest, review_fraction, config.seed)
-    with open(review_path, "w", encoding="utf-8") as fh:
-        json.dump({"fraction": review_fraction, "record_ids": review_ids}, fh, indent=2)
-        fh.write("\n")
-    paths["review_sample"] = review_path
-    for rel_dir in {os.path.dirname(rel) for rel in images}:
-        os.makedirs(os.path.join(out_dir, rel_dir), exist_ok=True)
-    for rel, data in images.items():
-        _write_file(os.path.join(out_dir, rel), data)
-    return paths
-
-
-# The flags open(path, "wb") passes, so the file is made, truncated and moded
-# (0o666 less the umask) as it would be.
-_WRITE_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
-                | getattr(os, "O_CLOEXEC", 0))
-
-
-def _write_file(path: str, data: bytes) -> None:
-    """Write `data` to `path` through the raw descriptor calls, which skip
-    the buffered file object that open() builds around them."""
-    fd = os.open(path, _WRITE_FLAGS, 0o666)
-    try:
-        written = os.write(fd, data)
-        while written < len(data):
-            written += os.write(fd, memoryview(data)[written:])
-    finally:
-        os.close(fd)
+    review = {"fraction": review_fraction,
+              "record_ids": sample_for_review(manifest, review_fraction, config.seed)}
+    files = {
+        "manifest.jsonl": dump_manifest(manifest),
+        "gate_report.json": (report.to_json() + "\n").encode("utf-8"),
+        "review_sample.json": (json.dumps(review, indent=2) + "\n").encode("utf-8"),
+    }
+    write_files(config.out_dir, {**files, **images})
+    return {os.path.splitext(rel)[0]: os.path.join(config.out_dir, rel) for rel in files}

@@ -31,12 +31,16 @@ The caller makes that list, so this module knows nothing of the scenario
 table; the pipeline takes it from a second call, apart from the one that
 drafted the records. A record whose raw answer fields equal its draft's
 passes without being canonicalized.
+
+write_files is the one writer of the files `gen`, `eval`, `stats` and
+`gallery` write: it takes bytes, so "\n" ends lines on every platform.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -526,3 +530,25 @@ def sample_for_review(manifest: Manifest, fraction: float, seed: int) -> list[st
         rng = Random(derive_seed(seed, "review", scenario))
         chosen.extend(rng.sample(ids, k))
     return chosen
+
+
+# The flags open(path, "wb") passes, so each file is made, truncated and
+# moded (0o666 less the umask) as it would be.
+_WRITE_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+                | getattr(os, "O_CLOEXEC", 0))
+
+
+def write_files(root: str, files: dict[str, bytes]) -> None:
+    """Write each of `files`, keyed by its path under `root`, whole, making
+    its directory first, through the raw descriptor calls, which skip the
+    buffered file object that open() builds around them."""
+    for rel_dir in {os.path.dirname(rel) for rel in files}:
+        os.makedirs(os.path.join(root, rel_dir), exist_ok=True)
+    for rel, data in files.items():
+        fd = os.open(os.path.join(root, rel), _WRITE_FLAGS, 0o666)
+        try:
+            written = os.write(fd, data)
+            while written < len(data):
+                written += os.write(fd, memoryview(data)[written:])
+        finally:
+            os.close(fd)

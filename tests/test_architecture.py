@@ -478,14 +478,14 @@ def test_record_types_are_slotted():
         provenance.seed = 8
 
 
-def _pie(*values):
+def _chart(kind, *values):
     points = tuple(SeriesPoint(c, v) for c, v in zip("ABCD", values))
-    return ChartSpec("pie", "t", "percent", (Series("share", points),), ("", ""),
+    return ChartSpec(kind, "t", "percent", (Series("share", points),), ("", ""),
                      "bottom_left", {})
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: _pie(40.0, 30.0, 20.0, 9.0), "pie percentages sum to 99.0, not 100"),
+    (lambda: _chart("pie", 40.0, 30.0, 20.0, 9.0), "pie percentages sum to 99.0, not 100"),
     (lambda: DialSpec("clock", (25, 0)),
      "clock reading (25, 0) out of range"),
     (lambda: FlowSpec("workflow", "t", (FlowNode("Step", "process"),), ()),
@@ -512,6 +512,16 @@ def _pie(*values):
     (lambda: BackendConfig(temperature=-3.0), "temperature must be a finite number >= 0"),
     (lambda: BackendConfig(retry_budget=9), "retry_budget must be in [0, 8]"),
     (lambda: BackendConfig(retry_budget=-1), "retry_budget must be in [0, 8]"),
+    (lambda: _chart("bar", 10.0, math.nan, 20.0), "series 'share' value nan is not finite"),
+    (lambda: _chart("bar", 10.0, math.inf, 20.0), "series 'share' value inf is not finite"),
+    (lambda: _chart("bar", 10.0, -2.0, 20.0), "bar series 'share' value -2.0 is negative"),
+    (lambda: _chart("pie", 40.0, 30.0, math.nan, 30.0), "series 'share' value nan is not finite"),
+    (lambda: DialSpec("clock", (3, 5), 2.0, 0.7),
+     "clock exercise_hours 0.7 is not one of [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]"),
+    (lambda: DialSpec("clock", (3, 5), math.nan, 1.0), "offset nan is not finite"),
+    (lambda: DialSpec("clock", (3, 5), 2.5, 1.0),
+     "clock offset 2.5 is not a whole number of hours"),
+    (lambda: DialSpec("fuel", 0.5, math.nan), "offset nan is not finite"),
 ], ids=["ChartSpec", "DialSpec", "FlowSpec", "TreeSpec", "GateConfig", "BackendConfig",
         "RunConfig", "StyleSpec-stroke", "StyleSpec-fill", "StyleSpec-stroke_width",
         "Canvas-side", "Canvas-background",
@@ -520,7 +530,10 @@ def _pie(*values):
         "GateConfig-min_vote_support-above-votes", "GateConfig-min_vote_support-zero",
         "BackendConfig-temperature-nan", "BackendConfig-temperature-inf",
         "BackendConfig-temperature-negative", "BackendConfig-retry_budget-above-8",
-        "BackendConfig-retry_budget-negative"])
+        "BackendConfig-retry_budget-negative", "ChartSpec-bar-nan", "ChartSpec-bar-inf",
+        "ChartSpec-bar-negative", "ChartSpec-pie-nan", "DialSpec-clock-exercise_hours",
+        "DialSpec-clock-offset-nan", "DialSpec-clock-offset-fraction",
+        "DialSpec-fuel-offset-nan"])
 def test_specs_and_configs_check_themselves_on_construction(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
@@ -571,6 +584,55 @@ def test_gen_runs_on_one_thread():
                                   path.read_text(encoding="utf-8")))))
     assert importers == ["bridge.py"]
     assert "jobs" not in {f.name for f in dataclasses.fields(RunConfig)}
+
+
+# Every output file of gen, eval, stats and gallery is written as bytes by
+# records.write_files, so text mode turns no "\n" into os.linesep. The one
+# text-mode writer left is the bridge's request log, which appends.
+TEXT_WRITERS = {("bridge.py", "_log_request")}
+
+
+def _writes_text(call):
+    """Whether the call opens a file to write text: open() or io.open() with
+    a mode that writes and has no "b", a path's .open(mode) likewise, or a
+    path's .write_text(). A mode that is not a literal counts as text."""
+    func = call.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    module = getattr(getattr(func, "value", None), "id", None)
+    if name == "write_text":
+        return True
+    if name != "open" or module == "os":
+        return False
+    position = 1 if isinstance(func, ast.Name) or module == "io" else 0
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position:][:1]
+    if not modes:
+        return False
+    mode = modes[0]
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return "b" not in mode.value and any(c in mode.value for c in "wax+")
+
+
+def text_mode_writes(tree):
+    """(innermost enclosing function, line) of each text-mode write call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _writes_text(child):
+                found.append((owner, child.lineno))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_module_writes_a_file_in_text_mode():
+    found = [(path.name, owner, line) for path in sorted(SRC_DIR.glob("*.py"))
+             for owner, line in text_mode_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert [site for site in found if site[:2] not in TEXT_WRITERS] == []
+    assert {site[:2] for site in found} == TEXT_WRITERS  # the scan sees the one it allows
 
 
 def test_the_font_retry_names_stay_removed():

@@ -5,7 +5,7 @@ import stat
 
 import pytest
 
-from absynth import pipeline
+from absynth import pipeline, records
 from absynth.bridge import BackendConfig
 from absynth.gate import LLM_ANSWER_VOTES, GateConfig
 from absynth.pipeline import (
@@ -127,27 +127,34 @@ def test_write_outputs_layout(tmp_path):
 
 
 def test_written_images_are_moded_by_the_umask_and_overwritten_whole(tmp_path, monkeypatch):
-    """Each SVG is written as open(path, "wb") writes it: made with mode
-    0o666 less the umask, a longer file already there cut to the new bytes,
-    and every byte written however short each write is."""
-    config = small_config(default_count=1, out_dir=str(tmp_path))
+    """Every file write_outputs writes, the manifest, gate report, review
+    sample and each SVG, is written as open(path, "wb") writes it: made with
+    mode 0o666 less the umask, a longer file already there cut to the new
+    bytes, and every byte written however short each write is."""
+    config = small_config(default_count=1, out_dir=str(tmp_path / "ref"))
     manifest, report, images = generate_dataset(config)
-    for rel in images:
-        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / rel).write_bytes(b"x" * (len(images[rel]) + 500))
-        (tmp_path / rel).chmod(0o600)
+    write_outputs(config, manifest, report, images)
+    rels = ["manifest.jsonl", "gate_report.json", "review_sample.json", *images]
+    expected = {rel: (tmp_path / "ref" / rel).read_bytes() for rel in rels}
+    assert all(expected[rel] == data for rel, data in images.items())
+    old = tmp_path / "old"
+    for rel in rels:
+        (old / rel).parent.mkdir(parents=True, exist_ok=True)
+        (old / rel).write_bytes(b"x" * (len(expected[rel]) + 500))
+        (old / rel).chmod(0o600)
     real_write = os.write
-    monkeypatch.setattr(pipeline.os, "write", lambda fd, data: real_write(fd, data[:7]))
+    monkeypatch.setattr(records.os, "write", lambda fd, data: real_write(fd, data[:7]))
     previous = os.umask(0o022)
     try:
-        write_outputs(config, manifest, report, images)
+        write_outputs(small_config(default_count=1, out_dir=str(old)), manifest, report, images)
         fresh = tmp_path / "fresh"
         write_outputs(small_config(default_count=1, out_dir=str(fresh)), manifest, report, images)
     finally:
         os.umask(previous)
-    for rel, data in images.items():
-        assert (tmp_path / rel).read_bytes() == data
-        assert stat.S_IMODE((tmp_path / rel).stat().st_mode) == 0o600  # kept, as open() keeps it
+    for rel, data in expected.items():
+        assert (old / rel).read_bytes() == data
+        assert (fresh / rel).read_bytes() == data
+        assert stat.S_IMODE((old / rel).stat().st_mode) == 0o600  # kept, as open() keeps it
         assert stat.S_IMODE((fresh / rel).stat().st_mode) == 0o644
 
 
