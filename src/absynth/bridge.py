@@ -198,8 +198,8 @@ def parse_output(stage: str, text: str) -> Any:
 def _log_request(config: BackendConfig, entry: dict) -> None:
     if not config.request_log:
         return
-    with open(config.request_log, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+    with open(config.request_log, "ab") as fh:
+        fh.write((json.dumps(entry, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
 def _call_with_retries(transport: Transport, payload: dict, config: BackendConfig) -> str:

@@ -10,16 +10,18 @@ machine-readable reason. It walks the primitives once,
 collecting the text and the too-small text together, and boxes only the text
 and legend primitives, in a sweep that skips pairs apart in x or in y before
 it computes any area. A GateConfig checks its thresholds when it is
-constructed, so the gates take it as valid.
+constructed, so the gates take it as valid. The GateReport, written as
+gate_report.json, is plain `json.dumps` text, like every JSON file absynth
+writes other than the manifest's record lines.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .records import _quote
 from .scene import LayoutOverflow, SceneGraph, overlap_pairs
 
 # Completions voted on per LLM-proposed answer; min_vote_support counts
@@ -144,37 +146,11 @@ class GateReport:
         }
 
     def to_json(self) -> str:
-        """The report as `json.dumps(body, indent=2, sort_keys=True,
-        ensure_ascii=False)` writes it, with the summary and each outcome
-        under its candidate id in sorted order. Written directly, one
-        fixed-schema f-string per entry over records' C string escaper, because
-        with `indent` json.dumps runs its pure-Python encoder."""
-        entries = []
-        for cid, out in sorted(self.outcomes.items()):
-            if out is None:
-                entries.append(f'    {_quote(cid)}: {{\n      "accepted": true\n    }}')
-            else:
-                entries.append(f'    {_quote(cid)}: {{\n      "accepted": false,\n'
-                               f'      "reason": {_quote(out.reason)},\n'
-                               f'      "stage": {_quote(out.stage)}\n    }}')
-        summary = self.aggregate()
-        stages = [f"      {_quote(stage)}: {n}"
-                  for stage, n in summary["rejected_by_stage"].items()]
-        return (
-            f'{{\n  "outcomes": {_block(entries, "  ")},\n'
-            f'  "summary": {{\n'
-            f'    "accepted": {summary["accepted"]},\n'
-            f'    "candidates": {summary["candidates"]},\n'
-            f'    "pass_rate": {summary["pass_rate"]!r},\n'
-            f'    "rejected": {summary["rejected"]},\n'
-            f'    "rejected_by_stage": {_block(stages, "    ")}\n'
-            f'  }}\n}}'
-        )
-
-
-def _block(entries: list[str], indent: str) -> str:
-    """A JSON object of already indented `entries`, closed at `indent`, as
-    json.dumps with indent=2 writes it: `{}` when there are none."""
-    if not entries:
-        return "{}"
-    return "{\n" + ",\n".join(entries) + "\n" + indent + "}"
+        """The summary and each candidate's outcome, under its id, as
+        `json.dumps(body, indent=2, sort_keys=True, ensure_ascii=False)`
+        writes them; sort_keys puts the candidate ids in sorted order."""
+        outcomes = {cid: ({"accepted": True} if out is None
+                          else {"accepted": False, "stage": out.stage, "reason": out.reason})
+                    for cid, out in self.outcomes.items()}
+        return json.dumps({"outcomes": outcomes, "summary": self.aggregate()},
+                          indent=2, sort_keys=True, ensure_ascii=False)

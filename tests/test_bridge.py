@@ -182,8 +182,12 @@ def test_request_log_written(tmp_path):
     log = tmp_path / "requests.jsonl"
     config = BackendConfig(request_log=str(log))
     propose_qa("x", config=config)
-    assert [json.loads(line) for line in log.read_text().splitlines()] == [
-        {"stage": "qa", "attempt": 0, "ok": True}]
+    propose_qa("y", config=config)
+    # Appended as bytes, so each line ends in "\n" on every platform.
+    data = log.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    assert [json.loads(line) for line in data.split(b"\n")[:-1]] == [
+        {"stage": "qa", "attempt": 0, "ok": True}] * 2
 
 
 def test_offline_transport_never_needs_network():
