@@ -18,6 +18,7 @@ writes other than the manifest's record lines.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -41,9 +42,10 @@ class GateConfig:
             v = getattr(self, name)
             if not (0 < v <= 1):
                 raise ValueError(f"{name} must be in (0, 1]")
-        # Written so that NaN fails too: `font_size < nan` is never true.
-        if not (self.min_font_px >= 0):
-            raise ValueError("min_font_px must be >= 0")
+        # NaN fails both comparisons. An infinite floor, which is what JSON's
+        # 1e400 loads as, would reject every image that has text.
+        if not (0 <= self.min_font_px < math.inf):
+            raise ValueError("min_font_px must be a finite number >= 0")
         if not (1 <= self.min_vote_support <= LLM_ANSWER_VOTES):
             raise ValueError(f"min_vote_support must be in [1, {LLM_ANSWER_VOTES}]")
 

@@ -8,21 +8,27 @@ uniformly, never revisits a cell, and stops when its budget of at most
 MAX_STEPS (36) steps runs out or it is boxed in; the stopping cell becomes
 the endpoint. Distractor branches are then grown off cells where the path
 turns, one self-avoiding corridor each, never touching the rest of the
-network, so a junction always coincides with a turn and a straight gold path
-stays at difficulty 1.
+network, so a junction always coincides with a turn and a straight route
+stays at difficulty 1. Neither the walk nor a branch ever runs alongside the
+cells it joins, so the network is a tree and the route is its one path from
+the start to the end.
 
-Intersections (network degree >= 3) plus the start and end cells are named
-from a fixed street-name list; the gold answer to the navigation question is
-the ordered landmark-name sequence along the path, including start and end.
+A map stores its cells and its names: the network, the obstacles, the
+`route` (the walk's cells, start first and end last), the landmark names and
+the difficulty. Intersections (network degree >= 3) plus the start and end
+cells are named from a fixed street-name list; the gold answer to the
+navigation question is the ordered landmark-name sequence along the route,
+including start and end, read off `route` when the question is drafted.
 
 Difficulty is level = 1 + min(4, (turns + intersections) // 2), a documented
 config-style formula: two turns plus two intersections is exactly level 3.
 
 Neighbours are never worked out by coordinate arithmetic: `_GRID`, built at
 import, maps each cell in row-major order to its in-grid neighbours by
-direction for the walk, the branches, the junction scan and the obstacle draw.
-The scene reads `_CENTER`, each cell's canvas centre and down and right
-neighbours, and draws each road once, from whichever of its cells sorts first.
+direction, in DIRECTIONS order, for the walk, the branches, the junction scan
+and the obstacle draw. The scene reads `_CENTER`, each cell's canvas centre
+and down and right neighbours, and draws each road once, from whichever of
+its cells sorts first.
 
 Every map is drawn on the same grid, so a road is fixed by its cell and its
 down or right neighbour, and an obstacle or a start, end or landmark marker
@@ -53,7 +59,6 @@ DIRECTIONS: dict[str, Cell] = {
     "left": (0, -1),
     "right": (0, 1),
 }
-_DIR_ORDER = ("up", "down", "left", "right")
 
 STREET_NAMES: tuple[str, ...] = (
     "Oak", "Pine", "Elm", "Maple", "Cedar", "Birch", "Willow", "Aspen",
@@ -83,29 +88,15 @@ class DegenerateMap(ValueError):
 
 
 @dataclass(frozen=True)
-class PathTrace:
-    cells: tuple[Cell, ...]
-    turns: int
-    intersections: int
-    landmarks: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class RoadMapSpec:
     network: frozenset[Cell]
     obstacles: frozenset[Cell]
-    start: Cell
-    end: Cell
-    gold: PathTrace
+    route: tuple[Cell, ...]  # the walk's cells, start first and end last
     landmark_names: dict[Cell, str]
     difficulty: int
 
     def to_dict(self) -> dict:
-        data = fields_of(self)
-        data["network"] = sorted(self.network)
-        data["obstacles"] = sorted(self.obstacles)
-        data["landmark_names"] = {str(k): v for k, v in sorted(self.landmark_names.items())}
-        return data
+        return fields_of(self)
 
 
 def _corners(cells: list[Cell] | tuple[Cell, ...]) -> list[Cell]:
@@ -115,11 +106,10 @@ def _corners(cells: list[Cell] | tuple[Cell, ...]) -> list[Cell]:
 
 
 # Every cell of the grid, in row-major order, mapped to its in-grid
-# neighbours as (index into _DIR_ORDER, cell) pairs, in _DIR_ORDER. Nothing
-# mutates it.
-_GRID: dict[Cell, tuple[tuple[int, Cell], ...]] = {
-    (r, c): tuple((i, (r + dr, c + dc))
-                  for i, (dr, dc) in enumerate(DIRECTIONS[d] for d in _DIR_ORDER)
+# neighbours as (direction, cell) pairs, in DIRECTIONS order. Nothing mutates
+# it.
+_GRID: dict[Cell, tuple[tuple[str, Cell], ...]] = {
+    (r, c): tuple((d, (r + dr, c + dc)) for d, (dr, dc) in DIRECTIONS.items()
                   if 0 <= r + dr < GRID_ROWS and 0 <= c + dc < GRID_COLS)
     for r in range(GRID_ROWS) for c in range(GRID_COLS)
 }
@@ -127,9 +117,9 @@ _CELLS = tuple(_GRID)
 _N_OBSTACLES = int(OBSTACLE_DENSITY * GRID_ROWS * GRID_COLS)
 
 
-def _open_steps(cell: Cell, taken: set[Cell], obstacles: set[Cell]) -> dict[int, Cell]:
+def _open_steps(cell: Cell, taken: set[Cell], obstacles: set[Cell]) -> dict[str, Cell]:
     """The grid neighbours of `cell`, itself in `taken`, that a corridor may
-    grow into, keyed by direction index, in _DIR_ORDER: free, untaken,
+    grow into, keyed by direction, in DIRECTIONS order: free, untaken,
     and touching `taken` only through `cell`, so the corridor never runs
     alongside itself or the rest of the network (a fold would draw a
     shortcut edge and make the gold route ambiguous)."""
@@ -145,13 +135,13 @@ def _open_steps(cell: Cell, taken: set[Cell], obstacles: set[Cell]) -> dict[int,
     return steps
 
 
-def classify_difficulty(gold: PathTrace) -> int:
+def classify_difficulty(turns: int, intersections: int) -> int:
     """Map complexity level 1..5, monotone in turns and intersections."""
-    return 1 + min(4, (gold.turns + gold.intersections) // 2)
+    return 1 + min(4, (turns + intersections) // 2)
 
 
-def _uniform_direction(rng: Random, valid: list[int]) -> int:
-    """A direction index drawn uniformly from `valid` with one rng.random():
+def _uniform_direction(rng: Random, valid: list[str]) -> str:
+    """A direction drawn uniformly from `valid` with one rng.random():
     a draw of u picks the first i with u * len(valid) <= i + 1, so a draw on
     a boundary takes the lower index."""
     return valid[max(ceil(rng.random() * len(valid)) - 1, 0)]
@@ -163,7 +153,7 @@ def _walk(rng: Random, obstacles: set[Cell]) -> list[Cell]:
     budget = rng.randint(MIN_GOLD_CELLS + 1, MAX_STEPS)
     path = [start]
     visited = {start}
-    direction: int | None = None
+    direction: str | None = None
     for _ in range(budget):
         steps = _open_steps(path[-1], visited, obstacles)
         if not steps:
@@ -222,7 +212,6 @@ def generate_map(seed: int) -> RoadMapSpec:
             _grow_branch(rng, network, obstacles, attach,
                          rng.randint(BRANCH_MIN_LEN, BRANCH_MAX_LEN))
 
-    start, end = path[0], path[-1]
     junctions = set()
     for cell in network:
         degree = 0
@@ -231,27 +220,19 @@ def generate_map(seed: int) -> RoadMapSpec:
                 degree += 1
         if degree >= 3:
             junctions.add(cell)
-    ordered = sorted(junctions | {start, end})
+    ordered = sorted(junctions | {path[0], path[-1]})
     names = list(STREET_NAMES)
     rng.shuffle(names)
     landmark_names = {cell: names[i] for i, cell in enumerate(ordered)}
 
-    cells = tuple(path)
-    landmarks = tuple(landmark_names[c] for c in cells if c in landmark_names)
-    trace = PathTrace(
-        cells=cells,
-        turns=len(corners),
-        intersections=sum(c in junctions for c in cells),
-        landmarks=landmarks,
-    )
+    turns = len(corners)
+    intersections = sum(c in junctions for c in path)
     return RoadMapSpec(
         network=frozenset(network),
         obstacles=frozenset(obstacles),
-        start=start,
-        end=end,
-        gold=trace,
+        route=tuple(path),
         landmark_names=landmark_names,
-        difficulty=classify_difficulty(trace),
+        difficulty=classify_difficulty(turns, intersections),
     )
 
 
@@ -274,7 +255,7 @@ _LABEL_STYLE = StyleSpec(font_size=LABEL_FONT)
 # in that order: the road to each is drawn from this cell. Nothing mutates it.
 _CENTER: dict[Cell, tuple[float, float, tuple[Cell, ...]]] = {
     (r, c): (MARGIN_PX + c * CELL_PX, MARGIN_PX + r * CELL_PX,
-             tuple(other for d, other in links if _DIR_ORDER[d] in ("down", "right")))
+             tuple(other for d, other in links if d in ("down", "right")))
     for (r, c), links in _GRID.items()
 }
 
@@ -328,7 +309,7 @@ def build_map_scene(spec: RoadMapSpec) -> SceneGraph:
     for cell in sorted(spec.obstacles):
         b.add(_obstacle(cell))
 
-    start, end = spec.start, spec.end
+    start, end = spec.route[0], spec.route[-1]
     for cell, name in sorted(spec.landmark_names.items()):
         role = ("start_marker" if cell == start else "end_marker" if cell == end
                 else "landmarks")
@@ -342,9 +323,9 @@ def build_map_scene(spec: RoadMapSpec) -> SceneGraph:
 def map_questions(spec: RoadMapSpec) -> list[QuestionDraft]:
     """The one navigation question: the route's landmark names in order,
     including the start and end cells (the recorded convention)."""
-    start_name = spec.landmark_names[spec.start]
-    end_name = spec.landmark_names[spec.end]
-    sequence = ", ".join(spec.gold.landmarks)
+    route, names = spec.route, spec.landmark_names
+    start_name, end_name = names[route[0]], names[route[-1]]
+    sequence = ", ".join(names[cell] for cell in route if cell in names)
     question = (
         f"Plan a route on this road map from {start_name} to {end_name}. "
         f"List, in order, the names of all marked points you pass through, "

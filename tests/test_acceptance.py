@@ -102,7 +102,7 @@ def test_criterion_5_map_difficulty_distribution():
     for seed in range(1000):
         spec = generate_map(seed)
         levels[spec.difficulty] += 1
-        cells = spec.gold.cells
+        cells = spec.route
         assert len(set(cells)) == len(cells), "gold path revisits a cell"
         for a, b in zip(cells, cells[1:]):
             assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1, "gold path disconnected"

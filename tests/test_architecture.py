@@ -20,6 +20,7 @@ from absynth.diagrams import FlowNode, FlowSpec, TreeNode, TreeSpec
 from absynth.gate import LLM_ANSWER_VOTES, GateConfig
 from absynth.gauges import FAMILIES, DialSpec
 from absynth.keywords import BUILTIN_TOPICS
+from absynth.maps import RoadMapSpec
 from absynth.pipeline import SCENARIO_SOURCES, RunConfig
 from absynth.records import (
     InstructionRecord, Manifest, Provenance, QuestionDraft, dump_manifest, sample_for_review,
@@ -349,6 +350,19 @@ def test_dial_spec_holds_only_what_was_sampled():
     assert names == ["family", "reading", "offset", "exercise_hours"]
 
 
+def test_road_map_spec_holds_its_cells_and_names():
+    """The start, the end, the turns, the intersections and the landmark
+    sequence are read off `route` where they are asked, so the spec holds no
+    copy of them that could disagree with the route."""
+    names = [f.name for f in dataclasses.fields(RoadMapSpec)]
+    assert names == ["network", "obstacles", "route", "landmark_names", "difficulty"]
+    found = [(path.name, number, name)
+             for path in sorted(SRC_DIR.glob("*.py"))
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             for name in ("PathTrace", "_DIR_ORDER") if name in line]
+    assert not found
+
+
 def test_each_unit_class_is_described_once():
     """A unit class's value range and axis suffix are one row of
     keywords.UNIT_CLASSES, not two dicts over the same keys."""
@@ -502,8 +516,9 @@ def _chart(kind, *values):
     (lambda: Canvas(background=(255, 256, 255)), "background channel outside [0,255]"),
     (lambda: RunConfig(questions_per_image=-2), "questions_per_image must be >= 1"),
     (lambda: RunConfig(questions_per_image=0), "questions_per_image must be >= 1"),
-    (lambda: GateConfig(min_font_px=math.nan), "min_font_px must be >= 0"),
-    (lambda: GateConfig(min_font_px=-1.0), "min_font_px must be >= 0"),
+    (lambda: GateConfig(min_font_px=math.nan), "min_font_px must be a finite number >= 0"),
+    (lambda: GateConfig(min_font_px=-1.0), "min_font_px must be a finite number >= 0"),
+    (lambda: GateConfig(min_font_px=math.inf), "min_font_px must be a finite number >= 0"),
     (lambda: GateConfig(min_vote_support=LLM_ANSWER_VOTES + 1),
      f"min_vote_support must be in [1, {LLM_ANSWER_VOTES}]"),
     (lambda: GateConfig(min_vote_support=0), f"min_vote_support must be in [1, {LLM_ANSWER_VOTES}]"),
@@ -527,6 +542,7 @@ def _chart(kind, *values):
         "Canvas-side", "Canvas-background",
         "RunConfig-questions_per_image-negative", "RunConfig-questions_per_image-zero",
         "GateConfig-min_font_px-nan", "GateConfig-min_font_px-negative",
+        "GateConfig-min_font_px-inf",
         "GateConfig-min_vote_support-above-votes", "GateConfig-min_vote_support-zero",
         "BackendConfig-temperature-nan", "BackendConfig-temperature-inf",
         "BackendConfig-temperature-negative", "BackendConfig-retry_budget-above-8",

@@ -433,11 +433,12 @@ def test_wrongly_typed_config_value_is_one_line_error(tmp_path, capsys, flag, co
 @pytest.mark.parametrize("config, message", [
     ({"questions_per_image": -2}, "questions_per_image must be >= 1"),
     ({"questions_per_image": 0}, "questions_per_image must be >= 1"),
-    ({"gate": {"min_font_px": float("nan")}}, "min_font_px must be >= 0"),
-    ({"gate": {"min_font_px": -1}}, "min_font_px must be >= 0"),
+    ({"gate": {"min_font_px": float("nan")}}, "min_font_px must be a finite number >= 0"),
+    ({"gate": {"min_font_px": -1}}, "min_font_px must be a finite number >= 0"),
+    ({"gate": {"min_font_px": float("inf")}}, "min_font_px must be a finite number >= 0"),
     ({"gate": {"min_vote_support": 4}}, "min_vote_support must be in [1, 3]"),
 ], ids=["questions_per_image-negative", "questions_per_image-zero", "min_font_px-nan",
-        "min_font_px-negative", "min_vote_support-above-votes"])
+        "min_font_px-negative", "min_font_px-inf", "min_vote_support-above-votes"])
 def test_bad_run_config_value_fails_the_dry_run(tmp_path, capsys, config, message):
     """A value that would drop records, or switch a gate off, without saying
     so is refused before any image is made."""

@@ -9,7 +9,7 @@ from absynth import maps
 from absynth.maps import (
     BRANCH_MAX_LEN, BRANCH_MIN_LEN, CELL_PX, GRID_COLS, GRID_ROWS, MARGIN_PX, MAX_BRANCHES,
     MAX_STEPS, MIN_GOLD_CELLS, OBSTACLE_DENSITY, RESEED_ATTEMPTS, STREET_NAMES, TURN_PROB,
-    DegenerateMap, DIRECTIONS, PathTrace, RoadMapSpec, _corners, _ROAD_STYLE, build_map_scene,
+    DegenerateMap, DIRECTIONS, RoadMapSpec, _corners, _ROAD_STYLE, build_map_scene,
     classify_difficulty, generate_map, map_questions,
 )
 from absynth.scene import bounding_box, line, overlap_pairs
@@ -121,15 +121,9 @@ def reference_generate_map(seed):
     if len(ordered) > len(names):
         raise DegenerateMap("more intersections than available landmark names")
     landmark_names = {cell: names[i] for i, cell in enumerate(ordered)}
-    cells = tuple(path)
-    trace = PathTrace(
-        cells=cells,
-        turns=count_turns(cells),
-        intersections=sum(c in junctions for c in cells),
-        landmarks=tuple(landmark_names[c] for c in cells if c in landmark_names),
-    )
-    return RoadMapSpec(frozen_network, frozenset(obstacles), start, end, trace,
-                       landmark_names, classify_difficulty(trace))
+    difficulty = classify_difficulty(count_turns(path), sum(c in junctions for c in path))
+    return RoadMapSpec(frozen_network, frozenset(obstacles), tuple(path), landmark_names,
+                       difficulty)
 
 
 def reference_center(cell):
@@ -201,25 +195,21 @@ def test_landmark_names_cover_the_largest_network():
     assert MAX_STEPS + 1 + MAX_BRANCHES * BRANCH_MAX_LEN <= len(set(STREET_NAMES))
 
 
-def trace(turns, intersections):
-    return PathTrace(cells=(), turns=turns, intersections=intersections, landmarks=())
-
-
 def test_difficulty_formula_cases():
-    assert classify_difficulty(trace(0, 0)) == 1
-    assert classify_difficulty(trace(2, 2)) == 3
-    assert classify_difficulty(trace(5, 4)) == 5
-    assert classify_difficulty(trace(1, 0)) == 1
-    assert classify_difficulty(trace(1, 1)) == 2
+    assert classify_difficulty(0, 0) == 1
+    assert classify_difficulty(2, 2) == 3
+    assert classify_difficulty(5, 4) == 5
+    assert classify_difficulty(1, 0) == 1
+    assert classify_difficulty(1, 1) == 2
 
 
 def test_difficulty_monotone_and_at_least_3_for_2_and_2():
     for t in range(8):
         for i in range(8):
-            level = classify_difficulty(trace(t, i))
+            level = classify_difficulty(t, i)
             assert 1 <= level <= 5
-            assert classify_difficulty(trace(t + 1, i)) >= level
-            assert classify_difficulty(trace(t, i + 1)) >= level
+            assert classify_difficulty(t + 1, i) >= level
+            assert classify_difficulty(t, i + 1) >= level
             if t >= 2 and i >= 2:
                 assert level >= 3
 
@@ -231,37 +221,33 @@ def test_same_seed_same_map():
 @pytest.fixture(scope="module")
 def zero_turn_maps():
     """The maps among seeds 0-1999 whose gold path never turns."""
-    specs = [spec for spec in map(generate_map, range(2000)) if spec.gold.turns == 0]
+    specs = [spec for spec in map(generate_map, range(2000)) if not count_turns(spec.route)]
     assert len(specs) == 79
     return specs
 
 
 def test_zero_turn_prob_gives_straight_level1_path(zero_turn_maps):
     for spec in zero_turn_maps:
-        rows = {c[0] for c in spec.gold.cells}
-        cols = {c[1] for c in spec.gold.cells}
+        rows = {c[0] for c in spec.route}
+        cols = {c[1] for c in spec.route}
         assert len(rows) == 1 or len(cols) == 1  # straight segment
         assert spec.difficulty == 1
-        assert not spec.gold.intersections
-        assert spec.network == set(spec.gold.cells)  # no branch, so no junction
+        assert spec.network == set(spec.route)  # no branch, so no junction
 
 
 def test_gold_path_valid_and_self_avoiding():
     for seed in range(100):
         spec = generate_map(seed)
-        cells = spec.gold.cells
+        cells = spec.route
         assert len(cells) >= 3
         assert len(set(cells)) == len(cells)
-        assert cells[0] == spec.start and cells[-1] == spec.end
-        assert spec.start != spec.end
         for a, b in zip(cells, cells[1:]):
             assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
             assert a in spec.network and b in spec.network
         assert not (spec.obstacles & spec.network)
-        assert spec.gold.turns == count_turns(cells)
-        assert spec.gold.intersections == sum(
-            1 for c in cells if network_degree(c, spec.network) >= 3
-        )
+        turns = count_turns(cells)
+        intersections = sum(1 for c in cells if network_degree(c, spec.network) >= 3)
+        assert spec.difficulty == classify_difficulty(turns, intersections)
 
 
 def test_landmark_names_unique_and_cover_start_end():
@@ -269,8 +255,8 @@ def test_landmark_names_unique_and_cover_start_end():
         spec = generate_map(seed)
         names = list(spec.landmark_names.values())
         assert len(names) == len(set(names))
-        assert spec.start in spec.landmark_names
-        assert spec.end in spec.landmark_names
+        assert spec.route[0] in spec.landmark_names
+        assert spec.route[-1] in spec.landmark_names
         for cell in spec.network:
             if network_degree(cell, spec.network) >= 3:
                 assert cell in spec.landmark_names
@@ -283,12 +269,13 @@ def test_difficulty_distribution_over_1000_seeds():
 
 
 def oracle_landmark_walk(spec):
-    """Independent re-walk: BFS over the network restricted to gold cells,
-    reading off landmark names in visit order."""
-    allowed = set(spec.gold.cells)
-    seen = {spec.start}
-    order = [spec.start]
-    frontier = [spec.start]
+    """Independent re-walk: BFS over the network restricted to the route's
+    cells, reading off landmark names in visit order."""
+    allowed = set(spec.route)
+    start = spec.route[0]
+    seen = {start}
+    order = [start]
+    frontier = [start]
     while frontier:
         nxt = []
         for cell in frontier:
@@ -305,24 +292,66 @@ def oracle_landmark_walk(spec):
 def test_landmark_sequence_matches_oracle_rewalk():
     for seed in range(100):
         spec = generate_map(seed)
-        assert spec.gold.landmarks == oracle_landmark_walk(spec)
+        assert map_questions(spec)[0].answer == ", ".join(oracle_landmark_walk(spec)), seed
+
+
+def drawn_cell(x, y):
+    """The grid cell whose centre is drawn at canvas point (x, y)."""
+    return round((y - MARGIN_PX) / CELL_PX), round((x - MARGIN_PX) / CELL_PX)
+
+
+def test_drawn_network_is_a_tree_whose_one_start_to_end_path_is_the_route():
+    """Read back off the scene, the roads form a tree over the network's
+    cells, so the route is the only road path from the start marker to the
+    end marker: a BFS over the whole network finds it."""
+    for seed in range(500):
+        spec = generate_map(seed)
+        scene = build_map_scene(spec)
+        links = {}
+        roads = [p.geometry for p in scene.primitives if p.role == "roads"]
+        for x1, y1, x2, y2 in roads:
+            a, b = drawn_cell(x1, y1), drawn_cell(x2, y2)
+            links.setdefault(a, []).append(b)
+            links.setdefault(b, []).append(a)
+        assert links.keys() == spec.network, seed
+        assert len(roads) == len(links) - 1, seed
+        [start] = [drawn_cell(*p.geometry[:2]) for p in scene.primitives
+                   if p.role == "start_marker"]
+        [end] = [drawn_cell(x + w / 2, y + h / 2) for p in scene.primitives
+                 if p.role == "end_marker" for x, y, w, h in [p.geometry]]
+        parent = {start: start}
+        frontier = [start]
+        while frontier:
+            reached = []
+            for cell in frontier:
+                for other in links[cell]:
+                    if other not in parent:
+                        parent[other] = cell
+                        reached.append(other)
+            frontier = reached
+        assert parent.keys() == links.keys(), seed  # connected: with n - 1 roads, a tree
+        path = [end]
+        while path[-1] != start:
+            path.append(parent[path[-1]])
+        assert tuple(reversed(path)) == spec.route, seed
 
 
 def test_map_instruction_answer_is_landmark_sequence():
     spec = generate_map(123)
     draft = map_questions(spec)[0]
-    assert draft.answer == ", ".join(spec.gold.landmarks)
+    names = spec.landmark_names
+    assert draft.answer == ", ".join(names[c] for c in spec.route if c in names)
     assert draft.answer_kind == "landmark_sequence"
-    start_name = spec.landmark_names[spec.start]
-    end_name = spec.landmark_names[spec.end]
+    start_name = names[spec.route[0]]
+    end_name = names[spec.route[-1]]
     assert start_name in draft.question and end_name in draft.question
 
 
 def test_single_landmark_degenerate_sequence(zero_turn_maps):
     # Straight path: only start and end are named.
     for spec in zero_turn_maps:
-        assert len(spec.gold.landmarks) == 2
-        assert spec.landmark_names.keys() == {spec.start, spec.end}
+        assert len(map_questions(spec)[0].answer.split(", ")) == 2
+        assert spec.landmark_names.keys() == {spec.route[0], spec.route[-1]}
 
 
 def test_scene_one_label_per_named_intersection():
