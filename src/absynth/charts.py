@@ -11,20 +11,31 @@ percentages summing to 100. Composite charts hold 2-4 bar/line sub-charts
 laid out in a row or 2x2 grid. Every value is finite, and no bar is
 negative. A ChartSpec checks these rules when it is constructed, so the
 scene builder and the questions take every spec as valid.
+
+Every style is a module constant or comes from the interner `scene.style`,
+and the canvas is a module constant, so each is made once per process. A
+table's grid (by its row and column counts) and its header and row-label
+cells (by position and text) come from cached helpers: their labels come
+from the category and series pools, so they recur, and each is checked and
+rendered once per process. Value cells and the whole frame of a chart (its
+axes, ticks, category labels, title and legend) are made per image: they
+follow the sampled values and labels, and too few of them recur within a
+run to pay for a cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from random import Random
 
 from .keywords import BUILTIN_TOPICS, UNIT_CLASSES
 from .palette import CHART_COLORS
 from .records import QuestionDraft, format_number
 from .scene import (
-    Canvas, LayoutOverflow, SceneBuilder, SceneGraph, StyleSpec,
-    circle, line, polyline, rect, text, text_width, wedge,
+    Canvas, LayoutOverflow, Primitive, SceneBuilder, SceneGraph, StyleSpec,
+    circle, line, polyline, rect, style, text, text_width, wedge,
 )
 from .seeds import derive_seed, fields_of, question_seed
 
@@ -243,6 +254,7 @@ def nice_axis_max(max_value: float) -> float:
     return 10.0 ** (exp + 1)
 
 
+_CANVAS = Canvas(640, 480)
 _AXIS_STYLE = StyleSpec(stroke="black", stroke_width=1.5)
 _GRID_STYLE = StyleSpec(stroke="gray", stroke_width=0.5)
 
@@ -271,9 +283,9 @@ def _legend_strip(
     if total > x1 - x0:
         raise LayoutOverflow("legend entries exceed available width")
     lx = x0 if "left" in position else x1 - total
-    label_style = StyleSpec(font_size=font)
+    label_style = style(font_size=font)
     for (lbl, color), w in zip(entries, widths):
-        b.add(rect(lx, y + 2, 10, 10, StyleSpec(fill=color, stroke="black", stroke_width=0.5),
+        b.add(rect(lx, y + 2, 10, 10, style(stroke="black", stroke_width=0.5, fill=color),
                    "legend", z=6))
         b.add(text(lx + 14, y, lbl, label_style, "legend", z=6))
         lx += w
@@ -303,12 +315,12 @@ def _draw_pie(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) ->
     if radius < 10:
         raise LayoutOverflow("pie region too small")
     start = 0.0
-    label_style = StyleSpec(font_size=font)
+    label_style = style(font_size=font)
     for point in spec.series[0].points:
         sweep = 3.6 * point.value
         color = spec.palette_assignment[point.category]
         b.add(wedge(cx, cy, radius, start, sweep,
-                    StyleSpec(fill=color, stroke="black", stroke_width=0.8), "data_marks"))
+                    style(stroke="black", stroke_width=0.8, fill=color), "data_marks"))
         mid = math.radians(start + sweep / 2.0)
         lx = cx + (radius + 1.2 * font) * math.sin(mid)
         ly = cy - (radius + 1.2 * font) * math.cos(mid) - font / 2.0
@@ -334,7 +346,7 @@ def _draw_value_chart(
 
     entries = [(s.label, spec.palette_assignment[s.label]) for s in spec.series]
     _legend_strip(b, entries, region[0], region[2], legend_y, label_font, spec.legend_position)
-    tick_style = StyleSpec(font_size=font)
+    tick_style = style(font_size=font)
     if unit_label:
         b.add(text(px0, py0 - 1.6 * font, unit_label, tick_style, "axis"))
 
@@ -351,8 +363,8 @@ def _draw_value_chart(
 
     if spec.kind == "bar":
         bar_w = slot * 0.6
-        bar_style = StyleSpec(fill=spec.palette_assignment[spec.series[0].label],
-                              stroke="black", stroke_width=0.6)
+        bar_style = style(stroke="black", stroke_width=0.6,
+                          fill=spec.palette_assignment[spec.series[0].label])
         for i, point in enumerate(spec.series[0].points):
             h = point.value / axis_max * (py1 - py0)
             bx = px0 + i * slot + (slot - bar_w) / 2.0
@@ -365,40 +377,61 @@ def _draw_value_chart(
                 x = px0 + i * slot + slot / 2.0
                 y = py1 - point.value / axis_max * (py1 - py0)
                 pts.append((x, y))
-            b.add(polyline(pts, StyleSpec(stroke=color, stroke_width=2.0), "data_marks", z=2))
-            point_style = StyleSpec(fill=color)
+            b.add(polyline(pts, style(stroke=color, stroke_width=2.0), "data_marks", z=2))
+            point_style = style(fill=color)
             for x, y in pts:
                 b.add(circle(x, y, 3.0, point_style, "data_marks", z=3))
 
 
-def _draw_table(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) -> None:
+# A table's grid and its header and row-label cells are fixed by its shape
+# and its labels, which come from the category and series pools, so each is
+# made once per process; only the value cells are made per image.
+@cache
+def _table_grid(region: Region, font: float, n_rows: int,
+                n_cols: int) -> tuple[float, float, float, tuple[Primitive, ...]]:
+    """The column width, row height and top of a table of `n_rows` data rows
+    and `n_cols` value columns set at `font` in `region`, and its grid lines."""
     x0, y0, x1, y1 = region
-    font = CELL_FONT * scale
-    n_rows = len(spec.series)
-    n_cols = len(spec.categories())
     col_w = (x1 - x0) / (n_cols + 1)
     row_h = min((y1 - y0) / (n_rows + 1), 3.0 * font)
     table_h = row_h * (n_rows + 1)
     ty0 = y0 + ((y1 - y0) - table_h) / 2.0
-    cell_style = StyleSpec(font_size=font)
-    for r in range(n_rows + 2):
-        b.add(line(x0, ty0 + r * row_h, x1, ty0 + r * row_h, _GRID_STYLE, "grid"))
-    for c in range(n_cols + 2):
-        b.add(line(x0 + c * col_w, ty0, x0 + c * col_w, ty0 + table_h, _GRID_STYLE, "grid"))
+    grid = [line(x0, ty0 + r * row_h, x1, ty0 + r * row_h, _GRID_STYLE, "grid")
+            for r in range(n_rows + 2)]
+    grid += [line(x0 + c * col_w, ty0, x0 + c * col_w, ty0 + table_h, _GRID_STYLE, "grid")
+             for c in range(n_cols + 2)]
+    return col_w, row_h, ty0, tuple(grid)
 
-    def cell_text(row: int, col: int, content: str, role: str) -> None:
+
+@cache
+def _label_cell(x: float, y: float, content: str, font: float) -> Primitive:
+    """A header or row-label cell whose text is centred on `x`."""
+    return text(x, y, content, style(font_size=font), "axis", anchor="middle")
+
+
+def _draw_table(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float) -> None:
+    x0 = region[0]
+    font = CELL_FONT * scale
+    col_w, row_h, ty0, grid = _table_grid(region, font, len(spec.series),
+                                          len(spec.categories()))
+    for prim in grid:
+        b.add(prim)
+    cell_style = style(font_size=font)
+
+    def cell_at(row: int, col: int, content: str) -> tuple[float, float]:
+        """The top centre of the cell at (row, col), once `content` fits it."""
         if text_width(content, font) > col_w - 6:
             raise LayoutOverflow(f"cell text {content!r} exceeds column width")
-        cx = x0 + col * col_w + col_w / 2.0
-        cy = ty0 + row * row_h + (row_h - font) / 2.0
-        b.add(text(cx, cy, content, cell_style, role, anchor="middle"))
+        return x0 + col * col_w + col_w / 2.0, ty0 + row * row_h + (row_h - font) / 2.0
 
     for c, cat in enumerate(spec.categories()):
-        cell_text(0, c + 1, cat, "axis")
+        b.add(_label_cell(*cell_at(0, c + 1, cat), cat, font))
     for r, s in enumerate(spec.series):
-        cell_text(r + 1, 0, s.label, "axis")
+        b.add(_label_cell(*cell_at(r + 1, 0, s.label), s.label, font))
         for c, point in enumerate(s.points):
-            cell_text(r + 1, c + 1, format_number(point.value), "data_marks")
+            value = format_number(point.value)
+            b.add(text(*cell_at(r + 1, c + 1, value), value, cell_style, "data_marks",
+                       anchor="middle"))
 
 
 def _draw_kind(b: SceneBuilder, spec: ChartSpec, region: Region, scale: float,
@@ -421,12 +454,12 @@ def build_chart_scene(spec: ChartSpec) -> SceneGraph:
     a label cannot fit at its font size; value-to-pixel mapping is
     value / nice_axis_max(max value) * plot height.
     """
-    canvas = Canvas(640, 480)
+    canvas = _CANVAS
     b = SceneBuilder(canvas)
     if text_width(spec.topic, TITLE_FONT) > canvas.width - 20:
         raise LayoutOverflow(f"title {spec.topic!r} wider than canvas")
     b.add(text(canvas.width / 2.0, 10, spec.topic,
-               StyleSpec(font_size=TITLE_FONT), "title", anchor="middle", z=9))
+               style(font_size=TITLE_FONT), "title", anchor="middle", z=9))
 
     top = 16 + 1.6 * TITLE_FONT
     if spec.kind == "composite":
@@ -447,7 +480,7 @@ def build_chart_scene(spec: ChartSpec) -> SceneGraph:
             if text_width(sub.topic, sub_title_font) > (rx1 - rx0):
                 raise LayoutOverflow(f"sub-chart title {sub.topic!r} too wide")
             b.add(text((rx0 + rx1) / 2.0, ry0, sub.topic,
-                       StyleSpec(font_size=sub_title_font), "title", anchor="middle", z=9))
+                       style(font_size=sub_title_font), "title", anchor="middle", z=9))
             inner: Region = (rx0 + 3.4 * TICK_FONT * SUB_SCALE, ry0 + 1.8 * sub_title_font,
                              rx1 - 6, ry1 - 4)
             _draw_kind(b, sub, inner, SUB_SCALE, "")

@@ -15,21 +15,30 @@ spec as valid.
 "How many nodes are there in X" questions count direct children, matching
 the organization-chart convention where a unit's node count is its number of
 departments.
+
+A flowchart sits on fixed rows and draws its labels from fixed pools, so
+every part of it recurs across flowcharts: its canvas (by height), node
+boxes with their labels, arrow heads, edge lines, loop paths and branch
+labels each come from a cached helper keyed by where the part sits and what
+it says, and are checked and rendered once per process. A relation graph
+shares the box and arrow-head makers but makes its parts per image: its
+node positions follow the widths of a sampled tree's layers, so a cache of
+them would keep growing with the run. Styles are module constants or come
+from the interner `scene.style`, and the tree canvas is a module constant.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from random import Random
 
 from .keywords import ALGORITHM_TOPICS, ORGANIZATION_TOPICS, WORKFLOW_TOPICS
-from .palette import PALETTE
 from .records import QuestionDraft
 from .scene import (
-    Canvas, LayoutOverflow, SceneBuilder, SceneGraph, StyleSpec,
-    line, polygon, polyline, rect, text, text_width,
+    Canvas, LayoutOverflow, Primitive, SceneBuilder, SceneGraph, StyleSpec,
+    line, polygon, polyline, rect, style, text, text_width,
 )
 from .seeds import derive_seed, fields_of, question_seed
 
@@ -289,47 +298,45 @@ def sample_flow_spec(seed: int) -> FlowSpec:
 NODE_FONT = 11.0
 NODE_H = 30.0
 LAYER_GAP = 80.0
+_TREE_CANVAS = Canvas(640, 480)
 _EDGE_STYLE = StyleSpec(stroke="black", stroke_width=1.4)
 _EXTRA_EDGE_STYLE = StyleSpec(stroke="gray", stroke_width=1.2, dash=(5.0, 4.0))
 _ARROW_STYLE = StyleSpec(fill="black")
-
-
-@lru_cache(maxsize=len(PALETTE))  # one entry per palette color
-def _box_style(fill: str) -> StyleSpec:
-    """The style of every node box of `fill`, one object per color."""
-    return StyleSpec(fill=fill, stroke="black", stroke_width=1.4)
+_FLOW_FILLS = {"terminator": "gray", "process": "cyan", "decision": "yellow"}  # by shape
 
 
 def _node_box_width(label: str, font: float) -> float:
     return text_width(label, font) + 18.0
 
 
-def _arrow_head(b: SceneBuilder, x: float, y: float, direction: str) -> None:
+def _arrow_head(x: float, y: float, direction: str) -> Primitive:
     if direction == "down":
         pts = ((x, y), (x - 5, y - 8), (x + 5, y - 8))
     elif direction == "left":
         pts = ((x, y), (x + 8, y - 5), (x + 8, y + 5))
     else:
         pts = ((x, y), (x - 8, y - 5), (x - 8, y + 5))
-    b.add(polygon(pts, _ARROW_STYLE, "edges", z=2))
+    return polygon(pts, _ARROW_STYLE, "edges", z=2)
 
 
-def _draw_node_box(
-    b: SceneBuilder, label: str, cx: float, cy: float, w: float, h: float,
-    shape: str, box_style: StyleSpec, label_style: StyleSpec,
-) -> None:
+def _draw_node_box(label: str, cx: float, cy: float, w: float, shape: str,
+                   fill: str) -> tuple[Primitive, Primitive]:
+    """The box of a node `w` wide centred on (cx, cy), a diamond for a
+    decision, and its label."""
+    h = NODE_H
+    box_style = style(stroke="black", stroke_width=1.4, fill=fill)
     if shape == "decision":
         pts = ((cx, cy - h / 2 - 6), (cx + w / 2 + 10, cy), (cx, cy + h / 2 + 6),
                (cx - w / 2 - 10, cy))
-        b.add(polygon(pts, box_style, "nodes", z=1))
+        box = polygon(pts, box_style, "nodes", z=1)
     else:
-        b.add(rect(cx - w / 2, cy - h / 2, w, h, box_style, "nodes", z=1))
-    b.add(text(cx, cy - label_style.font_size / 2.0, label, label_style, "node_labels",
-               anchor="middle", z=3))
+        box = rect(cx - w / 2, cy - h / 2, w, h, box_style, "nodes", z=1)
+    return box, text(cx, cy - NODE_FONT / 2.0, label, style(font_size=NODE_FONT),
+                     "node_labels", anchor="middle", z=3)
 
 
 def _layout_tree(spec: TreeSpec) -> SceneGraph:
-    canvas = Canvas(640, 480)
+    canvas = _TREE_CANVAS
     b = SceneBuilder(canvas)
     layers = tree_layers(spec.root)
     top = 60.0
@@ -356,17 +363,51 @@ def _layout_tree(spec: TreeSpec) -> SceneGraph:
             ccx, ccy, _ = centers[child.label]
             b.add(line(cx, cy + NODE_H / 2, ccx, ccy - NODE_H / 2 - 8, _EDGE_STYLE, "edges",
                        z=0))
-            _arrow_head(b, ccx, ccy - NODE_H / 2, "down")
-    label_style = StyleSpec(font_size=NODE_FONT)
+            b.add(_arrow_head(ccx, ccy - NODE_H / 2, "down"))
     for node in tree_nodes(spec.root):
         cx, cy, w = centers[node.label]
-        _draw_node_box(b, node.label, cx, cy, w, NODE_H,
-                       "process", _box_style(spec.node_colors[node.label]), label_style)
+        box, label = _draw_node_box(node.label, cx, cy, w, "process",
+                                    spec.node_colors[node.label])
+        b.add(box)
+        b.add(label)
     return b.build()
 
 
+# A flowchart is laid out on fixed rows from labels of fixed pools, so every
+# part of it recurs across flowcharts: each comes from a cached helper keyed
+# by where it sits and what it says, and is made once per process.
+@cache
+def _flow_canvas(height: int) -> Canvas:
+    return Canvas(640, height)
+
+
+@cache
+def _flow_node(label: str, shape: str, cx: float, cy: float) -> tuple[Primitive, Primitive]:
+    return _draw_node_box(label, cx, cy, _node_box_width(label, NODE_FONT), shape,
+                          _FLOW_FILLS[shape])
+
+
+@cache
+def _flow_arrow(x: float, y: float, direction: str) -> Primitive:
+    return _arrow_head(x, y, direction)
+
+
+@cache
+def _flow_edge(x1: float, y1: float, x2: float, y2: float) -> Primitive:
+    return line(x1, y1, x2, y2, _EDGE_STYLE, "edges")
+
+
+@cache
+def _flow_loop(points: tuple[tuple[float, float], ...]) -> Primitive:
+    return polyline(points, _EDGE_STYLE, "edges")
+
+
+@cache
+def _branch_label(x: float, y: float, content: str, anchor: str) -> Primitive:
+    return text(x, y, content, style(font_size=NODE_FONT), "edge_labels", anchor=anchor)
+
+
 def _layout_flow(spec: FlowSpec) -> SceneGraph:
-    label_style = StyleSpec(font_size=NODE_FONT)
     # Side nodes are the no-branch targets; everything else stacks vertically.
     no_targets = {e.dst: e.src for e in spec.edges if e.label == "No"}
     main_rows: list[str] = []
@@ -378,7 +419,7 @@ def _layout_flow(spec: FlowSpec) -> SceneGraph:
             main_rows.append(n.label)
     row_gap = 64.0
     height = int(max(480, 70 + row_gap * len(main_rows)))
-    canvas = Canvas(640, height)
+    canvas = _flow_canvas(height)
     b = SceneBuilder(canvas)
     main_x = 240.0
     side_x = 500.0
@@ -403,31 +444,30 @@ def _layout_flow(spec: FlowSpec) -> SceneGraph:
         dst_shape = spec.node(e.dst).shape
         dst_half_h = NODE_H / 2 + (6 if dst_shape == "decision" else 0)
         if x1 == x2 and y2 > y1:  # straight down
-            b.add(line(x1, y1 + src_half_h, x2, y2 - dst_half_h - 8, _EDGE_STYLE, "edges"))
-            _arrow_head(b, x2, y2 - dst_half_h, "down")
+            b.add(_flow_edge(x1, y1 + src_half_h, x2, y2 - dst_half_h - 8))
+            b.add(_flow_arrow(x2, y2 - dst_half_h, "down"))
             if e.label:
-                b.add(text(x1 + 6, (y1 + y2) / 2 - NODE_FONT, e.label, label_style, "edge_labels"))
+                b.add(_branch_label(x1 + 6, (y1 + y2) / 2 - NODE_FONT, e.label, "start"))
         elif y1 == y2:  # horizontal to the side node
             half_w1 = boxes[e.src] / 2 + (10 if src_shape == "decision" else 0)
             half_w2 = boxes[e.dst] / 2
-            b.add(line(x1 + half_w1, y1, x2 - half_w2 - 8, y2, _EDGE_STYLE, "edges"))
-            _arrow_head(b, x2 - half_w2, y2, "right")
+            b.add(_flow_edge(x1 + half_w1, y1, x2 - half_w2 - 8, y2))
+            b.add(_flow_arrow(x2 - half_w2, y2, "right"))
             if e.label:
-                b.add(text((x1 + half_w1 + x2 - half_w2) / 2, y1 - NODE_FONT - 4, e.label,
-                           label_style, "edge_labels", anchor="middle"))
+                b.add(_branch_label((x1 + half_w1 + x2 - half_w2) / 2, y1 - NODE_FONT - 4,
+                                    e.label, "middle"))
         else:  # loop back from a fix node: right edge, up, into the target's side
             half_w = boxes[e.src] / 2
             lane_x = canvas.width - 10.0
             target_half = boxes[e.dst] / 2
-            pts = ((x1 + half_w, y1), (lane_x, y1), (lane_x, y2), (x2 + target_half + 8, y2))
-            b.add(polyline(pts, _EDGE_STYLE, "edges"))
-            _arrow_head(b, x2 + target_half, y2, "left")
+            b.add(_flow_loop(((x1 + half_w, y1), (lane_x, y1), (lane_x, y2),
+                              (x2 + target_half + 8, y2))))
+            b.add(_flow_arrow(x2 + target_half, y2, "left"))
 
-    fills = {"terminator": "gray", "process": "cyan", "decision": "yellow"}
     for n in spec.nodes:
-        cx, cy = rows[n.label]
-        _draw_node_box(b, n.label, cx, cy, boxes[n.label], NODE_H, n.shape,
-                       _box_style(fills[n.shape]), label_style)
+        box, label = _flow_node(n.label, n.shape, *rows[n.label])
+        b.add(box)
+        b.add(label)
     return b.build()
 
 

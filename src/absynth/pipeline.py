@@ -101,6 +101,11 @@ def scenario_def(scenario: str) -> ScenarioDef:
         return sdef
 
 
+# The most images of one scenario a run can make: image ids number them with
+# five digits (`image_id_for`).
+MAX_COUNT = 100_000
+
+
 @dataclass(frozen=True)
 class RunConfig:
     scenarios: tuple[str, ...] = SCENARIOS
@@ -122,8 +127,12 @@ class RunConfig:
                 raise ValueError(f"unknown scenario {scenario!r}")
             if scenario in self.scenarios[:pos]:
                 raise ValueError(f"scenario {scenario!r} given twice")
-            if self.count_for(scenario) < 0:
+            count = self.count_for(scenario)
+            if count < 0:
                 raise ValueError(f"negative count for {scenario!r}")
+            if count > MAX_COUNT:
+                raise ValueError(f"count {count} for {scenario!r} above {MAX_COUNT}, "
+                                 f"the most that five-digit image ids can number")
         for scenario in self.counts:
             if scenario not in SCENARIO_SOURCES:
                 raise ValueError(f"unknown scenario {scenario!r} in counts")

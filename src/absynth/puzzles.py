@@ -17,22 +17,24 @@ cached helper keyed by position (20 in all), the comparison titles and
 frames as module constants, and each comparison mark by a cached helper
 keyed by its item and panel (at most 4 shapes x 6 colours x 9 cells x 2
 panels = 432; every comparison mark has the one radius). The induction
-marks follow the sampled rule and are made per image, and floor plans
-share nothing.
+marks follow the sampled rule and are made per image. Floor-plan rooms
+follow the sampled splits and are made per image too. Every style is a
+module constant or comes from the interner `scene.style`, the floor-plan
+canvas is a module constant, and the induction canvas comes from a cached
+helper keyed by its width.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cache
 from random import Random
 
-from .palette import PALETTE
 from .records import QuestionDraft
 from .scene import (
     Canvas, LayoutOverflow, Primitive, SceneBuilder, SceneGraph, StyleSpec,
-    circle, polygon, rect, text, text_width,
+    circle, polygon, rect, style, text, text_width,
 )
 from .seeds import derive_seed, fields_of, question_seed
 
@@ -55,18 +57,12 @@ def _rotate(points, cx, cy, deg):
     )
 
 
-@lru_cache(maxsize=len(PALETTE))  # one entry per palette color
-def _mark_style(color: str) -> StyleSpec:
-    """The style of every mark of `color`, one object per color."""
-    return StyleSpec(fill=color, stroke="black", stroke_width=1.0)
-
-
 def shape_primitive(shape: str, cx: float, cy: float, radius: float, angle: float,
                     color: str, role: str) -> Primitive:
     """One filled mark at z 1; `angle` rotates clockwise around its center."""
-    style = _mark_style(color)
+    mark_style = style(stroke="black", stroke_width=1.0, fill=color)
     if shape == "circle":
-        return circle(cx, cy, radius, style, role, z=1)
+        return circle(cx, cy, radius, mark_style, role, z=1)
     if shape == "square":
         half = radius * 0.78
         pts = ((cx - half, cy - half), (cx + half, cy - half),
@@ -88,7 +84,7 @@ def shape_primitive(shape: str, cx: float, cy: float, radius: float, angle: floa
         pts = tuple(pts)
     else:
         raise ValueError(f"unknown puzzle shape {shape!r}")
-    return polygon(_rotate(pts, cx, cy, angle), style, role, z=1)
+    return polygon(_rotate(pts, cx, cy, angle), mark_style, role, z=1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +296,11 @@ def _frame(x: float, y: float) -> Primitive:
 
 
 @cache
+def _induction_canvas(width: int) -> Canvas:
+    return Canvas(width, 400)
+
+
+@cache
 def _induction_title(width: int) -> Primitive:
     return text(width / 2, 12, "Which option continues the pattern?", _LABEL_STYLE, "title",
                 anchor="middle")
@@ -346,7 +347,7 @@ def build_induction_scene(rule: PatternRule) -> SceneGraph:
     panels = shown_panels(rule)
     n_top = len(panels) + 1
     width = max(640, int(n_top * _PANEL + (n_top + 1) * _GAP))
-    b = SceneBuilder(Canvas(width, 400))
+    b = SceneBuilder(_induction_canvas(width))
     b.add(_induction_title(width))
     top_w = n_top * _PANEL + (n_top - 1) * _GAP
     x0 = (width - top_w) / 2
@@ -471,6 +472,7 @@ _ROOM_NAMES = ("Living Room", "Kitchen", "Bedroom 1", "Bedroom 2", "Bedroom 3",
 _REGION_NAMES = ("Header", "Navigation", "Sidebar", "Content", "Ad Banner",
                  "Footer", "Search Panel", "Gallery")
 _FIXTURES = {"architectural": "washroom", "webpage": "search box"}  # style -> fixture
+_PLAN_CANVAS = Canvas(640, 480)
 _ROOM_STYLES = tuple(StyleSpec(fill=fill, stroke="black", stroke_width=2.0) for fill in
                      ("cyan", "yellow", "pink", "olive", "teal", "orange", "green", "gray"))
 _FIXTURE_STYLE = StyleSpec(stroke="black", stroke_width=1.0, dash=(3.0, 2.0))
@@ -558,14 +560,14 @@ def sample_floorplan(seed: int) -> FloorPlanSpec:
 
 
 def build_floorplan_scene(spec: FloorPlanSpec) -> SceneGraph:
-    canvas = Canvas(640, 480)
+    canvas = _PLAN_CANVAS
     b = SceneBuilder(canvas)
     font = 11.0
     title = "Floor Plan" if spec.style == "architectural" else "Webpage Layout"
-    b.add(text(canvas.width / 2, 14, title, StyleSpec(font_size=16.0), "title",
+    b.add(text(canvas.width / 2, 14, title, style(font_size=16.0), "title",
                anchor="middle"))
-    room_label_style = StyleSpec(font_size=font)
-    fixture_label_style = StyleSpec(font_size=8.0)
+    room_label_style = style(font_size=font)
+    fixture_label_style = style(font_size=8.0)
     for i, room in enumerate(spec.rooms):
         x, y, w, h = room.bounds
         b.add(rect(x, y, w, h, _ROOM_STYLES[i % len(_ROOM_STYLES)], "rooms"))

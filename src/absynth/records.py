@@ -398,8 +398,8 @@ def json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
     Lines end at "\n" only: a JSON string holds U+0085, U+2028 and U+2029
     unescaped, and str.splitlines would cut it there. A byte that is not
     UTF-8 (on line 1 plus the number of "\n" before it), a line that is not
-    JSON and one that is not an object raise SchemaMismatch("<what> line N:
-    ...")."""
+    JSON, one nested deeper than the JSON scanner can follow and one that is
+    not an object raise SchemaMismatch("<what> line N: ...")."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -413,6 +413,8 @@ def json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
             value = parse_json_line(line)
         except json.JSONDecodeError as err:
             raise SchemaMismatch(f"{what} line {number}: invalid JSON ({err.msg})") from None
+        except RecursionError:
+            raise SchemaMismatch(f"{what} line {number}: JSON nested too deeply") from None
         if type(value) is not dict:
             raise SchemaMismatch(f"{what} line {number}: not a JSON object")
         yield number, value

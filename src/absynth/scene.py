@@ -16,9 +16,15 @@ and formats its SVG element, which the primitive keeps as `svg`. A scene
 then checks only its z order, and `render_svg` joins the stored texts. A
 `Canvas` and a `StyleSpec` check themselves when they are built; a style
 also formats its SVG attributes then, once per object, for every primitive
-drawn with it. A part that many scenes draw alike (a road of the map grid, a
-dial face, a puzzle frame) comes from a cached helper of its generator, so
-it is checked and rendered once per process.
+drawn with it. A generator takes each style it draws with from a module
+constant or from the interner `style`, and each canvas from a module
+constant or a cached helper, so each is checked and formatted once per
+process. A part that many scenes draw alike (a road of the map grid, a dial
+face, a puzzle frame, a flowchart box or arrow, a table grid or header cell)
+comes from a cached helper of its generator, so it is checked and rendered
+once per process. Chart frames, tree nodes and floor-plan rooms are made per
+image: their axes, ticks, labels, titles, legends and positions follow the
+sampled data, and too few of them recur within a run to pay for a cache.
 
 The constructors reuse the text of coordinate values formatted recently:
 `_coord` is a bounded memo of `_fmt` shared by every constructor in the
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -111,6 +117,14 @@ class StyleSpec:
                     f'font-size="{_fmt(self.font_size)}" font-family="sans-serif"')
         object.__setattr__(self, "shape_attrs", shape)
         object.__setattr__(self, "text_attrs", text)
+
+
+# The style interner: one StyleSpec object per distinct set of fields, so a
+# style that every image draws with is checked and formatted once per process.
+# Called with keyword arguments only, in the field order above, so equal
+# styles share one cache key. The generators draw with a few fonts and with
+# palette colours at fixed widths, so it holds a few dozen entries.
+style = cache(StyleSpec)
 
 
 class Primitive(NamedTuple):

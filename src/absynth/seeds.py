@@ -3,7 +3,9 @@
 Python's built-in hash() is salted per process, so anything that must be
 reproducible across runs derives integer seeds through sha256 instead.
 A spec is encoded for its digest in one pass: the C JSON encoder walks its
-lists, dicts and dataclasses itself, with `fields_of` as its fallback.
+lists, dicts and dataclasses itself, with `fields_of` as its fallback. A
+spec is a frozen tree, never a cycle, so the encoder keeps no record of the
+containers it has entered (`check_circular=False`).
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def fields_of(obj: Any) -> Any:
     return {name: getattr(obj, name) for name in names}
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, default=fields_of)
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, check_circular=False,
+                            default=fields_of)
 
 
 def stable_digest(obj: Any) -> int:

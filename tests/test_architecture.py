@@ -21,7 +21,7 @@ from absynth.gate import LLM_ANSWER_VOTES, GateConfig
 from absynth.gauges import FAMILIES, DialSpec
 from absynth.keywords import BUILTIN_TOPICS
 from absynth.maps import RoadMapSpec
-from absynth.pipeline import SCENARIO_SOURCES, RunConfig
+from absynth.pipeline import MAX_COUNT, SCENARIO_SOURCES, RunConfig
 from absynth.records import (
     InstructionRecord, Manifest, Provenance, QuestionDraft, dump_manifest, sample_for_review,
 )
@@ -516,6 +516,9 @@ def _chart(kind, *values):
     (lambda: Canvas(background=(255, 256, 255)), "background channel outside [0,255]"),
     (lambda: RunConfig(questions_per_image=-2), "questions_per_image must be >= 1"),
     (lambda: RunConfig(questions_per_image=0), "questions_per_image must be >= 1"),
+    (lambda: RunConfig(default_count=MAX_COUNT + 1),
+     f"count {MAX_COUNT + 1} for 'chart' above {MAX_COUNT}, "
+     "the most that five-digit image ids can number"),
     (lambda: GateConfig(min_font_px=math.nan), "min_font_px must be a finite number >= 0"),
     (lambda: GateConfig(min_font_px=-1.0), "min_font_px must be a finite number >= 0"),
     (lambda: GateConfig(min_font_px=math.inf), "min_font_px must be a finite number >= 0"),
@@ -541,6 +544,7 @@ def _chart(kind, *values):
         "RunConfig", "StyleSpec-stroke", "StyleSpec-fill", "StyleSpec-stroke_width",
         "Canvas-side", "Canvas-background",
         "RunConfig-questions_per_image-negative", "RunConfig-questions_per_image-zero",
+        "RunConfig-count-above-five-digit-ids",
         "GateConfig-min_font_px-nan", "GateConfig-min_font_px-negative",
         "GateConfig-min_font_px-inf",
         "GateConfig-min_vote_support-above-votes", "GateConfig-min_vote_support-zero",
@@ -840,7 +844,10 @@ NEVER_ENTERED_BY_GEN = {
 # The helpers that make each shared scene part on first use.
 SHARED_PART_MAKERS = {"maps._roads_from", "maps._obstacle", "maps._marker", "gauges._face",
                       "puzzles._frame", "puzzles._induction_title", "puzzles._question_box",
-                      "puzzles._option_label", "puzzles._diff_mark"}
+                      "puzzles._option_label", "puzzles._diff_mark", "puzzles._induction_canvas",
+                      "charts._table_grid", "charts._label_cell", "diagrams._flow_canvas",
+                      "diagrams._flow_node", "diagrams._flow_arrow", "diagrams._flow_edge",
+                      "diagrams._flow_loop", "diagrams._branch_label"}
 
 _TRACE_GEN = """
 import json, sys
@@ -895,3 +902,38 @@ def test_every_function_gen_never_enters_is_named(tmp_path):
     never = {name for name, where in defined.items() if where not in entered}
     assert sorted(never) == sorted(NEVER_ENTERED_BY_GEN)
     assert SHARED_PART_MAKERS <= set(defined) - never
+
+
+def _is_cached(fn: ast.FunctionDef) -> bool:
+    """Whether `fn` is decorated with functools.cache or lru_cache, so runs once per key."""
+    for dec in fn.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id in ("cache", "lru_cache"):
+            return True
+    return False
+
+
+def test_scene_builders_take_styles_and_canvases_made_once():
+    """No function of the text and puzzle generators that runs per image
+    builds a StyleSpec or a Canvas: a style comes from the interner
+    `scene.style`, a fixed canvas is a module constant, and a canvas that
+    varies with the layout comes from a cached helper. The interner is
+    called with keywords only, in StyleSpec's field order, so equal styles
+    share one cache key."""
+    order = [f.name for f in dataclasses.fields(StyleSpec)]
+    built, misordered = [], []
+    for stem in ("charts", "diagrams", "puzzles"):
+        tree = ast.parse((SRC_DIR / f"{stem}.py").read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or _is_cached(fn):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    if node.func.id in ("StyleSpec", "Canvas"):
+                        built.append((stem, fn.name, node.lineno))
+                    names = [k.arg for k in node.keywords]
+                    if node.func.id == "style" and (
+                            node.args or names != sorted(names, key=order.index)):
+                        misordered.append((stem, fn.name, node.lineno))
+    assert built == []
+    assert misordered == []

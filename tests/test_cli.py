@@ -350,6 +350,40 @@ def test_malformed_manifest_line_is_one_line_error(tmp_path, capsys, command):
     assert one_line_error(capsys).startswith(f"error: manifest line {line_number}: ")
 
 
+# A JSON array nested deeper than the JSON scanner follows on any supported
+# Python: past its limit the scanner raises RecursionError, not a decode error.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_prediction_line_is_one_line_error(tmp_path, capsys):
+    out = gen(tmp_path)
+    capsys.readouterr()
+    preds = tmp_path / "p.jsonl"
+    preds.write_text('{"id": "a", "response": "1"}\n{"id": "b", "response": ' + DEEP + "}\n")
+    assert run(["eval", out / "manifest.jsonl", preds, "--out", tmp_path]) == 1
+    assert one_line_error(capsys) == "error: prediction line 2: JSON nested too deeply"
+
+
+def test_deeply_nested_manifest_line_is_one_line_error(tmp_path, capsys):
+    out = gen(tmp_path)
+    capsys.readouterr()
+    manifest = out / "manifest.jsonl"
+    with manifest.open("a") as fh:
+        fh.write('{"id": ' + DEEP + "}\n")
+    line_number = len(manifest.read_text().splitlines())
+    assert run(["stats", manifest, "--out", tmp_path]) == 1
+    assert one_line_error(capsys) == f"error: manifest line {line_number}: JSON nested too deeply"
+
+
+@pytest.mark.parametrize("flag, source", [("--config", "run-config"),
+                                          ("--backend", "backend-config")])
+def test_deeply_nested_config_file_is_one_line_error(tmp_path, capsys, flag, source):
+    path = tmp_path / "deep.json"
+    path.write_text('{"counts": ' + DEEP + "}")
+    assert run(["gen", flag, path, "--out", tmp_path / "out", "--dry-run"]) == 1
+    assert one_line_error(capsys) == f"error: {source} file {path}: JSON nested too deeply"
+
+
 def test_gen_validates_the_manifest_once(tmp_path, monkeypatch):
     calls = []
     real = Manifest.validate
@@ -437,8 +471,11 @@ def test_wrongly_typed_config_value_is_one_line_error(tmp_path, capsys, flag, co
     ({"gate": {"min_font_px": -1}}, "min_font_px must be a finite number >= 0"),
     ({"gate": {"min_font_px": float("inf")}}, "min_font_px must be a finite number >= 0"),
     ({"gate": {"min_vote_support": 4}}, "min_vote_support must be in [1, 3]"),
+    ({"counts": {"chart": 10**30}}, f"count {10**30} for 'chart' above 100000, "
+                                    "the most that five-digit image ids can number"),
 ], ids=["questions_per_image-negative", "questions_per_image-zero", "min_font_px-nan",
-        "min_font_px-negative", "min_font_px-inf", "min_vote_support-above-votes"])
+        "min_font_px-negative", "min_font_px-inf", "min_vote_support-above-votes",
+        "count-above-five-digit-ids"])
 def test_bad_run_config_value_fails_the_dry_run(tmp_path, capsys, config, message):
     """A value that would drop records, or switch a gate off, without saying
     so is refused before any image is made."""
