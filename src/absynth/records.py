@@ -15,6 +15,12 @@ callers refuse a bad line with one SchemaMismatch("<file> line N: ...").
 Its parse_json_line runs the C scanner, and json.loads only for what the
 scanner does not take whole, so it accepts, returns and rejects exactly what
 json.loads does. JSON_TYPE_NAMES words a JSON type in every such error.
+load_manifest reads a record line in record_to_json's own form, with no
+string that needs an escape, by one fixed-schema pattern, the writer's
+inverse, and record_from_match builds its record from the groups; every
+other line, the header too, goes through parse_json_line and
+record_from_json. Either way validate_record checks the record, so a line
+gives the same record or the same error whichever path reads it.
 
 InstructionRecord and QuestionDraft are plain slotted dataclasses: mutable,
 unhashable and without a per-instance __dict__, so building one stores each
@@ -44,8 +50,9 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import cache, partial
 from random import Random
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .seeds import derive_seed
 
@@ -368,6 +375,37 @@ def record_to_json(record: InstructionRecord) -> str:
     )
 
 
+# record_to_json's line when no text needs an escape, as a pattern whose 13
+# groups hold the values in key order: a string's text (nothing to unescape),
+# the alternates' strings as written between the brackets, and difficulty
+# (None for null) and seed as JSON ints of at most 20 digits. _record_line()
+# compiles it once, on the first load, since gen imports this module and
+# never loads a manifest.
+_TEXT = r'"([^"\\\x00-\x1f]*)"'
+_INT = r"(-?(?:0|[1-9][0-9]{0,19}))"
+_record_line = cache(partial(re.compile, (
+    r'\{"alternates": \[((?:"[^"\\\x00-\x1f]*"(?:, "[^"\\\x00-\x1f]*")*)?)\], '
+    rf'"answer": {_TEXT}, "answer_kind": {_TEXT}, "difficulty": (?:null|{_INT}), '
+    rf'"id": {_TEXT}, "image_ref": {_TEXT}, '
+    rf'"provenance": \{{"generator": {_TEXT}, "seed": {_INT}\}}, '
+    rf'"question": {_TEXT}, "question_type": {_TEXT}, "rationale": (?:null|{_TEXT}), '
+    rf'"scenario": {_TEXT}, "split": {_TEXT}\}}'
+)))
+
+
+def record_from_match(match: re.Match) -> InstructionRecord:
+    """The record of a manifest line that _record_line matches: the record
+    that record_from_json builds from the line's JSON value, unchecked."""
+    (alternates, answer, kind, difficulty, record_id, image_ref, generator, seed, question,
+     qtype, rationale, scenario, split) = match.groups()
+    return InstructionRecord(
+        record_id, scenario, image_ref, question, answer, kind, qtype,
+        tuple(alternates[1:-1].split('", "')) if alternates else (), rationale,
+        None if difficulty is None else int(difficulty), split,
+        Provenance(generator, int(seed)),
+    )
+
+
 def parse_json_line(line: str):
     """The JSON value of one line, as json.loads(line) gives it.
 
@@ -391,9 +429,13 @@ JSON_TYPE_NAMES = {type(None): "null", bool: "a boolean", int: "an integer", flo
                    str: "a string", list: "an array", tuple: "an array", dict: "an object"}
 
 
-def json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
+def json_lines(data: bytes | str, what: str,
+               match: Callable[[str], re.Match | None] | None = None,
+               ) -> Iterator[tuple[int, dict | re.Match]]:
     """(line number, object) for each line of a JSON-lines file that is not
-    blank or whitespace only, numbered from 1 with blank lines counted.
+    blank or whitespace only, numbered from 1 with blank lines counted. A
+    line that `match` matches, if it is given, is not parsed: its match
+    object stands in for its object.
 
     Lines end at "\n" only: a JSON string holds U+0085, U+2028 and U+2029
     unescaped, and str.splitlines would cut it there. A byte that is not
@@ -409,6 +451,11 @@ def json_lines(data: bytes | str, what: str) -> Iterator[tuple[int, dict]]:
     for number, line in enumerate(data.split("\n"), start=1):
         if not line or line.isspace():
             continue
+        if match is not None:
+            found = match(line)
+            if found is not None:
+                yield number, found
+                continue
         try:
             value = parse_json_line(line)
         except json.JSONDecodeError as err:
@@ -476,7 +523,8 @@ def dump_manifest(manifest: Manifest) -> bytes:
 
 
 def load_manifest(data: bytes | str) -> Manifest:
-    """Parse a manifest file, read line by line through json_lines.
+    """Parse a manifest file, read line by line through json_lines, which
+    hands over a line that _record_line matches unparsed.
 
     The first line is the header of this schema version. Each record is
     built and run through validate_record as its line is read, and a bad
@@ -485,12 +533,12 @@ def load_manifest(data: bytes | str) -> Manifest:
     record rule, Manifest.validate's text, as "record None: ['id must be a
     string, not NoneType']". Once every line is read, a repeated id raises
     ValueError("duplicate record ids: [...]")."""
-    rows = json_lines(data, "manifest")
+    rows = json_lines(data, "manifest", _record_line().fullmatch)
     for number, header in rows:
         break
     else:
         raise SchemaMismatch("empty manifest file")
-    if header.get("kind") != "manifest-header":
+    if type(header) is not dict or header.get("kind") != "manifest-header":
         raise SchemaMismatch(f"manifest line {number}: missing manifest header line")
     version = header.get("schema_version")
     if version != MANIFEST_SCHEMA_VERSION:
@@ -498,12 +546,15 @@ def load_manifest(data: bytes | str) -> Manifest:
                              f"expected {MANIFEST_SCHEMA_VERSION!r}")
     records = []
     for number, row in rows:
-        try:
-            record = record_from_json(row)
-        except KeyError as err:
-            raise SchemaMismatch(f"manifest line {number}: missing field {err}") from None
-        except ValueError as err:
-            raise SchemaMismatch(f"manifest line {number}: malformed record ({err})") from None
+        if type(row) is not dict:
+            record = record_from_match(row)
+        else:
+            try:
+                record = record_from_json(row)
+            except KeyError as err:
+                raise SchemaMismatch(f"manifest line {number}: missing field {err}") from None
+            except ValueError as err:
+                raise SchemaMismatch(f"manifest line {number}: malformed record ({err})") from None
         problems = validate_record(record)
         if problems:
             raise SchemaMismatch(f"manifest line {number}: record {record.id}: {problems}")

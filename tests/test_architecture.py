@@ -834,6 +834,7 @@ NEVER_ENTERED_BY_GEN = {
     "records.parse_json_line": "eval, stats, gallery: reading a manifest",
     "records.json_lines": "eval, stats, gallery: reading a manifest",
     "records.record_from_json": "eval, stats, gallery: reading a manifest",
+    "records.record_from_match": "eval, stats, gallery: reading a manifest",
     "records.load_manifest": "eval, stats, gallery: reading a manifest",
     "records._texts": "refusal: a record that cannot be encoded as UTF-8",
     "scene.InvalidScene.__init__": "refusal: an invalid scene",

@@ -1,15 +1,24 @@
 """CLI surface: gen/eval/stats/gallery commands and their files."""
 
 import argparse
+import dataclasses
 import html
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absynth import cli, pipeline
+from absynth.bridge import BackendConfig
 from absynth.cli import main
-from absynth.records import Manifest, load_manifest
+from absynth.gate import GateConfig
+from absynth.records import (
+    InstructionRecord, Manifest, Provenance, dump_manifest, load_manifest, record_to_json,
+)
 from tests_helpers import dump_predictions
 
 
@@ -618,3 +627,81 @@ def test_successive_main_calls_are_independent(tmp_path, capsys, monkeypatch):
     assert [line.split()[0] for line in outcomes[False][1][1].splitlines()] == \
         ["chart", "table", "wrote"]
     assert outcomes[False] == outcomes[True]
+
+
+# ROADMAP item 21: every input reader survives any bytes. One command reads
+# one drawn file, in process, and must exit 0 or 1 with stderr empty or one
+# line that starts "error:". stdout is strict UTF-8 and stderr UTF-8 with
+# backslashreplace, as the interpreter sets them up for a UTF-8 terminal, so
+# text that a stream cannot encode fails here as it would there.
+GOLD_RECORD = InstructionRecord("chart-00000-q00", "chart", "images/chart/chart-00000.svg",
+                                "What is 'B'?", "30", "numeric", "ocr",
+                                provenance=Provenance("chart-gen", 7))
+GOLD = dump_manifest(Manifest(records=[GOLD_RECORD]))
+JSON_KEYS = sorted({f.name for cls in (InstructionRecord, Provenance, pipeline.RunConfig,
+                                       GateConfig, BackendConfig)
+                    for f in dataclasses.fields(cls)}
+                   | {"kind", "schema_version", "response", "out"})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(JSON_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=8)
+
+
+def json_file(first: bytes, row: dict):
+    """A file of `first` and one drawn JSON text: any value, or `row` with
+    some of its keys set to drawn values."""
+    overrides = st.dictionaries(st.sampled_from(sorted(row)), JSON_VALUES, max_size=3)
+    values = JSON_VALUES | overrides.map(lambda changed: {**row, **changed})
+    return values.map(lambda value: first + json.dumps(value).encode("utf-8") + b"\n")
+
+
+# Each input: the argv that reads it, and its drawn JSON content.
+INPUTS = {
+    "manifest": (["stats", "{input}", "--out", "{out}"],
+                 json_file(GOLD.split(b"\n")[0] + b"\n",
+                           json.loads(record_to_json(GOLD_RECORD)))),
+    "predictions": (["eval", "{gold}", "{input}", "--out", "{out}"],
+                    json_file(b'{"id": "x", "response": "1"}\n',
+                              {"id": GOLD_RECORD.id, "response": "30"})),
+    "run-config": (["gen", "--config", "{input}", "--dry-run", "--out", "{out}"],
+                   json_file(b"", {"scenarios": ["chart"], "counts": {"chart": 2},
+                                    "default_count": 1, "seed": 3, "out": "out",
+                                    "gate": {"min_font_px": 8.0}, "questions_per_image": 5,
+                                    "train_fraction": 0.5, "backend": None})),
+    "backend-config": (["gen", "--backend", "{input}", "--dry-run", "--out", "{out}"],
+                       json_file(b"", {"endpoint": "", "model": "offline", "temperature": 0.7,
+                                       "max_parallel": 2, "retry_budget": 2,
+                                       "credential_env": "KEY", "request_log": None})),
+}
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "gold.jsonl").write_bytes(GOLD)
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+@pytest.mark.parametrize("content", ["bytes", "json"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_any_input_gives_exit_0_or_1_and_at_most_one_error_line(input_dir, name, content, data):
+    argv, json_files = INPUTS[name]
+    drawn = data.draw(st.binary(max_size=64) if content == "bytes" else json_files)
+    (input_dir / "input").write_bytes(drawn)
+    paths = {key: str(input_dir / key) for key in ("input", "out")}
+    argv = [arg.format(gold=input_dir / "gold.jsonl", **paths) for arg in argv]
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out.flush()
+    err.flush()
+    printed = err.buffer.getvalue().decode("utf-8")
+    assert code in (0, 1), printed
+    assert printed == "" or (printed.startswith("error: ") and printed.count("\n") == 1
+                             and printed.endswith("\n")), printed
+    assert (printed == "") == (code == 0)

@@ -6,21 +6,29 @@ agree byte for byte and error for error with `json.dumps(dataclasses.asdict(
 record), ensure_ascii=False, sort_keys=True)` and `json.loads(line)`, which
 are kept here as the reference. `reference_problems` likewise keeps the record checks
 that `records.validate_record` must match, message for message and in order.
+`load_manifest` reads a line in the writer's own form by a fixed-schema
+pattern; `json_path_load`, the same reader with that pattern off, is the
+reference it must match, record for record and error for error.
 """
 
 import dataclasses
 import json
 import math
+import re
+import time
+from functools import cache
 from itertools import combinations, product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absynth.pipeline import RunConfig, generate_dataset
 from absynth.records import (
     ANSWER_KINDS, RATIONALE_REQUIRED_TYPES, SCENARIOS, InstructionRecord, Manifest, Provenance,
-    SchemaMismatch, dump_manifest, load_manifest, parse_json_line, parse_number,
-    record_from_json, record_to_json, validate_record,
+    SchemaMismatch, _record_line, dump_manifest, load_manifest, parse_json_line, parse_number,
+    record_from_json, record_from_match, record_to_json, validate_record,
 )
 from absynth.scoring import load_predictions
 
@@ -411,3 +419,145 @@ READER_LINES = [
     repr(line) if len(line) < 30 else f"long-line-{i}" for i, line in enumerate(READER_LINES)])
 def test_reader_matches_json_loads(line):
     assert outcome(parse_json_line, line) == outcome(json.loads, line)
+
+
+# ---------------------------------------------------------------------------
+# The fixed-schema pattern against the JSON path
+
+NEVER = re.compile(r"(?!)")
+
+
+def json_path_load(data):
+    """load_manifest with the fixed-schema pattern off, so every line goes
+    through the JSON scanner and record_from_json: the reader as it was
+    before the pattern, kept as the reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("absynth.records._record_line", lambda: NEVER)
+        return load_manifest(data)
+
+
+# Characters the escaper writes as they are (U+2028, DEL, non-BMP, non-ASCII
+# and JSON punctuation), and the ones it escapes, which send a line to the
+# JSON path.
+PLAIN = "\x7f\x85\u2028\ufeff\xe9\U0001f600 ,:[]{}a0"
+ESCAPED = '"\\\x00\x08\n\r\x1f'
+
+
+def texts(alphabet):
+    return (st.text(st.sampled_from(alphabet), max_size=8)
+            | st.text(st.characters(codec="utf-8", exclude_categories=("Cc",)), max_size=8))
+
+
+@st.composite
+def valid_records(draw):
+    """A record that validate_record accepts, its texts drawn with or
+    without characters that need an escape, about one record in two each."""
+    text = texts(PLAIN + draw(st.sampled_from(("", ESCAPED))))
+    kind = draw(st.sampled_from(ANSWER_KINDS))
+    if kind == "numeric":
+        answer = f"{draw(text)} {draw(st.integers(-10**6, 10**6))}"
+    elif kind == "landmark_sequence":
+        names = st.builds(lambda t: t.replace(",", "").strip(), text).filter(bool)
+        answer = ", ".join(draw(st.lists(names, min_size=1, max_size=4, unique=True)))
+    else:
+        answer = draw(text)
+    qtype = draw(st.sampled_from(("ocr", "math")) | text)
+    if qtype in RATIONALE_REQUIRED_TYPES:
+        rationale = draw(text) + "."
+    else:
+        rationale = draw(st.none() | text)
+    return InstructionRecord(
+        id=draw(text), scenario=draw(st.sampled_from(SCENARIOS)), image_ref=draw(text),
+        question=draw(text), answer=answer, answer_kind=kind, question_type=qtype,
+        alternates=tuple(draw(st.lists(text, max_size=3))), rationale=rationale,
+        difficulty=draw(st.none() | st.integers(1, 5)),
+        split=draw(st.sampled_from(("train", "test"))),
+        provenance=Provenance(draw(text), draw(st.sampled_from((-2**63, 2**64 - 1))
+                                               | st.integers(-2**63, 2**64 - 1))),
+    )
+
+
+@given(st.lists(valid_records(), max_size=6))
+@settings(max_examples=100)
+def test_load_of_dump_is_the_manifest_on_either_path(drawn):
+    """A writer line takes the pattern exactly when it holds no backslash:
+    with ensure_ascii=False the only backslashes are escapes. Either way
+    the record is the JSON path's, field type for field type."""
+    records = [dataclasses.replace(r, id=f"{r.id}-{i}") for i, r in enumerate(drawn)]
+    data = dump_manifest(Manifest(records=records))
+    assert repr(load_manifest(data)) == repr(json_path_load(data)) == repr(Manifest(records))
+    for record, line in zip(records, data.decode("utf-8").split("\n")[1:]):
+        match = _record_line().fullmatch(line)
+        assert (match is not None) == ("\\" not in line), line
+        if match is not None:
+            assert repr(record_from_match(match)) == repr(record_from_json(json.loads(line)))
+
+
+@cache
+def canonical_lines():
+    """One record line per scenario and question type of a small generated
+    manifest. Every line gen writes there is free of escapes, so the
+    pattern takes each."""
+    manifest, _, _ = generate_dataset(RunConfig(default_count=2, seed=9))
+    assert all(_record_line().fullmatch(record_to_json(r)) for r in manifest.records)
+    firsts = {(r.scenario, r.question_type): r for r in reversed(manifest.records)}
+    return [record_to_json(r) for r in firsts.values()]
+
+
+# One change each to a canonical line, none of which the pattern takes, and
+# what the JSON path then reads: the record, or a record error.
+MUTATIONS = {
+    "reordered-keys": (lambda line: json.dumps(dict(reversed(json.loads(line).items())),
+                                               ensure_ascii=False), "value"),
+    "compact-separators": (lambda line: json.dumps(json.loads(line), ensure_ascii=False,
+                                                   sort_keys=True, separators=(",", ":")),
+                           "value"),
+    "trailing-cr": (lambda line: line + "\r", "value"),
+    "extra-key": (lambda line: line[:-1] + ', "zzz": 1}', "value"),
+    "float-difficulty": (lambda line: re.sub(r'"difficulty": [^,]*', '"difficulty": 2.0', line),
+                         "error"),
+    "21-digit-seed": (lambda line: re.sub(r'"seed": [0-9]*', '"seed": 123456789012345678901',
+                                          line), "value"),
+    "escaped-quote": (lambda line: line.replace('"question": "', '"question": "\\"'), "value"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_a_mutated_line_reads_as_the_json_path_reads_it(name):
+    mutate, expected = MUTATIONS[name]
+    header = dump_manifest(Manifest()).decode("utf-8")
+    lines = canonical_lines()
+    for previous, line in zip(lines[-1:] + lines[:-1], lines):
+        changed = mutate(line)
+        assert changed != line and _record_line().fullmatch(changed) is None, changed
+        data = f"{header}{previous}\n{changed}\n"
+        got = outcome(load_manifest, data)
+        assert got == outcome(json_path_load, data), changed
+        assert got[0] == expected, got
+    if name == "float-difficulty":
+        assert got[2].endswith("['difficulty must be an integer, not float']")
+
+
+def test_a_record_line_in_place_of_the_header_is_refused_alike():
+    line = canonical_lines()[0]
+    for data in (f"{line}\n", f"\n \n{line}\n{line}\n"):
+        assert outcome(load_manifest, data) == outcome(json_path_load, data)
+    with pytest.raises(SchemaMismatch, match="^manifest line 3: missing manifest header line$"):
+        load_manifest(f"\n \n{line}\n")
+
+
+def test_a_long_near_miss_line_is_read_in_linear_time():
+    """A backtracking pattern could take time that grows faster than the
+    line; this one fails a 1 MB near miss in tens of milliseconds."""
+    record = InstructionRecord("a", "chart", "images/a.svg", "q" * 2**20, "1", "numeric", "ocr",
+                               alternates=("b",) * 2**15)
+    header = dump_manifest(Manifest()).decode("utf-8")
+    line = record_to_json(record)
+    near_misses = {"trailing-cr": line + "\r", "extra-key": line[:-1] + ', "zzz": 1}',
+                   "truncated": line[:-2]}
+    for name, changed in near_misses.items():
+        data = f"{header}{changed}\n"
+        start = time.perf_counter()
+        got = outcome(load_manifest, data)
+        assert time.perf_counter() - start < 0.5, name
+        assert got == outcome(json_path_load, data), name
