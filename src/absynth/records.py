@@ -19,15 +19,18 @@ load_manifest reads a record line in record_to_json's own form, with no
 string that needs an escape, by one fixed-schema pattern, the writer's
 inverse, and record_from_match builds its record from the groups; every
 other line, the header too, goes through parse_json_line and
-record_from_json. Either way validate_record checks the record, so a line
-gives the same record or the same error whichever path reads it.
+record_from_json. A pattern-read record meets value_problems's value rules
+only, because its groups fix every field's type, and any other record meets
+all of validate_record, so a line gives the same record or the same error
+whichever path reads it.
 
 InstructionRecord and QuestionDraft are plain slotted dataclasses: mutable,
 unhashable and without a per-instance __dict__, so building one stores each
 field directly instead of through a frozen __init__'s object.__setattr__.
 Building a record checks nothing; dump_manifest runs validate_record on every
 record before it writes it, and load_manifest on each record as it reads its
-line. validate_record tests each rule once and names every problem it finds.
+line. validate_record's type checks and value_problems's value rules test
+each rule once between them and name every problem they find.
 Provenance is slotted too but stays frozen and hashable, because its default
 is one instance shared by every record that leaves provenance out.
 
@@ -121,13 +124,12 @@ _SPLIT_SET = frozenset({"train", "test"})
 
 def validate_record(record: InstructionRecord) -> list[str]:
     """All invariant violations for a record (empty list = valid), in a
-    fixed order.
+    fixed order: the type checks, then value_problems's value rules.
 
     Type checks come first: a manifest line can hold any JSON value, and the
-    rules after them parse and compare these fields. A question_type, answer
-    or difficulty of the wrong type is set to None once it is named, so no
-    later rule reads it. A vocabulary field is looked up in its frozenset
-    only once it is a str, since a JSON array or object would not hash.
+    value rules parse and compare these fields. A question_type, answer or
+    difficulty of the wrong type is passed on as None once it is named, so
+    no value rule reads it.
     """
     problems: list[str] = []
     r, p = record, record.provenance
@@ -165,7 +167,22 @@ def validate_record(record: InstructionRecord) -> list[str]:
                             f"not {type(p.generator).__name__}")
         if type(p.seed) is not int:  # True is a bool, and writes as true
             problems.append(f"provenance seed must be an integer, not {type(p.seed).__name__}")
-    scenario, kind, split = r.scenario, r.answer_kind, r.split
+    return value_problems(problems, r.scenario, r.answer_kind, r.split, answer, qtype, rationale,
+                          difficulty)
+
+
+def value_problems(problems: list[str], scenario, kind, split, answer: str | None,
+                   qtype: str | None, rationale, difficulty: int | None) -> list[str]:
+    """`problems` with a record's value rule violations appended: its
+    vocabulary fields, numeric and landmark answers, required rationale,
+    split and difficulty range, given its fields in that order.
+
+    answer, qtype and difficulty are None or of their type. A vocabulary
+    field is looked up in its frozenset only once it is a str, since a JSON
+    array or object would not hash. The groups of a record line that
+    _record_line matches fix every field's type, so load_manifest runs these
+    rules alone on the record that record_from_match builds.
+    """
     if not (isinstance(scenario, str) and scenario in _SCENARIO_SET):
         problems.append(f"unknown scenario {scenario!r}")
     if not (isinstance(kind, str) and kind in _ANSWER_KIND_SET):
@@ -228,11 +245,21 @@ def format_number(value: float) -> str:
 def canonicalize(answer: str, kind: str = "phrase") -> str:
     """Normalize an answer string for comparison.
 
-    Trims and casefolds; collapses whitespace; rewrites 12-hour clock times
-    ("4:10 pm") to 24-hour form; for numeric kinds, reduces the text to its
-    final number with units stripped.
+    Trims and casefolds; collapses each run of whitespace to one space;
+    rewrites 12-hour clock times ("4:10 pm") to 24-hour form; for numeric
+    kinds, reduces the text to its final number with units stripped.
+
+    A text of printable ASCII with no leading, trailing or doubled space is
+    kept as it is, without a split and join: the only whitespace in printable
+    ASCII (0x20-0x7E) is the space, since every other character str.split()
+    cuts at (tab, line breaks, 0x1c-0x1f and non-ASCII spaces) lies outside
+    it, so such a text already equals " ".join(text.split()).
     """
-    out = " ".join(str(answer).split()).casefold()
+    text = str(answer)
+    if (not (text.isascii() and text.isprintable()) or "  " in text
+            or text[:1] == " " or text[-1:] == " "):
+        text = " ".join(text.split())
+    out = text.casefold()
     m = _TIME_RE.match(out)
     if m:
         hour, minute, meridiem = int(m.group(1)), m.group(2), m.group(3)
@@ -527,11 +554,12 @@ def load_manifest(data: bytes | str) -> Manifest:
     hands over a line that _record_line matches unparsed.
 
     The first line is the header of this schema version. Each record is
-    built and run through validate_record as its line is read, and a bad
-    line raises SchemaMismatch naming it: "manifest line N: " and then the
-    problem, as "missing field 'answer'" or, for a record that breaks a
-    record rule, Manifest.validate's text, as "record None: ['id must be a
-    string, not NoneType']". Once every line is read, a repeated id raises
+    built and checked as its line is read, a pattern-read one by
+    value_problems and any other by validate_record, and a bad line raises
+    SchemaMismatch naming it: "manifest line N: " and then the problem, as
+    "missing field 'answer'" or, for a record that breaks a record rule,
+    Manifest.validate's text, as "record None: ['id must be a string, not
+    NoneType']". Once every line is read, a repeated id raises
     ValueError("duplicate record ids: [...]")."""
     rows = json_lines(data, "manifest", _record_line().fullmatch)
     for number, header in rows:
@@ -548,6 +576,9 @@ def load_manifest(data: bytes | str) -> Manifest:
     for number, row in rows:
         if type(row) is not dict:
             record = record_from_match(row)
+            problems = value_problems([], record.scenario, record.answer_kind, record.split,
+                                      record.answer, record.question_type, record.rationale,
+                                      record.difficulty)
         else:
             try:
                 record = record_from_json(row)
@@ -555,7 +586,7 @@ def load_manifest(data: bytes | str) -> Manifest:
                 raise SchemaMismatch(f"manifest line {number}: missing field {err}") from None
             except ValueError as err:
                 raise SchemaMismatch(f"manifest line {number}: malformed record ({err})") from None
-        problems = validate_record(record)
+            problems = validate_record(record)
         if problems:
             raise SchemaMismatch(f"manifest line {number}: record {record.id}: {problems}")
         records.append(record)

@@ -463,14 +463,17 @@ def test_record_lines_skip_the_generic_json_path():
 
 
 def test_each_record_rule_is_written_once():
-    """validate_record tests each rule in one place: no fast path in front of
-    the per-problem checks repeats a rule, and the vocabulary fields are
-    looked up in their frozensets, not scanned in the tuples."""
+    """validate_record's type checks and value_problems's value rules test
+    each rule in one place between them: no fast path in front of the
+    per-problem checks repeats a rule, and the vocabulary fields are looked
+    up in their frozensets, not scanned in the tuples."""
     tree = ast.parse((SRC_DIR / "records.py").read_text(encoding="utf-8"))
-    [check] = functions(tree, "validate_record")
+    checks = functions(tree, "validate_record", "value_problems")
+    assert len(checks) == 2
     once = ("parse_number", "_SCENARIO_SET", "_ANSWER_KIND_SET", "_SPLIT_SET",
             "RATIONALE_REQUIRED_TYPES")
-    uses = {name: len(name_uses(check, name)) for name in (*once, "SCENARIOS", "ANSWER_KINDS")}
+    uses = {name: sum(len(name_uses(check, name)) for check in checks)
+            for name in (*once, "SCENARIOS", "ANSWER_KINDS")}
     assert uses == {**dict.fromkeys(once, 1), "SCENARIOS": 0, "ANSWER_KINDS": 0}
 
 
@@ -533,6 +536,14 @@ def _chart(kind, *values):
     (lambda: _chart("bar", 10.0, math.nan, 20.0), "series 'share' value nan is not finite"),
     (lambda: _chart("bar", 10.0, math.inf, 20.0), "series 'share' value inf is not finite"),
     (lambda: _chart("bar", 10.0, -2.0, 20.0), "bar series 'share' value -2.0 is negative"),
+    (lambda: _chart("line", 10.0, -5.0, 20.0), "line series 'share' value -5.0 is negative"),
+    (lambda: _chart("bar", 10.0, 1e300, 20.0),
+     "series 'share' value 1e+300 is not below 1e+15 in magnitude"),
+    (lambda: _chart("table", 10.0, -1e16, 20.0),
+     "series 'share' value -1e+16 is not below 1e+15 in magnitude"),
+    (lambda: _chart("bar", 10.0, 1e-9, 20.0), "series 'share' value 1e-09 is nonzero but writes as 0"),
+    (lambda: _chart("table", 10.0, -1e-9, 20.0),
+     "series 'share' value -1e-09 is nonzero but writes as 0"),
     (lambda: _chart("pie", 40.0, 30.0, math.nan, 30.0), "series 'share' value nan is not finite"),
     (lambda: DialSpec("clock", (3, 5), 2.0, 0.7),
      "clock exercise_hours 0.7 is not one of [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]"),
@@ -551,12 +562,21 @@ def _chart(kind, *values):
         "BackendConfig-temperature-nan", "BackendConfig-temperature-inf",
         "BackendConfig-temperature-negative", "BackendConfig-retry_budget-above-8",
         "BackendConfig-retry_budget-negative", "ChartSpec-bar-nan", "ChartSpec-bar-inf",
-        "ChartSpec-bar-negative", "ChartSpec-pie-nan", "DialSpec-clock-exercise_hours",
+        "ChartSpec-bar-negative", "ChartSpec-line-negative", "ChartSpec-bar-1e300",
+        "ChartSpec-table-minus-1e16", "ChartSpec-bar-1e-9", "ChartSpec-table-minus-1e-9",
+        "ChartSpec-pie-nan", "DialSpec-clock-exercise_hours",
         "DialSpec-clock-offset-nan", "DialSpec-clock-offset-fraction",
         "DialSpec-fuel-offset-nan"])
 def test_specs_and_configs_check_themselves_on_construction(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+def test_a_table_keeps_its_negative_values():
+    """A table cell draws "-5" as it is, so only bars and lines refuse a
+    negative value; the largest value below the magnitude bound is kept."""
+    table = _chart("table", 10.0, -5.0, 1e15 - 1)
+    assert [p.value for p in table.series[0].points] == [10.0, -5.0, 1e15 - 1]
 
 
 # Each spec and config type checks itself in __post_init__; free-standing

@@ -8,7 +8,9 @@ are kept here as the reference. `reference_problems` likewise keeps the record c
 that `records.validate_record` must match, message for message and in order.
 `load_manifest` reads a line in the writer's own form by a fixed-schema
 pattern; `json_path_load`, the same reader with that pattern off, is the
-reference it must match, record for record and error for error.
+reference it must match, record for record and error for error. A record
+the pattern reads meets value_problems's value rules only, which must give
+what validate_record gives.
 """
 
 import dataclasses
@@ -21,14 +23,14 @@ from itertools import combinations, product
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from absynth.pipeline import RunConfig, generate_dataset
 from absynth.records import (
     ANSWER_KINDS, RATIONALE_REQUIRED_TYPES, SCENARIOS, InstructionRecord, Manifest, Provenance,
     SchemaMismatch, _record_line, dump_manifest, load_manifest, parse_json_line, parse_number,
-    record_from_json, record_from_match, record_to_json, validate_record,
+    record_from_json, record_from_match, record_to_json, validate_record, value_problems,
 )
 from absynth.scoring import load_predictions
 
@@ -493,6 +495,48 @@ def test_load_of_dump_is_the_manifest_on_either_path(drawn):
             assert repr(record_from_match(match)) == repr(record_from_json(json.loads(line)))
 
 
+@st.composite
+def value_faulty_records(draw):
+    """A record of valid_records with some fields replaced by values of the
+    right type that may break a value rule: any text as a vocabulary field,
+    an answer that is not a number or not a landmark sequence, a missing
+    rationale, and a difficulty outside 1..5 of up to 20 digits."""
+    record = draw(valid_records())
+    text = texts(PLAIN)
+    keep = st.just
+    return dataclasses.replace(
+        record,
+        scenario=draw(keep(record.scenario) | st.sampled_from(("Chart", "graph", "")) | text),
+        answer_kind=draw(keep(record.answer_kind) | st.sampled_from(ANSWER_KINDS) | text),
+        answer=draw(keep(record.answer) | st.sampled_from(("", "no number", "a, , a", "a, a"))
+                    | text),
+        question_type=draw(keep(record.question_type)
+                           | st.sampled_from(sorted(RATIONALE_REQUIRED_TYPES))),
+        rationale=draw(keep(record.rationale) | st.sampled_from((None, ""))),
+        split=draw(keep(record.split) | st.sampled_from(("dev", "Test", "")) | text),
+        difficulty=draw(keep(record.difficulty) | st.integers(-3, 8)
+                        | st.integers(-(10**20 - 1), 10**20 - 1)),
+    )
+
+
+@given(value_faulty_records())
+@settings(max_examples=150)
+def test_a_pattern_read_record_meets_the_value_rules_alone(record):
+    """The pattern's groups fix every field's type, so the value rules give
+    what the whole check gives, and the line is refused in the JSON path's
+    words."""
+    line = record_to_json(record)
+    match = _record_line().fullmatch(line)
+    assume(match is not None)
+    read = record_from_match(match)
+    assert repr(read) == repr(record)
+    alone = value_problems([], read.scenario, read.answer_kind, read.split, read.answer,
+                           read.question_type, read.rationale, read.difficulty)
+    assert alone == validate_record(read) == reference_problems(read)
+    data = f"{dump_manifest(Manifest()).decode('utf-8')}{line}\n"
+    assert outcome(load_manifest, data) == outcome(json_path_load, data)
+
+
 @cache
 def canonical_lines():
     """One record line per scenario and question type of a small generated
@@ -536,6 +580,25 @@ def test_a_mutated_line_reads_as_the_json_path_reads_it(name):
         assert got[0] == expected, got
     if name == "float-difficulty":
         assert got[2].endswith("['difficulty must be an integer, not float']")
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("split", "dev", "bad split 'dev'"),
+    ("scenario", "graph", "unknown scenario 'graph'"),
+    ("answer_kind", "number", "unknown answer_kind 'number'"),
+    ("difficulty", 9, "difficulty 9 outside 1..5"),
+])
+def test_a_canonical_line_with_a_bad_value_is_refused_on_its_line(field, value, problem):
+    header = dump_manifest(Manifest()).decode("utf-8")
+    for line in canonical_lines():
+        row = json.loads(line)
+        row[field] = value
+        changed = json.dumps(row, ensure_ascii=False, sort_keys=True)
+        assert _record_line().fullmatch(changed) is not None, changed
+        data = f"{header}{line}\n{changed}\n"
+        message = f"manifest line 3: record {row['id']}: {[problem]}"
+        assert outcome(load_manifest, data) == ("error", SchemaMismatch, message)
+        assert outcome(json_path_load, data) == ("error", SchemaMismatch, message)
 
 
 def test_a_record_line_in_place_of_the_header_is_refused_alike():

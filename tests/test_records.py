@@ -16,7 +16,7 @@ from absynth.maps import generate_map, map_questions
 from absynth.records import (
     ANSWER_KINDS, MANIFEST_SCHEMA_VERSION, SCENARIOS, InstructionRecord, Manifest, Provenance,
     QuestionDraft, Verdict, answer_set, canonicalize,
-    dump_manifest, load_manifest, parse_number, record_from_json, record_to_json,
+    dump_manifest, format_number, load_manifest, parse_number, record_from_json, record_to_json,
     SchemaMismatch, sample_for_review, validate_record, verify_record,
     vote_select,
 )
@@ -107,6 +107,55 @@ def test_parse_number_matches_findall_on_seeded_strings():
 def test_canonicalize_idempotent(s):
     once = canonicalize(s)
     assert canonicalize(once) == once
+
+
+def split_join_canonicalize(answer, kind="phrase"):
+    """canonicalize as it was before a single-spaced printable ASCII text was
+    kept as it is: every text split and joined. Kept as the reference."""
+    out = " ".join(str(answer).split()).casefold()
+    m = re.match(r"^(\d{1,2}):(\d{2})(?:\s*(am|pm))?$", out)
+    if m:
+        hour, minute, meridiem = int(m.group(1)), m.group(2), m.group(3)
+        if meridiem == "pm" and hour != 12:
+            hour += 12
+        elif meridiem == "am" and hour == 12:
+            hour = 0
+        return f"{hour}:{minute}"
+    if kind == "numeric":
+        value = parse_number(out)
+        if value is not None:
+            return format_number(value)
+    return out
+
+
+# Every character str.split() cuts at: the ASCII controls \t-\r and
+# \x1c-\x1f, the space, \x85, \xa0, \u1680, \u2000-\u200a, \u2028,
+# \u2029, \u202f, \u205f and \u3000.
+SPLIT_WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+CANONICAL_ALPHABET = (SPLIT_WHITESPACE + "    " + "aZ09:.,-$%" + "AaMmPp" + "\x00\x7f~!"
+                      + "\xe9\xdf\u0130\u4e2d")
+
+
+def clock_texts():
+    space = st.text(st.sampled_from(" \t\n\x1f\xa0\u3000"), max_size=2)
+    return st.builds(lambda a, h, m, b, meridiem, c: f"{a}{h}:{m:02d}{b}{meridiem}{c}",
+                     space, st.integers(0, 23), st.integers(0, 59), space,
+                     st.sampled_from(("", "am", "pm", "AM", "Pm")), space)
+
+
+@given(st.text(st.sampled_from(CANONICAL_ALPHABET), max_size=30) | st.text(max_size=30)
+       | clock_texts(), st.sampled_from(ANSWER_KINDS))
+@example(" a", "phrase")
+@example("a ", "phrase")
+@example("a  b", "phrase")
+@example("a\x1cb", "phrase")
+@example("a\x85b", "phrase")
+@example("4:10 \u2028pm", "phrase")
+@example("4:10 PM", "numeric")
+@example("", "numeric")
+def test_canonicalize_equals_split_and_join(text, kind):
+    assert all(c in SPLIT_WHITESPACE for c in "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000")
+    assert canonicalize(text, kind) == split_join_canonicalize(text, kind)
 
 
 # -- record validation ------------------------------------------------------
