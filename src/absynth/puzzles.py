@@ -95,9 +95,21 @@ def shape_primitive(shape: str, cx: float, cy: float, radius: float, angle: floa
 class PanelSpec:
     shape: str
     angle: float
-    count: int
+    count: int  # 1..9, one mark per position of a 3x3 grid
     size: float
     color: str
+
+    def __post_init__(self) -> None:
+        if self.shape not in PUZZLE_SHAPES:
+            raise ValueError(f"unknown panel shape {self.shape!r}")
+        if self.color not in COLOR_CYCLE:
+            raise ValueError(f"unknown panel color {self.color!r}")
+        if not 1 <= self.count <= 9:
+            raise ValueError(f"panel count {self.count} outside 1..9")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"panel angle {self.angle} is not finite")
+        if not 0 < self.size < math.inf:
+            raise ValueError(f"panel size {self.size} is not a finite number above 0")
 
 
 @dataclass(frozen=True)
@@ -205,6 +217,14 @@ class PanelItem:
     shape: str
     color: str
     cell: int  # 0..8 on a 3x3 grid
+
+    def __post_init__(self) -> None:
+        if self.shape not in PUZZLE_SHAPES:
+            raise ValueError(f"unknown item shape {self.shape!r}")
+        if self.color not in COLOR_CYCLE:
+            raise ValueError(f"unknown item color {self.color!r}")
+        if not 0 <= self.cell <= 8:
+            raise ValueError(f"item cell {self.cell} outside 0..8")
 
 
 @dataclass(frozen=True)

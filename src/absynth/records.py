@@ -19,9 +19,13 @@ load_manifest reads a record line in record_to_json's own form, with no
 string that needs an escape, by one fixed-schema pattern, the writer's
 inverse, and record_from_match builds its record from the groups; every
 other line, the header too, goes through parse_json_line and
-record_from_json. A pattern-read record meets value_problems's value rules
-only, because its groups fix every field's type, and any other record meets
-all of validate_record, so a line gives the same record or the same error
+record_from_json. The pattern's string class is written as code-point
+ranges, which sre tests faster than the negated class of the same code
+points, and adjacent pattern-read lines of equal provenance share one
+Provenance, as the records of one image do when gen builds them. A
+pattern-read record meets value_problems's value rules only, because its
+groups fix every field's type, and any other record meets all of
+validate_record, so a line gives the same record or the same error
 whichever path reads it.
 
 InstructionRecord and QuestionDraft are plain slotted dataclasses: mutable,
@@ -31,8 +35,9 @@ Building a record checks nothing; dump_manifest runs validate_record on every
 record before it writes it, and load_manifest on each record as it reads its
 line. validate_record's type checks and value_problems's value rules test
 each rule once between them and name every problem they find.
-Provenance is slotted too but stays frozen and hashable, because its default
-is one instance shared by every record that leaves provenance out.
+Provenance is slotted too but stays frozen and hashable, because one
+instance is shared: its default by every record that leaves provenance out,
+and one per image by that image's records.
 
 verify_record matches one record against an oracle: every draft that the
 scenario's questions function returns for the spec that produced the image.
@@ -407,11 +412,15 @@ def record_to_json(record: InstructionRecord) -> str:
 # the alternates' strings as written between the brackets, and difficulty
 # (None for null) and seed as JSON ints of at most 20 digits. _record_line()
 # compiles it once, on the first load, since gen imports this module and
-# never loads a manifest.
-_TEXT = r'"([^"\\\x00-\x1f]*)"'
+# never loads a manifest. _PLAIN is one code point that the escaper writes as
+# it is: any but '"', '\' and U+0000-U+001F. It is written as positive ranges
+# because sre tests those faster than the negated class [^"\\\x00-\x1f] of
+# the same code points.
+_PLAIN = r"[ !#-\[\]-\U0010ffff]"
+_TEXT = rf'"({_PLAIN}*)"'
 _INT = r"(-?(?:0|[1-9][0-9]{0,19}))"
 _record_line = cache(partial(re.compile, (
-    r'\{"alternates": \[((?:"[^"\\\x00-\x1f]*"(?:, "[^"\\\x00-\x1f]*")*)?)\], '
+    rf'\{{"alternates": \[((?:"{_PLAIN}*"(?:, "{_PLAIN}*")*)?)\], '
     rf'"answer": {_TEXT}, "answer_kind": {_TEXT}, "difficulty": (?:null|{_INT}), '
     rf'"id": {_TEXT}, "image_ref": {_TEXT}, '
     rf'"provenance": \{{"generator": {_TEXT}, "seed": {_INT}\}}, '
@@ -420,16 +429,25 @@ _record_line = cache(partial(re.compile, (
 )))
 
 
-def record_from_match(match: re.Match) -> InstructionRecord:
+def record_from_match(match: re.Match, provenance: Provenance | None = None,
+                      ) -> InstructionRecord:
     """The record of a manifest line that _record_line matches: the record
-    that record_from_json builds from the line's JSON value, unchecked."""
+    that record_from_json builds from the line's JSON value, unchecked.
+
+    `provenance`, the previous line's, is kept as the record's own when the
+    line's generator and seed equal it, and a new one is built otherwise:
+    gen writes the records of an image one after another, sharing one.
+    Provenance is frozen, so a shared one is equal to a new one in every use.
+    """
     (alternates, answer, kind, difficulty, record_id, image_ref, generator, seed, question,
      qtype, rationale, scenario, split) = match.groups()
+    seed = int(seed)
+    if provenance is None or provenance.seed != seed or provenance.generator != generator:
+        provenance = Provenance(generator, seed)
     return InstructionRecord(
         record_id, scenario, image_ref, question, answer, kind, qtype,
         tuple(alternates[1:-1].split('", "')) if alternates else (), rationale,
-        None if difficulty is None else int(difficulty), split,
-        Provenance(generator, int(seed)),
+        None if difficulty is None else int(difficulty), split, provenance,
     )
 
 
@@ -560,7 +578,11 @@ def load_manifest(data: bytes | str) -> Manifest:
     "missing field 'answer'" or, for a record that breaks a record rule,
     Manifest.validate's text, as "record None: ['id must be a string, not
     NoneType']". Once every line is read, a repeated id raises
-    ValueError("duplicate record ids: [...]")."""
+    ValueError("duplicate record ids: [...]").
+
+    A pattern-read record keeps the provenance of the pattern-read record
+    before it when the two are equal, so the records of one image, which gen
+    writes one after another, hold one Provenance."""
     rows = json_lines(data, "manifest", _record_line().fullmatch)
     for number, header in rows:
         break
@@ -573,9 +595,11 @@ def load_manifest(data: bytes | str) -> Manifest:
         raise SchemaMismatch(f"manifest line {number}: schema_version {version!r}, "
                              f"expected {MANIFEST_SCHEMA_VERSION!r}")
     records = []
+    provenance = None
     for number, row in rows:
         if type(row) is not dict:
-            record = record_from_match(row)
+            record = record_from_match(row, provenance)
+            provenance = record.provenance
             problems = value_problems([], record.scenario, record.answer_kind, record.split,
                                       record.answer, record.question_type, record.rationale,
                                       record.difficulty)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, fields
+from decimal import Decimal
 from operator import attrgetter
 from typing import Iterable
 
@@ -36,7 +37,10 @@ NUMERIC_TOLERANCE = 0.05
 def load_predictions(data: bytes | str) -> dict[str, str]:
     """Parse a prediction file: one JSON object per line with a string
     ``id`` and a ``response``, a string or a JSON number, which scores as
-    its decimal text. Later duplicates win. `records.json_lines` reads the
+    its decimal text: an integer's str, and a float's repr, with an exponent
+    written out in positional form with the same digits (1e16 as
+    10000000000000000, 1.5e-07 as 0.00000015), since parse_number would read
+    "1e+16" as 16. Later duplicates win. `records.json_lines` reads the
     lines, so a bad one raises SchemaMismatch("prediction line N: ...") in a
     manifest line's words, as does a missing or wrongly typed id or response."""
     out: dict[str, str] = {}
@@ -54,6 +58,8 @@ def load_predictions(data: bytes | str) -> dict[str, str]:
                 raise SchemaMismatch(f"prediction line {number}: response must be a string "
                                      f"or a number, not {JSON_TYPE_NAMES[type(response)]}")
             response = str(response)
+            if "e" in response:  # a float's repr in exponent form, as 1e+65
+                response = f"{Decimal(response):f}"
         out[record_id] = response
     return out
 

@@ -22,6 +22,7 @@ from absynth.gauges import FAMILIES, DialSpec
 from absynth.keywords import BUILTIN_TOPICS
 from absynth.maps import RoadMapSpec
 from absynth.pipeline import MAX_COUNT, SCENARIO_SOURCES, RunConfig
+from absynth.puzzles import PanelItem, PanelSpec
 from absynth.records import (
     InstructionRecord, Manifest, Provenance, QuestionDraft, dump_manifest, sample_for_review,
 )
@@ -551,6 +552,22 @@ def _chart(kind, *values):
     (lambda: DialSpec("clock", (3, 5), 2.5, 1.0),
      "clock offset 2.5 is not a whole number of hours"),
     (lambda: DialSpec("fuel", 0.5, math.nan), "offset nan is not finite"),
+    (lambda: PanelSpec("hexagon", 0.0, 1, 1.0, "red"), "unknown panel shape 'hexagon'"),
+    (lambda: PanelSpec("star", 0.0, 1, 1.0, "pink"), "unknown panel color 'pink'"),
+    (lambda: PanelSpec("star", 0.0, 12, 1.0, "red"), "panel count 12 outside 1..9"),
+    (lambda: PanelSpec("star", 0.0, 0, 1.0, "red"), "panel count 0 outside 1..9"),
+    (lambda: PanelSpec("arrow", math.inf, 1, 1.0, "red"), "panel angle inf is not finite"),
+    (lambda: PanelSpec("arrow", math.nan, 1, 1.0, "red"), "panel angle nan is not finite"),
+    (lambda: PanelSpec("circle", 0.0, 1, 0.0, "red"),
+     "panel size 0.0 is not a finite number above 0"),
+    (lambda: PanelSpec("circle", 0.0, 1, math.nan, "red"),
+     "panel size nan is not a finite number above 0"),
+    (lambda: PanelSpec("circle", 0.0, 1, math.inf, "red"),
+     "panel size inf is not a finite number above 0"),
+    (lambda: PanelItem("hexagon", "red", 0), "unknown item shape 'hexagon'"),
+    (lambda: PanelItem("star", "pink", 0), "unknown item color 'pink'"),
+    (lambda: PanelItem("star", "red", 11), "item cell 11 outside 0..8"),
+    (lambda: PanelItem("star", "red", -1), "item cell -1 outside 0..8"),
 ], ids=["ChartSpec", "DialSpec", "FlowSpec", "TreeSpec", "GateConfig", "BackendConfig",
         "RunConfig", "StyleSpec-stroke", "StyleSpec-fill", "StyleSpec-stroke_width",
         "Canvas-side", "Canvas-background",
@@ -566,7 +583,10 @@ def _chart(kind, *values):
         "ChartSpec-table-minus-1e16", "ChartSpec-bar-1e-9", "ChartSpec-table-minus-1e-9",
         "ChartSpec-pie-nan", "DialSpec-clock-exercise_hours",
         "DialSpec-clock-offset-nan", "DialSpec-clock-offset-fraction",
-        "DialSpec-fuel-offset-nan"])
+        "DialSpec-fuel-offset-nan", "PanelSpec-shape", "PanelSpec-color",
+        "PanelSpec-count-12", "PanelSpec-count-0", "PanelSpec-angle-inf",
+        "PanelSpec-angle-nan", "PanelSpec-size-0", "PanelSpec-size-nan", "PanelSpec-size-inf",
+        "PanelItem-shape", "PanelItem-color", "PanelItem-cell-11", "PanelItem-cell-negative"])
 def test_specs_and_configs_check_themselves_on_construction(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import time
 from functools import cache
 from itertools import combinations, product
@@ -26,11 +27,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from absynth.cli import main
 from absynth.pipeline import RunConfig, generate_dataset
 from absynth.records import (
-    ANSWER_KINDS, RATIONALE_REQUIRED_TYPES, SCENARIOS, InstructionRecord, Manifest, Provenance,
-    SchemaMismatch, _record_line, dump_manifest, load_manifest, parse_json_line, parse_number,
-    record_from_json, record_from_match, record_to_json, validate_record, value_problems,
+    _PLAIN, ANSWER_KINDS, RATIONALE_REQUIRED_TYPES, SCENARIOS, InstructionRecord, Manifest,
+    Provenance, SchemaMismatch, _record_line, dump_manifest, load_manifest, parse_json_line,
+    parse_number, record_from_json, record_from_match, record_to_json, validate_record,
+    value_problems,
 )
 from absynth.scoring import load_predictions
 
@@ -493,6 +496,62 @@ def test_load_of_dump_is_the_manifest_on_either_path(drawn):
         assert (match is not None) == ("\\" not in line), line
         if match is not None:
             assert repr(record_from_match(match)) == repr(record_from_json(json.loads(line)))
+
+
+# The pattern's string class as it was written before, negated, kept as the
+# reference for the code points that the range form must take.
+NEGATED_PLAIN = r'[^"\\\x00-\x1f]'
+
+
+def test_the_string_class_takes_what_the_escaper_writes_as_it_is():
+    """Over U+0000-U+10FFFF, lone surrogates too, the pattern's string class
+    takes a code point exactly when encode_basestring writes it unescaped,
+    and the same code points as the negated class. Every string in the
+    pattern is that class."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    quote = json.encoder.encode_basestring
+    unescaped = "".join(c for c in every if quote(c) == f'"{c}"')
+    assert len(unescaped) == len(every) - 34
+    assert "".join(re.findall(f"{_PLAIN}+", every)) == unescaped
+    assert "".join(re.findall(f"{NEGATED_PLAIN}+", every)) == unescaped
+    pattern = _record_line().pattern
+    assert pattern.count(_PLAIN) == 12 and "[^" not in pattern
+
+
+def test_the_records_of_one_image_share_one_provenance(tmp_path):
+    assert main(["gen", "--all", "--count", "3", "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "manifest.jsonl").read_bytes()
+    records = load_manifest(data).records
+    assert records == json_path_load(data).records
+    per_image = {}
+    for record in records:
+        assert per_image.setdefault(record.image_ref, record.provenance) is record.provenance
+    assert len({id(p) for p in per_image.values()}) == len(set(per_image.values())) \
+        == len(per_image) > 1
+
+
+@pytest.mark.parametrize("field", ["seed", "generator"])
+def test_an_adjacent_line_of_another_provenance_reads_its_own(field):
+    """A line whose seed alone, or generator alone, differs from the line
+    before it gets a Provenance of its own values; a line equal to it keeps
+    the previous line's object."""
+    line = canonical_lines()[0]
+    row = json.loads(line)
+    kept = Provenance(**row["provenance"])
+    changed = dataclasses.replace(kept, **{field: kept.seed + 1 if field == "seed"
+                                           else f"{kept.generator}-other"})
+    other = {**row, "provenance": dataclasses.asdict(changed)}
+    other_line = json.dumps(other, ensure_ascii=False, sort_keys=True)
+    first = record_from_match(_record_line().fullmatch(line))
+    second = record_from_match(_record_line().fullmatch(other_line), first.provenance)
+    third = record_from_match(_record_line().fullmatch(line), first.provenance)
+    assert (first.provenance, second.provenance) == (kept, changed)
+    assert third.provenance is first.provenance
+    # In one manifest the second line needs an id of its own.
+    header = dump_manifest(Manifest()).decode("utf-8")
+    other_line = json.dumps({**other, "id": f"{row['id']}-b"}, ensure_ascii=False, sort_keys=True)
+    loaded = load_manifest(f"{header}{line}\n{other_line}\n").records
+    assert [r.provenance for r in loaded] == [kept, changed]
 
 
 @st.composite

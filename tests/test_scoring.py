@@ -487,9 +487,26 @@ def test_prediction_id_of_another_json_type_is_refused(record_id, json_type):
 
 @pytest.mark.parametrize("response, text", [
     ('"4:10 PM"', "4:10 PM"), ("42", "42"), ("-1.5", "-1.5"), ("1e3", "1000.0"),
-], ids=["string", "integer", "float", "exponent"])
+    ("1e65", "1" + "0" * 65), ("1E16", "10000000000000000"), ("1.5e-07", "0.00000015"),
+    ("-2.5e20", "-250000000000000000000"), ("12345678901234567890", "12345678901234567890"),
+    ("1e400", "inf"), ("NaN", "nan"),
+], ids=["string", "integer", "float", "exponent", "exponent-65", "exponent-16",
+        "exponent-negative", "exponent-negative-number", "long-integer", "infinity", "nan"])
 def test_prediction_response_number_is_read_as_its_text(response, text):
+    """A float whose repr has an exponent is written out with the same
+    digits, so that parse_number reads the number and not its exponent."""
     assert load_predictions('{"id": "a", "response": ' + response + "}") == {"a": text}
+
+
+def test_a_number_in_exponent_form_scores_as_the_number():
+    manifest = Manifest(records=[record("a", "chart", "numeric", "extraction", "65"),
+                                 record("b", "chart", "numeric", "extraction", "-7"),
+                                 record("c", "chart", "numeric", "extraction", "400")])
+    predictions = load_predictions('{"id": "a", "response": 1e65}\n'
+                                   '{"id": "b", "response": 1.5e-07}\n'
+                                   '{"id": "c", "response": 1e400}\n')
+    chart = aggregate(manifest, predictions).per_scenario["chart"]
+    assert (chart.accuracy, chart.scored, chart.unparsable) == (0.0, 2, 1)
 
 
 def test_report_text_renders():
