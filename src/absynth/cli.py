@@ -30,8 +30,9 @@ if TYPE_CHECKING:
 
 def _read_json(path: str, source: str):
     """The JSON value in the file at `path`, read by `_read_input`. A file that
-    is not UTF-8, not JSON, or nested deeper than the JSON scanner can follow
-    raises ValueError("<source> file <path>: ...")."""
+    is not UTF-8, not JSON, holding an integer of more digits than int()
+    converts, or nested deeper than the JSON scanner can follow raises
+    ValueError("<source> file <path>: ...")."""
     data = _read_input(path, f"{source} file")
     try:
         return json.loads(data.decode("utf-8"))
@@ -40,6 +41,8 @@ def _read_json(path: str, source: str):
     except json.JSONDecodeError as err:
         raise ValueError(f"{source} file {path}: invalid JSON "
                          f"({err.msg}: line {err.lineno} column {err.colno})") from None
+    except ValueError as err:  # an integer longer than int() converts
+        raise ValueError(f"{source} file {path}: invalid JSON ({err})") from None
     except RecursionError:
         raise ValueError(f"{source} file {path}: JSON nested too deeply") from None
 

@@ -3,11 +3,18 @@
 One InstructionRecord is one dataset row: a question about one image, its
 canonical answer, acceptable alternates, and an optional rationale. Records
 are serialized one-per-line as JSON (see MANIFEST_SCHEMA_VERSION and the
-field list in the README). record_to_json is the one record line writer: a
-single f-string in sorted key order over the C string escaper, giving the
-bytes of json.dumps(sort_keys=True, ensure_ascii=False) for every record that
-validate_record accepts. It checks nothing itself, so it is right only for
-validated records.
+field list in the README). _line holds the line format, the one f-string in
+sorted key order that writes each text between quotes as it is, and
+record_to_json runs it over the texts as the C string escaper writes them,
+giving the bytes of json.dumps(sort_keys=True, ensure_ascii=False) for every
+record that validate_record accepts. Neither checks anything, so each is
+right only for validated records. dump_manifest first has _raw_file write
+every line by _line from the raw texts, with no escaper call, and keeps that
+file when one count over its bytes proves no text needed an escape: a text
+needs one exactly when it holds '"', '\\' or U+0000-U+001F, and UTF-8 writes
+those characters, and only those, as bytes of those values. Otherwise, and
+if a text is a str subclass, which an f-string would format through its own
+__format__, every line is written again by record_to_json.
 
 json_lines is the one reader of input lines, for manifest and prediction
 files alike: it decodes, splits, numbers and parses them, and it and its
@@ -387,23 +394,41 @@ _quote = json.encoder.encode_basestring
 _scan_once = json.JSONDecoder().scan_once
 
 
+# What the line format writes between two alternates' texts.
+_ALTERNATE_SEPARATOR = '", "'
+
+
+def _line(record_id, scenario, image_ref, question, answer, answer_kind, question_type,
+          alternates, rationale, difficulty, split, generator, seed) -> str:
+    """The manifest line of a record's values: the one f-string of the line
+    format, json.dumps's keys in sorted order with its separators. Each text
+    is written between quotes as it is given; `alternates` is what goes
+    between the brackets, and `rationale`, `difficulty` and `seed` are JSON
+    values as written. It escapes nothing: record_to_json hands it escaped
+    texts, and _raw_file raw ones, whose file it then checks."""
+    return (
+        f'{{"alternates": [{alternates}], "answer": "{answer}", '
+        f'"answer_kind": "{answer_kind}", "difficulty": {difficulty}, '
+        f'"id": "{record_id}", "image_ref": "{image_ref}", '
+        f'"provenance": {{"generator": "{generator}", "seed": {seed}}}, '
+        f'"question": "{question}", "question_type": "{question_type}", '
+        f'"rationale": {rationale}, "scenario": "{scenario}", "split": "{split}"}}'
+    )
+
+
 def record_to_json(record: InstructionRecord) -> str:
     """The record's manifest line: json.dumps of its fields with sorted keys
-    and ensure_ascii=False, written directly. Right for every record that
-    validate_record accepts: strings where strings go, ints or None for
-    difficulty, and an int seed."""
-    r, p = record, record.provenance
-    alternates = ", ".join(map(_quote, r.alternates)) if r.alternates else ""
-    difficulty = "null" if r.difficulty is None else r.difficulty
-    rationale = "null" if r.rationale is None else _quote(r.rationale)
-    return (
-        f'{{"alternates": [{alternates}], "answer": {_quote(r.answer)}, '
-        f'"answer_kind": {_quote(r.answer_kind)}, "difficulty": {difficulty}, '
-        f'"id": {_quote(r.id)}, "image_ref": {_quote(r.image_ref)}, '
-        f'"provenance": {{"generator": {_quote(p.generator)}, "seed": {p.seed}}}, '
-        f'"question": {_quote(r.question)}, "question_type": {_quote(r.question_type)}, '
-        f'"rationale": {rationale}, "scenario": {_quote(r.scenario)}, '
-        f'"split": {_quote(r.split)}}}'
+    and ensure_ascii=False, written directly, by _line over its texts as the
+    C escaper writes them, less their quotes where the line format writes
+    them. Right for every record that validate_record accepts: strings where
+    strings go, ints or None for difficulty, and an int seed."""
+    r, p, q = record, record.provenance, _quote
+    return _line(
+        q(r.id)[1:-1], q(r.scenario)[1:-1], q(r.image_ref)[1:-1], q(r.question)[1:-1],
+        q(r.answer)[1:-1], q(r.answer_kind)[1:-1], q(r.question_type)[1:-1],
+        ", ".join(map(q, r.alternates)), "null" if r.rationale is None else q(r.rationale),
+        "null" if r.difficulty is None else r.difficulty, q(r.split)[1:-1],
+        q(p.generator)[1:-1], p.seed,
     )
 
 
@@ -485,8 +510,9 @@ def json_lines(data: bytes | str, what: str,
     Lines end at "\n" only: a JSON string holds U+0085, U+2028 and U+2029
     unescaped, and str.splitlines would cut it there. A byte that is not
     UTF-8 (on line 1 plus the number of "\n" before it), a line that is not
-    JSON, one nested deeper than the JSON scanner can follow and one that is
-    not an object raise SchemaMismatch("<what> line N: ...")."""
+    JSON, one holding an integer of more digits than int() converts, one
+    nested deeper than the JSON scanner can follow and one that is not an
+    object raise SchemaMismatch("<what> line N: ...")."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -505,6 +531,8 @@ def json_lines(data: bytes | str, what: str,
             value = parse_json_line(line)
         except json.JSONDecodeError as err:
             raise SchemaMismatch(f"{what} line {number}: invalid JSON ({err.msg})") from None
+        except ValueError as err:  # an integer longer than int() converts
+            raise SchemaMismatch(f"{what} line {number}: invalid JSON ({err})") from None
         except RecursionError:
             raise SchemaMismatch(f"{what} line {number}: JSON nested too deeply") from None
         if type(value) is not dict:
@@ -546,22 +574,102 @@ def _texts(record: InstructionRecord) -> Iterator[tuple[str, str]]:
             yield f.name, value
 
 
+_HEADER = json.dumps({"kind": "manifest-header", "schema_version": MANIFEST_SCHEMA_VERSION},
+                     sort_keys=True)
+# The bytes that a JSON string holds only as escapes: '"', '\\' and
+# U+0000-U+001F. UTF-8 writes every code point above U+007F in bytes of 0x80
+# and up only, so each of these bytes in an encoded file is one such
+# character.
+_ESCAPABLE = b'"\\' + bytes(range(32))
+
+
+def _escapables(data: bytes) -> int:
+    """How many '"', '\\' and U+0000-U+001F bytes `data` holds."""
+    return len(data) - len(data.translate(None, _ESCAPABLE))
+
+
+# The escapable bytes the line format writes itself: the header line's
+# quotes and its "\n"; a record line's quotes (46) and its "\n"; and the two
+# quotes around each alternate and a rationale that is not null.
+_HEADER_ESCAPABLES = _escapables(f"{_HEADER}\n".encode())
+_LINE_ESCAPABLES = _escapables(f"{record_to_json(InstructionRecord(*[''] * 7))}\n".encode())
+_STRING_ESCAPABLES = 2
+
+
+def _raw_file(records: list[InstructionRecord]) -> bytes | None:
+    """The manifest file of validated `records`, every line written by _line
+    from the records' own texts, or None if that is not json.dumps's file.
+
+    One pass over the records tests that answer, question, rationale,
+    scenario, answer_kind and split, which validate_record checks with
+    isinstance, are exact strs (an f-string formats a str subclass through
+    its own __format__, not its raw text; str.join reads an alternate's raw
+    text), adds up the escapable bytes the line format writes itself, and
+    writes the lines. The file is kept if its own count of those bytes is the
+    same. That is exact: a text needing an escape holds '"', '\\' or
+    U+0000-U+001F, each of which UTF-8 writes as one byte of that value, and
+    every other character in bytes of 0x80 and up. The joined text is
+    dropped before the count, so at most two file-sized copies are held at
+    once. None too if UTF-8 cannot encode a text."""
+    lines = [_HEADER]
+    strings = 0
+    for r in records:
+        alternates, rationale = r.alternates, r.rationale
+        if not (str is type(r.answer) is type(r.question) is type(r.scenario)
+                is type(r.answer_kind) is type(r.split)
+                and (rationale is None or type(rationale) is str)):
+            return None
+        if alternates:
+            strings += len(alternates)
+            alternates = f'"{_ALTERNATE_SEPARATOR.join(alternates)}"'
+        else:
+            alternates = ""
+        if rationale is None:
+            rationale = "null"
+        else:
+            strings += 1
+            rationale = f'"{rationale}"'
+        p = r.provenance
+        lines.append(_line(r.id, r.scenario, r.image_ref, r.question, r.answer, r.answer_kind,
+                           r.question_type, alternates, rationale,
+                           "null" if r.difficulty is None else r.difficulty, r.split,
+                           p.generator, p.seed))
+    lines.append("")
+    text = "\n".join(lines)
+    del lines
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:
+        return None
+    del text
+    expected = (_HEADER_ESCAPABLES + _LINE_ESCAPABLES * len(records)
+                + _STRING_ESCAPABLES * strings)
+    return data if _escapables(data) == expected else None
+
+
 def dump_manifest(manifest: Manifest) -> bytes:
     """Serialize to line-delimited JSON: one header line, one line per record.
 
+    Once the records validate, _raw_file writes every line from the records'
+    own texts, with no escaper call, and keeps the file when one count of its
+    '"', '\\' and U+0000-U+001F bytes proves that no text needed an escape.
+    If a text needs one, is a str subclass, or holds text that UTF-8 cannot
+    encode, every line is written again by record_to_json.
+
     A record holding text that UTF-8 cannot encode (a lone surrogate) raises
     ValueError("record <id>: [...]") naming the first such field. That
-    record is looked for only once the file's encode has failed."""
+    record is looked for in the escaped file, once its encode has failed:
+    there every "\n" ends a line, as it need not in a raw text."""
     manifest.validate()
-    header = json.dumps(
-        {"kind": "manifest-header", "schema_version": MANIFEST_SCHEMA_VERSION},
-        sort_keys=True,
-    )
-    text = "\n".join([header, *map(record_to_json, manifest.records), ""])
+    records = manifest.records
+    data = _raw_file(records)
+    if data is not None:
+        return data
+    text = "\n".join([_HEADER, *map(record_to_json, records), ""])
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError as err:
-        record = manifest.records[text.count("\n", 0, err.start) - 1]
+        record = records[text.count("\n", 0, err.start) - 1]
         name = next(name for name, value in _texts(record) if _SURROGATE_RE.search(value))
         problem = f"{name} cannot be encoded as UTF-8 ({err.reason})"
         raise ValueError(f"record {record.id}: {[problem]}") from None

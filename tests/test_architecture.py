@@ -441,11 +441,34 @@ def test_record_lines_skip_the_generic_json_path():
     place that splits an input file into lines, calls parse_json_line, which
     goes to the C scanner without json.loads's wrapper, and words a JSON
     type in an error. The one other split at "\n" cuts a backend reply, not
-    an input file, into its key: value lines, in bridge._kv_lines."""
+    an input file, into its key: value lines, in bridge._kv_lines.
+
+    The line format is written once: one string literal in records holds
+    '"alternates": [', in one f-string, in the function that every line
+    dump_manifest writes goes through, from the raw texts in _raw_file or
+    from the escaped ones in record_to_json. dump_manifest and
+    Manifest.validate keep the names that bench/spans.py wraps, and
+    dump_manifest still calls validate."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC_DIR.glob("*.py"))}
     [writer] = functions(trees["records"], "record_to_json")
     assert not json_calls(writer, "dumps")
+    [line_format] = [node for node in ast.walk(trees["records"])
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     and '"alternates": [' in node.value]
+    [template] = [fn for fn in ast.walk(trees["records"]) if isinstance(fn, ast.FunctionDef)
+                  and any(node is line_format for node in ast.walk(fn))]
+    assert any(isinstance(node, ast.JoinedStr) and line_format in node.values
+               for node in ast.walk(template))
+    [dump] = functions(trees["records"], "dump_manifest")
+    writers = {fn.name for fn in ast.walk(trees["records"])
+               if isinstance(fn, ast.FunctionDef) and name_uses(fn, template.name)}
+    assert writers == {"_raw_file", "record_to_json"}
+    assert all(name_uses(dump, name) for name in writers)
+    assert name_uses(dump, "validate")
+    [manifest] = [node for node in trees["records"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "Manifest"]
+    assert functions(manifest, "validate")
     assert not name_uses(trees["records"], "plain")
     offenders = [(name, line) for name in ("records", "scoring")
                  for line in json_calls(trees[name], "loads", skip=("parse_json_line",))]
@@ -876,6 +899,7 @@ NEVER_ENTERED_BY_GEN = {
     "records.record_from_json": "eval, stats, gallery: reading a manifest",
     "records.record_from_match": "eval, stats, gallery: reading a manifest",
     "records.load_manifest": "eval, stats, gallery: reading a manifest",
+    "records.record_to_json": "dump of a manifest with a text that needs an escape",
     "records._texts": "refusal: a record that cannot be encoded as UTF-8",
     "scene.InvalidScene.__init__": "refusal: an invalid scene",
     "scene._all_finite": "refusal: coordinates whose sum is not finite",

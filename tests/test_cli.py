@@ -393,6 +393,48 @@ def test_deeply_nested_config_file_is_one_line_error(tmp_path, capsys, flag, sou
     assert one_line_error(capsys) == f"error: {source} file {path}: JSON nested too deeply"
 
 
+# A JSON integer of more digits than int() converts (4300 by default): the
+# scanner's int() raises a plain ValueError, not a decode error.
+LONG_INT = "1" * 5000
+
+
+def long_int_problem() -> str:
+    with pytest.raises(ValueError) as err:
+        int(LONG_INT)
+    return f"invalid JSON ({err.value})"
+
+
+def test_over_long_integer_prediction_line_is_one_line_error(tmp_path, capsys):
+    out = gen(tmp_path)
+    capsys.readouterr()
+    preds = tmp_path / "p.jsonl"
+    preds.write_text('{"id": "a", "response": ' + LONG_INT + "}\n")
+    assert run(["eval", out / "manifest.jsonl", preds, "--out", tmp_path]) == 1
+    assert one_line_error(capsys) == f"error: prediction line 1: {long_int_problem()}"
+
+
+def test_over_long_integer_manifest_line_is_one_line_error(tmp_path, capsys):
+    """A seed of 5000 digits is more than the record pattern's 20, so the
+    line goes to the JSON scanner, which cannot convert it."""
+    out = gen(tmp_path)
+    capsys.readouterr()
+    manifest = out / "manifest.jsonl"
+    header, first, *rest = manifest.read_text(encoding="utf-8").split("\n")
+    first = re.sub(r'"seed": [0-9]+', f'"seed": {LONG_INT}', first)
+    manifest.write_text("\n".join([header, first, *rest]), encoding="utf-8")
+    assert run(["stats", manifest, "--out", tmp_path]) == 1
+    assert one_line_error(capsys) == f"error: manifest line 2: {long_int_problem()}"
+
+
+@pytest.mark.parametrize("flag, source, key", [("--config", "run-config", "seed"),
+                                               ("--backend", "backend-config", "max_parallel")])
+def test_over_long_integer_config_file_is_one_line_error(tmp_path, capsys, flag, source, key):
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"{key}": {LONG_INT}}}')
+    assert run(["gen", flag, path, "--out", tmp_path / "out", "--dry-run"]) == 1
+    assert one_line_error(capsys) == f"error: {source} file {path}: {long_int_problem()}"
+
+
 def test_gen_validates_the_manifest_once(tmp_path, monkeypatch):
     calls = []
     real = Manifest.validate

@@ -382,6 +382,154 @@ def encodable(record):
     return True
 
 
+# ---------------------------------------------------------------------------
+# dump_manifest's paths: every line from the raw texts, kept when one count
+# of the file's escapable bytes proves no text needs an escape; else every
+# line written again by record_to_json.
+
+@cache
+def generated_records():
+    manifest, _, _ = generate_dataset(RunConfig(default_count=1, seed=9))
+    return tuple(manifest.records)
+
+
+def clean_records(n):
+    """`n` records of a generated manifest, whose texts need no escape."""
+    return list(generated_records()[:n])
+
+
+def reference_file(records):
+    header = dump_manifest(Manifest()).decode("utf-8")
+    return (header + "".join(f"{reference_line(r)}\n" for r in records)).encode("utf-8")
+
+
+def dump_without_escaper(records):
+    """dump_manifest with records._quote raising, so only the raw texts'
+    path can write the file."""
+    def refuse(text):
+        raise AssertionError(f"escaper called on {text!r}")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("absynth.records._quote", refuse)
+        return dump_manifest(Manifest(records=records))
+
+
+# Characters the escaper writes as escapes: a quote, a backslash and three
+# control characters, "\n" among them.
+ESCAPES = ['"', "\\", "\t", "\n", "\x01"]
+FREE_TEXT_FIELDS = ("id", "image_ref", "question", "answer", "question_type", "alternates",
+                    "rationale", "generator")
+
+
+def with_text(record, field, text):
+    """`record` with `text` added to one of its free-text fields."""
+    if field == "generator":
+        return dataclasses.replace(record, provenance=Provenance(
+            record.provenance.generator + text, record.provenance.seed))
+    if field == "alternates":
+        return dataclasses.replace(record, alternates=(*record.alternates, f"a{text}"))
+    if field == "answer":
+        return dataclasses.replace(record, answer=f"{text}b", answer_kind="phrase")
+    return dataclasses.replace(record, **{field: f"{getattr(record, field) or ''}{text}"})
+
+
+@pytest.mark.parametrize("escape", ESCAPES, ids=["quote", "backslash", "tab", "newline", "u0001"])
+@pytest.mark.parametrize("at", [0, 5, 9], ids=["first", "middle", "last"])
+def test_a_record_needing_an_escape_is_written_as_json_dumps_writes_it(escape, at):
+    records = clean_records(10)
+    for field in FREE_TEXT_FIELDS:
+        changed = [*records[:at], with_text(records[at], field, escape), *records[at + 1:]]
+        assert validate_record(changed[at]) == [], field
+        assert dump_manifest(Manifest(records=changed)) == reference_file(changed), field
+    # The escape is what sent the file down the escaping path, every line
+    # of it.
+    with pytest.raises(AssertionError, match="^escaper called"):
+        dump_without_escaper(changed)
+    escaped = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("absynth.records.record_to_json",
+                      lambda record: escaped.append(record) or record_to_json(record))
+        assert dump_manifest(Manifest(records=changed)) == reference_file(changed)
+    assert escaped == changed
+
+
+def test_every_escapable_character_in_every_text_is_caught_by_the_count():
+    """Each of the 34 characters the escaper escapes, in each free text of a
+    record among clean ones, adds to the file's count of escapable bytes."""
+    records = clean_records(3)
+    escapable = ['"', "\\", *map(chr, range(0x20))]
+    for char in escapable:
+        for field in FREE_TEXT_FIELDS:
+            changed = [records[0], with_text(records[1], field, char), records[2]]
+            assert dump_manifest(Manifest(records=changed)) == reference_file(changed), \
+                (char, field)
+
+
+@pytest.mark.parametrize("text", ["\u2028", "\x85", "\u2029\x7f", "\U0001f600", "\U0010ffff",
+                                  "\xe9\u4e2d", "/ {} [] : ,"],
+                         ids=["u2028", "u0085", "u2029-del", "emoji", "last-code-point",
+                              "non-ascii", "json-punctuation"])
+def test_text_that_needs_no_escape_takes_the_raw_path(text):
+    records = clean_records(4)
+    changed = [records[0], *(with_text(records[1], field, text) for field in FREE_TEXT_FIELDS)]
+    changed = [dataclasses.replace(r, id=f"{r.id}-{i}") for i, r in enumerate(changed)]
+    assert dump_without_escaper(changed) == reference_file(changed)
+
+
+class Loud(str):
+    """A str subclass whose formatting writes something other than its text:
+    validate_record's isinstance checks accept it."""
+
+    def __format__(self, spec):
+        return "formatted"
+
+    def __str__(self):
+        return "stringified"
+
+
+@pytest.mark.parametrize("field", ["answer", "question", "rationale", "scenario", "answer_kind",
+                                   "split", "alternates"])
+def test_a_str_subclass_text_is_written_as_its_raw_text(field):
+    records = clean_records(3)
+    record = records[1]
+    value = (tuple(map(Loud, (*record.alternates, "x"))) if field == "alternates"
+             else Loud(getattr(record, field) or "Because."))
+    changed = [records[0], dataclasses.replace(record, **{field: value}), records[2]]
+    assert validate_record(changed[1]) == []
+    data = dump_manifest(Manifest(records=changed))
+    assert data == reference_file(changed)
+    assert b"formatted" not in data and b"stringified" not in data
+
+
+@pytest.mark.parametrize("fields, named", [(["question"], "question"),
+                                           (["alternates"], "alternates"),
+                                           (["rationale"], "rationale"),
+                                           (["rationale", "answer"], "answer")])
+def test_a_lone_surrogate_after_a_raw_newline_names_its_own_record(fields, named):
+    """The record before holds "\\n" in its question, which the raw texts
+    would write as a line break inside its line, so the record that cannot
+    be encoded is found in the escaped file. The first field in field order
+    that holds a surrogate is named."""
+    first, second, third = clean_records(3)
+    first = dataclasses.replace(first, question="one\ntwo\nthree")
+    bad = second
+    for field in fields:
+        bad = with_text(bad, field, "\ud800")
+    problem = f"{named} cannot be encoded as UTF-8 (surrogates not allowed)"
+    for records in ([first, bad, third], [first, third, bad]):
+        with pytest.raises(ValueError) as err:
+            dump_manifest(Manifest(records=records))
+        assert str(err.value) == f"record {bad.id}: {[problem]}"
+
+
+def test_a_generated_manifest_is_written_without_the_escaper():
+    """The claim is not vacuous: `gen --all --count 3 --seed 9`'s manifest
+    is written with records._quote raising, to the same bytes."""
+    manifest, _, _ = generate_dataset(RunConfig(default_count=3, seed=9))
+    data = dump_manifest(manifest)
+    assert data == reference_file(manifest.records)
+    assert dump_without_escaper(manifest.records) == data
+
+
 def test_load_of_dump_is_the_manifest():
     rng = Random(11)
     records = [r for r in (random_valid_record(rng, i) for i in range(2000)) if encodable(r)]
@@ -487,9 +635,11 @@ def valid_records(draw):
 def test_load_of_dump_is_the_manifest_on_either_path(drawn):
     """A writer line takes the pattern exactly when it holds no backslash:
     with ensure_ascii=False the only backslashes are escapes. Either way
-    the record is the JSON path's, field type for field type."""
+    the record is the JSON path's, field type for field type, and the file
+    is json.dumps's, whichever path dump_manifest wrote it by."""
     records = [dataclasses.replace(r, id=f"{r.id}-{i}") for i, r in enumerate(drawn)]
     data = dump_manifest(Manifest(records=records))
+    assert data == reference_file(records)
     assert repr(load_manifest(data)) == repr(json_path_load(data)) == repr(Manifest(records))
     for record, line in zip(records, data.decode("utf-8").split("\n")[1:]):
         match = _record_line().fullmatch(line)
